@@ -3,7 +3,7 @@
 //! Usage:
 //!
 //! ```text
-//! repro [--quick] [--jobs N] [--shards N] [--journal FILE [--resume]] [--out DIR] \
+//! repro [--quick] [--jobs N] [--journal FILE [--resume]] [--out DIR] \
 //!       [--watch] [--watch-out FILE] [--watch-capture-dir DIR] <id>... | all | list
 //! ```
 //!
@@ -47,17 +47,6 @@ fn main() {
                         std::process::exit(2);
                     });
                 upp_bench::sweep::set_default_jobs(n);
-            }
-            "--shards" => {
-                let n = args
-                    .next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--shards needs a positive integer");
-                        std::process::exit(2);
-                    });
-                upp_noc::shard::set_default_shards(n);
             }
             "--journal" => {
                 journal = Some(PathBuf::from(args.next().unwrap_or_else(|| {
@@ -130,7 +119,7 @@ fn main() {
     }
     if ids.is_empty() {
         eprintln!(
-            "usage: repro [--quick] [--jobs N] [--shards N] [--journal FILE [--resume]] [--out DIR] [--watch] [--watch-out FILE] [--watch-capture-dir DIR] <id>... | all | list\n  ids: {}",
+            "usage: repro [--quick] [--jobs N] [--journal FILE [--resume]] [--out DIR] [--watch] [--watch-out FILE] [--watch-capture-dir DIR] <id>... | all | list\n  ids: {}",
             upp_bench::ALL_IDS.join(", ")
         );
         std::process::exit(2);

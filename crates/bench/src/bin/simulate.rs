@@ -58,7 +58,6 @@ struct Args {
     sweep: Option<Vec<f64>>,
     journal: Option<String>,
     resume: bool,
-    shards: usize,
 }
 
 fn usage() -> ! {
@@ -110,10 +109,9 @@ fn usage() -> ! {
                                              summary) on the first critical\n\
                                              alert (implies --watch)\n\
          --mem                               print the end-of-run memory-footprint\n\
-                                             report (kernel-invariant: identical\n\
-                                             for every --shards value; merged into\n\
-                                             --json as \"mem\" and into --obs as\n\
-                                             mem.* gauges when those are given)\n\
+                                             report (merged into --json as \"mem\"\n\
+                                             and into --obs as mem.* gauges when\n\
+                                             those are given)\n\
          --stall-report                      print deadlock forensics after the run\n\
          --stall-svg PATH                    write the annotated stall diagram\n\
          --json PATH                         dump final NetStats/UppStats as JSON\n\
@@ -123,10 +121,6 @@ fn usage() -> ! {
                                              measurement window)\n\
          --jobs N                            sweep worker threads (default: all\n\
                                              hardware threads; results identical\n\
-                                             for every N)\n\
-         --shards N                          spatial shards of the cycle kernel\n\
-                                             (default 1 = serial; clamped to the\n\
-                                             chiplet count; results identical\n\
                                              for every N)\n\
          --journal FILE                      stream finished sweep points to a\n\
                                              JSONL journal (sweep mode only)\n\
@@ -171,7 +165,6 @@ fn parse() -> Args {
         sweep: None,
         journal: None,
         resume: false,
-        shards: 1,
     };
     let mut scheme_name = "upp".to_string();
     let mut it = std::env::args().skip(1);
@@ -303,17 +296,13 @@ fn parse() -> Args {
                 }
                 upp_bench::sweep::set_default_jobs(n);
             }
-            "--shards" => {
-                let n: usize = val().parse().unwrap_or_else(|_| usage());
-                if n == 0 {
-                    usage();
-                }
-                a.shards = n;
-            }
             "--journal" => a.journal = Some(val()),
             "--resume" => a.resume = true,
             "--help" | "-h" => usage(),
-            _ => usage(),
+            other => {
+                eprintln!("unknown flag {other}");
+                usage();
+            }
         }
     }
     a.scheme = match scheme_name.as_str() {
@@ -345,7 +334,7 @@ fn run_sweep(args: &Args, rates: &[f64]) {
     // the per-detector alert counts, so journals recorded before that are
     // rejected up front instead of silently mixing row shapes.
     let fingerprint = upp_bench::sweep::config_fingerprint(&format!(
-        "simulate|{:?}|{:?}|{}|vcs{}|f{}|w{}+{}|s{}|sh{}|alerts1",
+        "simulate|{:?}|{:?}|{}|vcs{}|f{}|w{}+{}|s{}|alerts1",
         args.system,
         args.scheme,
         args.pattern.label(),
@@ -353,8 +342,7 @@ fn run_sweep(args: &Args, rates: &[f64]) {
         args.faults,
         windows.warmup,
         windows.measure,
-        args.seed,
-        args.shards
+        args.seed
     ));
     let journal_path = args.journal.as_ref().map(std::path::PathBuf::from);
     match upp_bench::sweep::configure_journal(journal_path, args.resume, Some(&fingerprint)) {
@@ -439,9 +427,6 @@ fn main() {
         );
         exit(2);
     }
-    // The sharded kernel is applied to every network the run builds (the
-    // single simulation here, or each sweep point's system in the workers).
-    upp_noc::shard::set_default_shards(args.shards);
     if let Some(rates) = args.sweep.clone() {
         run_sweep(&args, &rates);
         return;
@@ -652,48 +637,7 @@ fn main() {
         } else {
             sys.run_until_drained(args.cycles)
         };
-    // Sharded-kernel telemetry (mailbox high-waters, per-shard merge
-    // counts) surfaces as obs gauges — but only when a shard runtime
-    // actually exists, so serial runs (and the golden-pinned payloads)
-    // keep their exact byte streams.
-    // One end-of-run owned snapshot: `shard_telemetry()` itself hands out
-    // borrows, and this report outlives several mutable uses of `sys`.
-    struct ShardTelemetrySnap {
-        shards: usize,
-        mailbox_capacity: usize,
-        mailbox_high_water: Vec<usize>,
-        merged_entries: Vec<u64>,
-    }
-    let shard_telemetry = sys.net().shard_telemetry().map(|t| ShardTelemetrySnap {
-        shards: t.shards,
-        mailbox_capacity: t.mailbox_capacity,
-        mailbox_high_water: t.mailbox_high_water.to_vec(),
-        merged_entries: t.merged_entries.to_vec(),
-    });
-    if let Some(t) = &shard_telemetry {
-        if sys.net().obs().is_enabled() {
-            let obs = sys.net_mut().obs_mut();
-            let g = obs.gauge("shard.mailbox.capacity");
-            obs.gauge_set(g, t.mailbox_capacity as u64);
-            for (i, (&hw, &merged)) in t
-                .mailbox_high_water
-                .iter()
-                .zip(t.merged_entries.iter())
-                .enumerate()
-            {
-                let g = obs.gauge(&format!("shard.{i}.mailbox_high_water"));
-                obs.gauge_set(g, hw as u64);
-                let g = obs.gauge(&format!("shard.{i}.merged_entries"));
-                obs.gauge_set(g, merged);
-            }
-        }
-        eprintln!(
-            "[shards] {} shards | mailbox high-water {:?} of {} | merged entries {:?}",
-            t.shards, t.mailbox_high_water, t.mailbox_capacity, t.merged_entries
-        );
-    }
-    // Memory-footprint report (kernel-invariant: routers + NIs + arena +
-    // calendar only, so serial and sharded runs report identical bytes).
+    // Memory-footprint report (routers + NIs + arena + calendar).
     // Gated on --mem so runs without it — including every golden-pinned
     // payload — keep their exact byte streams.
     let mem_report = args.mem.then(|| sys.net().mem_report());
@@ -916,25 +860,14 @@ fn main() {
             ),
             None => String::new(),
         };
-        // Same golden-compatibility rule for the "watch" and "shards"
-        // keys: absent unless telemetry was explicitly requested. The
-        // "shards" key in particular must NOT appear on a bare sharded
-        // run — the scheduler goldens compare `--shards N` output
-        // byte-for-byte against the serial recordings.
+        // Same golden-compatibility rule for the "watch" key: absent
+        // unless it was explicitly requested.
         let watch_field = match &watch {
             Some(w) => format!(",\n  \"watch\": {}", w.counts_json()),
             None => String::new(),
         };
-        let shards_field = match shard_telemetry.as_ref().filter(|_| args.obs || args.watch) {
-            Some(t) => format!(
-                ",\n  \"shards\": {{\"count\": {}, \"mailbox_capacity\": {}, \
-                 \"mailbox_high_water\": {:?}, \"merged_entries\": {:?}}}",
-                t.shards, t.mailbox_capacity, t.mailbox_high_water, t.merged_entries
-            ),
-            None => String::new(),
-        };
         let payload = format!(
-            "{{\n  \"outcome\": \"{outcome:?}\",\n  \"cycles\": {},\n  \"endpoints\": {nodes},\n  \"trace_dropped\": {trace_dropped},\n  \"net\": {net_json},\n  \"upp\": {upp_json}{obs_field}{mem_field}{watch_field}{shards_field}\n}}\n",
+            "{{\n  \"outcome\": \"{outcome:?}\",\n  \"cycles\": {},\n  \"endpoints\": {nodes},\n  \"trace_dropped\": {trace_dropped},\n  \"net\": {net_json},\n  \"upp\": {upp_json}{obs_field}{mem_field}{watch_field}\n}}\n",
             sys.net().cycle()
         );
         match std::fs::write(path, payload) {

@@ -7,9 +7,7 @@
 //! recycles handles through a free list, and the event calendar reuses its
 //! ring slots. This test installs a counting global allocator, warms the
 //! kernel up, then arms the counter and asserts that a window of
-//! steady-state cycles performs no allocations — on the serial kernel AND
-//! the sharded one (whose phase dispatch keeps worker jobs on recursion
-//! stack frames instead of boxing them).
+//! steady-state cycles performs no allocations.
 //!
 //! Escape hatch: `UPP_ALLOC_LAX=1` downgrades a violation to a warning,
 //! for platforms whose std primitives allocate where glibc's do not.
@@ -69,9 +67,8 @@ fn lax() -> bool {
 const WARMUP_CYCLES: u64 = 4_000;
 const MEASURE_CYCLES: u64 = 2_000;
 
-/// Runs one kernel configuration and returns the allocations counted over
-/// the armed steady-state window.
-fn measure(shards: usize) -> u64 {
+/// Returns the allocations counted over the armed steady-state window.
+fn measure() -> u64 {
     let spec = ChipletSystemSpec::baseline();
     let built = build_system(
         &spec,
@@ -82,13 +79,6 @@ fn measure(shards: usize) -> u64 {
         ConsumePolicy::Immediate { latency: 1 },
     );
     let mut sys = built.sys;
-    if shards > 1 {
-        let eff = sys.set_shards(shards);
-        assert!(
-            eff > 1,
-            "sharded run degraded to serial (vacuous measurement)"
-        );
-    }
     // Modest uniform-random load: enough in-flight traffic to keep every
     // pipeline stage busy, low enough that the network reaches a steady
     // state instead of accumulating an unbounded backlog.
@@ -113,24 +103,21 @@ fn measure(shards: usize) -> u64 {
     count
 }
 
-/// One test function (not two) so the serial and sharded windows cannot
-/// interleave their use of the shared global counters.
+/// The only test in this binary: a second one would share the global
+/// counters with it.
 #[test]
 fn steady_state_cycles_are_allocation_free() {
-    for shards in [1, 2] {
-        let allocs = measure(shards);
-        let label = if shards == 1 { "serial" } else { "2-shard" };
-        if allocs == 0 {
-            continue;
-        }
-        let msg = format!(
-            "{label} kernel performed {allocs} heap allocations over \
-             {MEASURE_CYCLES} steady-state cycles (expected 0)"
-        );
-        if lax() {
-            eprintln!("UPP_ALLOC_LAX set; ignoring: {msg}");
-        } else {
-            panic!("{msg}");
-        }
+    let allocs = measure();
+    if allocs == 0 {
+        return;
+    }
+    let msg = format!(
+        "the cycle kernel performed {allocs} heap allocations over \
+         {MEASURE_CYCLES} steady-state cycles (expected 0)"
+    );
+    if lax() {
+        eprintln!("UPP_ALLOC_LAX set; ignoring: {msg}");
+    } else {
+        panic!("{msg}");
     }
 }

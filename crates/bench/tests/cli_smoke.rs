@@ -1,6 +1,7 @@
 //! End-to-end smoke tests of the `simulate` binary's argument validation
-//! and the watch surface: zero-interval flags must fail with a message
-//! that names the flag (not the generic usage dump), `--watch` must work
+//! and the watch surface: zero-interval and unknown flags must fail with a
+//! message that names the flag (not the generic usage dump; `repro` is held
+//! to the same rule for unknown flags), `--watch` must work
 //! on clean and wedged runs, and the alert stream must be identical
 //! across repeated invocations.
 
@@ -13,8 +14,11 @@ fn tmp_path(name: &str) -> PathBuf {
     dir.join(name)
 }
 
+const SIMULATE: &str = env!("CARGO_BIN_EXE_simulate");
+const REPRO: &str = env!("CARGO_BIN_EXE_repro");
+
 fn simulate_raw(args: &[&str]) -> std::process::Output {
-    Command::new(env!("CARGO_BIN_EXE_simulate"))
+    Command::new(SIMULATE)
         .args(args)
         .output()
         .expect("simulate binary runs")
@@ -35,24 +39,28 @@ fn simulate_ok(args: &[&str]) -> (String, String) {
     )
 }
 
-/// Asserts `simulate args` exits with code 2 and an error message that
+/// Asserts `bin args` exits with code 2 and an error message that
 /// contains every needle (so the user learns *which* flag was wrong and
 /// what the valid range is — not just the usage dump).
-fn assert_rejected(args: &[&str], needles: &[&str]) {
-    let out = simulate_raw(args);
+fn assert_bin_rejected(bin: &str, args: &[&str], needles: &[&str]) {
+    let out = Command::new(bin).args(args).output().expect("binary runs");
     assert_eq!(
         out.status.code(),
         Some(2),
-        "simulate {args:?} should exit 2, got {:?}",
+        "{bin} {args:?} should exit 2, got {:?}",
         out.status
     );
     let stderr = String::from_utf8_lossy(&out.stderr);
     for n in needles {
         assert!(
             stderr.contains(n),
-            "simulate {args:?} stderr should mention {n:?}:\n{stderr}"
+            "{bin} {args:?} stderr should mention {n:?}:\n{stderr}"
         );
     }
+}
+
+fn assert_rejected(args: &[&str], needles: &[&str]) {
+    assert_bin_rejected(SIMULATE, args, needles);
 }
 
 #[test]
@@ -69,6 +77,16 @@ fn zero_interval_flags_are_rejected_with_clear_errors() {
     // Sweep mode computes alert counts for every point already; a --watch
     // there is a contradiction worth naming.
     assert_rejected(&["--watch", "--sweep", "0.02"], &["--watch", "single runs"]);
+}
+
+/// A flag neither binary knows (here the one the removed sharded kernel
+/// used to take) is an error that names the flag: exit 2, no panic, no
+/// bare usage dump.
+#[test]
+fn unknown_flags_are_rejected_by_name() {
+    for bin in [SIMULATE, REPRO] {
+        assert_bin_rejected(bin, &["--shards", "2"], &["unknown flag --shards"]);
+    }
 }
 
 const CLEAN: &[&str] = &[
@@ -107,7 +125,6 @@ fn watch_clean_run_is_alert_free_and_json_carries_counts() {
     simulate_ok(&args);
     let payload = std::fs::read_to_string(&json2).expect("json written");
     assert!(!payload.contains("\"watch\""), "no watch key:\n{payload}");
-    assert!(!payload.contains("\"shards\""), "no shards key:\n{payload}");
 }
 
 #[test]

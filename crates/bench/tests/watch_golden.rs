@@ -1,10 +1,10 @@
 //! Alert-stream golden guard: the committed `upp-alerts/v1` fixture pins
 //! the watcher's byte-exact output on a seeded deadlock run, across the
-//! serial kernel, the sharded kernel, and the `UPP_ALWAYS_TICK=1`
-//! reference scheduler. Like `scheduler_golden.rs`, this test deliberately
-//! has **no** `UPP_UPDATE_GOLDENS` refresh path — a failure means the
-//! watcher (or the simulation underneath it) changed behaviour, and the
-//! fix is in the code, never in the golden.
+//! active-set scheduler and the `UPP_ALWAYS_TICK=1` reference kernel. Like
+//! `scheduler_golden.rs`, this test deliberately has **no**
+//! `UPP_UPDATE_GOLDENS` refresh path — a failure means the watcher (or the
+//! simulation underneath it) changed behaviour, and the fix is in the code,
+//! never in the golden.
 //!
 //! The fixture was recorded by:
 //!
@@ -98,18 +98,8 @@ fn alert_stream_matches_committed_golden() {
 }
 
 #[test]
-fn alert_stream_is_kernel_and_scheduler_invariant() {
+fn alert_stream_is_scheduler_invariant() {
     let expected = golden();
-    for shards in ["2", "4"] {
-        let mut args: Vec<&str> = DEADLOCK.to_vec();
-        args.extend_from_slice(&["--shards", shards]);
-        let got = watch_stream(&args, &format!("shards_{shards}.jsonl"), false);
-        assert!(
-            got == expected,
-            "--shards {shards} alert stream diverged from the committed \
-             golden.\n--- golden ---\n{expected}\n--- shards {shards} ---\n{got}"
-        );
-    }
     let off = watch_stream(DEADLOCK, "always_tick.jsonl", true);
     assert!(
         off == expected,

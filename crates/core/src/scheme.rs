@@ -594,12 +594,16 @@ impl Upp {
     /// Processes the NI-side protocol: reservations (retrying until an entry
     /// frees, which Sec. V-B4 proves always happens) and stops.
     fn process_ni_queues(&mut self, net: &mut Network) {
-        let keys: Vec<(NodeId, VnetId)> = self
+        let mut keys: Vec<(NodeId, VnetId)> = self
             .ni_queues
             .iter()
             .filter(|(_, q)| !q.is_empty())
             .map(|(&k, _)| k)
             .collect();
+        // `HashMap` order differs from run to run, and the order in which
+        // ACKs of different VNets enter one router's control buffer is
+        // simulated state.
+        keys.sort_unstable();
         for (node, vnet) in keys {
             let Some(front) = self
                 .ni_queues
@@ -1047,6 +1051,8 @@ impl Scheme for Upp {
         let Some(o) = self.obs else { return };
         let mut active = 0u64;
         let mut signals = 0u64;
+        // Map order cannot matter here: every quantity below is a sum or a
+        // histogram bucket add.
         for st in self.routers.values() {
             signals += st.signal_q.len() as u64;
             for vs in &st.vnets {
@@ -1055,8 +1061,7 @@ impl Scheme for Upp {
                 }
                 // Distribution of live watchdog values: how close the
                 // population of `(node, VNet)` watchdogs sits to the
-                // threshold. Bucket adds commute, so the iteration order of
-                // the router map cannot affect the exported bytes.
+                // threshold.
                 net.obs_mut().record(o.watchdog_counter, vs.counter.value());
             }
         }
@@ -1079,6 +1084,8 @@ impl Scheme for Upp {
         if !self.initialized {
             return false;
         }
+        // Map order cannot matter below: two `any` tests and a reset of
+        // every counter.
         if self.routers.values().any(|st| {
             !st.signal_q.is_empty() || st.vnets.iter().any(|vs| !vs.stage.kind().is_idle())
         }) {

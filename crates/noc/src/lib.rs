@@ -66,7 +66,6 @@ pub mod ring;
 pub mod router;
 pub mod routing;
 pub mod scheme;
-pub mod shard;
 pub mod sim;
 pub mod stats;
 pub mod topology;

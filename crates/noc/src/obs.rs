@@ -27,8 +27,8 @@
 //! * **Mergeable epochs.** [`ObsSnapshot::merge`] is associative and
 //!   commutative (counters and histogram buckets form commutative monoids
 //!   under addition; gauges join in the lattice of
-//!   `(cycle, value)`-lexicographic maxima), so shard-level snapshots can
-//!   be folded in any order.
+//!   `(cycle, value)`-lexicographic maxima), so epoch snapshots can be
+//!   folded in any order.
 //!
 //! Histogram bucketing deliberately matches `upp_tracetools::Histogram`
 //! (exact buckets below [`LINEAR_MAX`], [`SUB`] sub-buckets per octave
@@ -265,8 +265,8 @@ enum Kind {
 /// high-water mark.
 ///
 /// Snapshots over the same registry layout form a commutative monoid under
-/// [`ObsSnapshot::merge`], so shard- or epoch-level aggregation can fold
-/// them in any order (property-tested in `tests/obs_props.rs`).
+/// [`ObsSnapshot::merge`], so epoch-level aggregation can fold them in
+/// any order (property-tested in `tests/obs_props.rs`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObsSnapshot {
     /// Cycle the epoch ended at.
@@ -585,46 +585,6 @@ impl ObsRegistry {
         self.epoch_hists.clone_from(&self.hists);
         self.gauge_epoch_high.copy_from_slice(&self.gauge_value);
         snap
-    }
-
-    /// Folds a shard-local shadow registry into this one and zeroes the
-    /// shadow for reuse next cycle. A shadow is a fresh registry with
-    /// [`ObsRegistry::enable`] called, so its ids are a prefix of this
-    /// registry's (the mechanism metrics register first, in a fixed
-    /// order). The parallel region only increments counters and
-    /// event-maintained gauges — both monotone — so adding the deltas
-    /// reproduces the serial values *and* high-water marks exactly: within
-    /// one cycle a monotone gauge peaks at its end-of-cycle value, which
-    /// is what the merged add reaches.
-    pub fn absorb_shard_delta(&mut self, shadow: &mut ObsRegistry) {
-        if !self.enabled || !shadow.enabled {
-            return;
-        }
-        for (ix, c) in shadow.counters.iter_mut().enumerate() {
-            if *c != 0 {
-                self.counters[ix] += *c;
-                *c = 0;
-            }
-        }
-        for (ix, g) in shadow.gauge_value.iter_mut().enumerate() {
-            if *g != 0 {
-                let v = self.gauge_value[ix] + *g;
-                self.gauge_value[ix] = v;
-                self.gauge_high[ix] = self.gauge_high[ix].max(v);
-                self.gauge_epoch_high[ix] = self.gauge_epoch_high[ix].max(v);
-                *g = 0;
-            }
-        }
-        for (ix, h) in shadow.hists.iter_mut().enumerate() {
-            self.hists[ix].merge(h);
-            *h = ObsHistogram::new();
-        }
-        for h in shadow.gauge_high.iter_mut() {
-            *h = 0;
-        }
-        for h in shadow.gauge_epoch_high.iter_mut() {
-            *h = 0;
-        }
     }
 
     // ------------------------------ export ------------------------------

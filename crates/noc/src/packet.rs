@@ -158,10 +158,10 @@ pub struct PacketDesc {
 /// Slab of in-flight [`PacketDesc`]s with free-list recycling.
 ///
 /// One descriptor is allocated per packet at `try_send` time and freed when
-/// the tail flit is accepted by the destination NI — both always on the
-/// serial path, so handle allocation order (and therefore the whole arena
-/// state) is identical between the serial and sharded kernels. The free
-/// list is LIFO, which keeps recycling deterministic and cache-warm.
+/// the tail flit is accepted by the destination NI, so handle allocation
+/// order (and therefore the whole arena state) is identical between the
+/// active-set and always-tick kernels. The free list is LIFO, which keeps
+/// recycling deterministic and cache-warm.
 #[derive(Debug, Default)]
 pub struct PacketArena {
     slots: Vec<PacketDesc>,

@@ -181,26 +181,8 @@ pub(crate) struct RouterCtx<'a> {
     pub tracer: &'a mut Tracer,
     pub obs: &'a mut ObsRegistry,
     /// Shared packet-descriptor arena (read-only during router stepping;
-    /// descriptors are interned/freed only on the serial path).
+    /// descriptors are interned by `try_send` and freed at ejection).
     pub arena: &'a PacketArena,
-    /// First-touch log of flat `link_flits` indices, armed only when
-    /// `stats` is a shard-local delta: the merge step uses it to fold the
-    /// per-link counters in O(touched links). `None` on the serial path.
-    pub link_log: Option<&'a mut Vec<u32>>,
-}
-
-impl RouterCtx<'_> {
-    /// Counts one flit leaving `node` through `port`, noting the first
-    /// touch of each link when a shard-delta log is armed.
-    #[inline]
-    pub(crate) fn bump_link(&mut self, node: NodeId, port: Port) {
-        if let Some(log) = self.link_log.as_deref_mut() {
-            if self.stats.link_flit_count(node, port) == 0 {
-                log.push((node.index() * Port::COUNT + port.index()) as u32);
-            }
-        }
-        self.stats.bump_link(node, port);
-    }
 }
 
 /// One router.
@@ -649,7 +631,7 @@ impl Router {
             claimed_out[b.out_port.index()] = true;
             claimed_in[b.in_port.index()] = true;
             ctx.stats.bypass_hops += 1;
-            ctx.bump_link(self.node, b.out_port);
+            ctx.stats.bump_link(self.node, b.out_port);
             ctx.tracker.touch(ctx.now);
             if ctx.tracer.enabled() {
                 ctx.tracer.record(TraceEvent::BypassHop {
@@ -1330,7 +1312,7 @@ impl Router {
         is_tail: bool,
     ) {
         ctx.stats.flit_hops += 1;
-        ctx.bump_link(self.node, out);
+        ctx.stats.bump_link(self.node, out);
         ctx.tracker.touch(ctx.now);
         if out == Port::Up {
             self.up_last_sent[ctx.arena.desc(&flit).vnet.index()] = ctx.now;
@@ -1553,7 +1535,6 @@ mod tests {
                 tracer: &mut self.tracer,
                 obs: &mut self.obs,
                 arena: &self.arena,
-                link_log: None,
             }
         }
 

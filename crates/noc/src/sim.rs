@@ -87,12 +87,6 @@ impl System {
         &mut self.net
     }
 
-    /// Selects the sharded parallel kernel (see [`Network::set_shards`]);
-    /// returns the effective shard count.
-    pub fn set_shards(&mut self, shards: usize) -> usize {
-        self.net.set_shards(shards)
-    }
-
     /// The scheme's name.
     pub fn scheme_name(&self) -> &'static str {
         self.scheme.name()

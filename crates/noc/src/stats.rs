@@ -160,61 +160,6 @@ impl NetStats {
             .unwrap_or(0)
     }
 
-    /// Folds a shard-local delta into this aggregate and zeroes the delta
-    /// for reuse next cycle. Every field is merged by its monoid (counters,
-    /// sums and histograms add; high-water marks max), all of which are
-    /// commutative and associative with a zero identity — so folding the
-    /// per-shard deltas in any order reproduces the serial totals exactly.
-    /// `link_touch` lists the flat `link_flits` indices the delta touched
-    /// (first-touch log kept by the router ctx), making the per-link merge
-    /// O(touched links) instead of O(all links); the on-demand growth then
-    /// reaches exactly the same final length as the serial kernel's.
-    pub fn absorb_shard_delta(&mut self, delta: &mut NetStats, link_touch: &[u32]) {
-        use std::mem::take;
-        self.packets_created += take(&mut delta.packets_created);
-        self.packets_injected += take(&mut delta.packets_injected);
-        self.packets_ejected += take(&mut delta.packets_ejected);
-        self.flits_injected += take(&mut delta.flits_injected);
-        self.flits_ejected += take(&mut delta.flits_ejected);
-        self.net_latency_sum += take(&mut delta.net_latency_sum);
-        self.queue_latency_sum += take(&mut delta.queue_latency_sum);
-        for (g, d) in self
-            .ejected_per_vnet
-            .iter_mut()
-            .zip(&mut delta.ejected_per_vnet)
-        {
-            *g += take(d);
-        }
-        for (g, d) in self
-            .latency_histogram
-            .iter_mut()
-            .zip(&mut delta.latency_histogram)
-        {
-            *g += take(d);
-        }
-        self.max_latency = self.max_latency.max(take(&mut delta.max_latency));
-        self.control_hops += take(&mut delta.control_hops);
-        self.bypass_hops += take(&mut delta.bypass_hops);
-        self.flit_hops += take(&mut delta.flit_hops);
-        self.max_req_buffer_occupancy = self
-            .max_req_buffer_occupancy
-            .max(take(&mut delta.max_req_buffer_occupancy));
-        self.max_ack_buffer_occupancy = self
-            .max_ack_buffer_occupancy
-            .max(take(&mut delta.max_ack_buffer_occupancy));
-        for (g, d) in self.per_class.iter_mut().zip(&mut delta.per_class) {
-            g.0 += take(&mut d.0);
-            g.1 += take(&mut d.1);
-        }
-        for &ix in link_touch {
-            let ix = ix as usize;
-            if self.link_flits.len() <= ix {
-                self.link_flits.resize(ix + 1, 0);
-            }
-            self.link_flits[ix] += take(&mut delta.link_flits[ix]);
-        }
-    }
-
     /// Estimates the `q`-quantile (`0.0..=1.0`) of total packet latency by
     /// linear interpolation inside the power-of-two histogram buckets. The
     /// estimate is exact at bucket boundaries and never exceeds the worst
@@ -485,49 +430,6 @@ mod tests {
         assert_eq!(s.link_flit_count(NodeId(9), Port::Up), 2);
         assert_eq!(s.link_flit_count(NodeId(2), Port::East), 1);
         assert_eq!(s.link_flit_count(NodeId(2), Port::West), 0);
-    }
-
-    #[test]
-    fn shard_delta_merge_matches_direct_accumulation() {
-        use crate::ids::Port;
-        let mut r = rec(0);
-        r.injected_at = Some(2);
-        // Serial reference: everything lands in one accumulator.
-        let mut serial = NetStats::new(2);
-        serial.flit_hops = 3;
-        serial.max_req_buffer_occupancy = 7;
-        serial.bump_link(NodeId(3), Port::East);
-        serial.bump_link(NodeId(3), Port::East);
-        serial.bump_link(NodeId(11), Port::Up);
-        serial.record_ejection(&r, 20);
-        // Sharded: the same operations split across two per-shard deltas,
-        // each with a first-touch link log, folded into a global aggregate.
-        let mut global = NetStats::new(2);
-        global.max_req_buffer_occupancy = 7;
-        let mut d0 = NetStats::new(2);
-        let mut touch0 = Vec::new();
-        d0.flit_hops = 3;
-        if d0.link_flit_count(NodeId(3), Port::East) == 0 {
-            touch0.push((NodeId(3).index() * Port::COUNT + Port::East.index()) as u32);
-        }
-        d0.bump_link(NodeId(3), Port::East);
-        d0.bump_link(NodeId(3), Port::East);
-        let mut d1 = NetStats::new(2);
-        let mut touch1 = Vec::new();
-        if d1.link_flit_count(NodeId(11), Port::Up) == 0 {
-            touch1.push((NodeId(11).index() * Port::COUNT + Port::Up.index()) as u32);
-        }
-        d1.bump_link(NodeId(11), Port::Up);
-        d1.record_ejection(&r, 20);
-        global.absorb_shard_delta(&mut d0, &touch0);
-        global.absorb_shard_delta(&mut d1, &touch1);
-        let a = serde_json::to_string(&serial).unwrap();
-        let b = serde_json::to_string(&global).unwrap();
-        assert_eq!(a, b, "merged deltas must be byte-identical to serial");
-        // The drained deltas are zeroed and safe to reuse.
-        assert_eq!(d0.flit_hops, 0);
-        assert_eq!(d1.packets_ejected, 0);
-        assert_eq!(d1.link_flit_count(NodeId(11), Port::Up), 0);
     }
 
     #[test]

@@ -424,12 +424,6 @@ enum SinkState {
     Chrome {
         buf: Vec<TraceEvent>,
     },
-    /// Unbounded in-order buffer used by the sharded kernel: each shard
-    /// records into its own capture tracer, and the merge step replays the
-    /// buffers into the real tracer in canonical order.
-    Capture {
-        buf: Vec<TraceEvent>,
-    },
 }
 
 /// The flight recorder. Owned by [`crate::network::Network`]; disabled by
@@ -458,7 +452,6 @@ impl std::fmt::Debug for Tracer {
             SinkState::Ring { buf, .. } => ("ring", buf.len()),
             SinkState::Jsonl { written, .. } => ("jsonl", *written as usize),
             SinkState::Chrome { buf } => ("chrome", buf.len()),
-            SinkState::Capture { buf } => ("capture", buf.len()),
         };
         f.debug_struct("Tracer")
             .field("sink", &kind)
@@ -519,36 +512,6 @@ impl Tracer {
         Self::new(TraceSink::Chrome)
     }
 
-    /// A capture tracer for shard-local recording: events buffer in order
-    /// and are later replayed into the real tracer via
-    /// [`Tracer::drain_captured`].
-    pub(crate) fn capture() -> Self {
-        Self {
-            state: SinkState::Capture { buf: Vec::new() },
-            profiler: None,
-        }
-    }
-
-    /// Takes the events buffered by a capture tracer (empty for every other
-    /// sink), leaving the buffer's allocation in place for reuse.
-    pub(crate) fn drain_captured(&mut self) -> Vec<TraceEvent> {
-        match &mut self.state {
-            SinkState::Capture { buf } => std::mem::take(buf),
-            _ => Vec::new(),
-        }
-    }
-
-    /// Hands a drained capture buffer back so its allocation is reused on
-    /// the next cycle (no-op for other sinks).
-    pub(crate) fn recycle_captured(&mut self, mut spare: Vec<TraceEvent>) {
-        if let SinkState::Capture { buf } = &mut self.state {
-            if buf.is_empty() && spare.capacity() > buf.capacity() {
-                spare.clear();
-                *buf = spare;
-            }
-        }
-    }
-
     /// True when events are being recorded (a sink is armed or a profiler
     /// is installed). Instrumentation sites branch on this before building
     /// event payloads, so a disabled tracer costs one predictable branch
@@ -602,7 +565,6 @@ impl Tracer {
                 *written += 1;
             }
             SinkState::Chrome { buf } => buf.push(ev),
-            SinkState::Capture { buf } => buf.push(ev),
         }
     }
 
@@ -614,7 +576,6 @@ impl Tracer {
             SinkState::Ring { buf, .. } => buf.len(),
             SinkState::Jsonl { written, .. } => *written as usize,
             SinkState::Chrome { buf } => buf.len(),
-            SinkState::Capture { buf } => buf.len(),
         }
     }
 

@@ -19,15 +19,12 @@
 //! Detectors are cycle-indexed and integer-valued: no wall clock, no
 //! floats in the exported bytes. Every input the watcher reads (stats
 //! counters, obs counters/gauges/histogram counts, `in_flight`, per-link
-//! flit totals) is proven byte-identical across the serial and sharded
-//! kernels and across the active-set scheduler and the `UPP_ALWAYS_TICK=1`
-//! reference kernel by the PR 5/PR 8 equivalence suites — so the alert
-//! stream is too (pinned by `watch_golden.rs` and the `shard_equiv` /
-//! `scheduler_equiv` watch properties). Notably the *shard imbalance*
-//! detector does not read shard-runtime state (which exists only on the
-//! sharded kernel): it aggregates per-link flit deltas by chiplet — the
-//! unit shards are carved from — so the same spatial skew is visible, with
-//! identical bytes, on every kernel.
+//! flit totals) is proven byte-identical across the active-set scheduler
+//! and the `UPP_ALWAYS_TICK=1` reference kernel by the PR 5 equivalence
+//! suite — so the alert stream is too (pinned by `watch_golden.rs` and the
+//! `scheduler_equiv` watch properties). The `shard_imbalance` detector
+//! keeps its name from the byte-pinned `upp-alerts/v1` schema; what it
+//! reads is per-link flit deltas aggregated by chiplet.
 //!
 //! Like obs and trace, the watcher is strictly read-only and costs nothing
 //! when absent: it is driver-owned state, not network state, and feeds
@@ -66,7 +63,7 @@ pub enum Detector {
     /// The remote-control permit queue backing up.
     PermitQueueRunaway,
     /// Per-chiplet link-flit skew: one chiplet doing a large multiple of
-    /// the mean work (the spatial imbalance that starves sharded kernels).
+    /// the mean work.
     ShardImbalance,
 }
 
@@ -557,8 +554,7 @@ fn popup_count(net: &Network) -> u64 {
 }
 
 /// Cumulative link flits aggregated per chiplet (interposer traffic is
-/// deliberately excluded: shards are carved from chiplet blocks, so
-/// chiplet-granular skew is the kernel-invariant proxy for shard skew).
+/// deliberately excluded: the detector compares chiplets with each other).
 fn chiplet_flits(net: &Network) -> Vec<u64> {
     let stats = net.stats();
     net.topo()

@@ -1,11 +1,10 @@
 //! Algebraic properties of the telemetry registry's epoch snapshots.
 //!
-//! Aggregation across epochs (and, later, across shards) folds snapshots
-//! with [`ObsSnapshot::merge`]; for the fold to be safe to reorder and
-//! regroup, snapshots over one registry layout must form a commutative
-//! monoid. These properties also pin the exactness claim: cutting a run
-//! into arbitrary epochs and merging them back reproduces the whole-run
-//! snapshot bit-for-bit.
+//! Aggregation across epochs folds snapshots with [`ObsSnapshot::merge`];
+//! for the fold to be safe to reorder and regroup, snapshots over one
+//! registry layout must form a commutative monoid. These properties also
+//! pin the exactness claim: cutting a run into arbitrary epochs and merging
+//! them back reproduces the whole-run snapshot bit-for-bit.
 
 use proptest::prelude::*;
 use upp_noc::obs::{ObsHistogram, ObsRegistry, ObsSnapshot};

@@ -164,29 +164,15 @@ pub fn run_scenario(sc: &Scenario, oracle_cfg: OracleConfig) -> RunReport {
 /// reports. No environment variables are involved, so concurrent test
 /// threads can't race on the setting.
 pub fn run_scenario_with(sc: &Scenario, oracle_cfg: OracleConfig, scheduler: bool) -> RunReport {
-    run_scenario_sharded(sc, oracle_cfg, scheduler, 1)
-}
-
-/// [`run_scenario_with`] on the spatially sharded parallel kernel
-/// (`shards` > 1 selects it; see `Network::set_shards`). The
-/// shard-equivalence suite demands reports identical to the serial
-/// kernel's, byte for byte.
-pub fn run_scenario_sharded(
-    sc: &Scenario,
-    oracle_cfg: OracleConfig,
-    scheduler: bool,
-    shards: usize,
-) -> RunReport {
     run_scenario_watched(
         sc,
         oracle_cfg,
         scheduler,
-        shards,
         upp_noc::watch::WatchConfig::default(),
     )
 }
 
-/// [`run_scenario_sharded`] with explicit health-monitor tuning — the
+/// [`run_scenario_with`] with explicit health-monitor tuning — the
 /// watch differential tests lower thresholds to exercise scheme-specific
 /// detectors (popup storms, permit runaway) on mini scenarios whose
 /// absolute rates never reach the production defaults.
@@ -194,7 +180,6 @@ pub fn run_scenario_watched(
     sc: &Scenario,
     oracle_cfg: OracleConfig,
     scheduler: bool,
-    shards: usize,
     watch_cfg: upp_noc::watch::WatchConfig,
 ) -> RunReport {
     let spec = system_spec(&sc.system).expect("known system");
@@ -202,13 +187,6 @@ pub fn run_scenario_watched(
     let cfg = NocConfig::default().with_vcs_per_vnet(sc.vcs_per_vnet);
     let mut built = build_system(&spec, cfg, &kind, 0, sc.seed, ConsumePolicy::External);
     built.sys.net_mut().set_active_scheduler(scheduler);
-    if shards > 1 {
-        let eff = built.sys.set_shards(shards);
-        assert!(
-            eff > 1,
-            "sharded scenario run degraded to the serial kernel"
-        );
-    }
     built
         .sys
         .net_mut()

@@ -42,8 +42,8 @@ pub use bridge::{
     CHECK_ARTIFACT_VERSION,
 };
 pub use harness::{
-    oracle_for, run_differential, run_scenario, run_scenario_sharded, run_scenario_watched,
-    run_scenario_with, DiffReport, RunReport, Verdict,
+    oracle_for, run_differential, run_scenario, run_scenario_watched, run_scenario_with,
+    DiffReport, RunReport, Verdict,
 };
 pub use oracle::{DeadlockOracle, OracleConfig, OracleViolation};
 pub use scenario::Scenario;

@@ -14,7 +14,7 @@ use upp_noc::ni::ConsumePolicy;
 use upp_noc::sim::RunOutcome;
 use upp_noc::topology::{ChipletSystemSpec, SystemKind};
 use upp_verify::scenario::{random_scenario, CampaignParams};
-use upp_verify::{oracle_for, run_scenario_sharded, run_scenario_with, RunReport};
+use upp_verify::{oracle_for, run_scenario_with, RunReport};
 use upp_workloads::runner::{build_system, SchemeKind};
 use upp_workloads::synthetic::{Pattern, SyntheticTraffic};
 
@@ -63,49 +63,6 @@ proptest! {
         prop_assert_eq!(&on.delivered, &off.delivered, "delivered multiset diverged");
         prop_assert_eq!(&on.profile, &off.profile, "latency profile diverged");
         prop_assert_eq!(&on.alerts, &off.alerts, "alert stream diverged");
-    }
-
-    /// The scheduler and the sharded parallel kernel compose: the cross
-    /// combination (always-tick serial vs active-set sharded) must still
-    /// agree, so neither optimization's correctness depends on the other
-    /// being off. Per-shard equivalence lives in `shard_equiv.rs`.
-    #[test]
-    fn scheduler_and_sharding_compose(
-        seed in 0u64..5_000,
-        scheme_ix in 0usize..SCHEMES.len(),
-        shards in prop_oneof![Just(2usize), Just(4)],
-        rate_milli in 15u64..60,
-    ) {
-        let label = SCHEMES[scheme_ix];
-        let params = CampaignParams {
-            rate: rate_milli as f64 / 1000.0,
-            ..CampaignParams::default()
-        };
-        let mut sc = random_scenario(&params, seed).expect("valid params");
-        sc.scheme = label.into();
-        let oracle = oracle_for(&sc);
-        let serial_off = run_scenario_with(&sc, oracle, false);
-        let sharded_on = run_scenario_sharded(&sc, oracle, true, shards);
-        prop_assert_eq!(
-            observables(&serial_off),
-            observables(&sharded_on),
-            "run shape diverged"
-        );
-        prop_assert_eq!(
-            &serial_off.delivered,
-            &sharded_on.delivered,
-            "delivered multiset diverged"
-        );
-        prop_assert_eq!(
-            &serial_off.profile,
-            &sharded_on.profile,
-            "latency profile diverged"
-        );
-        prop_assert_eq!(
-            &serial_off.alerts,
-            &sharded_on.alerts,
-            "alert stream diverged"
-        );
     }
 
     /// Drain-loop equivalence on the full baseline system: a traffic burst

@@ -123,8 +123,8 @@ fn sensitized_popup_detector_separates_upp_from_none() {
     };
     let mut upp = sc.clone();
     upp.scheme = "UPP".into();
-    let upp_report = run_scenario_watched(&upp, oracle_for(&upp), true, 1, sensitized.clone());
-    let none_report = run_scenario_watched(&sc, oracle_for(&sc), true, 1, sensitized);
+    let upp_report = run_scenario_watched(&upp, oracle_for(&upp), true, sensitized.clone());
+    let none_report = run_scenario_watched(&sc, oracle_for(&sc), true, sensitized);
     assert!(
         fired(&upp_report).contains("popup_storm"),
         "UPP's recovery should trip the sensitized popup detector; fired: {:?}\n{:?}",

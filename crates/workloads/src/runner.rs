@@ -95,32 +95,16 @@ pub fn build_on_topology(
     } else {
         ChipletRouting::xy()
     };
-    // Applies the process-wide `--shards` default (1 = serial) to every
-    // freshly built network.
-    fn new_net(
-        cfg: NocConfig,
-        topo: Topology,
-        routing: Arc<dyn upp_noc::routing::RouteComputer>,
-        consume: ConsumePolicy,
-        seed: u64,
-    ) -> Network {
-        let mut net = Network::new(cfg, topo, routing, consume, seed);
-        let shards = upp_noc::shard::default_shards();
-        if shards > 1 {
-            net.set_shards(shards);
-        }
-        net
-    }
     match kind {
         SchemeKind::None => {
-            let net = new_net(cfg, topo, Arc::new(routing), consume, seed);
+            let net = Network::new(cfg, topo, Arc::new(routing), consume, seed);
             BuiltSystem {
                 sys: System::new(net, Box::new(upp_noc::NoScheme)),
                 upp_stats: None,
             }
         }
         SchemeKind::Upp(ucfg) => {
-            let net = new_net(cfg, topo, Arc::new(routing), consume, seed);
+            let net = Network::new(cfg, topo, Arc::new(routing), consume, seed);
             let upp = Upp::new(*ucfg);
             let stats = upp.stats_handle();
             BuiltSystem {
@@ -135,14 +119,14 @@ pub fn build_on_topology(
                 "the composable search is impractical on faulty systems (Sec. VI-B)"
             );
             let (scheme, routing) = Composable::build(&topo).expect("composable search succeeds");
-            let net = new_net(cfg, topo, Arc::new(routing), consume, seed);
+            let net = Network::new(cfg, topo, Arc::new(routing), consume, seed);
             BuiltSystem {
                 sys: System::new(net, Box::new(scheme)),
                 upp_stats: None,
             }
         }
         SchemeKind::RemoteControl => {
-            let net = new_net(cfg, topo, Arc::new(routing), consume, seed);
+            let net = Network::new(cfg, topo, Arc::new(routing), consume, seed);
             BuiltSystem {
                 sys: System::new(
                     net,
