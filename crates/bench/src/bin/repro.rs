@@ -3,8 +3,7 @@
 //! Usage:
 //!
 //! ```text
-//! repro [--quick] [--jobs N] [--journal FILE [--resume]] [--out DIR] \
-//!       [--watch] [--watch-out FILE] [--watch-capture-dir DIR] <id>... | all | list
+//! repro [--quick] [--jobs N] [--journal FILE [--resume]] [--out DIR] <id>... | all | list
 //! ```
 //!
 //! `--jobs N` bounds the sweep engine's worker pool (default: all hardware
@@ -14,23 +13,24 @@
 //! interrupted `repro all` can pick up where it left off.
 //!
 //! Every sweep point runs the online health monitor and its journal row
-//! carries per-detector alert counts. `--watch` additionally echoes a
-//! per-point summary to stderr as alerting points complete;
-//! `--watch-out FILE` streams each point's `upp-alerts/v1` lines (grouped
-//! under `{"upp_alerts_point":1,...}` context lines; group order follows
-//! completion order, so it depends on `--jobs`); `--watch-capture-dir DIR`
-//! auto-captures a forensics bundle into a per-point subdirectory when a
-//! point crosses critical. Journal-resumed points are not re-run and thus
-//! contribute no alert lines.
+//! carries per-detector alert counts. To see the alert stream of a point
+//! that fired, or capture its forensics bundle, re-run that point under
+//! `simulate --watch-out FILE --watch-capture-dir DIR` with the row's
+//! parameters.
+//!
+//! Exits 1 when an experiment ran but its `results/` JSON could not be
+//! written (the remaining ids are still attempted).
 
 use std::path::PathBuf;
 use std::time::Instant;
+use upp_bench::sweep::{default_jobs, SweepEngine};
 
 fn main() {
     let mut quick = false;
     let mut out_dir = PathBuf::from("results");
     let mut journal: Option<PathBuf> = None;
     let mut resume = false;
+    let mut jobs: Option<usize> = None;
     let mut ids: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -46,7 +46,7 @@ fn main() {
                         eprintln!("--jobs needs a positive integer");
                         std::process::exit(2);
                     });
-                upp_bench::sweep::set_default_jobs(n);
+                jobs = Some(n);
             }
             "--journal" => {
                 journal = Some(PathBuf::from(args.next().unwrap_or_else(|| {
@@ -59,24 +59,6 @@ fn main() {
                     eprintln!("--out needs a directory");
                     std::process::exit(2);
                 }));
-            }
-            "--watch" => upp_workloads::runner::set_watch_echo(true),
-            "--watch-out" => {
-                let path = PathBuf::from(args.next().unwrap_or_else(|| {
-                    eprintln!("--watch-out needs a file path");
-                    std::process::exit(2);
-                }));
-                if let Err(e) = upp_workloads::runner::set_watch_out(&path) {
-                    eprintln!("cannot open {}: {e}", path.display());
-                    std::process::exit(2);
-                }
-            }
-            "--watch-capture-dir" => {
-                let dir = PathBuf::from(args.next().unwrap_or_else(|| {
-                    eprintln!("--watch-capture-dir needs a directory");
-                    std::process::exit(2);
-                }));
-                upp_workloads::runner::set_watch_capture_dir(&dir);
             }
             "list" => {
                 for id in upp_bench::ALL_IDS {
@@ -96,37 +78,28 @@ fn main() {
         eprintln!("--resume needs --journal FILE");
         std::process::exit(2);
     }
-    // No fingerprint: a repro journal is shared across experiments, whose
-    // full config (windows, rates, scheme) is already baked into the point
-    // keys — stale reuse is impossible there.
-    match upp_bench::sweep::configure_journal(journal.clone(), resume, None) {
-        Ok(n) => {
-            if let Some(j) = &journal {
-                if resume {
-                    eprintln!(
-                        "[journal] resuming from {} ({n} points recorded)",
-                        j.display()
-                    );
-                } else {
-                    eprintln!("[journal] streaming points to {}", j.display());
-                }
-            }
-        }
-        Err(e) => {
+    let mut engine = SweepEngine::new(jobs.unwrap_or_else(default_jobs));
+    if let Some(path) = &journal {
+        // No fingerprint: a repro journal is shared across experiments,
+        // whose full config (windows, rates, scheme) is already baked into
+        // the point keys — stale reuse is impossible there.
+        engine = engine.open_journal(path, resume, None).unwrap_or_else(|e| {
             eprintln!("cannot open journal: {e}");
             std::process::exit(2);
-        }
+        });
     }
     if ids.is_empty() {
         eprintln!(
-            "usage: repro [--quick] [--jobs N] [--journal FILE [--resume]] [--out DIR] [--watch] [--watch-out FILE] [--watch-capture-dir DIR] <id>... | all | list\n  ids: {}",
+            "usage: repro [--quick] [--jobs N] [--journal FILE [--resume]] [--out DIR] <id>... | all | list\n  ids: {}",
             upp_bench::ALL_IDS.join(", ")
         );
         std::process::exit(2);
     }
+    let ctx = upp_bench::Context::new(quick, engine);
+    let mut failed = false;
     for id in ids {
         let t0 = Instant::now();
-        match upp_bench::run(&id, quick) {
+        match upp_bench::run(&id, &ctx) {
             Some(result) => {
                 println!("\n{}", result.markdown);
                 match result.write_json(&out_dir) {
@@ -135,7 +108,10 @@ fn main() {
                         t0.elapsed(),
                         path.display()
                     ),
-                    Err(e) => eprintln!("[{id}] done, but writing JSON failed: {e}"),
+                    Err(e) => {
+                        eprintln!("[{id}] done, but writing JSON failed: {e}");
+                        failed = true;
+                    }
                 }
             }
             None => {
@@ -143,5 +119,8 @@ fn main() {
                 std::process::exit(2);
             }
         }
+    }
+    if failed {
+        std::process::exit(1);
     }
 }

@@ -1,25 +1,28 @@
 //! A generic command-line driver for the simulator: pick a system, scheme,
 //! traffic pattern, load and duration; get latency/throughput/recovery
 //! statistics (and optionally an occupancy SVG, a flight-recorder trace,
-//! an epoch-metrics time series, or post-mortem deadlock forensics).
+//! telemetry epochs, or post-mortem deadlock forensics). Exits 1 when a
+//! requested output file could not be written.
 //!
 //! ```text
 //! simulate --scheme upp --pattern uniform_random --rate 0.08 --cycles 50000
 //! simulate --scheme none --rate 0.2 --stall-report   # watch it deadlock
 //! simulate --scheme upp --chrome-trace trace.json    # open in Perfetto
-//! simulate --scheme upp --metrics-every 500 --metrics-out metrics.csv
+//! simulate --scheme upp --obs-every 500 --obs-out epochs.jsonl
 //! simulate --system large --scheme composable --vcs 4 --json out.json
 //! simulate --scheme upp --sweep 0.02,0.05,0.08 --jobs 4 --json pts.json
 //! ```
 
 use std::io::Write as _;
+use std::path::Path;
 use std::process::exit;
+use upp_bench::sweep::{default_jobs, SweepEngine};
 use upp_core::{UppConfig, UppStats};
 use upp_noc::config::NocConfig;
 use upp_noc::ni::ConsumePolicy;
 use upp_noc::profile::SpanRecorder;
 use upp_noc::topology::{ChipletSystemSpec, SystemKind};
-use upp_noc::trace::{MetricsSampler, Tracer};
+use upp_noc::trace::Tracer;
 use upp_noc::viz::{stall_svg, topology_svg};
 use upp_tracetools::render::analyze_text;
 use upp_tracetools::ProfileSummary;
@@ -42,8 +45,6 @@ struct Args {
     trace_ring_cap: Option<usize>,
     profile: bool,
     profile_out: Option<String>,
-    metrics_every: Option<u64>,
-    metrics_out: Option<String>,
     obs: bool,
     obs_every: Option<u64>,
     obs_out: Option<String>,
@@ -56,6 +57,7 @@ struct Args {
     stall_svg_path: Option<String>,
     json: Option<String>,
     sweep: Option<Vec<f64>>,
+    jobs: Option<usize>,
     journal: Option<String>,
     resume: bool,
 }
@@ -84,9 +86,6 @@ fn usage() -> ! {
                                              phases and print the breakdown\n\
          --profile-out PATH                  write the profile summary JSON for\n\
                                              `upp-trace` (implies --profile)\n\
-         --metrics-every N                   sample epoch metrics every N cycles\n\
-         --metrics-out PATH                  write the metrics time series (CSV;\n\
-                                             stdout when omitted)\n\
          --obs                               enable protocol-state telemetry and\n\
                                              print the final summary (merged into\n\
                                              --json as \"obs\" when given)\n\
@@ -149,8 +148,6 @@ fn parse() -> Args {
         trace_ring_cap: None,
         profile: false,
         profile_out: None,
-        metrics_every: None,
-        metrics_out: None,
         obs: false,
         obs_every: None,
         obs_out: None,
@@ -163,6 +160,7 @@ fn parse() -> Args {
         stall_svg_path: None,
         json: None,
         sweep: None,
+        jobs: None,
         journal: None,
         resume: false,
     };
@@ -228,18 +226,6 @@ fn parse() -> Args {
                 a.profile = true;
                 a.profile_out = Some(val());
             }
-            "--metrics-every" => {
-                let n: u64 = val().parse().unwrap_or_else(|_| usage());
-                if n == 0 {
-                    eprintln!(
-                        "--metrics-every must be at least 1 cycle: 0 would never \
-                         sample (use 1 to sample every cycle)"
-                    );
-                    exit(2);
-                }
-                a.metrics_every = Some(n);
-            }
-            "--metrics-out" => a.metrics_out = Some(val()),
             "--obs" => a.obs = true,
             "--obs-every" => {
                 a.obs = true;
@@ -294,7 +280,7 @@ fn parse() -> Args {
                 if n == 0 {
                     usage();
                 }
-                upp_bench::sweep::set_default_jobs(n);
+                a.jobs = Some(n);
             }
             "--journal" => a.journal = Some(val()),
             "--resume" => a.resume = true,
@@ -313,6 +299,23 @@ fn parse() -> Args {
         _ => usage(),
     };
     a
+}
+
+/// Writes one requested output file and says so on stderr (`detail` is
+/// appended to the success line). Returns whether the file was written: a
+/// run whose artifact is missing has failed, so `main` exits 1 once every
+/// remaining output has been attempted.
+fn write_artifact(path: &str, bytes: &[u8], detail: &str) -> bool {
+    match std::fs::write(path, bytes) {
+        Ok(()) => {
+            eprintln!("wrote {path}{detail}");
+            true
+        }
+        Err(e) => {
+            eprintln!("could not write {path}: {e}");
+            false
+        }
+    }
 }
 
 /// `--sweep` mode: fan the rate list over the sweep engine and print one
@@ -344,21 +347,14 @@ fn run_sweep(args: &Args, rates: &[f64]) {
         windows.measure,
         args.seed
     ));
-    let journal_path = args.journal.as_ref().map(std::path::PathBuf::from);
-    match upp_bench::sweep::configure_journal(journal_path, args.resume, Some(&fingerprint)) {
-        Ok(n) => {
-            if let Some(j) = &args.journal {
-                if args.resume {
-                    eprintln!("[journal] resuming from {j} ({n} points recorded)");
-                } else {
-                    eprintln!("[journal] streaming points to {j}");
-                }
-            }
-        }
-        Err(e) => {
-            eprintln!("cannot open journal: {e}");
-            exit(2);
-        }
+    let mut engine = SweepEngine::new(args.jobs.unwrap_or_else(default_jobs));
+    if let Some(path) = &args.journal {
+        engine = engine
+            .open_journal(Path::new(path), args.resume, Some(&fingerprint))
+            .unwrap_or_else(|e| {
+                eprintln!("cannot open journal: {e}");
+                exit(2);
+            });
     }
     eprintln!(
         "sweep: system {:?} | scheme {} | pattern {} | {} rates | {} workers",
@@ -366,9 +362,9 @@ fn run_sweep(args: &Args, rates: &[f64]) {
         args.scheme.label(),
         args.pattern.label(),
         rates.len(),
-        upp_bench::sweep::default_jobs()
+        engine.jobs()
     );
-    let points = upp_bench::sweep::sweep_rates(
+    let points = engine.sweep_rates(
         "cli",
         &spec,
         &cfg,
@@ -399,9 +395,8 @@ fn run_sweep(args: &Args, rates: &[f64]) {
     if let Some(path) = &args.json {
         let payload =
             serde_json::to_string_pretty(&points).expect("stats serialization is infallible");
-        match std::fs::write(path, payload + "\n") {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
+        if !write_artifact(path, (payload + "\n").as_bytes(), "") {
+            exit(1);
         }
     }
 }
@@ -506,10 +501,6 @@ fn main() {
             }
         }
     };
-    let mut sampler = args
-        .metrics_every
-        .map(|n| MetricsSampler::new(n.max(1), sys.net().topo().num_endpoints()));
-
     // Telemetry epochs, collected as deterministic single-line JSON, and
     // the online health monitor. Both consume the same epoch boundary: a
     // due boundary calls `observe()` exactly once, so the sampled-gauge
@@ -606,9 +597,6 @@ fn main() {
     for cycle in 0..args.cycles {
         traffic.tick(&mut sys);
         sys.step();
-        if let Some(s) = sampler.as_mut() {
-            s.maybe_sample(sys.net());
-        }
         epoch_tick(&mut sys, &mut obs_lines, &mut watch, &mut watch_file);
         drain_spans(&mut sys, &mut profile);
         if sys.net().stalled() {
@@ -616,27 +604,23 @@ fn main() {
             break;
         }
     }
-    let outcome =
-        if sampler.is_some() || profile.is_some() || args.obs_every.is_some() || watch.is_some() {
-            // Manual drain loop so epoch sampling and span streaming continue
-            // to the end; the zero-budget call afterwards just classifies the
-            // final state. (Telemetry epochs in particular must land on exact
-            // cycle boundaries, which fast-forwarding would step over.)
-            for _ in 0..args.cycles {
-                if sys.net().in_flight() == 0 || sys.net().stalled() {
-                    break;
-                }
-                sys.step();
-                if let Some(s) = sampler.as_mut() {
-                    s.maybe_sample(sys.net());
-                }
-                epoch_tick(&mut sys, &mut obs_lines, &mut watch, &mut watch_file);
-                drain_spans(&mut sys, &mut profile);
+    let outcome = if profile.is_some() || args.obs_every.is_some() || watch.is_some() {
+        // Manual drain loop so epoch cuts and span streaming continue
+        // to the end; the zero-budget call afterwards just classifies the
+        // final state. (Telemetry epochs in particular must land on exact
+        // cycle boundaries, which fast-forwarding would step over.)
+        for _ in 0..args.cycles {
+            if sys.net().in_flight() == 0 || sys.net().stalled() {
+                break;
             }
-            sys.run_until_drained(0)
-        } else {
-            sys.run_until_drained(args.cycles)
-        };
+            sys.step();
+            epoch_tick(&mut sys, &mut obs_lines, &mut watch, &mut watch_file);
+            drain_spans(&mut sys, &mut profile);
+        }
+        sys.run_until_drained(0)
+    } else {
+        sys.run_until_drained(args.cycles)
+    };
     // Memory-footprint report (routers + NIs + arena + calendar).
     // Gated on --mem so runs without it — including every golden-pinned
     // payload — keep their exact byte streams.
@@ -726,6 +710,10 @@ fn main() {
         }
     }
 
+    // Every requested output is attempted; one that cannot be written turns
+    // the exit status to 1 at the end.
+    let mut written = true;
+
     // Deadlock forensics.
     if args.stall_report || args.stall_svg_path.is_some() {
         let report = sys.stall_report();
@@ -733,20 +721,18 @@ fn main() {
             print!("{}", report.render_text());
         }
         if let Some(path) = &args.stall_svg_path {
-            match std::fs::write(path, stall_svg(sys.net().topo(), &report)) {
-                Ok(()) => eprintln!("wrote {path}"),
-                Err(e) => eprintln!("could not write {path}: {e}"),
-            }
+            written &= write_artifact(path, stall_svg(sys.net().topo(), &report).as_bytes(), "");
         }
     }
 
     // Drain the tracer: flush JSONL, or render the buffered Chrome trace.
     let mut tracer = sys.net_mut().set_tracer(Tracer::disabled());
     if let Some(path) = &args.chrome_trace {
-        match std::fs::write(path, tracer.chrome_trace_json()) {
-            Ok(()) => eprintln!("wrote {path} ({} events)", tracer.len()),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
+        written &= write_artifact(
+            path,
+            tracer.chrome_trace_json().as_bytes(),
+            &format!(" ({} events)", tracer.len()),
+        );
     } else if args.trace.is_some() {
         tracer.flush();
     }
@@ -767,26 +753,14 @@ fn main() {
     }
     if let Some(summary) = &profile {
         match &args.profile_out {
-            Some(path) => match std::fs::write(path, summary.to_json()) {
-                Ok(()) => eprintln!("wrote {path} ({} packets profiled)", summary.packets),
-                Err(e) => eprintln!("could not write {path}: {e}"),
-            },
-            None => print!("{}", analyze_text(summary)),
-        }
-    }
-
-    // Epoch-metrics time series.
-    if let Some(s) = &sampler {
-        let csv = s.to_csv();
-        match &args.metrics_out {
-            Some(path) => match std::fs::write(path, &csv) {
-                Ok(()) => eprintln!("wrote {path} ({} samples)", s.history().len()),
-                Err(e) => eprintln!("could not write {path}: {e}"),
-            },
-            None => {
-                let mut stdout = std::io::stdout().lock();
-                let _ = stdout.write_all(csv.as_bytes());
+            Some(path) => {
+                written &= write_artifact(
+                    path,
+                    summary.to_json().as_bytes(),
+                    &format!(" ({} packets profiled)", summary.packets),
+                );
             }
+            None => print!("{}", analyze_text(summary)),
         }
     }
 
@@ -799,10 +773,13 @@ fn main() {
             out.push('\n');
         }
         match &args.obs_out {
-            Some(path) => match std::fs::write(path, &out) {
-                Ok(()) => eprintln!("wrote {path} ({} epochs)", obs_lines.len()),
-                Err(e) => eprintln!("could not write {path}: {e}"),
-            },
+            Some(path) => {
+                written &= write_artifact(
+                    path,
+                    out.as_bytes(),
+                    &format!(" ({} epochs)", obs_lines.len()),
+                );
+            }
             None => {
                 let mut stdout = std::io::stdout().lock();
                 let _ = stdout.write_all(out.as_bytes());
@@ -870,17 +847,14 @@ fn main() {
             "{{\n  \"outcome\": \"{outcome:?}\",\n  \"cycles\": {},\n  \"endpoints\": {nodes},\n  \"trace_dropped\": {trace_dropped},\n  \"net\": {net_json},\n  \"upp\": {upp_json}{obs_field}{mem_field}{watch_field}\n}}\n",
             sys.net().cycle()
         );
-        match std::fs::write(path, payload) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
+        written &= write_artifact(path, payload.as_bytes(), "");
     }
 
-    if let Some(path) = args.svg {
+    if let Some(path) = &args.svg {
         let occ = sys.net().occupancy();
-        match std::fs::write(&path, topology_svg(sys.net().topo(), &occ)) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
+        written &= write_artifact(path, topology_svg(sys.net().topo(), &occ).as_bytes(), "");
+    }
+    if !written {
+        exit(1);
     }
 }

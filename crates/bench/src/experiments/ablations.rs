@@ -9,9 +9,9 @@
 //! 3. **Flow control** — UPP under wormhole vs virtual cut-through
 //!    (Table I's flow-control modularity column).
 
-use super::{cfg, rates_1vc, windows, SEED};
+use super::{cfg, rates_1vc, windows, Context, SEED};
 use crate::report::{f1, f3, ExperimentResult, MarkdownTable};
-use crate::sweep::{engine, sweep_rates};
+use crate::sweep::SweepEngine;
 use serde::Serialize;
 use std::sync::Arc;
 use upp_baselines::composable::ComposableConfig;
@@ -48,12 +48,13 @@ fn measure_points(points: &[SweepPoint], study: &str, variant: &str) -> Row {
 
 /// Sweeps a pre-built system constructor over the 1 VC rate grid.
 fn sweep_custom(
+    engine: &SweepEngine,
     build: impl Fn(u64) -> System + Sync,
     rates: &[f64],
     w: upp_workloads::runner::SweepWindows,
 ) -> Vec<SweepPoint> {
     let build = &build;
-    engine().map(rates, |_, &rate| {
+    engine.map(rates, |_, &rate| {
         let mut sys = build(SEED);
         let mut traffic =
             SyntheticTraffic::new(sys.net().topo(), Pattern::UniformRandom, rate, SEED);
@@ -87,14 +88,14 @@ fn sweep_custom(
 }
 
 /// Collects all three ablation studies.
-pub fn collect(quick: bool) -> Vec<Row> {
+pub fn collect(ctx: &Context) -> Vec<Row> {
     let spec = ChipletSystemSpec::baseline();
-    let w = windows(quick);
-    let rates = rates_1vc(quick);
+    let w = windows(ctx.quick);
+    let rates = rates_1vc(ctx.quick);
     let mut rows = Vec::new();
 
     // --- Study 1: composable structure ---------------------------------
-    let pts = sweep_rates(
+    let pts = ctx.engine.sweep_rates(
         "ablations",
         &spec,
         &cfg(1),
@@ -129,14 +130,14 @@ pub fn collect(quick: bool) -> Vec<Row> {
             // recovery scheme is needed.
             System::new(net, Box::new(upp_noc::NoScheme))
         };
-        let pts = sweep_custom(build, &rates, w);
+        let pts = sweep_custom(&ctx.engine, build, &rates, w);
         rows.push(measure_points(
             &pts,
             "composable-structure",
             "balanced (minimal search)",
         ));
     }
-    let pts = sweep_rates(
+    let pts = ctx.engine.sweep_rates(
         "ablations",
         &spec,
         &cfg(1),
@@ -164,7 +165,7 @@ pub fn collect(quick: bool) -> Vec<Row> {
             },
         ),
     ] {
-        let pts = sweep_rates(
+        let pts = ctx.engine.sweep_rates(
             "ablations",
             &spec,
             &cfg(1),
@@ -204,15 +205,15 @@ pub fn collect(quick: bool) -> Vec<Row> {
                 System::new(net, Box::new(Upp::new(UppConfig::default())))
             }
         };
-        let pts = sweep_custom(build, &rates, w);
+        let pts = sweep_custom(&ctx.engine, build, &rates, w);
         rows.push(measure_points(&pts, "flow-control", label));
     }
     rows
 }
 
 /// Runs the ablations and renders them.
-pub fn run(quick: bool) -> ExperimentResult {
-    let rows = collect(quick);
+pub fn run(ctx: &Context) -> ExperimentResult {
+    let rows = collect(ctx);
     let mut out = String::new();
     out.push_str("### Ablations — quantifying the design choices (uniform random, 1 VC)\n\n");
     let mut t = MarkdownTable::new(["study", "variant", "saturation", "pre-sat latency"]);
@@ -237,10 +238,11 @@ pub fn run(quick: bool) -> ExperimentResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::quick_ctx;
 
     #[test]
     fn ablations_have_the_expected_ordering() {
-        let rows = collect(true);
+        let rows = collect(&quick_ctx());
         let sat = |study: &str, variant_prefix: &str| {
             rows.iter()
                 .find(|r| r.study == study && r.variant.starts_with(variant_prefix))

@@ -1,9 +1,8 @@
 //! Fig. 10: sensitivity to the number of boundary routers per chiplet
 //! (2, 4, 8), normalized latency and saturation throughput.
 
-use super::{cfg, rates_1vc, rates_4vc, windows, SEED};
+use super::{cfg, rates_1vc, rates_4vc, windows, Context, SEED};
 use crate::report::{f3, ExperimentResult, MarkdownTable};
-use crate::sweep::sweep_rates;
 use serde::Serialize;
 use upp_noc::topology::{ChipletSystemSpec, SystemKind};
 use upp_workloads::runner::{presaturation_latency, saturation_throughput, SchemeKind};
@@ -29,20 +28,20 @@ pub struct Point {
 }
 
 /// Collects the sensitivity grid.
-pub fn collect(quick: bool) -> Vec<Point> {
-    let w = windows(quick);
-    let counts: &[u16] = if quick { &[2, 4] } else { &[2, 4, 8] };
+pub fn collect(ctx: &Context) -> Vec<Point> {
+    let w = windows(ctx.quick);
+    let counts: &[u16] = if ctx.quick { &[2, 4] } else { &[2, 4, 8] };
     let mut raw = Vec::new();
     for &n in counts {
         let spec = ChipletSystemSpec::of_kind(SystemKind::BoundaryCount(n));
         for vcs in [1usize, 4] {
             let rates = if vcs == 1 {
-                rates_1vc(quick)
+                rates_1vc(ctx.quick)
             } else {
-                rates_4vc(quick)
+                rates_4vc(ctx.quick)
             };
             for kind in SchemeKind::evaluated() {
-                let pts = sweep_rates(
+                let pts = ctx.engine.sweep_rates(
                     &format!("fig10/b{n}"),
                     &spec,
                     &cfg(vcs),
@@ -85,8 +84,8 @@ pub fn collect(quick: bool) -> Vec<Point> {
 }
 
 /// Runs Fig. 10 and renders it.
-pub fn run(quick: bool) -> ExperimentResult {
-    let points = collect(quick);
+pub fn run(ctx: &Context) -> ExperimentResult {
+    let points = collect(ctx);
     let mut out = String::new();
     out.push_str("### Fig. 10 — sensitivity to boundary routers per chiplet (normalized to composable-1VC @ 4)\n\n");
     let mut t = MarkdownTable::new([
@@ -121,10 +120,11 @@ pub fn run(quick: bool) -> ExperimentResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::quick_ctx;
 
     #[test]
     fn quick_fig10_normalizes_and_scales() {
-        let pts = collect(true);
+        let pts = collect(&quick_ctx());
         // Reference bar normalizes to 1.
         let reference = pts
             .iter()

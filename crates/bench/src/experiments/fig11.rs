@@ -5,9 +5,8 @@
 //! restriction search is impractical online and the permission subnetwork is
 //! hard-wired.
 
-use super::{cfg, rates_1vc, rates_4vc, windows, SEED};
+use super::{cfg, rates_1vc, rates_4vc, windows, Context, SEED};
 use crate::report::{f1, f3, ExperimentResult, MarkdownTable};
-use crate::sweep::sweep_rates;
 use serde::Serialize;
 use upp_core::UppConfig;
 use upp_noc::topology::ChipletSystemSpec;
@@ -35,15 +34,15 @@ pub struct Series {
 }
 
 /// Collects the faulty-system series.
-pub fn collect(quick: bool) -> Vec<Series> {
+pub fn collect(ctx: &Context) -> Vec<Series> {
     let spec = ChipletSystemSpec::baseline();
-    let w = windows(quick);
-    let fault_counts: &[usize] = if quick {
+    let w = windows(ctx.quick);
+    let fault_counts: &[usize] = if ctx.quick {
         &[0, 5, 15]
     } else {
         &[0, 1, 5, 10, 15, 20]
     };
-    let seeds: &[u64] = if quick {
+    let seeds: &[u64] = if ctx.quick {
         &[SEED]
     } else {
         &[SEED, SEED + 1, SEED + 2]
@@ -52,9 +51,9 @@ pub fn collect(quick: bool) -> Vec<Series> {
     let mut out = Vec::new();
     for vcs in [1usize, 4] {
         let rates = if vcs == 1 {
-            rates_1vc(quick)
+            rates_1vc(ctx.quick)
         } else {
-            rates_4vc(quick)
+            rates_4vc(ctx.quick)
         };
         for &faults in fault_counts {
             let mut latency = vec![0.0; rates.len()];
@@ -62,7 +61,7 @@ pub fn collect(quick: bool) -> Vec<Series> {
             let mut presat = 0.0;
             let mut any_deadlock = false;
             for &seed in seeds {
-                let pts = sweep_rates(
+                let pts = ctx.engine.sweep_rates(
                     "fig11",
                     &spec,
                     &cfg(vcs),
@@ -96,8 +95,8 @@ pub fn collect(quick: bool) -> Vec<Series> {
 }
 
 /// Runs Fig. 11 and renders it.
-pub fn run(quick: bool) -> ExperimentResult {
-    let series = collect(quick);
+pub fn run(ctx: &Context) -> ExperimentResult {
+    let series = collect(ctx);
     let mut out = String::new();
     out.push_str(
         "### Fig. 11 — UPP in faulty systems (up*/down* local routing, random link faults)\n\n",
@@ -131,10 +130,11 @@ pub fn run(quick: bool) -> ExperimentResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::quick_ctx;
 
     #[test]
     fn quick_fig11_degrades_gracefully_and_never_deadlocks() {
-        let series = collect(true);
+        let series = collect(&quick_ctx());
         for s in &series {
             assert!(
                 !s.any_deadlock,

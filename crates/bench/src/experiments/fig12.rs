@@ -1,7 +1,7 @@
 //! Fig. 12: number of detected upward packets during full-system runs,
 //! 1 VC vs 4 VCs per VNet. Reuses the Fig. 8 coherence runs.
 
-use super::fig8;
+use super::{fig8, Context};
 use crate::report::{ExperimentResult, MarkdownTable};
 use serde::Serialize;
 
@@ -19,8 +19,8 @@ pub struct Row {
 }
 
 /// Collects the counts from the Fig. 8 UPP runs.
-pub fn collect(quick: bool) -> Vec<Row> {
-    let d = fig8::data(quick);
+pub fn collect(ctx: &Context) -> Vec<Row> {
+    let d = fig8::data(ctx);
     let mut rows: Vec<Row> = Vec::new();
     for r in d.runs.iter().filter(|r| r.scheme == "UPP" && r.vcs == 1) {
         let four = d
@@ -41,8 +41,8 @@ pub fn collect(quick: bool) -> Vec<Row> {
 }
 
 /// Runs Fig. 12 and renders it.
-pub fn run(quick: bool) -> ExperimentResult {
-    let rows = collect(quick);
+pub fn run(ctx: &Context) -> ExperimentResult {
+    let rows = collect(ctx);
     let mut out = String::new();
     out.push_str("### Fig. 12 — detected upward packets in full-system runs\n\n");
     let mut t = MarkdownTable::new([
@@ -77,10 +77,11 @@ pub fn run(quick: bool) -> ExperimentResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::quick_ctx;
 
     #[test]
     fn upward_packets_are_a_tiny_share_and_shrink_with_vcs() {
-        let rows = collect(true);
+        let rows = collect(&quick_ctx());
         assert!(!rows.is_empty());
         let total_1: u64 = rows.iter().map(|r| r.upward_1vc).sum();
         let total_4: u64 = rows.iter().map(|r| r.upward_4vc).sum();

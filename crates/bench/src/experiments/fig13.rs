@@ -2,9 +2,8 @@
 //! (20 / 100 / 1000 cycles): impact on saturation throughput and the share
 //! of packets selected as upward packets.
 
-use super::{cfg, rates_1vc, rates_4vc, windows, SEED};
+use super::{cfg, rates_1vc, rates_4vc, windows, Context, SEED};
 use crate::report::{f3, ExperimentResult, MarkdownTable};
-use crate::sweep::sweep_rates;
 use serde::Serialize;
 use upp_core::UppConfig;
 use upp_noc::topology::ChipletSystemSpec;
@@ -28,20 +27,24 @@ pub struct Series {
 }
 
 /// Collects the threshold sensitivity grid.
-pub fn collect(quick: bool) -> Vec<Series> {
+pub fn collect(ctx: &Context) -> Vec<Series> {
     let spec = ChipletSystemSpec::baseline();
-    let w = windows(quick);
-    let thresholds: &[u64] = if quick { &[20, 1000] } else { &[20, 100, 1000] };
+    let w = windows(ctx.quick);
+    let thresholds: &[u64] = if ctx.quick {
+        &[20, 1000]
+    } else {
+        &[20, 100, 1000]
+    };
     let mut out = Vec::new();
     for vcs in [1usize, 4] {
         let rates = if vcs == 1 {
-            rates_1vc(quick)
+            rates_1vc(ctx.quick)
         } else {
-            rates_4vc(quick)
+            rates_4vc(ctx.quick)
         };
         for &th in thresholds {
             let kind = SchemeKind::Upp(UppConfig::with_threshold(th));
-            let pts = sweep_rates(
+            let pts = ctx.engine.sweep_rates(
                 "fig13",
                 &spec,
                 &cfg(vcs),
@@ -76,8 +79,8 @@ pub fn collect(quick: bool) -> Vec<Series> {
 }
 
 /// Runs Fig. 13 and renders it.
-pub fn run(quick: bool) -> ExperimentResult {
-    let series = collect(quick);
+pub fn run(ctx: &Context) -> ExperimentResult {
+    let series = collect(ctx);
     let mut out = String::new();
     out.push_str("### Fig. 13 — UPP detection-threshold sensitivity (uniform random)\n\n");
     out.push_str("**(a) saturation throughput**\n\n");
@@ -110,6 +113,7 @@ pub fn run(quick: bool) -> ExperimentResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::quick_ctx;
 
     /// Statistical and ~10 min in debug: quick-mode saturation estimates are
     /// RNG-stream-sensitive near the 1.5x band, so this only runs when the
@@ -120,7 +124,7 @@ mod tests {
             eprintln!("skipping: set UPP_NIGHTLY=1 to run the full fig13 statistical test");
             return;
         }
-        let series = collect(true);
+        let series = collect(&quick_ctx());
         for vcs in [1usize, 4] {
             let sats: Vec<f64> = series
                 .iter()
@@ -150,10 +154,11 @@ mod tests {
             measure: 3_000,
         };
         let rates = [0.02, 0.05, 0.08, 0.11];
+        let ctx = quick_ctx();
         let mut sats = Vec::new();
         for th in [20u64, 1000] {
             let kind = SchemeKind::Upp(UppConfig::with_threshold(th));
-            let pts = sweep_rates(
+            let pts = ctx.engine.sweep_rates(
                 "fig13-smoke",
                 &spec,
                 &cfg(1),
@@ -179,7 +184,7 @@ mod tests {
 
     #[test]
     fn four_vcs_keep_upward_share_small() {
-        let series = collect(true);
+        let series = collect(&quick_ctx());
         for s in series.iter().filter(|s| s.vcs == 4 && s.threshold == 20) {
             for (rate, share) in &s.upward_share {
                 assert!(*share < 0.05, "4 VC upward share at rate {rate} is {share}");

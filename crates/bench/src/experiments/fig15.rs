@@ -1,7 +1,7 @@
 //! Fig. 15: normalized network energy of the full-system runs, computed by
 //! the DSENT-substitute model over the Fig. 8 statistics.
 
-use super::fig8;
+use super::{fig8, Context};
 use crate::report::{f3, ExperimentResult, MarkdownTable};
 use serde::Serialize;
 use upp_noc::config::NocConfig;
@@ -36,8 +36,8 @@ fn stats_of(run: &fig8::Fig8Run) -> NetStats {
 }
 
 /// Collects normalized energies from the Fig. 8 runs.
-pub fn collect(quick: bool) -> Vec<Row> {
-    let d = fig8::data(quick);
+pub fn collect(ctx: &Context) -> Vec<Row> {
+    let d = fig8::data(ctx);
     let model = EnergyModel::default();
     let mut rows = Vec::new();
     for vcs in [1usize, 4] {
@@ -80,8 +80,8 @@ pub fn collect(quick: bool) -> Vec<Row> {
 }
 
 /// Runs Fig. 15 and renders it.
-pub fn run(quick: bool) -> ExperimentResult {
-    let rows = collect(quick);
+pub fn run(ctx: &Context) -> ExperimentResult {
+    let rows = collect(ctx);
     let mut out = String::new();
     out.push_str(
         "### Fig. 15 — normalized network energy (DSENT-substitute, normalized to composable)\n\n",
@@ -128,10 +128,11 @@ pub fn run(quick: bool) -> ExperimentResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::quick_ctx;
 
     #[test]
     fn energy_tracks_runtime_and_upp_wins_on_average() {
-        let rows = collect(true);
+        let rows = collect(&quick_ctx());
         assert!(!rows.is_empty());
         for r in &rows {
             assert!(

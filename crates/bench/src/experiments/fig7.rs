@@ -1,9 +1,8 @@
 //! Fig. 7: latency vs injection rate under four synthetic traffic patterns,
 //! baseline system, {composable, remote control, UPP} x {1, 4} VCs per VNet.
 
-use super::{cfg, rates_1vc, rates_4vc, windows, SEED};
+use super::{cfg, rates_1vc, rates_4vc, windows, Context, SEED};
 use crate::report::{f1, f3, spct, ExperimentResult, MarkdownTable};
-use crate::sweep::sweep_rates;
 use serde::Serialize;
 use upp_noc::topology::ChipletSystemSpec;
 use upp_workloads::runner::{presaturation_latency, saturation_throughput, SchemeKind, SweepPoint};
@@ -53,10 +52,10 @@ pub struct Fig7 {
 }
 
 /// Collects all Fig. 7 curves.
-pub fn collect(quick: bool) -> Fig7 {
+pub fn collect(ctx: &Context) -> Fig7 {
     let spec = ChipletSystemSpec::baseline();
-    let w = windows(quick);
-    let patterns: &[Pattern] = if quick {
+    let w = windows(ctx.quick);
+    let patterns: &[Pattern] = if ctx.quick {
         &[Pattern::UniformRandom, Pattern::Transpose]
     } else {
         &Pattern::ALL
@@ -65,12 +64,22 @@ pub fn collect(quick: bool) -> Fig7 {
     for &pattern in patterns {
         for vcs in [1usize, 4] {
             let rates = if vcs == 1 {
-                rates_1vc(quick)
+                rates_1vc(ctx.quick)
             } else {
-                rates_4vc(quick)
+                rates_4vc(ctx.quick)
             };
             for kind in SchemeKind::evaluated() {
-                let pts = sweep_rates("fig7", &spec, &cfg(vcs), &kind, 0, pattern, &rates, w, SEED);
+                let pts = ctx.engine.sweep_rates(
+                    "fig7",
+                    &spec,
+                    &cfg(vcs),
+                    &kind,
+                    0,
+                    pattern,
+                    &rates,
+                    w,
+                    SEED,
+                );
                 curves.push(Curve {
                     scheme: kind.label().to_string(),
                     vcs,
@@ -136,8 +145,8 @@ fn common_presat_latency(curves: [&Curve; 3]) -> [f64; 3] {
 }
 
 /// Runs Fig. 7 and renders it.
-pub fn run(quick: bool) -> ExperimentResult {
-    let data = collect(quick);
+pub fn run(ctx: &Context) -> ExperimentResult {
+    let data = collect(ctx);
     let mut out = String::new();
     out.push_str("### Fig. 7 — latency vs injection rate, baseline system\n\n");
     let mut last_key = String::new();
@@ -191,10 +200,11 @@ pub fn run(quick: bool) -> ExperimentResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::quick_ctx;
 
     #[test]
     fn quick_fig7_has_expected_shape() {
-        let data = collect(true);
+        let data = collect(&quick_ctx());
         assert_eq!(data.curves.len(), 2 * 2 * 3);
         for s in &data.summaries {
             // UPP must never lose on pre-saturation latency.

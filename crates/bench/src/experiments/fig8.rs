@@ -5,13 +5,11 @@
 //! engine (see `upp-workloads`); runtimes are normalized to composable
 //! routing, as in the paper.
 
-use super::{cfg, SEED};
+use super::{cfg, Context, SEED};
 use crate::report::{f3, ExperimentResult, MarkdownTable};
-use crate::sweep::{engine, FromJsonValue};
+use crate::sweep::FromJsonValue;
 use serde::Serialize;
 use serde_json::Value;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
 use upp_core::UppStats;
 use upp_noc::ni::ConsumePolicy;
 use upp_noc::topology::ChipletSystemSpec;
@@ -88,23 +86,17 @@ fn transactions_scale(quick: bool) -> f64 {
     }
 }
 
-/// Collects (and memoizes within the process) the coherence runs.
-pub fn data(quick: bool) -> Arc<Fig8Data> {
-    static CACHE: OnceLock<Mutex<HashMap<bool, Arc<Fig8Data>>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(d) = cache.lock().unwrap().get(&quick) {
-        return Arc::clone(d);
-    }
-    let d = Arc::new(collect(quick));
-    cache.lock().unwrap().insert(quick, Arc::clone(&d));
-    d
+/// The coherence runs, collected on first use and memoized in `ctx`, so
+/// one `repro all` computes them once for Figs. 8, 12 and 15.
+pub fn data(ctx: &Context) -> &Fig8Data {
+    ctx.fig8.get_or_init(|| collect(ctx))
 }
 
-fn collect(quick: bool) -> Fig8Data {
+fn collect(ctx: &Context) -> Fig8Data {
     let spec = ChipletSystemSpec::baseline();
-    let scale = transactions_scale(quick);
+    let scale = transactions_scale(ctx.quick);
     let benchmarks = all_benchmarks();
-    let benchmarks: Vec<_> = if quick {
+    let benchmarks: Vec<_> = if ctx.quick {
         benchmarks[..4].to_vec()
     } else {
         benchmarks
@@ -120,7 +112,7 @@ fn collect(quick: bool) -> Fig8Data {
             }
         }
     }
-    let runs: Vec<Fig8Run> = engine().run_keyed(
+    let runs: Vec<Fig8Run> = ctx.engine.run_keyed(
         &jobs,
         |(vcs, kind, bench)| format!("fig8|vcs{vcs}|{kind:?}|{}|x{scale}", bench.name),
         |(vcs, kind, bench)| {
@@ -195,8 +187,8 @@ fn geomeans(runs: &[Fig8Run]) -> Vec<(String, usize, f64)> {
 }
 
 /// Runs Fig. 8 and renders it.
-pub fn run(quick: bool) -> ExperimentResult {
-    let d = data(quick);
+pub fn run(ctx: &Context) -> ExperimentResult {
+    let d = data(ctx);
     let mut out = String::new();
     out.push_str(
         "### Fig. 8 — normalized full-system runtime (coherence engine, normalized to composable)\n\n",
@@ -249,16 +241,18 @@ pub fn run(quick: bool) -> ExperimentResult {
     out.push_str(
         "\nPaper: UPP cuts runtime by 5.7-10.3% (1 VC) and 3.1-4.6% (4 VCs) vs composable.\n",
     );
-    ExperimentResult::new("fig8", "Fig. 8: normalized runtime", out, &*d)
+    ExperimentResult::new("fig8", "Fig. 8: normalized runtime", out, d)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::quick_ctx;
 
     #[test]
     fn quick_fig8_completes_and_upp_beats_composable_on_geomean() {
-        let d = data(true);
+        let ctx = quick_ctx();
+        let d = data(&ctx);
         assert!(d.runs.iter().all(|r| !r.incomplete), "all runs must finish");
         let upp1 = d
             .geomean

@@ -1,9 +1,8 @@
 //! Fig. 9: latency comparison in the 128-node system (4x8 interposer, 8
 //! chiplets) under uniform random traffic.
 
-use super::{cfg, rates_1vc, rates_4vc, windows, SEED};
+use super::{cfg, rates_1vc, rates_4vc, windows, Context, SEED};
 use crate::report::{f1, f3, spct, ExperimentResult, MarkdownTable};
-use crate::sweep::sweep_rates;
 use serde::Serialize;
 use upp_noc::topology::ChipletSystemSpec;
 use upp_workloads::runner::{presaturation_latency, saturation_throughput, SchemeKind, SweepPoint};
@@ -25,18 +24,18 @@ pub struct Curve {
 }
 
 /// Collects Fig. 9 curves.
-pub fn collect(quick: bool) -> Vec<Curve> {
+pub fn collect(ctx: &Context) -> Vec<Curve> {
     let spec = ChipletSystemSpec::large();
-    let w = windows(quick);
+    let w = windows(ctx.quick);
     let mut curves = Vec::new();
     for vcs in [1usize, 4] {
         let rates = if vcs == 1 {
-            rates_1vc(quick)
+            rates_1vc(ctx.quick)
         } else {
-            rates_4vc(quick)
+            rates_4vc(ctx.quick)
         };
         for kind in SchemeKind::evaluated() {
-            let pts = sweep_rates(
+            let pts = ctx.engine.sweep_rates(
                 "fig9",
                 &spec,
                 &cfg(vcs),
@@ -60,8 +59,8 @@ pub fn collect(quick: bool) -> Vec<Curve> {
 }
 
 /// Runs Fig. 9 and renders it.
-pub fn run(quick: bool) -> ExperimentResult {
-    let curves = collect(quick);
+pub fn run(ctx: &Context) -> ExperimentResult {
+    let curves = collect(ctx);
     let mut out = String::new();
     out.push_str("### Fig. 9 — 128-node system (4x8 interposer, 8 chiplets), uniform random\n\n");
     let mut t = MarkdownTable::new([
@@ -101,10 +100,11 @@ pub fn run(quick: bool) -> ExperimentResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::quick_ctx;
 
     #[test]
     fn quick_fig9_runs_all_schemes() {
-        let curves = collect(true);
+        let curves = collect(&quick_ctx());
         assert_eq!(curves.len(), 6);
         for c in &curves {
             assert!(

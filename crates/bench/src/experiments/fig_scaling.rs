@@ -18,9 +18,9 @@
 //! * **recovery latency** — UPP popup recovery distribution (mean/p95)
 //!   straight from the exact telemetry histograms.
 
-use super::SEED;
+use super::{Context, SEED};
 use crate::report::{f1, ExperimentResult, MarkdownTable};
-use crate::sweep::{engine, FromJsonValue};
+use crate::sweep::FromJsonValue;
 use serde::Serialize;
 use serde_json::Value;
 use upp_noc::ni::ConsumePolicy;
@@ -193,14 +193,15 @@ fn run_point(cols: u16, rows: u16, kind: &SchemeKind, quick: bool) -> ScalePoint
 }
 
 /// Collects every `(grid, scheme)` point on the sweep engine.
-pub fn collect(quick: bool) -> Vec<ScalePoint> {
+pub fn collect(ctx: &Context) -> Vec<ScalePoint> {
+    let quick = ctx.quick;
     let mut jobs = Vec::new();
     for &(cols, rows) in &sizes(quick) {
         for kind in SchemeKind::evaluated() {
             jobs.push((cols, rows, kind));
         }
     }
-    engine().run_keyed(
+    ctx.engine.run_keyed(
         &jobs,
         |(c, r, kind)| {
             format!(
@@ -242,8 +243,8 @@ pub fn csv(points: &[ScalePoint]) -> String {
 }
 
 /// Runs the observatory and renders it.
-pub fn run(quick: bool) -> ExperimentResult {
-    let points = collect(quick);
+pub fn run(ctx: &Context) -> ExperimentResult {
+    let points = collect(ctx);
     let mut out = String::new();
     out.push_str(
         "### fig_scaling — boundary-structure pressure vs. system size (telemetry observatory)\n\n\
@@ -307,10 +308,11 @@ pub fn run(quick: bool) -> ExperimentResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::quick_ctx;
 
     #[test]
     fn quick_observatory_spans_three_sizes_and_sees_upp_pressure() {
-        let points = collect(true);
+        let points = collect(&quick_ctx());
         assert_eq!(points.len(), 3 * 3, "3 sizes x 3 schemes");
         assert!(points.iter().all(|p| p.drained), "every run must drain");
         let mut routers: Vec<usize> = points.iter().map(|p| p.routers).collect();

@@ -14,6 +14,8 @@ pub mod fig_scaling;
 pub mod tables;
 
 use crate::report::ExperimentResult;
+use crate::sweep::SweepEngine;
+use std::sync::OnceLock;
 use upp_noc::config::NocConfig;
 use upp_workloads::runner::SweepWindows;
 
@@ -34,23 +36,47 @@ pub const ALL_IDS: [&str; 13] = [
     "ablations",
 ];
 
-/// Runs one experiment by id. `quick` trades fidelity for speed (short
-/// windows, coarser grids) — used by tests and criterion benches.
-pub fn run(id: &str, quick: bool) -> Option<ExperimentResult> {
+/// Everything that configures a run of the experiments, built once by the
+/// caller (`repro`, a test) and passed down by reference. Two contexts in
+/// one process share nothing.
+pub struct Context {
+    /// Trades fidelity for speed (short windows, coarser grids).
+    pub quick: bool,
+    /// The worker pool, and the journal when there is one, that every sweep
+    /// of the run fans out on.
+    pub engine: SweepEngine,
+    /// Fig. 8's coherence runs, computed at most once per context: Figs. 12
+    /// and 15 are views over the same dataset (see [`fig8::data`]).
+    fig8: OnceLock<fig8::Fig8Data>,
+}
+
+impl Context {
+    /// A context over `engine` with an empty Fig. 8 memo.
+    pub fn new(quick: bool, engine: SweepEngine) -> Context {
+        Context {
+            quick,
+            engine,
+            fig8: OnceLock::new(),
+        }
+    }
+}
+
+/// Runs one experiment by id.
+pub fn run(id: &str, ctx: &Context) -> Option<ExperimentResult> {
     match id {
         "table1" => Some(tables::table1()),
         "table2" => Some(tables::table2()),
-        "fig7" => Some(fig7::run(quick)),
-        "fig8" => Some(fig8::run(quick)),
-        "fig9" => Some(fig9::run(quick)),
-        "fig10" => Some(fig10::run(quick)),
-        "fig11" => Some(fig11::run(quick)),
-        "fig12" => Some(fig12::run(quick)),
-        "fig13" => Some(fig13::run(quick)),
+        "fig7" => Some(fig7::run(ctx)),
+        "fig8" => Some(fig8::run(ctx)),
+        "fig9" => Some(fig9::run(ctx)),
+        "fig10" => Some(fig10::run(ctx)),
+        "fig11" => Some(fig11::run(ctx)),
+        "fig12" => Some(fig12::run(ctx)),
+        "fig13" => Some(fig13::run(ctx)),
         "fig14" => Some(fig14::run()),
-        "fig15" => Some(fig15::run(quick)),
-        "fig_scaling" => Some(fig_scaling::run(quick)),
-        "ablations" => Some(ablations::run(quick)),
+        "fig15" => Some(fig15::run(ctx)),
+        "fig_scaling" => Some(fig_scaling::run(ctx)),
+        "ablations" => Some(ablations::run(ctx)),
         _ => None,
     }
 }
@@ -92,3 +118,9 @@ pub fn rates_4vc(quick: bool) -> Vec<f64> {
 
 /// The deterministic seed used for every experiment.
 pub const SEED: u64 = 2022;
+
+/// A quick-mode context for the experiment unit tests.
+#[cfg(test)]
+pub(crate) fn quick_ctx() -> Context {
+    Context::new(true, SweepEngine::new(crate::sweep::default_jobs()))
+}

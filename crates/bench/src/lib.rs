@@ -18,8 +18,10 @@
 //!
 //! Run `cargo run --release -p upp-bench --bin repro -- all` for the full
 //! reproduction, or pass individual ids (add `--quick` for a fast pass).
-//! `cargo bench -p upp-bench` exercises reduced configurations of the same
-//! code paths under criterion.
+//! A library caller builds an [`experiments::Context`] (mode plus
+//! [`sweep::SweepEngine`]) and hands it to [`run`]; nothing is configured
+//! through process state. Wall-clock numbers come from the stand-alone
+//! `benchmark/` package (`BENCHMARK.json`), not from this crate.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -28,5 +30,5 @@ pub mod experiments;
 pub mod report;
 pub mod sweep;
 
-pub use experiments::{run, ALL_IDS};
+pub use experiments::{run, Context, ALL_IDS};
 pub use report::ExperimentResult;

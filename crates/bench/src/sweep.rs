@@ -8,16 +8,18 @@
 //! bit-identical regardless of the jobs count — the determinism tests in
 //! `tests/determinism.rs` enforce this against committed goldens.
 //!
-//! The engine is plain `std::thread`; no external dependencies.
+//! The engine is plain `std::thread`; no external dependencies. It is a
+//! value: the worker count and the optional journal are fields of the
+//! [`SweepEngine`] a caller builds and passes down, never process state, so
+//! two engines in one process do not see each other.
 
 use serde::Serialize;
 use serde_json::Value;
 use std::collections::{HashMap, VecDeque};
 use std::fs::OpenOptions;
 use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::path::Path;
+use std::sync::Mutex;
 use upp_noc::config::NocConfig;
 use upp_noc::topology::ChipletSystemSpec;
 use upp_workloads::runner::{run_point, AlertCounts, SchemeKind, SweepPoint, SweepWindows};
@@ -25,22 +27,9 @@ use upp_workloads::synthetic::Pattern;
 
 // ------------------------------------------------------------ jobs control
 
-/// Process-wide default worker count, set once by the CLI `--jobs` flag.
-static DEFAULT_JOBS: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the process-wide default worker count (the binaries' `--jobs` flag).
-pub fn set_default_jobs(jobs: usize) {
-    DEFAULT_JOBS.store(jobs.max(1), Ordering::SeqCst);
-}
-
-/// The default worker count: the value set via [`set_default_jobs`], else
-/// the `UPP_JOBS` environment variable, else the machine's available
-/// parallelism.
+/// The worker count to use when no `--jobs` flag was given: the `UPP_JOBS`
+/// environment variable, else the machine's available parallelism.
 pub fn default_jobs() -> usize {
-    let set = DEFAULT_JOBS.load(Ordering::SeqCst);
-    if set > 0 {
-        return set;
-    }
     if let Ok(v) = std::env::var("UPP_JOBS") {
         if let Ok(n) = v.trim().parse::<usize>() {
             if n > 0 {
@@ -86,9 +75,9 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Opens (or creates) a journal at `path`. With `resume`, existing
-    /// lines are indexed so matching points can be skipped; without it the
-    /// file is truncated.
+    /// Opens (or creates) a journal at `path`, creating its parent
+    /// directory when missing. With `resume`, existing lines are indexed so
+    /// matching points can be skipped; without it the file is truncated.
     ///
     /// When `fingerprint` is given, it is written as a `{"config":…}`
     /// header on fresh journals and checked against the recorded header on
@@ -155,6 +144,9 @@ impl Journal {
                 }
             }
         }
+        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+            std::fs::create_dir_all(dir)?;
+        }
         let file = OpenOptions::new()
             .create(true)
             .append(resume)
@@ -199,57 +191,12 @@ impl Journal {
     }
 }
 
-/// Global journal shared by every [`engine`] instance in the process (wired
-/// up by `repro --journal`).
-static JOURNAL: OnceLock<Mutex<Option<Arc<Journal>>>> = OnceLock::new();
-
-fn journal_slot() -> &'static Mutex<Option<Arc<Journal>>> {
-    JOURNAL.get_or_init(|| Mutex::new(None))
-}
-
-/// Installs (or clears) the process-wide journal. Returns the number of
-/// points indexed for resume. `fingerprint` (see [`config_fingerprint`])
-/// pins the sweep config the journal belongs to.
-///
-/// # Errors
-///
-/// Returns `Err` when the journal file cannot be opened, or when resuming
-/// under a config fingerprint that does not match the journal's header.
-pub fn configure_journal(
-    path: Option<PathBuf>,
-    resume: bool,
-    fingerprint: Option<&str>,
-) -> std::io::Result<usize> {
-    let journal = match path {
-        Some(p) => {
-            if let Some(dir) = p.parent() {
-                if !dir.as_os_str().is_empty() {
-                    std::fs::create_dir_all(dir)?;
-                }
-            }
-            Some(Arc::new(Journal::open(&p, resume, fingerprint)?))
-        }
-        None => None,
-    };
-    let resumed = journal.as_ref().map(|j| j.resumed_points()).unwrap_or(0);
-    *journal_slot().lock().unwrap() = journal;
-    Ok(resumed)
-}
-
 // ----------------------------------------------------------------- engine
 
 /// A work-stealing fan-out over N worker threads.
 pub struct SweepEngine {
     jobs: usize,
-    journal: Option<Arc<Journal>>,
-}
-
-/// The engine with the process-wide jobs count and journal.
-pub fn engine() -> SweepEngine {
-    SweepEngine {
-        jobs: default_jobs(),
-        journal: journal_slot().lock().unwrap().clone(),
-    }
+    journal: Option<Journal>,
 }
 
 impl SweepEngine {
@@ -263,9 +210,34 @@ impl SweepEngine {
 
     /// Attaches a journal to this engine instance.
     #[must_use]
-    pub fn with_journal(mut self, journal: Arc<Journal>) -> SweepEngine {
+    pub fn with_journal(mut self, journal: Journal) -> SweepEngine {
         self.journal = Some(journal);
         self
+    }
+
+    /// Opens the journal at `path` (see [`Journal::open`]), attaches it, and
+    /// says on stderr what it will do — the binaries' `--journal` flag.
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`Journal::open`] returns.
+    pub fn open_journal(
+        self,
+        path: &Path,
+        resume: bool,
+        fingerprint: Option<&str>,
+    ) -> std::io::Result<SweepEngine> {
+        let journal = Journal::open(path, resume, fingerprint)?;
+        if resume {
+            eprintln!(
+                "[journal] resuming from {} ({} points recorded)",
+                path.display(),
+                journal.resumed_points()
+            );
+        } else {
+            eprintln!("[journal] streaming points to {}", path.display());
+        }
+        Ok(self.with_journal(journal))
     }
 
     /// The worker count.
@@ -421,32 +393,35 @@ pub fn point_key(
     )
 }
 
-/// Runs a full latency-vs-injection sweep on the engine: the parallel,
-/// journaled replacement for `upp_workloads::runner::sweep`. `tag` scopes
-/// the journal keys (experiment id plus any parameters not captured by the
-/// other arguments, e.g. `"fig10/b2"`).
-#[allow(clippy::too_many_arguments)]
-pub fn sweep_rates(
-    tag: &str,
-    spec: &ChipletSystemSpec,
-    cfg: &NocConfig,
-    kind: &SchemeKind,
-    faults: usize,
-    pattern: Pattern,
-    rates: &[f64],
-    windows: SweepWindows,
-    seed: u64,
-) -> Vec<SweepPoint> {
-    engine().run_keyed(
-        rates,
-        |&rate| point_key(tag, cfg, kind, faults, pattern, windows, seed, rate),
-        |&rate| run_point(spec, cfg, kind, faults, pattern, rate, windows, seed),
-    )
+impl SweepEngine {
+    /// Runs a full latency-vs-injection sweep: one journaled [`run_point`]
+    /// per rate. `tag` scopes the journal keys (experiment id plus any
+    /// parameters not captured by the other arguments, e.g. `"fig10/b2"`).
+    #[allow(clippy::too_many_arguments)]
+    pub fn sweep_rates(
+        &self,
+        tag: &str,
+        spec: &ChipletSystemSpec,
+        cfg: &NocConfig,
+        kind: &SchemeKind,
+        faults: usize,
+        pattern: Pattern,
+        rates: &[f64],
+        windows: SweepWindows,
+        seed: u64,
+    ) -> Vec<SweepPoint> {
+        self.run_keyed(
+            rates,
+            |&rate| point_key(tag, cfg, kind, faults, pattern, windows, seed, rate),
+            |&rate| run_point(spec, cfg, kind, faults, pattern, rate, windows, seed),
+        )
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn map_preserves_order_and_runs_everything() {
@@ -518,14 +493,14 @@ mod tests {
         let keyf = |p: &u64| format!("k{p}");
 
         // First run: 3 points, all computed.
-        let j = Arc::new(Journal::open(&path, true, None).unwrap());
+        let j = Journal::open(&path, true, None).unwrap();
         let eng = SweepEngine::new(2).with_journal(j);
         let out = eng.run_keyed(&[1u64, 2, 3], keyf, compute);
         assert_eq!(out, vec![R { v: 10 }, R { v: 20 }, R { v: 30 }]);
         assert_eq!(runs.load(Ordering::SeqCst), 3);
 
         // Second run: 5 points, only the 2 new ones computed, order kept.
-        let j = Arc::new(Journal::open(&path, true, None).unwrap());
+        let j = Journal::open(&path, true, None).unwrap();
         assert_eq!(j.resumed_points(), 3);
         let eng = SweepEngine::new(2).with_journal(j);
         let out = eng.run_keyed(&[1u64, 4, 2, 5, 3], keyf, compute);
@@ -570,7 +545,7 @@ mod tests {
         assert_ne!(fp_a, fp_b);
         // Record one point under config A.
         {
-            let j = Arc::new(Journal::open(&path, false, Some(&fp_a)).unwrap());
+            let j = Journal::open(&path, false, Some(&fp_a)).unwrap();
             let eng = SweepEngine::new(1).with_journal(j);
             let out = eng.run_keyed(&[7u64], |p| format!("k{p}"), |&p| R { v: p });
             assert_eq!(out, vec![R { v: 7 }]);

@@ -1,9 +1,10 @@
 //! End-to-end smoke tests of the `simulate` binary's argument validation
 //! and the watch surface: zero-interval and unknown flags must fail with a
 //! message that names the flag (not the generic usage dump; `repro` is held
-//! to the same rule for unknown flags), `--watch` must work
-//! on clean and wedged runs, and the alert stream must be identical
-//! across repeated invocations.
+//! to the same rule for unknown flags), an output file that cannot be
+//! written must fail the run, `--watch` must work on clean and wedged
+//! runs, and the alert stream must be identical across repeated
+//! invocations.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -67,10 +68,6 @@ fn assert_rejected(args: &[&str], needles: &[&str]) {
 fn zero_interval_flags_are_rejected_with_clear_errors() {
     assert_rejected(&["--obs-every", "0"], &["--obs-every", "at least 1 cycle"]);
     assert_rejected(
-        &["--metrics-every", "0"],
-        &["--metrics-every", "at least 1 cycle"],
-    );
-    assert_rejected(
         &["--watch-every", "0"],
         &["--watch-every", "at least 1 cycle"],
     );
@@ -79,14 +76,69 @@ fn zero_interval_flags_are_rejected_with_clear_errors() {
     assert_rejected(&["--watch", "--sweep", "0.02"], &["--watch", "single runs"]);
 }
 
-/// A flag neither binary knows (here the one the removed sharded kernel
-/// used to take) is an error that names the flag: exit 2, no panic, no
-/// bare usage dump.
+/// A flag neither binary knows (here the ones the removed sharded kernel,
+/// epoch-metrics sampler and sweep-level alert sinks used to take) is an
+/// error that names the flag: exit 2, no panic, no bare usage dump.
 #[test]
 fn unknown_flags_are_rejected_by_name() {
     for bin in [SIMULATE, REPRO] {
         assert_bin_rejected(bin, &["--shards", "2"], &["unknown flag --shards"]);
     }
+    assert_rejected(
+        &["--metrics-every", "100"],
+        &["unknown flag --metrics-every"],
+    );
+    assert_bin_rejected(REPRO, &["--watch-out", "x"], &["unknown flag --watch-out"]);
+}
+
+/// An artifact that was not written is a failure: exit 1, the path named
+/// once on stderr, and the outputs after it still attempted.
+#[test]
+fn unwritable_output_path_fails_the_run_and_names_the_path() {
+    // A regular file where a directory is needed fails for every user,
+    // root included.
+    let blocker = tmp_path("not_a_dir");
+    std::fs::write(&blocker, "x").expect("blocker file");
+    let bad = blocker.join("out.json");
+    let bad = bad.to_str().expect("utf-8");
+    let svg = tmp_path("after_failure.svg");
+    let out = simulate_raw(&[
+        "--cycles",
+        "300",
+        "--json",
+        bad,
+        "--svg",
+        svg.to_str().expect("utf-8"),
+    ]);
+    assert_eq!(out.status.code(), Some(1), "exit status: {:?}", out.status);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        stderr.matches(&format!("could not write {bad}")).count(),
+        1,
+        "failure reported once, by path:\n{stderr}"
+    );
+    assert!(
+        svg.is_file(),
+        "--svg comes after --json and is still written"
+    );
+
+    let out = simulate_raw(&["--cycles", "300", "--sweep", "0.02", "--json", bad]);
+    assert_eq!(out.status.code(), Some(1), "sweep mode: {:?}", out.status);
+
+    // `repro` likewise: the experiment runs, its results file cannot land.
+    let out = Command::new(REPRO)
+        .args([
+            "table1",
+            "--out",
+            blocker.join("results").to_str().expect("utf-8"),
+        ])
+        .output()
+        .expect("repro binary runs");
+    assert_eq!(out.status.code(), Some(1), "repro: {:?}", out.status);
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("writing JSON failed"),
+        "repro reports the failed write"
+    );
 }
 
 const CLEAN: &[&str] = &[

@@ -81,7 +81,4 @@ pub use obs::{CounterId, GaugeId, HistId, ObsHistogram, ObsRegistry, ObsSnapshot
 pub use profile::{PacketSpan, SpanRecorder};
 pub use scheme::{NoScheme, Scheme, SchemeProperties};
 pub use sim::{RunOutcome, System};
-pub use trace::{
-    validate_metrics_csv, MetricsSampler, MetricsSnapshot, StallReport, TraceEvent, TraceSink,
-    Tracer, METRICS_SCHEMA,
-};
+pub use trace::{StallReport, TraceEvent, TraceSink, Tracer};

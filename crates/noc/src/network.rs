@@ -171,10 +171,6 @@ pub struct Network {
     /// false, every component is stepped every cycle and the clock never
     /// fast-forwards — the reference always-tick kernel.
     scheduler_enabled: bool,
-    /// Cross-check mode (`cfg!(debug_assertions)` or
-    /// `UPP_VERIFY_SCHEDULER=1`): asserts every skipped component truly had
-    /// no pending work at the start of each `finish_cycle`.
-    verify_scheduler: bool,
     /// Router steps actually executed (the numerator of
     /// [`Network::active_router_fraction`]).
     router_ticks: u64,
@@ -228,8 +224,6 @@ impl Network {
         let mut tracker = PacketTracker::new();
         tracker.reserve(in_flight_bound);
         let scheduler_enabled = !std::env::var("UPP_ALWAYS_TICK").is_ok_and(|v| v == "1");
-        let verify_scheduler =
-            cfg!(debug_assertions) || std::env::var("UPP_VERIFY_SCHEDULER").is_ok_and(|v| v == "1");
         Self {
             cfg,
             topo,
@@ -247,7 +241,6 @@ impl Network {
             router_active: vec![true; n],
             ni_active: vec![true; n],
             scheduler_enabled,
-            verify_scheduler,
             router_ticks: 0,
         }
     }
@@ -925,7 +918,6 @@ impl Network {
             router_active,
             ni_active,
             scheduler_enabled,
-            verify_scheduler,
             router_ticks,
             ..
         } = self;
@@ -934,9 +926,9 @@ impl Network {
         let now = *cycle;
 
         // Cross-check: every component the scheduler is about to skip must
-        // truly have nothing to do. On by default in debug builds; opt in
-        // with UPP_VERIFY_SCHEDULER=1 for release-mode verification runs.
-        if sched && *verify_scheduler {
+        // truly have nothing to do. On in every debug build (what
+        // `cargo test` runs); compiled out of release builds.
+        if sched && cfg!(debug_assertions) {
             for (i, r) in routers.iter().enumerate() {
                 assert!(
                     router_active[i] || !r.has_pending_work(),

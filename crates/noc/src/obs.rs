@@ -30,12 +30,13 @@
 //!   `(cycle, value)`-lexicographic maxima), so epoch snapshots can be
 //!   folded in any order.
 //!
-//! Histogram bucketing deliberately matches `upp_tracetools::Histogram`
-//! (exact buckets below [`LINEAR_MAX`], [`SUB`] sub-buckets per octave
-//! above, identical sparse-bucket JSON), so obs exports feed the same
-//! analysis toolchain without translation.
+//! [`ObsHistogram`] is the workspace's one histogram type:
+//! `upp_tracetools::Histogram` re-exports it, so obs exports and latency
+//! profiles feed the same analysis toolchain without translation.
 
 use crate::ids::Cycle;
+use serde::Serialize;
+use serde_json::Value;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -43,19 +44,26 @@ use std::fmt::Write as _;
 /// layouts are detected instead of silently parsed.
 pub const OBS_SCHEMA: &str = "upp-obs/v1";
 
-/// Sub-buckets per power-of-two octave (matches
-/// `upp_tracetools::histogram::SUB`).
+/// Sub-buckets per power-of-two octave.
 pub const SUB: usize = 32;
 
-/// Values below this get exact single-value buckets (matches
-/// `upp_tracetools::histogram::LINEAR_MAX`).
+/// Values below this get exact single-value buckets.
 pub const LINEAR_MAX: u64 = 32;
 
 // ------------------------------------------------------------- histogram
 
-/// A mergeable log-bucketed histogram of `u64` samples, bucket-compatible
-/// with `upp_tracetools::Histogram` (same indexing, same JSON shape).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// A mergeable log-bucketed histogram of `u64` samples (latencies in
+/// cycles, queue depths).
+///
+/// Values below [`LINEAR_MAX`] get one exact bucket each; above that, every
+/// power-of-two octave is split into [`SUB`] equal sub-buckets, so the
+/// bucket width at value `v` is at most `v / SUB` and the midpoint
+/// representative is within a **relative error of `1 / (2 * SUB) = 1/64`**
+/// of any value the bucket absorbed. The bucket array is a plain counter
+/// vector, which makes merging an exact element-wise add: merged quantiles
+/// are computed over the union of the recorded values' buckets, never by
+/// approximating quantiles of quantiles.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct ObsHistogram {
     buckets: Vec<u64>,
     count: u64,
@@ -174,6 +182,15 @@ impl ObsHistogram {
         self.sum
     }
 
+    /// Smallest recorded sample (0 when empty).
+    pub fn min(&self) -> u64 {
+        if self.count == 0 {
+            0
+        } else {
+            self.min
+        }
+    }
+
     /// Largest recorded sample (0 when empty).
     pub fn max(&self) -> u64 {
         if self.count == 0 {
@@ -194,7 +211,8 @@ impl ObsHistogram {
 
     /// The `q`-quantile (`0.0..=1.0`) as the midpoint of the bucket holding
     /// the rank-`ceil(q * count)` sample, clamped to the observed
-    /// `[min, max]` (same contract as `upp_tracetools::Histogram`).
+    /// `[min, max]`. Deterministic and integer-valued; within the 1/64
+    /// relative-error bound of the true order statistic.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -211,9 +229,7 @@ impl ObsHistogram {
         self.max
     }
 
-    /// Renders as a deterministic JSON object with sparse buckets —
-    /// byte-identical to `upp_tracetools::Histogram::to_json` for the same
-    /// samples.
+    /// Renders as a deterministic JSON object with sparse buckets.
     pub fn to_json(&self) -> String {
         let mut pairs = String::new();
         for (i, &n) in self.buckets.iter().enumerate() {
@@ -225,14 +241,44 @@ impl ObsHistogram {
             }
             let _ = write!(pairs, "[{i},{n}]");
         }
-        let min = if self.count == 0 { 0 } else { self.min };
         format!(
             "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[{pairs}]}}",
             self.count,
             self.sum,
-            min,
+            self.min(),
             self.max()
         )
+    }
+
+    /// Rebuilds a histogram from the [`ObsHistogram::to_json`] shape;
+    /// `None` when a field is missing or a bucket index is beyond the one
+    /// `u64::MAX` lands in (the file is not ours — and must not size an
+    /// allocation).
+    pub fn from_value(v: &Value) -> Option<Self> {
+        let count = v.get("count")?.as_u64()?;
+        let sum = v.get("sum")?.as_u64()?;
+        let min = v.get("min")?.as_u64()?;
+        let max = v.get("max")?.as_u64()?;
+        let mut buckets = Vec::new();
+        for pair in v.get("buckets")?.as_array()? {
+            let p = pair.as_array()?;
+            let idx = p.first()?.as_u64()? as usize;
+            let n = p.get(1)?.as_u64()?;
+            if idx > Self::index(u64::MAX) {
+                return None;
+            }
+            if buckets.len() <= idx {
+                buckets.resize(idx + 1, 0);
+            }
+            buckets[idx] = n;
+        }
+        Some(Self {
+            buckets,
+            count,
+            sum,
+            min,
+            max,
+        })
     }
 }
 
@@ -780,8 +826,7 @@ mod tests {
     }
 
     #[test]
-    fn histogram_bucketing_is_continuous_and_json_matches_tracetools_shape() {
-        let mut h = ObsHistogram::new();
+    fn histogram_indexing_is_continuous_and_monotonic() {
         let mut prev = 0;
         for v in 0..100_000u64 {
             let idx = ObsHistogram::index(v);
@@ -789,13 +834,46 @@ mod tests {
             prev = idx;
             let (lo, hi) = ObsHistogram::bounds(idx);
             assert!(lo <= v && v < hi, "bounds contain {v}: [{lo},{hi})");
+            if v < LINEAR_MAX {
+                assert_eq!((lo, hi), (v, v + 1), "small values are exact");
+            }
         }
+    }
+
+    #[test]
+    fn histogram_quantiles_hit_known_ranks() {
+        let mut h = ObsHistogram::new();
+        for v in 1..=1000u64 {
+            h.record(v);
+        }
+        let p50 = h.quantile(0.5);
+        assert!(
+            (p50 as f64 - 500.0).abs() <= 500.0 / 64.0 + 1.0,
+            "p50 near 500: {p50}"
+        );
+        let p999 = h.quantile(0.999);
+        assert!(
+            (p999 as f64 - 999.0).abs() <= 999.0 / 64.0 + 1.0,
+            "p999 near 999: {p999}"
+        );
+        assert_eq!(h.quantile(1.0), 1000, "max rank clamps to observed max");
+        assert_eq!(h.quantile(0.0), 1, "min rank clamps to observed min");
+    }
+
+    #[test]
+    fn histogram_json_round_trips() {
+        let mut h = ObsHistogram::new();
         for v in [0, 1, 31, 32, 33, 1_000, 123_456_789] {
             h.record(v);
         }
         let json = h.to_json();
         assert!(json.starts_with("{\"count\":7,\"sum\":"));
         assert!(json.contains("\"buckets\":[[0,1],[1,1],[31,1],[32,1]"));
+        let v = serde_json::from_str(&json).expect("valid JSON");
+        assert_eq!(ObsHistogram::from_value(&v).expect("parses"), h);
+        let hostile = r#"{"count":1,"sum":1,"min":1,"max":1,"buckets":[[4000000000,1]]}"#;
+        let v = serde_json::from_str(hostile).expect("valid JSON");
+        assert_eq!(ObsHistogram::from_value(&v), None, "index beyond u64 range");
     }
 
     #[test]

@@ -65,8 +65,9 @@ pub struct NetStats {
     pub per_class: [(u64, u64); 4],
     /// Flits transmitted per directed link, flat-indexed
     /// `node.index() * Port::COUNT + port.index()` and grown on demand
-    /// (`Local` counts ejections into the NI). Feeds the per-link
-    /// utilization columns of [`crate::trace::MetricsSampler`].
+    /// (`Local` counts ejections into the NI). Feeds the watcher's
+    /// per-chiplet link-flit skew detector ([`crate::watch`]) and is
+    /// serialized with the run's `--json` stats.
     pub link_flits: Vec<u64>,
 }
 

@@ -1,7 +1,6 @@
-//! Observability: flight-recorder tracing, epoch metrics, and deadlock
-//! forensics.
+//! Observability: flight-recorder tracing and deadlock forensics.
 //!
-//! Three pillars, all strictly opt-in:
+//! Two pillars, both strictly opt-in:
 //!
 //! * **Flight recorder** — a [`Tracer`] attached to the network records
 //!   typed [`TraceEvent`]s covering the full packet lifecycle (creation,
@@ -12,16 +11,14 @@
 //!   JSONL stream, or a Chrome trace-event buffer loadable in
 //!   `chrome://tracing` / Perfetto. With the sink disabled every hook is a
 //!   single branch on [`Tracer::enabled`] — the simulation stays
-//!   cycle-for-cycle identical (see `benches/trace_overhead.rs` and the
-//!   `trace_determinism` integration test).
-//! * **Epoch metrics** — a [`MetricsSampler`] snapshots injection/ejection
-//!   rates, in-flight population, per-link flit utilization and per-router
-//!   buffer/control-queue occupancy every K cycles into a serde-serializable
-//!   time series with a CSV renderer.
+//!   cycle-for-cycle identical (see the `trace_determinism` integration
+//!   test).
 //! * **Deadlock forensics** — [`StallReport`]
 //!   (built by [`crate::network::Network::stall_report`]) names every wedged
 //!   packet, its per-VC "holds X, waits on Y" chain, and the circular wait
 //!   extracted through the [`crate::routing::GlobalCdg`] machinery.
+//!
+//! Epoch time series live in [`crate::obs`] (`simulate --obs-every`).
 
 use crate::control::{ControlClass, ControlRoute};
 use crate::ids::{Cycle, NodeId, PacketId, Port, VnetId};
@@ -626,296 +623,6 @@ impl Tracer {
     }
 }
 
-// -------------------------------------------------------- epoch metrics
-
-/// One epoch's worth of aggregate network state, sampled by
-/// [`MetricsSampler`]. Rates are per cycle over the epoch; occupancies are
-/// instantaneous at the sample cycle.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct MetricsSnapshot {
-    /// Sample cycle.
-    pub cycle: Cycle,
-    /// Cycles covered by this epoch.
-    pub epoch_cycles: u64,
-    /// Packets created during the epoch.
-    pub packets_created: u64,
-    /// Packets ejected during the epoch.
-    pub packets_ejected: u64,
-    /// Flits injected during the epoch.
-    pub flits_injected: u64,
-    /// Flits ejected during the epoch.
-    pub flits_ejected: u64,
-    /// Injected flits per cycle per endpoint over the epoch.
-    pub injection_rate: f64,
-    /// Ejected flits per cycle per endpoint over the epoch.
-    pub ejection_rate: f64,
-    /// Packets in flight at the sample cycle.
-    pub in_flight: usize,
-    /// Total flits buffered in router input VCs at the sample cycle.
-    pub buffered_flits: usize,
-    /// Largest per-router buffered-flit count at the sample cycle.
-    pub max_router_occupancy: usize,
-    /// Total req/stop control-buffer occupancy at the sample cycle.
-    pub req_buf_total: usize,
-    /// Largest per-router req/stop buffer occupancy.
-    pub req_buf_max: usize,
-    /// Total ack control-buffer occupancy at the sample cycle.
-    pub ack_buf_total: usize,
-    /// Largest per-router ack buffer occupancy.
-    pub ack_buf_max: usize,
-    /// Mean flits per cycle over all links during the epoch.
-    pub mean_link_util: f64,
-    /// Largest per-link flits-per-cycle during the epoch.
-    pub max_link_util: f64,
-    /// UPP wait-ack stage cycles accumulated during the epoch (from the
-    /// scheme's stage counters via [`MetricsSampler::set_upp_probe`]; zero
-    /// when no probe is installed).
-    pub upp_wait_ack_cycles: u64,
-    /// UPP locate stage cycles accumulated during the epoch.
-    pub upp_locate_cycles: u64,
-    /// UPP pop stage cycles accumulated during the epoch.
-    pub upp_pop_cycles: u64,
-    /// Per-router buffered flits at the sample cycle (dense by node id).
-    pub router_occupancy: Vec<usize>,
-    /// Per-link flits moved during the epoch, flat-indexed
-    /// `node * Port::COUNT + port` (same layout as
-    /// [`crate::stats::NetStats::link_flits`]).
-    pub link_flits: Vec<u64>,
-}
-
-/// Schema tag of [`MetricsSampler::to_csv`] output, emitted as the first
-/// line (`# schema: upp-metrics/v1`). Bump the version whenever columns
-/// change meaning or order so downstream tooling rejects stale files
-/// instead of silently misreading them (the same contract as the sweep
-/// journal's config fingerprint).
-pub const METRICS_SCHEMA: &str = "upp-metrics/v1";
-
-/// Columns of [`MetricsSampler::to_csv`].
-pub const METRICS_CSV_HEADER: &str = "cycle,epoch_cycles,packets_created,packets_ejected,\
-flits_injected,flits_ejected,injection_rate,ejection_rate,in_flight,buffered_flits,\
-max_router_occupancy,req_buf_total,ack_buf_total,mean_link_util,max_link_util,\
-upp_wait_ack_cycles,upp_locate_cycles,upp_pop_cycles";
-
-/// Checks that `content` is a metrics CSV produced by the current schema:
-/// the schema line and the column header must both match exactly.
-///
-/// # Errors
-///
-/// Returns a human-readable reason when the file is missing the schema
-/// line, was written by a different schema version, or carries a different
-/// column set.
-pub fn validate_metrics_csv(content: &str) -> Result<(), String> {
-    let mut lines = content.lines();
-    let schema = lines.next().unwrap_or("");
-    let expected = format!("# schema: {METRICS_SCHEMA}");
-    if schema != expected {
-        return Err(format!(
-            "stale or foreign metrics CSV: first line is {schema:?}, expected {expected:?}"
-        ));
-    }
-    let header = lines.next().unwrap_or("");
-    if header != METRICS_CSV_HEADER {
-        return Err(format!(
-            "metrics CSV column mismatch: got {header:?}, expected {METRICS_CSV_HEADER:?}"
-        ));
-    }
-    Ok(())
-}
-
-/// Reads the scheme's cumulative UPP stage counters as
-/// `[wait_ack, locate, pop]` total cycles. The sampler differences
-/// consecutive reads into per-epoch deltas, so the closure just returns the
-/// running totals (e.g. from `UppStats`).
-pub type UppStageProbe = std::sync::Arc<dyn Fn() -> [u64; 3] + Send + Sync>;
-
-/// Samples epoch metrics every K cycles into a time series.
-#[derive(Clone)]
-pub struct MetricsSampler {
-    every: u64,
-    endpoints: usize,
-    last_cycle: Cycle,
-    last_packets_created: u64,
-    last_packets_ejected: u64,
-    last_flits_injected: u64,
-    last_flits_ejected: u64,
-    last_link_flits: Vec<u64>,
-    last_upp: [u64; 3],
-    upp_probe: Option<UppStageProbe>,
-    history: Vec<MetricsSnapshot>,
-}
-
-impl std::fmt::Debug for MetricsSampler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MetricsSampler")
-            .field("every", &self.every)
-            .field("endpoints", &self.endpoints)
-            .field("samples", &self.history.len())
-            .field("upp_probe", &self.upp_probe.is_some())
-            .finish()
-    }
-}
-
-impl MetricsSampler {
-    /// Creates a sampler with epoch length `every` cycles; rates are
-    /// normalised over `endpoints` injecting nodes (see
-    /// [`crate::topology::Topology::num_endpoints`]).
-    pub fn new(every: u64, endpoints: usize) -> Self {
-        Self {
-            every: every.max(1),
-            endpoints: endpoints.max(1),
-            last_cycle: 0,
-            last_packets_created: 0,
-            last_packets_ejected: 0,
-            last_flits_injected: 0,
-            last_flits_ejected: 0,
-            last_link_flits: Vec::new(),
-            last_upp: [0; 3],
-            upp_probe: None,
-            history: Vec::new(),
-        }
-    }
-
-    /// Installs a probe for the scheme's cumulative UPP stage counters so
-    /// epoch snapshots carry per-epoch wait-ack/locate/pop cycle deltas.
-    /// The `noc` crate does not know any scheme's stats type, so callers
-    /// (e.g. the `simulate` CLI) adapt their `UppStats` behind this closure.
-    pub fn set_upp_probe(&mut self, probe: UppStageProbe) {
-        self.last_upp = probe();
-        self.upp_probe = Some(probe);
-    }
-
-    /// Epoch length in cycles.
-    pub fn every(&self) -> u64 {
-        self.every
-    }
-
-    /// Samples now if the network's cycle is on an epoch boundary that has
-    /// not been sampled yet. Call once per simulated cycle.
-    pub fn maybe_sample(&mut self, net: &crate::network::Network) -> bool {
-        let c = net.cycle();
-        if c == 0 || !c.is_multiple_of(self.every) || c == self.last_cycle {
-            return false;
-        }
-        self.sample(net);
-        true
-    }
-
-    /// Takes a snapshot unconditionally.
-    pub fn sample(&mut self, net: &crate::network::Network) {
-        let stats = net.stats();
-        let cycle = net.cycle();
-        let epoch_cycles = cycle.saturating_sub(self.last_cycle).max(1);
-
-        let mut buffered_flits = 0usize;
-        let mut max_router_occupancy = 0usize;
-        let mut router_occupancy = Vec::with_capacity(net.topo().num_nodes());
-        let (mut req_total, mut req_max, mut ack_total, mut ack_max) = (0, 0, 0, 0);
-        for n in net.topo().nodes() {
-            let r = net.router(n.id);
-            let occ: usize = r.input_vcs().map(|(p, f)| r.vc_buf_len(p, f)).sum();
-            buffered_flits += occ;
-            max_router_occupancy = max_router_occupancy.max(occ);
-            router_occupancy.push(occ);
-            req_total += r.req_buf_len();
-            req_max = req_max.max(r.req_buf_len());
-            ack_total += r.ack_buf_len();
-            ack_max = ack_max.max(r.ack_buf_len());
-        }
-
-        let cur_links = stats.link_flits.clone();
-        let mut link_flits = cur_links.clone();
-        for (i, v) in link_flits.iter_mut().enumerate() {
-            *v -= self.last_link_flits.get(i).copied().unwrap_or(0);
-        }
-        let active_links = link_flits.iter().filter(|&&v| v > 0).count().max(1);
-        let moved: u64 = link_flits.iter().sum();
-        let mean_link_util = moved as f64 / active_links as f64 / epoch_cycles as f64;
-        let max_link_util =
-            link_flits.iter().copied().max().unwrap_or(0) as f64 / epoch_cycles as f64;
-
-        let flits_injected = stats.flits_injected - self.last_flits_injected;
-        let flits_ejected = stats.flits_ejected - self.last_flits_ejected;
-        let cur_upp = self.upp_probe.as_ref().map(|p| p()).unwrap_or([0; 3]);
-        let upp_delta = [
-            cur_upp[0].saturating_sub(self.last_upp[0]),
-            cur_upp[1].saturating_sub(self.last_upp[1]),
-            cur_upp[2].saturating_sub(self.last_upp[2]),
-        ];
-        let snap = MetricsSnapshot {
-            cycle,
-            epoch_cycles,
-            packets_created: stats.packets_created - self.last_packets_created,
-            packets_ejected: stats.packets_ejected - self.last_packets_ejected,
-            flits_injected,
-            flits_ejected,
-            injection_rate: flits_injected as f64 / epoch_cycles as f64 / self.endpoints as f64,
-            ejection_rate: flits_ejected as f64 / epoch_cycles as f64 / self.endpoints as f64,
-            in_flight: net.in_flight(),
-            buffered_flits,
-            max_router_occupancy,
-            req_buf_total: req_total,
-            req_buf_max: req_max,
-            ack_buf_total: ack_total,
-            ack_buf_max: ack_max,
-            mean_link_util,
-            max_link_util,
-            upp_wait_ack_cycles: upp_delta[0],
-            upp_locate_cycles: upp_delta[1],
-            upp_pop_cycles: upp_delta[2],
-            router_occupancy,
-            link_flits,
-        };
-        self.last_upp = cur_upp;
-        self.last_cycle = cycle;
-        self.last_packets_created = stats.packets_created;
-        self.last_packets_ejected = stats.packets_ejected;
-        self.last_flits_injected = stats.flits_injected;
-        self.last_flits_ejected = stats.flits_ejected;
-        self.last_link_flits = cur_links;
-        self.history.push(snap);
-    }
-
-    /// The sampled time series, oldest first.
-    pub fn history(&self) -> &[MetricsSnapshot] {
-        &self.history
-    }
-
-    /// Renders the summary columns of the time series as CSV: a
-    /// `# schema:` line ([`METRICS_SCHEMA`]), the [`METRICS_CSV_HEADER`]
-    /// column header, then one row per sample. Readers should gate on
-    /// [`validate_metrics_csv`] before parsing.
-    pub fn to_csv(&self) -> String {
-        let mut out = format!("# schema: {METRICS_SCHEMA}\n");
-        out.push_str(METRICS_CSV_HEADER);
-        out.push('\n');
-        for s in &self.history {
-            let _ = writeln!(
-                out,
-                "{},{},{},{},{},{},{:.6},{:.6},{},{},{},{},{},{:.6},{:.6},{},{},{}",
-                s.cycle,
-                s.epoch_cycles,
-                s.packets_created,
-                s.packets_ejected,
-                s.flits_injected,
-                s.flits_ejected,
-                s.injection_rate,
-                s.ejection_rate,
-                s.in_flight,
-                s.buffered_flits,
-                s.max_router_occupancy,
-                s.req_buf_total,
-                s.ack_buf_total,
-                s.mean_link_util,
-                s.max_link_util,
-                s.upp_wait_ack_cycles,
-                s.upp_locate_cycles,
-                s.upp_pop_cycles,
-            );
-        }
-        out
-    }
-}
-
 // ---------------------------------------------------- deadlock forensics
 
 /// One input VC held by a wedged packet, with what it waits on.
@@ -1422,80 +1129,6 @@ mod tests {
     }
 
     #[test]
-    fn metrics_csv_has_header_and_one_row_per_sample() {
-        let mut s = MetricsSampler::new(100, 64);
-        // Hand-roll two snapshots (sampling a real network is covered by
-        // integration tests; here we pin the CSV shape).
-        s.history.push(MetricsSnapshot {
-            cycle: 100,
-            epoch_cycles: 100,
-            packets_created: 10,
-            packets_ejected: 8,
-            flits_injected: 50,
-            flits_ejected: 40,
-            injection_rate: 0.0078,
-            ejection_rate: 0.00625,
-            in_flight: 2,
-            buffered_flits: 7,
-            max_router_occupancy: 4,
-            req_buf_total: 1,
-            req_buf_max: 1,
-            ack_buf_total: 0,
-            ack_buf_max: 0,
-            mean_link_util: 0.2,
-            max_link_util: 0.9,
-            upp_wait_ack_cycles: 12,
-            upp_locate_cycles: 3,
-            upp_pop_cycles: 5,
-            router_occupancy: vec![0, 4, 3],
-            link_flits: vec![0, 20, 30],
-        });
-        let csv = s.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert_eq!(lines[0], format!("# schema: {METRICS_SCHEMA}"));
-        assert_eq!(lines[1], METRICS_CSV_HEADER);
-        assert!(lines[2].starts_with("100,100,10,8,50,40,"));
-        let cols = lines[1].split(',').count();
-        assert_eq!(
-            lines[2].split(',').count(),
-            cols,
-            "row arity matches header"
-        );
-        assert!(
-            lines[2].ends_with(",12,3,5"),
-            "UPP stage columns are last: {}",
-            lines[2]
-        );
-        validate_metrics_csv(&csv).expect("fresh output validates");
-    }
-
-    #[test]
-    fn metrics_csv_validation_rejects_stale_and_foreign_files() {
-        let fresh = MetricsSampler::new(10, 4).to_csv();
-        validate_metrics_csv(&fresh).expect("current schema accepted");
-        assert!(
-            validate_metrics_csv("# schema: upp-metrics/v0\ncycle\n")
-                .unwrap_err()
-                .contains("stale or foreign"),
-            "old versions must be rejected"
-        );
-        assert!(
-            validate_metrics_csv("cycle,epoch_cycles\n1,2\n")
-                .unwrap_err()
-                .contains("stale or foreign"),
-            "headerless legacy files must be rejected"
-        );
-        let wrong_cols = format!("# schema: {METRICS_SCHEMA}\ncycle,extra\n");
-        assert!(
-            validate_metrics_csv(&wrong_cols)
-                .unwrap_err()
-                .contains("column mismatch"),
-            "same version but different columns must be rejected"
-        );
-    }
-
-    #[test]
     fn hostile_strings_round_trip_through_serde_json_escaping() {
         // &'static str fields can legally contain quotes, backslashes and
         // control characters; the renderers must escape them, not trust
@@ -1550,23 +1183,5 @@ mod tests {
         let p = t.set_profiler(None);
         assert!(p.is_some());
         assert!(!t.enabled());
-    }
-
-    #[test]
-    fn upp_probe_latches_totals_at_install() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
-        let counter = Arc::new(AtomicU64::new(100));
-        let c2 = Arc::clone(&counter);
-        let mut s = MetricsSampler::new(10, 4);
-        // Installing the probe snapshots the current totals so the first
-        // sampled epoch reports growth from now on, not all of history.
-        s.set_upp_probe(Arc::new(move || {
-            let v = c2.load(Ordering::Relaxed);
-            [v, v / 2, v / 4]
-        }));
-        assert_eq!(s.last_upp, [100, 50, 25]);
-        counter.store(160, Ordering::Relaxed);
-        assert_eq!(s.upp_probe.as_ref().unwrap()(), [160, 80, 40]);
     }
 }

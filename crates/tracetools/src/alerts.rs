@@ -1,9 +1,8 @@
 //! Analysis over health-monitor alert streams (`upp_noc::watch`).
 //!
 //! Input is the `upp-alerts/v1` JSONL shape written by
-//! `simulate --watch-out` (and embedded per-point by `repro --watch-out`):
-//! a header line marked `"upp_alerts": 1` followed by one alert object per
-//! line. Files carrying a different schema tag are rejected up front.
+//! `simulate --watch-out`: a header line marked `"upp_alerts": 1` followed
+//! by one alert object per line. Files carrying a different schema tag are rejected up front.
 //!
 //! The renderers mirror the `obs` module: a human table
 //! ([`report_text`]), a flat CSV timeline ([`timeline_csv`]) and an SVG
@@ -120,12 +119,6 @@ impl AlertsReport {
         for (i, line) in lines.enumerate() {
             let v: Value = serde_json::from_str(line)
                 .map_err(|e| format!("alert line {}: not JSON: {e}", i + 2))?;
-            // Multi-point streams (`repro --watch-out`) interleave
-            // `{"upp_alerts_point":1,...}` context lines between groups;
-            // they are separators, not alerts.
-            if v.get("upp_alerts_point").is_some() {
-                continue;
-            }
             let rec = AlertRecord::from_value(&v)
                 .ok_or_else(|| format!("alert line {}: missing fields", i + 2))?;
             alerts.push(rec);

@@ -4,8 +4,9 @@
 //! streaming in-process feed from `upp_noc::profile::SpanRecorder`) into
 //! answers:
 //!
-//! * [`histogram::Histogram`] — mergeable log-bucketed latency histograms
-//!   with exact-count merge and a documented 1/64 relative-error bound;
+//! * [`Histogram`] — mergeable log-bucketed latency histograms with
+//!   exact-count merge and a documented 1/64 relative-error bound (the
+//!   simulator's own `upp_noc::obs::ObsHistogram`, re-exported);
 //! * [`summary::ProfileSummary`] — per-phase latency attribution
 //!   (injection queueing, VC-allocation wait, switch-allocation wait,
 //!   credit-blocked, UPP wait-ack/locate/pop, link serialization),
@@ -33,12 +34,11 @@
 
 pub mod alerts;
 pub mod events;
-pub mod histogram;
 pub mod obs;
 pub mod render;
 pub mod summary;
 
 pub use alerts::AlertsReport;
-pub use histogram::Histogram;
 pub use obs::ObsReport;
 pub use summary::{PhaseTotals, ProfileSummary};
+pub use upp_noc::obs::ObsHistogram as Histogram;

@@ -19,7 +19,7 @@ use std::fmt::Write as _;
 use serde_json::Value;
 use upp_noc::obs::OBS_SCHEMA;
 
-use crate::histogram::Histogram;
+use crate::Histogram;
 
 /// One metric set: counter totals, gauge `(value, high)` pairs and
 /// histograms, as parsed from either input shape. For epoch input the

@@ -14,7 +14,7 @@ use upp_noc::ids::NodeId;
 use upp_noc::profile::{PacketSpan, SpanRecorder};
 
 use crate::events::{parse_line, Parsed};
-use crate::histogram::Histogram;
+use crate::Histogram;
 
 /// How many slowest packets a summary retains for critical-path analysis.
 pub const SLOWEST_KEPT: usize = 16;

@@ -1,7 +1,9 @@
 //! Property tests for the log-bucketed histogram: merge is associative and
 //! commutative, recorded counts are conserved through arbitrary merge
 //! trees, and the bucket representative stays within the documented 1/64
-//! relative-error bound for any value.
+//! relative-error bound for any value. `upp_tracetools::Histogram` is the
+//! simulator's `upp_noc::obs::ObsHistogram`, so these cover the obs epochs'
+//! histograms too — including the `delta_since` cut they are built from.
 
 use proptest::prelude::*;
 use upp_tracetools::Histogram;
@@ -102,5 +104,28 @@ proptest! {
             }
             prev = x;
         }
+    }
+
+    #[test]
+    fn delta_since_is_the_samples_recorded_after_the_baseline(
+        a in prop::collection::vec(0u64..1_000_000, 0..200),
+        b in prop::collection::vec(0u64..1_000_000, 1..200),
+    ) {
+        let before = build(&a);
+        let mut after = before.clone();
+        for &v in &b {
+            after.record(v);
+        }
+        let delta = after.delta_since(&before);
+        let direct = build(&b);
+        prop_assert_eq!(delta.count(), direct.count());
+        prop_assert_eq!(delta.sum(), direct.sum());
+        let buckets = |h: &Histogram| {
+            let json = h.to_json();
+            json[json.find("\"buckets\"").expect("buckets key")..].to_string()
+        };
+        prop_assert_eq!(buckets(&delta), buckets(&direct), "bucket-wise equal");
+        // The delta's extremes are bucket-bounded, never tighter than truth.
+        prop_assert!(delta.min() <= direct.min() && direct.max() <= delta.max());
     }
 }

@@ -5,8 +5,9 @@
 //! * [`profiles`] + [`coherence`] — the MESI-style directory-coherence
 //!   engine and the 18 PARSEC/SPLASH-2 benchmark profiles substituting for
 //!   gem5 full-system runs (Figs. 8/12/15);
-//! * [`runner`] — system construction for every scheme, latency sweeps and
-//!   saturation extraction;
+//! * [`runner`] — system construction for every scheme, the one-point
+//!   measurement ([`runner::run_point`]; `upp_bench::sweep` fans it out)
+//!   and saturation extraction;
 //! * [`energy`] — the DSENT-substitute energy model (Fig. 15);
 //! * [`area`] — the Design-Compiler-substitute area model (Fig. 14).
 //!
@@ -46,5 +47,5 @@ pub use area::{AreaModel, AreaOverhead};
 pub use coherence::{run_benchmark, CoherenceEngine, RuntimeResult};
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use profiles::{all_benchmarks, benchmark, BenchmarkProfile};
-pub use runner::{run_point, saturation_throughput, sweep, SchemeKind, SweepPoint, SweepWindows};
+pub use runner::{run_point, saturation_throughput, SchemeKind, SweepPoint, SweepWindows};
 pub use synthetic::{Pattern, SyntheticTraffic};

@@ -1,9 +1,10 @@
-//! Experiment infrastructure: system construction for every scheme, latency
-//! sweeps, and saturation-point extraction.
+//! Experiment infrastructure: system construction for every scheme, the
+//! one-point measurement sweeps are made of, and saturation-point
+//! extraction.
 
 use crate::synthetic::{Pattern, SyntheticTraffic};
 use serde::{Deserialize, Serialize};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use upp_baselines::composable::Composable;
 use upp_baselines::remote::{RemoteControl, RemoteControlConfig};
 use upp_core::{Upp, UppConfig, UppStats, UppStatsHandle};
@@ -157,7 +158,7 @@ impl Default for SweepWindows {
 }
 
 impl SweepWindows {
-    /// Short windows for tests and criterion benches.
+    /// Short windows for tests.
     pub fn quick() -> Self {
         Self {
             warmup: 1_000,
@@ -251,47 +252,10 @@ pub struct SweepPoint {
     pub alerts: AlertCounts,
 }
 
-/// Process-wide alert sink for sweep points (the `repro --watch-out`
-/// flag). Each finished point with alerts appends one context line
-/// (`{"upp_alerts_point":1,...}`) plus its `upp-alerts/v1` lines under a
-/// single lock, so groups stay contiguous — but group *order* follows
-/// point completion order, which depends on the worker count.
-static WATCH_OUT: Mutex<Option<std::fs::File>> = Mutex::new(None);
-/// Process-wide forensics directory (the `repro --watch-capture-dir`
-/// flag): points crossing critical capture a bundle into a per-point
-/// subdirectory.
-static WATCH_CAPTURE: Mutex<Option<std::path::PathBuf>> = Mutex::new(None);
-/// When set (the `repro --watch` flag), points with alerts echo a one-line
-/// summary to stderr as they complete.
-static WATCH_ECHO: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// Opens `path` as the process-wide sweep alert stream and writes the
-/// `upp-alerts/v1` header. Journal-resumed points are not re-run, so they
-/// contribute no lines.
-pub fn set_watch_out(path: &std::path::Path) -> std::io::Result<()> {
-    use std::io::Write as _;
-    let mut f = std::fs::File::create(path)?;
-    writeln!(
-        f,
-        "{}",
-        upp_noc::watch::alerts_header_json(upp_noc::watch::WatchConfig::default().every)
-    )?;
-    f.flush()?;
-    *WATCH_OUT.lock().unwrap() = Some(f);
-    Ok(())
-}
-
-/// Sets the process-wide forensics directory for sweep points.
-pub fn set_watch_capture_dir(dir: &std::path::Path) {
-    *WATCH_CAPTURE.lock().unwrap() = Some(dir.to_path_buf());
-}
-
-/// Enables the per-point stderr alert summary.
-pub fn set_watch_echo(on: bool) {
-    WATCH_ECHO.store(on, std::sync::atomic::Ordering::SeqCst);
-}
-
-/// Runs one `(pattern, rate)` point.
+/// Runs one `(pattern, rate)` point: a pure function of its arguments. The
+/// row's [`AlertCounts`] say whether the health monitor fired; to see the
+/// alert stream or capture forensics for a point that did, re-run it under
+/// `simulate --watch-out --watch-capture-dir` with the row's parameters.
 #[allow(clippy::too_many_arguments)]
 pub fn run_point(
     spec: &ChipletSystemSpec,
@@ -340,54 +304,11 @@ pub fn run_point(
         built.sys.step();
         if built.sys.net().cycle().is_multiple_of(watch_every) {
             built.sys.observe();
-            let tick = watcher.feed(built.sys.net());
-            if tick.capture {
-                let dir = WATCH_CAPTURE.lock().unwrap().clone();
-                if let Some(dir) = dir {
-                    let sub = dir.join(format!(
-                        "{}_{}_r{rate}_s{seed}",
-                        kind.label(),
-                        pattern.label()
-                    ));
-                    let at = built.sys.net().cycle();
-                    match upp_noc::watch::capture_forensics(&mut built.sys, &sub, at) {
-                        Ok(_) => eprintln!(
-                            "[watch] critical at cycle {at}: forensics -> {}",
-                            sub.display()
-                        ),
-                        Err(e) => eprintln!("[watch] forensics capture failed: {e}"),
-                    }
-                }
-            }
+            watcher.feed(built.sys.net());
         }
         if built.sys.net().stalled() {
             deadlocked = true;
             break;
-        }
-    }
-    if !watcher.alerts().is_empty() {
-        if WATCH_ECHO.load(std::sync::atomic::Ordering::SeqCst) {
-            eprintln!(
-                "[watch] {}/{} r{rate} s{seed}: {} alerts raised",
-                kind.label(),
-                pattern.label(),
-                watcher.total_raised()
-            );
-        }
-        let mut sink = WATCH_OUT.lock().unwrap();
-        if let Some(f) = sink.as_mut() {
-            use std::io::Write as _;
-            let _ = writeln!(
-                f,
-                "{{\"upp_alerts_point\":1,\"scheme\":\"{}\",\"pattern\":\"{}\",\
-                 \"rate\":{rate},\"faults\":{faults},\"seed\":{seed}}}",
-                kind.label(),
-                pattern.label()
-            );
-            for a in watcher.alerts() {
-                let _ = writeln!(f, "{}", a.jsonl());
-            }
-            let _ = f.flush();
         }
     }
     let stats = built.sys.net().stats();
@@ -413,69 +334,6 @@ pub fn run_point(
         deadlocked,
         alerts: AlertCounts::from_watcher(&watcher),
     }
-}
-
-/// The worker count used by [`sweep`]: the `UPP_JOBS` environment variable
-/// when set, else the machine's available parallelism.
-pub fn sweep_workers() -> usize {
-    if let Ok(v) = std::env::var("UPP_JOBS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-/// Runs a full latency-vs-injection sweep. Points are independent
-/// simulations and run on a bounded worker pool (see [`sweep_workers`]);
-/// results are deterministic and ordered by rate regardless of scheduling.
-///
-/// The richer journaled engine lives in `upp_bench::sweep`; this is the
-/// dependency-light library entry point.
-#[allow(clippy::too_many_arguments)]
-pub fn sweep(
-    spec: &ChipletSystemSpec,
-    cfg: &NocConfig,
-    kind: &SchemeKind,
-    faults: usize,
-    pattern: Pattern,
-    rates: &[f64],
-    windows: SweepWindows,
-    seed: u64,
-) -> Vec<SweepPoint> {
-    let workers = sweep_workers().min(rates.len()).max(1);
-    if workers == 1 {
-        return rates
-            .iter()
-            .map(|&r| run_point(spec, cfg, kind, faults, pattern, r, windows, seed))
-            .collect();
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let results: Vec<Mutex<Option<SweepPoint>>> = rates.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            let next = &next;
-            let results = &results;
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(&r) = rates.get(i) else { break };
-                let p = run_point(spec, cfg, kind, faults, pattern, r, windows, seed);
-                *results[i].lock().unwrap() = Some(p);
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("no sweep worker panicked")
-                .expect("every rate simulated")
-        })
-        .collect()
 }
 
 /// Latency ceiling above which a point counts as saturated (the paper's
