@@ -12,7 +12,7 @@
 //! (Sec. III-B of the UPP paper). Crossing the boundary costs one extra
 //! pipeline cycle because VA and SA cannot run in parallel there.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use upp_noc::ids::{Cycle, NodeId, PacketId, Port};
 use upp_noc::network::Network;
 use upp_noc::ni::PermitState;
@@ -81,8 +81,13 @@ struct RcObs {
 /// The remote-control scheme.
 pub struct RemoteControl {
     cfg: RemoteControlConfig,
-    /// FIFO permission queue per ingress boundary router.
-    queues: HashMap<NodeId, VecDeque<PermitRequest>>,
+    /// Ingress boundary routers in topology order, each with its FIFO
+    /// permission queue.
+    boundaries: Vec<(NodeId, VecDeque<PermitRequest>)>,
+    /// `node.index()` to the router's slot in `boundaries`.
+    slot_of: Vec<Option<u32>>,
+    /// Requests queued over all boundaries.
+    pending: usize,
     stats: RemoteControlStats,
     initialized: bool,
     obs: Option<RcObs>,
@@ -101,7 +106,9 @@ impl RemoteControl {
     pub fn new(cfg: RemoteControlConfig) -> Self {
         Self {
             cfg,
-            queues: HashMap::new(),
+            boundaries: Vec::new(),
+            slot_of: Vec::new(),
+            pending: 0,
             stats: RemoteControlStats::default(),
             initialized: false,
             obs: None,
@@ -137,9 +144,11 @@ impl RemoteControl {
             .flat_map(|c| c.boundary_routers.iter().copied())
             .collect();
         let slots = self.cfg.slots_per_boundary_per_vc * net.cfg().vcs_per_vnet;
+        self.slot_of = vec![None; net.topo().nodes().len()];
         for b in boundaries {
             net.router_mut(b).install_absorber(slots);
-            self.queues.insert(b, VecDeque::new());
+            self.slot_of[b.index()] = Some(self.boundaries.len() as u32);
+            self.boundaries.push((b, VecDeque::new()));
         }
         // Interposer routers feeding an absorber never see Up-port VC
         // backpressure: the side buffer always has room for reserved packets.
@@ -178,19 +187,24 @@ impl Scheme for RemoteControl {
             self.initialize(net);
         }
         self.ensure_obs(net);
+        if self.pending == 0 {
+            return;
+        }
         let now = net.cycle();
-        let boundaries: Vec<NodeId> = self.queues.keys().copied().collect();
-        for b in boundaries {
+        // The order across boundaries cannot matter: each grant touches its
+        // own boundary's absorber and one packet's permit, and the stats
+        // are sums.
+        for (b, q) in &mut self.boundaries {
             // One grant per boundary per cycle, FIFO, honouring the fixed
             // round-trip latency and slot availability.
-            let Some(req) = self.queues.get(&b).and_then(|q| q.front().copied()) else {
+            let Some(req) = q.front().copied() else {
                 continue;
             };
             if now < req.requested_at + self.cfg.permission_rtt {
                 continue;
             }
             let reserved = net
-                .router_mut(b)
+                .router_mut(*b)
                 .absorber_mut()
                 .expect("absorber installed at attach")
                 .reserve(req.packet);
@@ -199,7 +213,8 @@ impl Scheme for RemoteControl {
                 continue;
             }
             net.set_injection_permit(req.src, req.packet, PermitState::Granted);
-            self.queues.get_mut(&b).expect("queue exists").pop_front();
+            q.pop_front();
+            self.pending -= 1;
             self.stats.grants += 1;
         }
     }
@@ -209,7 +224,7 @@ impl Scheme for RemoteControl {
         // per boundary per cycle, contention-wait accounting), so any queued
         // request vetoes the jump. With every queue empty `pre_cycle` is a
         // pure no-op and skipping is cycle-exact.
-        self.initialized && self.queues.values().all(|q| q.is_empty())
+        self.initialized && self.pending == 0
     }
 
     fn observe(&mut self, net: &mut Network) {
@@ -222,16 +237,14 @@ impl Scheme for RemoteControl {
         self.ensure_obs(net);
         let Some(o) = self.obs else { return };
         // Permit-queue pressure: total backlog plus the deepest single
-        // queue. Summation and max are commutative, so HashMap iteration
-        // order cannot affect the sampled values.
-        let mut depth = 0u64;
+        // queue.
+        let depth = self.pending as u64;
         let mut deepest = 0u64;
         let mut slots = 0u64;
         let mut flits = 0u64;
-        for (&b, q) in &self.queues {
-            depth += q.len() as u64;
+        for (b, q) in &self.boundaries {
             deepest = deepest.max(q.len() as u64);
-            if let Some(abs) = net.router(b).absorber() {
+            if let Some(abs) = net.router(*b).absorber() {
                 let (occupied, buffered) = abs.occupancy();
                 slots += occupied as u64;
                 flits += buffered as u64;
@@ -265,14 +278,13 @@ impl Scheme for RemoteControl {
             .above(entry)
             .expect("entry interposers sit below boundaries");
         net.set_injection_permit(src, id, PermitState::Waiting);
-        self.queues
-            .get_mut(&boundary)
-            .expect("all boundaries have permission queues")
-            .push_back(PermitRequest {
-                packet: id,
-                src,
-                requested_at: net.cycle(),
-            });
+        let slot = self.slot_of[boundary.index()].expect("all boundaries have permission queues");
+        self.boundaries[slot as usize].1.push_back(PermitRequest {
+            packet: id,
+            src,
+            requested_at: net.cycle(),
+        });
+        self.pending += 1;
         self.stats.requests += 1;
     }
 }

@@ -7,14 +7,13 @@
 //! recycles handles through a free list, and the event calendar reuses its
 //! ring slots. This test installs a counting global allocator, warms the
 //! kernel up, then arms the counter and asserts that a window of
-//! steady-state cycles performs no allocations.
-//!
-//! Escape hatch: `UPP_ALLOC_LAX=1` downgrades a violation to a warning,
-//! for platforms whose std primitives allocate where glibc's do not.
+//! steady-state cycles performs no allocations — under every scheme, since
+//! the scheme hooks run inside the cycle.
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
+use upp_core::UppConfig;
 use upp_noc::config::NocConfig;
 use upp_noc::ni::ConsumePolicy;
 use upp_noc::topology::ChipletSystemSpec;
@@ -60,20 +59,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-fn lax() -> bool {
-    std::env::var("UPP_ALLOC_LAX").is_ok_and(|v| v != "0")
-}
-
 const WARMUP_CYCLES: u64 = 4_000;
 const MEASURE_CYCLES: u64 = 2_000;
 
 /// Returns the allocations counted over the armed steady-state window.
-fn measure() -> u64 {
+fn measure(kind: &SchemeKind) -> u64 {
     let spec = ChipletSystemSpec::baseline();
     let built = build_system(
         &spec,
         NocConfig::default(),
-        &SchemeKind::None,
+        kind,
         0,
         2022,
         ConsumePolicy::Immediate { latency: 1 },
@@ -107,17 +102,18 @@ fn measure() -> u64 {
 /// counters with it.
 #[test]
 fn steady_state_cycles_are_allocation_free() {
-    let allocs = measure();
-    if allocs == 0 {
-        return;
-    }
-    let msg = format!(
-        "the cycle kernel performed {allocs} heap allocations over \
-         {MEASURE_CYCLES} steady-state cycles (expected 0)"
-    );
-    if lax() {
-        eprintln!("UPP_ALLOC_LAX set; ignoring: {msg}");
-    } else {
-        panic!("{msg}");
+    for kind in [
+        SchemeKind::None,
+        SchemeKind::Upp(UppConfig::default()),
+        SchemeKind::RemoteControl,
+        SchemeKind::Composable,
+    ] {
+        let allocs = measure(&kind);
+        assert_eq!(
+            allocs,
+            0,
+            "scheme {}: heap allocations over {MEASURE_CYCLES} steady-state cycles",
+            kind.label()
+        );
     }
 }

@@ -14,7 +14,7 @@ use crate::detect::{up_sent_recently, UppCounter, UpwardArbiter};
 use crate::protocol::{self, PopupStage};
 use crate::signal::UppSignal;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use upp_noc::control::{ControlClass, ControlMsg, ControlRoute, DeliveredControl};
 use upp_noc::ids::{ChipletId, Cycle, NodeId, PacketId, Port, VnetId};
@@ -183,10 +183,31 @@ impl VnetState {
 }
 
 struct RouterState {
+    node: NodeId,
     vnets: Vec<VnetState>,
     signal_q: VecDeque<ControlMsg>,
     last_signal: Option<Cycle>,
     chiplet: ChipletId,
+}
+
+impl RouterState {
+    /// True when the scheme side owes this router nothing: every popup
+    /// stage `Idle` and no signal queued. Both only change while the router
+    /// is being visited, so a quiet router stays quiet until the network
+    /// shows it something (see [`Router::has_scheme_input`]).
+    ///
+    /// [`Router::has_scheme_input`]: upp_noc::router::Router::has_scheme_input
+    fn is_quiet(&self) -> bool {
+        self.signal_q.is_empty() && self.vnets.iter().all(|vs| vs.stage.kind().is_idle())
+    }
+
+    /// What a cycle without upward candidates does to every watchdog
+    /// (`tick(false, _)` is 0).
+    fn reset_counters(&mut self) {
+        for vs in &mut self.vnets {
+            vs.counter.reset();
+        }
+    }
 }
 
 /// Pre-registered telemetry ids for UPP's protocol-state metrics
@@ -198,7 +219,9 @@ struct RouterState {
 /// non-`Idle` stage, a queued signal, or — for the watchdog counter — an
 /// expiry, which requires upward candidates and hence buffered flits that
 /// keep the network non-quiescent). Distributions and queue depths are
-/// sampled in [`Scheme::observe`] instead.
+/// sampled in [`Scheme::observe`] instead. The same three conditions are
+/// what makes `pre_cycle` visit a boundary router at all, so a router the
+/// tick skips records nothing.
 #[derive(Debug, Clone, Copy)]
 struct UppObs {
     /// `(node, VNet)` pairs whose timeout watchdog sat expired this cycle.
@@ -258,12 +281,17 @@ enum NiMsg {
 pub struct Upp {
     cfg: UppConfig,
     gap: u64,
-    routers: HashMap<NodeId, RouterState>,
-    /// Interposer routers with an `Up` port, in scan order.
-    up_nodes: Vec<NodeId>,
+    num_vnets: usize,
+    /// One entry per interposer router with an `Up` port, in scan order;
+    /// the functions below name a router by its slot in here.
+    routers: Vec<RouterState>,
     /// All chiplet routers (NI inbox scan list).
     chiplet_nodes: Vec<NodeId>,
-    ni_queues: HashMap<(NodeId, VnetId), VecDeque<NiMsg>>,
+    /// One FIFO per `(NI, VNet)`, at `node.index() * num_vnets + vnet`.
+    ni_queues: Vec<VecDeque<NiMsg>>,
+    /// Indices of the non-empty `ni_queues`, ascending — `(NI, VNet)`
+    /// order, the order in which the NI side is processed.
+    ni_busy: Vec<usize>,
     stats: UppStatsHandle,
     initialized: bool,
     /// Telemetry ids, registered lazily once the network's obs registry is
@@ -281,7 +309,7 @@ impl std::fmt::Debug for Upp {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Upp")
             .field("cfg", &self.cfg)
-            .field("up_nodes", &self.up_nodes.len())
+            .field("up_nodes", &self.routers.len())
             .finish_non_exhaustive()
     }
 }
@@ -292,10 +320,11 @@ impl Upp {
         Self {
             cfg,
             gap: 0,
-            routers: HashMap::new(),
-            up_nodes: Vec::new(),
+            num_vnets: 0,
+            routers: Vec::new(),
             chiplet_nodes: Vec::new(),
-            ni_queues: HashMap::new(),
+            ni_queues: Vec::new(),
+            ni_busy: Vec::new(),
             stats: Arc::new(Mutex::new(UppStats::default())),
             initialized: false,
             obs: None,
@@ -315,7 +344,7 @@ impl Upp {
             .cfg
             .signal_gap
             .unwrap_or_else(|| protocol::default_signal_gap(net.cfg().data_packet_flits));
-        let num_vnets = net.cfg().num_vnets;
+        self.num_vnets = net.cfg().num_vnets;
         for &ir in net.topo().interposer_routers() {
             let Some(above) = net.topo().above(ir) else {
                 continue;
@@ -324,20 +353,19 @@ impl Upp {
                 .topo()
                 .chiplet_of(above)
                 .expect("boundary routers sit in chiplets");
-            self.up_nodes.push(ir);
-            self.routers.insert(
-                ir,
-                RouterState {
-                    vnets: (0..num_vnets).map(|_| VnetState::new()).collect(),
-                    signal_q: VecDeque::new(),
-                    last_signal: None,
-                    chiplet,
-                },
-            );
+            self.routers.push(RouterState {
+                node: ir,
+                vnets: (0..self.num_vnets).map(|_| VnetState::new()).collect(),
+                signal_q: VecDeque::new(),
+                last_signal: None,
+                chiplet,
+            });
         }
         for c in net.topo().chiplets() {
             self.chiplet_nodes.extend(c.routers.iter().copied());
         }
+        self.ni_queues
+            .resize_with(net.topo().nodes().len() * self.num_vnets, VecDeque::new);
         self.initialized = true;
     }
 
@@ -513,8 +541,8 @@ impl Upp {
     /// Marks popup priority for `packet` at every router currently holding
     /// its flits, so the worm drains ahead of ordinary traffic.
     fn mark_priority_everywhere(net: &mut Network, packet: PacketId) {
-        let nodes: Vec<NodeId> = net.topo().nodes().iter().map(|n| n.id).collect();
-        for n in nodes {
+        for i in 0..net.topo().nodes().len() {
+            let n = net.topo().nodes()[i].id;
             let holds = {
                 let r = net.router(n);
                 r.input_vcs()
@@ -553,37 +581,64 @@ impl Upp {
         })
     }
 
-    fn sibling_popup_active(&self, node: NodeId, vnet: VnetId) -> bool {
-        let Some(chiplet) = self.routers.get(&node).map(|r| r.chiplet) else {
-            return false;
-        };
-        self.up_nodes.iter().any(|&other| {
-            other != node
-                && self.routers.get(&other).is_some_and(|r| {
-                    r.chiplet == chiplet && !r.vnets[vnet.index()].stage.kind().is_idle()
-                })
+    /// Cross-check for a router `pre_cycle` is skipping, independent of the
+    /// wake predicate: no upward candidate in any VNet and nothing in the
+    /// inbox. On in every debug build (what `cargo test` runs), compiled out
+    /// of release builds — like the scheduler's check in `finish_cycle`.
+    fn assert_nothing_to_see(&mut self, net: &mut Network, slot: usize) {
+        let node = self.routers[slot].node;
+        let at = net.cycle();
+        for v in 0..self.num_vnets {
+            self.cand_scratch.clear();
+            net.upward_candidates_into(node, VnetId(v as u8), &mut self.cand_scratch);
+            assert!(
+                self.cand_scratch.is_empty(),
+                "UPP tick would skip {node} with an upward candidate in VNet {v} at cycle {at}"
+            );
+        }
+        net.drain_router_inbox(node, &mut self.inbox_scratch);
+        assert!(
+            self.inbox_scratch.is_empty(),
+            "UPP tick would skip {node} with an unread ack at cycle {at}"
+        );
+    }
+
+    fn sibling_popup_active(&self, slot: usize, vnet: VnetId) -> bool {
+        let chiplet = self.routers[slot].chiplet;
+        self.routers.iter().enumerate().any(|(other, r)| {
+            other != slot && r.chiplet == chiplet && !r.vnets[vnet.index()].stage.kind().is_idle()
         })
     }
 
-    /// Drains NI control inboxes into the per-(NI, VNet) FIFO queues.
+    /// Appends to one `(NI, VNet)` FIFO, keeping `ni_busy` sorted.
+    fn queue_ni_msg(&mut self, node: NodeId, vnet: VnetId, msg: NiMsg) {
+        let key = node.index() * self.num_vnets + vnet.index();
+        if self.ni_queues[key].is_empty() {
+            let at = self.ni_busy.partition_point(|&k| k < key);
+            self.ni_busy.insert(at, key);
+        }
+        self.ni_queues[key].push_back(msg);
+    }
+
+    /// Drains NI control inboxes into the per-(NI, VNet) FIFO queues; the
+    /// network's count of undrained messages bounds the scan.
     fn collect_ni_messages(&mut self, net: &mut Network) {
         let mut inbox = std::mem::take(&mut self.inbox_scratch);
-        for &node in &self.chiplet_nodes.clone() {
+        for i in 0..self.chiplet_nodes.len() {
+            if net.ni_control_pending() == 0 {
+                break;
+            }
+            let node = self.chiplet_nodes[i];
             net.drain_ni_inbox(node, &mut inbox);
             for d in inbox.drain(..) {
                 match UppSignal::decode(d.msg.bits) {
-                    Ok(UppSignal::Req { vnet, .. }) => self
-                        .ni_queues
-                        .entry((node, vnet))
-                        .or_default()
-                        .push_back(NiMsg::Req {
-                            origin: d.msg.origin,
-                        }),
-                    Ok(UppSignal::Stop { vnet, .. }) => self
-                        .ni_queues
-                        .entry((node, vnet))
-                        .or_default()
-                        .push_back(NiMsg::Stop),
+                    Ok(UppSignal::Req { vnet, .. }) => {
+                        let origin = d.msg.origin;
+                        self.queue_ni_msg(node, vnet, NiMsg::Req { origin });
+                    }
+                    Ok(UppSignal::Stop { vnet, .. }) => {
+                        self.queue_ni_msg(node, vnet, NiMsg::Stop);
+                    }
                     other => debug_assert!(false, "unexpected NI signal {other:?}"),
                 }
             }
@@ -592,53 +647,46 @@ impl Upp {
     }
 
     /// Processes the NI-side protocol: reservations (retrying until an entry
-    /// frees, which Sec. V-B4 proves always happens) and stops.
+    /// frees, which Sec. V-B4 proves always happens) and stops. One message
+    /// per non-empty queue per cycle, in `(NI, VNet)` order: the order in
+    /// which ACKs of different VNets enter one router's control buffer is
+    /// simulated state.
     fn process_ni_queues(&mut self, net: &mut Network) {
-        let mut keys: Vec<(NodeId, VnetId)> = self
-            .ni_queues
-            .iter()
-            .filter(|(_, q)| !q.is_empty())
-            .map(|(&k, _)| k)
-            .collect();
-        // `HashMap` order differs from run to run, and the order in which
-        // ACKs of different VNets enter one router's control buffer is
-        // simulated state.
-        keys.sort_unstable();
-        for (node, vnet) in keys {
-            let Some(front) = self
-                .ni_queues
-                .get(&(node, vnet))
-                .and_then(|q| q.front().copied())
-            else {
-                continue;
-            };
-            match front {
+        let mut busy = std::mem::take(&mut self.ni_busy);
+        busy.retain(|&key| {
+            let node = NodeId((key / self.num_vnets) as u32);
+            let vnet = VnetId((key % self.num_vnets) as u8);
+            let q = &mut self.ni_queues[key];
+            match *q.front().expect("busy queues are non-empty") {
                 NiMsg::Req { origin } => {
                     if net.try_reserve_ejection(node, vnet) {
                         net.send_control(node, Self::make_ack(origin, node, vnet));
                         self.stats.lock().unwrap().acks_sent += 1;
-                        self.ni_queues.get_mut(&(node, vnet)).unwrap().pop_front();
+                        q.pop_front();
                     } else {
                         self.stats.lock().unwrap().reservation_retries += 1;
                     }
                 }
                 NiMsg::Stop => {
                     net.release_ejection_reservation(node, vnet);
-                    self.ni_queues.get_mut(&(node, vnet)).unwrap().pop_front();
+                    q.pop_front();
                 }
             }
-        }
+            !q.is_empty()
+        });
+        self.ni_busy = busy;
     }
 
     /// Per-interposer-router detection, ack handling, stage machine and
     /// signal serialisation.
-    fn process_router(&mut self, net: &mut Network, node: NodeId) {
+    fn process_router(&mut self, net: &mut Network, slot: usize) {
         let now = net.cycle();
-        let num_vnets = net.cfg().num_vnets;
+        let node = self.routers[slot].node;
 
-        // Ack arrivals first (delivered this cycle by begin_cycle). The
-        // scratch buffer is taken out of `self` so `handle_ack` can borrow
-        // both `self` and `net` while iterating.
+        // Ack arrivals first (terminated at this router by its step in the
+        // previous `finish_cycle`). The scratch buffer is taken out of
+        // `self` so `handle_ack` can borrow both `self` and `net` while
+        // iterating.
         let mut acks = std::mem::take(&mut self.inbox_scratch);
         net.drain_router_inbox(node, &mut acks);
         for d in acks.drain(..) {
@@ -646,18 +694,18 @@ impl Upp {
                 debug_assert!(false, "router inbox must only hold acks");
                 continue;
             };
-            self.handle_ack(net, node, vnet);
+            self.handle_ack(net, slot, vnet);
         }
         self.inbox_scratch = acks;
 
-        for v in 0..num_vnets {
+        for v in 0..self.num_vnets {
             let vnet = VnetId(v as u8);
-            self.advance_stage(net, node, vnet);
-            self.detect(net, node, vnet, now);
+            self.advance_stage(net, slot, vnet);
+            self.detect(net, slot, vnet, now);
         }
 
         // Serial signal unit with the Size_of_Data_Packet + 1 gap.
-        let st = self.routers.get_mut(&node).expect("router state exists");
+        let st = &mut self.routers[slot];
         if let Some(msg) = st.signal_q.front().copied() {
             let ready = match st.last_signal {
                 None => true,
@@ -671,8 +719,9 @@ impl Upp {
         }
     }
 
-    fn handle_ack(&mut self, net: &mut Network, node: NodeId, vnet: VnetId) {
-        let st = self.routers.get_mut(&node).expect("router state exists");
+    fn handle_ack(&mut self, net: &mut Network, slot: usize, vnet: VnetId) {
+        let st = &mut self.routers[slot];
+        let node = st.node;
         let vs = &mut st.vnets[vnet.index()];
         if vs.acks_to_drop > 0 {
             vs.acks_to_drop -= 1;
@@ -694,7 +743,7 @@ impl Upp {
             )
         };
         let acked_at = net.cycle();
-        let st = self.routers.get_mut(&node).expect("router state exists");
+        let st = &mut self.routers[slot];
         let vs = &mut st.vnets[vnet.index()];
         match vc_state {
             (Some(owner), partly) if owner == cand.packet => {
@@ -757,8 +806,9 @@ impl Upp {
         }
     }
 
-    fn advance_stage(&mut self, net: &mut Network, node: NodeId, vnet: VnetId) {
-        let stage = self.routers.get(&node).expect("router state exists").vnets[vnet.index()].stage;
+    fn advance_stage(&mut self, net: &mut Network, slot: usize, vnet: VnetId) {
+        let node = self.routers[slot].node;
+        let stage = self.routers[slot].vnets[vnet.index()].stage;
         // Dwell accounting: one count per cycle spent in a non-idle stage.
         // Exact across fast-forwards because `advance_to` vetoes any jump
         // while a stage is non-idle.
@@ -781,7 +831,7 @@ impl Upp {
                 if owner != Some(cand.packet) {
                     // Normal progress before the ack: stop + drop the ack.
                     let stop = Self::make_stop(net, node, cand.dest, vnet);
-                    let st = self.routers.get_mut(&node).expect("router state exists");
+                    let st = &mut self.routers[slot];
                     st.signal_q.push_back(stop);
                     let vs = &mut st.vnets[vnet.index()];
                     vs.acks_to_drop += 1;
@@ -810,7 +860,7 @@ impl Upp {
                     if let Some(flit) = net.pop_upward_flit(node, cand.in_port, cand.vc_flat) {
                         if flit.kind.is_tail() {
                             let now = net.cycle();
-                            let st = self.routers.get_mut(&node).expect("router state exists");
+                            let st = &mut self.routers[slot];
                             st.vnets[vnet.index()].stage = Stage::Idle;
                             self.complete_popup(
                                 net,
@@ -837,7 +887,7 @@ impl Upp {
                         // Head still here after all: full popup.
                         net.router_mut(node).set_vc_frozen(in_port, vc_flat, true);
                         net.router_mut(node).add_priority_packet(cand.packet);
-                        let st = self.routers.get_mut(&node).expect("router state exists");
+                        let st = &mut self.routers[slot];
                         st.vnets[vnet.index()].stage = Stage::PopInterposer {
                             cand,
                             selected_at,
@@ -859,7 +909,7 @@ impl Upp {
                         net.router_mut(r_star).set_vc_frozen(in_port, vc_flat, true);
                         Self::mark_priority_everywhere(net, cand.packet);
                         let located_at = net.cycle();
-                        let st = self.routers.get_mut(&node).expect("router state exists");
+                        let st = &mut self.routers[slot];
                         st.vnets[vnet.index()].stage = Stage::PopChiplet {
                             packet: cand.packet,
                             dest: cand.dest,
@@ -888,7 +938,7 @@ impl Upp {
                             // Fully delivered through the normal path while
                             // we were looking: recycle the reservation.
                             let stop = Self::make_stop(net, node, cand.dest, vnet);
-                            let st = self.routers.get_mut(&node).expect("router state exists");
+                            let st = &mut self.routers[slot];
                             st.signal_q.push_back(stop);
                             st.vnets[vnet.index()].stage = Stage::Idle;
                             self.stats.lock().unwrap().stops_sent += 1;
@@ -935,7 +985,7 @@ impl Upp {
                     if let Some(flit) = net.pop_bypass_flit(r_star, in_port, vc_flat, out) {
                         if flit.kind.is_tail() {
                             let now = net.cycle();
-                            let st = self.routers.get_mut(&node).expect("router state exists");
+                            let st = &mut self.routers[slot];
                             st.vnets[vnet.index()].stage = Stage::Idle;
                             self.complete_popup(
                                 net,
@@ -955,22 +1005,24 @@ impl Upp {
         }
     }
 
-    fn detect(&mut self, net: &mut Network, node: NodeId, vnet: VnetId, now: Cycle) {
-        let stage_idle = self.routers.get(&node).expect("router state exists").vnets[vnet.index()]
-            .stage
-            .kind()
-            .is_idle();
-        self.cand_scratch.clear();
-        net.upward_candidates_into(node, vnet, &mut self.cand_scratch);
-        let recent = up_sent_recently(net.up_last_sent(node, vnet), now);
-        let st = self.routers.get_mut(&node).expect("router state exists");
+    fn detect(&mut self, net: &mut Network, slot: usize, vnet: VnetId, now: Cycle) {
+        let st = &mut self.routers[slot];
+        let node = st.node;
         let vs = &mut st.vnets[vnet.index()];
-        if !stage_idle {
+        if !vs.stage.kind().is_idle() {
             vs.counter.reset();
             return;
         }
-        vs.counter.tick(!self.cand_scratch.is_empty(), recent);
-        if !vs.counter.expired(self.cfg.threshold) {
+        self.cand_scratch.clear();
+        net.upward_candidates_into(node, vnet, &mut self.cand_scratch);
+        let stalled = !self.cand_scratch.is_empty();
+        let recent = up_sent_recently(net.up_last_sent(node, vnet), now);
+        vs.counter.tick(stalled, recent);
+        // Without a candidate nothing below may run, whatever the threshold
+        // (0 would otherwise "expire" an empty router): a cycle without
+        // candidates only zeroes the counter, which is what lets
+        // `pre_cycle` skip such a router.
+        if !stalled || !vs.counter.expired(self.cfg.threshold) {
             return;
         }
         // Watchdog pressure: expiry implies upward candidates exist, hence
@@ -979,10 +1031,10 @@ impl Upp {
         if let Some(o) = &self.obs {
             net.obs_mut().inc(o.watchdog_expired);
         }
-        if self.cfg.serialize_per_chiplet && self.sibling_popup_active(node, vnet) {
+        if self.cfg.serialize_per_chiplet && self.sibling_popup_active(slot, vnet) {
             return;
         }
-        let st = self.routers.get_mut(&node).expect("router state exists");
+        let st = &mut self.routers[slot];
         let vs = &mut st.vnets[vnet.index()];
         let Some(cand) = vs.arbiter.pick(&self.cand_scratch) else {
             return;
@@ -996,7 +1048,7 @@ impl Upp {
             net.obs_mut().inc(o.enter_wait_ack);
         }
         let req = Self::make_req(net, node, &cand);
-        let st = self.routers.get_mut(&node).expect("router state exists");
+        let st = &mut self.routers[slot];
         st.signal_q.push_back(req);
         Self::trace_stage(
             net,
@@ -1035,8 +1087,22 @@ impl Scheme for Upp {
         self.ensure_obs(net);
         self.collect_ni_messages(net);
         self.process_ni_queues(net);
-        for node in self.up_nodes.clone() {
-            self.process_router(net, node);
+        // Level-triggered: a boundary router is visited only while the
+        // scheme owes it something or the network can show it something.
+        // Visiting a router that is quiet on both sides would drain an
+        // empty inbox, find every stage `Idle`, find no upward candidate
+        // (one needs a buffered flit) and so zero its counters; only that
+        // last effect is applied here.
+        for slot in 0..self.routers.len() {
+            let st = &mut self.routers[slot];
+            if !st.is_quiet() || net.router(st.node).has_scheme_input() {
+                self.process_router(net, slot);
+                continue;
+            }
+            st.reset_counters();
+            if cfg!(debug_assertions) {
+                self.assert_nothing_to_see(net, slot);
+            }
         }
     }
 
@@ -1051,9 +1117,7 @@ impl Scheme for Upp {
         let Some(o) = self.obs else { return };
         let mut active = 0u64;
         let mut signals = 0u64;
-        // Map order cannot matter here: every quantity below is a sum or a
-        // histogram bucket add.
-        for st in self.routers.values() {
+        for st in &self.routers {
             signals += st.signal_q.len() as u64;
             for vs in &st.vnets {
                 if !vs.stage.kind().is_idle() {
@@ -1065,11 +1129,11 @@ impl Scheme for Upp {
                 net.obs_mut().record(o.watchdog_counter, vs.counter.value());
             }
         }
-        let ni_pending: u64 = self.ni_queues.values().map(|q| q.len() as u64).sum();
+        let ni_pending: usize = self.ni_busy.iter().map(|&k| self.ni_queues[k].len()).sum();
         let r = net.obs_mut();
         r.gauge_set(o.stages_active, active);
         r.gauge_set(o.signal_queue, signals);
-        r.gauge_set(o.ni_queue, ni_pending);
+        r.gauge_set(o.ni_queue, ni_pending as u64);
     }
 
     fn advance_to(&mut self, _net: &Network, _from: Cycle, _to: Cycle) -> bool {
@@ -1081,27 +1145,18 @@ impl Scheme for Upp {
         //   * a non-Idle stage — WaitAck/Pop* transitions are checked every
         //     cycle;
         //   * a pending NI message — ejection reservations retry per cycle.
-        if !self.initialized {
-            return false;
-        }
-        // Map order cannot matter below: two `any` tests and a reset of
-        // every counter.
-        if self.routers.values().any(|st| {
-            !st.signal_q.is_empty() || st.vnets.iter().any(|vs| !vs.stage.kind().is_idle())
-        }) {
-            return false;
-        }
-        if self.ni_queues.values().any(|q| !q.is_empty()) {
+        if !self.initialized
+            || !self.ni_busy.is_empty()
+            || self.routers.iter().any(|st| !st.is_quiet())
+        {
             return false;
         }
         // With every stage Idle and no buffered flits anywhere, each skipped
         // cycle's `detect` would see zero upward candidates and tick every
         // counter back to zero (`tick(false, _)` → 0). Apply that batched
         // effect here so the jump is cycle-exact.
-        for st in self.routers.values_mut() {
-            for vs in &mut st.vnets {
-                vs.counter.reset();
-            }
+        for st in &mut self.routers {
+            st.reset_counters();
         }
         true
     }
@@ -1250,6 +1305,55 @@ mod tests {
         let summary = obs.summary_json(sys.net().cycle());
         assert!(summary.contains("\"upp.popup.recovery_cycles\""));
         assert!(summary.contains("\"circuit.lookup_hits\""));
+    }
+
+    #[test]
+    fn stale_ack_at_a_quiet_router_is_still_consumed() {
+        // Network and scheme driven by hand, to reach the scheme's state.
+        let topo = ChipletSystemSpec::baseline().build(0).unwrap();
+        let mut net = upp_noc::network::Network::new(
+            NocConfig::default(),
+            topo,
+            StdArc::new(ChipletRouting::xy()),
+            ConsumePolicy::Immediate { latency: 1 },
+            11,
+        );
+        let mut upp = Upp::new(UppConfig::default());
+        let step = |net: &mut Network, upp: &mut Upp| {
+            net.begin_cycle();
+            upp.pre_cycle(net);
+            net.finish_cycle();
+        };
+        step(&mut net, &mut upp);
+
+        // The state a false positive leaves behind: the packet moved on
+        // before the ack came back, so the stage is `Idle` again and the
+        // router owes one dropped ack. Nothing but the ack's arrival in the
+        // inbox can make the tick visit this router.
+        let dest = net.topo().chiplets()[1].routers[10];
+        let ir = net.topo().entry_interposer_for(dest).unwrap();
+        let slot = upp.routers.iter().position(|st| st.node == ir).unwrap();
+        let cand = UpwardCandidate {
+            in_port: Port::West,
+            vc_flat: 0,
+            packet: PacketId(0),
+            vnet: VnetId(0),
+            dest,
+            partly_transmitted: false,
+        };
+        let req = Upp::make_req(&net, ir, &cand);
+        net.send_control(ir, req);
+        upp.routers[slot].vnets[0].acks_to_drop = 1;
+
+        for _ in 0..200 {
+            step(&mut net, &mut upp);
+        }
+        let s = UppStats::snapshot(&upp.stats);
+        assert_eq!(s.acks_sent, 1, "the NI answered the req: {s:?}");
+        assert_eq!(s.acks_dropped, 1, "the stale ack was consumed: {s:?}");
+        assert_eq!(upp.routers[slot].vnets[0].acks_to_drop, 0);
+        assert!(upp.routers[slot].is_quiet());
+        assert!(!net.router(ir).has_scheme_input(), "inbox drained");
     }
 
     #[test]

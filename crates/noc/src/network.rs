@@ -174,6 +174,9 @@ pub struct Network {
     /// Router steps actually executed (the numerator of
     /// [`Network::active_router_fraction`]).
     router_ticks: u64,
+    /// Control messages sitting unread in NI inboxes: bumped where
+    /// `begin_cycle` delivers one, dropped by [`Network::drain_ni_inbox`].
+    ni_control_pending: usize,
 }
 
 impl std::fmt::Debug for Network {
@@ -242,6 +245,7 @@ impl Network {
             ni_active: vec![true; n],
             scheduler_enabled,
             router_ticks: 0,
+            ni_control_pending: 0,
         }
     }
 
@@ -470,7 +474,16 @@ impl Network {
     /// `out` (same reusable-scratch contract as
     /// [`Network::drain_router_inbox`]).
     pub fn drain_ni_inbox(&mut self, node: NodeId, out: &mut Vec<DeliveredControl>) {
+        let before = out.len();
         self.nis[node.index()].drain_control_inbox_into(out);
+        self.ni_control_pending -= out.len() - before;
+    }
+
+    /// Control messages delivered to NIs and not yet drained, over the
+    /// whole network. Zero means every NI inbox is empty, so a scheme can
+    /// skip its inbox scan.
+    pub fn ni_control_pending(&self) -> usize {
+        self.ni_control_pending
     }
 
     /// Scans an interposer router for upward-stalled packets of `vnet`.
@@ -490,10 +503,10 @@ impl Network {
         out: &mut Vec<UpwardCandidate>,
     ) {
         let r = &self.routers[node.index()];
-        for (p, f) in r.input_vcs() {
-            if !r.vnet_range(vnet).contains(&f) {
-                continue;
-            }
+        // Only this VNet's VCs, in `input_vcs` order: scanning every VNet
+        // once visits each input VC once.
+        let ports = Port::ALL.into_iter().filter(|&p| r.has_link(p));
+        for (p, f) in ports.flat_map(|p| r.vnet_range(vnet).map(move |f| (p, f))) {
             let vc = r.input_vc(p, f);
             if vc.route_out != Some(Port::Up) {
                 continue;
@@ -810,6 +823,7 @@ impl Network {
             emit_scratch,
             router_active,
             ni_active,
+            ni_control_pending,
             ..
         } = self;
         let mut emit = std::mem::take(emit_scratch);
@@ -883,6 +897,7 @@ impl Network {
                     routers[node.index()].deliver_control(in_port, msg, *cycle);
                 }
                 Event::NiControlArrive { node, in_port, msg } => {
+                    *ni_control_pending += 1;
                     nis[node.index()].deliver_control(DeliveredControl {
                         msg,
                         in_port,

@@ -531,14 +531,16 @@ impl Ni {
 
     // --------------------------------------------------------------- control
 
-    /// Delivers a control message to this NI's inbox.
-    pub fn deliver_control(&mut self, msg: DeliveredControl) {
+    /// Delivers a control message to this NI's inbox. Crate-private along
+    /// with the drain below: [`crate::network::Network`] counts what sits
+    /// in the inboxes, so both ends go through it.
+    pub(crate) fn deliver_control(&mut self, msg: DeliveredControl) {
         self.control_inbox.push(msg);
     }
 
     /// Drains the control inbox into `out` (called by the scheme each
     /// cycle), reusing both buffers' capacity (no per-call allocation).
-    pub fn drain_control_inbox_into(&mut self, out: &mut Vec<DeliveredControl>) {
+    pub(crate) fn drain_control_inbox_into(&mut self, out: &mut Vec<DeliveredControl>) {
         out.append(&mut self.control_inbox);
     }
 

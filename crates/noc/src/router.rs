@@ -99,10 +99,15 @@ pub struct Absorber {
 }
 
 impl Absorber {
-    /// Creates an absorber with `slots` packet-sized slots.
-    pub fn new(slots: usize) -> Self {
+    /// Creates an absorber with `slots` slots, each sized up front for a
+    /// packet of `packet_flits` flits (so filling one never allocates).
+    pub fn new(slots: usize, packet_flits: usize) -> Self {
+        let slot = |_| AbsorbSlot {
+            buf: VecDeque::with_capacity(packet_flits),
+            ..AbsorbSlot::default()
+        };
         Self {
-            slots: vec![AbsorbSlot::default(); slots],
+            slots: (0..slots).map(slot).collect(),
             rr: 0,
         }
     }
@@ -290,7 +295,8 @@ impl Router {
 
     /// Installs a remote-control absorber with `slots` packet slots.
     pub fn install_absorber(&mut self, slots: usize) {
-        self.absorber = Some(Absorber::new(slots));
+        // An input-VC ring holds at least one whole packet; so does a slot.
+        self.absorber = Some(Absorber::new(slots, self.bufs.capacity()));
     }
 
     /// Marks the output port `p` as an infinite sink (downstream absorbs
@@ -418,6 +424,20 @@ impl Router {
     /// reusing both buffers' capacity (no per-call allocation).
     pub fn drain_control_inbox_into(&mut self, out: &mut Vec<DeliveredControl>) {
         out.append(&mut self.control_inbox);
+    }
+
+    /// True when this router can show a scheme's `pre_cycle` something: a
+    /// buffered input-VC flit (an upward candidate is one) or an unread
+    /// control-inbox entry (a terminated ack). Both are O(1).
+    ///
+    /// This is the wake predicate of a level-triggered scheme tick, and it
+    /// is exact at `pre_cycle` time because of *when* the two states
+    /// change: flits are written by `deliver_flit` in this cycle's
+    /// `begin_cycle`, and a terminated ack is pushed into the inbox by
+    /// `step_control` in the **previous** cycle's `finish_cycle` — not by
+    /// event delivery — so it is already visible when the scheme runs.
+    pub fn has_scheme_input(&self) -> bool {
+        self.bufs.any_nonempty() || !self.control_inbox.is_empty()
     }
 
     /// True when stepping this router next cycle could possibly do work:
@@ -1774,7 +1794,7 @@ mod tests {
 
     #[test]
     fn absorber_reserves_accepts_and_frees() {
-        let mut a = Absorber::new(2);
+        let mut a = Absorber::new(2, 5);
         assert_eq!(a.free_slots(), 2);
         assert!(a.reserve(PacketId(7)));
         assert!(a.reserve(PacketId(8)));

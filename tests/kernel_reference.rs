@@ -1,11 +1,15 @@
 //! The one cycle kernel against its reference, and against itself.
 //!
-//! Both cases run the Fig. 3 deadlock recipe — hotspot traffic at 0.06 into
-//! endpoints that take 120 cycles to consume a packet — on the baseline
-//! system under UPP, then drain. That recipe keeps the popup datapath busy,
+//! Two recipes on the baseline system under UPP, each run and then drained.
+//! The Fig. 3 deadlock recipe — hotspot traffic at 0.06 into endpoints that
+//! take 120 cycles to consume a packet — keeps the popup datapath busy,
 //! which is where the active-set scheduler has the most to get wrong
 //! (wake-ups from bypass latches, control signals, reservations) and where
-//! UPP's own bookkeeping order can leak into the simulation.
+//! UPP's own bookkeeping order can leak into the simulation. The idle recipe
+//! — uniform random at 0.005 — is the opposite: most boundary routers are
+//! quiet in most cycles, so UPP's tick skips them, wakes them when a flit
+//! turns up, and the drain fast-forwards; these are debug builds, so every
+//! skip is cross-checked on the way.
 
 use upp_core::{UppConfig, UppStats};
 use upp_noc::config::NocConfig;
@@ -16,7 +20,36 @@ use upp_workloads::runner::{build_system, SchemeKind};
 use upp_workloads::synthetic::{Pattern, SyntheticTraffic};
 
 const SEED: u64 = 2022;
-const TRAFFIC_CYCLES: u64 = 2_500;
+
+struct Recipe {
+    pattern: Pattern,
+    rate: f64,
+    consume_latency: u64,
+    traffic_cycles: u64,
+    vcs_per_vnet: usize,
+    /// The run is only a test of the recovery datapath if it recovers.
+    must_pop_up: bool,
+}
+
+const FIG3: Recipe = Recipe {
+    pattern: Pattern::Hotspot,
+    rate: 0.06,
+    consume_latency: 120,
+    traffic_cycles: 2_500,
+    vcs_per_vnet: 1,
+    must_pop_up: true,
+};
+
+const fn idle(vcs_per_vnet: usize) -> Recipe {
+    Recipe {
+        pattern: Pattern::UniformRandom,
+        rate: 0.005,
+        consume_latency: 1,
+        traffic_cycles: 20_000,
+        vcs_per_vnet,
+        must_pop_up: false,
+    }
+}
 
 /// Everything the run computed: end cycle, full network statistics, UPP's
 /// recovery counters.
@@ -27,19 +60,25 @@ struct Snapshot {
     upp: UppStats,
 }
 
-fn run(active_scheduler: bool) -> Snapshot {
+fn run(recipe: &Recipe, active_scheduler: bool) -> Snapshot {
+    let cfg = NocConfig {
+        vcs_per_vnet: recipe.vcs_per_vnet,
+        ..NocConfig::default()
+    };
     let built = build_system(
         &ChipletSystemSpec::baseline(),
-        NocConfig::default(),
+        cfg,
         &SchemeKind::Upp(UppConfig::default()),
         0,
         SEED,
-        ConsumePolicy::Immediate { latency: 120 },
+        ConsumePolicy::Immediate {
+            latency: recipe.consume_latency,
+        },
     );
     let mut sys = built.sys;
     sys.net_mut().set_active_scheduler(active_scheduler);
-    let mut traffic = SyntheticTraffic::new(sys.net().topo(), Pattern::Hotspot, 0.06, SEED);
-    for _ in 0..TRAFFIC_CYCLES {
+    let mut traffic = SyntheticTraffic::new(sys.net().topo(), recipe.pattern, recipe.rate, SEED);
+    for _ in 0..recipe.traffic_cycles {
         traffic.tick(&mut sys);
         sys.step();
     }
@@ -50,8 +89,12 @@ fn run(active_scheduler: bool) -> Snapshot {
     );
     let upp = UppStats::snapshot(&built.upp_stats.expect("scheme is UPP"));
     assert!(
-        upp.popups_completed > 0,
+        !recipe.must_pop_up || upp.popups_completed > 0,
         "the recipe must exercise recovery, or the comparison is vacuous: {upp:?}"
+    );
+    assert!(
+        sys.net().stats().packets_ejected > 0,
+        "the recipe carried no traffic"
     );
     Snapshot {
         end_cycle: sys.net().cycle(),
@@ -64,7 +107,9 @@ fn run(active_scheduler: bool) -> Snapshot {
 /// unobservable: the always-tick kernel is the reference.
 #[test]
 fn active_set_kernel_matches_the_always_tick_reference() {
-    assert_eq!(run(true), run(false));
+    for recipe in [FIG3, idle(1), idle(4)] {
+        assert_eq!(run(&recipe, true), run(&recipe, false));
+    }
 }
 
 /// The same seed, built and run twice in one process, computes the same
@@ -72,5 +117,5 @@ fn active_set_kernel_matches_the_always_tick_reference() {
 /// any walk in map order that reaches simulated state shows up here).
 #[test]
 fn same_seed_reruns_identically() {
-    assert_eq!(run(true), run(true));
+    assert_eq!(run(&FIG3, true), run(&FIG3, true));
 }
