@@ -318,11 +318,22 @@ fn write_artifact(path: &str, bytes: &[u8], detail: &str) -> bool {
     }
 }
 
+/// The network configuration the flags ask for; exits 2 with the reason
+/// when it cannot run under the chosen scheme.
+fn noc_config(args: &Args) -> NocConfig {
+    let cfg = NocConfig::default().with_vcs_per_vnet(args.vcs);
+    if let Err(e) = args.scheme.check_config(&cfg) {
+        eprintln!("invalid configuration: {e}");
+        exit(2);
+    }
+    cfg
+}
+
 /// `--sweep` mode: fan the rate list over the sweep engine and print one
 /// row per point. Stats come out bit-identical for any `--jobs` value.
 fn run_sweep(args: &Args, rates: &[f64]) {
     let spec = ChipletSystemSpec::of_kind(args.system);
-    let cfg = NocConfig::default().with_vcs_per_vnet(args.vcs);
+    let cfg = noc_config(args);
     let windows = SweepWindows {
         warmup: (args.cycles / 10).max(1),
         measure: args.cycles,
@@ -427,7 +438,7 @@ fn main() {
         return;
     }
     let spec = ChipletSystemSpec::of_kind(args.system);
-    let cfg = NocConfig::default().with_vcs_per_vnet(args.vcs);
+    let cfg = noc_config(&args);
     let built = build_system(
         &spec,
         cfg,

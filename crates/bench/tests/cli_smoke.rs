@@ -1,9 +1,10 @@
 //! End-to-end smoke tests of the `simulate` binary's argument validation
 //! and the watch surface: zero-interval and unknown flags must fail with a
 //! message that names the flag (not the generic usage dump; `repro` is held
-//! to the same rule for unknown flags), an output file that cannot be
-//! written must fail the run, `--watch` must work on clean and wedged
-//! runs, and the alert stream must be identical across repeated
+//! to the same rule for unknown flags), a VC count the model cannot carry
+//! must fail with a message that names the limit, an output file that
+//! cannot be written must fail the run, `--watch` must work on clean and
+//! wedged runs, and the alert stream must be identical across repeated
 //! invocations.
 
 use std::path::PathBuf;
@@ -74,6 +75,19 @@ fn zero_interval_flags_are_rejected_with_clear_errors() {
     // Sweep mode computes alert counts for every point already; a --watch
     // there is a contradiction worth naming.
     assert_rejected(&["--watch", "--sweep", "0.02"], &["--watch", "single runs"]);
+}
+
+/// A VC count the model cannot carry is a configuration error that names
+/// the limit — not a panic (exit 101) while building the network or, for
+/// UPP's 4-bit input-VC field, at the first popup from a high VC mid-run.
+#[test]
+fn unusable_vc_counts_are_errors_naming_the_limit() {
+    assert_rejected(&["--vcs", "0"], &["vcs_per_vnet", "at least 1"]);
+    assert_rejected(&["--vcs", "22"], &["66 VCs per port", "limit of 64"]);
+    assert_rejected(
+        &["--scheme", "upp", "--vcs", "8", "--rate", "0.2"],
+        &["4-bit input-VC field", "at most 16 VCs per port", "got 24"],
+    );
 }
 
 /// A flag neither binary knows (here the ones the removed sharded kernel,

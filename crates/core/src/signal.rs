@@ -86,6 +86,24 @@ impl std::fmt::Display for SignalCodecError {
 
 impl std::error::Error for SignalCodecError {}
 
+/// Checks, before a run starts, that every input VC of a port carrying
+/// `vcs_per_port` VCs fits the `UPP_req`'s [`VC_BITS`]-bit input-VC field —
+/// otherwise the first popup from a higher VC fails to encode mid-run.
+///
+/// # Errors
+///
+/// Returns a message naming the limit when `vcs_per_port` exceeds it.
+pub fn check_vcs_per_port(vcs_per_port: usize) -> Result<(), String> {
+    let limit = 1usize << VC_BITS;
+    if vcs_per_port > limit {
+        return Err(format!(
+            "UPP's request signal has a {VC_BITS}-bit input-VC field: \
+             at most {limit} VCs per port, got {vcs_per_port}"
+        ));
+    }
+    Ok(())
+}
+
 const TYPE_REQ: u32 = 0b001;
 const TYPE_ACK: u32 = 0b010;
 const TYPE_STOP: u32 = 0b011;

@@ -13,6 +13,10 @@ pub enum FlowControl {
     VirtualCutThrough,
 }
 
+/// Most VCs one port may carry ([`NocConfig::vcs_per_port`]): a router
+/// tracks which input VCs of a port hold flits in one 64-bit word.
+pub const MAX_VCS_PER_PORT: usize = 64;
+
 /// Static configuration of the simulated network.
 ///
 /// The defaults reproduce Table II of the paper: 3 VNets with 1 VC each,
@@ -100,8 +104,9 @@ impl NocConfig {
     ///
     /// # Errors
     ///
-    /// Returns `Err` when any dimension is zero or when buffers cannot hold a
-    /// single flit.
+    /// Returns `Err` when any dimension is zero, when a port would carry more
+    /// than [`MAX_VCS_PER_PORT`] VCs, or when buffers cannot hold a single
+    /// flit.
     pub fn validate(&self) -> Result<(), String> {
         if self.num_vnets == 0 {
             return Err("num_vnets must be at least 1".into());
@@ -111,6 +116,14 @@ impl NocConfig {
         }
         if self.vcs_per_vnet == 0 {
             return Err("vcs_per_vnet must be at least 1".into());
+        }
+        if self.vcs_per_port() > MAX_VCS_PER_PORT {
+            return Err(format!(
+                "{} VCs per port ({} VNets x {} VCs) exceed the limit of {MAX_VCS_PER_PORT}",
+                self.vcs_per_port(),
+                self.num_vnets,
+                self.vcs_per_vnet
+            ));
         }
         if self.vc_buffer_depth == 0 {
             return Err("vc_buffer_depth must be at least 1".into());
@@ -203,6 +216,20 @@ mod tests {
         let mut cfg = NocConfig::default();
         cfg.link_latency = 0;
         assert!(cfg.validate().is_err());
+
+        // 3 VNets x 21 VCs fill 63 bits of the occupancy word; 22 overflow.
+        assert!(NocConfig::default()
+            .with_vcs_per_vnet(21)
+            .validate()
+            .is_ok());
+        let err = NocConfig::default()
+            .with_vcs_per_vnet(22)
+            .validate()
+            .unwrap_err();
+        assert!(
+            err.contains("66 VCs per port") && err.contains("64"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -86,8 +86,9 @@ impl Event {
     /// Every delivery wakes its target, even credit returns that can never
     /// create work on their own: a uniform rule keeps the scheduler's
     /// conservative invariant ("anything an event touched is scheduled next
-    /// cycle") trivially audit-able, at the cost of at most one extra no-op
-    /// step per credit tail.
+    /// cycle") trivially audit-able. It costs no step: `finish_cycle`
+    /// deschedules a woken router that holds nothing instead of stepping
+    /// it, and an NI's step returns at once on an empty backlog.
     pub fn wake_target(&self) -> WakeTarget {
         match *self {
             Event::FlitArrive { node, .. }

@@ -171,8 +171,9 @@ pub struct Network {
     /// false, every component is stepped every cycle and the clock never
     /// fast-forwards — the reference always-tick kernel.
     scheduler_enabled: bool,
-    /// Router steps actually executed (the numerator of
-    /// [`Network::active_router_fraction`]).
+    /// Router steps actually executed — under the scheduler, steps of
+    /// routers that held work; a wake that found none is not a step (the
+    /// numerator of [`Network::active_router_fraction`]).
     router_ticks: u64,
     /// Control messages sitting unread in NI inboxes: bumped where
     /// `begin_cycle` delivers one, dropped by [`Network::drain_ni_inbox`].
@@ -266,8 +267,9 @@ impl Network {
     }
 
     /// Fraction of `cycle x routers` slots in which a router was actually
-    /// stepped since construction (1.0 for the always-tick kernel; what the
-    /// scheduler skips shows up as the gap below 1.0).
+    /// stepped since construction: 1.0 for the always-tick kernel, which
+    /// steps every router, empty or not; under the scheduler, the share of
+    /// slots in which a router had buffered work to step.
     pub fn active_router_fraction(&self) -> f64 {
         let total = self.cycle as f64 * self.routers.len() as f64;
         if total == 0.0 {
@@ -997,10 +999,19 @@ impl Network {
 
         // Routers: bypass, control, switch allocation (ascending order,
         // inactive routers skipped; an idle router's step is provably a
-        // no-op — no RNG draw, no arbiter update, no trace event).
+        // no-op — no RNG draw, no arbiter update, no trace event). A
+        // scheduled router that holds nothing — woken by a credit, which
+        // only enables flits it does not have — is idle in the same sense:
+        // it is descheduled here instead of being stepped.
         for i in 0..routers.len() {
-            if sched && !router_active[i] {
-                continue;
+            if sched {
+                if !router_active[i] {
+                    continue;
+                }
+                if !routers[i].has_pending_work() {
+                    router_active[i] = false;
+                    continue;
+                }
             }
             *router_ticks += 1;
             let mut ctx = RouterCtx {

@@ -296,9 +296,12 @@ impl Ni {
             return None;
         }
         // Round-robin across VNets: continue an active injection or start a
-        // new one.
-        for off in 0..self.num_vnets {
-            let v = (self.rr_vnet + off) % self.num_vnets;
+        // new one. `rr_vnet` stays below `num_vnets`, so the walk wraps with
+        // a compare instead of a division per VNet per cycle.
+        let mut next = self.rr_vnet;
+        for _ in 0..self.num_vnets {
+            let v = next;
+            next = if v + 1 == self.num_vnets { 0 } else { v + 1 };
             if let Some(act) = &mut self.active[v] {
                 let vcf = act.vc_flat;
                 if self.out_vcs[vcf].credits == 0 {
@@ -311,7 +314,7 @@ impl Ni {
                     self.active[v] = None;
                     self.backlog -= 1;
                 }
-                self.rr_vnet = (v + 1) % self.num_vnets;
+                self.rr_vnet = next;
                 return Some((flit, vcf));
             }
             // Try to start the head-of-queue packet of this VNet.
@@ -344,7 +347,7 @@ impl Ni {
             } else {
                 self.backlog -= 1;
             }
-            self.rr_vnet = (v + 1) % self.num_vnets;
+            self.rr_vnet = next;
             return Some((flit, vcf));
         }
         None

@@ -53,11 +53,24 @@ impl<T: Copy> RingBank<T> {
         self.cap as usize
     }
 
+    /// `head + i` wrapped into `0..cap`. Both operands are at most `cap`, so
+    /// one compare-and-subtract replaces the division a `%` by the run-time
+    /// capacity would cost on every flit.
+    #[inline]
+    fn wrap(&self, head: u32, i: u32) -> u32 {
+        debug_assert!(head < self.cap && i <= self.cap);
+        let off = head + i;
+        if off >= self.cap {
+            off - self.cap
+        } else {
+            off
+        }
+    }
+
     #[inline]
     fn slot(&self, q: usize, i: u32) -> usize {
         debug_assert!(i < self.len[q]);
-        let off = (self.head[q] + i) % self.cap;
-        q * self.cap as usize + off as usize
+        q * self.cap as usize + self.wrap(self.head[q], i) as usize
     }
 
     /// Appends `v` to queue `q`; returns `Err(v)` if the queue is full.
@@ -66,7 +79,7 @@ impl<T: Copy> RingBank<T> {
         if self.len[q] == self.cap {
             return Err(v);
         }
-        let off = (self.head[q] + self.len[q]) % self.cap;
+        let off = self.wrap(self.head[q], self.len[q]);
         self.slots[q * self.cap as usize + off as usize] = v;
         self.len[q] += 1;
         self.occupied += 1;
@@ -80,7 +93,7 @@ impl<T: Copy> RingBank<T> {
             return None;
         }
         let v = self.slots[q * self.cap as usize + self.head[q] as usize];
-        self.head[q] = (self.head[q] + 1) % self.cap;
+        self.head[q] = self.wrap(self.head[q], 1);
         self.len[q] -= 1;
         self.occupied -= 1;
         Some(v)
@@ -174,6 +187,37 @@ mod tests {
         assert!(b.is_empty(1));
         assert!(!b.any_nonempty());
         assert_eq!(b.pop_front(1), None);
+    }
+
+    proptest::proptest! {
+        /// Any push/pop interleaving behaves like a bounded `VecDeque` per
+        /// queue: the compare-and-subtract wrap-around visits the slots a
+        /// `% cap` would, for capacities around and off the powers of two.
+        #[test]
+        fn matches_a_bounded_vecdeque_model(
+            cap in 1usize..7,
+            ops in proptest::collection::vec((proptest::bool::ANY, 0usize..3), 1..200),
+        ) {
+            let mut bank = RingBank::new(3, cap, 0u32);
+            let mut model = vec![std::collections::VecDeque::new(); 3];
+            for (i, (push, q)) in ops.into_iter().enumerate() {
+                let v = i as u32;
+                if push {
+                    let full = model[q].len() == cap;
+                    proptest::prop_assert_eq!(bank.push_back(q, v), if full { Err(v) } else { Ok(()) });
+                    if !full {
+                        model[q].push_back(v);
+                    }
+                } else {
+                    proptest::prop_assert_eq!(bank.pop_front(q), model[q].pop_front());
+                }
+                for (q, m) in model.iter().enumerate() {
+                    proptest::prop_assert_eq!(bank.iter(q).copied().collect::<Vec<_>>(), Vec::from(m.clone()));
+                    proptest::prop_assert_eq!(bank.is_empty(q), m.is_empty());
+                }
+                proptest::prop_assert_eq!(bank.total_len(), model.iter().map(|m| m.len()).sum::<usize>());
+            }
+        }
     }
 
     #[test]

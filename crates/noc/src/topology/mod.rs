@@ -85,9 +85,14 @@ pub struct Topology {
     /// to (Sec. V-D). Boundary routers are bound to themselves. Interposer
     /// routers map to themselves (unused).
     binding: Vec<NodeId>,
-    /// Faulty directed links as `(node, out_port)`; faults are symmetric (the
-    /// reverse direction is also present in the set).
-    faulty: HashSet<(NodeId, Port)>,
+    /// Faulty directed links, one port bitmask per node (bit
+    /// [`Port::index`] set while the link leaving through that port is
+    /// faulty); faults are symmetric (the peer's opposite port is set too).
+    /// Dense because [`Topology::neighbor`] reads it for every bidding VC
+    /// and every forwarded flit.
+    faulty: Vec<u8>,
+    /// Number of faulty bidirectional links (pairs of set bits).
+    faulty_links: usize,
 }
 
 impl Topology {
@@ -99,6 +104,7 @@ impl Topology {
         interposer_routers: Vec<NodeId>,
         binding: Vec<NodeId>,
     ) -> Self {
+        let faulty = vec![0; nodes.len()];
         Self {
             nodes,
             chiplets,
@@ -106,7 +112,8 @@ impl Topology {
             interposer_height,
             interposer_routers,
             binding,
-            faulty: HashSet::new(),
+            faulty,
+            faulty_links: 0,
         }
     }
 
@@ -186,7 +193,7 @@ impl Topology {
     /// faulty.
     #[inline]
     pub fn neighbor(&self, id: NodeId, port: Port) -> Option<NodeId> {
-        if self.faulty.contains(&(id, port)) {
+        if self.is_link_faulty(id, port) {
             return None;
         }
         self.node(id).neighbors[port.index()]
@@ -240,27 +247,35 @@ impl Topology {
         let peer = self
             .raw_neighbor(node, port)
             .expect("cannot mark a non-existent link faulty");
-        self.faulty.insert((node, port));
-        self.faulty.insert((peer, port.opposite()));
+        if !self.is_link_faulty(node, port) {
+            self.faulty[node.index()] |= 1 << port.index();
+            self.faulty[peer.index()] |= 1 << port.opposite().index();
+            self.faulty_links += 1;
+        }
     }
 
     /// Clears a fault previously set with [`Topology::set_link_faulty`].
     pub fn clear_link_fault(&mut self, node: NodeId, port: Port) {
-        if let Some(peer) = self.raw_neighbor(node, port) {
-            self.faulty.remove(&(node, port));
-            self.faulty.remove(&(peer, port.opposite()));
+        if !self.is_link_faulty(node, port) {
+            return;
         }
+        let peer = self
+            .raw_neighbor(node, port)
+            .expect("only existing links are ever marked faulty");
+        self.faulty[node.index()] &= !(1 << port.index());
+        self.faulty[peer.index()] &= !(1 << port.opposite().index());
+        self.faulty_links -= 1;
     }
 
     /// True if the directed link `(node, port)` is faulty.
     #[inline]
     pub fn is_link_faulty(&self, node: NodeId, port: Port) -> bool {
-        self.faulty.contains(&(node, port))
+        self.faulty[node.index()] & (1 << port.index()) != 0
     }
 
     /// Number of faulty bidirectional links.
     pub fn num_faulty_links(&self) -> usize {
-        self.faulty.len() / 2
+        self.faulty_links
     }
 
     /// Nodes of the region `r`, in deterministic order.
@@ -363,5 +378,56 @@ impl Topology {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fault_bitmask_is_symmetric_idempotent_and_counted() {
+        let mut topo = ChipletSystemSpec::baseline().build(0).unwrap();
+        let a = topo.chiplets()[0].routers[5];
+        let east = topo.raw_neighbor(a, Port::East).expect("interior router");
+        assert_eq!(topo.num_faulty_links(), 0);
+        assert!(!topo.is_link_faulty(a, Port::East));
+
+        topo.set_link_faulty(a, Port::East);
+        // Both directions of the one link, and nothing else at either end.
+        assert!(topo.is_link_faulty(a, Port::East));
+        assert!(topo.is_link_faulty(east, Port::West));
+        assert_eq!(topo.neighbor(a, Port::East), None);
+        assert_eq!(topo.neighbor(east, Port::West), None);
+        assert_eq!(topo.raw_neighbor(a, Port::East), Some(east));
+        for p in [Port::North, Port::South, Port::West] {
+            assert!(!topo.is_link_faulty(a, p));
+            assert_eq!(topo.neighbor(a, p), topo.raw_neighbor(a, p));
+        }
+        assert_eq!(topo.num_faulty_links(), 1);
+
+        // Setting it again — from either end — is the same fault.
+        topo.set_link_faulty(a, Port::East);
+        topo.set_link_faulty(east, Port::West);
+        assert_eq!(topo.num_faulty_links(), 1);
+
+        topo.set_link_faulty(a, Port::North);
+        assert_eq!(topo.num_faulty_links(), 2);
+
+        // Clearing from the far end heals both directions; clearing twice,
+        // or clearing a healthy or absent link, changes nothing.
+        topo.clear_link_fault(east, Port::West);
+        assert_eq!(topo.neighbor(a, Port::East), Some(east));
+        assert_eq!(topo.neighbor(east, Port::West), Some(a));
+        assert_eq!(topo.num_faulty_links(), 1);
+        topo.clear_link_fault(a, Port::East);
+        topo.clear_link_fault(a, Port::South);
+        topo.clear_link_fault(a, Port::Up);
+        assert_eq!(topo.num_faulty_links(), 1);
+        assert!(topo.is_link_faulty(a, Port::North));
+
+        topo.clear_link_fault(a, Port::North);
+        assert_eq!(topo.num_faulty_links(), 0);
+        assert!(topo.validate().is_ok());
     }
 }

@@ -17,8 +17,9 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use upp_bench::sweep::SweepEngine;
+use upp_noc::config::NocConfig;
 use upp_tracetools::{PhaseTotals, ProfileSummary};
-use upp_verify::scenario::{random_scenario, CampaignParams};
+use upp_verify::scenario::{random_scenario, scheme_kind, CampaignParams};
 use upp_verify::{oracle_for, run_differential, run_scenario, shrink, Scenario};
 
 struct CampaignOpts {
@@ -92,6 +93,18 @@ fn parse_campaign(args: &[String]) -> CampaignOpts {
     o
 }
 
+/// Exits 2 with the reason unless `vcs_per_vnet` VCs per VNet can run under
+/// every scheme named in `schemes` (the harness panics on what fails here).
+fn check_config(vcs_per_vnet: usize, schemes: &[&str]) {
+    let cfg = NocConfig::default().with_vcs_per_vnet(vcs_per_vnet);
+    for label in schemes {
+        if let Err(e) = scheme_kind(label).and_then(|kind| kind.check_config(&cfg)) {
+            eprintln!("invalid configuration: {e}");
+            std::process::exit(2);
+        }
+    }
+}
+
 /// Builds the seeded scenario for one campaign point (scheme left blank;
 /// the differential runner fills it per scheme).
 fn point_scenario(o: &CampaignOpts, seed: u64) -> Scenario {
@@ -108,6 +121,7 @@ fn campaign(o: CampaignOpts) -> ExitCode {
     };
     let seeds: Vec<u64> = (0..o.points as u64).map(|i| o.seed_base + i).collect();
     let schemes: Vec<&str> = o.schemes.iter().map(String::as_str).collect();
+    check_config(o.params.vcs_per_vnet, &schemes);
     eprintln!(
         "campaign: {} points on {} ({} schemes, {} jobs)",
         o.points,
@@ -238,6 +252,7 @@ fn replay(path: &str) -> ExitCode {
         sc.traffic.len(),
         sc.faults.len()
     );
+    check_config(sc.vcs_per_vnet, &[&sc.scheme]);
     let report = run_scenario(&sc, oracle_for(&sc));
     let parts: Vec<String> = PhaseTotals::LABELS
         .iter()

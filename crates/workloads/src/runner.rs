@@ -47,6 +47,23 @@ impl SchemeKind {
             SchemeKind::RemoteControl => "remote-control",
         }
     }
+
+    /// Checks a configuration that came from outside the program (CLI
+    /// flags, replay files) for a run under this scheme, so a bad one is an
+    /// error message instead of a panic in [`build_system`] or mid-run:
+    /// [`NocConfig::validate`], plus, for UPP, the VC bound of its request
+    /// signal.
+    ///
+    /// # Errors
+    ///
+    /// Returns the reason the configuration cannot run.
+    pub fn check_config(&self, cfg: &NocConfig) -> Result<(), String> {
+        cfg.validate()?;
+        if let SchemeKind::Upp(_) = self {
+            upp_core::signal::check_vcs_per_port(cfg.vcs_per_port())?;
+        }
+        Ok(())
+    }
 }
 
 /// A constructed system plus handles the harness needs.

@@ -1,6 +1,6 @@
 //! The one cycle kernel against its reference, and against itself.
 //!
-//! Two recipes on the baseline system under UPP, each run and then drained.
+//! Three recipes on the baseline system under UPP, each run and then drained.
 //! The Fig. 3 deadlock recipe — hotspot traffic at 0.06 into endpoints that
 //! take 120 cycles to consume a packet — keeps the popup datapath busy,
 //! which is where the active-set scheduler has the most to get wrong
@@ -8,8 +8,12 @@
 //! UPP's own bookkeeping order can leak into the simulation. The idle recipe
 //! — uniform random at 0.005 — is the opposite: most boundary routers are
 //! quiet in most cycles, so UPP's tick skips them, wakes them when a flit
-//! turns up, and the drain fast-forwards; these are debug builds, so every
-//! skip is cross-checked on the way.
+//! turns up, and the drain fast-forwards. The loaded recipe — uniform random
+//! at 0.09 with 4 VCs per VNet — puts 12 VCs on every port under contention:
+//! switch allocation walks occupancy words instead of polling all of them,
+//! and routers woken by a credit alone are descheduled unstepped, while the
+//! reference steps every router in every cycle, empty or not. These are
+//! debug builds, so every skip is cross-checked on the way.
 
 use upp_core::{UppConfig, UppStats};
 use upp_noc::config::NocConfig;
@@ -50,6 +54,15 @@ const fn idle(vcs_per_vnet: usize) -> Recipe {
         must_pop_up: false,
     }
 }
+
+const LOADED_4VC: Recipe = Recipe {
+    pattern: Pattern::UniformRandom,
+    rate: 0.09,
+    consume_latency: 1,
+    traffic_cycles: 6_000,
+    vcs_per_vnet: 4,
+    must_pop_up: false,
+};
 
 /// Everything the run computed: end cycle, full network statistics, UPP's
 /// recovery counters.
@@ -96,6 +109,10 @@ fn run(recipe: &Recipe, active_scheduler: bool) -> Snapshot {
         sys.net().stats().packets_ejected > 0,
         "the recipe carried no traffic"
     );
+    assert!(
+        active_scheduler || sys.net().active_router_fraction() == 1.0,
+        "the reference kernel steps every router in every cycle"
+    );
     Snapshot {
         end_cycle: sys.net().cycle(),
         net: format!("{:?}", sys.net().stats()),
@@ -107,7 +124,7 @@ fn run(recipe: &Recipe, active_scheduler: bool) -> Snapshot {
 /// unobservable: the always-tick kernel is the reference.
 #[test]
 fn active_set_kernel_matches_the_always_tick_reference() {
-    for recipe in [FIG3, idle(1), idle(4)] {
+    for recipe in [FIG3, idle(1), idle(4), LOADED_4VC] {
         assert_eq!(run(&recipe, true), run(&recipe, false));
     }
 }
