@@ -318,22 +318,26 @@ fn write_artifact(path: &str, bytes: &[u8], detail: &str) -> bool {
     }
 }
 
-/// The network configuration the flags ask for; exits 2 with the reason
-/// when it cannot run under the chosen scheme.
-fn noc_config(args: &Args) -> NocConfig {
+/// The system and network configuration the flags ask for; exits 2 with
+/// the reason when the chosen scheme cannot run them.
+fn system_config(args: &Args) -> (ChipletSystemSpec, NocConfig) {
+    let spec = ChipletSystemSpec::of_kind(args.system);
     let cfg = NocConfig::default().with_vcs_per_vnet(args.vcs);
-    if let Err(e) = args.scheme.check_config(&cfg) {
+    let checked = args
+        .scheme
+        .check_config(&cfg)
+        .and_then(|()| args.scheme.check_system(&spec, args.faults, args.seed));
+    if let Err(e) = checked {
         eprintln!("invalid configuration: {e}");
         exit(2);
     }
-    cfg
+    (spec, cfg)
 }
 
 /// `--sweep` mode: fan the rate list over the sweep engine and print one
 /// row per point. Stats come out bit-identical for any `--jobs` value.
 fn run_sweep(args: &Args, rates: &[f64]) {
-    let spec = ChipletSystemSpec::of_kind(args.system);
-    let cfg = noc_config(args);
+    let (spec, cfg) = system_config(args);
     let windows = SweepWindows {
         warmup: (args.cycles / 10).max(1),
         measure: args.cycles,
@@ -437,8 +441,7 @@ fn main() {
         run_sweep(&args, &rates);
         return;
     }
-    let spec = ChipletSystemSpec::of_kind(args.system);
-    let cfg = noc_config(&args);
+    let (spec, cfg) = system_config(&args);
     let built = build_system(
         &spec,
         cfg,

@@ -2,10 +2,10 @@
 //! and the watch surface: zero-interval and unknown flags must fail with a
 //! message that names the flag (not the generic usage dump; `repro` is held
 //! to the same rule for unknown flags), a VC count the model cannot carry
-//! must fail with a message that names the limit, an output file that
-//! cannot be written must fail the run, `--watch` must work on clean and
-//! wedged runs, and the alert stream must be identical across repeated
-//! invocations.
+//! or a fault count the system cannot place must fail with a message that
+//! names the limit, an output file that cannot be written must fail the
+//! run, `--watch` must work on clean and wedged runs, and the alert stream
+//! must be identical across repeated invocations.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -87,6 +87,20 @@ fn unusable_vc_counts_are_errors_naming_the_limit() {
     assert_rejected(
         &["--scheme", "upp", "--vcs", "8", "--rate", "0.2"],
         &["4-bit input-VC field", "at most 16 VCs per port", "got 24"],
+    );
+}
+
+/// A fault count the system or the scheme cannot take is a configuration
+/// error that names the limit — not the panic in `build_system` (exit 101),
+/// which in sweep mode surfaced as "a scoped thread panicked".
+#[test]
+fn unplaceable_faults_are_errors_naming_the_limit() {
+    let too_many = ["only 45 of 50 links can fail", "disconnecting a region"];
+    assert_rejected(&["--faults", "50"], &too_many);
+    assert_rejected(&["--sweep", "0.01,0.02", "--faults", "50"], &too_many);
+    assert_rejected(
+        &["--scheme", "composable", "--faults", "3"],
+        &["composable routing does not support faulty systems"],
     );
 }
 

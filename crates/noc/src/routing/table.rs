@@ -9,11 +9,10 @@
 
 use crate::ids::{NodeId, Port};
 use crate::topology::{Region, Topology};
-use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Direction of a directed link relative to the region's BFS spanning tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LinkDir {
     /// Toward the root (lower BFS level, ties broken by lower node id).
     Up,
@@ -21,10 +20,52 @@ enum LinkDir {
     Down,
 }
 
+/// Table byte of a `(node, in_port, target)` triple with no legal route.
+const UNREACHABLE: u8 = 0xFF;
+
+/// Where a node's routes live: its region and its row in that region's
+/// block of the table.
+#[derive(Debug, Clone, Copy)]
+struct NodeSlot {
+    /// Ordinal of the node's region (chiplets in id order, then the
+    /// interposer).
+    region: u32,
+    /// Index of the node within [`Topology::region_nodes`] of its region.
+    local: u32,
+    /// Number of nodes in the region.
+    size: u32,
+    /// Offset of the region's block in `RouteTables::next`.
+    base: usize,
+}
+
+/// The regions tables are built for, in block order.
+fn regions(topo: &Topology) -> impl Iterator<Item = Region> + '_ {
+    topo.chiplets()
+        .iter()
+        .map(|c| Region::Chiplet(c.id))
+        .chain([Region::Interposer])
+}
+
+/// Bytes of the table block of a region of `size` nodes.
+///
+/// # Panics
+///
+/// Panics if the block does not fit the address space.
+fn block_bytes(size: usize) -> usize {
+    size.checked_mul(size)
+        .and_then(|pairs| pairs.checked_mul(Port::COUNT))
+        .unwrap_or_else(|| panic!("route table of a {size}-router region overflows usize"))
+}
+
 /// Per-region routing tables with up*/down* legality.
 ///
 /// Lookup is `next_port(node, in_port, target)` where `target` lies in the
 /// same region as `node`. Tables are rebuilt whenever the fault set changes.
+///
+/// The table is one byte per `(node, target, in_port)` with `node` and
+/// `target` in the same region: a region of `s` nodes owns a block of
+/// `s * s * Port::COUNT` bytes, so the whole table is `7 * sum(s^2)` bytes
+/// (9 KiB on the baseline system, 560 KiB at `grid:8x8`).
 ///
 /// # Examples
 ///
@@ -41,77 +82,116 @@ enum LinkDir {
 ///     .expect("connected region");
 /// assert!(port.is_mesh());
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RouteTables {
-    /// `(node, in_port, target) -> out_port` for every reachable combination.
-    next: HashMap<(NodeId, Port, NodeId), Port>,
+    /// Output port index at `slot.base + (slot.local * slot.size +
+    /// target.local) * Port::COUNT + in_port`, [`UNREACHABLE`] where no
+    /// legal route exists.
+    next: Vec<u8>,
+    /// Block position of each node, indexed by node id.
+    slots: Vec<NodeSlot>,
     /// BFS level of each node within its region (diagnostics / tests).
-    level: HashMap<NodeId, u32>,
+    level: Vec<u32>,
 }
 
 impl RouteTables {
+    /// What [`RouteTables::mem_bytes`] counts per node besides the table
+    /// blocks: the node's block position and its BFS level.
+    pub const PER_NODE_BYTES: usize = std::mem::size_of::<NodeSlot>() + std::mem::size_of::<u32>();
+
     /// Builds tables for every region of `topo`, honouring its current fault
     /// set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table does not fit the address space.
     pub fn build(topo: &Topology) -> Self {
-        let mut regions: Vec<Region> = topo
-            .chiplets()
-            .iter()
-            .map(|c| Region::Chiplet(c.id))
-            .collect();
-        regions.push(Region::Interposer);
-
-        let mut next = HashMap::new();
-        let mut level = HashMap::new();
-        for r in regions {
-            Self::build_region(topo, r, &mut next, &mut level);
+        const UNSET: NodeSlot = NodeSlot {
+            region: u32::MAX,
+            local: 0,
+            size: 0,
+            base: 0,
+        };
+        let mut slots = vec![UNSET; topo.num_nodes()];
+        let mut total = 0usize;
+        for (ordinal, r) in regions(topo).enumerate() {
+            let members = topo.region_nodes(r);
+            // Node ids are u32, which bounds ordinals and local indices too.
+            let size = u32::try_from(members.len()).expect("a region's nodes have u32 ids");
+            for (local, &n) in members.iter().enumerate() {
+                slots[n.index()] = NodeSlot {
+                    region: ordinal as u32,
+                    local: local as u32,
+                    size,
+                    base: total,
+                };
+            }
+            total = total
+                .checked_add(block_bytes(members.len()))
+                .unwrap_or_else(|| panic!("route tables of {r:?} and below overflow usize"));
         }
-        Self { next, level }
+        debug_assert!(
+            slots.iter().all(|s| s.region != u32::MAX),
+            "every node belongs to a region"
+        );
+
+        let mut tables = Self {
+            next: vec![UNREACHABLE; total],
+            slots,
+            level: vec![u32::MAX; topo.num_nodes()],
+        };
+        for r in regions(topo) {
+            tables.build_region(topo, topo.region_nodes(r));
+        }
+        tables
     }
 
-    fn build_region(
-        topo: &Topology,
-        region: Region,
-        next: &mut HashMap<(NodeId, Port, NodeId), Port>,
-        level_out: &mut HashMap<NodeId, u32>,
-    ) {
-        let members = topo.region_nodes(region).to_vec();
-        let member_set: HashMap<NodeId, ()> = members.iter().map(|&n| (n, ())).collect();
-        let in_region = |n: NodeId| member_set.contains_key(&n);
+    fn build_region(&mut self, topo: &Topology, members: &[NodeId]) {
+        let Some(&first) = members.first() else {
+            return;
+        };
+        let Self { next, slots, level } = self;
+        let slots = &slots[..];
+        let NodeSlot {
+            region, size, base, ..
+        } = slots[first.index()];
+        let size = size as usize;
+        let in_region = |n: NodeId| slots[n.index()].region == region;
 
         // BFS levels over surviving links, restarting from the lowest-id
         // unleveled member so that every connected component gets its own
-        // root. Faults may split a region; pairs in different components are
-        // simply absent from the tables (explicit unreachability), while
+        // root. Faults may split a region; pairs in different components
+        // keep their `UNREACHABLE` bytes (explicit unreachability), while
         // routing within each component keeps working.
-        let mut roots = members.clone();
+        let mut roots = members.to_vec();
         roots.sort_unstable();
-        let mut level: HashMap<NodeId, u32> = HashMap::new();
+        let mut q = VecDeque::new();
         for &root in &roots {
-            if level.contains_key(&root) {
+            if level[root.index()] != u32::MAX {
                 continue;
             }
-            level.insert(root, 0);
-            let mut q = VecDeque::from([root]);
+            level[root.index()] = 0;
+            q.push_back(root);
             while let Some(n) = q.pop_front() {
-                let l = level[&n];
+                let l = level[n.index()];
                 for p in Port::ALL {
                     if !p.is_mesh() {
                         continue;
                     }
                     if let Some(m) = topo.neighbor(n, p) {
-                        if in_region(m) && !level.contains_key(&m) {
-                            level.insert(m, l + 1);
+                        if in_region(m) && level[m.index()] == u32::MAX {
+                            level[m.index()] = l + 1;
                             q.push_back(m);
                         }
                     }
                 }
             }
         }
-        level_out.extend(level.iter().map(|(&n, &l)| (n, l)));
+        let level = &level[..];
 
         // Direction of a traversal n -> m.
         let dir = |n: NodeId, m: NodeId| -> LinkDir {
-            let (ln, lm) = (level[&n], level[&m]);
+            let (ln, lm) = (level[n.index()], level[m.index()]);
             if lm < ln || (lm == ln && m < n) {
                 LinkDir::Up
             } else {
@@ -137,16 +217,18 @@ impl RouteTables {
             !(d_in == LinkDir::Down && d_out == LinkDir::Up)
         };
 
-        // Reverse BFS per target over (node, in_port) states.
-        for &target in &members {
-            let mut dist: HashMap<(NodeId, Port), u32> = HashMap::new();
-            let mut q: VecDeque<(NodeId, Port)> = VecDeque::new();
+        // Reverse BFS per target over (node, in_port) states; the first
+        // visit of a state is its shortest legal continuation. `seen` holds,
+        // per state, the stamp of the last target whose search reached it.
+        let mut seen = vec![0u32; size * Port::COUNT];
+        let mut q: VecDeque<(NodeId, Port)> = VecDeque::new();
+        for (t_local, &target) in members.iter().enumerate() {
+            let stamp = t_local as u32 + 1;
             for p in Port::ALL {
-                dist.insert((target, p), 0);
+                seen[t_local * Port::COUNT + p.index()] = stamp;
                 q.push_back((target, p));
             }
             while let Some((m, ip_m)) = q.pop_front() {
-                let d = dist[&(m, ip_m)];
                 // Predecessor n reaches (m, ip_m) by leaving through
                 // p = ip_m.opposite().
                 let p = ip_m.opposite();
@@ -159,6 +241,9 @@ impl RouteTables {
                 if !in_region(n) {
                     continue;
                 }
+                let n_local = slots[n.index()].local as usize;
+                let states = n_local * Port::COUNT;
+                let row = base + (n_local * size + t_local) * Port::COUNT;
                 for inp in Port::ALL {
                     if inp.is_mesh() && topo.neighbor(n, inp).is_none_or(|x| !in_region(x)) {
                         continue; // no such arrival possible
@@ -166,11 +251,11 @@ impl RouteTables {
                     if !turn_legal(n, inp, p, m) {
                         continue;
                     }
-                    let key = (n, inp);
-                    if let std::collections::hash_map::Entry::Vacant(e) = dist.entry(key) {
-                        e.insert(d + 1);
-                        next.insert((n, inp, target), p);
-                        q.push_back(key);
+                    let s = states + inp.index();
+                    if seen[s] != stamp {
+                        seen[s] = stamp;
+                        next[row + inp.index()] = p.index() as u8;
+                        q.push_back((n, inp));
                     }
                 }
             }
@@ -184,12 +269,29 @@ impl RouteTables {
         if node == target {
             return Some(Port::Local);
         }
-        self.next.get(&(node, in_port, target)).copied()
+        let (from, to) = (
+            self.slots.get(node.index())?,
+            self.slots.get(target.index())?,
+        );
+        if from.region != to.region {
+            return None;
+        }
+        let pair = from.local as usize * from.size as usize + to.local as usize;
+        // `UNREACHABLE` is past `Port::ALL`.
+        Port::ALL
+            .get(self.next[from.base + pair * Port::COUNT + in_port.index()] as usize)
+            .copied()
     }
 
     /// BFS level of a node within its region.
     pub fn level(&self, node: NodeId) -> Option<u32> {
-        self.level.get(&node).copied()
+        self.level.get(node.index()).copied()
+    }
+
+    /// Heap bytes the tables hold: `7 * sum(s^2)` over the region sizes `s`
+    /// plus [`RouteTables::PER_NODE_BYTES`] per node.
+    pub fn mem_bytes(&self) -> usize {
+        self.next.len() + self.slots.len() * Self::PER_NODE_BYTES
     }
 
     /// Verifies that every ordered pair within every region is routable from
@@ -199,13 +301,7 @@ impl RouteTables {
     ///
     /// Returns the first unroutable `(node, in_port, target)` combination.
     pub fn verify_full_connectivity(&self, topo: &Topology) -> Result<(), String> {
-        let mut regions: Vec<Region> = topo
-            .chiplets()
-            .iter()
-            .map(|c| Region::Chiplet(c.id))
-            .collect();
-        regions.push(Region::Interposer);
-        for r in regions {
+        for r in regions(topo) {
             let members = topo.region_nodes(r);
             for &n in members {
                 for &t in members {
@@ -303,6 +399,14 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows usize")]
+    fn oversize_region_is_a_named_panic() {
+        assert_eq!(block_bytes(16), 16 * 16 * 7);
+        // The square fits, the seven in-ports do not.
+        block_bytes(1 << (usize::BITS / 2 - 1));
     }
 
     #[test]

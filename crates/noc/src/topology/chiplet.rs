@@ -415,7 +415,7 @@ pub fn inject_random_faults(
     }
     if failed.len() < count {
         return Err(format!(
-            "could only fail {} of the requested {count} links without disconnecting a region",
+            "only {} of {count} links can fail without disconnecting a region",
             failed.len()
         ));
     }

@@ -64,6 +64,32 @@ impl SchemeKind {
         }
         Ok(())
     }
+
+    /// Checks a system request that came from outside the program — `faults`
+    /// random faulty links on `spec` under `seed` — so one [`build_system`]
+    /// cannot honour is an error message instead of its panic: composable
+    /// routing has no faulty-system mode, and only so many links can fail
+    /// before a region disconnects (a dry run of the injection
+    /// [`build_system`] will repeat).
+    ///
+    /// # Errors
+    ///
+    /// Returns the reason the system cannot be built.
+    pub fn check_system(
+        &self,
+        spec: &ChipletSystemSpec,
+        faults: usize,
+        seed: u64,
+    ) -> Result<(), String> {
+        if faults == 0 {
+            return Ok(());
+        }
+        if let SchemeKind::Composable = self {
+            return Err("composable routing does not support faulty systems (Sec. VI-B)".into());
+        }
+        let mut topo = spec.build(seed)?;
+        inject_random_faults(&mut topo, faults, seed.wrapping_add(1)).map(drop)
+    }
 }
 
 /// A constructed system plus handles the harness needs.
@@ -81,8 +107,8 @@ pub struct BuiltSystem {
 ///
 /// # Panics
 ///
-/// Panics if the composable search fails or fault injection cannot keep the
-/// regions connected (not observed on the paper's system shapes).
+/// Panics if the composable search fails, or on a fault count that
+/// [`SchemeKind::check_system`] rejects.
 pub fn build_system(
     spec: &ChipletSystemSpec,
     cfg: NocConfig,
