@@ -70,7 +70,8 @@ fn usage() -> ! {
                                              C-by-R-chiplet mesh system)\n\
          --scheme upp|composable|remote|none (default upp)\n\
          --pattern uniform_random|bit_complement|bit_rotation|transpose|hotspot|neighbor\n\
-         --rate FLOAT                        offered flits/cycle/node (default 0.05)\n\
+         --rate FLOAT                        offered flits/cycle/node, 0.0..=1.0\n\
+                                             (default 0.05)\n\
          --cycles N                          traffic cycles (default 50000)\n\
          --vcs N                             VCs per VNet (default 1)\n\
          --faults N                          random faulty links (default 0)\n\
@@ -318,14 +319,32 @@ fn write_artifact(path: &str, bytes: &[u8], detail: &str) -> bool {
     }
 }
 
+/// An offered rate the traffic generator can honour: an NI injects at most
+/// one flit per cycle, and against a NaN the `>=` test in
+/// `SyntheticTraffic::tick` never skips a core, so every one offers a
+/// packet every cycle.
+fn check_rate(rate: f64) -> Result<(), String> {
+    if (0.0..=1.0).contains(&rate) {
+        Ok(())
+    } else {
+        Err(format!("rate {rate} is outside 0.0..=1.0 flits/cycle/node"))
+    }
+}
+
 /// The system and network configuration the flags ask for; exits 2 with
-/// the reason when the chosen scheme cannot run them.
+/// the reason when the chosen scheme cannot run them or an offered rate
+/// (`--rate`, or any `--sweep` entry) is out of range.
 fn system_config(args: &Args) -> (ChipletSystemSpec, NocConfig) {
     let spec = ChipletSystemSpec::of_kind(args.system);
     let cfg = NocConfig::default().with_vcs_per_vnet(args.vcs);
-    let checked = args
-        .scheme
-        .check_config(&cfg)
+    let rates = args
+        .sweep
+        .as_deref()
+        .unwrap_or(std::slice::from_ref(&args.rate));
+    let checked = rates
+        .iter()
+        .try_for_each(|&r| check_rate(r))
+        .and_then(|()| args.scheme.check_config(&cfg))
         .and_then(|()| args.scheme.check_system(&spec, args.faults, args.seed));
     if let Err(e) = checked {
         eprintln!("invalid configuration: {e}");

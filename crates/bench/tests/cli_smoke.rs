@@ -3,9 +3,10 @@
 //! message that names the flag (not the generic usage dump; `repro` is held
 //! to the same rule for unknown flags), a VC count the model cannot carry
 //! or a fault count the system cannot place must fail with a message that
-//! names the limit, an output file that cannot be written must fail the
-//! run, `--watch` must work on clean and wedged runs, and the alert stream
-//! must be identical across repeated invocations.
+//! names the limit, an offered rate outside what an NI can inject must fail
+//! with one that names the range, an output file that cannot be written
+//! must fail the run, `--watch` must work on clean and wedged runs, and the
+//! alert stream must be identical across repeated invocations.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -102,6 +103,19 @@ fn unplaceable_faults_are_errors_naming_the_limit() {
         &["--scheme", "composable", "--faults", "3"],
         &["composable routing does not support faulty systems"],
     );
+}
+
+/// An offered rate the generator cannot honour is an error naming the
+/// range — not a run at some other load that exits 0: a NaN used to offer
+/// a packet per core per cycle, a rate above 1 the same silently, a
+/// negative one nothing at all.
+#[test]
+fn out_of_range_rates_are_errors_naming_the_range() {
+    let range = "outside 0.0..=1.0 flits/cycle/node";
+    assert_rejected(&["--rate", "nan"], &["rate NaN", range]);
+    assert_rejected(&["--rate", "-1"], &["rate -1", range]);
+    assert_rejected(&["--rate", "5"], &["rate 5", range]);
+    assert_rejected(&["--sweep", "0.01,nan"], &["rate NaN", range]);
 }
 
 /// A flag neither binary knows (here the ones the removed sharded kernel,

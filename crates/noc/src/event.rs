@@ -5,7 +5,7 @@
 //! order in which routers are processed within a cycle can never matter.
 
 use crate::control::ControlMsg;
-use crate::ids::{NodeId, Port};
+use crate::ids::{Cycle, NodeId, Port};
 use crate::packet::Flit;
 
 /// A staged delivery.
@@ -70,30 +70,42 @@ pub enum Event {
     },
 }
 
-/// The component an [`Event`] delivers into — what the active-set scheduler
-/// must wake when the event arrives.
+/// The component an [`Event`] delivers into — what the scheduler must wake
+/// when the event arrives, and for a router, from when.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WakeTarget {
-    /// The event mutates a router.
-    Router(NodeId),
-    /// The event mutates an NI.
+    /// The event mutates a router. A step can act on what it wrote from
+    /// `delay` cycles after the delivery cycle.
+    Router {
+        /// The router.
+        node: NodeId,
+        /// Cycles between delivery and the first step that can use it.
+        delay: Cycle,
+    },
+    /// The event mutates an NI, whose step acts on it in the delivery cycle.
     Ni(NodeId),
 }
 
 impl Event {
     /// The component this event delivers into.
     ///
-    /// Every delivery wakes its target, even credit returns that can never
-    /// create work on their own: a uniform rule keeps the scheduler's
-    /// conservative invariant ("anything an event touched is scheduled next
-    /// cycle") trivially audit-able. It costs no step: `finish_cycle`
-    /// deschedules a woken router that holds nothing instead of stepping
-    /// it, and an NI's step returns at once on an empty backlog.
+    /// Every delivery schedules its target, even a credit return that finds
+    /// a router holding nothing (`finish_cycle` deschedules that one
+    /// unstepped). What differs is the first cycle a step can use the
+    /// delivery, which is as far as a parked router's `ready_at` is lowered:
+    /// a credit counts in the step of its delivery cycle, while a flit
+    /// attends allocation from the cycle after its buffer write, so a router
+    /// that is otherwise asleep is not stepped in the write cycle. A control
+    /// message is also gated for one cycle but wakes at once: the step of
+    /// its arrival cycle samples the control-buffer high-water marks in
+    /// [`crate::stats::NetStats`], which the always-tick reference takes
+    /// with the message queued.
     pub fn wake_target(&self) -> WakeTarget {
         match *self {
-            Event::FlitArrive { node, .. }
-            | Event::CreditArrive { node, .. }
-            | Event::ControlArrive { node, .. } => WakeTarget::Router(node),
+            Event::FlitArrive { node, .. } => WakeTarget::Router { node, delay: 1 },
+            Event::CreditArrive { node, .. } | Event::ControlArrive { node, .. } => {
+                WakeTarget::Router { node, delay: 0 }
+            }
             Event::NiCreditArrive { node, .. }
             | Event::NiFlitArrive { node, .. }
             | Event::NiControlArrive { node, .. } => WakeTarget::Ni(node),

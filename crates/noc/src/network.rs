@@ -2,7 +2,7 @@
 
 use crate::config::NocConfig;
 use crate::control::{ControlMsg, DeliveredControl};
-use crate::event::Event;
+use crate::event::{Event, WakeTarget};
 use crate::ids::{Cycle, NodeId, PacketId, Port, VnetId};
 use crate::ni::{ConsumePolicy, Delivered, Ni, PermitState};
 use crate::obs::ObsRegistry;
@@ -160,20 +160,31 @@ pub struct Network {
     /// Protocol-state telemetry registry (disabled unless
     /// [`Network::enable_obs`] armed it).
     obs: ObsRegistry,
-    /// Active-set scheduler: `finish_cycle` steps only routers/NIs whose
-    /// flag is set. Flags are set ("woken") by event deliveries and by
-    /// every externally-visible mutation, and cleared after a step that
-    /// leaves the component with no pending work, so skipping is
-    /// conservative: a skipped component is provably a no-op step.
+    /// Scheduler, level half: a flag is set while its component holds
+    /// anything (`has_pending_work`). Flags are set by event deliveries and
+    /// by every externally-visible mutation and cleared when a look at the
+    /// component finds it empty; a cleared flag means a step would be a
+    /// no-op, and all flags clear is [`Network::is_quiescent`].
     router_active: Vec<bool>,
     ni_active: Vec<bool>,
+    /// Scheduler, progress half: the first cycle in which stepping router
+    /// `i` can move anything. `finish_cycle` passes over a scheduled router
+    /// while `router_ready_at[i] > now` — it holds flits, and every one of
+    /// them is blocked. [`Router::step`] returns the value (`now + 1` or
+    /// `Cycle::MAX`, parked); everything a blocked step reads lowers it
+    /// again: a credit, a flit or control arrival, scheme access to the
+    /// router, a freed ejection entry at the node's NI, a healed link.
+    /// Meaningful only while the flag above is set.
+    router_ready_at: Vec<Cycle>,
     /// Runtime toggle (also `UPP_ALWAYS_TICK=1` at construction): when
     /// false, every component is stepped every cycle and the clock never
     /// fast-forwards — the reference always-tick kernel.
     scheduler_enabled: bool,
     /// Router steps actually executed — under the scheduler, steps of
-    /// routers that held work; a wake that found none is not a step (the
-    /// numerator of [`Network::active_router_fraction`]).
+    /// routers that held work in a cycle in which it might move; neither a
+    /// wake that found the router empty nor a cycle a parked router sleeps
+    /// through is a step (the numerator of
+    /// [`Network::active_router_fraction`]).
     router_ticks: u64,
     /// Control messages sitting unread in NI inboxes: bumped where
     /// `begin_cycle` delivers one, dropped by [`Network::drain_ni_inbox`].
@@ -244,6 +255,7 @@ impl Network {
             obs: ObsRegistry::disabled(),
             router_active: vec![true; n],
             ni_active: vec![true; n],
+            router_ready_at: vec![0; n],
             scheduler_enabled,
             router_ticks: 0,
             ni_control_pending: 0,
@@ -258,7 +270,40 @@ impl Network {
         if enabled {
             self.router_active.fill(true);
             self.ni_active.fill(true);
+            self.wake_all_routers();
         }
+    }
+
+    /// Puts router `i` on the schedule with something a step can use from
+    /// cycle `at`. A router that was off the schedule holds nothing, so the
+    /// `ready_at` it kept is stale and is replaced, not lowered.
+    #[inline]
+    fn schedule(active: &mut [bool], ready_at: &mut [Cycle], i: usize, at: Cycle) {
+        ready_at[i] = if active[i] { ready_at[i].min(at) } else { at };
+        active[i] = true;
+    }
+
+    /// Schedules `node`'s router for this cycle's step.
+    #[inline]
+    fn schedule_router(&mut self, node: NodeId) {
+        let (active, ready_at) = (&mut self.router_active, &mut self.router_ready_at);
+        Self::schedule(active, ready_at, node.index(), self.cycle);
+    }
+
+    /// Lets `node`'s router look again this cycle if it is parked: an input
+    /// its blocked flits wait on changed outside the router (the NI's free
+    /// ejection entries). Unlike [`Network::schedule_router`] this gives an
+    /// empty router nothing to do, so the level flag stays as it is.
+    #[inline]
+    fn wake_router(&mut self, node: NodeId) {
+        let ready_at = &mut self.router_ready_at[node.index()];
+        *ready_at = (*ready_at).min(self.cycle);
+    }
+
+    /// [`Network::wake_router`] for every router: a change to the topology,
+    /// the routing or the tracer that any blocked flit may be waiting on.
+    fn wake_all_routers(&mut self) {
+        self.router_ready_at.fill(self.cycle);
     }
 
     /// True while the active-set scheduler is on.
@@ -269,7 +314,11 @@ impl Network {
     /// Fraction of `cycle x routers` slots in which a router was actually
     /// stepped since construction: 1.0 for the always-tick kernel, which
     /// steps every router, empty or not; under the scheduler, the share of
-    /// slots in which a router had buffered work to step.
+    /// slots in which a router held something that could move — or had to
+    /// look once to find that it could not (a fresh arrival, a credit that
+    /// did not help). A router full of blocked flits contributes nothing
+    /// while it sleeps. With a tracer armed every occupied router is
+    /// stepped, since a blocked step then records why.
     pub fn active_router_fraction(&self) -> f64 {
         let total = self.cycle as f64 * self.routers.len() as f64;
         if total == 0.0 {
@@ -293,6 +342,7 @@ impl Network {
     /// Installs a tracer, returning the previous one (with whatever it
     /// recorded so far).
     pub fn set_tracer(&mut self, tracer: Tracer) -> Tracer {
+        self.wake_all_routers();
         std::mem::replace(&mut self.tracer, tracer)
     }
 
@@ -372,10 +422,12 @@ impl Network {
     }
 
     /// Mutable access to one NI (workload-facing: popping delivered packets,
-    /// permit management). Conservatively wakes the NI: the caller may
-    /// mutate state the scheduler's wake points don't see.
+    /// permit management). Conservatively wakes the NI, and its router (the
+    /// caller may free an ejection entry a head flit waits for): the caller
+    /// may mutate state the scheduler's wake points don't see.
     pub fn ni_mut(&mut self, node: NodeId) -> &mut Ni {
         self.ni_active[node.index()] = true;
+        self.wake_router(node);
         &mut self.nis[node.index()]
     }
 
@@ -388,7 +440,7 @@ impl Network {
     /// Conservatively wakes the router: the caller may mutate state the
     /// scheduler's wake points don't see.
     pub fn router_mut(&mut self, node: NodeId) -> &mut Router {
-        self.router_active[node.index()] = true;
+        self.schedule_router(node);
         &mut self.routers[node.index()]
     }
 
@@ -461,7 +513,7 @@ impl Network {
     /// buffer, attends switch allocation from the next cycle).
     pub fn send_control(&mut self, node: NodeId, msg: ControlMsg) {
         let now = self.cycle;
-        self.router_active[node.index()] = true;
+        self.schedule_router(node);
         self.routers[node.index()].send_control(msg, now);
     }
 
@@ -568,11 +620,12 @@ impl Network {
             obs,
             cycle,
             router_active,
+            router_ready_at,
             ..
         } = self;
         // The popped flit lands in the bypass latch; the router must be
         // stepped to forward it.
-        router_active[node.index()] = true;
+        Self::schedule(router_active, router_ready_at, node.index(), *cycle);
         let mut emit = std::mem::take(emit_scratch);
         let flit = {
             let mut ctx = RouterCtx {
@@ -611,6 +664,7 @@ impl Network {
     /// Releases an NI ejection reservation (UPP_stop handling).
     pub fn release_ejection_reservation(&mut self, node: NodeId, vnet: VnetId) {
         self.ni_active[node.index()] = true;
+        self.wake_router(node); // a head flit may be waiting for the entry
         self.nis[node.index()].release_reservation(vnet);
     }
 
@@ -747,6 +801,7 @@ impl Network {
     /// Panics if no physical link exists there.
     pub fn inject_link_fault(&mut self, node: NodeId, port: Port) {
         self.topo.set_link_faulty(node, port);
+        self.wake_all_routers();
     }
 
     /// Heals a link previously failed with [`Network::inject_link_fault`]
@@ -754,6 +809,7 @@ impl Network {
     /// cycle; credit state survived the outage, so no flit is lost.
     pub fn heal_link_fault(&mut self, node: NodeId, port: Port) {
         self.topo.clear_link_fault(node, port);
+        self.wake_all_routers();
     }
 
     /// Pauses or resumes NI injection at `node` (endpoint throttling).
@@ -766,6 +822,7 @@ impl Network {
     /// Pauses or resumes PE consumption at `node` (endpoint throttling).
     pub fn set_consumption_paused(&mut self, node: NodeId, paused: bool) {
         self.ni_active[node.index()] = true;
+        self.wake_router(node);
         self.nis[node.index()].set_consumption_paused(paused);
     }
 
@@ -798,6 +855,7 @@ impl Network {
             ));
         }
         mutate(&mut self.topo);
+        self.wake_all_routers();
         self.topo.validate()?;
         self.routing = routing;
         Ok(())
@@ -825,16 +883,20 @@ impl Network {
             emit_scratch,
             router_active,
             ni_active,
+            router_ready_at,
             ni_control_pending,
             ..
         } = self;
         let mut emit = std::mem::take(emit_scratch);
         for ev in events.drain(..) {
-            // Every delivery wakes its target component so `finish_cycle`
-            // steps it this cycle (see `Event::wake_target`).
+            // Every delivery schedules its target component, from the cycle
+            // a step can use it (see `Event::wake_target`).
             match ev.wake_target() {
-                crate::event::WakeTarget::Router(n) => router_active[n.index()] = true,
-                crate::event::WakeTarget::Ni(n) => ni_active[n.index()] = true,
+                WakeTarget::Router { node, delay } => {
+                    let at = *cycle + delay;
+                    Self::schedule(router_active, router_ready_at, node.index(), at);
+                }
+                WakeTarget::Ni(n) => ni_active[n.index()] = true,
             }
             match ev {
                 Event::FlitArrive {
@@ -934,6 +996,7 @@ impl Network {
             emit_scratch,
             router_active,
             ni_active,
+            router_ready_at,
             scheduler_enabled,
             router_ticks,
             ..
@@ -941,16 +1004,46 @@ impl Network {
         let sched = *scheduler_enabled;
         let mut emit = std::mem::take(emit_scratch);
         let now = *cycle;
+        // A blocked step is a no-op only while nothing records it: with a
+        // tracer armed it reports why each flit is blocked, so every
+        // scheduled router is stepped. Read every cycle — a profiler can be
+        // armed mid-run — while `router_ready_at` is kept up either way, so
+        // the skip resumes where tracing stops.
+        let skip_parked = !tracer.enabled();
 
         // Cross-check: every component the scheduler is about to skip must
-        // truly have nothing to do. On in every debug build (what
-        // `cargo test` runs); compiled out of release builds.
+        // truly have nothing to do — nothing held if it is off the
+        // schedule, nothing that can move if it sleeps on it. On in every
+        // debug build (what `cargo test` runs), traced or not; compiled out
+        // of release builds.
         if sched && cfg!(debug_assertions) {
             for (i, r) in routers.iter().enumerate() {
                 assert!(
                     router_active[i] || !r.has_pending_work(),
                     "active-set scheduler would skip router {} with pending work at cycle {now}",
                     r.node()
+                );
+                if router_ready_at[i] <= now {
+                    continue;
+                }
+                let ctx = RouterCtx {
+                    cfg,
+                    topo,
+                    routing: routing.as_ref(),
+                    now,
+                    ni: &mut nis[i],
+                    emit: &mut emit,
+                    stats,
+                    tracker,
+                    arena,
+                    tracer,
+                    obs,
+                };
+                assert!(
+                    !r.can_progress(&ctx),
+                    "scheduler would leave router {} asleep until {} but it can move a flit at cycle {now}",
+                    r.node(),
+                    router_ready_at[i]
                 );
             }
             for (i, ni) in nis.iter().enumerate() {
@@ -998,14 +1091,14 @@ impl Network {
         }
 
         // Routers: bypass, control, switch allocation (ascending order,
-        // inactive routers skipped; an idle router's step is provably a
-        // no-op — no RNG draw, no arbiter update, no trace event). A
-        // scheduled router that holds nothing — woken by a credit, which
-        // only enables flits it does not have — is idle in the same sense:
-        // it is descheduled here instead of being stepped.
+        // unscheduled and sleeping routers skipped; either one's step is
+        // provably a no-op — no RNG draw, no arbiter update, no trace
+        // event). A scheduled router that holds nothing — woken by a
+        // credit, which only enables flits it does not have — is idle in
+        // the same sense: it is descheduled here instead of being stepped.
         for i in 0..routers.len() {
             if sched {
-                if !router_active[i] {
+                if !router_active[i] || (skip_parked && router_ready_at[i] > now) {
                     continue;
                 }
                 if !routers[i].has_pending_work() {
@@ -1027,7 +1120,7 @@ impl Network {
                 tracer,
                 obs,
             };
-            routers[i].step(&mut ctx);
+            router_ready_at[i] = routers[i].step(&mut ctx);
             if sched && !routers[i].has_pending_work() {
                 router_active[i] = false;
             }
@@ -1039,7 +1132,10 @@ impl Network {
             if sched && !ni_active[i] {
                 continue;
             }
-            ni.consume_step(now);
+            if ni.consume_step(now) {
+                // The entry this freed is visible to the router's next step.
+                router_ready_at[i] = router_ready_at[i].min(now + 1);
+            }
             if sched && !ni.has_pending_work() {
                 ni_active[i] = false;
             }
@@ -1101,7 +1197,9 @@ impl Network {
 
     /// Convenience: pops the oldest delivered packet at an NI.
     pub fn pop_delivered(&mut self, node: NodeId, vnet: VnetId) -> Option<Delivered> {
-        self.nis[node.index()].pop_delivered(vnet)
+        let delivered = self.nis[node.index()].pop_delivered(vnet)?;
+        self.wake_router(node); // a head flit may be waiting for the entry
+        Some(delivered)
     }
 }
 
@@ -1113,14 +1211,13 @@ mod tests {
     use crate::topology::ChipletSystemSpec;
 
     fn net() -> Network {
+        net_consuming(ConsumePolicy::Immediate { latency: 1 })
+    }
+
+    fn net_consuming(consume: ConsumePolicy) -> Network {
         let topo = ChipletSystemSpec::baseline().build(0).unwrap();
-        Network::new(
-            NocConfig::default(),
-            topo,
-            Arc::new(ChipletRouting::xy()),
-            ConsumePolicy::Immediate { latency: 1 },
-            42,
-        )
+        let routing = Arc::new(ChipletRouting::xy());
+        Network::new(NocConfig::default(), topo, routing, consume, 42)
     }
 
     fn run_until_drained(net: &mut Network, max_cycles: u64) {
@@ -1229,6 +1326,151 @@ mod tests {
             }
         }
         assert_eq!(accepted, net.cfg().injection_queue_entries as u64);
+    }
+
+    // ------------------------------------------------ progress-driven wakes
+    //
+    // Each test blocks one packet behind one thing, checks that the
+    // scheduler stops stepping (`router_ticks` stands still: everything
+    // else in the network is empty), removes the obstacle through the
+    // public API and compares what happens next with the always-tick
+    // reference, which never sleeps and so cannot miss a wake-up.
+
+    /// Runs `script` under the scheduler and under the always-tick
+    /// reference and returns what both observed.
+    fn on_both_kernels<T: PartialEq + std::fmt::Debug>(
+        consume: ConsumePolicy,
+        script: impl Fn(&mut Network) -> T,
+    ) -> T {
+        let observe = |scheduler: bool| {
+            let mut net = net_consuming(consume);
+            net.set_active_scheduler(scheduler);
+            script(&mut net)
+        };
+        let (scheduled, reference) = (observe(true), observe(false));
+        assert_eq!(scheduled, reference, "scheduler vs always-tick reference");
+        scheduled
+    }
+
+    /// Steps `cycles` cycles in which, under the scheduler, no router may
+    /// be stepped.
+    fn sleep_through(net: &mut Network, cycles: u64) {
+        let before = net.router_ticks;
+        for _ in 0..cycles {
+            net.step();
+        }
+        assert!(
+            !net.active_scheduler() || net.router_ticks == before,
+            "a router was stepped {} times while everything it holds is blocked",
+            net.router_ticks - before
+        );
+    }
+
+    /// Steps until `n` packets have been ejected; the cycle that happened.
+    fn ejected_at(net: &mut Network, n: u64) -> Cycle {
+        for _ in 0..200 {
+            if net.stats().packets_ejected == n {
+                return net.cycle();
+            }
+            net.step();
+        }
+        panic!("packet {n} was never ejected: a wake-up was missed");
+    }
+
+    /// Five one-flit packets to a neighbour that consumes nothing: four
+    /// fill its ejection queue, the head of the fifth waits in its router.
+    fn fill_ejection_queue(net: &mut Network) -> NodeId {
+        let c = &net.topo().chiplets()[0];
+        let (src, dest) = (c.routers[0], c.routers[1]);
+        for _ in 0..5 {
+            net.try_send(src, dest, VnetId(0), 1).unwrap();
+        }
+        for _ in 0..60 {
+            net.step();
+        }
+        assert_eq!(net.stats().packets_ejected, 4);
+        assert_eq!(net.ni(dest).free_entries(VnetId(0)), 0);
+        dest
+    }
+
+    #[test]
+    fn head_behind_a_full_ejection_queue_moves_after_pop_delivered() {
+        on_both_kernels(ConsumePolicy::External, |net| {
+            let dest = fill_ejection_queue(net);
+            sleep_through(net, 30);
+            let popped_at = net.cycle();
+            net.pop_delivered(dest, VnetId(0)).unwrap();
+            let ejected = ejected_at(net, 5);
+            assert_eq!(
+                ejected,
+                popped_at + 3,
+                "SA in the cycle of the pop, then ST and the NI link"
+            );
+            ejected
+        });
+    }
+
+    #[test]
+    fn worm_at_a_failed_link_moves_after_the_heal() {
+        on_both_kernels(ConsumePolicy::Immediate { latency: 1 }, |net| {
+            let c = net.topo().chiplets()[0].clone();
+            // Along the bottom row; the link out of the second router is down.
+            net.inject_link_fault(c.routers[1], Port::East);
+            net.try_send(c.routers[0], c.routers[3], VnetId(2), 5)
+                .unwrap();
+            for _ in 0..40 {
+                net.step();
+            }
+            assert_eq!(net.stats().flits_ejected, 0);
+            sleep_through(net, 30);
+            net.heal_link_fault(c.routers[1], Port::East);
+            ejected_at(net, 1)
+        });
+    }
+
+    #[test]
+    fn frozen_vc_moves_after_it_is_unfrozen() {
+        on_both_kernels(ConsumePolicy::Immediate { latency: 1 }, |net| {
+            let c = &net.topo().chiplets()[0];
+            let (src, dest) = (c.routers[0], c.routers[1]);
+            net.router_mut(src).set_vc_frozen(Port::Local, 0, true);
+            net.try_send(src, dest, VnetId(0), 1).unwrap();
+            for _ in 0..10 {
+                net.step();
+            }
+            assert_eq!(net.router(src).vc_buf_len(Port::Local, 0), 1);
+            sleep_through(net, 30);
+            net.router_mut(src).set_vc_frozen(Port::Local, 0, false);
+            ejected_at(net, 1)
+        });
+    }
+
+    #[test]
+    fn arming_a_profiler_steps_parked_routers_and_disarming_parks_them_again() {
+        use crate::profile::SpanRecorder;
+        on_both_kernels(ConsumePolicy::External, |net| {
+            let dest = fill_ejection_queue(net);
+            sleep_through(net, 10);
+            // A blocked step is not a no-op once something records it.
+            let recorder = Box::new(SpanRecorder::new());
+            net.tracer_mut().set_profiler(Some(recorder));
+            let before = net.router_ticks;
+            for _ in 0..7 {
+                net.step();
+            }
+            let recorder = net.tracer_mut().set_profiler(None).unwrap();
+            assert_eq!(
+                recorder.router_blocked()[dest.index()],
+                7,
+                "one `Blocked` event per cycle from the first one armed"
+            );
+            if net.active_scheduler() {
+                assert_eq!(net.router_ticks - before, 7, "only that router woke");
+            }
+            sleep_through(net, 10);
+            net.pop_delivered(dest, VnetId(0)).unwrap();
+            ejected_at(net, 5)
+        });
     }
 
     #[test]

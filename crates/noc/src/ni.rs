@@ -510,26 +510,28 @@ impl Ni {
         self.delivered.front(vnet.index())
     }
 
-    /// Runs the Immediate consumption policy; External is a no-op.
-    pub fn consume_step(&mut self, now: Cycle) {
-        if self.consumption_paused {
-            return;
+    /// Runs the Immediate consumption policy; External is a no-op. Returns
+    /// true when it consumed a packet, freeing an ejection entry.
+    pub fn consume_step(&mut self, now: Cycle) -> bool {
+        let ConsumePolicy::Immediate { latency } = self.consume else {
+            return false;
+        };
+        if self.consumption_paused || !self.delivered.any_nonempty() {
+            return false;
         }
-        if let ConsumePolicy::Immediate { latency } = self.consume {
-            if !self.delivered.any_nonempty() {
-                return;
-            }
-            for v in 0..self.num_vnets {
-                while self
-                    .delivered
-                    .front(v)
-                    .is_some_and(|d| d.completed_at + latency <= now)
-                {
-                    self.delivered.pop_front(v);
-                    self.in_use[v] -= 1;
-                }
+        let mut consumed = false;
+        for v in 0..self.num_vnets {
+            while self
+                .delivered
+                .front(v)
+                .is_some_and(|d| d.completed_at + latency <= now)
+            {
+                self.delivered.pop_front(v);
+                self.in_use[v] -= 1;
+                consumed = true;
             }
         }
+        consumed
     }
 
     // --------------------------------------------------------------- control
@@ -551,12 +553,14 @@ impl Ni {
     /// unpaused injection backlog, an Immediate-consumable delivered queue,
     /// or an unread control-inbox entry.
     ///
-    /// This is the active-set scheduler's wake predicate; like
-    /// [`crate::router::Router::has_pending_work`] it is level-based, so a
-    /// backlogged-but-blocked NI (no credits, permits still `Waiting`)
-    /// stays scheduled until its queues actually empty. Credits and permit
-    /// grants only enable progress for packets already counted in
-    /// `backlog`, so they need no wake of their own.
+    /// This is the scheduler's wake predicate for NIs, and it is
+    /// level-based: a backlogged-but-blocked NI (no credits, permits still
+    /// `Waiting`) is stepped every cycle until its queues actually empty.
+    /// Credits and permit grants only enable progress for packets already
+    /// counted in `backlog`, so they need no wake of their own. Routers go
+    /// further and sleep while blocked (see
+    /// [`crate::router::Router::has_pending_work`]); the same for NIs did
+    /// not measure (EXPERIMENTS.md, "Progress-driven scheduling").
     pub fn has_pending_work(&self) -> bool {
         (self.backlog > 0 && !self.injection_paused)
             || !self.control_inbox.is_empty()

@@ -33,7 +33,7 @@ use crate::topology::Topology;
 use crate::trace::{BlockReason, TraceEvent, Tracer};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// A buffered flit with its arrival cycle (flits attend switch allocation
 /// from the cycle after arrival).
@@ -240,9 +240,14 @@ pub struct Router {
     infinite_sink: [bool; Port::COUNT],
     req_buf: VecDeque<(ControlMsg, Port, Cycle)>,
     ack_buf: VecDeque<(ControlMsg, Port, Cycle)>,
-    circuits: HashMap<(VnetId, NodeId), CircuitEntry>,
+    /// The circuit table, keyed by `(VNet, popup destination)`. It holds one
+    /// entry per popup in progress through this router — a handful — so a
+    /// linear scan beats hashing.
+    circuits: Vec<((VnetId, NodeId), CircuitEntry)>,
     bypass: VecDeque<BypassFlit>,
-    priority_packets: HashSet<PacketId>,
+    /// Packets whose buffered flits bid with popup priority (a handful, as
+    /// for `circuits`).
+    priority_packets: Vec<PacketId>,
     absorber: Option<Absorber>,
     control_inbox: Vec<DeliveredControl>,
     /// Per input port: the VC switch allocation looks at first, advanced by
@@ -307,9 +312,9 @@ impl Router {
             infinite_sink,
             req_buf: VecDeque::new(),
             ack_buf: VecDeque::new(),
-            circuits: HashMap::new(),
+            circuits: Vec::new(),
             bypass: VecDeque::new(),
-            priority_packets: HashSet::new(),
+            priority_packets: Vec::new(),
             absorber: None,
             control_inbox: Vec::new(),
             rr_in: [0; Port::COUNT],
@@ -402,12 +407,30 @@ impl Router {
 
     /// Circuit entry for `(vnet, key)`, if recorded.
     pub fn circuit(&self, vnet: VnetId, key: NodeId) -> Option<CircuitEntry> {
-        self.circuits.get(&(vnet, key)).copied()
+        let entry = self.circuits.iter().find(|(k, _)| *k == (vnet, key));
+        entry.map(|&(_, e)| e)
+    }
+
+    /// Records a circuit entry, returning the one it replaced.
+    fn record_circuit(
+        &mut self,
+        key: (VnetId, NodeId),
+        entry: CircuitEntry,
+    ) -> Option<CircuitEntry> {
+        match self.circuits.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, e)) => Some(std::mem::replace(e, entry)),
+            None => {
+                self.circuits.push((key, entry));
+                None
+            }
+        }
     }
 
     /// Removes a circuit entry.
     pub fn clear_circuit(&mut self, vnet: VnetId, key: NodeId) {
-        self.circuits.remove(&(vnet, key));
+        if let Some(i) = self.circuits.iter().position(|(k, _)| *k == (vnet, key)) {
+            self.circuits.swap_remove(i);
+        }
     }
 
     /// Number of circuit entries currently recorded.
@@ -417,12 +440,16 @@ impl Router {
 
     /// Marks a packet's buffered flits as popup-priority.
     pub fn add_priority_packet(&mut self, p: PacketId) {
-        self.priority_packets.insert(p);
+        if !self.priority_packets.contains(&p) {
+            self.priority_packets.push(p);
+        }
     }
 
     /// Clears a popup-priority mark.
     pub fn remove_priority_packet(&mut self, p: PacketId) {
-        self.priority_packets.remove(&p);
+        if let Some(i) = self.priority_packets.iter().position(|&q| q == p) {
+            self.priority_packets.swap_remove(i);
+        }
     }
 
     /// True while `p` holds popup priority here.
@@ -471,26 +498,69 @@ impl Router {
         self.bufs.any_nonempty() || !self.control_inbox.is_empty()
     }
 
-    /// True when stepping this router next cycle could possibly do work:
-    /// any buffered input-VC flit, a latched bypass flit, a queued control
-    /// message, a buffered absorber flit, or an unread control-inbox entry.
+    /// True while this router holds anything: a buffered input-VC flit, a
+    /// latched bypass flit, a queued control message, a buffered absorber
+    /// flit, or an unread control-inbox entry.
     ///
-    /// This is the active-set scheduler's wake predicate. It is
-    /// deliberately level-based (buffered state, not progress) so a
-    /// blocked-but-occupied router stays scheduled until it truly drains;
-    /// state that only *enables* progress for already-buffered flits
-    /// (credits, circuit entries, priority marks, frozen bits) does not
-    /// appear here because it can never create work in an empty router.
+    /// This is the scheduler's *level* predicate: it decides whether the
+    /// router is on the schedule at all (and so `Network::is_quiescent` and
+    /// the fast-forward), not whether it is stepped in a given cycle. A
+    /// router that holds flits but can move none of them stays on the
+    /// schedule and sleeps there until an input of its step changes (see
+    /// [`Router::step`]'s return value). State that only *enables* progress
+    /// for already-buffered flits (credits, circuit entries, priority
+    /// marks, frozen bits) does not appear here because it can never create
+    /// work in an empty router.
     pub fn has_pending_work(&self) -> bool {
+        self.bufs.any_nonempty() || self.holds_polled_state()
+    }
+
+    /// True while the router holds something the scheduler steps it for in
+    /// every cycle instead of working out when it can move: a latched
+    /// bypass flit, a queued control message, an absorbed flit (each gated
+    /// on its arrival cycle), or an unread control-inbox entry (drained by
+    /// the scheme, not by a step, after which the router may have to leave
+    /// the schedule).
+    fn holds_polled_state(&self) -> bool {
         !self.bypass.is_empty()
             || !self.req_buf.is_empty()
             || !self.ack_buf.is_empty()
             || !self.control_inbox.is_empty()
-            || self.bufs.any_nonempty()
             || self
                 .absorber
                 .as_ref()
                 .is_some_and(|a| a.slots.iter().any(|s| !s.buf.is_empty()))
+    }
+
+    /// True when an input VC's oldest flit was written in cycle `now`: it
+    /// attends allocation from `now + 1` whatever else happens.
+    fn holds_fresh_front(&self, now: Cycle) -> bool {
+        Port::ALL.into_iter().any(|p| {
+            SetBits(self.occ[p.index()]).any(|f| {
+                let front = self.bufs.front(p.index() * self.vcs_per_port + f);
+                front.is_some_and(|b| b.arrived >= now)
+            })
+        })
+    }
+
+    /// Whether a step in cycle `ctx.now` could move anything — the
+    /// read-only reference the scheduler's skip is checked against in debug
+    /// builds. Exact on every time gate; it only errs towards `true` (it
+    /// ignores the crossbar claims of the same step and the liveness of a
+    /// bypass or control message's output link).
+    pub(crate) fn can_progress(&self, ctx: &RouterCtx<'_>) -> bool {
+        let queued = |buf: &VecDeque<(ControlMsg, Port, Cycle)>| {
+            buf.front()
+                .is_some_and(|&(_, _, arrived)| arrived < ctx.now)
+        };
+        self.bypass.iter().any(|b| b.arrived < ctx.now)
+            || queued(&self.req_buf)
+            || queued(&self.ack_buf)
+            || self.absorber_request(ctx).is_some()
+            || Port::ALL
+                .into_iter()
+                .filter(|&p| !(p == Port::Down && self.absorber.is_some()))
+                .any(|p| SetBits(self.occ[p.index()]).any(|f| self.vc_request(p, f, ctx).is_some()))
     }
 
     /// Enqueues a locally-originated control message (it attends switch
@@ -601,7 +671,7 @@ impl Router {
         // Protocol-state reads (identity, circuit key) are legitimate on any
         // flit of the packet, so this goes through the non-asserting accessor.
         let desc = ctx.arena.desc(&flit);
-        let (id, circuit_key) = (desc.id, (desc.vnet, desc.route.dest));
+        let (id, vnet, dest) = (desc.id, desc.vnet, desc.route.dest);
         // Rejoin rule: if this packet still owns an input VC here with
         // buffered flits, append behind them so flits cannot overtake.
         for p in Port::ALL {
@@ -615,11 +685,11 @@ impl Router {
                 if !self.push_flit(p, f, rejoined, ctx.now) {
                     panic!("rejoin overflow at {} for {id}", self.node);
                 }
-                self.priority_packets.insert(id);
+                self.add_priority_packet(id);
                 return;
             }
         }
-        let out_port = match self.circuits.get(&circuit_key) {
+        let out_port = match self.circuit(vnet, dest) {
             Some(e) => {
                 if ctx.obs.is_enabled() {
                     ctx.obs.inc(ctx.obs.mech.circuit_lookup_hits);
@@ -667,10 +737,24 @@ impl Router {
 
     /// Processes one cycle: bypass forwarding, control-signal switch
     /// allocation, then normal separable switch allocation and commit.
-    pub(crate) fn step(&mut self, ctx: &mut RouterCtx<'_>) {
+    ///
+    /// Returns the next cycle in which a step can do anything if no input
+    /// of the router changes before then. `ctx.now + 1` when this step
+    /// moved something (it emitted an event or took a message off a control
+    /// buffer — the flit behind the one that left, or a bid that lost, may
+    /// go next) or when the router holds something that time alone
+    /// releases. Otherwise `Cycle::MAX`: every flit it holds waits on a
+    /// credit, a free output VC, an ejection entry, a frozen bit or a failed
+    /// link, the step changed nothing (no RNG draw outside `pick_out_vc`, no
+    /// arbiter update without a winner, and the two high-water marks below
+    /// are maxima over unchanged buffers), and repeating it would change
+    /// nothing either until one of those inputs does.
+    pub(crate) fn step(&mut self, ctx: &mut RouterCtx<'_>) -> Cycle {
         if cfg!(debug_assertions) {
             self.assert_occupancy_matches_buffers();
         }
+        let emitted = ctx.emit.len();
+        let queued = self.req_buf.len() + self.ack_buf.len();
         let mut claimed_out = [false; Port::COUNT];
         let mut claimed_in = [false; Port::COUNT];
 
@@ -682,6 +766,13 @@ impl Router {
             ctx.stats.max_req_buffer_occupancy.max(self.req_buf.len());
         ctx.stats.max_ack_buffer_occupancy =
             ctx.stats.max_ack_buffer_occupancy.max(self.ack_buf.len());
+
+        let moved = ctx.emit.len() != emitted || self.req_buf.len() + self.ack_buf.len() != queued;
+        if moved || self.holds_polled_state() || self.holds_fresh_front(ctx.now) {
+            ctx.now + 1
+        } else {
+            Cycle::MAX
+        }
     }
 
     /// Upward flits: absolute priority, single ST stage.
@@ -808,7 +899,7 @@ impl Router {
                         });
                         continue;
                     }
-                    match self.circuits.get(&(msg.vnet, msg.circuit_key)) {
+                    match self.circuit(msg.vnet, msg.circuit_key) {
                         Some(e) => {
                             if ctx.obs.is_enabled() {
                                 ctx.obs.inc(ctx.obs.mech.circuit_lookup_hits);
@@ -857,7 +948,7 @@ impl Router {
                 });
             }
             if msg.record_circuit {
-                let prev = self.circuits.insert(
+                let prev = self.record_circuit(
                     (msg.vnet, msg.circuit_key),
                     CircuitEntry {
                         in_port,
@@ -1307,7 +1398,7 @@ impl Router {
             vc.out_vc = None;
             vc.frozen = false;
             if !self.priority_packets.is_empty() {
-                self.priority_packets.remove(&ctx.arena.desc(&flit).id);
+                self.remove_priority_packet(ctx.arena.desc(&flit).id);
             }
         }
         self.forward_flit(ctx, flit, out, ovc, is_tail);
@@ -1580,6 +1671,7 @@ mod tests {
     use crate::topology::ChipletSystemSpec;
 
     use crate::packet::{PacketArena, PacketDesc};
+    use std::collections::BTreeMap;
 
     struct Harness {
         cfg: NocConfig,
@@ -1981,7 +2073,7 @@ mod tests {
             // for one output and most VCs stay blocked-but-occupied.
             let dest = h.topo.chiplets()[0].routers[6];
             let ports = [Port::Local, Port::North, Port::East, Port::South, Port::West];
-            let mut worms: HashMap<(Port, usize), Worm> = HashMap::new();
+            let mut worms: BTreeMap<(Port, usize), Worm> = BTreeMap::new();
             let mut next_id = 0u64;
             for (now, (kind, pi, f)) in (1u64..).zip(ops) {
                 let p = ports[pi];

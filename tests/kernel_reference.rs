@@ -1,9 +1,9 @@
 //! The one cycle kernel against its reference, and against itself.
 //!
-//! Three recipes on the baseline system under UPP, each run and then drained.
-//! The Fig. 3 deadlock recipe — hotspot traffic at 0.06 into endpoints that
-//! take 120 cycles to consume a packet — keeps the popup datapath busy,
-//! which is where the active-set scheduler has the most to get wrong
+//! Seven recipes on the baseline system, each run and then drained (or run
+//! into the watchdog). The Fig. 3 deadlock recipe — hotspot traffic at 0.06
+//! into endpoints that take 120 cycles to consume a packet — keeps the popup
+//! datapath busy, which is where the scheduler has the most to get wrong
 //! (wake-ups from bypass latches, control signals, reservations) and where
 //! UPP's own bookkeeping order can leak into the simulation. The idle recipe
 //! — uniform random at 0.005 — is the opposite: most boundary routers are
@@ -12,11 +12,26 @@
 //! at 0.09 with 4 VCs per VNet — puts 12 VCs on every port under contention:
 //! switch allocation walks occupancy words instead of polling all of them,
 //! and routers woken by a credit alone are descheduled unstepped, while the
-//! reference steps every router in every cycle, empty or not. These are
-//! debug builds, so every skip is cross-checked on the way.
+//! reference steps every router in every cycle, empty or not.
+//!
+//! The last three are there for the progress-driven half of the scheduler,
+//! which lets a router full of blocked flits sleep until something it waits
+//! on changes; a wake-up it misses is a hang, not a wrong number. Remote control under the Fig. 3 recipe re-injects every
+//! boundary crossing through an absorber whose flits are gated a cycle
+//! longer than a buffer write. No scheme at all at 0.2 wedges: every router
+//! ends up parked and the watchdog has to report the same last movement.
+//! And a fault plan — two links failed and healed, one endpoint's injection
+//! and another's consumption paused and resumed — runs over workload-driven
+//! consumption with no tracer armed (the differential campaign always arms
+//! one, which keeps every occupied router stepping), so heals, resumes and
+//! `pop_delivered` are what has to wake the parked.
+//!
+//! These are debug builds, so every skip is cross-checked on the way.
 
 use upp_core::{UppConfig, UppStats};
 use upp_noc::config::NocConfig;
+use upp_noc::fault::{FaultAction, FaultEvent, FaultPlan};
+use upp_noc::ids::{Port, VnetId};
 use upp_noc::ni::ConsumePolicy;
 use upp_noc::sim::RunOutcome;
 use upp_noc::topology::ChipletSystemSpec;
@@ -25,52 +40,124 @@ use upp_workloads::synthetic::{Pattern, SyntheticTraffic};
 
 const SEED: u64 = 2022;
 
+#[derive(Clone, Copy)]
+enum Under {
+    Upp,
+    RemoteControl,
+    Nothing,
+}
+
 struct Recipe {
+    scheme: Under,
     pattern: Pattern,
     rate: f64,
-    consume_latency: u64,
+    /// `None`: the test pops delivered packets itself, every cycle
+    /// (`ConsumePolicy::External`).
+    consume_latency: Option<u64>,
     traffic_cycles: u64,
     vcs_per_vnet: usize,
     /// The run is only a test of the recovery datapath if it recovers.
     must_pop_up: bool,
+    /// Drive [`fault_plan`] through the run.
+    faulted: bool,
+    /// The run must end in the watchdog, not drained.
+    must_wedge: bool,
 }
 
 const FIG3: Recipe = Recipe {
+    scheme: Under::Upp,
     pattern: Pattern::Hotspot,
     rate: 0.06,
-    consume_latency: 120,
+    consume_latency: Some(120),
     traffic_cycles: 2_500,
     vcs_per_vnet: 1,
     must_pop_up: true,
+    faulted: false,
+    must_wedge: false,
 };
 
 const fn idle(vcs_per_vnet: usize) -> Recipe {
     Recipe {
         pattern: Pattern::UniformRandom,
         rate: 0.005,
-        consume_latency: 1,
+        consume_latency: Some(1),
         traffic_cycles: 20_000,
         vcs_per_vnet,
         must_pop_up: false,
+        ..FIG3
     }
 }
 
 const LOADED_4VC: Recipe = Recipe {
     pattern: Pattern::UniformRandom,
     rate: 0.09,
-    consume_latency: 1,
+    consume_latency: Some(1),
     traffic_cycles: 6_000,
     vcs_per_vnet: 4,
     must_pop_up: false,
+    ..FIG3
 };
 
-/// Everything the run computed: end cycle, full network statistics, UPP's
-/// recovery counters.
+const FIG3_REMOTE_CONTROL: Recipe = Recipe {
+    scheme: Under::RemoteControl,
+    must_pop_up: false,
+    ..FIG3
+};
+
+const WEDGE: Recipe = Recipe {
+    scheme: Under::Nothing,
+    pattern: Pattern::UniformRandom,
+    rate: 0.2,
+    consume_latency: Some(1),
+    traffic_cycles: 3_000,
+    must_pop_up: false,
+    must_wedge: true,
+    ..FIG3
+};
+
+const FAULTED: Recipe = Recipe {
+    pattern: Pattern::UniformRandom,
+    rate: 0.05,
+    consume_latency: None,
+    traffic_cycles: 4_000,
+    must_pop_up: false,
+    faulted: true,
+    ..FIG3
+};
+
+/// Two mesh links (one inside a chiplet, one on the interposer) fail and
+/// heal, one endpoint stops injecting and another stops consuming for a
+/// while — all over well before the traffic stops.
+fn fault_plan(topo: &upp_noc::topology::Topology) -> FaultPlan {
+    let inside = topo.chiplets()[0].routers[5];
+    let below = topo.interposer_routers()[5];
+    let muted = topo.chiplets()[1].routers[2];
+    let full = topo.chiplets()[2].routers[9];
+    let at = |at, action| FaultEvent { at, action };
+    let (fail, heal) = (
+        |node, port| FaultAction::FailLink { node, port },
+        |node, port| FaultAction::HealLink { node, port },
+    );
+    FaultPlan::new(vec![
+        at(300, fail(inside, Port::East)),
+        at(500, fail(below, Port::North)),
+        at(600, FaultAction::PauseInjection { node: muted }),
+        at(700, FaultAction::PauseConsumption { node: full }),
+        at(1_400, heal(inside, Port::East)),
+        at(1_700, FaultAction::ResumeInjection { node: muted }),
+        at(1_900, heal(below, Port::North)),
+        at(2_600, FaultAction::ResumeConsumption { node: full }),
+    ])
+}
+
+/// Everything the run computed: how it ended and when, full network
+/// statistics, UPP's recovery counters.
 #[derive(Debug, PartialEq)]
 struct Snapshot {
+    outcome: RunOutcome,
     end_cycle: u64,
     net: String,
-    upp: UppStats,
+    upp: Option<UppStats>,
 }
 
 fn run(recipe: &Recipe, active_scheduler: bool) -> Snapshot {
@@ -78,53 +165,119 @@ fn run(recipe: &Recipe, active_scheduler: bool) -> Snapshot {
         vcs_per_vnet: recipe.vcs_per_vnet,
         ..NocConfig::default()
     };
-    let built = build_system(
-        &ChipletSystemSpec::baseline(),
-        cfg,
-        &SchemeKind::Upp(UppConfig::default()),
-        0,
-        SEED,
-        ConsumePolicy::Immediate {
-            latency: recipe.consume_latency,
-        },
-    );
+    let kind = match recipe.scheme {
+        Under::Upp => SchemeKind::Upp(UppConfig::default()),
+        Under::RemoteControl => SchemeKind::RemoteControl,
+        Under::Nothing => SchemeKind::None,
+    };
+    let consume = match recipe.consume_latency {
+        Some(latency) => ConsumePolicy::Immediate { latency },
+        None => ConsumePolicy::External,
+    };
+    let built = build_system(&ChipletSystemSpec::baseline(), cfg, &kind, 0, SEED, consume);
     let mut sys = built.sys;
     sys.net_mut().set_active_scheduler(active_scheduler);
     let mut traffic = SyntheticTraffic::new(sys.net().topo(), recipe.pattern, recipe.rate, SEED);
+    let mut plan = if recipe.faulted {
+        fault_plan(sys.net().topo())
+    } else {
+        FaultPlan::empty()
+    };
+    let endpoints: Vec<_> = sys
+        .net()
+        .topo()
+        .chiplets()
+        .iter()
+        .flat_map(|c| c.routers.iter().copied())
+        .collect();
+    // One cycle the way a workload with its own consumers drives it: due
+    // faults, then the step, then every unpaused endpoint takes what was
+    // delivered to it.
+    let external = recipe.consume_latency.is_none();
+    let mut cycle = |sys: &mut upp_noc::sim::System| {
+        plan.apply_due(sys.net_mut());
+        sys.step();
+        if !external {
+            return;
+        }
+        for &node in &endpoints {
+            if sys.net().ni(node).consumption_paused() {
+                continue;
+            }
+            for v in 0..3 {
+                while sys.net_mut().pop_delivered(node, VnetId(v)).is_some() {}
+            }
+        }
+    };
     for _ in 0..recipe.traffic_cycles {
         traffic.tick(&mut sys);
-        sys.step();
+        cycle(&mut sys);
     }
-    let outcome = sys.run_until_drained(200_000);
+    let outcome = if external {
+        let deadline = sys.net().cycle() + 200_000;
+        while sys.net().in_flight() > 0 && sys.net().cycle() < deadline {
+            cycle(&mut sys);
+        }
+        match sys.net().in_flight() {
+            0 => RunOutcome::Drained {
+                at: sys.net().cycle(),
+            },
+            in_flight => RunOutcome::Timeout { in_flight },
+        }
+    } else {
+        sys.run_until_drained(200_000)
+    };
+    assert!(plan.exhausted(), "the fault plan must have played out");
+    if recipe.must_wedge {
+        assert!(
+            matches!(outcome, RunOutcome::Deadlocked { .. }),
+            "the recipe must wedge, or no router ends up parked for good: {outcome:?}"
+        );
+    } else {
+        assert!(
+            matches!(outcome, RunOutcome::Drained { .. }),
+            "the recipe must drain: {outcome:?}"
+        );
+    }
+    let upp = built.upp_stats.as_ref().map(UppStats::snapshot);
     assert!(
-        matches!(outcome, RunOutcome::Drained { .. }),
-        "UPP must drain the recipe: {outcome:?}"
-    );
-    let upp = UppStats::snapshot(&built.upp_stats.expect("scheme is UPP"));
-    assert!(
-        !recipe.must_pop_up || upp.popups_completed > 0,
+        !recipe.must_pop_up || upp.as_ref().is_some_and(|u| u.popups_completed > 0),
         "the recipe must exercise recovery, or the comparison is vacuous: {upp:?}"
     );
     assert!(
         sys.net().stats().packets_ejected > 0,
         "the recipe carried no traffic"
     );
+    let stepped = sys.net().active_router_fraction();
     assert!(
-        active_scheduler || sys.net().active_router_fraction() == 1.0,
-        "the reference kernel steps every router in every cycle"
+        if active_scheduler {
+            stepped < 1.0
+        } else {
+            stepped == 1.0
+        },
+        "the reference kernel steps every router in every cycle, the scheduler does not: {stepped}"
     );
     Snapshot {
+        outcome,
         end_cycle: sys.net().cycle(),
         net: format!("{:?}", sys.net().stats()),
         upp,
     }
 }
 
-/// Skipping idle routers and NIs and fast-forwarding quiescent gaps must be
-/// unobservable: the always-tick kernel is the reference.
+/// Skipping idle and blocked routers and NIs and fast-forwarding quiescent
+/// gaps must be unobservable: the always-tick kernel is the reference.
 #[test]
 fn active_set_kernel_matches_the_always_tick_reference() {
-    for recipe in [FIG3, idle(1), idle(4), LOADED_4VC] {
+    for recipe in [
+        FIG3,
+        idle(1),
+        idle(4),
+        LOADED_4VC,
+        FIG3_REMOTE_CONTROL,
+        WEDGE,
+        FAULTED,
+    ] {
         assert_eq!(run(&recipe, true), run(&recipe, false));
     }
 }
