@@ -300,8 +300,10 @@ impl Network {
         *ready_at = (*ready_at).min(self.cycle);
     }
 
-    /// [`Network::wake_router`] for every router: a change to the topology,
-    /// the routing or the tracer that any blocked flit may be waiting on.
+    /// [`Network::wake_router`] for every router: a healed link or a new
+    /// routing function may release any blocked flit. (A link that *fails*
+    /// releases none, and an armed tracer steps sleeping routers without
+    /// being told to, so neither wakes anyone.)
     fn wake_all_routers(&mut self) {
         self.router_ready_at.fill(self.cycle);
     }
@@ -342,7 +344,6 @@ impl Network {
     /// Installs a tracer, returning the previous one (with whatever it
     /// recorded so far).
     pub fn set_tracer(&mut self, tracer: Tracer) -> Tracer {
-        self.wake_all_routers();
         std::mem::replace(&mut self.tracer, tracer)
     }
 
@@ -801,7 +802,6 @@ impl Network {
     /// Panics if no physical link exists there.
     pub fn inject_link_fault(&mut self, node: NodeId, port: Port) {
         self.topo.set_link_faulty(node, port);
-        self.wake_all_routers();
     }
 
     /// Heals a link previously failed with [`Network::inject_link_fault`]

@@ -33,7 +33,7 @@ use crate::topology::Topology;
 use crate::trace::{BlockReason, TraceEvent, Tracer};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 
 /// A buffered flit with its arrival cycle (flits attend switch allocation
 /// from the cycle after arrival).
@@ -231,6 +231,10 @@ pub struct Router {
     /// [`NocConfig::validate`] bounds a port at 64 VCs so one word always
     /// suffices.
     occ: [u64; Port::COUNT],
+    /// The cycle of the latest input-VC buffer write: a flit attends
+    /// allocation from the cycle after it, so a step in that cycle asks to
+    /// be repeated in the next (see [`Router::step`]).
+    last_flit_write: Cycle,
     /// Flat `port x vc` downstream credit/ownership mirrors (same indexing).
     out_vcs: Vec<OutVcState>,
     vcs_per_port: usize,
@@ -245,9 +249,11 @@ pub struct Router {
     /// linear scan beats hashing.
     circuits: Vec<((VnetId, NodeId), CircuitEntry)>,
     bypass: VecDeque<BypassFlit>,
-    /// Packets whose buffered flits bid with popup priority (a handful, as
-    /// for `circuits`).
-    priority_packets: Vec<PacketId>,
+    /// Packets whose buffered flits bid with popup priority. Not a small
+    /// set: a mark is cleared only when the packet's tail commits through
+    /// switch allocation, so a popping router — whose tails leave through
+    /// [`Router::pop_bypass_flit`] — keeps one entry per completed popup.
+    priority_packets: HashSet<PacketId>,
     absorber: Option<Absorber>,
     control_inbox: Vec<DeliveredControl>,
     /// Per input port: the VC switch allocation looks at first, advanced by
@@ -306,6 +312,7 @@ impl Router {
             in_vcs,
             bufs,
             occ: [0; Port::COUNT],
+            last_flit_write: 0,
             out_vcs,
             vcs_per_port: vcs,
             has_link,
@@ -314,7 +321,7 @@ impl Router {
             ack_buf: VecDeque::new(),
             circuits: Vec::new(),
             bypass: VecDeque::new(),
-            priority_packets: Vec::new(),
+            priority_packets: HashSet::new(),
             absorber: None,
             control_inbox: Vec::new(),
             rr_in: [0; Port::COUNT],
@@ -440,16 +447,12 @@ impl Router {
 
     /// Marks a packet's buffered flits as popup-priority.
     pub fn add_priority_packet(&mut self, p: PacketId) {
-        if !self.priority_packets.contains(&p) {
-            self.priority_packets.push(p);
-        }
+        self.priority_packets.insert(p);
     }
 
     /// Clears a popup-priority mark.
     pub fn remove_priority_packet(&mut self, p: PacketId) {
-        if let Some(i) = self.priority_packets.iter().position(|&q| q == p) {
-            self.priority_packets.swap_remove(i);
-        }
+        self.priority_packets.remove(&p);
     }
 
     /// True while `p` holds popup priority here.
@@ -507,7 +510,7 @@ impl Router {
     /// the fast-forward), not whether it is stepped in a given cycle. A
     /// router that holds flits but can move none of them stays on the
     /// schedule and sleeps there until an input of its step changes (see
-    /// [`Router::step`]'s return value). State that only *enables* progress
+    /// `Router::step`'s return value). State that only *enables* progress
     /// for already-buffered flits (credits, circuit entries, priority
     /// marks, frozen bits) does not appear here because it can never create
     /// work in an empty router.
@@ -530,17 +533,6 @@ impl Router {
                 .absorber
                 .as_ref()
                 .is_some_and(|a| a.slots.iter().any(|s| !s.buf.is_empty()))
-    }
-
-    /// True when an input VC's oldest flit was written in cycle `now`: it
-    /// attends allocation from `now + 1` whatever else happens.
-    fn holds_fresh_front(&self, now: Cycle) -> bool {
-        Port::ALL.into_iter().any(|p| {
-            SetBits(self.occ[p.index()]).any(|f| {
-                let front = self.bufs.front(p.index() * self.vcs_per_port + f);
-                front.is_some_and(|b| b.arrived >= now)
-            })
-        })
     }
 
     /// Whether a step in cycle `ctx.now` could move anything — the
@@ -629,6 +621,7 @@ impl Router {
     fn push_flit(&mut self, p: Port, f: usize, flit: Flit, arrived: Cycle) -> bool {
         debug_assert!(f < self.vcs_per_port, "VC {f} is past the port's last VC");
         self.occ[p.index()] |= 1 << f;
+        self.last_flit_write = arrived;
         self.bufs
             .push_back(
                 p.index() * self.vcs_per_port + f,
@@ -768,7 +761,7 @@ impl Router {
             ctx.stats.max_ack_buffer_occupancy.max(self.ack_buf.len());
 
         let moved = ctx.emit.len() != emitted || self.req_buf.len() + self.ack_buf.len() != queued;
-        if moved || self.holds_polled_state() || self.holds_fresh_front(ctx.now) {
+        if moved || self.holds_polled_state() || self.last_flit_write >= ctx.now {
             ctx.now + 1
         } else {
             Cycle::MAX
