@@ -11,18 +11,20 @@
 
 use super::{cfg, rates_1vc, windows, Context, SEED};
 use crate::report::{f1, f3, ExperimentResult, MarkdownTable};
-use crate::sweep::SweepEngine;
 use serde::Serialize;
 use std::sync::Arc;
 use upp_baselines::composable::ComposableConfig;
-use upp_core::{Upp, UppConfig};
+use upp_core::UppConfig;
 use upp_noc::config::NocConfig;
 use upp_noc::network::Network;
 use upp_noc::ni::ConsumePolicy;
 use upp_noc::sim::System;
 use upp_noc::topology::ChipletSystemSpec;
-use upp_workloads::runner::{presaturation_latency, saturation_throughput, SchemeKind, SweepPoint};
-use upp_workloads::synthetic::{Pattern, SyntheticTraffic};
+use upp_workloads::runner::{
+    measure_point, presaturation_latency, saturation_throughput, BuiltSystem, SchemeKind,
+    SweepPoint,
+};
+use upp_workloads::synthetic::Pattern;
 
 /// One ablation row.
 #[derive(Debug, Clone, Serialize)]
@@ -44,47 +46,6 @@ fn measure_points(points: &[SweepPoint], study: &str, variant: &str) -> Row {
         saturation: saturation_throughput(points),
         presat_latency: presaturation_latency(points),
     }
-}
-
-/// Sweeps a pre-built system constructor over the 1 VC rate grid.
-fn sweep_custom(
-    engine: &SweepEngine,
-    build: impl Fn(u64) -> System + Sync,
-    rates: &[f64],
-    w: upp_workloads::runner::SweepWindows,
-) -> Vec<SweepPoint> {
-    let build = &build;
-    engine.map(rates, |_, &rate| {
-        let mut sys = build(SEED);
-        let mut traffic =
-            SyntheticTraffic::new(sys.net().topo(), Pattern::UniformRandom, rate, SEED);
-        for _ in 0..w.warmup {
-            traffic.tick(&mut sys);
-            sys.step();
-        }
-        sys.net_mut().reset_stats();
-        for _ in 0..w.measure {
-            traffic.tick(&mut sys);
-            sys.step();
-        }
-        let stats = sys.net().stats();
-        SweepPoint {
-            rate,
-            net_latency: stats.avg_net_latency(),
-            queue_latency: stats.avg_queue_latency(),
-            total_latency: stats.avg_total_latency(),
-            throughput: stats.throughput(w.measure, sys.net().topo().num_endpoints()),
-            packets_ejected: stats.packets_ejected,
-            upward_packets: 0,
-            control_hops: stats.control_hops,
-            p50: stats.latency_percentile(0.5),
-            p95: stats.latency_percentile(0.95),
-            p99: stats.latency_percentile(0.99),
-            p999: stats.latency_percentile(0.999),
-            deadlocked: stats.packets_ejected == 0,
-            alerts: upp_workloads::runner::AlertCounts::default(),
-        }
-    })
 }
 
 /// Collects all three ablation studies.
@@ -115,22 +76,23 @@ pub fn collect(ctx: &Context) -> Vec<Row> {
         let topo = spec.build(SEED).expect("baseline builds");
         let balanced =
             Arc::new(ComposableConfig::build_balanced(&topo).expect("balanced search succeeds"));
-        let routing = balanced.routing();
-        let spec2 = spec.clone();
-        let build = move |seed: u64| {
-            let topo = spec2.build(SEED).expect("baseline builds");
+        let routing = Arc::new(balanced.routing());
+        let pts = ctx.engine.map(&rates, |_, &rate| {
             let net = Network::new(
                 cfg(1),
-                topo,
-                Arc::new(routing.clone()),
+                topo.clone(),
+                routing.clone(),
                 ConsumePolicy::Immediate { latency: 1 },
-                seed,
+                SEED,
             );
             // The balanced restriction set is still provably acyclic, so no
             // recovery scheme is needed.
-            System::new(net, Box::new(upp_noc::NoScheme))
-        };
-        let pts = sweep_custom(&ctx.engine, build, &rates, w);
+            let built = BuiltSystem {
+                sys: System::new(net, Box::new(upp_noc::NoScheme)),
+                upp_stats: None,
+            };
+            measure_point(built, Pattern::UniformRandom, rate, w, SEED)
+        });
         rows.push(measure_points(
             &pts,
             "composable-structure",
@@ -180,32 +142,31 @@ pub fn collect(ctx: &Context) -> Vec<Row> {
     }
 
     // --- Study 3: flow control -----------------------------------------
-    for (label, base) in [
+    for (label, tag, base) in [
         (
             "wormhole (depth 5)",
+            "ablations/wormhole5",
             NocConfig::default().with_vc_buffer_depth(5),
         ),
         (
             "virtual cut-through (depth 5)",
+            "ablations/vct5",
             NocConfig::default().with_virtual_cut_through(),
         ),
     ] {
-        let build = {
-            let base = base.clone();
-            let spec2 = spec.clone();
-            move |seed: u64| {
-                let topo = spec2.build(SEED).expect("baseline builds");
-                let net = Network::new(
-                    base.clone(),
-                    topo,
-                    Arc::new(upp_noc::routing::ChipletRouting::xy()),
-                    ConsumePolicy::Immediate { latency: 1 },
-                    seed,
-                );
-                System::new(net, Box::new(Upp::new(UppConfig::default())))
-            }
-        };
-        let pts = sweep_custom(&ctx.engine, build, &rates, w);
+        // The journal key carries only the VC count of a `NocConfig`, so
+        // the flow-control variant goes into the tag.
+        let pts = ctx.engine.sweep_rates(
+            tag,
+            &spec,
+            &base,
+            &SchemeKind::Upp(UppConfig::default()),
+            0,
+            Pattern::UniformRandom,
+            &rates,
+            w,
+            SEED,
+        );
         rows.push(measure_points(&pts, "flow-control", label));
     }
     rows

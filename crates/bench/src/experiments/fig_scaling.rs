@@ -25,6 +25,7 @@ use serde::Serialize;
 use serde_json::Value;
 use upp_noc::ni::ConsumePolicy;
 use upp_noc::topology::ChipletSystemSpec;
+use upp_workloads::run::{RiderConfig, Riders};
 use upp_workloads::runner::{build_system, SchemeKind};
 use upp_workloads::synthetic::{Pattern, SyntheticTraffic};
 
@@ -131,31 +132,27 @@ fn run_point(cols: u16, rows: u16, kind: &SchemeKind, quick: bool) -> ScalePoint
         },
     );
     let mut sys = built.sys;
-    sys.net_mut().enable_obs();
+    // Sampled gauges (queue depths, table occupancy) need periodic
+    // refreshes to catch the pressure while it exists.
+    let mut riders = Riders::arm(
+        &mut sys,
+        RiderConfig {
+            sample_every: Some(25),
+            ..RiderConfig::default()
+        },
+    );
     let routers = sys.net().topo().num_nodes();
     let mut traffic =
         SyntheticTraffic::new(sys.net().topo(), Pattern::Hotspot, rate_for(routers), SEED);
-    let cycles = traffic_cycles(quick);
-    for c in 0..cycles {
+    for _ in 0..traffic_cycles(quick) {
         traffic.tick(&mut sys);
         sys.step();
-        // Sampled gauges (queue depths, table occupancy) need periodic
-        // refreshes to catch the pressure while it exists.
-        if c.is_multiple_of(25) {
-            sys.observe();
-        }
+        riders.after_step(&mut sys, &mut |_| {});
         if sys.net().stalled() {
             break;
         }
     }
-    let mut extra = 0u64;
-    while sys.net().in_flight() > 0 && !sys.net().stalled() && extra < 200_000 {
-        sys.step();
-        extra += 1;
-        if extra.is_multiple_of(25) {
-            sys.observe();
-        }
-    }
+    sys.drain(200_000, false, |sys| riders.after_step(sys, &mut |_| {}));
     sys.observe();
     let obs = sys.net().obs();
     let (boundary_pressure, protocol_events) = match kind {

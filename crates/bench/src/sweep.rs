@@ -1,5 +1,5 @@
-//! The parallel sweep engine: fans any experiment grid out over N worker
-//! threads with work stealing, streams finished points to a JSONL journal,
+//! The parallel sweep engine: fans any experiment grid out over N
+//! self-scheduling worker threads, streams finished points to a JSONL journal,
 //! and resumes interrupted sweeps by skipping already-recorded points.
 //!
 //! Every point carries a stable string key derived from its full parameter
@@ -15,10 +15,11 @@
 
 use serde::Serialize;
 use serde_json::Value;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fs::OpenOptions;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use upp_noc::config::NocConfig;
 use upp_noc::topology::ChipletSystemSpec;
@@ -193,7 +194,7 @@ impl Journal {
 
 // ----------------------------------------------------------------- engine
 
-/// A work-stealing fan-out over N worker threads.
+/// A self-scheduling fan-out over N worker threads.
 pub struct SweepEngine {
     jobs: usize,
     journal: Option<Journal>,
@@ -248,9 +249,10 @@ impl SweepEngine {
     /// Maps `f` over `items` on the worker pool, preserving input order in
     /// the output.
     ///
-    /// Each worker owns a deque seeded round-robin; idle workers steal from
-    /// the tail of their peers, so stragglers (long simulation points) do
-    /// not serialize the sweep.
+    /// The workers share one cursor and each takes the next unclaimed item
+    /// until none is left, so stragglers (long simulation points) do not
+    /// serialize the sweep; results land by item index, so the output does
+    /// not depend on which worker ran what.
     ///
     /// # Panics
     ///
@@ -261,32 +263,21 @@ impl SweepEngine {
         R: Send,
         F: Fn(usize, &I) -> R + Sync,
     {
-        let n = items.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let workers = self.jobs.min(n);
-        if workers == 1 {
+        let workers = self.jobs.min(items.len());
+        if workers <= 1 {
             return items.iter().enumerate().map(|(i, it)| f(i, it)).collect();
         }
-        let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-            .map(|w| Mutex::new((w..n).step_by(workers).collect()))
-            .collect();
-        let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        // Relaxed: the cursor only hands out indices; each result is
+        // published by its slot's mutex and the scope's join.
+        let cursor = AtomicUsize::new(0);
+        let results: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
         std::thread::scope(|s| {
-            for w in 0..workers {
-                let queues = &queues;
-                let results = &results;
-                let f = &f;
-                s.spawn(move || loop {
-                    let next = queues[w].lock().unwrap().pop_front().or_else(|| {
-                        // Steal from the back of the first non-empty peer.
-                        (1..workers)
-                            .find_map(|off| queues[(w + off) % workers].lock().unwrap().pop_back())
-                    });
-                    let Some(i) = next else { break };
-                    let r = f(i, &items[i]);
-                    *results[i].lock().unwrap() = Some(r);
+            for _ in 0..workers {
+                s.spawn(|| loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(item) = items.get(i) else { break };
+                    let r = f(i, item);
+                    *results[i].lock().expect("one writer per slot") = Some(r);
                 });
             }
         });
@@ -295,7 +286,7 @@ impl SweepEngine {
             .map(|m| {
                 m.into_inner()
                     .expect("no worker panicked")
-                    .expect("every queued job completed")
+                    .expect("every claimed item completed")
             })
             .collect()
     }
@@ -421,7 +412,6 @@ impl SweepEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn map_preserves_order_and_runs_everything() {
@@ -454,7 +444,7 @@ mod tests {
     #[test]
     fn workers_steal_from_stragglers() {
         // One item is much slower than the rest; with 2 workers the fast
-        // worker must steal the slow worker's backlog. We can't assert
+        // worker must take the rest of the backlog. We can't assert
         // timing, but we can assert completion and order with a skewed
         // distribution.
         let items: Vec<u64> = (0..9).collect();

@@ -28,7 +28,7 @@ fn flagship_two_router_model_stays_verified() {
 
 #[test]
 fn wider_ring_with_unit_queues_stays_verified() {
-    // 3 routers keeps this affordable in debug builds; the CI check-smoke
+    // 3 routers keeps this affordable in debug builds; the CI cli-e2e
     // job additionally exhausts the 4-router ring in release mode.
     let mut cfg = ModelCfg::flagship(3);
     cfg.queue_depth = 1;

@@ -1,6 +1,7 @@
-//! Golden-stats regression tests: fixed-seed runs must produce
-//! byte-identical `--json` summaries (a) against the committed goldens in
-//! `tests/goldens/`, and (b) between serial and `--jobs N` execution.
+//! Golden-stats regression tests of the real binary: fixed-seed runs must
+//! produce byte-identical `--json` summaries (a) against the committed
+//! goldens in `tests/goldens/`, (b) between serial and `--jobs N`
+//! execution, and (c) between the binary and the library call it wraps.
 //!
 //! The goldens were recorded before the hot-path kernel optimisation pass
 //! and are kept byte-for-byte, so they also prove the optimised simulator
@@ -12,76 +13,20 @@
 //! UPP_UPDATE_GOLDENS=1 cargo test -p upp-bench --test determinism
 //! ```
 
-use std::path::{Path, PathBuf};
-use std::process::Command;
+mod common;
 
-fn goldens_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/goldens")
-}
-
-fn tmp_path(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("upp-goldens-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    dir.join(name)
-}
-
-/// Runs the `simulate` binary with the given args plus `--json OUT`, and
-/// returns the JSON summary bytes.
-fn simulate_json(args: &[&str], out_name: &str) -> String {
-    let out = tmp_path(out_name);
-    let _ = std::fs::remove_file(&out);
-    let status = Command::new(env!("CARGO_BIN_EXE_simulate"))
-        .args(args)
-        .arg("--json")
-        .arg(&out)
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .status()
-        .expect("simulate binary runs");
-    assert!(status.success(), "simulate {args:?} failed: {status}");
-    std::fs::read_to_string(&out).expect("simulate wrote the JSON summary")
-}
-
-/// Compares `actual` against the committed golden `name`, or rewrites the
-/// golden when `UPP_UPDATE_GOLDENS=1`.
-fn check_golden(name: &str, actual: &str) {
-    let path = goldens_dir().join(name);
-    if std::env::var("UPP_UPDATE_GOLDENS").is_ok_and(|v| v == "1") {
-        std::fs::create_dir_all(goldens_dir()).expect("goldens dir");
-        std::fs::write(&path, actual).expect("write golden");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); run with UPP_UPDATE_GOLDENS=1 to record",
-            path.display()
-        )
-    });
-    assert!(
-        expected == actual,
-        "{name}: output differs from committed golden.\n\
-         If the change is intentional, refresh with UPP_UPDATE_GOLDENS=1.\n\
-         --- golden ---\n{expected}\n--- actual ---\n{actual}"
-    );
-}
+use common::{check_golden, simulate_out};
+use upp_noc::watch::WatchConfig;
+use upp_workloads::run::{run, RiderConfig, RunConfig};
+use upp_workloads::synthetic::Pattern;
 
 /// A single UPP run at high load: exercises detection, popup bypass, and
 /// the control plane. Must match the committed golden byte-for-byte.
 #[test]
 fn upp_single_run_matches_golden() {
-    let json = simulate_json(
-        &[
-            "--scheme",
-            "upp",
-            "--pattern",
-            "transpose",
-            "--rate",
-            "0.10",
-            "--cycles",
-            "4000",
-            "--seed",
-            "7",
-        ],
+    let json = simulate_out(
+        "--scheme upp --pattern transpose --rate 0.10 --cycles 4000 --seed 7",
+        "--json",
         "upp_single.json",
     );
     check_golden("upp_single_run.json", &json);
@@ -91,19 +36,9 @@ fn upp_single_run_matches_golden() {
 /// pipeline, VC allocation, and stat counters.
 #[test]
 fn composable_single_run_matches_golden() {
-    let json = simulate_json(
-        &[
-            "--scheme",
-            "composable",
-            "--pattern",
-            "uniform_random",
-            "--rate",
-            "0.08",
-            "--cycles",
-            "4000",
-            "--seed",
-            "11",
-        ],
+    let json = simulate_out(
+        "--scheme composable --pattern uniform_random --rate 0.08 --cycles 4000 --seed 11",
+        "--json",
         "composable_single.json",
     );
     check_golden("composable_single_run.json", &json);
@@ -112,21 +47,9 @@ fn composable_single_run_matches_golden() {
 /// A faulty-link UPP run: covers the fault-rerouting paths.
 #[test]
 fn faulty_upp_run_matches_golden() {
-    let json = simulate_json(
-        &[
-            "--scheme",
-            "upp",
-            "--pattern",
-            "uniform_random",
-            "--rate",
-            "0.06",
-            "--cycles",
-            "4000",
-            "--faults",
-            "3",
-            "--seed",
-            "5",
-        ],
+    let json = simulate_out(
+        "--scheme upp --pattern uniform_random --rate 0.06 --cycles 4000 --faults 3 --seed 5",
+        "--json",
         "faulty_upp.json",
     );
     check_golden("faulty_upp_run.json", &json);
@@ -136,24 +59,47 @@ fn faulty_upp_run_matches_golden() {
 /// the committed golden.
 #[test]
 fn sweep_is_jobs_invariant_and_matches_golden() {
-    let base = [
-        "--scheme",
-        "upp",
-        "--pattern",
-        "uniform_random",
-        "--sweep",
-        "0.02,0.05,0.08",
-        "--cycles",
-        "1500",
-        "--seed",
-        "3",
-    ];
-    let serial = simulate_json(&[&base[..], &["--jobs", "1"]].concat(), "sweep_serial.json");
-    let parallel = simulate_json(&[&base[..], &["--jobs", "4"]].concat(), "sweep_jobs4.json");
+    let sweep = |jobs: u32, out_name: &str| {
+        let recipe = format!(
+            "--scheme upp --pattern uniform_random --sweep 0.02,0.05,0.08 \
+             --cycles 1500 --seed 3 --jobs {jobs}"
+        );
+        simulate_out(&recipe, "--json", out_name)
+    };
+    let serial = sweep(1, "sweep_serial.json");
+    let parallel = sweep(4, "sweep_jobs4.json");
     assert!(
         serial == parallel,
         "per-point stats must be bit-identical for any --jobs value.\n\
          --- jobs 1 ---\n{serial}\n--- jobs 4 ---\n{parallel}"
     );
     check_golden("upp_sweep.json", &serial);
+}
+
+/// The binary is a shell around `upp_workloads::run`: the library call
+/// renders the very bytes the binary writes, rider keys included.
+#[test]
+fn library_run_renders_the_bytes_the_binary_writes() {
+    let from_binary = simulate_out(
+        "--scheme upp --pattern hotspot --rate 0.06 --cycles 3000 --seed 9 --obs --mem --watch",
+        "--json",
+        "shell.json",
+    );
+    let cfg = RunConfig {
+        pattern: Pattern::Hotspot,
+        rate: 0.06,
+        cycles: 3000,
+        seed: 9,
+        riders: RiderConfig {
+            obs: true,
+            mem: true,
+            watch: Some((WatchConfig::default(), None)),
+            ..RiderConfig::default()
+        },
+        ..RunConfig::default()
+    };
+    let report = run(cfg.build().expect("valid request"), &cfg, &mut |_| {});
+    assert!(from_binary.contains("\"obs\": {") && from_binary.contains("\"mem\": {"));
+    assert!(from_binary.contains("\"watch\": {"), "{from_binary}");
+    assert_eq!(report.json(), from_binary);
 }

@@ -1,9 +1,9 @@
 //! Protocol-state telemetry goldens: a faulty `grid:3x3` UPP run with
 //! `--obs` pins the full `--json` payload (including the embedded
 //! telemetry summary) and the `--obs-every` epoch stream byte-for-byte,
-//! and the same run under the `UPP_ALWAYS_TICK=1` reference kernel must
-//! reproduce both files exactly — the active-set scheduler may not be
-//! visible through the telemetry.
+//! and the same request on the always-tick reference kernel (in-process,
+//! `set_active_scheduler(false)`) must reproduce both files exactly — the
+//! active-set scheduler may not be visible through the telemetry.
 //!
 //! To regenerate the goldens after an *intentional* behaviour change:
 //!
@@ -11,93 +11,24 @@
 //! UPP_UPDATE_GOLDENS=1 cargo test -p upp-bench --test obs_golden
 //! ```
 
-use std::path::{Path, PathBuf};
-use std::process::Command;
+mod common;
 
-fn goldens_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/goldens")
-}
-
-fn tmp_path(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("upp-obs-golden-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    dir.join(name)
-}
-
-fn check_golden(name: &str, actual: &str) {
-    let path = goldens_dir().join(name);
-    if std::env::var("UPP_UPDATE_GOLDENS").is_ok_and(|v| v == "1") {
-        std::fs::create_dir_all(goldens_dir()).expect("goldens dir");
-        std::fs::write(&path, actual).expect("write golden");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); run with UPP_UPDATE_GOLDENS=1 to record",
-            path.display()
-        )
-    });
-    assert!(
-        expected == actual,
-        "{name}: output differs from committed golden.\n\
-         If the change is intentional, refresh with UPP_UPDATE_GOLDENS=1.\n\
-         --- golden ---\n{expected}\n--- actual ---\n{actual}"
-    );
-}
+use common::{check_golden, simulate_out, tmp_path};
+use upp_noc::topology::SystemKind;
+use upp_workloads::run::{run, RiderConfig, RunConfig};
 
 /// Faulty-link grid run: rerouting congests the interposer paths enough
 /// that UPP pops packets, so the telemetry has non-trivial circuit-table,
 /// watchdog and recovery-histogram content worth pinning.
-const RUN: &[&str] = &[
-    "--system",
-    "grid:3x3",
-    "--scheme",
-    "upp",
-    "--pattern",
-    "uniform_random",
-    "--rate",
-    "0.06",
-    "--cycles",
-    "3000",
-    "--faults",
-    "2",
-    "--seed",
-    "9",
-    "--obs",
-    "--obs-every",
-    "500",
-];
-
-/// Runs `simulate` with the telemetry flags; returns the `--json` payload
-/// and the `--obs-out` epoch stream. `always_tick` switches to the
-/// reference kernel.
-fn run_obs(tag: &str, always_tick: bool) -> (String, String) {
-    let json = tmp_path(&format!("{tag}.json"));
-    let epochs = tmp_path(&format!("{tag}.obs.jsonl"));
-    let _ = std::fs::remove_file(&json);
-    let _ = std::fs::remove_file(&epochs);
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_simulate"));
-    cmd.args(RUN)
-        .arg("--obs-out")
-        .arg(&epochs)
-        .arg("--json")
-        .arg(&json);
-    if always_tick {
-        cmd.env("UPP_ALWAYS_TICK", "1");
-    } else {
-        cmd.env_remove("UPP_ALWAYS_TICK");
-    }
-    let status = cmd.status().expect("simulate runs");
-    assert!(status.success(), "simulate {RUN:?} failed: {status}");
-    (
-        std::fs::read_to_string(&json).expect("simulate wrote the json payload"),
-        std::fs::read_to_string(&epochs).expect("simulate wrote the epoch stream"),
-    )
-}
+const RUN: &str = "--system grid:3x3 --scheme upp --pattern uniform_random --rate 0.06 \
+                   --cycles 3000 --faults 2 --seed 9 --obs --obs-every 500";
 
 #[test]
 fn obs_output_matches_golden_and_is_scheduler_invariant() {
-    let (json, epochs) = run_obs("sched", false);
+    let json_path = tmp_path("obs_run.json");
+    let recipe = format!("{RUN} --json {}", json_path.display());
+    let epochs = simulate_out(&recipe, "--obs-out", "obs_run.obs.jsonl");
+    let json = std::fs::read_to_string(&json_path).expect("simulate wrote the json payload");
 
     // Sanity before pinning: the run produced real protocol activity.
     assert!(json.contains("\"obs\""), "payload embeds the summary");
@@ -115,15 +46,31 @@ fn obs_output_matches_golden_and_is_scheduler_invariant() {
 
     // The always-tick reference kernel must reproduce both files exactly;
     // compared directly (never refreshed), like scheduler_golden.rs.
-    let (json_ref, epochs_ref) = run_obs("tick", true);
+    let cfg = RunConfig {
+        system: SystemKind::Grid { cols: 3, rows: 3 },
+        rate: 0.06,
+        cycles: 3000,
+        faults: 2,
+        seed: 9,
+        riders: RiderConfig {
+            obs: true,
+            obs_every: Some(500),
+            ..RiderConfig::default()
+        },
+        ..RunConfig::default()
+    };
+    let mut built = cfg.build().expect("valid request");
+    built.sys.net_mut().set_active_scheduler(false);
+    let reference = run(built, &cfg, &mut |_| {});
+    let (json_ref, epochs_ref) = (reference.json(), reference.obs_epochs_jsonl());
     assert!(
         json == json_ref,
-        "UPP_ALWAYS_TICK=1 diverged from the active-set kernel on the \
+        "the always-tick reference diverged from the active-set kernel on the \
          --json payload:\n--- active-set ---\n{json}\n--- always-tick ---\n{json_ref}"
     );
     assert!(
         epochs == epochs_ref,
-        "UPP_ALWAYS_TICK=1 diverged from the active-set kernel on the \
+        "the always-tick reference diverged from the active-set kernel on the \
          epoch stream:\n--- active-set ---\n{epochs}\n--- always-tick ---\n{epochs_ref}"
     );
 }

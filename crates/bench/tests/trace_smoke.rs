@@ -9,83 +9,29 @@
 //! UPP_UPDATE_GOLDENS=1 cargo test -p upp-bench --test trace_smoke
 //! ```
 
-use std::path::{Path, PathBuf};
-use std::process::Command;
+mod common;
 
+use common::{check_golden, simulate_out};
 use upp_tracetools::{render, ProfileSummary};
 
-fn goldens_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/goldens")
-}
-
-fn tmp_path(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("upp-trace-smoke-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    dir.join(name)
-}
-
-/// Runs `simulate` with the given args plus `--profile-out OUT` and returns
-/// the profile document bytes.
-fn simulate_profile(args: &[&str], out_name: &str) -> String {
-    let out = tmp_path(out_name);
-    let _ = std::fs::remove_file(&out);
-    let status = Command::new(env!("CARGO_BIN_EXE_simulate"))
-        .args(args)
-        .arg("--profile-out")
-        .arg(&out)
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .status()
-        .expect("simulate binary runs");
-    assert!(status.success(), "simulate {args:?} failed: {status}");
-    std::fs::read_to_string(&out).expect("simulate wrote the profile")
-}
-
-fn check_golden(name: &str, actual: &str) {
-    let path = goldens_dir().join(name);
-    if std::env::var("UPP_UPDATE_GOLDENS").is_ok_and(|v| v == "1") {
-        std::fs::create_dir_all(goldens_dir()).expect("goldens dir");
-        std::fs::write(&path, actual).expect("write golden");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); run with UPP_UPDATE_GOLDENS=1 to record",
-            path.display()
-        )
-    });
-    assert!(
-        expected == actual,
-        "{name}: output differs from committed golden.\n\
-         If the change is intentional, refresh with UPP_UPDATE_GOLDENS=1.\n\
-         --- golden ---\n{expected}\n--- actual ---\n{actual}"
-    );
+/// Runs `simulate` with `recipe` plus `--profile-out OUT` and returns the
+/// profile document bytes.
+fn simulate_profile(recipe: &str, out_name: &str) -> String {
+    simulate_out(recipe, "--profile-out", out_name)
 }
 
 // The faulty-link run from the determinism goldens: rerouting around the
 // faults congests the interposer paths enough that UPP actually detects
 // upward packets and pops them, so the recovery phases are exercised.
-const UPP_RUN: &[&str] = &[
-    "--scheme",
-    "upp",
-    "--pattern",
-    "uniform_random",
-    "--rate",
-    "0.06",
-    "--cycles",
-    "4000",
-    "--faults",
-    "3",
-    "--seed",
-    "5",
-];
+const UPP_RUN: &str =
+    "--scheme upp --pattern uniform_random --rate 0.06 --cycles 4000 --faults 3 --seed 5";
 
 /// The profile document is deterministic (byte-identical for any `--jobs`
 /// value), matches the committed golden, and drives every analysis surface.
 #[test]
 fn profile_matches_golden_and_is_jobs_invariant() {
-    let serial = simulate_profile(&[UPP_RUN, &["--jobs", "1"]].concat(), "prof_j1.json");
-    let parallel = simulate_profile(&[UPP_RUN, &["--jobs", "4"]].concat(), "prof_j4.json");
+    let serial = simulate_profile(&format!("{UPP_RUN} --jobs 1"), "prof_j1.json");
+    let parallel = simulate_profile(&format!("{UPP_RUN} --jobs 4"), "prof_j4.json");
     assert!(
         serial == parallel,
         "profile must be bit-identical for any --jobs value.\n\
@@ -120,9 +66,10 @@ fn profile_matches_golden_and_is_jobs_invariant() {
 #[test]
 fn diff_attributes_upp_recovery_vs_remote_throttling() {
     let upp = simulate_profile(UPP_RUN, "prof_upp.json");
-    let mut remote_args: Vec<&str> = UPP_RUN.to_vec();
-    remote_args[1] = "remote";
-    let remote = simulate_profile(&remote_args, "prof_remote.json");
+    let remote = simulate_profile(
+        &UPP_RUN.replace("--scheme upp", "--scheme remote"),
+        "prof_remote.json",
+    );
 
     let pu = ProfileSummary::from_json(&upp).expect("UPP profile parses");
     let pr = ProfileSummary::from_json(&remote).expect("remote profile parses");

@@ -1,6 +1,7 @@
 //! Alert-stream golden guard: the committed `upp-alerts/v1` fixture pins
 //! the watcher's byte-exact output on a seeded deadlock run, across the
-//! active-set scheduler and the `UPP_ALWAYS_TICK=1` reference kernel. Like
+//! active-set scheduler (the real binary) and the always-tick reference
+//! kernel (in-process, `set_active_scheduler(false)`). Like
 //! `scheduler_golden.rs`, this test deliberately has **no**
 //! `UPP_UPDATE_GOLDENS` refresh path — a failure means the watcher (or the
 //! simulation underneath it) changed behaviour, and the fix is in the code,
@@ -17,61 +18,20 @@
 //! ~600 cycles: the escalate threshold needs 4 consecutive unhealthy
 //! epochs, which the 200-cycle default cannot fit.)
 
-use std::path::{Path, PathBuf};
-use std::process::Command;
+mod common;
 
-fn golden() -> String {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/goldens/upp_alerts.jsonl");
-    std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing committed golden {}: {e}", path.display()))
-}
+use common::{assert_golden, golden, simulate_out};
+use upp_noc::watch::{alerts_header_json, WatchConfig};
+use upp_workloads::run::{run, RiderConfig, RunConfig, RunEvent};
+use upp_workloads::runner::SchemeKind;
+use upp_workloads::synthetic::Pattern;
 
-fn tmp_path(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("upp-watch-golden-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    dir.join(name)
-}
-
-/// Runs `simulate <args> --watch-every 100 --watch-out` and returns the
-/// alert stream bytes. `always_tick` selects the reference scheduler in
-/// the child's environment (never this process's).
-fn watch_stream(args: &[&str], out_name: &str, always_tick: bool) -> String {
-    let out = tmp_path(out_name);
-    let _ = std::fs::remove_file(&out);
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_simulate"));
-    if always_tick {
-        cmd.env("UPP_ALWAYS_TICK", "1");
-    } else {
-        cmd.env_remove("UPP_ALWAYS_TICK");
-    }
-    let status = cmd
-        .args(args)
-        .args(["--watch-every", "100", "--watch-out"])
-        .arg(&out)
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .status()
-        .expect("simulate binary runs");
-    assert!(status.success(), "simulate {args:?} failed: {status}");
-    std::fs::read_to_string(&out).expect("simulate wrote the alert stream")
-}
-
-const DEADLOCK: &[&str] = &[
-    "--scheme",
-    "none",
-    "--pattern",
-    "hotspot",
-    "--rate",
-    "0.25",
-    "--cycles",
-    "6000",
-    "--seed",
-    "7",
-];
+const GOLDEN: &str = "upp_alerts.jsonl";
+const WATCH: &str = "--watch-every 100";
 
 #[test]
 fn alert_stream_matches_committed_golden() {
-    let expected = golden();
+    let expected = golden(GOLDEN);
     // The golden is a real stream: header plus at least one raise, one
     // critical escalate and one clear (guards against a truncated fixture
     // silently weakening this test).
@@ -89,23 +49,40 @@ fn alert_stream_matches_committed_golden() {
             "fixture lost {needle}:\n{expected}"
         );
     }
-    let got = watch_stream(DEADLOCK, "serial.jsonl", false);
-    assert!(
-        got == expected,
-        "alert stream diverged from the committed golden (no refresh path — \
-         fix the watcher).\n--- golden ---\n{expected}\n--- got ---\n{got}"
-    );
+    let recipe =
+        format!("--scheme none --pattern hotspot --rate 0.25 --cycles 6000 --seed 7 {WATCH}");
+    let got = simulate_out(&recipe, "--watch-out", "serial.jsonl");
+    assert_golden(GOLDEN, &got, "the alert stream");
 }
 
 #[test]
 fn alert_stream_is_scheduler_invariant() {
-    let expected = golden();
-    let off = watch_stream(DEADLOCK, "always_tick.jsonl", true);
-    assert!(
-        off == expected,
-        "UPP_ALWAYS_TICK=1 alert stream diverged from the committed \
-         golden.\n--- golden ---\n{expected}\n--- always tick ---\n{off}"
-    );
+    let tuning = WatchConfig {
+        every: 100,
+        ..WatchConfig::default()
+    };
+    let cfg = RunConfig {
+        scheme: SchemeKind::None,
+        pattern: Pattern::Hotspot,
+        rate: 0.25,
+        cycles: 6000,
+        seed: 7,
+        riders: RiderConfig {
+            watch: Some((tuning, None)),
+            ..RiderConfig::default()
+        },
+        ..RunConfig::default()
+    };
+    let mut built = cfg.build().expect("valid request");
+    built.sys.net_mut().set_active_scheduler(false);
+    // The stream as the binary writes it: header, then a line per alert.
+    let mut stream = alerts_header_json(100) + "\n";
+    run(built, &cfg, &mut |event| {
+        if let RunEvent::Alert(alert) = event {
+            stream += &(alert.jsonl() + "\n");
+        }
+    });
+    assert_golden(GOLDEN, &stream, "the always-tick alert stream");
 }
 
 /// A healthy run's stream is exactly the header line: zero alert records,
@@ -113,19 +90,9 @@ fn alert_stream_is_scheduler_invariant() {
 /// polluting their output.
 #[test]
 fn clean_run_stream_is_header_only() {
-    let clean: &[&str] = &[
-        "--scheme",
-        "upp",
-        "--pattern",
-        "transpose",
-        "--rate",
-        "0.10",
-        "--cycles",
-        "4000",
-        "--seed",
-        "7",
-    ];
-    let got = watch_stream(clean, "clean.jsonl", false);
+    let recipe =
+        format!("--scheme upp --pattern transpose --rate 0.10 --cycles 4000 --seed 7 {WATCH}");
+    let got = simulate_out(&recipe, "--watch-out", "clean.jsonl");
     assert_eq!(
         got, "{\"upp_alerts\":1,\"schema\":\"upp-alerts/v1\",\"every\":100}\n",
         "clean run should emit the header and nothing else"

@@ -176,7 +176,7 @@ pub struct Network {
     /// router, a freed ejection entry at the node's NI, a healed link.
     /// Meaningful only while the flag above is set.
     router_ready_at: Vec<Cycle>,
-    /// Runtime toggle (also `UPP_ALWAYS_TICK=1` at construction): when
+    /// Runtime toggle, set only by [`Network::set_active_scheduler`]: when
     /// false, every component is stepped every cycle and the clock never
     /// fast-forwards — the reference always-tick kernel.
     scheduler_enabled: bool,
@@ -238,7 +238,6 @@ impl Network {
         arena.reserve(in_flight_bound);
         let mut tracker = PacketTracker::new();
         tracker.reserve(in_flight_bound);
-        let scheduler_enabled = !std::env::var("UPP_ALWAYS_TICK").is_ok_and(|v| v == "1");
         Self {
             cfg,
             topo,
@@ -256,7 +255,7 @@ impl Network {
             router_active: vec![true; n],
             ni_active: vec![true; n],
             router_ready_at: vec![0; n],
-            scheduler_enabled,
+            scheduler_enabled: true,
             router_ticks: 0,
             ni_control_pending: 0,
         }
@@ -541,16 +540,9 @@ impl Network {
         self.ni_control_pending
     }
 
-    /// Scans an interposer router for upward-stalled packets of `vnet`.
-    pub fn upward_candidates(&self, node: NodeId, vnet: VnetId) -> Vec<UpwardCandidate> {
-        let mut out = Vec::new();
-        self.upward_candidates_into(node, vnet, &mut out);
-        out
-    }
-
-    /// Like [`Network::upward_candidates`] but appending into a caller-held
-    /// scratch (without clearing), so a per-scheme reusable buffer makes the
-    /// per-cycle scan allocation-free.
+    /// Scans an interposer router for upward-stalled packets of `vnet`,
+    /// appending into a caller-held scratch (without clearing), so a
+    /// per-scheme reusable buffer makes the per-cycle scan allocation-free.
     pub fn upward_candidates_into(
         &self,
         node: NodeId,

@@ -433,13 +433,6 @@ impl Router {
         }
     }
 
-    /// Removes a circuit entry.
-    pub fn clear_circuit(&mut self, vnet: VnetId, key: NodeId) {
-        if let Some(i) = self.circuits.iter().position(|(k, _)| *k == (vnet, key)) {
-            self.circuits.swap_remove(i);
-        }
-    }
-
     /// Number of circuit entries currently recorded.
     pub fn circuit_count(&self) -> usize {
         self.circuits.len()

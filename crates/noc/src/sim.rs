@@ -97,11 +97,6 @@ impl System {
         self.scheme.as_ref()
     }
 
-    /// Mutable scheme access.
-    pub fn scheme_mut(&mut self) -> &mut dyn Scheme {
-        self.scheme.as_mut()
-    }
-
     /// Splits the system into the network and the scheme (for harnesses that
     /// need simultaneous mutable access).
     pub fn parts_mut(&mut self) -> (&mut Network, &mut dyn Scheme) {
@@ -162,8 +157,21 @@ impl System {
     /// every skipped cycle is provably a no-op, so outcomes — including the
     /// exact `Drained` cycle — are identical to per-cycle stepping.
     pub fn run_until_drained(&mut self, max_cycles: u64) -> RunOutcome {
+        self.drain(max_cycles, true, |_| {})
+    }
+
+    /// [`System::run_until_drained`] with `after_step` run after every
+    /// stepped cycle. A caller whose hook must see every cycle boundary
+    /// (telemetry epochs, the health monitor) passes `fast_forward: false`,
+    /// since a jump steps over the boundaries inside it.
+    pub fn drain(
+        &mut self,
+        max_cycles: u64,
+        fast_forward: bool,
+        mut after_step: impl FnMut(&mut System),
+    ) -> RunOutcome {
         let deadline = self.net.cycle().saturating_add(max_cycles);
-        while self.net.cycle() < deadline {
+        loop {
             if self.net.in_flight() == 0 {
                 return RunOutcome::Drained {
                     at: self.net.cycle(),
@@ -175,27 +183,20 @@ impl System {
                     in_flight: self.net.in_flight(),
                 };
             }
-            if let Some(target) = self.net.fast_forward_target() {
+            if self.net.cycle() >= deadline {
+                return RunOutcome::Timeout {
+                    in_flight: self.net.in_flight(),
+                };
+            }
+            let target = fast_forward.then(|| self.net.fast_forward_target());
+            if let Some(target) = target.flatten() {
                 if target < deadline && self.scheme.advance_to(&self.net, self.net.cycle(), target)
                 {
                     self.net.advance_to(target);
                 }
             }
             self.step();
-        }
-        if self.net.in_flight() == 0 {
-            RunOutcome::Drained {
-                at: self.net.cycle(),
-            }
-        } else if self.net.stalled() {
-            RunOutcome::Deadlocked {
-                last_progress: self.net.last_progress(),
-                in_flight: self.net.in_flight(),
-            }
-        } else {
-            RunOutcome::Timeout {
-                in_flight: self.net.in_flight(),
-            }
+            after_step(self);
         }
     }
 }

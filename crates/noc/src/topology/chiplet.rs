@@ -280,8 +280,9 @@ impl ChipletSystemSpec {
                 if ix >= self.interposer_width || iy >= self.interposer_height {
                     return Err(format!("chiplet {ci}: attach ({ix},{iy}) out of range"));
                 }
-                let b = chiplets[ci].routers[(cy * cp.width + cx) as usize];
-                let ir = interposer_routers[(iy * self.interposer_width + ix) as usize];
+                let b = chiplets[ci].routers[cy as usize * cp.width as usize + cx as usize];
+                let ir =
+                    interposer_routers[iy as usize * self.interposer_width as usize + ix as usize];
                 if nodes[b.index()].neighbors[Port::Down.index()].is_some() {
                     return Err(format!("chiplet {ci}: duplicate boundary at ({cx},{cy})"));
                 }
@@ -349,7 +350,7 @@ impl ChipletSystemSpec {
 const BINDING_SEED_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
 
 fn link_mesh(nodes: &mut [NodeInfo], base: usize, width: u16, height: u16) {
-    let at = |x: u16, y: u16| base + (y * width + x) as usize;
+    let at = |x: u16, y: u16| base + y as usize * width as usize + x as usize;
     for y in 0..height {
         for x in 0..width {
             let i = at(x, y);
@@ -571,6 +572,36 @@ mod tests {
                 assert_eq!(c.boundary_routers.len(), 4);
             }
             topo.validate().unwrap();
+        }
+    }
+
+    /// A 258x258 interposer has more than `u16::MAX` routers, so a mesh
+    /// index computed in `u16` wraps (release) or panics (debug).
+    #[test]
+    fn grid_past_the_u16_router_count_links_the_right_neighbours() {
+        let topo = ChipletSystemSpec::grid(129, 129).unwrap().build(0).unwrap();
+        let boundary: usize = topo
+            .chiplets()
+            .iter()
+            .map(|c| c.boundary_routers.len())
+            .sum();
+        assert_eq!(boundary, 4 * 129 * 129);
+        for &ir in topo.interposer_routers() {
+            let n = topo.node(ir);
+            for (port, dx, dy) in [
+                (Port::East, 1, 0),
+                (Port::West, -1, 0),
+                (Port::North, 0, 1),
+                (Port::South, 0, -1),
+            ] {
+                let (x, y) = (i32::from(n.x) + dx, i32::from(n.y) + dy);
+                let expect = (0..258).contains(&x) && (0..258).contains(&y);
+                let got = topo.neighbor(ir, port).map(|m| {
+                    let m = topo.node(m);
+                    (m.region, i32::from(m.x), i32::from(m.y))
+                });
+                assert_eq!(got, expect.then_some((Region::Interposer, x, y)));
+            }
         }
     }
 

@@ -20,7 +20,7 @@
 //! floats in the exported bytes. Every input the watcher reads (stats
 //! counters, obs counters/gauges/histogram counts, `in_flight`, per-link
 //! flit totals) is proven byte-identical across the active-set scheduler
-//! and the `UPP_ALWAYS_TICK=1` reference kernel by the PR 5 equivalence
+//! and the always-tick reference kernel by the PR 5 equivalence
 //! suite — so the alert stream is too (pinned by `watch_golden.rs` and the
 //! `scheduler_equiv` watch properties). The `shard_imbalance` detector
 //! keeps its name from the byte-pinned `upp-alerts/v1` schema; what it
@@ -537,11 +537,6 @@ impl Watcher {
         }
         s.push('}');
         s
-    }
-
-    /// True when any detector is currently at or above warning.
-    pub fn any_raised(&self) -> bool {
-        self.states.iter().any(|s| s.severity > Severity::Info)
     }
 }
 

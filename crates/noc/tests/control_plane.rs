@@ -189,7 +189,8 @@ fn manual_popup_delivers_through_bypass_into_reserved_entry() {
     let mut cand = None;
     for _ in 0..200 {
         s.step();
-        let c = s.net().upward_candidates(origin, vnet);
+        let mut c = Vec::new();
+        s.net().upward_candidates_into(origin, vnet, &mut c);
         if let Some(&c0) = c.first() {
             s.net_mut()
                 .router_mut(origin)

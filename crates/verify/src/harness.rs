@@ -18,8 +18,8 @@ use upp_noc::config::NocConfig;
 use upp_noc::fault::FaultPlan;
 use upp_noc::ids::{Cycle, NodeId, VnetId};
 use upp_noc::ni::ConsumePolicy;
-use upp_noc::profile::SpanRecorder;
 use upp_tracetools::ProfileSummary;
+use upp_workloads::run::{RiderConfig, Riders};
 use upp_workloads::runner::build_system;
 
 use crate::oracle::{DeadlockOracle, OracleConfig, OracleViolation};
@@ -187,18 +187,17 @@ pub fn run_scenario_watched(
     let cfg = NocConfig::default().with_vcs_per_vnet(sc.vcs_per_vnet);
     let mut built = build_system(&spec, cfg, &kind, 0, sc.seed, ConsumePolicy::External);
     built.sys.net_mut().set_active_scheduler(scheduler);
-    built
-        .sys
-        .net_mut()
-        .tracer_mut()
-        .set_profiler(Some(Box::new(SpanRecorder::new())));
-    // The health monitor observes every run (obs is registry-only and the
-    // watcher reads cumulative values, so neither perturbs the protocols
-    // or the delivered multisets).
-    built.sys.net_mut().enable_obs();
-    let watch_every = watch_cfg.every;
-    let mut watcher = upp_noc::watch::Watcher::new(watch_cfg);
-    watcher.arm(built.sys.net());
+    // The profiler and the health monitor ride every run (obs is
+    // registry-only and the watcher reads cumulative values, so neither
+    // perturbs the protocols or the delivered multisets).
+    let mut riders = Riders::arm(
+        &mut built.sys,
+        RiderConfig {
+            profile: Some(ProfileSummary::new(sc.system.clone(), sc.scheme.clone())),
+            watch: Some((watch_cfg, None)),
+            ..RiderConfig::default()
+        },
+    );
     let endpoints: Vec<NodeId> = {
         let topo = built.sys.net().topo();
         topo.chiplets()
@@ -250,10 +249,7 @@ pub fn run_scenario_watched(
                 }
             }
         }
-        if built.sys.net().cycle().is_multiple_of(watch_every) {
-            built.sys.observe();
-            watcher.feed(built.sys.net());
-        }
+        riders.after_step(&mut built.sys, &mut |_| {});
         oracle.observe(built.sys.net());
         if let Some(v) = oracle.violation() {
             break Verdict::OracleViolation(v.clone());
@@ -274,10 +270,8 @@ pub fn run_scenario_watched(
         }
     };
 
-    let mut profile = ProfileSummary::new(sc.system.clone(), sc.scheme.clone());
-    if let Some(mut rec) = built.sys.net_mut().tracer_mut().set_profiler(None) {
-        profile.absorb_recorder(&mut rec);
-    }
+    let riders = riders.finish(&mut built.sys);
+    let watcher = riders.watcher.expect("armed above");
     RunReport {
         scheme: sc.scheme.clone(),
         created,
@@ -285,7 +279,7 @@ pub fn run_scenario_watched(
         delivered,
         verdict,
         end_cycle: built.sys.net().cycle(),
-        profile,
+        profile: riders.profile.expect("armed above"),
         alerts: watcher.alerts().iter().map(|a| a.jsonl()).collect(),
     }
 }

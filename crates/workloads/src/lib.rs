@@ -8,6 +8,10 @@
 //! * [`runner`] — system construction for every scheme, the one-point
 //!   measurement ([`runner::run_point`]; `upp_bench::sweep` fans it out)
 //!   and saturation extraction;
+//! * [`run`] — one whole run as a library call ([`run::RunConfig`] ->
+//!   [`run::run`] -> [`run::RunReport`]; `simulate` is its argv shell) and
+//!   [`run::Riders`], the one driver of telemetry epochs, the health
+//!   monitor and profile streaming that every cycle loop shares;
 //! * [`energy`] — the DSENT-substitute energy model (Fig. 15);
 //! * [`area`] — the Design-Compiler-substitute area model (Fig. 14).
 //!
@@ -40,6 +44,7 @@ pub mod area;
 pub mod coherence;
 pub mod energy;
 pub mod profiles;
+pub mod run;
 pub mod runner;
 pub mod synthetic;
 

@@ -1,7 +1,10 @@
-//! Experiment infrastructure: system construction for every scheme, the
-//! one-point measurement sweeps are made of, and saturation-point
+//! Experiment infrastructure: system construction for every scheme —
+//! [`try_build_system`] is the one place a request is validated and built —
+//! the one-point measurement sweeps are made of ([`run_point`], or
+//! [`measure_point`] on a system the caller built), and saturation-point
 //! extraction.
 
+use crate::run::{RiderConfig, Riders};
 use crate::synthetic::{Pattern, SyntheticTraffic};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -11,8 +14,10 @@ use upp_core::{Upp, UppConfig, UppStats, UppStatsHandle};
 use upp_noc::config::NocConfig;
 use upp_noc::ni::ConsumePolicy;
 use upp_noc::routing::{ChipletRouting, RouteTables};
+use upp_noc::scheme::Scheme;
 use upp_noc::sim::System;
 use upp_noc::topology::{chiplet::inject_random_faults, ChipletSystemSpec, Topology};
+use upp_noc::watch::WatchConfig;
 use upp_noc::Network;
 
 /// Which deadlock-freedom scheme to instantiate.
@@ -50,7 +55,8 @@ impl SchemeKind {
 
     /// Checks a configuration that came from outside the program (CLI
     /// flags, replay files) for a run under this scheme, so a bad one is an
-    /// error message instead of a panic in [`build_system`] or mid-run:
+    /// error message instead of a panic mid-run ([`try_build_system`]
+    /// checks it first):
     /// [`NocConfig::validate`], plus, for UPP, the VC bound of its request
     /// signal.
     ///
@@ -64,32 +70,6 @@ impl SchemeKind {
         }
         Ok(())
     }
-
-    /// Checks a system request that came from outside the program — `faults`
-    /// random faulty links on `spec` under `seed` — so one [`build_system`]
-    /// cannot honour is an error message instead of its panic: composable
-    /// routing has no faulty-system mode, and only so many links can fail
-    /// before a region disconnects (a dry run of the injection
-    /// [`build_system`] will repeat).
-    ///
-    /// # Errors
-    ///
-    /// Returns the reason the system cannot be built.
-    pub fn check_system(
-        &self,
-        spec: &ChipletSystemSpec,
-        faults: usize,
-        seed: u64,
-    ) -> Result<(), String> {
-        if faults == 0 {
-            return Ok(());
-        }
-        if let SchemeKind::Composable = self {
-            return Err("composable routing does not support faulty systems (Sec. VI-B)".into());
-        }
-        let mut topo = spec.build(seed)?;
-        inject_random_faults(&mut topo, faults, seed.wrapping_add(1)).map(drop)
-    }
 }
 
 /// A constructed system plus handles the harness needs.
@@ -100,15 +80,43 @@ pub struct BuiltSystem {
     pub upp_stats: Option<UppStatsHandle>,
 }
 
-/// Builds a system over `topo` for the given scheme.
+/// Builds a system from a request that came from outside the program (CLI
+/// flags, replay files): `spec` under `kind`, with `faults` random mesh
+/// links marked faulty (Fig. 11; faulty topologies switch region routing to
+/// up*/down* tables). Validation and construction are one pass, so nothing
+/// is built twice to find out whether it can be built.
 ///
-/// `faults` marks that many random mesh links faulty (Fig. 11); faulty
-/// topologies switch region routing to up*/down* tables.
+/// # Errors
+///
+/// Returns the reason the system cannot be built: a configuration
+/// [`SchemeKind::check_config`] rejects, a spec whose
+/// [`ChipletSystemSpec::build`] fails, more faults than can be placed
+/// without disconnecting a region, any faults under composable routing
+/// (it has no faulty-system mode), or a failed composable search.
+pub fn try_build_system(
+    spec: &ChipletSystemSpec,
+    cfg: NocConfig,
+    kind: &SchemeKind,
+    faults: usize,
+    seed: u64,
+    consume: ConsumePolicy,
+) -> Result<BuiltSystem, String> {
+    kind.check_config(&cfg)?;
+    if faults > 0 && *kind == SchemeKind::Composable {
+        return Err("composable routing does not support faulty systems (Sec. VI-B)".into());
+    }
+    let mut topo = spec.build(seed)?;
+    if faults > 0 {
+        inject_random_faults(&mut topo, faults, seed.wrapping_add(1))?;
+    }
+    build_on_topology(topo, cfg, kind, seed, consume)
+}
+
+/// [`try_build_system`] for requests the program made itself.
 ///
 /// # Panics
 ///
-/// Panics if the composable search fails, or on a fault count that
-/// [`SchemeKind::check_system`] rejects.
+/// Panics on anything [`try_build_system`] rejects.
 pub fn build_system(
     spec: &ChipletSystemSpec,
     cfg: NocConfig,
@@ -117,69 +125,57 @@ pub fn build_system(
     seed: u64,
     consume: ConsumePolicy,
 ) -> BuiltSystem {
-    let mut topo = spec.build(seed).expect("valid system spec");
-    if faults > 0 {
-        inject_random_faults(&mut topo, faults, seed.wrapping_add(1))
-            .expect("fault injection keeps regions connected");
-    }
-    build_on_topology(topo, cfg, kind, seed, consume)
+    try_build_system(spec, cfg, kind, faults, seed, consume).expect("system can be built")
 }
 
 /// Builds a system over an existing topology (for callers that pre-shaped
 /// the fault set).
+///
+/// # Errors
+///
+/// Returns the reason when composable routing is asked for on a topology
+/// with faulty links or its search fails.
+///
+/// # Panics
+///
+/// Panics when `cfg` fails [`NocConfig::validate`].
 pub fn build_on_topology(
     topo: Topology,
     cfg: NocConfig,
     kind: &SchemeKind,
     seed: u64,
     consume: ConsumePolicy,
-) -> BuiltSystem {
-    let routing: ChipletRouting = if topo.num_faulty_links() > 0 {
+) -> Result<BuiltSystem, String> {
+    let mut routing: ChipletRouting = if topo.num_faulty_links() > 0 {
         ChipletRouting::with_tables(Arc::new(RouteTables::build(&topo)))
     } else {
         ChipletRouting::xy()
     };
-    match kind {
-        SchemeKind::None => {
-            let net = Network::new(cfg, topo, Arc::new(routing), consume, seed);
-            BuiltSystem {
-                sys: System::new(net, Box::new(upp_noc::NoScheme)),
-                upp_stats: None,
-            }
-        }
+    let mut upp_stats = None;
+    let scheme: Box<dyn Scheme> = match kind {
+        SchemeKind::None => Box::new(upp_noc::NoScheme),
         SchemeKind::Upp(ucfg) => {
-            let net = Network::new(cfg, topo, Arc::new(routing), consume, seed);
             let upp = Upp::new(*ucfg);
-            let stats = upp.stats_handle();
-            BuiltSystem {
-                sys: System::new(net, Box::new(upp)),
-                upp_stats: Some(stats),
-            }
+            upp_stats = Some(upp.stats_handle());
+            Box::new(upp)
         }
         SchemeKind::Composable => {
-            assert_eq!(
-                topo.num_faulty_links(),
-                0,
-                "the composable search is impractical on faulty systems (Sec. VI-B)"
-            );
-            let (scheme, routing) = Composable::build(&topo).expect("composable search succeeds");
-            let net = Network::new(cfg, topo, Arc::new(routing), consume, seed);
-            BuiltSystem {
-                sys: System::new(net, Box::new(scheme)),
-                upp_stats: None,
+            if topo.num_faulty_links() > 0 {
+                return Err(
+                    "the composable search is impractical on faulty systems (Sec. VI-B)".into(),
+                );
             }
+            let (scheme, restricted) = Composable::build(&topo).map_err(|e| e.to_string())?;
+            routing = restricted;
+            Box::new(scheme)
         }
-        SchemeKind::RemoteControl => {
-            let net = Network::new(cfg, topo, Arc::new(routing), consume, seed);
-            BuiltSystem {
-                sys: System::new(
-                    net,
-                    Box::new(RemoteControl::new(RemoteControlConfig::default())),
-                ),
-                upp_stats: None,
-            }
-        }
-    }
+        SchemeKind::RemoteControl => Box::new(RemoteControl::new(RemoteControlConfig::default())),
+    };
+    let net = Network::new(cfg, topo, Arc::new(routing), consume, seed);
+    Ok(BuiltSystem {
+        sys: System::new(net, scheme),
+        upp_stats,
+    })
 }
 
 /// Warmup/measurement windows (Table II: 10K warmup, 100K measurement).
@@ -295,9 +291,10 @@ pub struct SweepPoint {
     pub alerts: AlertCounts,
 }
 
-/// Runs one `(pattern, rate)` point: a pure function of its arguments. The
-/// row's [`AlertCounts`] say whether the health monitor fired; to see the
-/// alert stream or capture forensics for a point that did, re-run it under
+/// Runs one `(pattern, rate)` point: a pure function of its arguments
+/// ([`build_system`], then [`measure_point`]). The row's [`AlertCounts`]
+/// say whether the health monitor fired; to see the alert stream or capture
+/// forensics for a point that did, re-run it under
 /// `simulate --watch-out --watch-capture-dir` with the row's parameters.
 #[allow(clippy::too_many_arguments)]
 pub fn run_point(
@@ -310,7 +307,7 @@ pub fn run_point(
     windows: SweepWindows,
     seed: u64,
 ) -> SweepPoint {
-    let mut built = build_system(
+    let built = build_system(
         spec,
         cfg.clone(),
         kind,
@@ -318,6 +315,20 @@ pub fn run_point(
         seed,
         ConsumePolicy::Immediate { latency: 1 },
     );
+    measure_point(built, pattern, rate, windows, seed)
+}
+
+/// Measures one `(pattern, rate)` point on a system the caller built (and
+/// may have reshaped: custom routing, the always-tick reference kernel):
+/// `windows.warmup` unmeasured cycles, a stats reset, then
+/// `windows.measure` measured ones under the default health monitor.
+pub fn measure_point(
+    mut built: BuiltSystem,
+    pattern: Pattern,
+    rate: f64,
+    windows: SweepWindows,
+    seed: u64,
+) -> SweepPoint {
     let mut traffic = {
         let topo = built.sys.net().topo();
         SyntheticTraffic::new(topo, pattern, rate, seed)
@@ -337,23 +348,24 @@ pub fn run_point(
     // the first epoch differences against the window start. Obs and the
     // watcher are both strictly read-only, so measured values (and the
     // committed sweep goldens' non-alert columns) are untouched.
-    built.sys.net_mut().enable_obs();
-    let mut watcher = upp_noc::watch::Watcher::new(upp_noc::watch::WatchConfig::default());
-    watcher.arm(built.sys.net());
-    let watch_every = watcher.config().every;
+    let mut riders = Riders::arm(
+        &mut built.sys,
+        RiderConfig {
+            watch: Some((WatchConfig::default(), None)),
+            ..RiderConfig::default()
+        },
+    );
     let mut deadlocked = false;
     for _ in 0..windows.measure {
         traffic.tick(&mut built.sys);
         built.sys.step();
-        if built.sys.net().cycle().is_multiple_of(watch_every) {
-            built.sys.observe();
-            watcher.feed(built.sys.net());
-        }
+        riders.after_step(&mut built.sys, &mut |_| {});
         if built.sys.net().stalled() {
             deadlocked = true;
             break;
         }
     }
+    let watcher = riders.finish(&mut built.sys).watcher;
     let stats = built.sys.net().stats();
     let nodes = built.sys.net().topo().num_endpoints();
     let upward_after = built
@@ -375,7 +387,7 @@ pub fn run_point(
         p99: stats.latency_percentile(0.99),
         p999: stats.latency_percentile(0.999),
         deadlocked,
-        alerts: AlertCounts::from_watcher(&watcher),
+        alerts: AlertCounts::from_watcher(&watcher.expect("armed above")),
     }
 }
 
@@ -496,6 +508,26 @@ mod tests {
         assert!((saturation_throughput(&pts) - 0.06).abs() < 1e-12);
         let lat = presaturation_latency(&pts);
         assert!((lat - 37.5).abs() < 1e-9);
+    }
+
+    /// No argv reaches a `spec.build` error any more, but a hand-made spec
+    /// can: it is the caller's error to handle, not `build_system`'s panic.
+    #[test]
+    fn a_spec_that_cannot_be_built_is_an_error() {
+        let mut bad = spec();
+        let dup = bad.chiplets[0].vertical_links[0];
+        bad.chiplets[0].vertical_links.push(dup);
+        let err = try_build_system(
+            &bad,
+            NocConfig::default(),
+            &SchemeKind::None,
+            0,
+            1,
+            ConsumePolicy::Immediate { latency: 1 },
+        )
+        .err()
+        .expect("a duplicated vertical link cannot be built");
+        assert!(err.contains("duplicate boundary"), "{err}");
     }
 
     #[test]

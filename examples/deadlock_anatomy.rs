@@ -92,12 +92,15 @@ fn main() {
                 .copied()
                 .filter(|&n| unprotected.net().topo().above(n).is_some())
                 .collect();
-            let mut stalled_upward = 0;
+            let mut stalled = Vec::new();
             for n in ups {
                 for v in 0..3u8 {
-                    stalled_upward += unprotected.net().upward_candidates(n, VnetId(v)).len();
+                    unprotected
+                        .net()
+                        .upward_candidates_into(n, VnetId(v), &mut stalled);
                 }
             }
+            let stalled_upward = stalled.len();
             println!(
                 "upward packets stalled at interposer routers: {stalled_upward} \
                  (Sec. IV-A: a deadlock always involves at least one)"

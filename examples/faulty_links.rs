@@ -29,7 +29,8 @@ fn main() {
             &SchemeKind::Upp(UppConfig::default()),
             3,
             ConsumePolicy::Immediate { latency: 1 },
-        );
+        )
+        .expect("UPP builds on any connected topology");
         let mut sys = built.sys;
         let mut traffic = SyntheticTraffic::new(sys.net().topo(), Pattern::UniformRandom, 0.05, 3);
         for _ in 0..20_000 {
