@@ -91,6 +91,25 @@ fn unusable_vc_counts_are_errors_naming_the_limit() {
     );
 }
 
+/// The last VC count that fits: 3 VNets x 21 VCs are bits 0..=62 of a
+/// port's occupancy word, one short of the 22 rejected above. Both schemes
+/// that can carry it (UPP's VC field stops at 16 per port) run and drain.
+#[test]
+fn sixty_three_vcs_per_port_run_and_drain() {
+    for scheme in ["remote", "composable"] {
+        let (stdout, _) = simulate_ok(&[
+            "--scheme", scheme, "--vcs", "21", "--rate", "0.05", "--cycles", "3000",
+        ]);
+        assert!(stdout.contains("outcome:            Drained"), "{stdout}");
+        let delivered = stdout
+            .lines()
+            .find_map(|l| l.strip_prefix("packets delivered:"))
+            .expect("a delivery line");
+        let counts: Vec<&str> = delivered.split_whitespace().collect();
+        assert_eq!(counts[0], counts[2], "every packet created is delivered");
+    }
+}
+
 /// A fault count the system or the scheme cannot take is a configuration
 /// error that names the limit — not the panic in `build_system` (exit 101),
 /// which in sweep mode surfaced as "a scoped thread panicked".

@@ -92,7 +92,7 @@ impl Event {
     /// Every delivery schedules its target, even a credit return that finds
     /// a router holding nothing (`finish_cycle` deschedules that one
     /// unstepped). What differs is the first cycle a step can use the
-    /// delivery, which is as far as a parked router's `ready_at` is lowered:
+    /// delivery, which picks the scheduler's due-now or its due-next set:
     /// a credit counts in the step of its delivery cycle, while a flit
     /// attends allocation from the cycle after its buffer write, so a router
     /// that is otherwise asleep is not stepped in the write cycle. A control

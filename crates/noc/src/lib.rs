@@ -71,6 +71,7 @@ pub mod stats;
 pub mod topology;
 pub mod trace;
 pub mod viz;
+mod wake_set;
 pub mod watch;
 
 pub use config::NocConfig;

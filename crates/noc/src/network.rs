@@ -12,6 +12,7 @@ use crate::routing::{GlobalCdg, GlobalChannel, RouteComputer};
 use crate::stats::{NetStats, PacketRecord, PacketTracker};
 use crate::topology::Topology;
 use crate::trace::{StallReport, TraceEvent, Tracer, VcHold, WedgedPacket};
+use crate::wake_set::WakeSet;
 use serde::Serialize;
 use std::sync::Arc;
 
@@ -114,6 +115,103 @@ pub struct MemReport {
     pub arena_slots: usize,
 }
 
+/// What `finish_cycle` looks at: the scheduler's whole state, as wake sets
+/// over node indices. A site that changes what a component holds, or what
+/// its blocked flits wait on, sets a bit; `finish_cycle` walks the bits that
+/// are set, ascending, so a cycle costs what is awake and the calendar
+/// receives events in the order the always-tick reference (which visits
+/// `0..n`) emits them.
+///
+/// Two *level* sets say who holds anything: a router or an NI is a member
+/// while `has_pending_work`, from the delivery or mutation that gave it
+/// something until a look finds it empty. A component off its level set
+/// would do nothing if stepped, and both sets empty is
+/// [`Network::is_quiescent`].
+///
+/// Two *due* sets say which routers can make progress, because a router
+/// full of blocked flits stays on the level set and sleeps there.
+/// [`Router::step`] decides whether a router is worth another look in the
+/// next cycle or parks until an input of its step changes, and every such
+/// input is a wake site: a credit, a flit or control arrival, scheme access
+/// to the router, a freed ejection entry at the node's NI, a healed link.
+/// A wake is for this cycle (`due`) or the next (`due_next`: a flit attends
+/// allocation the cycle after its buffer write, and a step or a consumption
+/// enables the *next* step); the two swap where `finish_cycle` advances the
+/// clock, `due` having been emptied by the router loop.
+///
+/// Extra bits cost a look, missing bits hang a flit. A due bit may be stale
+/// — its router left the schedule, or never was on it — and is dropped
+/// where it is visited or where the router is scheduled again. What debug
+/// builds assert for every node in every cycle is the converse: *holds
+/// anything* implies *on its level set*, and *can move a flit*
+/// ([`Router::can_progress`]) implies *due now*.
+struct Schedule {
+    /// Routers holding anything.
+    routers: WakeSet,
+    /// NIs holding anything.
+    nis: WakeSet,
+    /// Routers to look at in this cycle's `finish_cycle`.
+    due: WakeSet,
+    /// Routers to look at in the next one.
+    due_next: WakeSet,
+}
+
+impl Schedule {
+    /// Everything scheduled and due: the conservative state of a network
+    /// nobody has looked at yet.
+    fn all_awake(nodes: usize) -> Self {
+        let mut full = WakeSet::new(nodes);
+        full.fill();
+        Self {
+            routers: full.clone(),
+            nis: full.clone(),
+            due: full,
+            due_next: WakeSet::new(nodes),
+        }
+    }
+
+    /// Puts `node`'s router on the schedule with something a step can use
+    /// `delay` (0 or 1) cycles from now. The due bits of a router that was
+    /// off the schedule are stale and are replaced, not added to.
+    #[inline]
+    fn schedule_router(&mut self, node: NodeId, delay: Cycle) {
+        debug_assert!(delay <= 1, "no delivery is gated for {delay} cycles");
+        let i = node.index();
+        if self.routers.insert(i) {
+            self.due.remove(i);
+            self.due_next.remove(i);
+        }
+        if delay == 0 {
+            self.due.insert(i);
+        } else {
+            self.due_next.insert(i);
+        }
+    }
+
+    /// Lets `node`'s router look again this cycle if it is parked: an input
+    /// its blocked flits wait on changed outside the router (the NI's free
+    /// ejection entries). Unlike [`Schedule::schedule_router`] this gives an
+    /// empty router nothing to do, so the level set stays as it is.
+    #[inline]
+    fn wake_router(&mut self, node: NodeId) {
+        self.due.insert(node.index());
+    }
+
+    /// [`Schedule::wake_router`] for every router: a healed link or a new
+    /// routing function may release any blocked flit. (A link that *fails*
+    /// releases none, and an armed tracer steps sleeping routers without
+    /// being told to, so neither wakes anyone.)
+    fn wake_all_routers(&mut self) {
+        self.due.fill();
+    }
+
+    /// Puts `node`'s NI on the schedule.
+    #[inline]
+    fn wake_ni(&mut self, node: NodeId) {
+        self.nis.insert(node.index());
+    }
+}
+
 /// A candidate *upward packet*: an input VC of an interposer router holding a
 /// packet stalled while attempting to move up the vertical link (Sec. V-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,25 +258,12 @@ pub struct Network {
     /// Protocol-state telemetry registry (disabled unless
     /// [`Network::enable_obs`] armed it).
     obs: ObsRegistry,
-    /// Scheduler, level half: a flag is set while its component holds
-    /// anything (`has_pending_work`). Flags are set by event deliveries and
-    /// by every externally-visible mutation and cleared when a look at the
-    /// component finds it empty; a cleared flag means a step would be a
-    /// no-op, and all flags clear is [`Network::is_quiescent`].
-    router_active: Vec<bool>,
-    ni_active: Vec<bool>,
-    /// Scheduler, progress half: the first cycle in which stepping router
-    /// `i` can move anything. `finish_cycle` passes over a scheduled router
-    /// while `router_ready_at[i] > now` — it holds flits, and every one of
-    /// them is blocked. [`Router::step`] returns the value (`now + 1` or
-    /// `Cycle::MAX`, parked); everything a blocked step reads lowers it
-    /// again: a credit, a flit or control arrival, scheme access to the
-    /// router, a freed ejection entry at the node's NI, a healed link.
-    /// Meaningful only while the flag above is set.
-    router_ready_at: Vec<Cycle>,
+    /// Which routers and NIs the next `finish_cycle` looks at.
+    schedule: Schedule,
     /// Runtime toggle, set only by [`Network::set_active_scheduler`]: when
     /// false, every component is stepped every cycle and the clock never
-    /// fast-forwards — the reference always-tick kernel.
+    /// fast-forwards — the reference always-tick kernel. It reads no wake
+    /// set (the sites that set bits still do, and nothing clears them).
     scheduler_enabled: bool,
     /// Router steps actually executed — under the scheduler, steps of
     /// routers that held work in a cycle in which it might move; neither a
@@ -252,9 +337,7 @@ impl Network {
             arena,
             tracer: Tracer::disabled(),
             obs: ObsRegistry::disabled(),
-            router_active: vec![true; n],
-            ni_active: vec![true; n],
-            router_ready_at: vec![0; n],
+            schedule: Schedule::all_awake(n),
             scheduler_enabled: true,
             router_ticks: 0,
             ni_control_pending: 0,
@@ -267,44 +350,8 @@ impl Network {
     pub fn set_active_scheduler(&mut self, enabled: bool) {
         self.scheduler_enabled = enabled;
         if enabled {
-            self.router_active.fill(true);
-            self.ni_active.fill(true);
-            self.wake_all_routers();
+            self.schedule = Schedule::all_awake(self.routers.len());
         }
-    }
-
-    /// Puts router `i` on the schedule with something a step can use from
-    /// cycle `at`. A router that was off the schedule holds nothing, so the
-    /// `ready_at` it kept is stale and is replaced, not lowered.
-    #[inline]
-    fn schedule(active: &mut [bool], ready_at: &mut [Cycle], i: usize, at: Cycle) {
-        ready_at[i] = if active[i] { ready_at[i].min(at) } else { at };
-        active[i] = true;
-    }
-
-    /// Schedules `node`'s router for this cycle's step.
-    #[inline]
-    fn schedule_router(&mut self, node: NodeId) {
-        let (active, ready_at) = (&mut self.router_active, &mut self.router_ready_at);
-        Self::schedule(active, ready_at, node.index(), self.cycle);
-    }
-
-    /// Lets `node`'s router look again this cycle if it is parked: an input
-    /// its blocked flits wait on changed outside the router (the NI's free
-    /// ejection entries). Unlike [`Network::schedule_router`] this gives an
-    /// empty router nothing to do, so the level flag stays as it is.
-    #[inline]
-    fn wake_router(&mut self, node: NodeId) {
-        let ready_at = &mut self.router_ready_at[node.index()];
-        *ready_at = (*ready_at).min(self.cycle);
-    }
-
-    /// [`Network::wake_router`] for every router: a healed link or a new
-    /// routing function may release any blocked flit. (A link that *fails*
-    /// releases none, and an armed tracer steps sleeping routers without
-    /// being told to, so neither wakes anyone.)
-    fn wake_all_routers(&mut self) {
-        self.router_ready_at.fill(self.cycle);
     }
 
     /// True while the active-set scheduler is on.
@@ -426,8 +473,8 @@ impl Network {
     /// caller may free an ejection entry a head flit waits for): the caller
     /// may mutate state the scheduler's wake points don't see.
     pub fn ni_mut(&mut self, node: NodeId) -> &mut Ni {
-        self.ni_active[node.index()] = true;
-        self.wake_router(node);
+        self.schedule.wake_ni(node);
+        self.schedule.wake_router(node);
         &mut self.nis[node.index()]
     }
 
@@ -440,7 +487,7 @@ impl Network {
     /// Conservatively wakes the router: the caller may mutate state the
     /// scheduler's wake points don't see.
     pub fn router_mut(&mut self, node: NodeId) -> &mut Router {
-        self.schedule_router(node);
+        self.schedule.schedule_router(node, 0);
         &mut self.routers[node.index()]
     }
 
@@ -458,7 +505,7 @@ impl Network {
         if !self.nis[src.index()].can_enqueue(vnet) {
             return None;
         }
-        self.ni_active[src.index()] = true;
+        self.schedule.wake_ni(src);
         let id = self.tracker.alloc_id();
         let pkt = Packet::new(id, src, dest, vnet, len_flits, self.cycle);
         let route = self.routing.plan(&self.topo, src, dest);
@@ -513,7 +560,7 @@ impl Network {
     /// buffer, attends switch allocation from the next cycle).
     pub fn send_control(&mut self, node: NodeId, msg: ControlMsg) {
         let now = self.cycle;
-        self.schedule_router(node);
+        self.schedule.schedule_router(node, 0);
         self.routers[node.index()].send_control(msg, now);
     }
 
@@ -612,13 +659,12 @@ impl Network {
             tracer,
             obs,
             cycle,
-            router_active,
-            router_ready_at,
+            schedule,
             ..
         } = self;
         // The popped flit lands in the bypass latch; the router must be
         // stepped to forward it.
-        Self::schedule(router_active, router_ready_at, node.index(), *cycle);
+        schedule.schedule_router(node, 0);
         let mut emit = std::mem::take(emit_scratch);
         let flit = {
             let mut ctx = RouterCtx {
@@ -650,20 +696,20 @@ impl Network {
 
     /// NI-side ejection-entry reservation (UPP_req handling).
     pub fn try_reserve_ejection(&mut self, node: NodeId, vnet: VnetId) -> bool {
-        self.ni_active[node.index()] = true;
+        self.schedule.wake_ni(node);
         self.nis[node.index()].try_reserve_entry(vnet)
     }
 
     /// Releases an NI ejection reservation (UPP_stop handling).
     pub fn release_ejection_reservation(&mut self, node: NodeId, vnet: VnetId) {
-        self.ni_active[node.index()] = true;
-        self.wake_router(node); // a head flit may be waiting for the entry
+        self.schedule.wake_ni(node);
+        self.schedule.wake_router(node); // a head flit may be waiting for the entry
         self.nis[node.index()].release_reservation(vnet);
     }
 
     /// Sets an injection permit on a pending packet (remote control).
     pub fn set_injection_permit(&mut self, node: NodeId, id: PacketId, state: PermitState) -> bool {
-        self.ni_active[node.index()] = true;
+        self.schedule.wake_ni(node);
         self.nis[node.index()].set_permit(id, state)
     }
 
@@ -801,20 +847,20 @@ impl Network {
     /// cycle; credit state survived the outage, so no flit is lost.
     pub fn heal_link_fault(&mut self, node: NodeId, port: Port) {
         self.topo.clear_link_fault(node, port);
-        self.wake_all_routers();
+        self.schedule.wake_all_routers();
     }
 
     /// Pauses or resumes NI injection at `node` (endpoint throttling).
     pub fn set_injection_paused(&mut self, node: NodeId, paused: bool) {
         // Unpausing can surface a backlog the scheduler stopped watching.
-        self.ni_active[node.index()] = true;
+        self.schedule.wake_ni(node);
         self.nis[node.index()].set_injection_paused(paused);
     }
 
     /// Pauses or resumes PE consumption at `node` (endpoint throttling).
     pub fn set_consumption_paused(&mut self, node: NodeId, paused: bool) {
-        self.ni_active[node.index()] = true;
-        self.wake_router(node);
+        self.schedule.wake_ni(node);
+        self.schedule.wake_router(node);
         self.nis[node.index()].set_consumption_paused(paused);
     }
 
@@ -847,7 +893,7 @@ impl Network {
             ));
         }
         mutate(&mut self.topo);
-        self.wake_all_routers();
+        self.schedule.wake_all_routers();
         self.topo.validate()?;
         self.routing = routing;
         Ok(())
@@ -873,9 +919,7 @@ impl Network {
             cycle,
             calendar,
             emit_scratch,
-            router_active,
-            ni_active,
-            router_ready_at,
+            schedule,
             ni_control_pending,
             ..
         } = self;
@@ -884,11 +928,8 @@ impl Network {
             // Every delivery schedules its target component, from the cycle
             // a step can use it (see `Event::wake_target`).
             match ev.wake_target() {
-                WakeTarget::Router { node, delay } => {
-                    let at = *cycle + delay;
-                    Self::schedule(router_active, router_ready_at, node.index(), at);
-                }
-                WakeTarget::Ni(n) => ni_active[n.index()] = true,
+                WakeTarget::Router { node, delay } => schedule.schedule_router(node, delay),
+                WakeTarget::Ni(node) => schedule.wake_ni(node),
             }
             match ev {
                 Event::FlitArrive {
@@ -986,9 +1027,7 @@ impl Network {
             cycle,
             calendar,
             emit_scratch,
-            router_active,
-            ni_active,
-            router_ready_at,
+            schedule,
             scheduler_enabled,
             router_ticks,
             ..
@@ -999,23 +1038,23 @@ impl Network {
         // A blocked step is a no-op only while nothing records it: with a
         // tracer armed it reports why each flit is blocked, so every
         // scheduled router is stepped. Read every cycle — a profiler can be
-        // armed mid-run — while `router_ready_at` is kept up either way, so
-        // the skip resumes where tracing stops.
+        // armed mid-run — while the due sets are kept up either way, so the
+        // skip resumes where tracing stops.
         let skip_parked = !tracer.enabled();
 
         // Cross-check: every component the scheduler is about to skip must
         // truly have nothing to do — nothing held if it is off the
-        // schedule, nothing that can move if it sleeps on it. On in every
+        // schedule, nothing that can move if it is not due. On in every
         // debug build (what `cargo test` runs), traced or not; compiled out
         // of release builds.
         if sched && cfg!(debug_assertions) {
             for (i, r) in routers.iter().enumerate() {
                 assert!(
-                    router_active[i] || !r.has_pending_work(),
+                    schedule.routers.contains(i) || !r.has_pending_work(),
                     "active-set scheduler would skip router {} with pending work at cycle {now}",
                     r.node()
                 );
-                if router_ready_at[i] <= now {
+                if schedule.due.contains(i) {
                     continue;
                 }
                 let ctx = RouterCtx {
@@ -1033,103 +1072,116 @@ impl Network {
                 };
                 assert!(
                     !r.can_progress(&ctx),
-                    "scheduler would leave router {} asleep until {} but it can move a flit at cycle {now}",
-                    r.node(),
-                    router_ready_at[i]
+                    "scheduler would leave router {} asleep but it can move a flit at cycle {now}",
+                    r.node()
                 );
             }
             for (i, ni) in nis.iter().enumerate() {
                 assert!(
-                    ni_active[i] || !ni.has_pending_work(),
+                    schedule.nis.contains(i) || !ni.has_pending_work(),
                     "active-set scheduler would skip NI {} with pending work at cycle {now}",
                     ni.node()
                 );
             }
         }
+        // The part of word `w` to visit: a set's members, or for the
+        // reference every index there is.
+        let awake = |set: &WakeSet, w: usize| if sched { set.word(w) } else { set.full_word(w) };
 
         // NI injection: one flit per NI per cycle onto the Local input port.
-        // Iteration stays in ascending node order (with inactive NIs
-        // skipped) so the calendar receives events in exactly the order the
-        // always-tick kernel produced — byte-identical results.
         let vct = cfg.flow_control == crate::config::FlowControl::VirtualCutThrough;
-        for (i, ni) in nis.iter_mut().enumerate() {
-            if sched && !ni_active[i] {
-                continue;
-            }
-            if let Some((flit, vc_flat)) = ni.inject_step(now, cfg.vcs_per_vnet, vct) {
-                if flit.kind.is_head() {
-                    tracker.on_injected(flit.desc, now);
-                    stats.packets_injected += 1;
-                    if tracer.enabled() {
-                        tracer.record(TraceEvent::PacketInjected {
-                            at: now,
-                            packet: arena.get(flit.desc).id,
-                            node: ni.node(),
-                        });
+        for w in 0..schedule.nis.word_count() {
+            for i in WakeSet::members(w, awake(&schedule.nis, w)) {
+                let ni = &mut nis[i];
+                if let Some((flit, vc_flat)) = ni.inject_step(now, cfg.vcs_per_vnet, vct) {
+                    if flit.kind.is_head() {
+                        tracker.on_injected(flit.desc, now);
+                        stats.packets_injected += 1;
+                        if tracer.enabled() {
+                            tracer.record(TraceEvent::PacketInjected {
+                                at: now,
+                                packet: arena.get(flit.desc).id,
+                                node: ni.node(),
+                            });
+                        }
                     }
+                    stats.flits_injected += 1;
+                    tracker.touch(now);
+                    emit.push((
+                        now + cfg.link_latency,
+                        Event::FlitArrive {
+                            node: ni.node(),
+                            in_port: Port::Local,
+                            vc_flat,
+                            flit,
+                        },
+                    ));
                 }
-                stats.flits_injected += 1;
-                tracker.touch(now);
-                emit.push((
-                    now + cfg.link_latency,
-                    Event::FlitArrive {
-                        node: ni.node(),
-                        in_port: Port::Local,
-                        vc_flat,
-                        flit,
-                    },
-                ));
             }
         }
 
-        // Routers: bypass, control, switch allocation (ascending order,
-        // unscheduled and sleeping routers skipped; either one's step is
-        // provably a no-op — no RNG draw, no arbiter update, no trace
-        // event). A scheduled router that holds nothing — woken by a
-        // credit, which only enables flits it does not have — is idle in
-        // the same sense: it is descheduled here instead of being stepped.
-        for i in 0..routers.len() {
-            if sched {
-                if !router_active[i] || (skip_parked && router_ready_at[i] > now) {
-                    continue;
+        // Routers: bypass, control, switch allocation, for the scheduled
+        // routers that are due (all scheduled ones under a tracer). The
+        // step of any other is provably a no-op — no RNG draw, no arbiter
+        // update, no trace event. A due router that holds nothing — woken
+        // by a credit, which only enables flits it does not have — is idle
+        // in the same sense: it is descheduled here instead of being
+        // stepped.
+        for w in 0..schedule.routers.word_count() {
+            let visit = if sched {
+                // This look spends every due bit of the word: a step
+                // decides again, and the bit of a router off the schedule
+                // is stale.
+                let due = schedule.due.take_word(w);
+                let scheduled = schedule.routers.word(w);
+                if skip_parked {
+                    scheduled & due
+                } else {
+                    scheduled
                 }
-                if !routers[i].has_pending_work() {
-                    router_active[i] = false;
-                    continue;
-                }
-            }
-            *router_ticks += 1;
-            let mut ctx = RouterCtx {
-                cfg,
-                topo,
-                routing: routing.as_ref(),
-                now,
-                ni: &mut nis[i],
-                emit: &mut emit,
-                stats,
-                tracker,
-                arena,
-                tracer,
-                obs,
+            } else {
+                schedule.routers.full_word(w)
             };
-            router_ready_at[i] = routers[i].step(&mut ctx);
-            if sched && !routers[i].has_pending_work() {
-                router_active[i] = false;
+            for i in WakeSet::members(w, visit) {
+                if sched && !routers[i].has_pending_work() {
+                    schedule.routers.remove(i);
+                    continue;
+                }
+                *router_ticks += 1;
+                let mut ctx = RouterCtx {
+                    cfg,
+                    topo,
+                    routing: routing.as_ref(),
+                    now,
+                    ni: &mut nis[i],
+                    emit: &mut emit,
+                    stats,
+                    tracker,
+                    arena,
+                    tracer,
+                    obs,
+                };
+                if routers[i].step(&mut ctx) != Cycle::MAX {
+                    schedule.due_next.insert(i);
+                }
+                if sched && !routers[i].has_pending_work() {
+                    schedule.routers.remove(i);
+                }
             }
         }
 
         // PE consumption (Immediate policy), then NI deactivation — decided
         // only here so injection-side work observed above is not forgotten.
-        for (i, ni) in nis.iter_mut().enumerate() {
-            if sched && !ni_active[i] {
-                continue;
-            }
-            if ni.consume_step(now) {
-                // The entry this freed is visible to the router's next step.
-                router_ready_at[i] = router_ready_at[i].min(now + 1);
-            }
-            if sched && !ni.has_pending_work() {
-                ni_active[i] = false;
+        for w in 0..schedule.nis.word_count() {
+            for i in WakeSet::members(w, awake(&schedule.nis, w)) {
+                let ni = &mut nis[i];
+                if ni.consume_step(now) {
+                    // The entry this freed is visible to the router's next step.
+                    schedule.due_next.insert(i);
+                }
+                if sched && !ni.has_pending_work() {
+                    schedule.nis.remove(i);
+                }
             }
         }
 
@@ -1138,12 +1190,19 @@ impl Network {
         }
         *emit_scratch = emit;
         *cycle += 1;
+        if sched {
+            debug_assert!(
+                schedule.due.is_empty(),
+                "the router loop spends every due bit"
+            );
+            std::mem::swap(&mut schedule.due, &mut schedule.due_next);
+        }
     }
 
     /// True when no router and no NI is scheduled for the next
     /// `finish_cycle` — all remaining state (if any) sits in the calendar.
     pub fn is_quiescent(&self) -> bool {
-        self.router_active.iter().all(|a| !a) && self.ni_active.iter().all(|a| !a)
+        self.schedule.routers.is_empty() && self.schedule.nis.is_empty()
     }
 
     /// The cycle the clock can fast-forward to, when the network is
@@ -1190,7 +1249,7 @@ impl Network {
     /// Convenience: pops the oldest delivered packet at an NI.
     pub fn pop_delivered(&mut self, node: NodeId, vnet: VnetId) -> Option<Delivered> {
         let delivered = self.nis[node.index()].pop_delivered(vnet)?;
-        self.wake_router(node); // a head flit may be waiting for the entry
+        self.schedule.wake_router(node); // a head flit may be waiting for the entry
         Some(delivered)
     }
 }

@@ -31,6 +31,7 @@ use crate::routing::RouteComputer;
 use crate::stats::{NetStats, PacketTracker};
 use crate::topology::Topology;
 use crate::trace::{BlockReason, TraceEvent, Tracer};
+use crate::wake_set::SetBits;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashSet, VecDeque};
@@ -43,24 +44,6 @@ pub struct BufferedFlit {
     pub flit: Flit,
     /// Cycle it was written into the buffer.
     pub arrived: Cycle,
-}
-
-/// The indices of a word's set bits, ascending.
-#[derive(Debug, Clone, Copy)]
-struct SetBits(u64);
-
-impl Iterator for SetBits {
-    type Item = usize;
-
-    #[inline]
-    fn next(&mut self) -> Option<usize> {
-        if self.0 == 0 {
-            return None;
-        }
-        let i = self.0.trailing_zeros() as usize;
-        self.0 &= self.0 - 1;
-        Some(i)
-    }
 }
 
 /// Control state of one input virtual channel. The buffered flits themselves

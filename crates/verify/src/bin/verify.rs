@@ -21,6 +21,7 @@ use upp_noc::config::NocConfig;
 use upp_tracetools::{PhaseTotals, ProfileSummary};
 use upp_verify::scenario::{random_scenario, scheme_kind, CampaignParams};
 use upp_verify::{oracle_for, run_differential, run_scenario, shrink, Scenario};
+use upp_workloads::run::check_rate;
 
 struct CampaignOpts {
     params: CampaignParams,
@@ -105,6 +106,22 @@ fn check_config(vcs_per_vnet: usize, schemes: &[&str]) {
     }
 }
 
+/// Refuses a campaign no scheme can pass — the oracle would convict each
+/// of them for the request: an offer probability that is not one
+/// (`simulate` refuses the same rates in the same words), or a run bound
+/// that ends before the traffic and the fault plan have.
+fn check_params(p: &CampaignParams) -> Result<(), String> {
+    check_rate(p.rate)?;
+    if p.max_cycles <= p.horizon {
+        return Err(format!(
+            "--max-cycles {} must be greater than --horizon {}: traffic and faults \
+             last until the horizon, and the run must outlive them to drain",
+            p.max_cycles, p.horizon
+        ));
+    }
+    Ok(())
+}
+
 /// Builds the seeded scenario for one campaign point (scheme left blank;
 /// the differential runner fills it per scheme).
 fn point_scenario(o: &CampaignOpts, seed: u64) -> Scenario {
@@ -122,6 +139,10 @@ fn campaign(o: CampaignOpts) -> ExitCode {
     let seeds: Vec<u64> = (0..o.points as u64).map(|i| o.seed_base + i).collect();
     let schemes: Vec<&str> = o.schemes.iter().map(String::as_str).collect();
     check_config(o.params.vcs_per_vnet, &schemes);
+    if let Err(e) = check_params(&o.params) {
+        eprintln!("invalid campaign: {e}");
+        return ExitCode::from(2);
+    }
     eprintln!(
         "campaign: {} points on {} ({} schemes, {} jobs)",
         o.points,

@@ -14,7 +14,7 @@
 //! and routers woken by a credit alone are descheduled unstepped, while the
 //! reference steps every router in every cycle, empty or not.
 //!
-//! The last three are there for the progress-driven half of the scheduler,
+//! The next three are there for the progress-driven half of the scheduler,
 //! which lets a router full of blocked flits sleep until something it waits
 //! on changes; a wake-up it misses is a hang, not a wrong number. Remote control under the Fig. 3 recipe re-injects every
 //! boundary crossing through an absorber whose flits are gated a cycle
@@ -25,6 +25,12 @@
 //! consumption with no tracer armed (the differential campaign always arms
 //! one, which keeps every occupied router stepping), so heals, resumes and
 //! `pop_delivered` are what has to wake the parked.
+//!
+//! Two more for the scheduler's wake sets, `u64` words over node indices:
+//! the baseline's 80 routers are one word and a quarter of the next, so the
+//! Fig. 3 recipe and the fault plan run again on the 3x3 grid — 180 routers,
+//! two whole words and 52 bits of a third, and still inside the 8-bit
+//! destination field of UPP's signals.
 //!
 //! These are debug builds, so every skip is cross-checked on the way.
 
@@ -48,6 +54,8 @@ enum Under {
 }
 
 struct Recipe {
+    /// 3x3 chiplets instead of the baseline's 2x2.
+    grid3: bool,
     scheme: Under,
     pattern: Pattern,
     rate: f64,
@@ -65,6 +73,7 @@ struct Recipe {
 }
 
 const FIG3: Recipe = Recipe {
+    grid3: false,
     scheme: Under::Upp,
     pattern: Pattern::Hotspot,
     rate: 0.06,
@@ -125,6 +134,16 @@ const FAULTED: Recipe = Recipe {
     ..FIG3
 };
 
+const FIG3_GRID3: Recipe = Recipe {
+    grid3: true,
+    ..FIG3
+};
+
+const FAULTED_GRID3: Recipe = Recipe {
+    grid3: true,
+    ..FAULTED
+};
+
 /// Two mesh links (one inside a chiplet, one on the interposer) fail and
 /// heal, one endpoint stops injecting and another stops consuming for a
 /// while — all over well before the traffic stops.
@@ -174,7 +193,12 @@ fn run(recipe: &Recipe, active_scheduler: bool) -> Snapshot {
         Some(latency) => ConsumePolicy::Immediate { latency },
         None => ConsumePolicy::External,
     };
-    let built = build_system(&ChipletSystemSpec::baseline(), cfg, &kind, 0, SEED, consume);
+    let spec = if recipe.grid3 {
+        ChipletSystemSpec::grid(3, 3).expect("a 3x3 grid fits every id space")
+    } else {
+        ChipletSystemSpec::baseline()
+    };
+    let built = build_system(&spec, cfg, &kind, 0, SEED, consume);
     let mut sys = built.sys;
     sys.net_mut().set_active_scheduler(active_scheduler);
     let mut traffic = SyntheticTraffic::new(sys.net().topo(), recipe.pattern, recipe.rate, SEED);
@@ -277,6 +301,8 @@ fn active_set_kernel_matches_the_always_tick_reference() {
         FIG3_REMOTE_CONTROL,
         WEDGE,
         FAULTED,
+        FIG3_GRID3,
+        FAULTED_GRID3,
     ] {
         assert_eq!(run(&recipe, true), run(&recipe, false));
     }
