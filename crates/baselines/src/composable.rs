@@ -438,19 +438,6 @@ impl Scheme for Composable {
         }
     }
 
-    fn advance_to(
-        &mut self,
-        _net: &upp_noc::network::Network,
-        _from: upp_noc::ids::Cycle,
-        _to: upp_noc::ids::Cycle,
-    ) -> bool {
-        // All of composable's work happens at route-computation time; it has
-        // no per-cycle state, so fast-forwarding a quiescent gap is always
-        // cycle-exact. (Spelled out rather than inherited to document that
-        // the default was considered, not overlooked.)
-        true
-    }
-
     fn observe(&mut self, net: &mut Network) {
         if !net.obs().is_enabled() {
             return;

@@ -219,14 +219,6 @@ impl Scheme for RemoteControl {
         }
     }
 
-    fn advance_to(&mut self, _net: &Network, _from: Cycle, _to: Cycle) -> bool {
-        // Pending permit requests are paced per cycle (RTT check, one grant
-        // per boundary per cycle, contention-wait accounting), so any queued
-        // request vetoes the jump. With every queue empty `pre_cycle` is a
-        // pure no-op and skipping is cycle-exact.
-        self.initialized && self.pending == 0
-    }
-
     fn observe(&mut self, net: &mut Network) {
         if !net.obs().is_enabled() {
             return;

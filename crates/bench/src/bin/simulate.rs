@@ -21,7 +21,6 @@ use std::path::{Path, PathBuf};
 use std::process::exit;
 use upp_bench::sweep::{default_jobs, SweepEngine};
 use upp_core::UppConfig;
-use upp_noc::topology::{ChipletSystemSpec, SystemKind};
 use upp_noc::trace::Tracer;
 use upp_noc::viz::{stall_svg, topology_svg};
 use upp_noc::watch::{alerts_header_json, WatchConfig};
@@ -135,14 +134,10 @@ fn parse() -> Args {
         let mut val = || it.next().unwrap_or_else(|| usage());
         match flag.as_str() {
             "--system" => {
-                let v = val();
-                a.run.system = match v.as_str() {
-                    "baseline" => SystemKind::Baseline,
-                    "large" => SystemKind::Large,
-                    "b2" => SystemKind::BoundaryCount(2),
-                    "b8" => SystemKind::BoundaryCount(8),
-                    other => grid(other).unwrap_or_else(|| usage()),
-                }
+                a.run.system = val().parse().unwrap_or_else(|e| {
+                    eprintln!("{e}");
+                    exit(2)
+                })
             }
             "--scheme" => scheme_name = val(),
             "--pattern" => {
@@ -238,19 +233,6 @@ fn parse() -> Args {
         (tuning, watch_capture_dir)
     });
     a
-}
-
-/// `grid:CxR` as a system, or `None` when `name` is not of that form.
-/// Degenerate and overflowing grids are rejected here, with the spec's own
-/// message, rather than panicking later.
-fn grid(name: &str) -> Option<SystemKind> {
-    let (c, r) = name.strip_prefix("grid:")?.split_once('x')?;
-    let (cols, rows) = (c.parse().ok()?, r.parse().ok()?);
-    if let Err(e) = ChipletSystemSpec::grid(cols, rows) {
-        eprintln!("invalid --system {name}: {e}");
-        exit(2);
-    }
-    Some(SystemKind::Grid { cols, rows })
 }
 
 /// A count that must be at least 1.

@@ -152,7 +152,7 @@ fn run_point(cols: u16, rows: u16, kind: &SchemeKind, quick: bool) -> ScalePoint
             break;
         }
     }
-    sys.drain(200_000, false, |sys| riders.after_step(sys, &mut |_| {}));
+    sys.drain(200_000, |sys| riders.after_step(sys, &mut |_| {}));
     sys.observe();
     let obs = sys.net().obs();
     let (boundary_pressure, protocol_events) = match kind {

@@ -79,35 +79,49 @@ fn zero_interval_flags_are_rejected_with_clear_errors() {
 }
 
 /// A VC count the model cannot carry is a configuration error that names
-/// the limit — not a panic (exit 101) while building the network or, for
-/// UPP's 4-bit input-VC field, at the first popup from a high VC mid-run.
+/// the limit — not a panic (exit 101) while building the network.
 #[test]
 fn unusable_vc_counts_are_errors_naming_the_limit() {
     assert_rejected(&["--vcs", "0"], &["vcs_per_vnet", "at least 1"]);
     assert_rejected(&["--vcs", "22"], &["66 VCs per port", "limit of 64"]);
-    assert_rejected(
-        &["--scheme", "upp", "--vcs", "8", "--rate", "0.2"],
-        &["4-bit input-VC field", "at most 16 VCs per port", "got 24"],
-    );
+}
+
+/// Runs `simulate` and asserts it drained with every created packet
+/// delivered.
+fn assert_drains(args: &[&str]) {
+    let (stdout, _) = simulate_ok(args);
+    assert!(stdout.contains("outcome:            Drained"), "{stdout}");
+    let delivered = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("packets delivered:"))
+        .expect("a delivery line");
+    let counts: Vec<&str> = delivered.split_whitespace().collect();
+    assert_eq!(counts[0], counts[2], "every packet created is delivered");
 }
 
 /// The last VC count that fits: 3 VNets x 21 VCs are bits 0..=62 of a
-/// port's occupancy word, one short of the 22 rejected above. Both schemes
-/// that can carry it (UPP's VC field stops at 16 per port) run and drain.
+/// port's occupancy word, one short of the 22 rejected above. Every scheme
+/// runs and drains on it — UPP's input-VC field grows to 6 bits.
 #[test]
 fn sixty_three_vcs_per_port_run_and_drain() {
-    for scheme in ["remote", "composable"] {
-        let (stdout, _) = simulate_ok(&[
+    for scheme in ["upp", "remote", "composable"] {
+        assert_drains(&[
             "--scheme", scheme, "--vcs", "21", "--rate", "0.05", "--cycles", "3000",
         ]);
-        assert!(stdout.contains("outcome:            Drained"), "{stdout}");
-        let delivered = stdout
-            .lines()
-            .find_map(|l| l.strip_prefix("packets delivered:"))
-            .expect("a delivery line");
-        let counts: Vec<&str> = delivered.split_whitespace().collect();
-        assert_eq!(counts[0], counts[2], "every packet created is delivered");
     }
+}
+
+/// UPP past Fig. 4's field widths: 24 VCs per port (a 5-bit input-VC
+/// field), and 1,280 routers, where popups go to destinations no 8-bit
+/// field can name. Both used to end in the signal codec.
+#[test]
+fn upp_runs_past_the_fig4_field_widths() {
+    assert_drains(&[
+        "--scheme", "upp", "--vcs", "8", "--rate", "0.2", "--cycles", "3000",
+    ]);
+    assert_drains(&[
+        "--system", "grid:8x8", "--scheme", "upp", "--rate", "0.03", "--cycles", "3000",
+    ]);
 }
 
 /// A fault count the system or the scheme cannot take is a configuration

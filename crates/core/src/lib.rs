@@ -10,8 +10,8 @@
 //! cycle without any turn restrictions, extra VCs, injection control, or
 //! global topology knowledge — preserving chiplet design modularity.
 //!
-//! * [`signal`] — the compact `UPP_req`/`UPP_ack`/`UPP_stop` encodings of
-//!   Fig. 4;
+//! * [`signal`] — the `UPP_req`/`UPP_ack`/`UPP_stop` formats of Fig. 4 as
+//!   a layout derived from the system;
 //! * [`detect`] — timeout counters and the round-robin upward-packet
 //!   arbiter of Sec. V-A;
 //! * [`protocol`] — the shared protocol definitions (detection threshold,
@@ -63,4 +63,3 @@ pub mod signal;
 
 pub use protocol::PopupStage;
 pub use scheme::{Upp, UppConfig, UppStats, UppStatsHandle};
-pub use signal::{SignalCodecError, UppSignal};

@@ -12,7 +12,7 @@
 
 use crate::detect::{up_sent_recently, UppCounter, UpwardArbiter};
 use crate::protocol::{self, PopupStage};
-use crate::signal::UppSignal;
+use crate::signal::SignalKind;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -213,15 +213,12 @@ impl RouterState {
 /// Pre-registered telemetry ids for UPP's protocol-state metrics
 /// (`Some` only while the network's obs registry is enabled).
 ///
-/// Counters are recorded event-by-event from the per-cycle hooks, which
-/// keeps them exact across `advance_to` fast-forwards: every recording
-/// site sits on a path that [`Upp::advance_to`] refuses to skip (a
-/// non-`Idle` stage, a queued signal, or — for the watchdog counter — an
-/// expiry, which requires upward candidates and hence buffered flits that
-/// keep the network non-quiescent). Distributions and queue depths are
-/// sampled in [`Scheme::observe`] instead. The same three conditions are
-/// what makes `pre_cycle` visit a boundary router at all, so a router the
-/// tick skips records nothing.
+/// Counters are recorded event-by-event from the per-cycle hooks; every
+/// recording site needs a non-`Idle` stage, a queued signal, or — for the
+/// watchdog counter — an expiry, which requires upward candidates.
+/// Distributions and queue depths are sampled in [`Scheme::observe`]
+/// instead. The same three conditions are what makes `pre_cycle` visit a
+/// boundary router at all, so a router the tick skips records nothing.
 #[derive(Debug, Clone, Copy)]
 struct UppObs {
     /// `(node, VNet)` pairs whose timeout watchdog sat expired this cycle.
@@ -400,16 +397,9 @@ impl Upp {
     }
 
     fn make_req(net: &Network, origin: NodeId, cand: &UpwardCandidate) -> ControlMsg {
-        let bits = UppSignal::Req {
-            dest: cand.dest,
-            vnet: cand.vnet,
-            input_vc: cand.vc_flat as u8,
-        }
-        .encode()
-        .expect("baseline systems fit the Fig. 4 encoding");
         ControlMsg {
             class: ControlClass::ReqLike,
-            bits,
+            bits: SignalKind::Req as u32,
             vnet: cand.vnet,
             routing: ControlRoute::Forward,
             route: net.plan_route(origin, cand.dest),
@@ -421,12 +411,9 @@ impl Upp {
     }
 
     fn make_stop(net: &Network, origin: NodeId, dest: NodeId, vnet: VnetId) -> ControlMsg {
-        let bits = UppSignal::Stop { dest, vnet }
-            .encode()
-            .expect("baseline systems fit the Fig. 4 encoding");
         ControlMsg {
             class: ControlClass::ReqLike,
-            bits,
+            bits: SignalKind::Stop as u32,
             vnet,
             routing: ControlRoute::Forward,
             route: net.plan_route(origin, dest),
@@ -438,12 +425,9 @@ impl Upp {
     }
 
     fn make_ack(origin_interposer: NodeId, dest_router: NodeId, vnet: VnetId) -> ControlMsg {
-        let bits = UppSignal::Ack { vnet, started: 0 }
-            .encode()
-            .expect("ack encoding is total");
         ControlMsg {
             class: ControlClass::AckLike,
-            bits,
+            bits: SignalKind::Ack as u32,
             vnet,
             routing: ControlRoute::Reverse,
             route: RouteInfo::intra(origin_interposer),
@@ -631,14 +615,13 @@ impl Upp {
             let node = self.chiplet_nodes[i];
             net.drain_ni_inbox(node, &mut inbox);
             for d in inbox.drain(..) {
-                match UppSignal::decode(d.msg.bits) {
-                    Ok(UppSignal::Req { vnet, .. }) => {
+                let vnet = d.msg.vnet;
+                match SignalKind::from_bits(d.msg.bits) {
+                    Some(SignalKind::Req) => {
                         let origin = d.msg.origin;
                         self.queue_ni_msg(node, vnet, NiMsg::Req { origin });
                     }
-                    Ok(UppSignal::Stop { vnet, .. }) => {
-                        self.queue_ni_msg(node, vnet, NiMsg::Stop);
-                    }
+                    Some(SignalKind::Stop) => self.queue_ni_msg(node, vnet, NiMsg::Stop),
                     other => debug_assert!(false, "unexpected NI signal {other:?}"),
                 }
             }
@@ -690,11 +673,11 @@ impl Upp {
         let mut acks = std::mem::take(&mut self.inbox_scratch);
         net.drain_router_inbox(node, &mut acks);
         for d in acks.drain(..) {
-            let Ok(UppSignal::Ack { vnet, .. }) = UppSignal::decode(d.msg.bits) else {
+            if SignalKind::from_bits(d.msg.bits) != Some(SignalKind::Ack) {
                 debug_assert!(false, "router inbox must only hold acks");
                 continue;
-            };
-            self.handle_ack(net, slot, vnet);
+            }
+            self.handle_ack(net, slot, d.msg.vnet);
         }
         self.inbox_scratch = acks;
 
@@ -810,8 +793,6 @@ impl Upp {
         let node = self.routers[slot].node;
         let stage = self.routers[slot].vnets[vnet.index()].stage;
         // Dwell accounting: one count per cycle spent in a non-idle stage.
-        // Exact across fast-forwards because `advance_to` vetoes any jump
-        // while a stage is non-idle.
         if let Some(o) = &self.obs {
             let id = match stage {
                 Stage::Idle => None,
@@ -1025,9 +1006,7 @@ impl Upp {
         if !stalled || !vs.counter.expired(self.cfg.threshold) {
             return;
         }
-        // Watchdog pressure: expiry implies upward candidates exist, hence
-        // buffered flits, hence a non-quiescent network — so this per-cycle
-        // count can never be skipped by a fast-forward.
+        // Watchdog pressure: one count per cycle a watchdog sits expired.
         if let Some(o) = &self.obs {
             net.obs_mut().inc(o.watchdog_expired);
         }
@@ -1134,31 +1113,6 @@ impl Scheme for Upp {
         r.gauge_set(o.stages_active, active);
         r.gauge_set(o.signal_queue, signals);
         r.gauge_set(o.ni_queue, ni_pending as u64);
-    }
-
-    fn advance_to(&mut self, _net: &Network, _from: Cycle, _to: Cycle) -> bool {
-        // A quiescent network still leaves UPP with per-cycle obligations
-        // whenever the protocol machinery is mid-flight; any of those vetoes
-        // the jump and per-cycle stepping continues:
-        //   * not yet initialized — the first pre_cycle must still run;
-        //   * a queued signal — the serial signal unit paces sends by cycle;
-        //   * a non-Idle stage — WaitAck/Pop* transitions are checked every
-        //     cycle;
-        //   * a pending NI message — ejection reservations retry per cycle.
-        if !self.initialized
-            || !self.ni_busy.is_empty()
-            || self.routers.iter().any(|st| !st.is_quiet())
-        {
-            return false;
-        }
-        // With every stage Idle and no buffered flits anywhere, each skipped
-        // cycle's `detect` would see zero upward candidates and tick every
-        // counter back to zero (`tick(false, _)` → 0). Apply that batched
-        // effect here so the jump is cycle-exact.
-        for st in &mut self.routers {
-            st.reset_counters();
-        }
-        true
     }
 }
 

@@ -68,13 +68,6 @@ impl EventCalendar {
         }
     }
 
-    /// The earliest cycle in `now..now + horizon` with staged events, or
-    /// `None` when the calendar is completely empty. Events are only ever
-    /// staged within the horizon, so scanning the ring once is exhaustive.
-    fn next_occupied_cycle(&self, now: Cycle) -> Option<Cycle> {
-        (now..now + self.slots.len() as Cycle).find(|&c| !self.slots[self.slot(c)].is_empty())
-    }
-
     /// Exact heap bytes of the calendar ring (slot capacities; the slots
     /// grow once to the workload's staging peak and are then recycled).
     fn mem_bytes(&self) -> usize {
@@ -261,9 +254,9 @@ pub struct Network {
     /// Which routers and NIs the next `finish_cycle` looks at.
     schedule: Schedule,
     /// Runtime toggle, set only by [`Network::set_active_scheduler`]: when
-    /// false, every component is stepped every cycle and the clock never
-    /// fast-forwards — the reference always-tick kernel. It reads no wake
-    /// set (the sites that set bits still do, and nothing clears them).
+    /// false, every component is stepped every cycle — the reference
+    /// always-tick kernel. It reads no wake set (the sites that set bits
+    /// still do, and nothing clears them).
     scheduler_enabled: bool,
     /// Router steps actually executed — under the scheduler, steps of
     /// routers that held work in a cycle in which it might move; neither a
@@ -466,16 +459,6 @@ impl Network {
     /// Read access to one NI.
     pub fn ni(&self, node: NodeId) -> &Ni {
         &self.nis[node.index()]
-    }
-
-    /// Mutable access to one NI (workload-facing: popping delivered packets,
-    /// permit management). Conservatively wakes the NI, and its router (the
-    /// caller may free an ejection entry a head flit waits for): the caller
-    /// may mutate state the scheduler's wake points don't see.
-    pub fn ni_mut(&mut self, node: NodeId) -> &mut Ni {
-        self.schedule.wake_ni(node);
-        self.schedule.wake_router(node);
-        &mut self.nis[node.index()]
     }
 
     /// Read access to one router.
@@ -1203,41 +1186,6 @@ impl Network {
     /// `finish_cycle` — all remaining state (if any) sits in the calendar.
     pub fn is_quiescent(&self) -> bool {
         self.schedule.routers.is_empty() && self.schedule.nis.is_empty()
-    }
-
-    /// The cycle the clock can fast-forward to, when the network is
-    /// quiescent and the next staged event is strictly in the future.
-    /// `None` when anything is active, the calendar is empty, the
-    /// scheduler is disabled, or the jump would blur the watchdog (see
-    /// [`PacketTracker::advance_to`]).
-    pub fn fast_forward_target(&self) -> Option<Cycle> {
-        if !self.scheduler_enabled || !self.is_quiescent() {
-            return None;
-        }
-        let target = self.calendar.next_occupied_cycle(self.cycle)?;
-        if target <= self.cycle {
-            return None;
-        }
-        if !self.tracker.advance_to(target, self.cfg.watchdog_threshold) {
-            return None;
-        }
-        Some(target)
-    }
-
-    /// Fast-forwards the clock to `target` (a value returned by
-    /// [`Network::fast_forward_target`]). Every skipped cycle is provably a
-    /// no-op: nothing is scheduled, so `begin_cycle` would deliver nothing
-    /// and `finish_cycle` would step nothing. The caller must have given
-    /// the scheme's `advance_to` hook a veto first.
-    pub fn advance_to(&mut self, target: Cycle) {
-        debug_assert!(self.scheduler_enabled, "fast-forward with scheduler off");
-        debug_assert!(self.is_quiescent(), "fast-forward past scheduled work");
-        debug_assert_eq!(
-            self.calendar.next_occupied_cycle(self.cycle),
-            Some(target),
-            "fast-forward target must be the next staged event"
-        );
-        self.cycle = target;
     }
 
     /// Runs a full cycle with no scheme hooks.

@@ -4,7 +4,7 @@
 
 use crate::config::NocConfig;
 use crate::control::DeliveredControl;
-use crate::ids::{Cycle, NodeId, PacketId, VcId, VnetId};
+use crate::ids::{Cycle, NodeId, PacketId, VnetId};
 use crate::packet::{Flit, Packet, PacketArena, PacketRef, RouteInfo};
 use crate::ring::RingBank;
 use serde::{Deserialize, Serialize};
@@ -505,11 +505,6 @@ impl Ni {
         Some(d)
     }
 
-    /// Peeks the oldest delivered packet of a VNet without consuming it.
-    pub fn peek_delivered(&self, vnet: VnetId) -> Option<&Delivered> {
-        self.delivered.front(vnet.index())
-    }
-
     /// Runs the Immediate consumption policy; External is a no-op. Returns
     /// true when it consumed a packet, freeing an ejection entry.
     pub fn consume_step(&mut self, now: Cycle) -> bool {
@@ -579,17 +574,6 @@ impl Ni {
             + self.active.len() * std::mem::size_of::<Option<ActiveInjection>>()
             + self.assembly.capacity() * std::mem::size_of::<Assembly>()
             + (self.in_use.len() + self.upp_reserved.len()) * std::mem::size_of::<usize>()
-    }
-
-    /// Helper for schemes: which flat VC indices belong to `vnet`.
-    pub fn vnet_vcs(vnet: VnetId, vcs_per_vnet: usize) -> std::ops::Range<usize> {
-        let base = vnet.index() * vcs_per_vnet;
-        base..base + vcs_per_vnet
-    }
-
-    /// Looks up the flat VC for a `VcId`.
-    pub fn flat_vc(vc: VcId, vcs_per_vnet: usize) -> usize {
-        vc.flat(vcs_per_vnet)
     }
 }
 

@@ -20,10 +20,9 @@
 //!   pre-registered in [`MechMetrics`]); scheme-specific metrics are
 //!   registered and recorded by the schemes through the
 //!   [`crate::scheme::Scheme::observe`] hook and `pre_cycle`.
-//! * **Exact across fast-forwards.** Counters and event-maintained gauges
-//!   piggyback on work the kernel actually executes, and every per-cycle
-//!   recording site sits on a path that vetoes `advance_to` jumps, so the
-//!   active-set scheduler cannot change a single recorded value.
+//! * **Exact under the scheduler.** Counters and event-maintained gauges
+//!   piggyback on work the kernel actually executes, so the active-set
+//!   scheduler cannot change a single recorded value.
 //! * **Mergeable epochs.** [`ObsSnapshot::merge`] is associative and
 //!   commutative (counters and histogram buckets form commutative monoids
 //!   under addition; gauges join in the lattice of

@@ -416,11 +416,6 @@ impl Router {
         }
     }
 
-    /// Number of circuit entries currently recorded.
-    pub fn circuit_count(&self) -> usize {
-        self.circuits.len()
-    }
-
     /// Marks a packet's buffered flits as popup-priority.
     pub fn add_priority_packet(&mut self, p: PacketId) {
         self.priority_packets.insert(p);
@@ -445,16 +440,6 @@ impl Router {
     /// Upward flits currently waiting in the bypass latch.
     pub fn bypass_pending(&self) -> usize {
         self.bypass.len()
-    }
-
-    /// Occupancy of the request/stop control buffer.
-    pub fn req_buf_len(&self) -> usize {
-        self.req_buf.len()
-    }
-
-    /// Occupancy of the ack control buffer.
-    pub fn ack_buf_len(&self) -> usize {
-        self.ack_buf.len()
     }
 
     /// Drains the router-level control inbox (terminated acks) into `out`,
@@ -482,10 +467,10 @@ impl Router {
     /// flit, or an unread control-inbox entry.
     ///
     /// This is the scheduler's *level* predicate: it decides whether the
-    /// router is on the schedule at all (and so `Network::is_quiescent` and
-    /// the fast-forward), not whether it is stepped in a given cycle. A
-    /// router that holds flits but can move none of them stays on the
-    /// schedule and sleeps there until an input of its step changes (see
+    /// router is on the schedule at all (and so `Network::is_quiescent`),
+    /// not whether it is stepped in a given cycle. A router that holds
+    /// flits but can move none of them stays on the schedule and sleeps
+    /// there until an input of its step changes (see
     /// `Router::step`'s return value). State that only *enables* progress
     /// for already-buffered flits (credits, circuit entries, priority
     /// marks, frozen bits) does not appear here because it can never create

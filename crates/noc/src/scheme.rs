@@ -5,7 +5,7 @@
 //! `upp-baselines`) all implement this trait against the mechanisms exposed
 //! by [`crate::network::Network`].
 
-use crate::ids::{Cycle, NodeId, PacketId};
+use crate::ids::{NodeId, PacketId};
 use crate::network::Network;
 use serde::{Deserialize, Serialize};
 
@@ -59,28 +59,9 @@ pub trait Scheme: Send {
     /// the cadence; it is never called while telemetry is disabled). The
     /// place to register scheme-specific metrics (idempotent) and sample
     /// gauges/distributions that are not worth maintaining event-by-event —
-    /// e.g. watchdog-counter distributions or permit-queue depths. Counters
-    /// that must stay exact across `advance_to` fast-forwards should be
-    /// recorded from `pre_cycle`/`post_cycle` instead.
+    /// e.g. watchdog-counter distributions or permit-queue depths.
     fn observe(&mut self, net: &mut Network) {
         let _ = net;
-    }
-
-    /// Consulted before the clock fast-forwards over a quiescent gap from
-    /// `from` to `to` (exclusive of `to`): the network has nothing
-    /// scheduled in between, so `pre_cycle`/`post_cycle` would run over an
-    /// unchanged network for every skipped cycle.
-    ///
-    /// Return `true` only when skipping those hook invocations is
-    /// *cycle-exact* for this scheme — i.e. its per-cycle state would end
-    /// up identical — applying any batched state update (e.g. resetting
-    /// detection counters that a candidate-free cycle would have reset)
-    /// before returning. Return `false` to veto the jump and keep per-cycle
-    /// stepping; vetoing is always safe. The default is `true`, correct
-    /// for schemes with no per-cycle state (routing-restriction schemes).
-    fn advance_to(&mut self, net: &Network, from: Cycle, to: Cycle) -> bool {
-        let _ = (net, from, to);
-        true
     }
 }
 

@@ -148,26 +148,15 @@ impl System {
     }
 
     /// Steps until the network drains, deadlocks, or `max_cycles` elapse.
-    ///
-    /// When the active-set scheduler is on and the network goes quiescent
-    /// (typically the tail of a drain: the last flits are in flight on
-    /// links, every router and NI is idle), the clock fast-forwards
-    /// straight to the next staged event instead of spinning no-op cycles.
-    /// The scheme's [`Scheme::advance_to`] hook can veto any jump, and
-    /// every skipped cycle is provably a no-op, so outcomes — including the
-    /// exact `Drained` cycle — are identical to per-cycle stepping.
     pub fn run_until_drained(&mut self, max_cycles: u64) -> RunOutcome {
-        self.drain(max_cycles, true, |_| {})
+        self.drain(max_cycles, |_| {})
     }
 
     /// [`System::run_until_drained`] with `after_step` run after every
-    /// stepped cycle. A caller whose hook must see every cycle boundary
-    /// (telemetry epochs, the health monitor) passes `fast_forward: false`,
-    /// since a jump steps over the boundaries inside it.
+    /// cycle (telemetry epochs, the health monitor).
     pub fn drain(
         &mut self,
         max_cycles: u64,
-        fast_forward: bool,
         mut after_step: impl FnMut(&mut System),
     ) -> RunOutcome {
         let deadline = self.net.cycle().saturating_add(max_cycles);
@@ -187,13 +176,6 @@ impl System {
                 return RunOutcome::Timeout {
                     in_flight: self.net.in_flight(),
                 };
-            }
-            let target = fast_forward.then(|| self.net.fast_forward_target());
-            if let Some(target) = target.flatten() {
-                if target < deadline && self.scheme.advance_to(&self.net, self.net.cycle(), target)
-                {
-                    self.net.advance_to(target);
-                }
             }
             self.step();
             after_step(self);

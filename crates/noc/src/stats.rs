@@ -309,17 +309,6 @@ impl PacketTracker {
     pub fn stalled(&self, now: Cycle, threshold: u64) -> bool {
         self.live_count > 0 && now.saturating_sub(self.last_progress) >= threshold
     }
-
-    /// Whether fast-forwarding the clock to `to` keeps the watchdog
-    /// cycle-exact: the jump must not skip over the cycle at which
-    /// [`PacketTracker::stalled`] would first have fired. Since quiescent
-    /// gaps are bounded by the calendar horizon (a few cycles) and every
-    /// pending event was emitted by a movement that touched the tracker,
-    /// this can only refuse in pathological states — but refusing is what
-    /// makes the scheduler provably conservative rather than probably fine.
-    pub fn advance_to(&self, to: Cycle, threshold: u64) -> bool {
-        self.live_count == 0 || !self.stalled(to, threshold)
-    }
 }
 
 #[cfg(test)]

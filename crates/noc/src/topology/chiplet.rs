@@ -46,6 +46,34 @@ pub enum SystemKind {
     },
 }
 
+impl std::str::FromStr for SystemKind {
+    type Err = String;
+
+    /// Parses `baseline`, `large`, `b2`, `b8` or `grid:CxR` — the one
+    /// spelling every binary accepts — and checks the shape can be built
+    /// ([`ChipletSystemSpec::try_of_kind`]).
+    fn from_str(name: &str) -> Result<Self, String> {
+        let grid = |dims: &str| {
+            let (cols, rows) = dims.split_once('x')?;
+            let (cols, rows) = (cols.parse().ok()?, rows.parse().ok()?);
+            Some(Self::Grid { cols, rows })
+        };
+        let kind = match name {
+            "baseline" => Some(Self::Baseline),
+            "large" => Some(Self::Large),
+            "b2" => Some(Self::BoundaryCount(2)),
+            "b8" => Some(Self::BoundaryCount(8)),
+            _ => name.strip_prefix("grid:").and_then(grid),
+        };
+        let kind = kind.ok_or_else(|| {
+            format!("unknown system {name:?} (want baseline|large|b2|b8|grid:CxR)")
+        })?;
+        ChipletSystemSpec::try_of_kind(kind)
+            .map(|_| kind)
+            .map_err(|e| format!("invalid system {name:?}: {e}"))
+    }
+}
+
 /// Specification from which a [`Topology`] is built.
 ///
 /// # Examples
@@ -81,21 +109,27 @@ impl ChipletSystemSpec {
     ///
     /// # Panics
     ///
-    /// Panics if `BoundaryCount` is given a value other than 2, 4 or 8, or
-    /// if `Grid` dimensions fail [`ChipletSystemSpec::grid`] validation.
+    /// Panics on what [`ChipletSystemSpec::try_of_kind`] rejects.
     pub fn of_kind(kind: SystemKind) -> Self {
+        Self::try_of_kind(kind).expect("valid system kind")
+    }
+
+    /// A named system shape that came from outside the program.
+    ///
+    /// # Errors
+    ///
+    /// Returns the reason for a `BoundaryCount` other than 2, 4 or 8, or
+    /// `Grid` dimensions that fail [`ChipletSystemSpec::grid`] validation.
+    pub fn try_of_kind(kind: SystemKind) -> Result<Self, String> {
         match kind {
-            SystemKind::Baseline => Self::baseline(),
-            SystemKind::Large => Self::large(),
-            SystemKind::BoundaryCount(2) => Self::quadrant_system(4, 4, 2, 2),
-            SystemKind::BoundaryCount(4) => Self::baseline(),
-            SystemKind::BoundaryCount(8) => Self::quadrant_system(8, 8, 4, 8),
-            SystemKind::BoundaryCount(n) => {
-                panic!("unsupported boundary router count {n}; use 2, 4 or 8")
-            }
-            SystemKind::Grid { cols, rows } => {
-                Self::grid(cols, rows).expect("invalid grid dimensions")
-            }
+            SystemKind::Baseline | SystemKind::BoundaryCount(4) => Ok(Self::baseline()),
+            SystemKind::Large => Ok(Self::large()),
+            SystemKind::BoundaryCount(2) => Ok(Self::quadrant_system(4, 4, 2, 2)),
+            SystemKind::BoundaryCount(8) => Ok(Self::quadrant_system(8, 8, 4, 8)),
+            SystemKind::BoundaryCount(n) => Err(format!(
+                "unsupported boundary router count {n}; use 2, 4 or 8"
+            )),
+            SystemKind::Grid { cols, rows } => Self::grid(cols, rows),
         }
     }
 
@@ -197,6 +231,14 @@ impl ChipletSystemSpec {
             ],
             _ => panic!("unsupported quadrant/boundary combination ({quad}, {boundary_count})"),
         }
+    }
+
+    /// Routers in the system [`ChipletSystemSpec::build`] makes: every
+    /// chiplet's mesh plus the interposer's.
+    pub fn num_routers(&self) -> usize {
+        let mesh = |w: u16, h: u16| w as usize * h as usize;
+        let chiplets: usize = self.chiplets.iter().map(|c| mesh(c.width, c.height)).sum();
+        chiplets + mesh(self.interposer_width, self.interposer_height)
     }
 
     /// Builds the topology. The `seed` breaks ties in the static
@@ -560,13 +602,12 @@ mod tests {
     #[test]
     fn grid_scales_router_count_linearly() {
         for (cols, rows) in [(1u16, 1u16), (3, 2), (4, 4), (8, 8)] {
-            let topo = ChipletSystemSpec::grid(cols, rows)
-                .unwrap()
-                .build(1)
-                .unwrap();
+            let spec = ChipletSystemSpec::grid(cols, rows).unwrap();
+            let topo = spec.build(1).unwrap();
             let tiles = cols as usize * rows as usize;
             assert_eq!(topo.chiplets().len(), tiles);
             assert_eq!(topo.num_nodes(), 20 * tiles);
+            assert_eq!(spec.num_routers(), 20 * tiles);
             assert_eq!(topo.interposer_routers().len(), 4 * tiles);
             for c in topo.chiplets() {
                 assert_eq!(c.boundary_routers.len(), 4);
@@ -619,6 +660,33 @@ mod tests {
         // 20 * 32768^2 = ~21.5e9 routers: each interposer side fits u16 but
         // the node-id space overflows u32.
         assert!(ChipletSystemSpec::grid(32_768 / 2, 32_768 / 2).is_err());
+    }
+
+    #[test]
+    fn system_names_parse_to_buildable_kinds_or_say_why_not() {
+        for (name, kind) in [
+            ("baseline", SystemKind::Baseline),
+            ("large", SystemKind::Large),
+            ("b2", SystemKind::BoundaryCount(2)),
+            ("b8", SystemKind::BoundaryCount(8)),
+            ("grid:3x2", SystemKind::Grid { cols: 3, rows: 2 }),
+        ] {
+            assert_eq!(name.parse(), Ok(kind));
+        }
+        for (name, why) in [
+            ("mesh", "unknown system \"mesh\" (want baseline|"),
+            ("grid:3", "unknown system"),
+            ("grid:ax2", "unknown system"),
+            (
+                "grid:0x1",
+                "invalid system \"grid:0x1\": grid must be at least 1x1",
+            ),
+        ] {
+            let err = name.parse::<SystemKind>().unwrap_err();
+            assert!(err.contains(why), "{name}: {err}");
+        }
+        let err = ChipletSystemSpec::try_of_kind(SystemKind::BoundaryCount(3)).unwrap_err();
+        assert!(err.contains("use 2, 4 or 8"), "{err}");
     }
 
     #[test]

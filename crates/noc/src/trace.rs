@@ -172,7 +172,8 @@ pub enum TraceEvent {
         out_port: Port,
         /// Req-like or ack-like buffer class.
         class: ControlClass,
-        /// The raw Fig. 4 bit encoding.
+        /// The signal's payload word (`ControlMsg::bits`; UPP's is its
+        /// Fig. 4 type tag).
         bits: u32,
         /// VNet the signal serves.
         vnet: VnetId,

@@ -1,7 +1,8 @@
 //! Adversarial verification CLI.
 //!
 //! ```text
-//! verify campaign [--system mini|baseline|large] [--points N] [--seed-base S]
+//! verify campaign [--system mini|baseline|large|b2|b8|grid:CxR] [--points N]
+//!                 [--seed-base S]
 //!                 [--jobs J] [--horizon C] [--rate R] [--link-faults K]
 //!                 [--throttles T] [--vcs V] [--max-cycles M]
 //!                 [--schemes a,b,c] [--out DIR] [--shrink-evals E]
@@ -19,7 +20,7 @@ use std::process::ExitCode;
 use upp_bench::sweep::SweepEngine;
 use upp_noc::config::NocConfig;
 use upp_tracetools::{PhaseTotals, ProfileSummary};
-use upp_verify::scenario::{random_scenario, scheme_kind, CampaignParams};
+use upp_verify::scenario::{random_scenario, scheme_kind, system_spec, CampaignParams};
 use upp_verify::{oracle_for, run_differential, run_scenario, shrink, Scenario};
 use upp_workloads::run::check_rate;
 
@@ -49,8 +50,8 @@ impl Default for CampaignOpts {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: verify campaign [--system mini|baseline|large] [--points N] \
-         [--seed-base S] [--jobs J] [--horizon C] [--rate R] [--link-faults K] \
+        "usage: verify campaign [--system mini|baseline|large|b2|b8|grid:CxR] \
+         [--points N] [--seed-base S] [--jobs J] [--horizon C] [--rate R] [--link-faults K] \
          [--throttles T] [--vcs V] [--max-cycles M] [--schemes a,b,c] \
          [--out DIR] [--shrink-evals E]\n       verify replay FILE"
     );
@@ -94,15 +95,23 @@ fn parse_campaign(args: &[String]) -> CampaignOpts {
     o
 }
 
-/// Exits 2 with the reason unless `vcs_per_vnet` VCs per VNet can run under
-/// every scheme named in `schemes` (the harness panics on what fails here).
-fn check_config(vcs_per_vnet: usize, schemes: &[&str]) {
+/// Exits 2 with the reason unless `system` names a system on which
+/// `vcs_per_vnet` VCs per VNet can run under every scheme named in
+/// `schemes` (the harness panics on what fails here).
+fn check_config(system: &str, vcs_per_vnet: usize, schemes: &[&str]) {
     let cfg = NocConfig::default().with_vcs_per_vnet(vcs_per_vnet);
-    for label in schemes {
-        if let Err(e) = scheme_kind(label).and_then(|kind| kind.check_config(&cfg)) {
-            eprintln!("invalid configuration: {e}");
-            std::process::exit(2);
+    let check = || -> Result<(), String> {
+        let routers = system_spec(system)?.num_routers();
+        for label in schemes {
+            scheme_kind(label)
+                .and_then(|kind| kind.check_config(&cfg, routers))
+                .map_err(|e| format!("invalid configuration: {e}"))?;
         }
+        Ok(())
+    };
+    if let Err(e) = check() {
+        eprintln!("{e}");
+        std::process::exit(2);
     }
 }
 
@@ -138,7 +147,7 @@ fn campaign(o: CampaignOpts) -> ExitCode {
     };
     let seeds: Vec<u64> = (0..o.points as u64).map(|i| o.seed_base + i).collect();
     let schemes: Vec<&str> = o.schemes.iter().map(String::as_str).collect();
-    check_config(o.params.vcs_per_vnet, &schemes);
+    check_config(&o.params.system, o.params.vcs_per_vnet, &schemes);
     if let Err(e) = check_params(&o.params) {
         eprintln!("invalid campaign: {e}");
         return ExitCode::from(2);
@@ -273,7 +282,7 @@ fn replay(path: &str) -> ExitCode {
         sc.traffic.len(),
         sc.faults.len()
     );
-    check_config(sc.vcs_per_vnet, &[&sc.scheme]);
+    check_config(&sc.system, sc.vcs_per_vnet, &[&sc.scheme]);
     let report = run_scenario(&sc, oracle_for(&sc));
     let parts: Vec<String> = PhaseTotals::LABELS
         .iter()

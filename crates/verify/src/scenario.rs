@@ -9,7 +9,7 @@
 use upp_core::UppConfig;
 use upp_noc::fault::{FaultAction, FaultEvent, FaultPlan};
 use upp_noc::ids::{Cycle, NodeId, Port, VnetId};
-use upp_noc::topology::{ChipletPlacement, ChipletSystemSpec};
+use upp_noc::topology::{ChipletPlacement, ChipletSystemSpec, SystemKind};
 use upp_workloads::runner::SchemeKind;
 
 use serde_json::Value;
@@ -65,19 +65,16 @@ pub fn mini_spec() -> ChipletSystemSpec {
     }
 }
 
-/// Resolves a system name to its spec.
+/// Resolves a system name to its spec: `mini`, or any name `simulate
+/// --system` takes ([`SystemKind`]'s `FromStr`).
 ///
 /// # Errors
 ///
-/// Returns `Err` for unknown names.
+/// Returns `Err` for unknown names and shapes that cannot be built.
 pub fn system_spec(name: &str) -> Result<ChipletSystemSpec, String> {
     match name {
-        "baseline" => Ok(ChipletSystemSpec::baseline()),
-        "large" => Ok(ChipletSystemSpec::large()),
         "mini" => Ok(mini_spec()),
-        other => Err(format!(
-            "unknown system {other:?} (want baseline|large|mini)"
-        )),
+        other => ChipletSystemSpec::try_of_kind(other.parse::<SystemKind>()?),
     }
 }
 

@@ -49,4 +49,30 @@ fn invalid_campaign_parameters_are_errors_naming_the_limit() {
         &["--max-cycles", "0"],
         &["--max-cycles 0", "greater than --horizon 300"],
     );
+    // A system `simulate --system` would refuse, in its words.
+    assert_campaign_rejected(
+        "grid0",
+        &["--system", "grid:0x1"],
+        &["invalid system \"grid:0x1\": grid must be at least 1x1"],
+    );
+    assert_campaign_rejected("name", &["--system", "mesh"], &["unknown system \"mesh\""]);
+}
+
+/// `--system` takes every name `simulate --system` does: a grid runs all
+/// three schemes differentially.
+#[test]
+fn a_campaign_on_a_grid_compares_all_three_schemes() {
+    let out_dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("verify-cli-grid3x2");
+    let out = Command::new(env!("CARGO_BIN_EXE_verify"))
+        .args(["campaign", "--system", "grid:3x2", "--points", "2", "--out"])
+        .arg(&out_dir)
+        .output()
+        .expect("verify binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("campaign OK: 2 points x 3 schemes"),
+        "{stdout}"
+    );
 }

@@ -1,5 +1,5 @@
 //! Scheduler-equivalence properties: the active-set cycle scheduler (skip
-//! idle routers/NIs, fast-forward quiescent gaps) must be unobservable.
+//! idle and blocked routers/NIs) must be unobservable.
 //! For random scenarios across every recovery scheme, a run with the
 //! scheduler on and the same run with it off must produce identical
 //! delivered-packet multisets, identical verdicts at identical cycles,
@@ -35,8 +35,7 @@ proptest! {
 
     /// Full-scenario equivalence on the mini system: traffic, dynamic
     /// faults and pauses, all three recovery schemes, per-cycle stepping
-    /// harness (exercises idle-component skipping; the harness steps every
-    /// cycle itself, so no fast-forwarding occurs here).
+    /// harness (exercises idle-component skipping).
     #[test]
     fn scheduler_is_unobservable_in_scenario_runs(
         seed in 0u64..5_000,
@@ -65,12 +64,13 @@ proptest! {
         prop_assert_eq!(&on.alerts, &off.alerts, "alert stream diverged");
     }
 
-    /// Drain-loop equivalence on the full baseline system: a traffic burst
-    /// followed by `run_until_drained`, which is where quiescent-gap
-    /// fast-forwarding actually fires. Outcomes (including the exact drain
-    /// cycle) and the complete stats snapshot must match byte for byte.
+    /// Kernel against the always-tick reference on the full baseline
+    /// system, across a traffic burst and the `run_until_drained` after it,
+    /// where the network empties and the wake sets with it. Outcomes
+    /// (including the exact drain cycle) and the complete stats snapshot
+    /// must match byte for byte.
     #[test]
-    fn fast_forward_preserves_outcome_and_stats(
+    fn burst_and_drain_match_the_reference(
         kind_ix in 0usize..4,
         pattern_ix in 0usize..3,
         vcs in prop_oneof![Just(1usize), Just(2)],

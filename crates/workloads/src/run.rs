@@ -163,15 +163,6 @@ impl Riders {
         }
     }
 
-    /// True when some rider must see every cycle boundary, so a drain may
-    /// not fast-forward over quiet cycles.
-    pub fn per_cycle(&self) -> bool {
-        self.cfg.profile.is_some()
-            || self.cfg.obs_every.is_some()
-            || self.cfg.sample_every.is_some()
-            || self.watcher.is_some()
-    }
-
     /// Call after every `System::step`. Telemetry epochs and the health
     /// monitor consume the same boundary: a due one calls `observe()`
     /// exactly once, so the sampled-gauge stream is byte-identical whether
@@ -252,7 +243,7 @@ impl Riders {
         }
         // Refresh the sampled gauges once so the summary reflects the end
         // state. Exact counters are unaffected (they accumulate at the
-        // event sites, fast-forward or not).
+        // event sites).
         let obs_summary = self.cfg.obs.then(|| {
             sys.observe();
             sys.net().obs().summary_json(sys.net().cycle())
@@ -352,13 +343,10 @@ impl RunConfig {
     ///
     /// # Errors
     ///
-    /// Returns the reason for grid dimensions that are degenerate or
-    /// overflow the id spaces.
+    /// Returns the reason for a shape that cannot be built
+    /// ([`ChipletSystemSpec::try_of_kind`]).
     pub fn spec(&self) -> Result<ChipletSystemSpec, String> {
-        match self.system {
-            SystemKind::Grid { cols, rows } => ChipletSystemSpec::grid(cols, rows),
-            kind => Ok(ChipletSystemSpec::of_kind(kind)),
-        }
+        ChipletSystemSpec::try_of_kind(self.system)
     }
 
     /// The network configuration `vcs` asks for.
@@ -400,8 +388,7 @@ pub struct RunReport {
 }
 
 /// Runs `cfg`'s traffic on `built` for `cfg.cycles`, drains for at most as
-/// many again and collects the report. The drain fast-forwards over quiet
-/// cycles unless a rider must see every boundary.
+/// many again and collects the report.
 pub fn run(built: BuiltSystem, cfg: &RunConfig, events: &mut dyn FnMut(RunEvent<'_>)) -> RunReport {
     let BuiltSystem { mut sys, upp_stats } = built;
     let mut riders = Riders::arm(&mut sys, cfg.riders.clone());
@@ -415,10 +402,7 @@ pub fn run(built: BuiltSystem, cfg: &RunConfig, events: &mut dyn FnMut(RunEvent<
             break;
         }
     }
-    let fast_forward = !riders.per_cycle();
-    let outcome = sys.drain(cfg.cycles, fast_forward, |sys| {
-        riders.after_step(sys, events)
-    });
+    let outcome = sys.drain(cfg.cycles, |sys| riders.after_step(sys, events));
     RunReport {
         outcome,
         upp: upp_stats.as_ref().map(UppStats::snapshot),
@@ -586,14 +570,9 @@ mod tests {
     #[test]
     fn unbuildable_requests_are_errors() {
         type Edit = fn(&mut RunConfig);
-        let cases: [(Edit, &str); 7] = [
+        let cases: [(Edit, &str); 6] = [
             (|c| c.vcs = 0, "at least 1"),
-            (
-                |c| (c.vcs, c.scheme) = (MAX_VCS_PER_PORT / 3 + 1, SchemeKind::None),
-                "limit of 64",
-            ),
-            // The default scheme is UPP: 3 VNets x 8 VCs > its 16-VC field.
-            (|c| c.vcs = 8, "4-bit input-VC field"),
+            (|c| c.vcs = MAX_VCS_PER_PORT / 3 + 1, "limit of 64"),
             (|c| c.faults = 50, "only 45 of 50 links can fail"),
             (
                 |c| (c.faults, c.scheme) = (3, SchemeKind::Composable),

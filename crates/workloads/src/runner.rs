@@ -10,6 +10,7 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use upp_baselines::composable::Composable;
 use upp_baselines::remote::{RemoteControl, RemoteControlConfig};
+use upp_core::signal::SignalLayout;
 use upp_core::{Upp, UppConfig, UppStats, UppStatsHandle};
 use upp_noc::config::NocConfig;
 use upp_noc::ni::ConsumePolicy;
@@ -54,19 +55,19 @@ impl SchemeKind {
     }
 
     /// Checks a configuration that came from outside the program (CLI
-    /// flags, replay files) for a run under this scheme, so a bad one is an
-    /// error message instead of a panic mid-run ([`try_build_system`]
-    /// checks it first):
-    /// [`NocConfig::validate`], plus, for UPP, the VC bound of its request
-    /// signal.
+    /// flags, replay files) for a run under this scheme on a system of
+    /// `routers` routers, so a bad one is an error message instead of a
+    /// panic mid-run ([`try_build_system`] checks it first):
+    /// [`NocConfig::validate`], plus, for UPP, that its signals on that
+    /// system fit the control buffers ([`SignalLayout::check`]).
     ///
     /// # Errors
     ///
     /// Returns the reason the configuration cannot run.
-    pub fn check_config(&self, cfg: &NocConfig) -> Result<(), String> {
+    pub fn check_config(&self, cfg: &NocConfig, routers: usize) -> Result<(), String> {
         cfg.validate()?;
         if let SchemeKind::Upp(_) = self {
-            upp_core::signal::check_vcs_per_port(cfg.vcs_per_port())?;
+            SignalLayout::for_system(routers, cfg.num_vnets, cfg.vcs_per_port()).check()?;
         }
         Ok(())
     }
@@ -101,7 +102,7 @@ pub fn try_build_system(
     seed: u64,
     consume: ConsumePolicy,
 ) -> Result<BuiltSystem, String> {
-    kind.check_config(&cfg)?;
+    kind.check_config(&cfg, spec.num_routers())?;
     if faults > 0 && *kind == SchemeKind::Composable {
         return Err("composable routing does not support faulty systems (Sec. VI-B)".into());
     }

@@ -7,9 +7,9 @@
 //! (wake-ups from bypass latches, control signals, reservations) and where
 //! UPP's own bookkeeping order can leak into the simulation. The idle recipe
 //! — uniform random at 0.005 — is the opposite: most boundary routers are
-//! quiet in most cycles, so UPP's tick skips them, wakes them when a flit
-//! turns up, and the drain fast-forwards. The loaded recipe — uniform random
-//! at 0.09 with 4 VCs per VNet — puts 12 VCs on every port under contention:
+//! quiet in most cycles, so UPP's tick skips them and wakes them when a
+//! flit turns up. The loaded recipe — uniform random at 0.09 with 4 VCs per
+//! VNet — puts 12 VCs on every port under contention:
 //! switch allocation walks occupancy words instead of polling all of them,
 //! and routers woken by a credit alone are descheduled unstepped, while the
 //! reference steps every router in every cycle, empty or not.
@@ -29,8 +29,12 @@
 //! Two more for the scheduler's wake sets, `u64` words over node indices:
 //! the baseline's 80 routers are one word and a quarter of the next, so the
 //! Fig. 3 recipe and the fault plan run again on the 3x3 grid — 180 routers,
-//! two whole words and 52 bits of a third, and still inside the 8-bit
-//! destination field of UPP's signals.
+//! two whole words and 52 bits of a third.
+//!
+//! And one past the paper's systems: uniform random into slow endpoints on
+//! the 5x4 grid — 400 routers (six whole words and 16 bits), 320 chiplet
+//! nodes — where UPP pops packets up to destinations above node 255, which
+//! Fig. 4's 8-bit destination field cannot name.
 //!
 //! These are debug builds, so every skip is cross-checked on the way.
 
@@ -54,8 +58,8 @@ enum Under {
 }
 
 struct Recipe {
-    /// 3x3 chiplets instead of the baseline's 2x2.
-    grid3: bool,
+    /// Chiplet columns and rows; 2x2 is the baseline.
+    grid: (u16, u16),
     scheme: Under,
     pattern: Pattern,
     rate: f64,
@@ -73,7 +77,7 @@ struct Recipe {
 }
 
 const FIG3: Recipe = Recipe {
-    grid3: false,
+    grid: (2, 2),
     scheme: Under::Upp,
     pattern: Pattern::Hotspot,
     rate: 0.06,
@@ -135,13 +139,22 @@ const FAULTED: Recipe = Recipe {
 };
 
 const FIG3_GRID3: Recipe = Recipe {
-    grid3: true,
+    grid: (3, 3),
     ..FIG3
 };
 
 const FAULTED_GRID3: Recipe = Recipe {
-    grid3: true,
+    grid: (3, 3),
     ..FAULTED
+};
+
+const SLOW_GRID5X4: Recipe = Recipe {
+    grid: (5, 4),
+    pattern: Pattern::UniformRandom,
+    rate: 0.05,
+    consume_latency: Some(40),
+    traffic_cycles: 2_000,
+    ..FIG3
 };
 
 /// Two mesh links (one inside a chiplet, one on the interposer) fail and
@@ -193,11 +206,8 @@ fn run(recipe: &Recipe, active_scheduler: bool) -> Snapshot {
         Some(latency) => ConsumePolicy::Immediate { latency },
         None => ConsumePolicy::External,
     };
-    let spec = if recipe.grid3 {
-        ChipletSystemSpec::grid(3, 3).expect("a 3x3 grid fits every id space")
-    } else {
-        ChipletSystemSpec::baseline()
-    };
+    let (cols, rows) = recipe.grid;
+    let spec = ChipletSystemSpec::grid(cols, rows).expect("the grid fits every id space");
     let built = build_system(&spec, cfg, &kind, 0, SEED, consume);
     let mut sys = built.sys;
     sys.net_mut().set_active_scheduler(active_scheduler);
@@ -289,8 +299,8 @@ fn run(recipe: &Recipe, active_scheduler: bool) -> Snapshot {
     }
 }
 
-/// Skipping idle and blocked routers and NIs and fast-forwarding quiescent
-/// gaps must be unobservable: the always-tick kernel is the reference.
+/// Skipping idle and blocked routers and NIs must be unobservable: the
+/// always-tick kernel is the reference.
 #[test]
 fn active_set_kernel_matches_the_always_tick_reference() {
     for recipe in [
@@ -303,6 +313,7 @@ fn active_set_kernel_matches_the_always_tick_reference() {
         FAULTED,
         FIG3_GRID3,
         FAULTED_GRID3,
+        SLOW_GRID5X4,
     ] {
         assert_eq!(run(&recipe, true), run(&recipe, false));
     }
