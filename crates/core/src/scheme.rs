@@ -21,6 +21,7 @@ use upp_noc::ids::{ChipletId, Cycle, NodeId, PacketId, Port, VnetId};
 use upp_noc::network::{Network, UpwardCandidate};
 use upp_noc::obs::{CounterId, GaugeId, HistId};
 use upp_noc::packet::RouteInfo;
+use upp_noc::router::Router;
 use upp_noc::scheme::{Scheme, SchemeProperties};
 use upp_noc::trace::TraceEvent;
 
@@ -164,11 +165,23 @@ impl Stage {
     }
 }
 
+/// True when an input VC of `r` is owned by `packet`.
+fn holds(r: &Router, packet: PacketId) -> bool {
+    r.input_vcs()
+        .any(|(p, f)| r.input_vc(p, f).owner == Some(packet))
+}
+
 struct VnetState {
     counter: UppCounter,
     arbiter: UpwardArbiter,
     stage: Stage,
     acks_to_drop: u32,
+    /// In a pop stage: every router holding the popup packet carries its
+    /// priority mark. Set by the stage's first whole-worm mark (on entry to
+    /// `PopChiplet`, in the first cycle of `PopInterposer`, whose entry
+    /// marks the head's router only) and then kept: the head is frozen, so
+    /// no router can newly own a VC of the packet until the stage ends.
+    marked: bool,
 }
 
 impl VnetState {
@@ -178,6 +191,27 @@ impl VnetState {
             arbiter: UpwardArbiter::new(),
             stage: Stage::Idle,
             acks_to_drop: 0,
+            marked: false,
+        }
+    }
+
+    /// Marks the popup packet at every router holding it, once per pop
+    /// stage; debug builds check on every later call that the marks still
+    /// cover the worm.
+    fn mark_worm(&mut self, net: &mut Network, packet: PacketId) {
+        if !self.marked {
+            Upp::mark_priority_everywhere(net, packet);
+            self.marked = true;
+        } else if cfg!(debug_assertions) {
+            for node in net.topo().nodes() {
+                let r = net.router(node.id);
+                assert!(
+                    !holds(r, packet) || r.is_priority_packet(packet),
+                    "{} holds popup packet {packet} without its mark at cycle {}",
+                    node.id,
+                    net.cycle()
+                );
+            }
         }
     }
 }
@@ -527,12 +561,7 @@ impl Upp {
     fn mark_priority_everywhere(net: &mut Network, packet: PacketId) {
         for i in 0..net.topo().nodes().len() {
             let n = net.topo().nodes()[i].id;
-            let holds = {
-                let r = net.router(n);
-                r.input_vcs()
-                    .any(|(p, f)| r.input_vc(p, f).owner == Some(packet))
-            };
-            if holds {
+            if holds(net.router(n), packet) {
                 net.router_mut(n).add_priority_packet(packet);
             }
         }
@@ -558,11 +587,10 @@ impl Upp {
 
     /// True when no router holds any flit of `packet`.
     fn packet_gone(net: &Network, packet: PacketId) -> bool {
-        net.topo().nodes().iter().all(|n| {
-            let r = net.router(n.id);
-            r.input_vcs()
-                .all(|(p, f)| r.input_vc(p, f).owner != Some(packet))
-        })
+        net.topo()
+            .nodes()
+            .iter()
+            .all(|n| !holds(net.router(n.id), packet))
     }
 
     /// Cross-check for a router `pre_cycle` is skipping, independent of the
@@ -753,6 +781,7 @@ impl Upp {
                         selected_at,
                         acked_at,
                     };
+                    vs.marked = false;
                     if let Some(o) = &self.obs {
                         net.obs_mut().inc(o.enter_pop_interposer);
                     }
@@ -835,7 +864,7 @@ impl Upp {
                 selected_at,
                 acked_at,
             } => {
-                Self::mark_priority_everywhere(net, cand.packet);
+                self.routers[slot].vnets[vnet.index()].mark_worm(net, cand.packet);
                 // Pops pipeline with bypass forwarding: one flit per cycle.
                 if net.bypass_pending(node) <= 1 {
                     if let Some(flit) = net.pop_upward_flit(node, cand.in_port, cand.vc_flat) {
@@ -868,12 +897,13 @@ impl Upp {
                         // Head still here after all: full popup.
                         net.router_mut(node).set_vc_frozen(in_port, vc_flat, true);
                         net.router_mut(node).add_priority_packet(cand.packet);
-                        let st = &mut self.routers[slot];
-                        st.vnets[vnet.index()].stage = Stage::PopInterposer {
+                        let vs = &mut self.routers[slot].vnets[vnet.index()];
+                        vs.stage = Stage::PopInterposer {
                             cand,
                             selected_at,
                             acked_at,
                         };
+                        vs.marked = false;
                         if let Some(o) = &self.obs {
                             net.obs_mut().inc(o.enter_pop_interposer);
                         }
@@ -890,8 +920,9 @@ impl Upp {
                         net.router_mut(r_star).set_vc_frozen(in_port, vc_flat, true);
                         Self::mark_priority_everywhere(net, cand.packet);
                         let located_at = net.cycle();
-                        let st = &mut self.routers[slot];
-                        st.vnets[vnet.index()].stage = Stage::PopChiplet {
+                        let vs = &mut self.routers[slot].vnets[vnet.index()];
+                        vs.marked = true;
+                        vs.stage = Stage::PopChiplet {
                             packet: cand.packet,
                             dest: cand.dest,
                             r_star,
@@ -947,7 +978,7 @@ impl Upp {
                 acked_at,
                 located_at,
             } => {
-                Self::mark_priority_everywhere(net, packet);
+                self.routers[slot].vnets[vnet.index()].mark_worm(net, packet);
                 if net.bypass_pending(r_star) <= 1 {
                     let hit = net.router(r_star).circuit(vnet, dest).map(|e| e.out_port);
                     if let Some(o) = &self.obs {
@@ -1217,6 +1248,42 @@ mod tests {
             s.popups_completed + s.stops_sent > 0,
             "popup machinery must have engaged: {s:?}"
         );
+    }
+
+    #[test]
+    fn a_completed_popup_leaves_no_priority_mark_behind() {
+        // A popped packet's tail leaves the popping router through the
+        // bypass latch, not switch allocation; its mark must go with it.
+        // Packet ids are allocated from zero, so every mark ever set is
+        // one of these.
+        let (mut sys, stats) = system(2, ConsumePolicy::Immediate { latency: 120 });
+        let dest = sys.net().topo().chiplets()[1].routers[10];
+        let sources: Vec<NodeId> = sys
+            .net()
+            .topo()
+            .chiplets()
+            .iter()
+            .flat_map(|c| c.routers.iter().copied())
+            .filter(|&n| sys.net().topo().chiplet_of(n) != sys.net().topo().chiplet_of(dest))
+            .collect();
+        for _ in 0..4 {
+            for &s in &sources {
+                sys.send(s, dest, VnetId(1), 5);
+            }
+            sys.run(5);
+        }
+        let out = sys.run_until_drained(120_000);
+        assert!(matches!(out, RunOutcome::Drained { .. }), "got {out:?}");
+        let s = UppStats::snapshot(&stats);
+        assert!(s.popups_completed > 0, "{s:?}");
+        let created = sys.net().stats().packets_created;
+        for node in sys.net().topo().nodes() {
+            let r = sys.net().router(node.id);
+            let marked: Vec<u64> = (0..created)
+                .filter(|&id| r.is_priority_packet(PacketId(id)))
+                .collect();
+            assert!(marked.is_empty(), "{} still marks {marked:?}", node.id);
+        }
     }
 
     #[test]

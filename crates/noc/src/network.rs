@@ -14,6 +14,7 @@ use crate::topology::Topology;
 use crate::trace::{StallReport, TraceEvent, Tracer, VcHold, WedgedPacket};
 use crate::wake_set::WakeSet;
 use serde::Serialize;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// A ring-buffer event calendar.
@@ -121,23 +122,28 @@ pub struct MemReport {
 /// would do nothing if stepped, and both sets empty is
 /// [`Network::is_quiescent`].
 ///
-/// Two *due* sets say which routers can make progress, because a router
-/// full of blocked flits stays on the level set and sleeps there.
-/// [`Router::step`] decides whether a router is worth another look in the
-/// next cycle or parks until an input of its step changes, and every such
-/// input is a wake site: a credit, a flit or control arrival, scheme access
-/// to the router, a freed ejection entry at the node's NI, a healed link.
-/// A wake is for this cycle (`due`) or the next (`due_next`: a flit attends
-/// allocation the cycle after its buffer write, and a step or a consumption
-/// enables the *next* step); the two swap where `finish_cycle` advances the
-/// clock, `due` having been emptied by the router loop.
+/// Two *due* sets per kind say which components can make progress, because
+/// a router full of blocked flits, or an NI whose backlog waits on credits
+/// or whose delivered packets are not yet due, stays on the level set and
+/// sleeps there. [`Router::step`] decides whether a router is worth another
+/// look in the next cycle or parks until an input of its step changes, and
+/// every such input is a wake site: a credit, a flit or control arrival,
+/// scheme access to the router, a freed ejection entry at the node's NI, a
+/// healed link. An NI that injected is worth a look in the next cycle; any
+/// other parks until a credit, a delivery, a new packet, a permit, a pause
+/// toggle or [`Network`]'s consumption timer wakes it. A wake is for this
+/// cycle (`due`) or the next (`due_next`: a flit attends allocation the
+/// cycle after its buffer write, and a step or a consumption enables the
+/// *next* step); the two swap where `finish_cycle` advances the clock,
+/// `due` having been emptied by the router loop (`ni_due` by the
+/// consumption loop).
 ///
 /// Extra bits cost a look, missing bits hang a flit. A due bit may be stale
-/// — its router left the schedule, or never was on it — and is dropped
+/// — its component left the schedule, or never was on it — and is dropped
 /// where it is visited or where the router is scheduled again. What debug
 /// builds assert for every node in every cycle is the converse: *holds
 /// anything* implies *on its level set*, and *can move a flit*
-/// ([`Router::can_progress`]) implies *due now*.
+/// ([`Router::can_progress`], [`Ni::can_progress`]) implies *due now*.
 struct Schedule {
     /// Routers holding anything.
     routers: WakeSet,
@@ -147,6 +153,10 @@ struct Schedule {
     due: WakeSet,
     /// Routers to look at in the next one.
     due_next: WakeSet,
+    /// NIs to look at in this cycle's `finish_cycle`.
+    ni_due: WakeSet,
+    /// NIs to look at in the next one.
+    ni_due_next: WakeSet,
 }
 
 impl Schedule {
@@ -158,8 +168,10 @@ impl Schedule {
         Self {
             routers: full.clone(),
             nis: full.clone(),
-            due: full,
+            due: full.clone(),
             due_next: WakeSet::new(nodes),
+            ni_due: full,
+            ni_due_next: WakeSet::new(nodes),
         }
     }
 
@@ -198,10 +210,11 @@ impl Schedule {
         self.due.fill();
     }
 
-    /// Puts `node`'s NI on the schedule.
+    /// Puts `node`'s NI on the schedule and lets it look in this cycle.
     #[inline]
     fn wake_ni(&mut self, node: NodeId) {
         self.nis.insert(node.index());
+        self.ni_due.insert(node.index());
     }
 }
 
@@ -264,6 +277,16 @@ pub struct Network {
     /// through is a step (the numerator of
     /// [`Network::active_router_fraction`]).
     router_ticks: u64,
+    /// NI looks actually executed (one per NI per cycle it is visited in).
+    ni_ticks: u64,
+    /// When each packet delivered under `ConsumePolicy::Immediate` becomes
+    /// consumable, and at which NI: pushed where `begin_cycle` completes a
+    /// tail, popped into `ni_due` where `finish_cycle` reaches that cycle.
+    /// Sorted by construction — every NI has the same latency and tails
+    /// complete in cycle order — and kept under both kernels, so it
+    /// survives [`Network::set_active_scheduler`]. Never longer than the
+    /// delivered packets, so pre-sized to every ejection entry there is.
+    consume_timer: VecDeque<(Cycle, NodeId)>,
     /// Control messages sitting unread in NI inboxes: bumped where
     /// `begin_cycle` delivers one, dropped by [`Network::drain_ni_inbox`].
     ni_control_pending: usize,
@@ -316,6 +339,7 @@ impl Network {
         arena.reserve(in_flight_bound);
         let mut tracker = PacketTracker::new();
         tracker.reserve(in_flight_bound);
+        let consume_timer = VecDeque::with_capacity(n * cfg.num_vnets * cfg.ejection_queue_entries);
         Self {
             cfg,
             topo,
@@ -333,13 +357,16 @@ impl Network {
             schedule: Schedule::all_awake(n),
             scheduler_enabled: true,
             router_ticks: 0,
+            ni_ticks: 0,
+            consume_timer,
             ni_control_pending: 0,
         }
     }
 
     /// Enables or disables the active-set scheduler at runtime. Disabling
     /// restores the always-tick reference kernel; re-enabling marks every
-    /// component active (conservative) so no pending work can be missed.
+    /// component active (conservative) so no pending work can be missed,
+    /// and keeps the consumption timer, which both kernels maintain.
     pub fn set_active_scheduler(&mut self, enabled: bool) {
         self.scheduler_enabled = enabled;
         if enabled {
@@ -677,15 +704,14 @@ impl Network {
         self.routers[node.index()].bypass_pending()
     }
 
-    /// NI-side ejection-entry reservation (UPP_req handling).
+    /// NI-side ejection-entry reservation (UPP_req handling). An entry is
+    /// what the router's step waits on, not the NI's, so nothing wakes.
     pub fn try_reserve_ejection(&mut self, node: NodeId, vnet: VnetId) -> bool {
-        self.schedule.wake_ni(node);
         self.nis[node.index()].try_reserve_entry(vnet)
     }
 
     /// Releases an NI ejection reservation (UPP_stop handling).
     pub fn release_ejection_reservation(&mut self, node: NodeId, vnet: VnetId) {
-        self.schedule.wake_ni(node);
         self.schedule.wake_router(node); // a head flit may be waiting for the entry
         self.nis[node.index()].release_reservation(vnet);
     }
@@ -903,6 +929,7 @@ impl Network {
             calendar,
             emit_scratch,
             schedule,
+            consume_timer,
             ni_control_pending,
             ..
         } = self;
@@ -954,8 +981,16 @@ impl Network {
                 Event::NiFlitArrive { node, flit } => {
                     stats.flits_ejected += 1;
                     tracker.touch(*cycle);
-                    let done = nis[node.index()].accept_flit(flit, *cycle, flit.upward, arena);
+                    let ni = &mut nis[node.index()];
+                    let done = ni.accept_flit(flit, *cycle, flit.upward, arena);
                     if let Some(d) = done {
+                        if let Some(at) = ni.consumed_from(d.completed_at) {
+                            debug_assert!(
+                                consume_timer.back().is_none_or(|&(last, _)| last <= at),
+                                "consumption timer out of order"
+                            );
+                            consume_timer.push_back((at, node));
+                        }
                         if let Some(rec) = tracker.on_ejected(flit.desc, *cycle) {
                             stats.record_ejection(&rec, *cycle);
                             if tracer.enabled() {
@@ -1013,11 +1048,22 @@ impl Network {
             schedule,
             scheduler_enabled,
             router_ticks,
+            ni_ticks,
+            consume_timer,
             ..
         } = self;
         let sched = *scheduler_enabled;
         let mut emit = std::mem::take(emit_scratch);
         let now = *cycle;
+        let vct = cfg.flow_control == crate::config::FlowControl::VirtualCutThrough;
+        // Delivered packets that become consumable now wake their NIs.
+        while let Some(&(at, node)) = consume_timer.front() {
+            if at > now {
+                break;
+            }
+            consume_timer.pop_front();
+            schedule.ni_due.insert(node.index());
+        }
         // A blocked step is a no-op only while nothing records it: with a
         // tracer armed it reports why each flit is blocked, so every
         // scheduled router is stepped. Read every cycle — a profiler can be
@@ -1065,18 +1111,30 @@ impl Network {
                     "active-set scheduler would skip NI {} with pending work at cycle {now}",
                     ni.node()
                 );
+                assert!(
+                    (schedule.nis.contains(i) && schedule.ni_due.contains(i))
+                        || !ni.can_progress(now, cfg.vcs_per_vnet, vct),
+                    "scheduler would leave NI {} asleep but it can inject or consume at cycle {now}",
+                    ni.node()
+                );
             }
         }
-        // The part of word `w` to visit: a set's members, or for the
-        // reference every index there is.
-        let awake = |set: &WakeSet, w: usize| if sched { set.word(w) } else { set.full_word(w) };
 
-        // NI injection: one flit per NI per cycle onto the Local input port.
-        let vct = cfg.flow_control == crate::config::FlowControl::VirtualCutThrough;
+        // NI injection: one flit per NI per cycle onto the Local input port,
+        // from the scheduled NIs that are due (the consumption loop below
+        // spends the due bits).
         for w in 0..schedule.nis.word_count() {
-            for i in WakeSet::members(w, awake(&schedule.nis, w)) {
+            let visit = if sched {
+                schedule.nis.word(w) & schedule.ni_due.word(w)
+            } else {
+                schedule.nis.full_word(w)
+            };
+            for i in WakeSet::members(w, visit) {
+                *ni_ticks += 1;
                 let ni = &mut nis[i];
                 if let Some((flit, vc_flat)) = ni.inject_step(now, cfg.vcs_per_vnet, vct) {
+                    // The next flit, or the next packet's head, may go next.
+                    schedule.ni_due_next.insert(i);
                     if flit.kind.is_head() {
                         tracker.on_injected(flit.desc, now);
                         stats.packets_injected += 1;
@@ -1155,8 +1213,15 @@ impl Network {
 
         // PE consumption (Immediate policy), then NI deactivation — decided
         // only here so injection-side work observed above is not forgotten.
+        // The same NIs as the injection loop, and this look spends their due
+        // bits: an NI that injected is due next cycle, any other parks.
         for w in 0..schedule.nis.word_count() {
-            for i in WakeSet::members(w, awake(&schedule.nis, w)) {
+            let visit = if sched {
+                schedule.nis.word(w) & schedule.ni_due.take_word(w)
+            } else {
+                schedule.nis.full_word(w)
+            };
+            for i in WakeSet::members(w, visit) {
                 let ni = &mut nis[i];
                 if ni.consume_step(now) {
                     // The entry this freed is visible to the router's next step.
@@ -1175,10 +1240,11 @@ impl Network {
         *cycle += 1;
         if sched {
             debug_assert!(
-                schedule.due.is_empty(),
-                "the router loop spends every due bit"
+                schedule.due.is_empty() && schedule.ni_due.is_empty(),
+                "the router and consumption loops spend every due bit"
             );
             std::mem::swap(&mut schedule.due, &mut schedule.due_next);
+            std::mem::swap(&mut schedule.ni_due, &mut schedule.ni_due_next);
         }
     }
 
@@ -1470,6 +1536,164 @@ mod tests {
             net.pop_delivered(dest, VnetId(0)).unwrap();
             ejected_at(net, 5)
         });
+    }
+
+    // ------------------------------------------------------ NI wake sources
+    //
+    // The same pattern for NIs: one NI parks behind one thing, `ni_ticks`
+    // stands still while it sleeps, the public API removes the obstacle,
+    // and the always-tick reference says when the packet has to arrive.
+
+    /// Steps `cycles` cycles in which, under the scheduler, no NI may be
+    /// looked at.
+    fn ni_sleeps_through(net: &mut Network, cycles: u64) {
+        let before = net.ni_ticks;
+        for _ in 0..cycles {
+            net.step();
+        }
+        assert!(
+            !net.active_scheduler() || net.ni_ticks == before,
+            "an NI was looked at {} times while it can do nothing",
+            net.ni_ticks - before
+        );
+    }
+
+    /// A source and its east neighbour in the first chiplet.
+    fn pair(net: &Network) -> (NodeId, NodeId) {
+        let c = &net.topo().chiplets()[0];
+        (c.routers[0], c.routers[1])
+    }
+
+    #[test]
+    fn backlog_out_of_credits_injects_after_the_credit_returns() {
+        on_both_kernels(ConsumePolicy::Immediate { latency: 1 }, |net| {
+            let (src, dest) = pair(net);
+            // The router keeps the first four flits: the NI has no credit
+            // left for the fifth.
+            net.router_mut(src).set_vc_frozen(Port::Local, 0, true);
+            net.try_send(src, dest, VnetId(0), 5).unwrap();
+            for _ in 0..10 {
+                net.step();
+            }
+            assert_eq!(net.router(src).vc_buf_len(Port::Local, 0), 4);
+            ni_sleeps_through(net, 30);
+            net.router_mut(src).set_vc_frozen(Port::Local, 0, false);
+            ejected_at(net, 1)
+        });
+    }
+
+    #[test]
+    fn packet_waiting_on_a_permit_injects_after_the_grant() {
+        on_both_kernels(ConsumePolicy::Immediate { latency: 1 }, |net| {
+            let (src, dest) = pair(net);
+            let id = net.try_send(src, dest, VnetId(0), 1).unwrap();
+            net.set_injection_permit(src, id, PermitState::Waiting);
+            net.step(); // the look that finds it blocked
+            ni_sleeps_through(net, 30);
+            assert_eq!(net.stats().packets_injected, 0);
+            net.set_injection_permit(src, id, PermitState::Granted);
+            ejected_at(net, 1)
+        });
+    }
+
+    #[test]
+    fn a_packet_sent_to_a_parked_ni_is_injected() {
+        on_both_kernels(ConsumePolicy::Immediate { latency: 1 }, |net| {
+            let (src, dest) = pair(net);
+            // Parked, and on the schedule: its backlog waits on a permit.
+            let id = net.try_send(src, dest, VnetId(0), 1).unwrap();
+            net.set_injection_permit(src, id, PermitState::Waiting);
+            net.step();
+            ni_sleeps_through(net, 30);
+            net.try_send(src, dest, VnetId(1), 1).unwrap();
+            ejected_at(net, 1)
+        });
+    }
+
+    #[test]
+    fn paused_injection_resumes() {
+        on_both_kernels(ConsumePolicy::Immediate { latency: 1 }, |net| {
+            let (src, dest) = pair(net);
+            net.set_injection_paused(src, true);
+            net.try_send(src, dest, VnetId(0), 1).unwrap();
+            net.step(); // the look that takes it off the schedule
+            ni_sleeps_through(net, 30);
+            net.set_injection_paused(src, false);
+            ejected_at(net, 1)
+        });
+    }
+
+    #[test]
+    fn paused_consumption_resumes_and_frees_the_entry_a_head_waits_for() {
+        on_both_kernels(ConsumePolicy::Immediate { latency: 2 }, |net| {
+            let (src, dest) = pair(net);
+            net.set_consumption_paused(dest, true);
+            for _ in 0..5 {
+                net.try_send(src, dest, VnetId(0), 1).unwrap();
+            }
+            // Four fill the ejection queue, all of them due long before
+            // the sleep; the head of the fifth waits in the router.
+            for _ in 0..60 {
+                net.step();
+            }
+            assert_eq!(net.stats().packets_ejected, 4);
+            ni_sleeps_through(net, 30);
+            net.set_consumption_paused(dest, false);
+            ejected_at(net, 5)
+        });
+    }
+
+    #[test]
+    fn the_consumption_timer_fires_exactly_latency_cycles_after_completion() {
+        const LATENCY: u64 = 40;
+        on_both_kernels(ConsumePolicy::Immediate { latency: LATENCY }, |net| {
+            let (src, dest) = pair(net);
+            net.try_send(src, dest, VnetId(0), 1).unwrap();
+            // The tail completed in the last cycle stepped.
+            let completed_at = ejected_at(net, 1) - 1;
+            ni_sleeps_through(net, LATENCY - 1);
+            assert_eq!(net.ni(dest).free_entries(VnetId(0)), 3, "not due yet");
+            net.step();
+            assert_eq!(
+                net.ni(dest).free_entries(VnetId(0)),
+                4,
+                "consumed in cycle {}",
+                completed_at + LATENCY
+            );
+            completed_at
+        });
+    }
+
+    #[test]
+    fn switching_kernels_mid_run_keeps_the_packets_awaiting_consumption() {
+        // Eight packets into a 4-entry queue that takes 40 cycles a packet:
+        // the first four complete under the reference and become due after
+        // the scheduler is back, which must still consume them on time.
+        let observe = |flip: bool| {
+            let mut net = net_consuming(ConsumePolicy::Immediate { latency: 40 });
+            net.set_active_scheduler(flip);
+            let (src, dest) = pair(&net);
+            for _ in 0..8 {
+                net.try_send(src, dest, VnetId(0), 1).unwrap();
+            }
+            let mut seen = Vec::new();
+            for cycle in 0..400 {
+                if flip && cycle == 4 {
+                    net.set_active_scheduler(false);
+                }
+                if flip && cycle == 30 {
+                    net.set_active_scheduler(true);
+                }
+                net.step();
+                seen.push((
+                    net.stats().packets_ejected,
+                    net.ni(dest).free_entries(VnetId(0)),
+                ));
+            }
+            assert_eq!(seen.last(), Some(&(8, 4)), "everything consumed");
+            seen
+        };
+        assert_eq!(observe(true), observe(false));
     }
 
     #[test]

@@ -302,40 +302,22 @@ impl Ni {
         for _ in 0..self.num_vnets {
             let v = next;
             next = if v + 1 == self.num_vnets { 0 } else { v + 1 };
+            let Some(vcf) = self.sendable_vc(v, vcs_per_vnet, vct) else {
+                continue;
+            };
+            self.rr_vnet = next;
+            self.out_vcs[vcf].credits -= 1;
             if let Some(act) = &mut self.active[v] {
-                let vcf = act.vc_flat;
-                if self.out_vcs[vcf].credits == 0 {
-                    continue;
-                }
                 let flit = Flit::new(act.desc, act.next_seq, act.len_flits);
                 act.next_seq += 1;
-                self.out_vcs[vcf].credits -= 1;
                 if flit.kind.is_tail() {
                     self.active[v] = None;
                     self.backlog -= 1;
                 }
-                self.rr_vnet = next;
                 return Some((flit, vcf));
             }
-            // Try to start the head-of-queue packet of this VNet.
-            let Some(head) = self.inj_queues.front(v) else {
-                continue;
-            };
-            if head.permit == PermitState::Waiting {
-                continue;
-            }
-            // Allocate a free Local-input VC of this VNet (virtual
-            // cut-through requires room for the whole packet).
-            let need = if vct { head.pkt.len_flits as usize } else { 1 };
-            let base = v * vcs_per_vnet;
-            let Some(vcf) = (base..base + vcs_per_vnet)
-                .find(|&f| !self.out_vcs[f].busy && self.out_vcs[f].credits >= need)
-            else {
-                continue;
-            };
             let pending = self.inj_queues.pop_front(v).expect("checked non-empty");
             self.out_vcs[vcf].busy = true;
-            self.out_vcs[vcf].credits -= 1;
             let flit = Flit::new(pending.desc, 0, pending.pkt.len_flits);
             if pending.pkt.len_flits > 1 {
                 self.active[v] = Some(ActiveInjection {
@@ -347,10 +329,27 @@ impl Ni {
             } else {
                 self.backlog -= 1;
             }
-            self.rr_vnet = next;
             return Some((flit, vcf));
         }
         None
+    }
+
+    /// The Local-input VC on which VNet `v` can send a flit this cycle, if
+    /// it can: its active injection's VC while that has a credit, or else a
+    /// free VC with room for its head-of-queue packet (virtual cut-through
+    /// needs room for the whole packet) unless that packet awaits a permit.
+    fn sendable_vc(&self, v: usize, vcs_per_vnet: usize, vct: bool) -> Option<usize> {
+        if let Some(act) = &self.active[v] {
+            return (self.out_vcs[act.vc_flat].credits > 0).then_some(act.vc_flat);
+        }
+        let head = self.inj_queues.front(v)?;
+        if head.permit == PermitState::Waiting {
+            return None;
+        }
+        let need = if vct { head.pkt.len_flits as usize } else { 1 };
+        let base = v * vcs_per_vnet;
+        (base..base + vcs_per_vnet)
+            .find(|&f| !self.out_vcs[f].busy && self.out_vcs[f].credits >= need)
     }
 
     /// Credit return from the router's Local input VC.
@@ -505,22 +504,33 @@ impl Ni {
         Some(d)
     }
 
+    /// The cycle from which the Immediate policy consumes a packet completed
+    /// at `completed_at`; `None` under External, where the workload does.
+    pub(crate) fn consumed_from(&self, completed_at: Cycle) -> Option<Cycle> {
+        match self.consume {
+            ConsumePolicy::Immediate { latency } => Some(completed_at + latency),
+            ConsumePolicy::External => None,
+        }
+    }
+
+    /// Whether the Immediate policy consumes VNet `v`'s oldest delivered
+    /// packet in cycle `now` (pauses aside).
+    fn front_due(&self, v: usize, now: Cycle) -> bool {
+        self.delivered
+            .front(v)
+            .and_then(|d| self.consumed_from(d.completed_at))
+            .is_some_and(|at| at <= now)
+    }
+
     /// Runs the Immediate consumption policy; External is a no-op. Returns
     /// true when it consumed a packet, freeing an ejection entry.
     pub fn consume_step(&mut self, now: Cycle) -> bool {
-        let ConsumePolicy::Immediate { latency } = self.consume else {
-            return false;
-        };
         if self.consumption_paused || !self.delivered.any_nonempty() {
             return false;
         }
         let mut consumed = false;
         for v in 0..self.num_vnets {
-            while self
-                .delivered
-                .front(v)
-                .is_some_and(|d| d.completed_at + latency <= now)
-            {
+            while self.front_due(v, now) {
                 self.delivered.pop_front(v);
                 self.in_use[v] -= 1;
                 consumed = true;
@@ -544,24 +554,35 @@ impl Ni {
         out.append(&mut self.control_inbox);
     }
 
-    /// True when stepping this NI next cycle could possibly do work: an
-    /// unpaused injection backlog, an Immediate-consumable delivered queue,
-    /// or an unread control-inbox entry.
+    /// True while this NI holds anything: an unpaused injection backlog, an
+    /// Immediate-consumable delivered queue, or an unread control-inbox
+    /// entry.
     ///
-    /// This is the scheduler's wake predicate for NIs, and it is
-    /// level-based: a backlogged-but-blocked NI (no credits, permits still
-    /// `Waiting`) is stepped every cycle until its queues actually empty.
-    /// Credits and permit grants only enable progress for packets already
-    /// counted in `backlog`, so they need no wake of their own. Routers go
-    /// further and sleep while blocked (see
-    /// [`crate::router::Router::has_pending_work`]); the same for NIs did
-    /// not measure (EXPERIMENTS.md, "Progress-driven scheduling").
+    /// This is the scheduler's *level* predicate, as for routers (see
+    /// [`crate::router::Router::has_pending_work`]): it keeps the NI on the
+    /// schedule, not in every cycle's loops. A backlog blocked on credits or
+    /// a permit, and delivered packets not yet due, sleep there until a
+    /// credit, a permit, a new packet, a resume or the consumption timer
+    /// wakes the NI ([`Ni::can_progress`] is the reference).
     pub fn has_pending_work(&self) -> bool {
         (self.backlog > 0 && !self.injection_paused)
             || !self.control_inbox.is_empty()
             || (!self.consumption_paused
                 && matches!(self.consume, ConsumePolicy::Immediate { .. })
                 && self.delivered.any_nonempty())
+    }
+
+    /// Whether a step in cycle `now` could move anything — the read-only
+    /// reference the scheduler's NI skip is checked against in debug builds,
+    /// like [`crate::router::Router::can_progress`]: `inject_step` would send
+    /// a flit, or `consume_step` would consume a packet. Exact.
+    pub(crate) fn can_progress(&self, now: Cycle, vcs_per_vnet: usize, vct: bool) -> bool {
+        let injects = self.backlog > 0
+            && !self.injection_paused
+            && (0..self.num_vnets).any(|v| self.sendable_vc(v, vcs_per_vnet, vct).is_some());
+        let consumes =
+            !self.consumption_paused && (0..self.num_vnets).any(|v| self.front_due(v, now));
+        injects || consumes
     }
 
     /// Exact heap bytes of this NI's steady-state storage (injection and

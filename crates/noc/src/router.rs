@@ -232,10 +232,10 @@ pub struct Router {
     /// linear scan beats hashing.
     circuits: Vec<((VnetId, NodeId), CircuitEntry)>,
     bypass: VecDeque<BypassFlit>,
-    /// Packets whose buffered flits bid with popup priority. Not a small
-    /// set: a mark is cleared only when the packet's tail commits through
-    /// switch allocation, so a popping router — whose tails leave through
-    /// [`Router::pop_bypass_flit`] — keeps one entry per completed popup.
+    /// Packets whose buffered flits bid with popup priority: one entry per
+    /// popup whose worm holds an input VC here. A mark goes with the VC —
+    /// it is cleared where the packet's tail leaves, through switch
+    /// allocation or through [`Router::pop_bypass_flit`].
     priority_packets: HashSet<PacketId>,
     absorber: Option<Absorber>,
     control_inbox: Vec<DeliveredControl>,
@@ -1531,6 +1531,7 @@ impl Router {
             vc.route_out = None;
             vc.out_vc = None;
             vc.frozen = false;
+            self.remove_priority_packet(ctx.arena.desc(&flit).id);
         }
         // Credit upstream for the freed slot.
         let credit_at = ctx.now + ctx.cfg.credit_latency;

@@ -1,6 +1,6 @@
 //! The one cycle kernel against its reference, and against itself.
 //!
-//! Seven recipes on the baseline system, each run and then drained (or run
+//! Eight recipes on the baseline system, each run and then drained (or run
 //! into the watchdog). The Fig. 3 deadlock recipe — hotspot traffic at 0.06
 //! into endpoints that take 120 cycles to consume a packet — keeps the popup
 //! datapath busy, which is where the scheduler has the most to get wrong
@@ -14,7 +14,7 @@
 //! and routers woken by a credit alone are descheduled unstepped, while the
 //! reference steps every router in every cycle, empty or not.
 //!
-//! The next three are there for the progress-driven half of the scheduler,
+//! The next four are there for the progress-driven half of the scheduler,
 //! which lets a router full of blocked flits sleep until something it waits
 //! on changes; a wake-up it misses is a hang, not a wrong number. Remote control under the Fig. 3 recipe re-injects every
 //! boundary crossing through an absorber whose flits are gated a cycle
@@ -24,7 +24,10 @@
 //! and another's consumption paused and resumed — runs over workload-driven
 //! consumption with no tracer armed (the differential campaign always arms
 //! one, which keeps every occupied router stepping), so heals, resumes and
-//! `pop_delivered` are what has to wake the parked.
+//! `pop_delivered` are what has to wake the parked. The same plan runs again
+//! under the Fig. 3 recipe with endpoints that consume 40 cycles after a
+//! packet completes: an NI sleeps until its consumption timer fires, and
+//! pausing and resuming injection and consumption is what has to wake it.
 //!
 //! Two more for the scheduler's wake sets, `u64` words over node indices:
 //! the baseline's 80 routers are one word and a quarter of the next, so the
@@ -134,6 +137,17 @@ const FAULTED: Recipe = Recipe {
     consume_latency: None,
     traffic_cycles: 4_000,
     must_pop_up: false,
+    faulted: true,
+    ..FIG3
+};
+
+/// The same plan under the Fig. 3 hotspot recipe with consumers that take
+/// 40 cycles (and still pop up): NIs sleep until the consumption timer
+/// fires, and paused consumption lets it fire for nothing until the resume
+/// wakes the NI.
+const FAULTED_CONSUMING: Recipe = Recipe {
+    consume_latency: Some(40),
+    traffic_cycles: 4_000,
     faulted: true,
     ..FIG3
 };
@@ -311,6 +325,7 @@ fn active_set_kernel_matches_the_always_tick_reference() {
         FIG3_REMOTE_CONTROL,
         WEDGE,
         FAULTED,
+        FAULTED_CONSUMING,
         FIG3_GRID3,
         FAULTED_GRID3,
         SLOW_GRID5X4,
