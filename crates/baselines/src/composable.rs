@@ -171,16 +171,6 @@ impl ComposableConfig {
     pub fn entry_boundary_of(&self, dest: NodeId) -> Option<NodeId> {
         self.entry_of.get(&dest).copied()
     }
-
-    /// How many sources funnel through each exit boundary (load-imbalance
-    /// diagnostic matching the paper's router-2 observation).
-    pub fn exit_load_histogram(&self) -> HashMap<NodeId, usize> {
-        let mut h = HashMap::new();
-        for &b in self.exit_of.values() {
-            *h.entry(b).or_insert(0) += 1;
-        }
-        h
-    }
 }
 
 /// Exit legality: an XY-routed packet from `s` may descend at `b`.

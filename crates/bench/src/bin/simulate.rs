@@ -91,8 +91,8 @@ fn usage() -> ! {
                                              (default 200; implies --watch)\n\
          --watch-out PATH                    stream the alert JSONL (header plus\n\
                                              one line per alert, flushed as they\n\
-                                             fire — tailable with `upp-trace\n\
-                                             live --follow`; implies --watch)\n\
+                                             fire, so `tail -f` follows it;\n\
+                                             implies --watch)\n\
          --watch-capture-dir DIR             auto-capture a forensics bundle\n\
                                              (stall report, trace tail, obs\n\
                                              summary) on the first critical\n\
@@ -439,8 +439,8 @@ fn main() {
     let mut report = run(built, cfg, &mut |event| {
         eprintln!("{event}");
         if let (RunEvent::Alert(alert), Some(f)) = (event, watch_file.as_mut()) {
-            // Flushed per line so `upp-trace live --follow` sees alerts as
-            // they fire.
+            // Flushed per line so a reader tailing the file, or a run
+            // killed mid-way, has every alert that fired.
             let _ = writeln!(f, "{}", alert.jsonl());
             let _ = f.flush();
         }

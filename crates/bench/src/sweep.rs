@@ -354,7 +354,6 @@ impl FromJsonValue for SweepPoint {
                     watchdog_cascade: a.get("watchdog_cascade")?.as_u64()?,
                     circuit_saturation: a.get("circuit_saturation")?.as_u64()?,
                     permit_queue_runaway: a.get("permit_queue_runaway")?.as_u64()?,
-                    shard_imbalance: a.get("shard_imbalance")?.as_u64()?,
                 }
             },
         })
@@ -594,8 +593,7 @@ mod tests {
                 popup_storm: 0,
                 watchdog_cascade: 0,
                 circuit_saturation: 0,
-                permit_queue_runaway: 0,
-                shard_imbalance: 3,
+                permit_queue_runaway: 3,
             },
         };
         let v = serde_json::to_value(p).unwrap();
@@ -604,5 +602,18 @@ mod tests {
             serde_json::to_string(&back).unwrap(),
             serde_json::to_string(&p).unwrap()
         );
+    }
+
+    /// Journals recorded while the watcher had a seventh detector,
+    /// `shard_imbalance`, carry its key in every row; the key is ignored,
+    /// so those rows still restore instead of re-running.
+    #[test]
+    fn a_row_with_the_retired_shard_imbalance_key_still_restores() {
+        let row = r#"{"rate":0.02,"net_latency":18.5,"queue_latency":0.5,"total_latency":19.0,"throughput":0.0199,"packets_ejected":400,"upward_packets":0,"control_hops":0,"p50":17.0,"p95":30.0,"p99":41.0,"p999":52.0,"deadlocked":false,"alerts":{"throughput_collapse":0,"injection_starvation":0,"popup_storm":1,"watchdog_cascade":0,"circuit_saturation":0,"permit_queue_runaway":0,"shard_imbalance":0}}"#;
+        let p = SweepPoint::from_json_value(&serde_json::from_str(row).unwrap())
+            .expect("an old row restores");
+        assert_eq!(p.packets_ejected, 400);
+        assert_eq!(p.alerts.popup_storm, 1);
+        assert_eq!(p.alerts.total(), 1);
     }
 }

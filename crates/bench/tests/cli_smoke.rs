@@ -5,8 +5,9 @@
 //! or a fault count the system cannot place must fail with a message that
 //! names the limit, an offered rate outside what an NI can inject must fail
 //! with one that names the range, an output file that cannot be written
-//! must fail the run, `--watch` must work on clean and wedged runs, and the
-//! alert stream must be identical across repeated invocations.
+//! must fail the run, `--watch` must work on clean and wedged runs, the
+//! alert stream must be identical across repeated invocations, and the
+//! trace, profile, stall and journal flags must write what they promise.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -236,7 +237,7 @@ fn watch_clean_run_is_alert_free_and_json_carries_counts() {
     args.extend_from_slice(&["--watch", "--json", json.to_str().expect("utf-8")]);
     let (stdout, _) = simulate_ok(&args);
     assert!(
-        stdout.contains("watch: healthy (7 detectors, 0 alerts)"),
+        stdout.contains("watch: healthy (6 detectors, 0 alerts)"),
         "clean run verdict:\n{stdout}"
     );
     let payload = std::fs::read_to_string(&json).expect("json written");
@@ -338,4 +339,98 @@ fn watch_alert_stream_is_reproducible() {
     let b = run("repeat_b.jsonl");
     assert_eq!(a, b, "alert bytes differ across identical invocations");
     assert!(a.lines().count() > 1, "the run alerts at all:\n{a}");
+}
+
+/// The flight-recorder, profiler and forensics flags each write what they
+/// promise: a bounded Chrome trace that says what it dropped, a JSONL trace
+/// of well-formed lines, a printed phase breakdown, and a stall report plus
+/// its annotated diagram for a wedged run. `--threshold 5` forces popups.
+#[test]
+fn trace_profile_and_stall_flags_write_what_they_promise() {
+    let chrome = tmp_path("ring.json");
+    let (stdout, stderr) = simulate_ok(&[
+        "--rate",
+        "0.1",
+        "--cycles",
+        "2000",
+        "--threshold",
+        "5",
+        "--seed",
+        "7",
+        "--chrome-trace",
+        chrome.to_str().expect("utf-8"),
+        "--trace-ring-cap",
+        "500",
+        "--profile",
+    ]);
+    assert!(stdout.contains("UPP mean recovery"), "popups:\n{stdout}");
+    assert!(stdout.contains("phase attribution"), "profile:\n{stdout}");
+    assert!(
+        stderr.contains("(500 events)") && stderr.contains("trace ring overflowed"),
+        "the ring keeps 500 events and says so:\n{stderr}"
+    );
+    let doc = serde_json::from_str(&std::fs::read_to_string(&chrome).expect("trace written"))
+        .expect("the Chrome trace parses");
+    let events = doc.get("traceEvents").and_then(|e| e.as_array());
+    assert_eq!(events.map(Vec::len), Some(500));
+
+    let jsonl = tmp_path("trace.jsonl");
+    simulate_ok(&["--cycles", "300", "--trace", jsonl.to_str().expect("utf-8")]);
+    let text = std::fs::read_to_string(&jsonl).expect("trace written");
+    assert!(text.lines().count() > 100, "events streamed:\n{text}");
+    for line in text.lines() {
+        assert!(
+            serde_json::from_str(line).is_ok(),
+            "malformed trace line: {line}"
+        );
+    }
+
+    let svg = tmp_path("wedge.svg");
+    let (stdout, _) = simulate_ok(&[
+        "--scheme",
+        "none",
+        "--rate",
+        "0.2",
+        "--cycles",
+        "5000",
+        "--stall-report",
+        "--stall-svg",
+        svg.to_str().expect("utf-8"),
+    ]);
+    assert!(
+        stdout.contains("verdict: DEADLOCK (circular wait found)"),
+        "{stdout}"
+    );
+    let svg = std::fs::read_to_string(&svg).expect("stall diagram written");
+    assert!(svg.starts_with("<svg") && svg.contains("circular wait in red"));
+}
+
+/// `--journal` streams sweep points to a file and `--resume` serves them
+/// back, so the resumed sweep prints the same rows; a journal recorded
+/// under another configuration is refused rather than reused.
+#[test]
+fn a_resumed_sweep_journal_serves_its_points() {
+    let journal = tmp_path("sweep_journal.jsonl");
+    let journal = journal.to_str().expect("utf-8");
+    let args = [
+        "--sweep",
+        "0.02,0.04",
+        "--cycles",
+        "500",
+        "--journal",
+        journal,
+    ];
+    let (first, _) = simulate_ok(&args);
+    let mut resumed = args.to_vec();
+    resumed.push("--resume");
+    let (again, stderr) = simulate_ok(&resumed);
+    assert_eq!(first, again);
+    assert!(stderr.contains("(2 points recorded)"), "{stderr}");
+    resumed.extend_from_slice(&["--seed", "2"]);
+    assert_rejected(&resumed, &["different sweep config"]);
+}
+
+#[test]
+fn help_prints_the_usage_and_exits_2() {
+    assert_rejected(&["--help"], &["usage: simulate", "--watch-out PATH"]);
 }

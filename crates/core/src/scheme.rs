@@ -30,9 +30,6 @@ use upp_noc::trace::TraceEvent;
 pub struct UppConfig {
     /// Deadlock-detection timeout in cycles (Table II uses 20).
     pub threshold: u64,
-    /// Minimum gap between consecutive protocol signals from one interposer
-    /// router; `None` resolves to `data_packet_flits + 1` (Sec. V-B5).
-    pub signal_gap: Option<u64>,
     /// Serialise popups per (chiplet, VNet) instead of relying on the
     /// destination-keyed circuit table (the paper's interposer-coordination
     /// alternative, Sec. V-B5).
@@ -43,7 +40,6 @@ impl Default for UppConfig {
     fn default() -> Self {
         Self {
             threshold: protocol::DEFAULT_DETECTION_THRESHOLD,
-            signal_gap: None,
             serialize_per_chiplet: false,
         }
     }
@@ -371,10 +367,7 @@ impl Upp {
     }
 
     fn initialize(&mut self, net: &Network) {
-        self.gap = self
-            .cfg
-            .signal_gap
-            .unwrap_or_else(|| protocol::default_signal_gap(net.cfg().data_packet_flits));
+        self.gap = protocol::default_signal_gap(net.cfg().data_packet_flits);
         self.num_vnets = net.cfg().num_vnets;
         for &ir in net.topo().interposer_routers() {
             let Some(above) = net.topo().above(ir) else {
@@ -1393,7 +1386,6 @@ mod tests {
     fn threshold_config_roundtrip() {
         let c = UppConfig::with_threshold(100);
         assert_eq!(c.threshold, 100);
-        assert!(c.signal_gap.is_none());
         assert!(!c.serialize_per_chiplet);
     }
 }

@@ -82,4 +82,4 @@ pub use obs::{CounterId, GaugeId, HistId, ObsHistogram, ObsRegistry, ObsSnapshot
 pub use profile::{PacketSpan, SpanRecorder};
 pub use scheme::{NoScheme, Scheme, SchemeProperties};
 pub use sim::{RunOutcome, System};
-pub use trace::{StallReport, TraceEvent, TraceSink, Tracer};
+pub use trace::{StallReport, TraceEvent, Tracer};

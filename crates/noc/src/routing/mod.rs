@@ -128,17 +128,6 @@ impl ChipletRouting {
         }
     }
 
-    /// Table-based region routing with a custom selector.
-    pub fn with_selector_and_tables(
-        selector: Arc<dyn BoundarySelector>,
-        tables: Arc<RouteTables>,
-    ) -> Self {
-        Self {
-            selector,
-            tables: Some(tables),
-        }
-    }
-
     fn region_step(&self, topo: &Topology, node: NodeId, in_port: Port, target: NodeId) -> Port {
         match &self.tables {
             Some(t) => t.next_port(node, in_port, target).unwrap_or_else(|| {

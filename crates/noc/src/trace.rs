@@ -7,12 +7,12 @@
 //!   injection, per-hop VC allocation, blocked-on-{credit, VC, switch}
 //!   stalls, bypass pops, ejection), control-signal hops with their Fig. 4
 //!   fields, and UPP popup spans from detection to completion. Sinks:
-//!   nothing ([`TraceSink::Disabled`]), a bounded in-memory ring buffer, a
-//!   JSONL stream, or a Chrome trace-event buffer loadable in
-//!   `chrome://tracing` / Perfetto. With the sink disabled every hook is a
-//!   single branch on [`Tracer::enabled`] — the simulation stays
-//!   cycle-for-cycle identical (see the `trace_determinism` integration
-//!   test).
+//!   nothing ([`Tracer::disabled`], the default), an in-memory ring buffer
+//!   (bounded, or unbounded for a Chrome trace-event export loadable in
+//!   `chrome://tracing` / Perfetto), or a JSONL stream. With the sink
+//!   disabled every hook is a single branch on [`Tracer::enabled`] — the
+//!   simulation stays cycle-for-cycle identical (see the
+//!   `trace_determinism` integration test).
 //! * **Deadlock forensics** — [`StallReport`]
 //!   (built by [`crate::network::Network::stall_report`]) names every wedged
 //!   packet, its per-VC "holds X, waits on Y" chain, and the circular wait
@@ -382,45 +382,19 @@ impl TraceEvent {
 // --------------------------------------------------------------- tracer
 
 /// Where recorded events go.
-pub enum TraceSink {
+enum SinkState {
     /// Record nothing; every hook reduces to one predictable branch.
     Disabled,
-    /// Keep the most recent events in a bounded in-memory ring buffer.
-    Ring {
-        /// Maximum number of retained events (oldest are dropped first).
-        capacity: usize,
-    },
-    /// Stream each event as one JSON line to a writer.
-    Jsonl(Box<dyn Write + Send>),
-    /// Buffer everything for a Chrome trace-event JSON export
-    /// ([`Tracer::chrome_trace_json`]).
-    Chrome,
-}
-
-impl std::fmt::Debug for TraceSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TraceSink::Disabled => f.write_str("Disabled"),
-            TraceSink::Ring { capacity } => write!(f, "Ring({capacity})"),
-            TraceSink::Jsonl(_) => f.write_str("Jsonl(..)"),
-            TraceSink::Chrome => f.write_str("Chrome"),
-        }
-    }
-}
-
-enum SinkState {
-    Disabled,
+    /// Keep the latest `capacity` events (oldest are dropped first).
     Ring {
         capacity: usize,
         buf: VecDeque<TraceEvent>,
         dropped: u64,
     },
+    /// Stream each event as one JSON line to a writer.
     Jsonl {
         out: Box<dyn Write + Send>,
         written: u64,
-    },
-    Chrome {
-        buf: Vec<TraceEvent>,
     },
 }
 
@@ -449,7 +423,6 @@ impl std::fmt::Debug for Tracer {
             SinkState::Disabled => ("disabled", 0),
             SinkState::Ring { buf, .. } => ("ring", buf.len()),
             SinkState::Jsonl { written, .. } => ("jsonl", *written as usize),
-            SinkState::Chrome { buf } => ("chrome", buf.len()),
         };
         f.debug_struct("Tracer")
             .field("sink", &kind)
@@ -460,54 +433,36 @@ impl std::fmt::Debug for Tracer {
 }
 
 impl Tracer {
-    /// A tracer that records nothing.
-    pub fn disabled() -> Self {
-        Self {
-            state: SinkState::Disabled,
-            profiler: None,
-        }
-    }
-
-    /// Builds a tracer over the given sink.
-    pub fn new(sink: TraceSink) -> Self {
-        let state = match sink {
-            TraceSink::Disabled => SinkState::Disabled,
-            TraceSink::Ring { capacity } => SinkState::Ring {
-                capacity: capacity.max(1),
-                buf: VecDeque::new(),
-                dropped: 0,
-            },
-            TraceSink::Jsonl(out) => SinkState::Jsonl { out, written: 0 },
-            TraceSink::Chrome => SinkState::Chrome { buf: Vec::new() },
-        };
+    fn with_sink(state: SinkState) -> Self {
         Self {
             state,
             profiler: None,
         }
     }
 
-    /// A tracer with no sink but a fresh span recorder: events feed the
-    /// per-packet latency profiler and are otherwise discarded.
-    pub fn profiling() -> Self {
-        let mut t = Self::disabled();
-        t.profiler = Some(Box::new(SpanRecorder::new()));
-        t
+    /// A tracer that records nothing.
+    pub fn disabled() -> Self {
+        Self::with_sink(SinkState::Disabled)
     }
 
     /// A ring-buffer tracer holding the latest `capacity` events.
     pub fn ring(capacity: usize) -> Self {
-        Self::new(TraceSink::Ring { capacity })
+        Self::with_sink(SinkState::Ring {
+            capacity: capacity.max(1),
+            buf: VecDeque::new(),
+            dropped: 0,
+        })
     }
 
     /// A streaming JSONL tracer.
     pub fn jsonl(out: Box<dyn Write + Send>) -> Self {
-        Self::new(TraceSink::Jsonl(out))
+        Self::with_sink(SinkState::Jsonl { out, written: 0 })
     }
 
-    /// A Chrome trace-event tracer (export with
-    /// [`Tracer::chrome_trace_json`]).
+    /// A tracer that keeps every event, for a Chrome trace-event export
+    /// ([`Tracer::chrome_trace_json`]): a ring with no bound.
     pub fn chrome() -> Self {
-        Self::new(TraceSink::Chrome)
+        Self::ring(usize::MAX)
     }
 
     /// True when events are being recorded (a sink is armed or a profiler
@@ -562,18 +517,16 @@ impl Tracer {
                 let _ = writeln!(out, "{}", ev.jsonl());
                 *written += 1;
             }
-            SinkState::Chrome { buf } => buf.push(ev),
         }
     }
 
-    /// Number of events currently retained (ring/Chrome) or written so far
+    /// Number of events currently retained (ring) or written so far
     /// (JSONL).
     pub fn len(&self) -> usize {
         match &self.state {
             SinkState::Disabled => 0,
             SinkState::Ring { buf, .. } => buf.len(),
             SinkState::Jsonl { written, .. } => *written as usize,
-            SinkState::Chrome { buf } => buf.len(),
         }
     }
 
@@ -590,12 +543,11 @@ impl Tracer {
         }
     }
 
-    /// Iterates the retained events, oldest first (ring and Chrome sinks;
-    /// empty for disabled/JSONL).
+    /// Iterates the retained events, oldest first (empty unless the sink is
+    /// a ring).
     pub fn events(&self) -> Box<dyn Iterator<Item = &TraceEvent> + '_> {
         match &self.state {
             SinkState::Ring { buf, .. } => Box::new(buf.iter()),
-            SinkState::Chrome { buf } => Box::new(buf.iter()),
             _ => Box::new(std::iter::empty()),
         }
     }
@@ -609,8 +561,8 @@ impl Tracer {
 
     /// Renders the retained events as a complete Chrome trace-event JSON
     /// document (the `{"traceEvents": [...]}` object format understood by
-    /// `chrome://tracing` and Perfetto). Works for the Chrome and ring
-    /// sinks; a disabled or streaming tracer yields an empty trace.
+    /// `chrome://tracing` and Perfetto). A disabled or streaming tracer
+    /// yields an empty trace.
     pub fn chrome_trace_json(&self) -> String {
         let mut out = String::from("{\"traceEvents\":[");
         for (i, ev) in self.events().enumerate() {
@@ -1163,7 +1115,8 @@ mod tests {
 
     #[test]
     fn profiling_tracer_feeds_spans_without_a_sink() {
-        let mut t = Tracer::profiling();
+        let mut t = Tracer::disabled();
+        t.set_profiler(Some(Box::new(SpanRecorder::new())));
         assert!(t.enabled(), "profiler alone must light the hook sites");
         for ev in sample_events() {
             t.record(ev);

@@ -1,6 +1,6 @@
 //! Rendering of system topology and network state.
 //!
-//! Two renderers, both dependency-free:
+//! Four renderers, all dependency-free:
 //!
 //! * [`topology_svg`] — a plan view of the chiplets above the interposer
 //!   with every mesh and vertical link; node fill encodes buffered-flit
@@ -76,16 +76,11 @@ fn heat_color(flits: usize, max: usize) -> String {
     format!("#{r:02x}{gb:02x}{gb:02x}")
 }
 
-/// Renders the system as an SVG plan view. `occupancy` (from
-/// [`crate::network::Network::occupancy`]) colours nodes by buffered flits;
-/// pass an empty slice for a plain topology diagram.
-pub fn topology_svg(topo: &Topology, occupancy: &[(NodeId, usize)]) -> String {
-    let pos = layout(topo);
-    let occ: HashMap<NodeId, usize> = occupancy.iter().copied().collect();
-    let max_occ = occ.values().copied().max().unwrap_or(0);
+/// Opens a plan-view document: the `<svg>` element sized to fit `pos`,
+/// and a light background.
+fn svg_prologue(pos: &HashMap<NodeId, (f64, f64)>) -> String {
     let width = pos.values().map(|&(x, _)| x).fold(0.0, f64::max) + NODE + MARGIN;
     let height = pos.values().map(|&(_, y)| y).fold(0.0, f64::max) + NODE + MARGIN;
-
     let mut svg = String::new();
     let _ = writeln!(
         svg,
@@ -95,6 +90,46 @@ pub fn topology_svg(topo: &Topology, occupancy: &[(NodeId, usize)]) -> String {
         svg,
         r##"<rect width="100%" height="100%" fill="#fafafa"/>"##
     );
+    svg
+}
+
+/// Draws every router as a labelled square filled with `fill(node)`:
+/// boundary routers outlined blue, interposer routers less rounded than
+/// chiplet ones.
+fn draw_nodes(
+    svg: &mut String,
+    topo: &Topology,
+    pos: &HashMap<NodeId, (f64, f64)>,
+    fill: impl Fn(NodeId) -> String,
+) {
+    for n in topo.nodes() {
+        let (x, y) = pos[&n.id];
+        let fill = fill(n.id);
+        let stroke = if n.boundary { "#4060c0" } else { "#404040" };
+        let shape = if topo.is_interposer(n.id) { 4.0 } else { 8.0 };
+        let _ = writeln!(
+            svg,
+            r#"<rect x="{:.0}" y="{:.0}" width="{NODE:.0}" height="{NODE:.0}" rx="{shape}" fill="{fill}" stroke="{stroke}" stroke-width="2"/>"#,
+            x - NODE / 2.0,
+            y - NODE / 2.0,
+        );
+        let _ = writeln!(
+            svg,
+            r#"<text x="{x:.0}" y="{:.0}" font-size="9" text-anchor="middle" font-family="monospace">{}</text>"#,
+            y + 3.0,
+            n.id.0
+        );
+    }
+}
+
+/// Renders the system as an SVG plan view. `occupancy` (from
+/// [`crate::network::Network::occupancy`]) colours nodes by buffered flits;
+/// pass an empty slice for a plain topology diagram.
+pub fn topology_svg(topo: &Topology, occupancy: &[(NodeId, usize)]) -> String {
+    let pos = layout(topo);
+    let occ: HashMap<NodeId, usize> = occupancy.iter().copied().collect();
+    let max_occ = occ.values().copied().max().unwrap_or(0);
+    let mut svg = svg_prologue(&pos);
 
     // Links first (under the nodes).
     for n in topo.nodes() {
@@ -118,25 +153,9 @@ pub fn topology_svg(topo: &Topology, occupancy: &[(NodeId, usize)]) -> String {
             );
         }
     }
-    // Nodes.
-    for n in topo.nodes() {
-        let (x, y) = pos[&n.id];
-        let fill = heat_color(occ.get(&n.id).copied().unwrap_or(0), max_occ);
-        let stroke = if n.boundary { "#4060c0" } else { "#404040" };
-        let shape = if topo.is_interposer(n.id) { 4.0 } else { 8.0 };
-        let _ = writeln!(
-            svg,
-            r#"<rect x="{:.0}" y="{:.0}" width="{NODE:.0}" height="{NODE:.0}" rx="{shape}" fill="{fill}" stroke="{stroke}" stroke-width="2"/>"#,
-            x - NODE / 2.0,
-            y - NODE / 2.0,
-        );
-        let _ = writeln!(
-            svg,
-            r#"<text x="{x:.0}" y="{:.0}" font-size="9" text-anchor="middle" font-family="monospace">{}</text>"#,
-            y + 3.0,
-            n.id.0
-        );
-    }
+    draw_nodes(&mut svg, topo, &pos, |n| {
+        heat_color(occ.get(&n).copied().unwrap_or(0), max_occ)
+    });
     svg.push_str("</svg>\n");
     svg
 }
@@ -227,18 +246,7 @@ pub fn contention_svg(
     let nh: HashMap<NodeId, u64> = node_heat.iter().copied().collect();
     let max_node = nh.values().copied().max().unwrap_or(0);
     let max_link = link_heat.iter().map(|&(_, _, v)| v).max().unwrap_or(0);
-    let width = pos.values().map(|&(x, _)| x).fold(0.0, f64::max) + NODE + MARGIN;
-    let height = pos.values().map(|&(_, y)| y).fold(0.0, f64::max) + NODE + MARGIN;
-
-    let mut svg = String::new();
-    let _ = writeln!(
-        svg,
-        r#"<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0}" height="{height:.0}" viewBox="0 0 {width:.0} {height:.0}">"#
-    );
-    let _ = writeln!(
-        svg,
-        r##"<rect width="100%" height="100%" fill="#fafafa"/>"##
-    );
+    let mut svg = svg_prologue(&pos);
 
     // Plain links underneath, as in the topology view.
     for n in topo.nodes() {
@@ -286,28 +294,13 @@ pub fn contention_svg(
         );
     }
     // Nodes coloured by heat.
-    for n in topo.nodes() {
-        let (x, y) = pos[&n.id];
-        let heat = nh.get(&n.id).copied().unwrap_or(0);
-        let fill = heat_color(
+    draw_nodes(&mut svg, topo, &pos, |n| {
+        let heat = nh.get(&n).copied().unwrap_or(0);
+        heat_color(
             ((heat as f64 / max_node.max(1) as f64) * 1000.0) as usize,
             1000,
-        );
-        let stroke = if n.boundary { "#4060c0" } else { "#404040" };
-        let shape = if topo.is_interposer(n.id) { 4.0 } else { 8.0 };
-        let _ = writeln!(
-            svg,
-            r#"<rect x="{:.0}" y="{:.0}" width="{NODE:.0}" height="{NODE:.0}" rx="{shape}" fill="{fill}" stroke="{stroke}" stroke-width="2"/>"#,
-            x - NODE / 2.0,
-            y - NODE / 2.0,
-        );
-        let _ = writeln!(
-            svg,
-            r#"<text x="{x:.0}" y="{:.0}" font-size="9" text-anchor="middle" font-family="monospace">{}</text>"#,
-            y + 3.0,
-            n.id.0
-        );
-    }
+        )
+    });
     let escaped = title
         .replace('&', "&amp;")
         .replace('<', "&lt;")

@@ -18,13 +18,11 @@
 //!
 //! Detectors are cycle-indexed and integer-valued: no wall clock, no
 //! floats in the exported bytes. Every input the watcher reads (stats
-//! counters, obs counters/gauges/histogram counts, `in_flight`, per-link
-//! flit totals) is proven byte-identical across the active-set scheduler
-//! and the always-tick reference kernel by the PR 5 equivalence
-//! suite — so the alert stream is too (pinned by `watch_golden.rs` and the
-//! `scheduler_equiv` watch properties). The `shard_imbalance` detector
-//! keeps its name from the byte-pinned `upp-alerts/v1` schema; what it
-//! reads is per-link flit deltas aggregated by chiplet.
+//! counters, obs counters/gauges/histogram counts, `in_flight`) is proven
+//! byte-identical across the active-set scheduler and the always-tick
+//! reference kernel by the kernel equivalence suite — so the alert stream is
+//! too (pinned by `watch_golden.rs` and the `scheduler_equiv` watch
+//! properties).
 //!
 //! Like obs and trace, the watcher is strictly read-only and costs nothing
 //! when absent: it is driver-owned state, not network state, and feeds
@@ -34,7 +32,7 @@ use std::collections::VecDeque;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use crate::ids::{Cycle, Port};
+use crate::ids::Cycle;
 use crate::network::Network;
 
 /// Schema tag stamped into the alert-stream header and every reader's
@@ -42,7 +40,7 @@ use crate::network::Network;
 pub const ALERTS_SCHEMA: &str = "upp-alerts/v1";
 
 /// Number of detectors (the length of [`Detector::ALL`]).
-pub const NUM_DETECTORS: usize = 7;
+pub const NUM_DETECTORS: usize = 6;
 
 /// The typed anomaly detectors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -62,9 +60,6 @@ pub enum Detector {
     CircuitSaturation,
     /// The remote-control permit queue backing up.
     PermitQueueRunaway,
-    /// Per-chiplet link-flit skew: one chiplet doing a large multiple of
-    /// the mean work.
-    ShardImbalance,
 }
 
 impl Detector {
@@ -76,7 +71,6 @@ impl Detector {
         Detector::WatchdogCascade,
         Detector::CircuitSaturation,
         Detector::PermitQueueRunaway,
-        Detector::ShardImbalance,
     ];
 
     /// Stable identifier used in the JSONL stream and journal keys.
@@ -88,7 +82,6 @@ impl Detector {
             Detector::WatchdogCascade => "watchdog_cascade",
             Detector::CircuitSaturation => "circuit_saturation",
             Detector::PermitQueueRunaway => "permit_queue_runaway",
-            Detector::ShardImbalance => "shard_imbalance",
         }
     }
 
@@ -101,7 +94,6 @@ impl Detector {
             Detector::WatchdogCascade => "expiries_per_epoch",
             Detector::CircuitSaturation => "circuit_entries",
             Detector::PermitQueueRunaway => "permit_queue_depth",
-            Detector::ShardImbalance => "chiplet_skew_milli",
         }
     }
 
@@ -233,11 +225,6 @@ pub struct WatchConfig {
     pub circuit_entries: u64,
     /// Permit-runaway trigger: remote-control permit-queue depth.
     pub permit_queue_depth: u64,
-    /// Imbalance trigger: busiest chiplet at this multiple (milli) of the
-    /// mean per-chiplet link-flit delta.
-    pub imbalance_ratio_milli: u64,
-    /// ... and only when the epoch moved at least this many link flits.
-    pub imbalance_min_flits: u64,
 }
 
 impl Default for WatchConfig {
@@ -255,8 +242,6 @@ impl Default for WatchConfig {
             watchdog_rate: 25,
             circuit_entries: 4096,
             permit_queue_depth: 1024,
-            imbalance_ratio_milli: 4000,
-            imbalance_min_flits: 1024,
         }
     }
 }
@@ -306,7 +291,6 @@ pub struct Watcher {
     last_packets_created: u64,
     last_popups: u64,
     last_watchdog: u64,
-    last_chiplet_flits: Vec<u64>,
     // Trailing delivered-per-epoch window (baseline for collapse).
     delivered_window: VecDeque<u64>,
 }
@@ -326,7 +310,6 @@ impl Watcher {
             last_packets_created: 0,
             last_popups: 0,
             last_watchdog: 0,
-            last_chiplet_flits: Vec::new(),
             delivered_window: VecDeque::new(),
         }
     }
@@ -344,7 +327,6 @@ impl Watcher {
         self.last_packets_created = net.stats().packets_created;
         self.last_popups = popup_count(net);
         self.last_watchdog = net.obs().counter_value("upp.watchdog.expired_cycles");
-        self.last_chiplet_flits = chiplet_flits(net);
         self.armed = true;
     }
 
@@ -387,21 +369,6 @@ impl Watcher {
         }
         let collapse_threshold = window_mean * self.cfg.collapse_pct / 100;
 
-        // Per-chiplet link-flit skew, kernel-invariant (see module docs).
-        let flits = chiplet_flits(net);
-        let chiplets = flits.len() as u64;
-        let mut skew_total = 0u64;
-        let mut skew_max = 0u64;
-        for (now_f, last_f) in flits.iter().zip(self.last_chiplet_flits.iter()) {
-            let d = now_f - last_f;
-            skew_total += d;
-            skew_max = skew_max.max(d);
-        }
-        self.last_chiplet_flits = flits;
-        let skew_milli = (skew_max * 1000 * chiplets)
-            .checked_div(skew_total)
-            .unwrap_or(0);
-
         // (trigger, value, threshold) per detector, in ALL order.
         let evals: [(bool, u64, u64); NUM_DETECTORS] = [
             (
@@ -436,13 +403,6 @@ impl Watcher {
                 permits >= self.cfg.permit_queue_depth,
                 permits,
                 self.cfg.permit_queue_depth,
-            ),
-            (
-                chiplets > 1
-                    && skew_total >= self.cfg.imbalance_min_flits
-                    && skew_milli >= self.cfg.imbalance_ratio_milli,
-                skew_milli,
-                self.cfg.imbalance_ratio_milli,
             ),
         ];
 
@@ -548,27 +508,6 @@ fn popup_count(net: &Network) -> u64 {
         .map_or(0, |h| h.count())
 }
 
-/// Cumulative link flits aggregated per chiplet (interposer traffic is
-/// deliberately excluded: the detector compares chiplets with each other).
-fn chiplet_flits(net: &Network) -> Vec<u64> {
-    let stats = net.stats();
-    net.topo()
-        .chiplets()
-        .iter()
-        .map(|c| {
-            c.routers
-                .iter()
-                .map(|&n| {
-                    Port::ALL
-                        .iter()
-                        .map(|&p| stats.link_flit_count(n, p))
-                        .sum::<u64>()
-                })
-                .sum()
-        })
-        .collect()
-}
-
 /// Files written by [`capture_forensics`].
 #[derive(Debug, Clone)]
 pub struct ForensicsBundle {
@@ -638,8 +577,7 @@ mod tests {
                 "popup_storm",
                 "watchdog_cascade",
                 "circuit_saturation",
-                "permit_queue_runaway",
-                "shard_imbalance"
+                "permit_queue_runaway"
             ]
         );
         for (i, d) in Detector::ALL.iter().enumerate() {

@@ -37,13 +37,6 @@ pub struct AlertRecord {
 }
 
 impl AlertRecord {
-    /// Parses one alert JSONL line (no header); `None` when the line is
-    /// not a complete alert object. Used by `upp-trace live` to render
-    /// lines as they are appended.
-    pub fn from_json_line(line: &str) -> Option<Self> {
-        Self::from_value(&serde_json::from_str(line).ok()?)
-    }
-
     fn from_value(v: &Value) -> Option<Self> {
         Some(Self {
             detector: v.get("detector")?.as_str()?.to_string(),
@@ -57,9 +50,8 @@ impl AlertRecord {
         })
     }
 
-    /// One fixed-width human line (shared by `upp-trace alerts` and
-    /// `upp-trace live`).
-    pub fn render_line(&self) -> String {
+    /// One fixed-width human line of the [`report_text`] table.
+    fn render_line(&self) -> String {
         format!(
             "{:>10}  {:<8} {:<9} {:<21} {}={} (threshold {}, since cycle {})",
             self.at_cycle,
@@ -84,7 +76,7 @@ pub struct AlertsReport {
 }
 
 /// True when `v` is an `upp-alerts/v1` stream header.
-pub fn is_alerts_header(v: &Value) -> bool {
+fn is_alerts_header(v: &Value) -> bool {
     matches!(v.get("upp_alerts").and_then(Value::as_u64), Some(1))
 }
 

@@ -6,6 +6,7 @@
 //! upp-trace critical-path <input> [--top N]
 //! upp-trace diff <a> <b>
 //! upp-trace obs <input> [--csv-out FILE] [--svg-out FILE] [--metric NAME]
+//! upp-trace alerts <input> [--csv-out FILE] [--svg-out FILE]
 //! ```
 //!
 //! `<input>` is either a profile summary JSON written by
@@ -17,7 +18,11 @@
 //! `obs` instead reads protocol-state telemetry: a summary JSON from
 //! `simulate --obs` (also embedded as the `"obs"` field of `--json`
 //! payloads) or an epoch JSONL stream from `--obs-every`/`--obs-out`,
-//! auto-detected by their markers.
+//! auto-detected by their markers. `alerts` reads the `upp-alerts/v1`
+//! stream of `simulate --watch-out`.
+//!
+//! An unknown subcommand or flag is named on stderr before the usage text,
+//! and the exit code is 2.
 
 use std::fs::File;
 use std::io::{BufReader, Read};
@@ -35,7 +40,6 @@ fn usage() -> ! {
          upp-trace diff <a> <b>\n\
          upp-trace obs <input> [--csv-out FILE] [--svg-out FILE] [--metric NAME]\n\
          upp-trace alerts <input> [--csv-out FILE] [--svg-out FILE]\n\
-         upp-trace live <input> [--follow] [--poll-ms N] [--idle-ms N]\n\
          \n\
          <input>: profile JSON from `simulate --profile-out` or JSONL from\n\
          `simulate --trace`; the kind is auto-detected. `obs` reads telemetry\n\
@@ -43,11 +47,7 @@ fn usage() -> ! {
          epoch streams (`--obs-every`/`--obs-out`); repeat --metric to select\n\
          the series plotted by --svg-out (default: all). `alerts` renders an\n\
          upp-alerts/v1 stream (`simulate --watch-out`) as a table, CSV\n\
-         timeline or SVG lane chart. `live` tails an alert or obs-epoch JSONL\n\
-         stream as it is written: --follow keeps polling for appended lines\n\
-         (every --poll-ms, default 200) until the file goes --idle-ms\n\
-         (default 5000) without growth; without --follow it renders what is\n\
-         there and exits."
+         timeline or SVG lane chart."
     );
     std::process::exit(2)
 }
@@ -97,9 +97,6 @@ fn main() -> ExitCode {
     let mut scheme = String::new();
     let mut top = 10usize;
     let mut metrics: Vec<String> = Vec::new();
-    let mut follow = false;
-    let mut poll_ms = 200u64;
-    let mut idle_ms = 5_000u64;
     let mut it = args[1..].iter();
     while let Some(a) = it.next() {
         let mut val = || it.next().map(String::as_str).unwrap_or_else(|| usage());
@@ -112,10 +109,10 @@ fn main() -> ExitCode {
             "--scheme" => scheme = val().to_string(),
             "--top" => top = val().parse().unwrap_or_else(|_| usage()),
             "--metric" => metrics.push(val().to_string()),
-            "--follow" => follow = true,
-            "--poll-ms" => poll_ms = val().parse().unwrap_or_else(|_| usage()),
-            "--idle-ms" => idle_ms = val().parse().unwrap_or_else(|_| usage()),
-            flag if flag.starts_with("--") => usage(),
+            flag if flag.starts_with("--") => {
+                eprintln!("unknown flag {flag}");
+                usage()
+            }
             input => inputs.push(input),
         }
     }
@@ -232,89 +229,10 @@ fn main() -> ExitCode {
                 write_or_die(p, &upp_tracetools::alerts::lanes_svg(&report));
             }
         }
-        "live" => {
-            let path = one_input();
-            if let Err(e) = live_tail(path, follow, poll_ms, idle_ms) {
-                eprintln!("error: {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+        other => {
+            eprintln!("unknown subcommand {other}");
+            usage()
         }
-        _ => usage(),
     }
     ExitCode::SUCCESS
-}
-
-/// Renders one freshly appended JSONL line for `live`: alert headers and
-/// records get the alert table shape, obs epoch streams a compact cut
-/// line, anything else is echoed raw.
-fn render_live_line(line: &str) {
-    if let Some(rec) = upp_tracetools::alerts::AlertRecord::from_json_line(line) {
-        println!("{}", rec.render_line());
-        return;
-    }
-    let parsed: Result<serde_json::Value, _> = serde_json::from_str(line);
-    match parsed {
-        Ok(v) if upp_tracetools::alerts::is_alerts_header(&v) => {
-            let every = v
-                .get("every")
-                .and_then(serde_json::Value::as_u64)
-                .unwrap_or(0);
-            println!("live: upp-alerts stream (epoch {every} cycles)");
-        }
-        Ok(v) if upp_tracetools::obs::is_obs_epochs_header(&v) => {
-            println!("live: obs epoch stream");
-        }
-        Ok(v) => match v.get("cycle").and_then(serde_json::Value::as_u64) {
-            Some(c) => println!("epoch cut at cycle {c}"),
-            None => println!("{line}"),
-        },
-        Err(_) => println!("{line}"),
-    }
-}
-
-/// Tails `path`, rendering complete lines as they appear. With `follow`,
-/// polls every `poll_ms` until the file stops growing for `idle_ms`
-/// (bounded, so scripted pipelines terminate); without it, renders the
-/// current contents once. Partial trailing lines (a writer mid-append)
-/// are held back until their newline arrives.
-fn live_tail(path: &str, follow: bool, poll_ms: u64, idle_ms: u64) -> Result<(), String> {
-    use std::io::{Seek, SeekFrom};
-    let mut offset = 0u64;
-    let mut carry = String::new();
-    let mut idle = 0u64;
-    loop {
-        let mut f = File::open(path).map_err(|e| e.to_string())?;
-        let len = f.metadata().map_err(|e| e.to_string())?.len();
-        if len > offset {
-            f.seek(SeekFrom::Start(offset)).map_err(|e| e.to_string())?;
-            let mut new = String::new();
-            f.read_to_string(&mut new).map_err(|e| e.to_string())?;
-            offset = len;
-            idle = 0;
-            carry.push_str(&new);
-            while let Some(nl) = carry.find('\n') {
-                let line: String = carry.drain(..=nl).collect();
-                let line = line.trim_end();
-                if !line.is_empty() {
-                    render_live_line(line);
-                }
-            }
-        } else if !follow {
-            break;
-        } else {
-            idle += poll_ms;
-            if idle >= idle_ms {
-                eprintln!("live: idle for {idle_ms} ms, exiting");
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(poll_ms.max(1)));
-        }
-        if !follow && len <= offset {
-            break;
-        }
-    }
-    if !carry.trim().is_empty() {
-        render_live_line(carry.trim_end());
-    }
-    Ok(())
 }

@@ -80,7 +80,7 @@ pub fn is_obs_summary(v: &Value) -> bool {
 }
 
 /// True when `line` is a telemetry epoch-stream header.
-pub fn is_obs_epochs_header(v: &Value) -> bool {
+fn is_obs_epochs_header(v: &Value) -> bool {
     v.get("upp_obs_epochs").and_then(Value::as_u64) == Some(1)
 }
 

@@ -216,19 +216,24 @@ fn alerts_renders_table_csv_and_svg() {
     assert!(svg.contains("throughput_collapse"), "lane labelled:\n{svg}");
 }
 
+/// `live` and its polling flags are gone: `simulate --watch` streams
+/// alerts to stderr as they fire. Asking for either is exit 2 with the
+/// offending word named before the usage text.
 #[test]
-fn live_renders_a_finished_stream_and_exits() {
-    let stream = tmp_path("live.jsonl");
-    std::fs::write(&stream, sample_alerts()).expect("write alerts");
-    let out = upp_trace(&["live", stream.to_str().expect("utf-8")]);
-    assert!(
-        out.contains("live: upp-alerts stream (epoch 100 cycles)"),
-        "header rendered:\n{out}"
-    );
-    // One rendered line per alert record, after the header line.
-    assert_eq!(out.lines().count(), 5, "all lines rendered:\n{out}");
-    assert!(
-        out.contains("escalate") && out.contains("flits_per_epoch=2"),
-        "records rendered in table shape:\n{out}"
-    );
+fn a_removed_subcommand_or_flag_is_rejected_by_name() {
+    for (args, named) in [
+        (&["live", "x"][..], "unknown subcommand live"),
+        (&["alerts", "--follow", "x"][..], "unknown flag --follow"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_upp-trace"))
+            .args(args)
+            .output()
+            .expect("upp-trace binary runs");
+        assert_eq!(out.status.code(), Some(2), "upp-trace {args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.starts_with(named) && stderr.contains("usage:"),
+            "upp-trace {args:?}:\n{stderr}"
+        );
+    }
 }

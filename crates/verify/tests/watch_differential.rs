@@ -137,3 +137,45 @@ fn sensitized_popup_detector_separates_upp_from_none() {
         fired(&none_report)
     );
 }
+
+/// The other scheme-specific detectors, sensitized the same way: UPP's
+/// watchdog expiries and circuit-table entries, remote control's permit
+/// queue. Each fires under the scheme that owns its metric, and none fires
+/// on the same traffic without a recovery scheme, where the metric does not
+/// exist.
+#[test]
+fn sensitized_scheme_detectors_fire_only_under_their_scheme() {
+    let (sc, _) = wedging_scenario();
+    let sensitized = WatchConfig {
+        raise_after: 1,
+        watchdog_rate: 1,
+        circuit_entries: 1,
+        permit_queue_depth: 1,
+        ..WatchConfig::default()
+    };
+    let owned = [
+        ("UPP", "watchdog_cascade"),
+        ("UPP", "circuit_saturation"),
+        ("remote-control", "permit_queue_runaway"),
+    ];
+    let none_fired = fired(&run_scenario_watched(
+        &sc,
+        oracle_for(&sc),
+        true,
+        sensitized.clone(),
+    ));
+    for (scheme, detector) in owned {
+        let mut under = sc.clone();
+        under.scheme = scheme.into();
+        let report = run_scenario_watched(&under, oracle_for(&under), true, sensitized.clone());
+        assert!(
+            fired(&report).contains(detector),
+            "{scheme} should trip the sensitized {detector}; fired: {:?}",
+            fired(&report)
+        );
+        assert!(
+            !none_fired.contains(detector),
+            "{detector} fired without a recovery scheme: {none_fired:?}"
+        );
+    }
+}

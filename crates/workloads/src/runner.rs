@@ -17,7 +17,7 @@ use upp_noc::ni::ConsumePolicy;
 use upp_noc::routing::{ChipletRouting, RouteTables};
 use upp_noc::scheme::Scheme;
 use upp_noc::sim::System;
-use upp_noc::topology::{chiplet::inject_random_faults, ChipletSystemSpec, Topology};
+use upp_noc::topology::{chiplet::inject_random_faults, ChipletSystemSpec};
 use upp_noc::watch::WatchConfig;
 use upp_noc::Network;
 
@@ -107,10 +107,32 @@ pub fn try_build_system(
         return Err("composable routing does not support faulty systems (Sec. VI-B)".into());
     }
     let mut topo = spec.build(seed)?;
-    if faults > 0 {
+    let mut routing = if faults > 0 {
         inject_random_faults(&mut topo, faults, seed.wrapping_add(1))?;
-    }
-    build_on_topology(topo, cfg, kind, seed, consume)
+        ChipletRouting::with_tables(Arc::new(RouteTables::build(&topo)))
+    } else {
+        ChipletRouting::xy()
+    };
+    let mut upp_stats = None;
+    let scheme: Box<dyn Scheme> = match kind {
+        SchemeKind::None => Box::new(upp_noc::NoScheme),
+        SchemeKind::Upp(ucfg) => {
+            let upp = Upp::new(*ucfg);
+            upp_stats = Some(upp.stats_handle());
+            Box::new(upp)
+        }
+        SchemeKind::Composable => {
+            let (scheme, restricted) = Composable::build(&topo).map_err(|e| e.to_string())?;
+            routing = restricted;
+            Box::new(scheme)
+        }
+        SchemeKind::RemoteControl => Box::new(RemoteControl::new(RemoteControlConfig::default())),
+    };
+    let net = Network::new(cfg, topo, Arc::new(routing), consume, seed);
+    Ok(BuiltSystem {
+        sys: System::new(net, scheme),
+        upp_stats,
+    })
 }
 
 /// [`try_build_system`] for requests the program made itself.
@@ -127,56 +149,6 @@ pub fn build_system(
     consume: ConsumePolicy,
 ) -> BuiltSystem {
     try_build_system(spec, cfg, kind, faults, seed, consume).expect("system can be built")
-}
-
-/// Builds a system over an existing topology (for callers that pre-shaped
-/// the fault set).
-///
-/// # Errors
-///
-/// Returns the reason when composable routing is asked for on a topology
-/// with faulty links or its search fails.
-///
-/// # Panics
-///
-/// Panics when `cfg` fails [`NocConfig::validate`].
-pub fn build_on_topology(
-    topo: Topology,
-    cfg: NocConfig,
-    kind: &SchemeKind,
-    seed: u64,
-    consume: ConsumePolicy,
-) -> Result<BuiltSystem, String> {
-    let mut routing: ChipletRouting = if topo.num_faulty_links() > 0 {
-        ChipletRouting::with_tables(Arc::new(RouteTables::build(&topo)))
-    } else {
-        ChipletRouting::xy()
-    };
-    let mut upp_stats = None;
-    let scheme: Box<dyn Scheme> = match kind {
-        SchemeKind::None => Box::new(upp_noc::NoScheme),
-        SchemeKind::Upp(ucfg) => {
-            let upp = Upp::new(*ucfg);
-            upp_stats = Some(upp.stats_handle());
-            Box::new(upp)
-        }
-        SchemeKind::Composable => {
-            if topo.num_faulty_links() > 0 {
-                return Err(
-                    "the composable search is impractical on faulty systems (Sec. VI-B)".into(),
-                );
-            }
-            let (scheme, restricted) = Composable::build(&topo).map_err(|e| e.to_string())?;
-            routing = restricted;
-            Box::new(scheme)
-        }
-        SchemeKind::RemoteControl => Box::new(RemoteControl::new(RemoteControlConfig::default())),
-    };
-    let net = Network::new(cfg, topo, Arc::new(routing), consume, seed);
-    Ok(BuiltSystem {
-        sys: System::new(net, scheme),
-        upp_stats,
-    })
 }
 
 /// Warmup/measurement windows (Table II: 10K warmup, 100K measurement).
@@ -224,8 +196,6 @@ pub struct AlertCounts {
     pub circuit_saturation: u64,
     /// Raised `permit_queue_runaway` alerts.
     pub permit_queue_runaway: u64,
-    /// Raised `shard_imbalance` alerts.
-    pub shard_imbalance: u64,
 }
 
 impl AlertCounts {
@@ -239,7 +209,6 @@ impl AlertCounts {
             watchdog_cascade: c[3],
             circuit_saturation: c[4],
             permit_queue_runaway: c[5],
-            shard_imbalance: c[6],
         }
     }
 
@@ -251,7 +220,6 @@ impl AlertCounts {
             + self.watchdog_cascade
             + self.circuit_saturation
             + self.permit_queue_runaway
-            + self.shard_imbalance
     }
 }
 
@@ -509,6 +477,24 @@ mod tests {
         assert!((saturation_throughput(&pts) - 0.06).abs() < 1e-12);
         let lat = presaturation_latency(&pts);
         assert!((lat - 37.5).abs() < 1e-9);
+    }
+
+    /// Journal rows and `--json` payloads name the detectors through
+    /// `AlertCounts`' fields, so they must be `Detector::ALL`, in order.
+    #[test]
+    fn alert_counts_serialise_the_detector_names_in_order() {
+        let v = serde_json::to_value(AlertCounts::default()).expect("serialises");
+        let keys: Vec<&str> = v
+            .as_object()
+            .expect("an object")
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        let names: Vec<&str> = upp_noc::watch::Detector::ALL
+            .iter()
+            .map(|d| d.name())
+            .collect();
+        assert_eq!(keys, names);
     }
 
     /// No argv reaches a `spec.build` error any more, but a hand-made spec

@@ -5,20 +5,24 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use std::sync::Arc;
-use upp::core::{Upp, UppConfig};
-use upp::noc::config::NocConfig;
-use upp::noc::network::Network;
-use upp::noc::ni::ConsumePolicy;
-use upp::noc::routing::ChipletRouting;
-use upp::noc::sim::System;
-use upp::noc::topology::ChipletSystemSpec;
-use upp::workloads::synthetic::{Pattern, SyntheticTraffic};
+use upp::workloads::run::{run, RunConfig};
 
 fn main() {
-    // 1. The baseline system: four 4x4 chiplets on a 4x4 active interposer,
-    //    four vertical links per chiplet (Fig. 1).
-    let topo = ChipletSystemSpec::baseline().build(0).expect("valid spec");
+    // The baseline system under UPP with Table II's network (3 VNets, 1 VC
+    // each, 4-flit buffers): every field not named here is `simulate`'s
+    // default. The offered rate is beyond the unprotected network's
+    // deadlock point.
+    let cfg = RunConfig {
+        rate: 0.10,
+        cycles: 30_000,
+        seed: 42,
+        ..RunConfig::default()
+    };
+    let built = cfg.build().expect("the baseline system builds");
+
+    // Four 4x4 chiplets on a 4x4 active interposer, four vertical links per
+    // chiplet.
+    let topo = built.sys.net().topo();
     println!(
         "system: {} chiplet routers + {} interposer routers, {} vertical links",
         topo.chiplets()
@@ -31,54 +35,13 @@ fn main() {
             .map(|c| c.boundary_routers.len())
             .sum::<usize>(),
     );
+    println!("{cfg}");
 
-    // 2. Wormhole network per Table II (3 VNets, 1 VC each, 4-flit buffers),
-    //    three-leg routing with the static nearest-boundary binding.
-    let net = Network::new(
-        NocConfig::default(),
-        topo,
-        Arc::new(ChipletRouting::xy()),
-        ConsumePolicy::Immediate { latency: 1 },
-        7,
-    );
+    // Traffic for `cycles`, then a drain of at most as many again.
+    let report = run(built, &cfg, &mut |event| eprintln!("{event}"));
+    print!("{}", report.text());
 
-    // 3. Protect it with UPP: deadlocks may form, detection + popup recovers.
-    let upp = Upp::new(UppConfig::default());
-    let upp_stats = upp.stats_handle();
-    let mut sys = System::new(net, Box::new(upp));
-
-    // 4. Drive uniform-random traffic at a rate beyond the unprotected
-    //    network's deadlock point.
-    let mut traffic = SyntheticTraffic::new(sys.net().topo(), Pattern::UniformRandom, 0.10, 42);
-    for _ in 0..30_000 {
-        traffic.tick(&mut sys);
-        sys.step();
-    }
-    // Let the network drain.
-    let outcome = sys.run_until_drained(100_000);
-
-    // 5. Report.
-    let stats = sys.net().stats();
-    let upp = upp_stats.lock().expect("single-threaded run");
-    println!("outcome: {outcome:?}");
-    println!(
-        "packets: {} delivered / {} created ({} flits)",
-        stats.packets_ejected, stats.packets_created, stats.flits_ejected
-    );
-    println!(
-        "latency: {:.1} cycles network + {:.1} cycles queueing",
-        stats.avg_net_latency(),
-        stats.avg_queue_latency()
-    );
-    println!(
-        "UPP recovery: {} upward packets detected, {} popups completed ({} mid-worm), \
-         {} false-positive stops, {} signal hops",
-        upp.upward_packets,
-        upp.popups_completed,
-        upp.partial_popups,
-        upp.stops_sent,
-        stats.control_hops
-    );
+    let stats = report.sys.net().stats();
     assert_eq!(
         stats.packets_ejected, stats.packets_created,
         "UPP delivers everything"

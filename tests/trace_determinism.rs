@@ -1,7 +1,7 @@
 //! The flight recorder's zero-interference guarantee: attaching a tracer —
 //! disabled or recording — must not change a single simulation outcome.
 //! Two systems with identical seeds and traffic, one with
-//! `TraceSink::Disabled` (the default) and one with a recording ring sink,
+//! `Tracer::disabled()` (the default) and one with a recording ring sink,
 //! must produce byte-identical statistics.
 
 use rand::rngs::SmallRng;
