@@ -24,9 +24,8 @@ use std::sync::Arc;
 use upp_noc::ids::{NodeId, Port};
 use upp_noc::network::Network;
 use upp_noc::obs::GaugeId;
-use upp_noc::routing::turns::{Channel, ExtendedCdg, TurnRestrictions};
 use upp_noc::routing::xy::{xy_arrival_port, xy_departure_port};
-use upp_noc::routing::{BoundarySelector, ChipletRouting};
+use upp_noc::routing::{BoundarySelector, Channel, ChipletRouting, ExtendedCdg, TurnRestrictions};
 use upp_noc::scheme::{Scheme, SchemeProperties};
 use upp_noc::topology::Topology;
 
@@ -510,6 +509,51 @@ mod tests {
             for c in topo.chiplets() {
                 assert!(ExtendedCdg::build(&topo, c.id, cfg.restrictions()).is_acyclic());
             }
+        }
+    }
+
+    /// FNV-1a 64 over the sorted forbidden turns (node id as 4 LE bytes,
+    /// then the two port indices) and their count.
+    fn restrictions_digest(r: &TurnRestrictions) -> (u64, usize) {
+        let mut turns: Vec<_> = r.iter().collect();
+        turns.sort_unstable();
+        let bytes: Vec<u8> = turns
+            .iter()
+            .flat_map(|(n, i, o)| {
+                let [a, b, c, d] = n.0.to_le_bytes();
+                [a, b, c, d, i.index() as u8, o.index() as u8]
+            })
+            .collect();
+        (upp_noc::fnv1a64(&bytes), turns.len())
+    }
+
+    /// Both constructions pinned turn for turn. The balanced search (and
+    /// `build` on b8, where the funneled pattern falls back to it) follows
+    /// the first cycle the CDG search finds, so these digests also pin the
+    /// search's visit order. Derived at commit d0260a1, where the extended and
+    /// global CDGs were still two types with two cycle searches.
+    #[test]
+    fn restriction_sets_are_pinned() {
+        for (kind, want) in [
+            (SystemKind::Baseline, (0xd000_1639_d608_e895, 56)),
+            (SystemKind::Large, (0xae5a_32ad_26cc_3c05, 112)),
+            (SystemKind::BoundaryCount(2), (0x57e9_d2d4_e583_8965, 20)),
+            (SystemKind::BoundaryCount(8), (0x615d_417d_7a2a_ead5, 80)),
+        ] {
+            let topo = ChipletSystemSpec::of_kind(kind).build(0).unwrap();
+            let (scheme, _) = Composable::build(&topo).unwrap();
+            let got = restrictions_digest(scheme.config().restrictions());
+            assert_eq!(got, want, "build on {kind:?}: {:016x}", got.0);
+        }
+        for (kind, want) in [
+            (SystemKind::Baseline, (0x48b0_9e3e_fbb3_39b5, 24)),
+            (SystemKind::Large, (0x79f9_d1d5_63e4_2585, 48)),
+            (SystemKind::BoundaryCount(2), (0x5a28_7964_7a10_7245, 8)),
+        ] {
+            let topo = ChipletSystemSpec::of_kind(kind).build(0).unwrap();
+            let cfg = ComposableConfig::build_balanced(&topo).unwrap();
+            let got = restrictions_digest(cfg.restrictions());
+            assert_eq!(got, want, "build_balanced on {kind:?}: {:016x}", got.0);
         }
     }
 

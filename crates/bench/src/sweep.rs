@@ -58,12 +58,7 @@ pub trait FromJsonValue: Sized {
 /// into the journal header so `--resume` can detect that the CLI args no
 /// longer match the journal's recorded points.
 pub fn config_fingerprint(desc: &str) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in desc.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{h:016x}")
+    format!("{:016x}", upp_noc::fnv1a64(desc.as_bytes()))
 }
 
 /// A JSONL journal of completed sweep points: one `{"key":…,"data":…}`

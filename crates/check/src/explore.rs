@@ -18,6 +18,7 @@
 use std::collections::HashMap;
 
 use crate::model::{ModelCfg, Mutation, State, Transition};
+pub use upp_noc::fnv1a64;
 
 /// Exploration statistics, surfaced by `upp-check explore --stats`.
 #[derive(Debug, Clone, Default)]
@@ -73,19 +74,6 @@ pub struct Exploration {
     pub depth: Vec<u32>,
     /// Aggregate statistics.
     pub stats: ExploreStats,
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// 64-bit FNV-1a over a byte string.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 /// Relabels every router index in the state by `r -> (r + k) % n`,

@@ -15,7 +15,8 @@
 //! embedded scenario `upp-check replay` — or `upp-verify`'s bridge —
 //! re-executes in the full simulator. Exit codes: 0 both properties hold,
 //! 3 violation found, 4 replay contradicts the artifact's prediction,
-//! 2 usage error.
+//! 2 usage error (an unknown subcommand or flag is named on stderr before
+//! the usage text).
 
 use std::process::ExitCode;
 
@@ -53,7 +54,11 @@ fn main() -> ExitCode {
             Some(path) => run_replay(path),
             None => usage(),
         },
-        _ => usage(),
+        Some(other) => {
+            eprintln!("unknown subcommand {other}");
+            usage()
+        }
+        None => usage(),
     }
 }
 
@@ -90,7 +95,10 @@ fn parse_explore(args: &[String]) -> ExploreOpts {
             "--stats" => o.stats = true,
             "--dot" => o.dot = Some(val()),
             "--artifact" => o.artifact = Some(val()),
-            _ => usage(),
+            other => {
+                eprintln!("unknown flag {other}");
+                usage()
+            }
         }
     }
     o
@@ -147,41 +155,39 @@ fn run_explore(o: ExploreOpts) -> ExitCode {
         println!("state graph written to {path}");
     }
 
+    // Both verdicts are printed; the counterexample is the first
+    // violated property's.
     let recovery = check_bounded_recovery(&ex);
-    let livelock = check_no_livelock(&ex);
-
-    match (&recovery, &livelock) {
-        (Ok(proof), Ok(())) => {
-            println!(
-                "P1 bounded recovery: HOLDS — every state drains within {} transitions \
-                 ({} deadlock states covered, {} drained states)",
-                proof.bound, proof.deadlock_states, proof.drained_states
-            );
-            println!("P2 no popup livelock: HOLDS — no non-progress cycle is reachable");
-            write_artifact(&o.artifact, &clean_artifact(&ex));
-            ExitCode::SUCCESS
-        }
-        (Err(v), _) => {
-            println!(
-                "P1 bounded recovery: VIOLATED — {} reachable state(s) can never drain",
-                v.count
-            );
-            let artifact = recovery_artifact(&ex, v);
-            print_trace(&artifact);
-            write_artifact(&o.artifact, &artifact);
-            ExitCode::from(3)
-        }
-        (Ok(_), Err(v)) => {
-            println!(
-                "P2 no popup livelock: VIOLATED — non-progress cycle of length {} reachable",
-                v.cycle.len()
-            );
-            let artifact = livelock_artifact(&ex, v);
-            print_trace(&artifact);
-            write_artifact(&o.artifact, &artifact);
-            ExitCode::from(3)
-        }
+    match &recovery {
+        Ok(proof) => println!(
+            "P1 bounded recovery: HOLDS — every state drains within {} transitions \
+             ({} deadlock states covered, {} drained states)",
+            proof.bound, proof.deadlock_states, proof.drained_states
+        ),
+        Err(v) => println!(
+            "P1 bounded recovery: VIOLATED — {} reachable state(s) can never drain",
+            v.count
+        ),
     }
+    let livelock = check_no_livelock(&ex);
+    match &livelock {
+        Ok(()) => println!("P2 no popup livelock: HOLDS — no non-progress cycle is reachable"),
+        Err(v) => println!(
+            "P2 no popup livelock: VIOLATED — non-progress cycle of length {} reachable",
+            v.cycle.len()
+        ),
+    }
+    let artifact = match (&recovery, &livelock) {
+        (Ok(_), Ok(())) => {
+            write_artifact(&o.artifact, &clean_artifact(&ex));
+            return ExitCode::SUCCESS;
+        }
+        (Err(v), _) => recovery_artifact(&ex, v),
+        (Ok(_), Err(v)) => livelock_artifact(&ex, v),
+    };
+    print_trace(&artifact);
+    write_artifact(&o.artifact, &artifact);
+    ExitCode::from(3)
 }
 
 fn print_trace(artifact: &CheckArtifact) {

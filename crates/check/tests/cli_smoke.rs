@@ -9,6 +9,18 @@ fn upp_check() -> Command {
     Command::new(env!("CARGO_BIN_EXE_upp-check"))
 }
 
+/// `upp-check explore` on `routers/queue-depth/bound` plus `extra` args.
+fn explore(model: [&str; 3], extra: &[&str]) -> std::process::Output {
+    upp_check()
+        .args(["explore", "--routers", model[0], "--queue-depth", model[1]])
+        .args(["--bound", model[2]])
+        .args(extra)
+        .output()
+        .expect("runs")
+}
+
+const FLAGSHIP: [&str; 3] = ["2", "2", "2"];
+
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("upp-check-cli-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -17,19 +29,7 @@ fn tmp(name: &str) -> PathBuf {
 
 #[test]
 fn flagship_explore_verifies_both_properties() {
-    let out = upp_check()
-        .args([
-            "explore",
-            "--routers",
-            "2",
-            "--queue-depth",
-            "2",
-            "--bound",
-            "2",
-            "--stats",
-        ])
-        .output()
-        .expect("runs");
+    let out = explore(FLAGSHIP, &["--stats"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "exit: {:?}\n{stdout}", out.status);
     assert!(stdout.contains("P1 bounded recovery: HOLDS"), "{stdout}");
@@ -40,43 +40,34 @@ fn flagship_explore_verifies_both_properties() {
 
 #[test]
 fn mutation_explore_exits_3_with_counterexample() {
-    let out = upp_check()
-        .args([
-            "explore",
-            "--routers",
-            "2",
-            "--queue-depth",
-            "2",
-            "--bound",
-            "2",
-            "--mutation",
-            "drop-absorber",
-        ])
-        .output()
-        .expect("runs");
+    let out = explore(FLAGSHIP, &["--mutation", "drop-absorber"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(3), "{stdout}");
     assert!(stdout.contains("VIOLATED"), "{stdout}");
     assert!(stdout.contains("counterexample ("), "{stdout}");
 }
 
+/// Both verdicts are printed even when the first fails: `bounce-ack`
+/// cannot drain (P1) *and* churns signals forever (P2).
+#[test]
+fn bounce_ack_explore_reports_both_violations() {
+    let out = explore(FLAGSHIP, &["--mutation", "bounce-ack"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(3), "{stdout}");
+    assert!(stdout.contains("P1 bounded recovery: VIOLATED"), "{stdout}");
+    assert!(
+        stdout.contains("P2 no popup livelock: VIOLATED"),
+        "{stdout}"
+    );
+}
+
 #[test]
 fn dot_dump_is_valid_digraph() {
     let dot_path = tmp("graph.dot");
-    let out = upp_check()
-        .args([
-            "explore",
-            "--routers",
-            "2",
-            "--queue-depth",
-            "1",
-            "--bound",
-            "1",
-        ])
-        .arg("--dot")
-        .arg(&dot_path)
-        .output()
-        .expect("runs");
+    let out = explore(
+        ["2", "1", "1"],
+        &["--dot", dot_path.to_str().expect("utf-8")],
+    );
     assert!(out.status.success());
     let dot = std::fs::read_to_string(&dot_path).expect("dot written");
     assert!(dot.starts_with("digraph upp_check {"));
@@ -87,22 +78,16 @@ fn dot_dump_is_valid_digraph() {
 #[test]
 fn emitted_artifact_replays_end_to_end() {
     let artifact_path = tmp("never_expire.json");
-    let out = upp_check()
-        .args([
-            "explore",
-            "--routers",
-            "2",
-            "--queue-depth",
-            "2",
-            "--bound",
-            "2",
+    let artifact = artifact_path.to_str().expect("utf-8");
+    let out = explore(
+        FLAGSHIP,
+        &[
             "--mutation",
             "never-expire-watchdog",
-        ])
-        .arg("--artifact")
-        .arg(&artifact_path)
-        .output()
-        .expect("runs");
+            "--artifact",
+            artifact,
+        ],
+    );
     assert_eq!(out.status.code(), Some(3));
 
     let out = upp_check()
@@ -123,13 +108,23 @@ fn emitted_artifact_replays_end_to_end() {
 
 #[test]
 fn bad_usage_exits_2() {
-    for bad in [
-        vec!["explore", "--routers", "seven"],
-        vec!["explore", "--mutation", "make-it-worse"],
-        vec!["replay"],
-        vec!["frobnicate"],
+    // An unknown word is named on stderr before the usage text.
+    for (bad, named) in [
+        (&["explore", "--routers", "seven"][..], ""),
+        (&["explore", "--mutation", "make-it-worse"][..], ""),
+        (&["replay"][..], ""),
+        (&["frobnicate"][..], "unknown subcommand frobnicate"),
+        (
+            &["explore", "--frobnicate"][..],
+            "unknown flag --frobnicate",
+        ),
     ] {
-        let out = upp_check().args(&bad).output().expect("runs");
+        let out = upp_check().args(bad).output().expect("runs");
         assert_eq!(out.status.code(), Some(2), "args {bad:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.starts_with(named) && stderr.contains("usage:"),
+            "args {bad:?}:\n{stderr}"
+        );
     }
 }

@@ -2,7 +2,7 @@
 //! interposer router that owns an `Up` port, plus the round-robin upward
 //! packet arbiter.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use upp_noc::ids::Cycle;
 use upp_noc::network::UpwardCandidate;
 
@@ -12,7 +12,7 @@ use upp_noc::network::UpwardCandidate;
 /// while attempting to move up the vertical link without *any* flit of the
 /// VNet departing through the `Up` output port. Crossing the threshold marks
 /// a (potential) deadlock; the arbiter then picks the upward packet.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct UppCounter {
     value: u64,
 }
@@ -59,7 +59,7 @@ impl UppCounter {
 /// Round-robin arbiter over upward-stalled VCs (Sec. V-A: every stalled
 /// packet is eventually selected, because distinguishing true deadlocks from
 /// severe congestion is too expensive).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct UpwardArbiter {
     next: usize,
 }

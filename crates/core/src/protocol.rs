@@ -8,7 +8,7 @@
 //! immediately reflected in the simulator *and* in the exhaustively
 //! explored transition system.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Deadlock-detection timeout in cycles (Table II of the paper uses 20).
 ///
@@ -53,7 +53,7 @@ pub fn circuit_capacity(num_destinations: usize) -> usize {
 /// transitions between them — from this enum. [`PopupStage::name`] is the
 /// label used by trace events (`TraceEvent::PopupStage`) and counterexample
 /// artifacts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum PopupStage {
     /// No popup in flight; the watchdog counter is live.
     Idle,

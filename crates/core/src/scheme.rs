@@ -13,7 +13,7 @@
 use crate::detect::{up_sent_recently, UppCounter, UpwardArbiter};
 use crate::protocol::{self, PopupStage};
 use crate::signal::SignalKind;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use upp_noc::control::{ControlClass, ControlMsg, ControlRoute, DeliveredControl};
@@ -26,7 +26,7 @@ use upp_noc::scheme::{Scheme, SchemeProperties};
 use upp_noc::trace::TraceEvent;
 
 /// UPP tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct UppConfig {
     /// Deadlock-detection timeout in cycles (Table II uses 20).
     pub threshold: u64,
@@ -56,7 +56,7 @@ impl UppConfig {
 }
 
 /// Counters describing one run's recovery activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct UppStats {
     /// Upward packets selected by detection (the metric of Figs. 12/13).
     pub upward_packets: u64,

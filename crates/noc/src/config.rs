@@ -1,10 +1,10 @@
 //! Network configuration knobs (Table II of the paper).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The link-level flow control discipline (Table I's flow-control
 /// modularity column: UPP supports both).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum FlowControl {
     /// Flits advance independently; a blocked worm spans multiple routers.
     Wormhole,
@@ -32,7 +32,7 @@ pub const MAX_VCS_PER_PORT: usize = 64;
 /// assert_eq!(cfg.vcs_per_vnet, 4);
 /// assert_eq!(cfg.num_vnets, 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct NocConfig {
     /// Number of virtual networks (message classes).
     pub num_vnets: usize,

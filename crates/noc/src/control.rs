@@ -10,13 +10,13 @@
 
 use crate::ids::{Cycle, NodeId, Port, VnetId};
 use crate::packet::RouteInfo;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which dedicated buffer a control message occupies in each router.
 ///
 /// The paper adds one buffer shared by `UPP_req`/`UPP_stop` and one for
 /// `UPP_ack` (Fig. 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum ControlClass {
     /// Forward-travelling request-like signals (`UPP_req`, `UPP_stop`).
     ReqLike,
@@ -25,7 +25,7 @@ pub enum ControlClass {
 }
 
 /// How a control message finds its next hop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum ControlRoute {
     /// Attend normal route computation toward [`ControlMsg::route`]'s
     /// destination (like a head flit).
@@ -38,7 +38,7 @@ pub enum ControlRoute {
 }
 
 /// An out-of-band control message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ControlMsg {
     /// Buffer class used at each hop.
     pub class: ControlClass,
@@ -69,7 +69,7 @@ pub struct ControlMsg {
 
 /// A circuit entry recorded in a chiplet router by a circuit-recording
 /// control message (Fig. 6's per-VNet in/out connection table).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct CircuitEntry {
     /// Crossbar input side of the recorded connection.
     pub in_port: Port,
@@ -80,7 +80,7 @@ pub struct CircuitEntry {
 }
 
 /// A control message delivered to a node, together with its arrival port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct DeliveredControl {
     /// The message.
     pub msg: ControlMsg,

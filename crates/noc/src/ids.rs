@@ -3,7 +3,7 @@
 //! Every index into a simulator table gets its own newtype so that node,
 //! chiplet, VC and packet indices can never be confused ([C-NEWTYPE]).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A simulation cycle number.
@@ -12,7 +12,7 @@ pub type Cycle = u64;
 /// Identifies one node (router + its network interface) in the topology.
 ///
 /// Node ids are dense indices into [`crate::topology::Topology::nodes`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -30,7 +30,7 @@ impl fmt::Display for NodeId {
 }
 
 /// Identifies one chiplet in a chiplet-based system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct ChipletId(pub u16);
 
 impl ChipletId {
@@ -52,7 +52,7 @@ impl fmt::Display for ChipletId {
 /// The MESI-style coherence configuration of the paper uses three VNets
 /// (request / forward / response); synthetic traffic uses them as independent
 /// lanes for control and data packets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct VnetId(pub u8);
 
 impl VnetId {
@@ -70,7 +70,7 @@ impl fmt::Display for VnetId {
 }
 
 /// A virtual channel identified by its VNet and its index within that VNet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct VcId {
     /// The virtual network this VC belongs to.
     pub vnet: VnetId,
@@ -108,7 +108,7 @@ impl fmt::Display for VcId {
 }
 
 /// Globally-unique packet identifier, assigned at injection time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct PacketId(pub u64);
 
 impl fmt::Display for PacketId {
@@ -124,7 +124,7 @@ impl fmt::Display for PacketId {
 /// interposer routers beneath them own an `Up` port (the paper's *upward
 /// vertical link* runs from an interposer `Up` output to a boundary router
 /// `Down` input).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum Port {
     /// Connection to the local network interface.
     Local,

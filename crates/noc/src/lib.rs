@@ -83,3 +83,11 @@ pub use profile::{PacketSpan, SpanRecorder};
 pub use scheme::{NoScheme, Scheme, SchemeProperties};
 pub use sim::{RunOutcome, System};
 pub use trace::{StallReport, TraceEvent, Tracer};
+
+/// 64-bit FNV-1a over a byte string: the one stable digest behind sweep
+/// fingerprints, model-checker state deduplication and pinned test digests.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}

@@ -7,11 +7,11 @@ use crate::control::DeliveredControl;
 use crate::ids::{Cycle, NodeId, PacketId, VnetId};
 use crate::packet::{Flit, Packet, PacketArena, PacketRef, RouteInfo};
 use crate::ring::RingBank;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Injection-permit state of a pending packet (mechanism for remote
 /// control's injection control; `NotNeeded` for every other scheme).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum PermitState {
     /// The packet may inject freely.
     NotNeeded,
@@ -22,7 +22,7 @@ pub enum PermitState {
 }
 
 /// A packet waiting in an NI injection queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct PendingPacket {
     /// The packet.
     pub pkt: Packet,
@@ -46,7 +46,7 @@ struct ActiveInjection {
 /// Per-output-VC state mirrored at the sender (credits + ownership), used by
 /// both NIs (toward the router's Local input VCs) and routers (toward
 /// downstream input VCs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct OutVcState {
     /// Free buffer slots at the downstream VC.
     pub credits: usize,
@@ -66,7 +66,7 @@ impl OutVcState {
 }
 
 /// A fully-assembled packet awaiting PE consumption.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Delivered {
     /// Packet identity and metadata.
     pub pkt: Packet,
@@ -78,7 +78,7 @@ pub struct Delivered {
 }
 
 /// How the PE consumes delivered packets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum ConsumePolicy {
     /// Consume every delivered packet `latency` cycles after completion
     /// (synthetic traffic; messages are always terminating).

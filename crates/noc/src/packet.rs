@@ -1,13 +1,13 @@
 //! Packets, flits, route headers and the interned packet-descriptor arena.
 
 use crate::ids::{Cycle, NodeId, PacketId, VnetId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// The class of a packet with respect to the chiplet/interposer boundary
 /// (Sec. V-D of the paper distinguishes these three transmission cases; we
 /// split the "crosses both ways" case out explicitly).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum PacketClass {
     /// Source and destination in the same chiplet, or both on the interposer.
     Intra,
@@ -58,7 +58,7 @@ impl fmt::Display for PacketClass {
 /// chiplet → exit boundary router → (down) → interposer → entry interposer
 /// router → (up) → destination chiplet router. The intermediate targets are
 /// chosen once, at injection time, by a [`crate::routing::RouteComputer`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct RouteInfo {
     /// Final destination node.
     pub dest: NodeId,
@@ -85,7 +85,7 @@ impl RouteInfo {
 }
 
 /// Kind of a flit within its packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum FlitKind {
     /// First flit: carries the route header.
     Head,
@@ -116,7 +116,7 @@ impl FlitKind {
 /// Handles are internal to one running network: they are recycled when the
 /// packet fully ejects, and they never appear in any serialized output
 /// (traces, stats and reports all speak [`PacketId`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct PacketRef(pub u32);
 
 impl PacketRef {
@@ -323,7 +323,7 @@ impl Flit {
 }
 
 /// A whole packet, as seen by NIs and traffic generators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Packet {
     /// Globally-unique id.
     pub id: PacketId,

@@ -7,7 +7,7 @@
 //! injection time by a [`BoundarySelector`]; UPP's default is the static
 //! nearest-boundary binding.
 
-pub mod global_cdg;
+pub mod cdg;
 pub mod table;
 pub mod turns;
 pub mod xy;
@@ -18,9 +18,9 @@ use crate::topology::{Region, Topology};
 use std::fmt;
 use std::sync::Arc;
 
-pub use global_cdg::{GlobalCdg, GlobalChannel};
+pub use cdg::{Cdg, Channel, ExtendedCdg, GlobalCdg, GlobalChannel};
 pub use table::RouteTables;
-pub use turns::{Channel, ExtendedCdg, TurnRestrictions};
+pub use turns::TurnRestrictions;
 
 /// Classifies a `(src, dest)` pair relative to the vertical boundary.
 pub fn classify(topo: &Topology, src: NodeId, dest: NodeId) -> PacketClass {

@@ -1,21 +1,19 @@
-//! Turn restrictions and channel-dependency-graph (CDG) analysis.
+//! Turn restrictions.
 //!
 //! The composable-routing baseline (Yin et al., ISCA'18, as summarised in
 //! Sec. III-B of the UPP paper) abstracts everything outside a chiplet into a
 //! *virtual node* and places unidirectional turn restrictions on the
-//! chiplet's boundary routers until the extended CDG — internal channels plus
-//! virtual-node channels — is acyclic. This module provides the restriction
-//! set type, the extended CDG and a cycle finder; the search itself lives in
-//! `upp-baselines`.
+//! chiplet's boundary routers until the extended CDG
+//! ([`crate::routing::ExtendedCdg`]) — internal channels plus virtual-node
+//! channels — is acyclic. This module provides the restriction set type;
+//! the search itself lives in `upp-baselines`.
 
-use crate::ids::{ChipletId, NodeId, Port};
-use crate::routing::xy::xy_turn_legal;
-use crate::topology::Topology;
-use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use crate::ids::{NodeId, Port};
+use serde::Serialize;
+use std::collections::HashSet;
 
 /// A set of forbidden `(node, in_port, out_port)` turns.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct TurnRestrictions {
     forbidden: HashSet<(NodeId, Port, Port)>,
 }
@@ -58,283 +56,9 @@ impl TurnRestrictions {
     }
 }
 
-/// A channel of the extended per-chiplet dependency graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum Channel {
-    /// An internal mesh channel: the directed link leaving `from` through
-    /// `out`.
-    Internal {
-        /// Source router of the directed link.
-        from: NodeId,
-        /// Port the link leaves through.
-        out: Port,
-    },
-    /// The upward vertical link into boundary router `boundary` (held by
-    /// traffic entering the chiplet).
-    ExtIn {
-        /// The boundary router the link ascends into.
-        boundary: NodeId,
-    },
-    /// The downward vertical link out of boundary router `boundary` (held by
-    /// traffic leaving the chiplet).
-    ExtOut {
-        /// The boundary router the link descends from.
-        boundary: NodeId,
-    },
-}
-
-/// The extended channel dependency graph of one chiplet.
-///
-/// Edges are dependencies a blocked packet can induce: `a -> b` when a packet
-/// holding channel `a` may request channel `b` next. Virtual-node edges
-/// `ExtOut(bi) -> ExtIn(bj)` conservatively model the unknown external
-/// network for every ordered pair of boundary routers.
-#[derive(Debug, Clone)]
-pub struct ExtendedCdg {
-    channels: Vec<Channel>,
-    index: HashMap<Channel, usize>,
-    edges: Vec<Vec<usize>>,
-}
-
-impl ExtendedCdg {
-    /// Builds the extended CDG of chiplet `c` under XY internal routing and
-    /// the given vertical-turn restrictions.
-    pub fn build(topo: &Topology, c: ChipletId, restrictions: &TurnRestrictions) -> Self {
-        let info = topo.chiplet(c);
-        let members: HashSet<NodeId> = info.routers.iter().copied().collect();
-
-        let mut channels = Vec::new();
-        let mut index = HashMap::new();
-        let add =
-            |ch: Channel, channels: &mut Vec<Channel>, index: &mut HashMap<Channel, usize>| {
-                let id = channels.len();
-                channels.push(ch);
-                index.insert(ch, id);
-            };
-        for &r in &info.routers {
-            for p in Port::ALL {
-                if !p.is_mesh() {
-                    continue;
-                }
-                if let Some(peer) = topo.neighbor(r, p) {
-                    if members.contains(&peer) {
-                        add(
-                            Channel::Internal { from: r, out: p },
-                            &mut channels,
-                            &mut index,
-                        );
-                    }
-                }
-            }
-        }
-        for &b in &info.boundary_routers {
-            add(Channel::ExtIn { boundary: b }, &mut channels, &mut index);
-            add(Channel::ExtOut { boundary: b }, &mut channels, &mut index);
-        }
-
-        let mut edges: Vec<Vec<usize>> = vec![Vec::new(); channels.len()];
-        let legal = |node: NodeId, inp: Port, outp: Port| {
-            xy_turn_legal(inp, outp) && restrictions.allows(node, inp, outp)
-        };
-
-        for (ci, &ch) in channels.iter().enumerate() {
-            match ch {
-                Channel::Internal { from, out } => {
-                    let n = topo
-                        .neighbor(from, out)
-                        .expect("channel follows an existing link");
-                    let inp = out.opposite();
-                    // Continue internally.
-                    for q in Port::ALL {
-                        if !q.is_mesh() {
-                            continue;
-                        }
-                        if topo
-                            .neighbor(n, q)
-                            .is_some_and(|peer| members.contains(&peer))
-                            && legal(n, inp, q)
-                        {
-                            let to = index[&Channel::Internal { from: n, out: q }];
-                            edges[ci].push(to);
-                        }
-                    }
-                    // Leave the chiplet.
-                    if topo.neighbor(n, Port::Down).is_some() && legal(n, inp, Port::Down) {
-                        let to = index[&Channel::ExtOut { boundary: n }];
-                        edges[ci].push(to);
-                    }
-                }
-                Channel::ExtIn { boundary } => {
-                    // Entering traffic turns from the vertical link into the
-                    // mesh (its in-port at the boundary router is `Down`).
-                    for q in Port::ALL {
-                        if !q.is_mesh() {
-                            continue;
-                        }
-                        if topo
-                            .neighbor(boundary, q)
-                            .is_some_and(|peer| members.contains(&peer))
-                            && legal(boundary, Port::Down, q)
-                        {
-                            let to = index[&Channel::Internal {
-                                from: boundary,
-                                out: q,
-                            }];
-                            edges[ci].push(to);
-                        }
-                    }
-                    // Entering traffic never exits again (routing is
-                    // three-legged), so no ExtIn -> ExtOut edge.
-                }
-                Channel::ExtOut { .. } => {
-                    // Virtual node: the external network may chain this
-                    // channel to any upward link back into this chiplet.
-                    for &b2 in &info.boundary_routers {
-                        let to = index[&Channel::ExtIn { boundary: b2 }];
-                        edges[ci].push(to);
-                    }
-                }
-            }
-        }
-
-        Self {
-            channels,
-            index,
-            edges,
-        }
-    }
-
-    /// Number of channels.
-    pub fn num_channels(&self) -> usize {
-        self.channels.len()
-    }
-
-    /// The channel with dense index `i`.
-    pub fn channel(&self, i: usize) -> Channel {
-        self.channels[i]
-    }
-
-    /// Finds one dependency cycle, returned as a channel sequence
-    /// (`c0 -> c1 -> ... -> c0` implied), or `None` if the graph is acyclic.
-    pub fn find_cycle(&self) -> Option<Vec<Channel>> {
-        #[derive(Clone, Copy, PartialEq)]
-        enum Color {
-            White,
-            Grey,
-            Black,
-        }
-        let n = self.channels.len();
-        let mut color = vec![Color::White; n];
-        let mut parent: Vec<Option<usize>> = vec![None; n];
-        for start in 0..n {
-            if color[start] != Color::White {
-                continue;
-            }
-            // Iterative DFS keeping an explicit edge iterator per frame.
-            let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
-            color[start] = Color::Grey;
-            while let Some(&(u, ei)) = stack.last() {
-                if ei < self.edges[u].len() {
-                    let v = self.edges[u][ei];
-                    stack.last_mut().expect("stack is non-empty").1 += 1;
-                    match color[v] {
-                        Color::White => {
-                            color[v] = Color::Grey;
-                            parent[v] = Some(u);
-                            stack.push((v, 0));
-                        }
-                        Color::Grey => {
-                            // Found a cycle v -> ... -> u -> v.
-                            let mut cycle = vec![self.channels[u]];
-                            let mut cur = u;
-                            while cur != v {
-                                cur = parent[cur].expect("grey nodes form a parent chain");
-                                cycle.push(self.channels[cur]);
-                            }
-                            cycle.reverse();
-                            return Some(cycle);
-                        }
-                        Color::Black => {}
-                    }
-                } else {
-                    color[u] = Color::Black;
-                    stack.pop();
-                }
-            }
-        }
-        None
-    }
-
-    /// True when the graph has no dependency cycle.
-    pub fn is_acyclic(&self) -> bool {
-        self.find_cycle().is_none()
-    }
-
-    /// Channels reachable from `from` (inclusive).
-    pub fn reachable(&self, from: Channel) -> HashSet<Channel> {
-        let mut seen = HashSet::new();
-        let Some(&start) = self.index.get(&from) else {
-            return seen;
-        };
-        let mut stack = vec![start];
-        let mut visited = vec![false; self.channels.len()];
-        visited[start] = true;
-        while let Some(u) = stack.pop() {
-            seen.insert(self.channels[u]);
-            for &v in &self.edges[u] {
-                if !visited[v] {
-                    visited[v] = true;
-                    stack.push(v);
-                }
-            }
-        }
-        seen
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::ChipletSystemSpec;
-
-    fn topo() -> Topology {
-        ChipletSystemSpec::baseline().build(0).unwrap()
-    }
-
-    #[test]
-    fn unrestricted_extended_cdg_has_cycles() {
-        // This is the paper's core premise: with all vertical turns allowed,
-        // integration induces dependency cycles even though XY is locally
-        // deadlock free.
-        let t = topo();
-        let cdg = ExtendedCdg::build(&t, ChipletId(0), &TurnRestrictions::new());
-        assert!(!cdg.is_acyclic(), "integration must induce CDG cycles");
-        let cycle = cdg.find_cycle().unwrap();
-        assert!(cycle.len() >= 2);
-        // Every cycle must pass through the virtual node (internal XY alone
-        // is acyclic), i.e. contain an ExtOut -> ExtIn hop.
-        assert!(cycle.iter().any(|c| matches!(c, Channel::ExtOut { .. })));
-        assert!(cycle.iter().any(|c| matches!(c, Channel::ExtIn { .. })));
-    }
-
-    #[test]
-    fn internal_xy_alone_is_acyclic() {
-        // Forbid every vertical turn: the extended CDG degenerates to the
-        // internal XY CDG plus isolated external channels.
-        let t = topo();
-        let c = ChipletId(0);
-        let mut r = TurnRestrictions::new();
-        for &b in &t.chiplet(c).boundary_routers {
-            for p in Port::ALL {
-                if p.is_mesh() {
-                    r.forbid(b, Port::Down, p);
-                    r.forbid(b, p, Port::Down);
-                }
-            }
-        }
-        let cdg = ExtendedCdg::build(&t, c, &r);
-        assert!(cdg.is_acyclic());
-    }
 
     #[test]
     fn restriction_set_basics() {
@@ -347,18 +71,5 @@ mod tests {
         r.allow(NodeId(1), Port::Down, Port::East);
         assert!(r.allows(NodeId(1), Port::Down, Port::East));
         assert!(r.is_empty());
-    }
-
-    #[test]
-    fn reachability_includes_source() {
-        let t = topo();
-        let cdg = ExtendedCdg::build(&t, ChipletId(0), &TurnRestrictions::new());
-        let b = t.chiplet(ChipletId(0)).boundary_routers[0];
-        let reach = cdg.reachable(Channel::ExtIn { boundary: b });
-        assert!(reach.contains(&Channel::ExtIn { boundary: b }));
-        assert!(
-            reach.len() > 1,
-            "entering traffic reaches internal channels"
-        );
     }
 }

@@ -7,10 +7,10 @@
 
 use crate::ids::{NodeId, PacketId};
 use crate::network::Network;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The qualitative attributes of Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct SchemeProperties {
     /// Design modularity: unaffected by the rest of the system's topology.
     pub topology_modularity: bool,

@@ -87,16 +87,6 @@ impl System {
         &mut self.net
     }
 
-    /// The scheme's name.
-    pub fn scheme_name(&self) -> &'static str {
-        self.scheme.name()
-    }
-
-    /// Scheme access for downcasting in experiment harnesses.
-    pub fn scheme(&self) -> &dyn Scheme {
-        self.scheme.as_ref()
-    }
-
     /// Splits the system into the network and the scheme (for harnesses that
     /// need simultaneous mutable access).
     pub fn parts_mut(&mut self) -> (&mut Network, &mut dyn Scheme) {

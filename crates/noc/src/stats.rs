@@ -2,10 +2,10 @@
 
 use crate::ids::{Cycle, NodeId, PacketId, VnetId};
 use crate::packet::{PacketClass, PacketRef};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Lifetime record of one packet, kept while it is in flight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct PacketRecord {
     /// Source node.
     pub src: NodeId,
@@ -26,7 +26,7 @@ pub struct PacketRecord {
 }
 
 /// Aggregate statistics for one measurement window.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct NetStats {
     /// Packets enqueued at NIs.
     pub packets_created: u64,
@@ -65,9 +65,8 @@ pub struct NetStats {
     pub per_class: [(u64, u64); 4],
     /// Flits transmitted per directed link, flat-indexed
     /// `node.index() * Port::COUNT + port.index()` and grown on demand
-    /// (`Local` counts ejections into the NI). Feeds the watcher's
-    /// per-chiplet link-flit skew detector ([`crate::watch`]) and is
-    /// serialized with the run's `--json` stats.
+    /// (`Local` counts ejections into the NI). Serialized with the run's
+    /// `--json` stats.
     pub link_flits: Vec<u64>,
 }
 
@@ -150,15 +149,6 @@ impl NetStats {
             self.link_flits.resize(idx + 1, 0);
         }
         self.link_flits[idx] += 1;
-    }
-
-    /// Flits transmitted so far from `node` through `port`.
-    #[inline]
-    pub fn link_flit_count(&self, node: NodeId, port: crate::ids::Port) -> u64 {
-        self.link_flits
-            .get(node.index() * crate::ids::Port::COUNT + port.index())
-            .copied()
-            .unwrap_or(0)
     }
 
     /// Estimates the `q`-quantile (`0.0..=1.0`) of total packet latency by
@@ -268,14 +258,6 @@ impl PacketTracker {
         self.live.get(h.index())?.as_ref().map(|(_, r)| r)
     }
 
-    /// Looks up an in-flight packet by id (linear scan — cold path only).
-    pub fn get_by_id(&self, id: PacketId) -> Option<&PacketRecord> {
-        self.live
-            .iter()
-            .flatten()
-            .find_map(|(i, r)| (*i == id).then_some(r))
-    }
-
     /// Iterates all in-flight packets (unordered; callers needing a stable
     /// order sort by id). Powers the deadlock forensics of
     /// [`crate::trace::StallReport`].
@@ -383,7 +365,7 @@ mod tests {
         let h = PacketRef(0);
         t.on_created(h, id, rec(0));
         assert_eq!(t.in_flight(), 1);
-        assert_eq!(t.get_by_id(id), t.get(h));
+        assert_eq!(t.get(h), Some(&rec(0)));
         t.on_injected(h, 4);
         let r = t.on_ejected(h, 9).unwrap();
         assert_eq!(r.ejected_at, Some(9));
@@ -413,13 +395,15 @@ mod tests {
     fn link_counters_grow_on_demand() {
         use crate::ids::Port;
         let mut s = NetStats::new(1);
-        assert_eq!(s.link_flit_count(NodeId(9), Port::Up), 0);
+        assert!(s.link_flits.is_empty());
         s.bump_link(NodeId(9), Port::Up);
         s.bump_link(NodeId(9), Port::Up);
         s.bump_link(NodeId(2), Port::East);
-        assert_eq!(s.link_flit_count(NodeId(9), Port::Up), 2);
-        assert_eq!(s.link_flit_count(NodeId(2), Port::East), 1);
-        assert_eq!(s.link_flit_count(NodeId(2), Port::West), 0);
+        let at = |n: NodeId, p: Port| s.link_flits[n.index() * Port::COUNT + p.index()];
+        assert_eq!(s.link_flits.len(), 9 * Port::COUNT + Port::Up.index() + 1);
+        assert_eq!(at(NodeId(9), Port::Up), 2);
+        assert_eq!(at(NodeId(2), Port::East), 1);
+        assert_eq!(at(NodeId(2), Port::West), 0);
     }
 
     #[test]

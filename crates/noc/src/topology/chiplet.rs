@@ -10,10 +10,10 @@ use crate::ids::{ChipletId, NodeId, Port};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Placement of one chiplet above the interposer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ChipletPlacement {
     /// Chiplet mesh width.
     pub width: u16,
@@ -25,7 +25,7 @@ pub struct ChipletPlacement {
 }
 
 /// Convenient, named system shapes used by the paper's experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum SystemKind {
     /// Fig. 1: 4 chiplets of 4x4 on a 4x4 interposer, 4 boundary routers per
     /// chiplet.
@@ -84,7 +84,7 @@ impl std::str::FromStr for SystemKind {
 /// let topo = ChipletSystemSpec::large().build(1).expect("valid spec");
 /// assert_eq!(topo.chiplets().len(), 8);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ChipletSystemSpec {
     /// Interposer mesh width.
     pub interposer_width: u16,

@@ -5,11 +5,11 @@ pub mod chiplet;
 pub use chiplet::{ChipletPlacement, ChipletSystemSpec, SystemKind};
 
 use crate::ids::{ChipletId, NodeId, Port};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashSet;
 
 /// Which mesh layer a node lives on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Region {
     /// One of the chiplets.
     Chiplet(ChipletId),
@@ -18,7 +18,7 @@ pub enum Region {
 }
 
 /// Static description of one node.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct NodeInfo {
     /// This node's id (its index in [`Topology::nodes`]).
     pub id: NodeId,
@@ -46,7 +46,7 @@ impl NodeInfo {
 }
 
 /// Static description of one chiplet.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ChipletInfo {
     /// The chiplet's id.
     pub id: ChipletId,
@@ -74,7 +74,7 @@ pub struct ChipletInfo {
 /// assert_eq!(topo.chiplets().len(), 4);
 /// assert_eq!(topo.num_nodes(), 4 * 16 + 16);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Topology {
     nodes: Vec<NodeInfo>,
     chiplets: Vec<ChipletInfo>,

@@ -21,7 +21,7 @@
 //!   `upp-alerts/v1` health-monitor streams written by
 //!   `simulate --watch-out` (`upp_noc::watch`);
 //! * the `upp-trace` CLI (`analyze`, `heatmap`, `critical-path`, `diff`,
-//!   `obs`, `alerts`, `live`) over all input shapes.
+//!   `obs`, `alerts`) over all input shapes.
 //!
 //! The streaming path matters at scale: `simulate --profile` folds spans
 //! into a [`summary::ProfileSummary`] as the run progresses, so a

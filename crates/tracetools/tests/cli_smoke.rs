@@ -1,9 +1,10 @@
 //! End-to-end tests of the `upp-trace` binary: a synthetic JSONL trace is
 //! analyzed into a profile document, the document re-analyzes to the same
-//! bytes, and the heatmap/critical-path/diff subcommands all run over it.
+//! bytes, and the heatmap/critical-path/diff subcommands all run over it;
+//! `obs` and `alerts` render synthetic telemetry and alert streams.
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Output};
 
 use upp_noc::ids::{NodeId, PacketId, Port, VnetId};
 use upp_noc::trace::{BlockReason, TraceEvent};
@@ -14,13 +15,18 @@ fn tmp_path(name: &str) -> PathBuf {
     dir.join(name)
 }
 
+/// Runs `upp-trace` with the given args.
+fn run(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_upp-trace"))
+        .args(args)
+        .output()
+        .expect("upp-trace binary runs")
+}
+
 /// Runs `upp-trace` with the given args, asserting success, and returns
 /// captured stdout.
 fn upp_trace(args: &[&str]) -> String {
-    let out = Command::new(env!("CARGO_BIN_EXE_upp-trace"))
-        .args(args)
-        .output()
-        .expect("upp-trace binary runs");
+    let out = run(args);
     assert!(
         out.status.success(),
         "upp-trace {args:?} failed: {}\n{}",
@@ -225,10 +231,7 @@ fn a_removed_subcommand_or_flag_is_rejected_by_name() {
         (&["live", "x"][..], "unknown subcommand live"),
         (&["alerts", "--follow", "x"][..], "unknown flag --follow"),
     ] {
-        let out = Command::new(env!("CARGO_BIN_EXE_upp-trace"))
-            .args(args)
-            .output()
-            .expect("upp-trace binary runs");
+        let out = run(args);
         assert_eq!(out.status.code(), Some(2), "upp-trace {args:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
@@ -236,4 +239,89 @@ fn a_removed_subcommand_or_flag_is_rejected_by_name() {
             "upp-trace {args:?}:\n{stderr}"
         );
     }
+}
+
+/// An `upp-obs/v1` epoch stream as `simulate --obs-every` writes it: the
+/// header line, then two epochs with two counters, a gauge and a histogram.
+fn sample_obs_epochs() -> String {
+    [
+        r#"{"upp_obs_epochs":1,"schema":"upp-obs/v1"}"#,
+        r#"{"cycle":100,"counters":{"a.x":3,"b.y":0},"gauges":{"g.d":[2,5]},"histograms":{"h.l":{"count":2,"sum":10,"min":4,"max":6,"buckets":[[4,1],[6,1]]}}}"#,
+        r#"{"cycle":200,"counters":{"a.x":7,"b.y":1},"gauges":{"g.d":[1,3]},"histograms":{"h.l":{"count":1,"sum":8,"min":8,"max":8,"buckets":[[8,1]]}}}"#,
+    ]
+    .map(|l| l.to_string() + "\n")
+    .concat()
+}
+
+#[test]
+fn obs_renders_table_csv_and_a_metric_filtered_svg() {
+    let stream = tmp_path("obs.jsonl");
+    std::fs::write(&stream, sample_obs_epochs()).expect("write epochs");
+    let csv = tmp_path("obs.csv");
+    let svg = tmp_path("obs.svg");
+    let table = upp_trace(&[
+        "obs",
+        stream.to_str().expect("utf-8"),
+        "--csv-out",
+        csv.to_str().expect("utf-8"),
+        "--svg-out",
+        svg.to_str().expect("utf-8"),
+        "--metric",
+        "a.x",
+    ]);
+    assert!(
+        table.starts_with("== telemetry report @ cycle 200 ==") && table.contains("2 epochs"),
+        "table:\n{table}"
+    );
+    assert!(table.contains("a.x") && table.contains("h.l"), "{table}");
+    let csv = std::fs::read_to_string(&csv).expect("csv written");
+    assert!(
+        csv.starts_with("cycle,a.x,b.y,g.d,g.d.high,h.l.count,h.l.mean\n"),
+        "csv header:\n{csv}"
+    );
+    assert_eq!(csv.lines().count(), 3, "header plus two epochs:\n{csv}");
+    let svg = std::fs::read_to_string(&svg).expect("svg written");
+    assert!(svg.starts_with("<svg"), "svg rendered");
+    assert_eq!(
+        svg.matches("<polyline").count(),
+        1,
+        "only a.x plotted:\n{svg}"
+    );
+    assert!(
+        svg.contains(">a.x</text>") && !svg.contains(">b.y</text>"),
+        "{svg}"
+    );
+}
+
+#[test]
+fn obs_names_a_foreign_schema_and_asks_for_epochs_for_csv() {
+    let summary = |schema: &str| {
+        format!(
+            r#"{{"upp_obs":1,"schema":"{schema}","cycle":42,"counters":{{"a":1}},"gauges":{{}},"histograms":{{}}}}"#
+        )
+    };
+    let stale = tmp_path("stale_obs.json");
+    std::fs::write(&stale, summary("upp-obs/v0")).expect("write stale summary");
+    let out = run(&["obs", stale.to_str().expect("utf-8")]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("schema \"upp-obs/v0\""), "{stderr}");
+
+    // A summary has no epochs: the table prints, the CSV is refused.
+    let current = tmp_path("summary_obs.json");
+    std::fs::write(&current, summary("upp-obs/v1")).expect("write summary");
+    let csv = tmp_path("summary_obs.csv");
+    let (current, csv_arg) = (
+        current.to_str().expect("utf-8"),
+        csv.to_str().expect("utf-8"),
+    );
+    let out = run(&["obs", current, "--csv-out", csv_arg]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.starts_with("== telemetry report @ cycle 42 =="),
+        "{stdout}"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--csv-out needs epoch input"), "{stderr}");
+    assert!(!csv.exists(), "no CSV from summary-only input");
 }

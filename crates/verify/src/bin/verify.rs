@@ -12,7 +12,8 @@
 //! `campaign` sweeps seeded random (traffic, fault-plan) points, runs every
 //! scheme differentially under the deadlock oracle, and — on failure —
 //! shrinks the scenario to a minimal repro written as a JSON artifact that
-//! `verify replay` re-executes exactly.
+//! `verify replay` re-executes exactly. An unknown subcommand or flag is
+//! named on stderr before the usage text, and the exit code is 2.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -66,7 +67,11 @@ fn main() -> ExitCode {
             Some(path) => replay(path),
             None => usage(),
         },
-        _ => usage(),
+        Some(other) => {
+            eprintln!("unknown subcommand {other}");
+            usage()
+        }
+        None => usage(),
     }
 }
 
@@ -89,7 +94,10 @@ fn parse_campaign(args: &[String]) -> CampaignOpts {
             "--schemes" => o.schemes = val().split(',').map(str::to_string).collect(),
             "--out" => o.out = PathBuf::from(val()),
             "--shrink-evals" => o.shrink_evals = val().parse().unwrap_or_else(|_| usage()),
-            _ => usage(),
+            other => {
+                eprintln!("unknown flag {other}");
+                usage()
+            }
         }
     }
     o

@@ -58,6 +58,22 @@ fn invalid_campaign_parameters_are_errors_naming_the_limit() {
     assert_campaign_rejected("name", &["--system", "mesh"], &["unknown system \"mesh\""]);
 }
 
+/// An unknown flag or subcommand is named on stderr before the usage text.
+#[test]
+fn unknown_flags_and_subcommands_are_rejected_by_name() {
+    assert_campaign_rejected("flag", &["--frobnicate"], &["unknown flag --frobnicate"]);
+    let out = Command::new(env!("CARGO_BIN_EXE_verify"))
+        .arg("frobnicate")
+        .output()
+        .expect("verify binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with("unknown subcommand frobnicate") && stderr.contains("usage:"),
+        "{stderr}"
+    );
+}
+
 /// `--system` takes every name `simulate --system` does: a grid runs all
 /// three schemes differentially.
 #[test]

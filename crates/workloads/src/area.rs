@@ -15,7 +15,7 @@
 //!   (amortised over the chiplet's routers, as the paper reports) plus the
 //!   permission subnetwork endpoint.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use upp_noc::config::NocConfig;
 
 /// Baseline router area at 1 VC per VNet (paper, 45 nm, µm²).
@@ -30,7 +30,7 @@ fn buffer_bits(cfg: &NocConfig) -> f64 {
 }
 
 /// The fitted area model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct AreaModel {
     /// µm² per buffer bit (fitted from the two published baseline points).
     pub um2_per_bit: f64,
@@ -68,7 +68,7 @@ impl Default for AreaModel {
 }
 
 /// One scheme's relative overhead on chiplet and interposer routers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct AreaOverhead {
     /// Overhead on a chiplet router (fraction of baseline area; NI included,
     /// as in the paper).

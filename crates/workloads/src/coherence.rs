@@ -20,7 +20,7 @@
 use crate::profiles::BenchmarkProfile;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 use upp_noc::ids::{Cycle, NodeId, PacketId, VnetId};
 use upp_noc::sim::System;
@@ -53,7 +53,7 @@ struct CoreState {
 }
 
 /// Outcome of a full coherence run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct RuntimeResult {
     /// Cycles until every core finished its transactions.
     pub cycles: Cycle,

@@ -8,12 +8,12 @@
 //! constants in the magnitude range DSENT reports for a 128-bit, 1 GHz,
 //! 22 nm router.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use upp_noc::config::NocConfig;
 use upp_noc::stats::NetStats;
 
 /// Per-event and per-cycle energy constants (picojoules / microwatts).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct EnergyModel {
     /// Dynamic energy of one buffer write, pJ/bit.
     pub buf_write_pj_per_bit: f64,
@@ -49,7 +49,7 @@ impl Default for EnergyModel {
 }
 
 /// An energy breakdown for one run, in picojoules (1 GHz: 1 cycle = 1 ns).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct EnergyBreakdown {
     /// Dynamic energy, pJ.
     pub dynamic_pj: f64,

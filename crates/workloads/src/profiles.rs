@@ -10,10 +10,10 @@
 //! packets appear). Transaction counts are scaled down ~1000x from the
 //! paper's 1e7–3e8 packets so a run completes in under a second.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which benchmark suite a profile imitates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Suite {
     /// PARSEC (Fig. 8 top group).
     Parsec,
@@ -22,7 +22,7 @@ pub enum Suite {
 }
 
 /// A network-level benchmark profile.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct BenchmarkProfile {
     /// Benchmark name (matches the paper's figures).
     pub name: &'static str,

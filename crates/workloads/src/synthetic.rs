@@ -4,13 +4,13 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use upp_noc::ids::{NodeId, VnetId};
 use upp_noc::sim::System;
 use upp_noc::topology::Topology;
 
 /// A synthetic destination pattern over the chiplet cores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Pattern {
     /// Destination drawn uniformly from all other cores.
     UniformRandom,
