@@ -7,9 +7,7 @@
 
 use super::{cfg, Context, SEED};
 use crate::report::{f3, ExperimentResult, MarkdownTable};
-use crate::sweep::FromJsonValue;
-use serde::Serialize;
-use serde_json::Value;
+use serde::{Deserialize, Serialize};
 use upp_core::UppStats;
 use upp_noc::ni::ConsumePolicy;
 use upp_noc::topology::ChipletSystemSpec;
@@ -18,7 +16,7 @@ use upp_workloads::profiles::all_benchmarks;
 use upp_workloads::runner::{build_system, SchemeKind};
 
 /// Everything recorded about one coherence run (also feeds Figs. 12 and 15).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Fig8Run {
     /// Benchmark name.
     pub benchmark: String,
@@ -44,25 +42,6 @@ pub struct Fig8Run {
     pub upward_packets: u64,
     /// True if the run failed to complete (must never happen).
     pub incomplete: bool,
-}
-
-impl FromJsonValue for Fig8Run {
-    fn from_json_value(v: &Value) -> Option<Fig8Run> {
-        Some(Fig8Run {
-            benchmark: v.get("benchmark")?.as_str()?.to_string(),
-            scheme: v.get("scheme")?.as_str()?.to_string(),
-            vcs: v.get("vcs")?.as_u64()? as usize,
-            cycles: v.get("cycles")?.as_u64()?,
-            packets: v.get("packets")?.as_u64()?,
-            flits: v.get("flits")?.as_u64()?,
-            flit_hops: v.get("flit_hops")?.as_u64()?,
-            bypass_hops: v.get("bypass_hops")?.as_u64()?,
-            control_hops: v.get("control_hops")?.as_u64()?,
-            flits_injected: v.get("flits_injected")?.as_u64()?,
-            upward_packets: v.get("upward_packets")?.as_u64()?,
-            incomplete: matches!(v.get("incomplete")?, Value::Bool(true)),
-        })
-    }
 }
 
 /// The full Fig. 8 dataset.

@@ -20,9 +20,7 @@
 
 use super::{Context, SEED};
 use crate::report::{f1, ExperimentResult, MarkdownTable};
-use crate::sweep::FromJsonValue;
-use serde::Serialize;
-use serde_json::Value;
+use serde::{Deserialize, Serialize};
 use upp_noc::ni::ConsumePolicy;
 use upp_noc::topology::ChipletSystemSpec;
 use upp_workloads::run::{RiderConfig, Riders};
@@ -36,7 +34,7 @@ use upp_workloads::synthetic::{Pattern, SyntheticTraffic};
 const CONSUME_LATENCY: u64 = 120;
 
 /// One `(grid, scheme)` cell of the observatory.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ScalePoint {
     /// Grid columns (chiplet tiles).
     pub cols: u16,
@@ -69,27 +67,6 @@ pub struct ScalePoint {
     /// Router share of the footprint averaged per router — the per-tile
     /// cost a chiplet integrator pays as the mesh grows.
     pub mem_bytes_per_router: usize,
-}
-
-impl FromJsonValue for ScalePoint {
-    fn from_json_value(v: &Value) -> Option<ScalePoint> {
-        Some(ScalePoint {
-            cols: v.get("cols")?.as_u64()? as u16,
-            rows: v.get("rows")?.as_u64()? as u16,
-            routers: v.get("routers")?.as_u64()? as usize,
-            scheme: v.get("scheme")?.as_str()?.to_string(),
-            drained: matches!(v.get("drained")?, Value::Bool(true)),
-            cycles: v.get("cycles")?.as_u64()?,
-            packets: v.get("packets")?.as_u64()?,
-            boundary_pressure: v.get("boundary_pressure")?.as_u64()?,
-            protocol_events: v.get("protocol_events")?.as_u64()?,
-            recovery_mean: v.get("recovery_mean")?.as_f64()?,
-            recovery_p95: v.get("recovery_p95")?.as_u64()?,
-            circuit_inserts: v.get("circuit_inserts")?.as_u64()?,
-            mem_total_bytes: v.get("mem_total_bytes")?.as_u64()? as usize,
-            mem_bytes_per_router: v.get("mem_bytes_per_router")?.as_u64()? as usize,
-        })
-    }
 }
 
 /// Grid sizes per mode: the paper's tile arrangement up to a

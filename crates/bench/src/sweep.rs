@@ -13,7 +13,7 @@
 //! [`SweepEngine`] a caller builds and passes down, never process state, so
 //! two engines in one process do not see each other.
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::collections::HashMap;
 use std::fs::OpenOptions;
@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use upp_noc::config::NocConfig;
 use upp_noc::topology::ChipletSystemSpec;
-use upp_workloads::runner::{run_point, AlertCounts, SchemeKind, SweepPoint, SweepWindows};
+use upp_workloads::runner::{run_point, SchemeKind, SweepPoint, SweepWindows};
 use upp_workloads::synthetic::Pattern;
 
 // ------------------------------------------------------------ jobs control
@@ -44,15 +44,6 @@ pub fn default_jobs() -> usize {
 }
 
 // ---------------------------------------------------------------- journal
-
-/// Results parseable back out of the journal's JSON `Value` tree (the
-/// vendored serde stub has no typed deserialization, so resumable result
-/// types implement this by hand).
-pub trait FromJsonValue: Sized {
-    /// Reconstructs the result from its serialized form; `None` when the
-    /// recorded shape does not match (the point is then re-run).
-    fn from_json_value(v: &Value) -> Option<Self>;
-}
 
 /// Short stable fingerprint of a sweep configuration (FNV-1a 64), hashed
 /// into the journal header so `--resume` can detect that the CLI args no
@@ -172,9 +163,9 @@ impl Journal {
         self.seen.lock().unwrap().len()
     }
 
-    fn lookup<R: FromJsonValue>(&self, key: &str) -> Option<R> {
+    fn lookup<R: Deserialize>(&self, key: &str) -> Option<R> {
         let seen = self.seen.lock().unwrap();
-        seen.get(key).and_then(R::from_json_value)
+        seen.get(key).and_then(R::de_value)
     }
 
     fn record<R: Serialize>(&self, key: &str, result: &R) {
@@ -288,11 +279,14 @@ impl SweepEngine {
 
     /// Keyed fan-out with journal streaming and resume: points whose key is
     /// already recorded are restored from the journal instead of re-run;
-    /// fresh results are appended to the journal as they complete.
+    /// fresh results are appended to the journal as they complete. A
+    /// recorded row is read back by `R`'s `Deserialize`, which ignores
+    /// unknown keys; a row missing a field or holding an ill-typed one (a
+    /// journal from before that field existed) is re-run.
     pub fn run_keyed<P, R, K, F>(&self, points: &[P], key: K, f: F) -> Vec<R>
     where
         P: Sync,
-        R: Serialize + FromJsonValue + Send,
+        R: Serialize + Deserialize + Send,
         K: Fn(&P) -> String,
         F: Fn(&P) -> R + Sync,
     {
@@ -319,41 +313,6 @@ impl SweepEngine {
 }
 
 // ------------------------------------------------ experiment-facing sweeps
-
-impl FromJsonValue for SweepPoint {
-    fn from_json_value(v: &Value) -> Option<SweepPoint> {
-        Some(SweepPoint {
-            rate: v.get("rate")?.as_f64()?,
-            net_latency: v.get("net_latency")?.as_f64()?,
-            queue_latency: v.get("queue_latency")?.as_f64()?,
-            total_latency: v.get("total_latency")?.as_f64()?,
-            throughput: v.get("throughput")?.as_f64()?,
-            packets_ejected: v.get("packets_ejected")?.as_u64()?,
-            upward_packets: v.get("upward_packets")?.as_u64()?,
-            control_hops: v.get("control_hops")?.as_u64()?,
-            // Journals from before the percentile columns lack these keys;
-            // returning None makes the engine re-run the point.
-            p50: v.get("p50")?.as_f64()?,
-            p95: v.get("p95")?.as_f64()?,
-            p99: v.get("p99")?.as_f64()?,
-            p999: v.get("p999")?.as_f64()?,
-            deadlocked: matches!(v.get("deadlocked")?, Value::Bool(true)),
-            // Journals from before the watch column lack this object;
-            // returning None makes the engine re-run the point.
-            alerts: {
-                let a = v.get("alerts")?;
-                AlertCounts {
-                    throughput_collapse: a.get("throughput_collapse")?.as_u64()?,
-                    injection_starvation: a.get("injection_starvation")?.as_u64()?,
-                    popup_storm: a.get("popup_storm")?.as_u64()?,
-                    watchdog_cascade: a.get("watchdog_cascade")?.as_u64()?,
-                    circuit_saturation: a.get("circuit_saturation")?.as_u64()?,
-                    permit_queue_runaway: a.get("permit_queue_runaway")?.as_u64()?,
-                }
-            },
-        })
-    }
-}
 
 /// Stable journal key for one `(tag, cfg, kind, faults, pattern, windows,
 /// seed, rate)` point.
@@ -406,6 +365,7 @@ impl SweepEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use upp_workloads::runner::AlertCounts;
 
     #[test]
     fn map_preserves_order_and_runs_everything() {
@@ -453,16 +413,9 @@ mod tests {
 
     #[test]
     fn journal_resume_skips_recorded_points() {
-        #[derive(Serialize, PartialEq, Debug)]
+        #[derive(Serialize, Deserialize, PartialEq, Debug)]
         struct R {
             v: u64,
-        }
-        impl FromJsonValue for R {
-            fn from_json_value(val: &Value) -> Option<R> {
-                Some(R {
-                    v: val.get("v")?.as_u64()?,
-                })
-            }
         }
         let dir = std::env::temp_dir().join(format!("upp-sweep-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -508,16 +461,9 @@ mod tests {
 
     #[test]
     fn journal_resume_rejects_config_mismatch() {
-        #[derive(Serialize, PartialEq, Debug)]
+        #[derive(Serialize, Deserialize, PartialEq, Debug)]
         struct R {
             v: u64,
-        }
-        impl FromJsonValue for R {
-            fn from_json_value(val: &Value) -> Option<R> {
-                Some(R {
-                    v: val.get("v")?.as_u64()?,
-                })
-            }
         }
         let dir = std::env::temp_dir().join(format!("upp-sweep-cfg-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -592,7 +538,7 @@ mod tests {
             },
         };
         let v = serde_json::to_value(p).unwrap();
-        let back = SweepPoint::from_json_value(&v).unwrap();
+        let back = SweepPoint::de_value(&v).unwrap();
         assert_eq!(
             serde_json::to_string(&back).unwrap(),
             serde_json::to_string(&p).unwrap()
@@ -605,8 +551,8 @@ mod tests {
     #[test]
     fn a_row_with_the_retired_shard_imbalance_key_still_restores() {
         let row = r#"{"rate":0.02,"net_latency":18.5,"queue_latency":0.5,"total_latency":19.0,"throughput":0.0199,"packets_ejected":400,"upward_packets":0,"control_hops":0,"p50":17.0,"p95":30.0,"p99":41.0,"p999":52.0,"deadlocked":false,"alerts":{"throughput_collapse":0,"injection_starvation":0,"popup_storm":1,"watchdog_cascade":0,"circuit_saturation":0,"permit_queue_runaway":0,"shard_imbalance":0}}"#;
-        let p = SweepPoint::from_json_value(&serde_json::from_str(row).unwrap())
-            .expect("an old row restores");
+        let p =
+            SweepPoint::de_value(&serde_json::from_str(row).unwrap()).expect("an old row restores");
         assert_eq!(p.packets_ejected, 400);
         assert_eq!(p.alerts.popup_storm, 1);
         assert_eq!(p.alerts.total(), 1);

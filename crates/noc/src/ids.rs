@@ -3,8 +3,9 @@
 //! Every index into a simulator table gets its own newtype so that node,
 //! chiplet, VC and packet indices can never be confused ([C-NEWTYPE]).
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::str::FromStr;
 
 /// A simulation cycle number.
 pub type Cycle = u64;
@@ -12,7 +13,7 @@ pub type Cycle = u64;
 /// Identifies one node (router + its network interface) in the topology.
 ///
 /// Node ids are dense indices into [`crate::topology::Topology::nodes`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -52,7 +53,7 @@ impl fmt::Display for ChipletId {
 /// The MESI-style coherence configuration of the paper uses three VNets
 /// (request / forward / response); synthetic traffic uses them as independent
 /// lanes for control and data packets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct VnetId(pub u8);
 
 impl VnetId {
@@ -108,7 +109,7 @@ impl fmt::Display for VcId {
 }
 
 /// Globally-unique packet identifier, assigned at injection time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct PacketId(pub u64);
 
 impl fmt::Display for PacketId {
@@ -224,9 +225,10 @@ impl Port {
     }
 }
 
-impl fmt::Display for Port {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl Port {
+    /// The one-letter form `Display` writes and `FromStr` reads.
+    fn letter(self) -> &'static str {
+        match self {
             Port::Local => "L",
             Port::North => "N",
             Port::East => "E",
@@ -234,8 +236,25 @@ impl fmt::Display for Port {
             Port::West => "W",
             Port::Up => "U",
             Port::Down => "D",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for Port {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.letter())
+    }
+}
+
+impl FromStr for Port {
+    type Err = String;
+
+    /// Parses the one-letter form [`Port`]'s `Display` writes.
+    fn from_str(s: &str) -> Result<Port, String> {
+        Port::ALL
+            .into_iter()
+            .find(|p| p.letter() == s)
+            .ok_or_else(|| format!("unknown port {s:?}"))
     }
 }
 
@@ -278,6 +297,33 @@ mod tests {
                 assert_eq!(VcId::from_flat(vc.flat(4), 4), vc);
             }
         }
+    }
+
+    #[test]
+    fn port_letters_round_trip() {
+        for p in Port::ALL {
+            assert_eq!(p.to_string().parse::<Port>(), Ok(p));
+        }
+        assert_eq!("X".parse::<Port>(), Err("unknown port \"X\"".to_string()));
+    }
+
+    /// The `Deserialize` derive's edges, on the shape a profile span uses.
+    #[test]
+    fn derived_deserialize_reads_by_key() {
+        #[derive(Debug, PartialEq, Deserialize)]
+        struct Probe {
+            len: u16,
+            wait: (NodeId, u64),
+        }
+        let parse = |text: &str| Probe::de_value(&serde_json::from_str(text).unwrap());
+        let probe = Probe {
+            len: 5,
+            wait: (NodeId(4), 9),
+        };
+        assert_eq!(parse(r#"{"x":[1],"len":5,"wait":[4,9]}"#), Some(probe));
+        assert_eq!(parse(r#"{"wait":[4,9]}"#), None, "a missing key");
+        assert_eq!(parse(r#"{"len":70000,"wait":[4,9]}"#), None, "u16 overflow");
+        assert_eq!(parse(r#"{"len":5,"wait":[4294967296,9]}"#), None);
     }
 
     #[test]

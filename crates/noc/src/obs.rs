@@ -34,7 +34,7 @@
 //! profiles feed the same analysis toolchain without translation.
 
 use crate::ids::Cycle;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -248,21 +248,15 @@ impl ObsHistogram {
             self.max()
         )
     }
+}
 
-    /// Rebuilds a histogram from the [`ObsHistogram::to_json`] shape;
-    /// `None` when a field is missing or a bucket index is beyond the one
-    /// `u64::MAX` lands in (the file is not ours — and must not size an
-    /// allocation).
-    pub fn from_value(v: &Value) -> Option<Self> {
-        let count = v.get("count")?.as_u64()?;
-        let sum = v.get("sum")?.as_u64()?;
-        let min = v.get("min")?.as_u64()?;
-        let max = v.get("max")?.as_u64()?;
+/// Reads the [`ObsHistogram::to_json`] shape; `None` when a field is
+/// missing or a bucket index is beyond the one `u64::MAX` lands in (the
+/// file is not ours — and must not size an allocation).
+impl Deserialize for ObsHistogram {
+    fn de_value(v: &Value) -> Option<Self> {
         let mut buckets = Vec::new();
-        for pair in v.get("buckets")?.as_array()? {
-            let p = pair.as_array()?;
-            let idx = p.first()?.as_u64()? as usize;
-            let n = p.get(1)?.as_u64()?;
+        for (idx, n) in Vec::<(usize, u64)>::de_value(v.get("buckets")?)? {
             if idx > Self::index(u64::MAX) {
                 return None;
             }
@@ -273,10 +267,10 @@ impl ObsHistogram {
         }
         Some(Self {
             buckets,
-            count,
-            sum,
-            min,
-            max,
+            count: u64::de_value(v.get("count")?)?,
+            sum: u64::de_value(v.get("sum")?)?,
+            min: u64::de_value(v.get("min")?)?,
+            max: u64::de_value(v.get("max")?)?,
         })
     }
 }
@@ -869,10 +863,10 @@ mod tests {
         assert!(json.starts_with("{\"count\":7,\"sum\":"));
         assert!(json.contains("\"buckets\":[[0,1],[1,1],[31,1],[32,1]"));
         let v = serde_json::from_str(&json).expect("valid JSON");
-        assert_eq!(ObsHistogram::from_value(&v).expect("parses"), h);
+        assert_eq!(ObsHistogram::de_value(&v).expect("parses"), h);
         let hostile = r#"{"count":1,"sum":1,"min":1,"max":1,"buckets":[[4000000000,1]]}"#;
         let v = serde_json::from_str(hostile).expect("valid JSON");
-        assert_eq!(ObsHistogram::from_value(&v), None, "index beyond u64 range");
+        assert_eq!(ObsHistogram::de_value(&v), None, "index beyond u64 range");
     }
 
     #[test]

@@ -38,10 +38,12 @@
 
 use crate::ids::{Cycle, NodeId, PacketId, Port, VnetId};
 use crate::trace::{BlockReason, TraceEvent};
+use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-/// One delivered packet's fully-attributed latency decomposition.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One delivered packet's fully-attributed latency decomposition. The
+/// field order is the order a profile document writes them in.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PacketSpan {
     /// The packet.
     pub packet: PacketId,
@@ -309,7 +311,14 @@ impl SpanRecorder {
                 let Some(s) = self.live.remove(packet) else {
                     return;
                 };
-                let injected_at = s.injected_at.unwrap_or(at - net_latency);
+                // Times that run backwards (only a foreign trace has them)
+                // drop the span rather than wrap.
+                let Some(injected_at) = s.injected_at.or(at.checked_sub(net_latency)) else {
+                    return;
+                };
+                if !(s.created_at..=at).contains(&injected_at) {
+                    return;
+                }
                 let attributed = s.vc_alloc + s.sa_wait + s.credit + s.wait_ack + s.locate + s.pop;
                 self.finished.push(PacketSpan {
                     packet,
@@ -499,6 +508,34 @@ mod tests {
             net_latency: 3,
             total_latency: 5,
         });
+        assert!(r.finished().is_empty());
+        assert_eq!(r.live_packets(), 0);
+    }
+
+    #[test]
+    fn spans_whose_times_run_backwards_are_dropped() {
+        let ejected = |packet, at, net_latency| TraceEvent::PacketEjected {
+            at,
+            packet: PacketId(packet),
+            node: NodeId(9),
+            net_latency,
+            total_latency: 0,
+        };
+        let mut r = SpanRecorder::new();
+        // Ejected before it was created.
+        r.observe(&created(1, 100));
+        r.observe(&ejected(1, 5, 3));
+        // A network latency longer than the ejection cycle.
+        r.observe(&created(2, 0));
+        r.observe(&ejected(2, 5, 9));
+        // Ejected before it was injected.
+        r.observe(&created(3, 0));
+        r.observe(&TraceEvent::PacketInjected {
+            at: 8,
+            packet: PacketId(3),
+            node: NodeId(0),
+        });
+        r.observe(&ejected(3, 6, 1));
         assert!(r.finished().is_empty());
         assert_eq!(r.live_packets(), 0);
     }

@@ -28,6 +28,7 @@
 //! when absent: it is driver-owned state, not network state, and feeds
 //! happen only at epoch boundaries.
 
+use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -174,19 +175,40 @@ impl Alert {
     /// (no trailing newline). All fields are integers or fixed strings, so
     /// the bytes are identical across platforms, kernels and schedulers.
     pub fn jsonl(&self) -> String {
-        format!(
-            "{{\"detector\":\"{}\",\"event\":\"{}\",\"severity\":\"{}\",\"metric\":\"{}\",\
-             \"value\":{},\"threshold\":{},\"from_cycle\":{},\"at_cycle\":{}}}",
-            self.detector.name(),
-            self.kind.name(),
-            self.severity.name(),
-            self.detector.metric(),
-            self.value,
-            self.threshold,
-            self.from_cycle,
-            self.at_cycle
-        )
+        let line = AlertRecord {
+            detector: self.detector.name().into(),
+            event: self.kind.name().into(),
+            severity: self.severity.name().into(),
+            metric: self.detector.metric().into(),
+            value: self.value,
+            threshold: self.threshold,
+            from_cycle: self.from_cycle,
+            at_cycle: self.at_cycle,
+        };
+        serde_json::to_string(&line).expect("infallible")
     }
+}
+
+/// One `upp-alerts/v1` alert line, as [`Alert::jsonl`] writes it (in this
+/// key order) and `upp-trace alerts` reads it back.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct AlertRecord {
+    /// Detector identifier (`throughput_collapse`, ...).
+    pub detector: String,
+    /// Transition: `raise`, `escalate` or `clear`.
+    pub event: String,
+    /// Severity after the transition: `info`, `warning` or `critical`.
+    pub severity: String,
+    /// The metric the detector triggers on.
+    pub metric: String,
+    /// Metric value at the emitting epoch.
+    pub value: u64,
+    /// Threshold the value was compared against.
+    pub threshold: u64,
+    /// First epoch cycle of the triggering span.
+    pub from_cycle: u64,
+    /// Cycle of the epoch that emitted the alert.
+    pub at_cycle: u64,
 }
 
 /// Header line for an `upp-alerts/v1` JSONL stream.

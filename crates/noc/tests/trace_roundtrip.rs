@@ -31,19 +31,6 @@ impl Write for SharedWriter {
     }
 }
 
-fn parse_port(s: &str) -> Port {
-    match s {
-        "L" => Port::Local,
-        "N" => Port::North,
-        "E" => Port::East,
-        "S" => Port::South,
-        "W" => Port::West,
-        "U" => Port::Up,
-        "D" => Port::Down,
-        other => panic!("unknown port {other:?}"),
-    }
-}
-
 fn num(v: &Value, k: &str) -> u64 {
     v.get(k)
         .and_then(Value::as_u64)
@@ -57,7 +44,7 @@ fn st<'a>(v: &'a Value, k: &str) -> &'a str {
 }
 
 fn port(v: &Value, k: &str) -> Port {
-    parse_port(st(v, k))
+    st(v, k).parse().unwrap()
 }
 
 /// Rebuilds a [`TraceEvent`] from its parsed JSONL form. Every field the
@@ -101,7 +88,10 @@ fn rebuild(line: &Value) -> TraceEvent {
             node: NodeId(num(a, "node") as u32),
             in_port: port(a, "in_port"),
             vc_flat: num(a, "vc_flat") as usize,
-            out_port: a.get("out_port").and_then(Value::as_str).map(parse_port),
+            out_port: a
+                .get("out_port")
+                .and_then(Value::as_str)
+                .map(|p| p.parse().unwrap()),
             reason: match st(a, "reason") {
                 "credit" => BlockReason::Credit,
                 "vc" => BlockReason::VcAlloc,

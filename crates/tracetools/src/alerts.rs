@@ -12,58 +12,17 @@
 
 use std::fmt::Write as _;
 
+use serde::Deserialize;
 use serde_json::Value;
+pub use upp_noc::watch::AlertRecord;
 use upp_noc::watch::ALERTS_SCHEMA;
 
-/// One parsed alert line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AlertRecord {
-    /// Detector identifier (`throughput_collapse`, ...).
-    pub detector: String,
-    /// Transition: `raise`, `escalate` or `clear`.
-    pub event: String,
-    /// Severity after the transition: `info`, `warning` or `critical`.
-    pub severity: String,
-    /// The metric the detector triggers on.
-    pub metric: String,
-    /// Metric value at the emitting epoch.
-    pub value: u64,
-    /// Threshold the value was compared against.
-    pub threshold: u64,
-    /// First epoch cycle of the triggering span.
-    pub from_cycle: u64,
-    /// Cycle of the epoch that emitted the alert.
-    pub at_cycle: u64,
-}
-
-impl AlertRecord {
-    fn from_value(v: &Value) -> Option<Self> {
-        Some(Self {
-            detector: v.get("detector")?.as_str()?.to_string(),
-            event: v.get("event")?.as_str()?.to_string(),
-            severity: v.get("severity")?.as_str()?.to_string(),
-            metric: v.get("metric")?.as_str()?.to_string(),
-            value: v.get("value")?.as_u64()?,
-            threshold: v.get("threshold")?.as_u64()?,
-            from_cycle: v.get("from_cycle")?.as_u64()?,
-            at_cycle: v.get("at_cycle")?.as_u64()?,
-        })
-    }
-
-    /// One fixed-width human line of the [`report_text`] table.
-    fn render_line(&self) -> String {
-        format!(
-            "{:>10}  {:<8} {:<9} {:<21} {}={} (threshold {}, since cycle {})",
-            self.at_cycle,
-            self.event,
-            self.severity,
-            self.detector,
-            self.metric,
-            self.value,
-            self.threshold,
-            self.from_cycle
-        )
-    }
+/// One fixed-width human line of the [`report_text`] table.
+fn render_line(a: &AlertRecord) -> String {
+    format!(
+        "{:>10}  {:<8} {:<9} {:<21} {}={} (threshold {}, since cycle {})",
+        a.at_cycle, a.event, a.severity, a.detector, a.metric, a.value, a.threshold, a.from_cycle
+    )
 }
 
 /// A parsed `upp-alerts/v1` stream.
@@ -111,7 +70,7 @@ impl AlertsReport {
         for (i, line) in lines.enumerate() {
             let v: Value = serde_json::from_str(line)
                 .map_err(|e| format!("alert line {}: not JSON: {e}", i + 2))?;
-            let rec = AlertRecord::from_value(&v)
+            let rec = AlertRecord::de_value(&v)
                 .ok_or_else(|| format!("alert line {}: missing fields", i + 2))?;
             alerts.push(rec);
         }
@@ -156,7 +115,7 @@ pub fn report_text(r: &AlertsReport) -> String {
         "cycle", "event", "severity", "detector"
     );
     for a in &r.alerts {
-        let _ = writeln!(out, "{}", a.render_line());
+        let _ = writeln!(out, "{}", render_line(a));
     }
     out
 }

@@ -31,16 +31,7 @@ fn node(v: &Value, key: &str) -> Option<NodeId> {
 }
 
 fn port(v: &Value, key: &str) -> Option<Port> {
-    match v.get(key)?.as_str()? {
-        "L" => Some(Port::Local),
-        "N" => Some(Port::North),
-        "E" => Some(Port::East),
-        "S" => Some(Port::South),
-        "W" => Some(Port::West),
-        "U" => Some(Port::Up),
-        "D" => Some(Port::Down),
-        _ => None,
-    }
+    v.get(key)?.as_str()?.parse().ok()
 }
 
 fn reason(v: &Value, key: &str) -> Option<BlockReason> {

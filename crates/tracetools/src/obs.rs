@@ -16,6 +16,7 @@
 
 use std::fmt::Write as _;
 
+use serde::Deserialize;
 use serde_json::Value;
 use upp_noc::obs::OBS_SCHEMA;
 
@@ -38,28 +39,18 @@ pub struct ObsSnapshot {
 
 impl ObsSnapshot {
     fn from_value(v: &Value) -> Option<Self> {
-        let cycle = v.get("cycle")?.as_u64()?;
-        let mut counters = Vec::new();
-        for (name, val) in v.get("counters")?.as_object()? {
-            counters.push((name.clone(), val.as_u64()?));
-        }
-        let mut gauges = Vec::new();
-        for (name, val) in v.get("gauges")?.as_object()? {
-            let pair = val.as_array()?;
-            gauges.push((
-                name.clone(),
-                (pair.first()?.as_u64()?, pair.get(1)?.as_u64()?),
-            ));
-        }
-        let mut histograms = Vec::new();
-        for (name, val) in v.get("histograms")?.as_object()? {
-            histograms.push((name.clone(), Histogram::from_value(val)?));
+        // Metric names are keys, so each set is an object read in file order.
+        fn named<T: Deserialize>(v: &Value, key: &str) -> Option<Vec<(String, T)>> {
+            let pairs = v.get(key)?.as_object()?.iter();
+            pairs
+                .map(|(name, val)| Some((name.clone(), T::de_value(val)?)))
+                .collect()
         }
         Some(Self {
-            cycle,
-            counters,
-            gauges,
-            histograms,
+            cycle: v.get("cycle")?.as_u64()?,
+            counters: named(v, "counters")?,
+            gauges: named(v, "gauges")?,
+            histograms: named(v, "histograms")?,
         })
     }
 }

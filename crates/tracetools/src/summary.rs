@@ -9,8 +9,8 @@
 
 use std::io::BufRead;
 
+use serde::{Deserialize, Serialize};
 use serde_json::Value;
-use upp_noc::ids::NodeId;
 use upp_noc::profile::{PacketSpan, SpanRecorder};
 
 use crate::events::{parse_line, Parsed};
@@ -20,7 +20,7 @@ use crate::Histogram;
 pub const SLOWEST_KEPT: usize = 16;
 
 /// Cycle totals per latency phase, summed over packets.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PhaseTotals {
     /// Source-NI queueing (create -> inject).
     pub inj_queue: u64,
@@ -95,35 +95,10 @@ impl PhaseTotals {
         self.pop += other.pop;
         self.serialization += other.serialization;
     }
-
-    fn to_json(self) -> String {
-        let mut out = String::from("{");
-        for (i, (label, v)) in Self::LABELS.iter().zip(self.values()).enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{label}\":{v}"));
-        }
-        out.push('}');
-        out
-    }
-
-    fn from_value(v: &Value) -> Option<Self> {
-        Some(Self {
-            inj_queue: v.get("inj_queue")?.as_u64()?,
-            vc_alloc: v.get("vc_alloc")?.as_u64()?,
-            sa_wait: v.get("sa_wait")?.as_u64()?,
-            credit: v.get("credit")?.as_u64()?,
-            wait_ack: v.get("wait_ack")?.as_u64()?,
-            locate: v.get("locate")?.as_u64()?,
-            pop: v.get("pop")?.as_u64()?,
-            serialization: v.get("serialization")?.as_u64()?,
-        })
-    }
 }
 
 /// Aggregated latency attribution for one run.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Deserialize)]
 pub struct ProfileSummary {
     /// System shape label the run used (drives heatmap topology lookup;
     /// may be empty for raw traces).
@@ -268,137 +243,48 @@ impl ProfileSummary {
 
     /// Renders the summary as one deterministic JSON document.
     pub fn to_json(&self) -> String {
-        let mut slowest = String::new();
-        for (i, s) in self.slowest.iter().enumerate() {
-            if i > 0 {
-                slowest.push(',');
-            }
-            let mut waits = String::new();
-            for (j, (n, c)) in s.waits.iter().enumerate() {
-                if j > 0 {
-                    waits.push(',');
-                }
-                waits.push_str(&format!("[{},{}]", n.0, c));
-            }
-            slowest.push_str(&format!(
-                "{{\"packet\":{},\"src\":{},\"dest\":{},\"vnet\":{},\"len_flits\":{},\
-                 \"created_at\":{},\"injected_at\":{},\"ejected_at\":{},\
-                 \"inj_queue\":{},\"vc_alloc\":{},\"sa_wait\":{},\"credit\":{},\
-                 \"wait_ack\":{},\"locate\":{},\"pop\":{},\"serialization\":{},\
-                 \"hops\":{},\"bypass_hops\":{},\"waits\":[{waits}]}}",
-                s.packet.0,
-                s.src.0,
-                s.dest.0,
-                s.vnet.0,
-                s.len_flits,
-                s.created_at,
-                s.injected_at,
-                s.ejected_at,
-                s.inj_queue,
-                s.vc_alloc,
-                s.sa_wait,
-                s.credit,
-                s.wait_ack,
-                s.locate,
-                s.pop,
-                s.serialization,
-                s.hops,
-                s.bypass_hops,
-            ));
+        fn json<T: Serialize>(v: &T) -> String {
+            serde_json::to_string(v).expect("infallible")
         }
-        let join = |v: &[u64]| {
-            v.iter()
-                .map(|n| n.to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        };
         format!(
             "{{\n\"upp_profile\":1,\n\"system\":{},\n\"scheme\":{},\n\
              \"packets\":{},\n\"popups\":{},\n\"hops\":{},\n\"bypass_hops\":{},\n\
              \"phases\":{},\n\"net\":{},\n\"total\":{},\n\
-             \"router_blocked\":[{}],\n\"link_blocked\":[{}],\n\"slowest\":[{slowest}]\n}}\n",
-            serde_json::to_string(&self.system.as_str()).expect("infallible"),
-            serde_json::to_string(&self.scheme.as_str()).expect("infallible"),
+             \"router_blocked\":{},\n\"link_blocked\":{},\n\"slowest\":{}\n}}\n",
+            json(&self.system),
+            json(&self.scheme),
             self.packets,
             self.popups,
             self.hops,
             self.bypass_hops,
-            self.phases.to_json(),
+            json(&self.phases),
             self.net.to_json(),
             self.total.to_json(),
-            join(&self.router_blocked),
-            join(&self.link_blocked),
+            json(&self.router_blocked),
+            json(&self.link_blocked),
+            json(&self.slowest),
         )
     }
 
     /// Rebuilds a summary from the [`ProfileSummary::to_json`] document.
     pub fn from_json(text: &str) -> Result<Self, String> {
         let v = serde_json::from_str(text).map_err(|e| format!("invalid JSON: {e:?}"))?;
-        Self::from_value(&v).ok_or_else(|| "not an upp_profile document".into())
+        Some(v)
+            .filter(Self::is_profile_value)
+            .and_then(|v| Self::de_value(&v))
+            .ok_or_else(|| "not an upp_profile document".into())
     }
 
     /// True when a parsed JSON value looks like a profile document.
     pub fn is_profile_value(v: &Value) -> bool {
         v.get("upp_profile").and_then(|p| p.as_u64()) == Some(1)
     }
-
-    fn from_value(v: &Value) -> Option<Self> {
-        if !Self::is_profile_value(v) {
-            return None;
-        }
-        let vec_u64 = |key: &str| -> Option<Vec<u64>> {
-            v.get(key)?.as_array()?.iter().map(|x| x.as_u64()).collect()
-        };
-        let mut slowest = Vec::new();
-        for s in v.get("slowest")?.as_array()? {
-            let mut waits = Vec::new();
-            for pair in s.get("waits")?.as_array()? {
-                let p = pair.as_array()?;
-                waits.push((NodeId(p.first()?.as_u64()? as u32), p.get(1)?.as_u64()?));
-            }
-            slowest.push(PacketSpan {
-                packet: upp_noc::ids::PacketId(s.get("packet")?.as_u64()?),
-                src: NodeId(s.get("src")?.as_u64()? as u32),
-                dest: NodeId(s.get("dest")?.as_u64()? as u32),
-                vnet: upp_noc::ids::VnetId(s.get("vnet")?.as_u64()? as u8),
-                len_flits: s.get("len_flits")?.as_u64()? as u16,
-                created_at: s.get("created_at")?.as_u64()?,
-                injected_at: s.get("injected_at")?.as_u64()?,
-                ejected_at: s.get("ejected_at")?.as_u64()?,
-                inj_queue: s.get("inj_queue")?.as_u64()?,
-                vc_alloc: s.get("vc_alloc")?.as_u64()?,
-                sa_wait: s.get("sa_wait")?.as_u64()?,
-                credit: s.get("credit")?.as_u64()?,
-                wait_ack: s.get("wait_ack")?.as_u64()?,
-                locate: s.get("locate")?.as_u64()?,
-                pop: s.get("pop")?.as_u64()?,
-                serialization: s.get("serialization")?.as_u64()?,
-                hops: s.get("hops")?.as_u64()? as u32,
-                bypass_hops: s.get("bypass_hops")?.as_u64()? as u32,
-                waits,
-            });
-        }
-        Some(Self {
-            system: v.get("system")?.as_str()?.to_string(),
-            scheme: v.get("scheme")?.as_str()?.to_string(),
-            packets: v.get("packets")?.as_u64()?,
-            popups: v.get("popups")?.as_u64()?,
-            hops: v.get("hops")?.as_u64()?,
-            bypass_hops: v.get("bypass_hops")?.as_u64()?,
-            phases: PhaseTotals::from_value(v.get("phases")?)?,
-            net: Histogram::from_value(v.get("net")?)?,
-            total: Histogram::from_value(v.get("total")?)?,
-            router_blocked: vec_u64("router_blocked")?,
-            link_blocked: vec_u64("link_blocked")?,
-            slowest,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use upp_noc::ids::{PacketId, VnetId};
+    use upp_noc::ids::{NodeId, PacketId, VnetId};
 
     fn span(id: u64, total: u64) -> PacketSpan {
         PacketSpan {

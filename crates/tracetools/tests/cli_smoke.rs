@@ -325,3 +325,30 @@ fn obs_names_a_foreign_schema_and_asks_for_epochs_for_csv() {
     assert!(stderr.contains("--csv-out needs epoch input"), "{stderr}");
     assert!(!csv.exists(), "no CSV from summary-only input");
 }
+
+/// A file of 200,000 `[` gets the answer ordinary garbage gets: `analyze`
+/// skips it as a malformed trace line, `obs` and `alerts` exit 1 naming the
+/// depth — never a stack overflow.
+#[test]
+fn a_json_nesting_bomb_is_malformed_input() {
+    let bomb = tmp_path("bomb.json");
+    std::fs::write(&bomb, "[".repeat(200_000)).expect("write the bomb");
+    let bomb = bomb.to_str().expect("utf-8");
+
+    let out = run(&["analyze", bomb]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(
+        stderr.contains("skipped 1 malformed trace lines"),
+        "{stderr}"
+    );
+    for sub in ["obs", "alerts"] {
+        let out = run(&[sub, bomb]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "upp-trace {sub}: {stderr}");
+        assert!(
+            stderr.contains("nesting deeper than 128"),
+            "{sub}: {stderr}"
+        );
+    }
+}

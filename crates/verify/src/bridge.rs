@@ -21,6 +21,7 @@
 //! exactly what the cross-validation tests in `crates/check` exist to
 //! catch.
 
+use serde::{Deserialize, Serialize};
 use serde_json::Value;
 
 use crate::harness::{oracle_for, run_scenario, RunReport, Verdict};
@@ -69,7 +70,7 @@ impl std::fmt::Display for ExpectedOutcome {
 }
 
 /// One step of the abstract counterexample trace.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AbstractStep {
     /// The fired transition, e.g. `"WatchdogExpire(r1)"`.
     pub transition: String,
@@ -104,17 +105,6 @@ impl CheckArtifact {
     pub fn to_json(&self) -> String {
         let scenario: Value = serde_json::from_str(&self.scenario.to_json())
             .expect("Scenario::to_json emits valid JSON");
-        let steps = Value::Array(
-            self.steps
-                .iter()
-                .map(|s| {
-                    Value::Object(vec![
-                        ("transition".into(), Value::String(s.transition.clone())),
-                        ("state".into(), Value::String(s.state.clone())),
-                    ])
-                })
-                .collect(),
-        );
         let mut pairs = vec![
             ("version".into(), Value::U64(self.version)),
             ("kind".into(), Value::String("upp-check/artifact".into())),
@@ -124,7 +114,7 @@ impl CheckArtifact {
         if let Some(m) = &self.mutation {
             pairs.push(("mutation".into(), Value::String(m.clone())));
         }
-        pairs.push(("steps".into(), steps));
+        pairs.push(("steps".into(), self.steps.ser_value()));
         pairs.push((
             "expected".into(),
             Value::String(self.expected.label().into()),
@@ -160,26 +150,8 @@ impl CheckArtifact {
                 .ok_or(format!("missing \"{k}\""))?
                 .to_string())
         };
-        let steps = v
-            .get("steps")
-            .and_then(Value::as_array)
-            .ok_or("missing \"steps\"")?
-            .iter()
-            .map(|s| {
-                Ok(AbstractStep {
-                    transition: s
-                        .get("transition")
-                        .and_then(Value::as_str)
-                        .ok_or("step missing \"transition\"")?
-                        .to_string(),
-                    state: s
-                        .get("state")
-                        .and_then(Value::as_str)
-                        .ok_or("step missing \"state\"")?
-                        .to_string(),
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
+        let steps = Vec::<AbstractStep>::de_value(v.get("steps").ok_or("missing \"steps\"")?)
+            .ok_or("a step lacks a \"transition\" or \"state\" string")?;
         let scenario_value = v.get("scenario").ok_or("missing \"scenario\"")?;
         let scenario_text =
             serde_json::to_string(scenario_value).map_err(|e| format!("scenario subtree: {e}"))?;

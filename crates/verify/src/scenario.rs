@@ -167,31 +167,6 @@ pub fn scheme_kind(label: &str) -> Result<SchemeKind, String> {
     }
 }
 
-fn port_letter(p: Port) -> &'static str {
-    match p {
-        Port::Local => "L",
-        Port::North => "N",
-        Port::East => "E",
-        Port::South => "S",
-        Port::West => "W",
-        Port::Up => "U",
-        Port::Down => "D",
-    }
-}
-
-fn parse_port(s: &str) -> Result<Port, String> {
-    match s {
-        "L" => Ok(Port::Local),
-        "N" => Ok(Port::North),
-        "E" => Ok(Port::East),
-        "S" => Ok(Port::South),
-        "W" => Ok(Port::West),
-        "U" => Ok(Port::Up),
-        "D" => Ok(Port::Down),
-        other => Err(format!("unknown port {other:?}")),
-    }
-}
-
 fn fault_json(ev: &FaultEvent) -> String {
     let (kind, node, port) = match ev.action {
         FaultAction::FailLink { node, port } => ("fail_link", node, Some(port)),
@@ -204,10 +179,7 @@ fn fault_json(ev: &FaultEvent) -> String {
     match port {
         Some(p) => format!(
             "{{\"at\":{},\"kind\":\"{}\",\"node\":{},\"port\":\"{}\"}}",
-            ev.at,
-            kind,
-            node.0,
-            port_letter(p)
+            ev.at, kind, node.0, p
         ),
         None => format!(
             "{{\"at\":{},\"kind\":\"{}\",\"node\":{}}}",
@@ -231,11 +203,10 @@ fn parse_fault(v: &Value) -> Result<FaultEvent, String> {
             .ok_or("fault missing \"node\"")? as u32,
     );
     let port = || -> Result<Port, String> {
-        parse_port(
-            v.get("port")
-                .and_then(Value::as_str)
-                .ok_or("fault missing \"port\"")?,
-        )
+        v.get("port")
+            .and_then(Value::as_str)
+            .ok_or("fault missing \"port\"")?
+            .parse()
     };
     let action = match kind {
         "fail_link" => FaultAction::FailLink {
@@ -268,7 +239,8 @@ impl Scenario {
         s.push_str(&format!("  \"horizon\": {},\n", self.horizon));
         s.push_str(&format!("  \"max_cycles\": {},\n", self.max_cycles));
         if let Some(f) = &self.failure {
-            s.push_str(&format!("  \"failure\": {},\n", render_json_string(f)));
+            let f = serde_json::to_string(f).expect("infallible");
+            s.push_str(&format!("  \"failure\": {f},\n"));
         }
         s.push_str("  \"traffic\": [\n");
         for (i, e) in self.traffic.iter().enumerate() {
@@ -355,22 +327,6 @@ impl Scenario {
             failure: v.get("failure").and_then(Value::as_str).map(str::to_string),
         })
     }
-}
-
-fn render_json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -92,3 +92,20 @@ fn a_campaign_on_a_grid_compares_all_three_schemes() {
         "{stdout}"
     );
 }
+
+/// A file of 200,000 `[` is malformed input: `verify replay` says it cannot
+/// parse it and exits 1, as for any other garbage, instead of overflowing
+/// the stack.
+#[test]
+fn a_json_nesting_bomb_is_a_parse_error() {
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("verify-cli-bomb.json");
+    std::fs::write(&path, "[".repeat(200_000)).expect("write the bomb");
+    let out = Command::new(env!("CARGO_BIN_EXE_verify"))
+        .arg("replay")
+        .arg(&path)
+        .output()
+        .expect("verify binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("nesting deeper than 128"), "{stderr}");
+}

@@ -6,7 +6,7 @@
 
 use crate::run::{RiderConfig, Riders};
 use crate::synthetic::{Pattern, SyntheticTraffic};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use upp_baselines::composable::Composable;
 use upp_baselines::remote::{RemoteControl, RemoteControlConfig};
@@ -182,7 +182,7 @@ impl SweepWindows {
 /// Per-detector raised-alert counts for one run (watch health monitoring,
 /// `upp-alerts/v1`), as named fields in [`upp_noc::watch::Detector::ALL`]
 /// order so journal rows stay flat, diffable JSON.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AlertCounts {
     /// Raised `throughput_collapse` alerts.
     pub throughput_collapse: u64,
@@ -224,7 +224,7 @@ impl AlertCounts {
 }
 
 /// One measured sweep point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SweepPoint {
     /// Offered load, flits/cycle/node.
     pub rate: f64,

@@ -66,6 +66,10 @@ fn main() -> std::io::Result<()> {
         frozen,
         sys.net().stalled()
     );
+    assert!(
+        sys.net().stalled() && sys.net().in_flight() > 0,
+        "the burst must wedge the unprotected system"
+    );
     std::fs::write(
         "deadlock_heat.svg",
         topology_svg(sys.net().topo(), &occupancy),
