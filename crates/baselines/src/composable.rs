@@ -400,9 +400,23 @@ impl Composable {
     ///
     /// See [`ComposableConfig::build`].
     pub fn build(topo: &Topology) -> Result<(Self, ChipletRouting), ComposableError> {
-        let cfg = Arc::new(ComposableConfig::build(topo)?);
+        Ok(Self::with_config(ComposableConfig::build(topo)?))
+    }
+
+    /// Builds the scheme and its routing for `topo` from the minimal
+    /// restriction search (the ablation variant).
+    ///
+    /// # Errors
+    ///
+    /// See [`ComposableConfig::build_balanced`].
+    pub fn build_balanced(topo: &Topology) -> Result<(Self, ChipletRouting), ComposableError> {
+        Ok(Self::with_config(ComposableConfig::build_balanced(topo)?))
+    }
+
+    fn with_config(cfg: ComposableConfig) -> (Self, ChipletRouting) {
+        let cfg = Arc::new(cfg);
         let routing = cfg.routing();
-        Ok((Self { cfg, obs: None }, routing))
+        (Self { cfg, obs: None }, routing)
     }
 
     /// The underlying configuration.

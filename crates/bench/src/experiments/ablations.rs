@@ -12,18 +12,10 @@
 use super::{cfg, rates_1vc, windows, Context, SEED};
 use crate::report::{f1, f3, ExperimentResult, MarkdownTable};
 use serde::Serialize;
-use std::sync::Arc;
-use upp_baselines::composable::ComposableConfig;
 use upp_core::UppConfig;
 use upp_noc::config::NocConfig;
-use upp_noc::network::Network;
-use upp_noc::ni::ConsumePolicy;
-use upp_noc::sim::System;
 use upp_noc::topology::ChipletSystemSpec;
-use upp_workloads::runner::{
-    measure_point, presaturation_latency, saturation_throughput, BuiltSystem, SchemeKind,
-    SweepPoint,
-};
+use upp_workloads::runner::{presaturation_latency, saturation_throughput, SchemeKind};
 use upp_workloads::synthetic::Pattern;
 
 /// One ablation row.
@@ -39,137 +31,91 @@ pub struct Row {
     pub presat_latency: f64,
 }
 
-fn measure_points(points: &[SweepPoint], study: &str, variant: &str) -> Row {
-    Row {
-        study: study.into(),
-        variant: variant.into(),
-        saturation: saturation_throughput(points),
-        presat_latency: presaturation_latency(points),
-    }
-}
-
 /// Collects all three ablation studies.
 pub fn collect(ctx: &Context) -> Vec<Row> {
     let spec = ChipletSystemSpec::baseline();
     let w = windows(ctx.quick);
     let rates = rates_1vc(ctx.quick);
-    let mut rows = Vec::new();
-
-    // --- Study 1: composable structure ---------------------------------
-    let pts = ctx.engine.sweep_rates(
-        "ablations",
-        &spec,
-        &cfg(1),
-        &SchemeKind::Composable,
-        0,
-        Pattern::UniformRandom,
-        &rates,
-        w,
-        SEED,
-    );
-    rows.push(measure_points(
-        &pts,
-        "composable-structure",
-        "funneled (published)",
-    ));
-    {
-        let topo = spec.build(SEED).expect("baseline builds");
-        let balanced =
-            Arc::new(ComposableConfig::build_balanced(&topo).expect("balanced search succeeds"));
-        let routing = Arc::new(balanced.routing());
-        let pts = ctx.engine.map(&rates, |_, &rate| {
-            let net = Network::new(
-                cfg(1),
-                topo.clone(),
-                routing.clone(),
-                ConsumePolicy::Immediate { latency: 1 },
-                SEED,
-            );
-            // The balanced restriction set is still provably acyclic, so no
-            // recovery scheme is needed.
-            let built = BuiltSystem {
-                sys: System::new(net, Box::new(upp_noc::NoScheme)),
-                upp_stats: None,
-            };
-            measure_point(built, Pattern::UniformRandom, rate, w, SEED)
-        });
-        rows.push(measure_points(
-            &pts,
+    let upp = SchemeKind::Upp(UppConfig::default());
+    let serialized = SchemeKind::Upp(UppConfig {
+        serialize_per_chiplet: true,
+        ..UppConfig::default()
+    });
+    // The journal key carries only the VC count of a `NocConfig`, so the
+    // flow-control variants go into the tag.
+    let studies = [
+        (
+            "composable-structure",
+            "funneled (published)",
+            "ablations",
+            cfg(1),
+            SchemeKind::Composable,
+        ),
+        (
             "composable-structure",
             "balanced (minimal search)",
-        ));
-    }
-    let pts = ctx.engine.sweep_rates(
-        "ablations",
-        &spec,
-        &cfg(1),
-        &SchemeKind::Upp(UppConfig::default()),
-        0,
-        Pattern::UniformRandom,
-        &rates,
-        w,
-        SEED,
-    );
-    rows.push(measure_points(
-        &pts,
-        "composable-structure",
-        "UPP (reference)",
-    ));
-
-    // --- Study 2: popup concurrency ------------------------------------
-    for (label, ucfg) in [
-        ("destination-keyed circuits (default)", UppConfig::default()),
-        (
-            "serialized per chiplet (Sec. V-B5 alternative)",
-            UppConfig {
-                serialize_per_chiplet: true,
-                ..UppConfig::default()
-            },
-        ),
-    ] {
-        let pts = ctx.engine.sweep_rates(
             "ablations",
-            &spec,
-            &cfg(1),
-            &SchemeKind::Upp(ucfg),
-            0,
-            Pattern::UniformRandom,
-            &rates,
-            w,
-            SEED,
-        );
-        rows.push(measure_points(&pts, "popup-concurrency", label));
-    }
-
-    // --- Study 3: flow control -----------------------------------------
-    for (label, tag, base) in [
+            cfg(1),
+            SchemeKind::ComposableBalanced,
+        ),
         (
+            "composable-structure",
+            "UPP (reference)",
+            "ablations",
+            cfg(1),
+            upp.clone(),
+        ),
+        (
+            "popup-concurrency",
+            "destination-keyed circuits (default)",
+            "ablations",
+            cfg(1),
+            upp.clone(),
+        ),
+        (
+            "popup-concurrency",
+            "serialized per chiplet (Sec. V-B5 alternative)",
+            "ablations",
+            cfg(1),
+            serialized,
+        ),
+        (
+            "flow-control",
             "wormhole (depth 5)",
             "ablations/wormhole5",
             NocConfig::default().with_vc_buffer_depth(5),
+            upp.clone(),
         ),
         (
+            "flow-control",
             "virtual cut-through (depth 5)",
             "ablations/vct5",
             NocConfig::default().with_virtual_cut_through(),
+            upp,
         ),
-    ] {
-        // The journal key carries only the VC count of a `NocConfig`, so
-        // the flow-control variant goes into the tag.
-        let pts = ctx.engine.sweep_rates(
-            tag,
-            &spec,
-            &base,
-            &SchemeKind::Upp(UppConfig::default()),
-            0,
-            Pattern::UniformRandom,
-            &rates,
-            w,
-            SEED,
-        );
-        rows.push(measure_points(&pts, "flow-control", label));
-    }
-    rows
+    ];
+    studies
+        .into_iter()
+        .map(|(study, variant, tag, noc, kind)| {
+            let pts = ctx.engine.sweep_rates(
+                tag,
+                &spec,
+                &noc,
+                &kind,
+                0,
+                Pattern::UniformRandom,
+                &rates,
+                w,
+                SEED,
+            );
+            Row {
+                study: study.into(),
+                variant: variant.into(),
+                saturation: saturation_throughput(&pts),
+                presat_latency: presaturation_latency(&pts),
+            }
+        })
+        .collect()
 }
 
 /// Runs the ablations and renders them.

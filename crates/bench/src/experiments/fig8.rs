@@ -8,7 +8,6 @@
 use super::{cfg, Context, SEED};
 use crate::report::{f3, ExperimentResult, MarkdownTable};
 use serde::{Deserialize, Serialize};
-use upp_core::UppStats;
 use upp_noc::ni::ConsumePolicy;
 use upp_noc::topology::ChipletSystemSpec;
 use upp_workloads::coherence::run_benchmark;
@@ -97,14 +96,10 @@ fn collect(ctx: &Context) -> Fig8Data {
         |(vcs, kind, bench)| {
             let mut profile = *bench;
             profile.transactions = ((profile.transactions as f64 * scale) as u64).max(10);
-            let built = build_system(&spec, cfg(*vcs), kind, 0, SEED, ConsumePolicy::External);
-            let mut sys = built.sys;
-            let r = run_benchmark(&mut sys, profile, SEED, 20_000_000);
-            let stats = sys.net().stats();
-            let upward = built
-                .upp_stats
-                .map(|h| UppStats::snapshot(&h).upward_packets)
-                .unwrap_or(0);
+            let mut built = build_system(&spec, cfg(*vcs), kind, 0, SEED, ConsumePolicy::External);
+            let r = run_benchmark(&mut built.sys, profile, SEED, 20_000_000);
+            let stats = built.sys.net().stats();
+            let upward = built.upp_stats().map_or(0, |s| s.upward_packets);
             Fig8Run {
                 benchmark: bench.name.to_string(),
                 scheme: kind.label().to_string(),

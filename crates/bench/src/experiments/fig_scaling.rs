@@ -141,7 +141,9 @@ fn run_point(cols: u16, rows: u16, kind: &SchemeKind, quick: bool) -> ScalePoint
             obs.gauge_value("rc.permit_queue.depth").1,
             obs.counter_value("rc.permits.contention_wait_cycles"),
         ),
-        SchemeKind::Composable => (obs.gauge_value("composable.dateline_vc.flits").1, 0),
+        SchemeKind::Composable | SchemeKind::ComposableBalanced => {
+            (obs.gauge_value("composable.dateline_vc.flits").1, 0)
+        }
         SchemeKind::None => (0, 0),
     };
     let (recovery_mean, recovery_p95) = obs

@@ -389,25 +389,30 @@ pub struct RunReport {
 
 /// Runs `cfg`'s traffic on `built` for `cfg.cycles`, drains for at most as
 /// many again and collects the report.
-pub fn run(built: BuiltSystem, cfg: &RunConfig, events: &mut dyn FnMut(RunEvent<'_>)) -> RunReport {
-    let BuiltSystem { mut sys, upp_stats } = built;
-    let mut riders = Riders::arm(&mut sys, cfg.riders.clone());
+pub fn run(
+    mut built: BuiltSystem,
+    cfg: &RunConfig,
+    events: &mut dyn FnMut(RunEvent<'_>),
+) -> RunReport {
+    let sys = &mut built.sys;
+    let mut riders = Riders::arm(sys, cfg.riders.clone());
     let mut traffic = SyntheticTraffic::new(sys.net().topo(), cfg.pattern, cfg.rate, cfg.seed);
     for cycle in 0..cfg.cycles {
-        traffic.tick(&mut sys);
+        traffic.tick(sys);
         sys.step();
-        riders.after_step(&mut sys, events);
+        riders.after_step(sys, events);
         if sys.net().stalled() {
             events(RunEvent::Stalled { cycle });
             break;
         }
     }
     let outcome = sys.drain(cfg.cycles, |sys| riders.after_step(sys, events));
+    let riders = riders.finish(sys);
     RunReport {
         outcome,
-        upp: upp_stats.as_ref().map(UppStats::snapshot),
-        riders: riders.finish(&mut sys),
-        sys,
+        upp: built.upp_stats(),
+        riders,
+        sys: built.sys,
     }
 }
 
@@ -570,12 +575,16 @@ mod tests {
     #[test]
     fn unbuildable_requests_are_errors() {
         type Edit = fn(&mut RunConfig);
-        let cases: [(Edit, &str); 6] = [
+        let cases: [(Edit, &str); 7] = [
             (|c| c.vcs = 0, "at least 1"),
             (|c| c.vcs = MAX_VCS_PER_PORT / 3 + 1, "limit of 64"),
             (|c| c.faults = 50, "only 45 of 50 links can fail"),
             (
                 |c| (c.faults, c.scheme) = (3, SchemeKind::Composable),
+                "does not support faulty systems",
+            ),
+            (
+                |c| (c.faults, c.scheme) = (3, SchemeKind::ComposableBalanced),
                 "does not support faulty systems",
             ),
             (|c| c.rate = f64::NAN, "outside 0.0..=1.0"),

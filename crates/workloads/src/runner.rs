@@ -30,6 +30,10 @@ pub enum SchemeKind {
     Upp(UppConfig),
     /// Composable routing (turn restrictions).
     Composable,
+    /// Composable routing under the minimal backtracking search's
+    /// restriction set instead of the published funneled one (the
+    /// ablation variant, [`Composable::build_balanced`]).
+    ComposableBalanced,
     /// Remote control (injection control).
     RemoteControl,
 }
@@ -50,6 +54,7 @@ impl SchemeKind {
             SchemeKind::None => "none",
             SchemeKind::Upp(_) => "UPP",
             SchemeKind::Composable => "composable",
+            SchemeKind::ComposableBalanced => "composable-balanced",
             SchemeKind::RemoteControl => "remote-control",
         }
     }
@@ -77,8 +82,16 @@ impl SchemeKind {
 pub struct BuiltSystem {
     /// The system.
     pub sys: System,
-    /// UPP's recovery statistics, when the scheme is UPP.
+    /// UPP's recovery statistics, when the scheme is UPP; read them
+    /// through [`BuiltSystem::upp_stats`].
     pub upp_stats: Option<UppStatsHandle>,
+}
+
+impl BuiltSystem {
+    /// UPP's recovery counters as of now, when the scheme is UPP.
+    pub fn upp_stats(&self) -> Option<UppStats> {
+        self.upp_stats.as_ref().map(UppStats::snapshot)
+    }
 }
 
 /// Builds a system from a request that came from outside the program (CLI
@@ -103,7 +116,12 @@ pub fn try_build_system(
     consume: ConsumePolicy,
 ) -> Result<BuiltSystem, String> {
     kind.check_config(&cfg, spec.num_routers())?;
-    if faults > 0 && *kind == SchemeKind::Composable {
+    if faults > 0
+        && matches!(
+            kind,
+            SchemeKind::Composable | SchemeKind::ComposableBalanced
+        )
+    {
         return Err("composable routing does not support faulty systems (Sec. VI-B)".into());
     }
     let mut topo = spec.build(seed)?;
@@ -121,8 +139,13 @@ pub fn try_build_system(
             upp_stats = Some(upp.stats_handle());
             Box::new(upp)
         }
-        SchemeKind::Composable => {
-            let (scheme, restricted) = Composable::build(&topo).map_err(|e| e.to_string())?;
+        SchemeKind::Composable | SchemeKind::ComposableBalanced => {
+            let search = if *kind == SchemeKind::Composable {
+                Composable::build
+            } else {
+                Composable::build_balanced
+            };
+            let (scheme, restricted) = search(&topo).map_err(|e| e.to_string())?;
             routing = restricted;
             Box::new(scheme)
         }
@@ -288,7 +311,7 @@ pub fn run_point(
 }
 
 /// Measures one `(pattern, rate)` point on a system the caller built (and
-/// may have reshaped: custom routing, the always-tick reference kernel):
+/// may have reshaped, e.g. onto the always-tick reference kernel):
 /// `windows.warmup` unmeasured cycles, a stats reset, then
 /// `windows.measure` measured ones under the default health monitor.
 pub fn measure_point(
@@ -307,11 +330,7 @@ pub fn measure_point(
         built.sys.step();
     }
     built.sys.net_mut().reset_stats();
-    let upward_before = built
-        .upp_stats
-        .as_ref()
-        .map(|h| UppStats::snapshot(h).upward_packets)
-        .unwrap_or(0);
+    let upward_before = built.upp_stats().map_or(0, |s| s.upward_packets);
     // The health monitor rides every point: obs must be live for the
     // gauge-reading detectors, and arming *after* the stats reset means
     // the first epoch differences against the window start. Obs and the
@@ -337,11 +356,7 @@ pub fn measure_point(
     let watcher = riders.finish(&mut built.sys).watcher;
     let stats = built.sys.net().stats();
     let nodes = built.sys.net().topo().num_endpoints();
-    let upward_after = built
-        .upp_stats
-        .as_ref()
-        .map(|h| UppStats::snapshot(h).upward_packets)
-        .unwrap_or(0);
+    let upward_after = built.upp_stats().map_or(0, |s| s.upward_packets);
     SweepPoint {
         rate,
         net_latency: stats.avg_net_latency(),

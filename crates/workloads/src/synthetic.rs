@@ -209,12 +209,9 @@ const TRAFFIC_SALT: u64 = 0xc2b2_ae3d_27d4_eb4f;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use crate::runner::{build_system, SchemeKind};
     use upp_noc::config::NocConfig;
-    use upp_noc::network::Network;
     use upp_noc::ni::ConsumePolicy;
-    use upp_noc::routing::ChipletRouting;
-    use upp_noc::scheme::NoScheme;
     use upp_noc::topology::ChipletSystemSpec;
 
     fn topo() -> upp_noc::topology::Topology {
@@ -222,14 +219,15 @@ mod tests {
     }
 
     fn sys() -> System {
-        let net = Network::new(
+        build_system(
+            &ChipletSystemSpec::baseline(),
             NocConfig::default(),
-            topo(),
-            Arc::new(ChipletRouting::xy()),
-            ConsumePolicy::Immediate { latency: 1 },
+            &SchemeKind::None,
+            0,
             1,
-        );
-        System::new(net, Box::new(NoScheme))
+            ConsumePolicy::Immediate { latency: 1 },
+        )
+        .sys
     }
 
     #[test]

@@ -38,7 +38,7 @@ fn main() {
     let spec = ChipletSystemSpec::baseline();
     let mut baseline_cycles = None;
     for kind in SchemeKind::evaluated() {
-        let built = build_system(
+        let mut built = build_system(
             &spec,
             NocConfig::default(),
             &kind,
@@ -46,14 +46,9 @@ fn main() {
             7,
             ConsumePolicy::External,
         );
-        let mut sys = built.sys;
-        let r = run_benchmark(&mut sys, profile, 7, 50_000_000);
+        let r = run_benchmark(&mut built.sys, profile, 7, 50_000_000);
         assert!(!r.incomplete, "{} must complete", kind.label());
-        let upward = built
-            .upp_stats
-            .as_ref()
-            .map(|h| h.lock().expect("single-threaded").upward_packets)
-            .unwrap_or(0);
+        let upward = built.upp_stats().map_or(0, |s| s.upward_packets);
         let norm = match baseline_cycles {
             None => {
                 baseline_cycles = Some(r.cycles);

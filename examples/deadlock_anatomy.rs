@@ -10,27 +10,23 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
-use upp::core::{Upp, UppConfig};
+use upp::core::UppConfig;
 use upp::noc::config::NocConfig;
 use upp::noc::ids::{NodeId, VnetId};
-use upp::noc::network::Network;
 use upp::noc::ni::ConsumePolicy;
-use upp::noc::routing::ChipletRouting;
-use upp::noc::scheme::{NoScheme, Scheme};
 use upp::noc::sim::{RunOutcome, System};
 use upp::noc::topology::ChipletSystemSpec;
+use upp::workloads::runner::{build_system, BuiltSystem, SchemeKind};
 
-fn build(scheme: Box<dyn Scheme>, seed: u64) -> System {
-    let topo = ChipletSystemSpec::baseline().build(0).expect("valid spec");
-    let net = Network::new(
+fn build(kind: SchemeKind, seed: u64) -> BuiltSystem {
+    build_system(
+        &ChipletSystemSpec::baseline(),
         NocConfig::default(),
-        topo,
-        Arc::new(ChipletRouting::xy()),
-        ConsumePolicy::Immediate { latency: 1 },
+        &kind,
+        0,
         seed,
-    );
-    System::new(net, scheme)
+        ConsumePolicy::Immediate { latency: 1 },
+    )
 }
 
 /// Bursty inter-chiplet-heavy traffic that reliably closes dependency
@@ -69,81 +65,78 @@ fn main() {
     let seed = 1;
 
     println!("== run 1: no deadlock-freedom scheme ==");
-    let mut unprotected = build(Box::new(NoScheme), seed);
+    let mut unprotected = build(SchemeKind::None, seed).sys;
     let sent = drive(&mut unprotected, seed);
     let outcome = unprotected.run_until_drained(30_000);
-    match outcome {
-        RunOutcome::Deadlocked {
-            last_progress,
-            in_flight,
-        } => {
-            println!(
-                "network WEDGED: {in_flight} packets frozen in flight, no flit has moved \
-                 since cycle {last_progress} (cycle now: {})",
-                unprotected.net().cycle()
-            );
-            // Show where upward packets are stuck (the paper's key insight:
-            // every integration-induced deadlock contains one).
-            let ups: Vec<NodeId> = unprotected
+    let RunOutcome::Deadlocked {
+        last_progress,
+        in_flight,
+    } = outcome
+    else {
+        panic!("seed {seed} must wedge the unprotected system: {outcome:?}");
+    };
+    println!(
+        "network WEDGED: {in_flight} packets frozen in flight, no flit has moved \
+         since cycle {last_progress} (cycle now: {})",
+        unprotected.net().cycle()
+    );
+    // Show where upward packets are stuck (the paper's key insight:
+    // every integration-induced deadlock contains one).
+    let ups: Vec<NodeId> = unprotected
+        .net()
+        .topo()
+        .interposer_routers()
+        .iter()
+        .copied()
+        .filter(|&n| unprotected.net().topo().above(n).is_some())
+        .collect();
+    let mut stalled = Vec::new();
+    for n in ups {
+        for v in 0..3u8 {
+            unprotected
                 .net()
-                .topo()
-                .interposer_routers()
-                .iter()
-                .copied()
-                .filter(|&n| unprotected.net().topo().above(n).is_some())
-                .collect();
-            let mut stalled = Vec::new();
-            for n in ups {
-                for v in 0..3u8 {
-                    unprotected
-                        .net()
-                        .upward_candidates_into(n, VnetId(v), &mut stalled);
-                }
-            }
-            let stalled_upward = stalled.len();
-            println!(
-                "upward packets stalled at interposer routers: {stalled_upward} \
-                 (Sec. IV-A: a deadlock always involves at least one)"
-            );
-            assert!(
-                stalled_upward > 0,
-                "the insight must hold for this deadlock"
-            );
-            // Show where the frozen flits sit: the wedge concentrates along
-            // the dependency chains crossing the vertical links.
-            let mut occ = unprotected.net().occupancy();
-            occ.sort_by_key(|&(_, flits)| std::cmp::Reverse(flits));
-            println!("most congested routers (node: buffered flits):");
-            for (n, flits) in occ.iter().take(8) {
-                let kind = if unprotected.net().topo().is_interposer(*n) {
-                    "interposer"
-                } else {
-                    "chiplet"
-                };
-                println!("  {n} ({kind}): {flits}");
-            }
+                .upward_candidates_into(n, VnetId(v), &mut stalled);
         }
-        other => println!("(this seed did not wedge: {other:?}; try another)"),
+    }
+    let stalled_upward = stalled.len();
+    println!(
+        "upward packets stalled at interposer routers: {stalled_upward} \
+         (Sec. IV-A: a deadlock always involves at least one)"
+    );
+    assert!(
+        stalled_upward > 0,
+        "the insight must hold for this deadlock"
+    );
+    // Show where the frozen flits sit: the wedge concentrates along
+    // the dependency chains crossing the vertical links.
+    let mut occ = unprotected.net().occupancy();
+    occ.sort_by_key(|&(_, flits)| std::cmp::Reverse(flits));
+    println!("most congested routers (node: buffered flits):");
+    for (n, flits) in occ.iter().take(8) {
+        let kind = if unprotected.net().topo().is_interposer(*n) {
+            "interposer"
+        } else {
+            "chiplet"
+        };
+        println!("  {n} ({kind}): {flits}");
     }
 
     println!("\n== run 2: same traffic, same seeds, UPP enabled ==");
-    let upp = Upp::new(UppConfig::default());
-    let stats = upp.stats_handle();
-    let mut protected = build(Box::new(upp), seed);
-    let sent2 = drive(&mut protected, seed);
+    let mut protected = build(SchemeKind::Upp(UppConfig::default()), seed);
+    let sent2 = drive(&mut protected.sys, seed);
     // The offered traffic is identical; the *accepted* counts differ because
     // the wedged network's injection queues back up and reject packets.
     println!("accepted packets: {sent} unprotected vs {sent2} under UPP");
-    let outcome = protected.run_until_drained(300_000);
+    let outcome = protected.sys.run_until_drained(300_000);
     println!("outcome: {outcome:?}");
-    let s = stats.lock().expect("single-threaded run");
+    let s = protected.upp_stats().expect("the scheme is UPP");
     println!(
         "UPP detected {} upward packets, completed {} popups ({} started mid-worm), \
          sent {} stops for false positives",
         s.upward_packets, s.popups_completed, s.partial_popups, s.stops_sent
     );
     assert!(matches!(outcome, RunOutcome::Drained { .. }));
-    assert_eq!(protected.net().stats().packets_ejected, sent2);
+    assert_eq!(protected.sys.net().stats().packets_ejected, sent2);
     println!(
         "all {} packets delivered — the deadlock chain was broken by upward packet popup.",
         sent2

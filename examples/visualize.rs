@@ -9,31 +9,27 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 use upp::noc::config::NocConfig;
 use upp::noc::ids::{NodeId, VnetId};
-use upp::noc::network::Network;
 use upp::noc::ni::ConsumePolicy;
-use upp::noc::routing::ChipletRouting;
-use upp::noc::scheme::NoScheme;
-use upp::noc::sim::System;
 use upp::noc::topology::ChipletSystemSpec;
 use upp::noc::viz::{occupancy_ascii, topology_svg};
+use upp::workloads::runner::{build_system, SchemeKind};
 
 fn main() -> std::io::Result<()> {
-    let topo = ChipletSystemSpec::baseline().build(0).expect("valid spec");
-    std::fs::write("topology.svg", topology_svg(&topo, &[]))?;
+    let mut sys = build_system(
+        &ChipletSystemSpec::baseline(),
+        NocConfig::default(),
+        &SchemeKind::None,
+        0,
+        7,
+        ConsumePolicy::Immediate { latency: 1 },
+    )
+    .sys;
+    std::fs::write("topology.svg", topology_svg(sys.net().topo(), &[]))?;
     println!("wrote topology.svg (idle system)");
 
     // Wedge the unprotected system.
-    let net = Network::new(
-        NocConfig::default(),
-        topo,
-        Arc::new(ChipletRouting::xy()),
-        ConsumePolicy::Immediate { latency: 1 },
-        7,
-    );
-    let mut sys = System::new(net, Box::new(NoScheme));
     let cores: Vec<NodeId> = sys
         .net()
         .topo()

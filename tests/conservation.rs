@@ -3,95 +3,24 @@
 //! once, no flits are lost or duplicated, and UPP leaves no dangling protocol
 //! state (reservations, frozen VCs) once the network drains.
 
+mod common;
+
 use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use std::sync::Arc;
-use upp_baselines::composable::Composable;
-use upp_baselines::remote::{RemoteControl, RemoteControlConfig};
-use upp_core::{Upp, UppConfig, UppStatsHandle};
+use upp_core::UppConfig;
 use upp_noc::config::NocConfig;
 use upp_noc::ids::{NodeId, VnetId};
-use upp_noc::network::Network;
-use upp_noc::ni::ConsumePolicy;
-use upp_noc::routing::ChipletRouting;
-use upp_noc::sim::{RunOutcome, System};
-use upp_noc::topology::ChipletSystemSpec;
+use upp_noc::sim::RunOutcome;
+use upp_workloads::runner::SchemeKind;
 
-#[derive(Debug, Clone, Copy)]
-enum Kind {
-    Upp,
-    Composable,
-    Remote,
-}
-
-fn build(kind: Kind, vcs: usize, seed: u64) -> (System, Option<UppStatsHandle>) {
-    let topo = ChipletSystemSpec::baseline().build(0).unwrap();
-    let cfg = NocConfig::default().with_vcs_per_vnet(vcs);
-    let consume = ConsumePolicy::Immediate { latency: 1 };
-    match kind {
-        Kind::Upp => {
-            let net = Network::new(cfg, topo, Arc::new(ChipletRouting::xy()), consume, seed);
-            let upp = Upp::new(UppConfig::default());
-            let h = upp.stats_handle();
-            (System::new(net, Box::new(upp)), Some(h))
-        }
-        Kind::Composable => {
-            let (scheme, routing) = Composable::build(&topo).unwrap();
-            let net = Network::new(cfg, topo, Arc::new(routing), consume, seed);
-            (System::new(net, Box::new(scheme)), None)
-        }
-        Kind::Remote => {
-            let net = Network::new(cfg, topo, Arc::new(ChipletRouting::xy()), consume, seed);
-            (
-                System::new(
-                    net,
-                    Box::new(RemoteControl::new(RemoteControlConfig::default())),
-                ),
-                None,
-            )
-        }
-    }
-}
-
-fn drive_random(sys: &mut System, seed: u64, cycles: u64, rate: f64) -> (u64, u64) {
-    let cores: Vec<NodeId> = sys
-        .net()
-        .topo()
-        .chiplets()
-        .iter()
-        .flat_map(|c| c.routers.iter().copied())
-        .collect();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let (mut packets, mut flits) = (0u64, 0u64);
-    for _ in 0..cycles {
-        for &src in &cores {
-            if rng.gen::<f64>() >= rate {
-                continue;
-            }
-            let dest = cores[rng.gen_range(0..cores.len())];
-            if dest == src {
-                continue;
-            }
-            let vnet = VnetId(rng.gen_range(0..3u8));
-            let len = if vnet.0 == 2 { 5 } else { 1 };
-            if sys.send(src, dest, vnet, len).is_some() {
-                packets += 1;
-                flits += u64::from(len);
-            }
-        }
-        sys.step();
-    }
-    (packets, flits)
-}
-
-fn check_conservation(kind: Kind, vcs: usize, seed: u64, rate: f64) {
-    let (mut sys, upp_stats) = build(kind, vcs, seed);
-    let (packets, flits) = drive_random(&mut sys, seed, 1_200, rate);
+fn check_conservation(kind: SchemeKind, vcs: usize, seed: u64, rate: f64) {
+    let label = kind.label();
+    let mut built = common::build(kind, NocConfig::default().with_vcs_per_vnet(vcs), seed);
+    let sys = &mut built.sys;
+    let (packets, flits) = common::drive(sys, seed, 1_200, rate);
     let out = sys.run_until_drained(400_000);
     assert!(
         matches!(out, RunOutcome::Drained { .. }),
-        "{kind:?}/{vcs}VC/seed{seed}: {out:?}"
+        "{label}/{vcs}VC/seed{seed}: {out:?}"
     );
     let stats = sys.net().stats();
     assert_eq!(stats.packets_ejected, packets, "packet conservation");
@@ -104,37 +33,25 @@ fn check_conservation(kind: Kind, vcs: usize, seed: u64, rate: f64) {
     // No dangling UPP state after drain: reservations all released, no VC
     // left frozen anywhere.
     let nodes: Vec<NodeId> = sys.net().topo().nodes().iter().map(|n| n.id).collect();
-    for _n in &nodes {
-        for v in 0..3u8 {
-            // A reservation may legitimately be in flight if a stop is still
-            // travelling; give the protocol time to quiesce.
-            let _ = v;
-        }
-    }
-    sys.run(2_000); // quiesce outstanding protocol signals
+    // A reservation may legitimately be in flight if a stop is still
+    // travelling; give the protocol time to quiesce.
+    sys.run(2_000);
     for n in nodes {
         for v in 0..3u8 {
             assert_eq!(
                 sys.net().ni(n).reservations(VnetId(v)),
                 0,
-                "{kind:?}: dangling reservation at {n} vnet {v}"
+                "{label}: dangling reservation at {n} vnet {v}"
             );
         }
         let r = sys.net().router(n);
         for (p, f) in r.input_vcs() {
             let vc = r.input_vc(p, f);
-            assert!(
-                r.vc_buf_is_empty(p, f),
-                "{kind:?}: flit left in {n} {p}/{f}"
-            );
-            assert!(
-                vc.owner.is_none(),
-                "{kind:?}: VC still owned at {n} {p}/{f}"
-            );
+            assert!(r.vc_buf_is_empty(p, f), "{label}: flit left in {n} {p}/{f}");
+            assert!(vc.owner.is_none(), "{label}: VC still owned at {n} {p}/{f}");
         }
     }
-    if let Some(h) = upp_stats {
-        let s = *h.lock().unwrap();
+    if let Some(s) = built.upp_stats() {
         assert!(
             s.acks_sent <= s.reqs_sent,
             "protocol conservation: acks {} > reqs {}",
@@ -150,21 +67,21 @@ proptest! {
     #[test]
     fn upp_conserves_under_random_load(seed in 0u64..500, heavy in proptest::bool::ANY) {
         let rate = if heavy { 0.25 } else { 0.08 };
-        check_conservation(Kind::Upp, 1, seed, rate);
+        check_conservation(SchemeKind::Upp(UppConfig::default()), 1, seed, rate);
     }
 
     #[test]
     fn upp_conserves_with_four_vcs(seed in 0u64..500) {
-        check_conservation(Kind::Upp, 4, seed, 0.2);
+        check_conservation(SchemeKind::Upp(UppConfig::default()), 4, seed, 0.2);
     }
 
     #[test]
     fn composable_conserves_under_random_load(seed in 0u64..500) {
-        check_conservation(Kind::Composable, 1, seed, 0.15);
+        check_conservation(SchemeKind::Composable, 1, seed, 0.15);
     }
 
     #[test]
     fn remote_conserves_under_random_load(seed in 0u64..500) {
-        check_conservation(Kind::Remote, 1, seed, 0.15);
+        check_conservation(SchemeKind::RemoteControl, 1, seed, 0.15);
     }
 }

@@ -7,103 +7,15 @@
 //!    every packet delivered;
 //! 3. the baselines (composable routing, remote control) avoid them.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use std::sync::Arc;
-use upp_baselines::composable::Composable;
-use upp_baselines::remote::{RemoteControl, RemoteControlConfig};
-use upp_core::{Upp, UppConfig};
+mod common;
+
+use upp_core::UppConfig;
 use upp_noc::config::NocConfig;
-use upp_noc::ids::{NodeId, VnetId};
-use upp_noc::network::Network;
-use upp_noc::ni::ConsumePolicy;
-use upp_noc::routing::ChipletRouting;
-use upp_noc::scheme::{NoScheme, Scheme};
 use upp_noc::sim::{RunOutcome, System};
-use upp_noc::topology::ChipletSystemSpec;
+use upp_workloads::runner::SchemeKind;
 
-fn build_system(scheme_kind: &str, seed: u64) -> System {
-    let topo = ChipletSystemSpec::baseline().build(0).unwrap();
-    let cfg = NocConfig::default();
-    match scheme_kind {
-        "none" => {
-            let net = Network::new(
-                cfg,
-                topo,
-                Arc::new(ChipletRouting::xy()),
-                ConsumePolicy::Immediate { latency: 1 },
-                seed,
-            );
-            System::new(net, Box::new(NoScheme))
-        }
-        "upp" => {
-            let net = Network::new(
-                cfg,
-                topo,
-                Arc::new(ChipletRouting::xy()),
-                ConsumePolicy::Immediate { latency: 1 },
-                seed,
-            );
-            System::new(net, Box::new(Upp::new(UppConfig::default())))
-        }
-        "composable" => {
-            let (scheme, routing) = Composable::build(&topo).unwrap();
-            let net = Network::new(
-                cfg,
-                topo,
-                Arc::new(routing),
-                ConsumePolicy::Immediate { latency: 1 },
-                seed,
-            );
-            System::new(net, Box::new(scheme))
-        }
-        "remote" => {
-            let net = Network::new(
-                cfg,
-                topo,
-                Arc::new(ChipletRouting::xy()),
-                ConsumePolicy::Immediate { latency: 1 },
-                seed,
-            );
-            System::new(
-                net,
-                Box::new(RemoteControl::new(RemoteControlConfig::default())),
-            )
-        }
-        other => panic!("unknown scheme {other}"),
-    }
-}
-
-/// Heavy uniform-random traffic with the Table II control/data mix, biased
-/// toward inter-chiplet pairs to stress the vertical links.
-fn drive(sys: &mut System, seed: u64, cycles: u64, rate: f64) -> u64 {
-    let nodes: Vec<NodeId> = sys
-        .net()
-        .topo()
-        .chiplets()
-        .iter()
-        .flat_map(|c| c.routers.iter().copied())
-        .collect();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut sent = 0u64;
-    for _ in 0..cycles {
-        for &src in &nodes {
-            if rng.gen::<f64>() >= rate {
-                continue;
-            }
-            let dest = nodes[rng.gen_range(0..nodes.len())];
-            if dest == src {
-                continue;
-            }
-            let vnet = VnetId(rng.gen_range(0..3u8));
-            let len = if vnet.0 == 2 { 5 } else { 1 };
-            if sys.send(src, dest, vnet, len).is_some() {
-                sent += 1;
-            }
-        }
-        sys.step();
-    }
-    sent
+fn build(kind: SchemeKind, seed: u64) -> System {
+    common::build(kind, NocConfig::default(), seed).sys
 }
 
 #[test]
@@ -113,8 +25,8 @@ fn unprotected_system_deadlocks_under_load() {
     // deadlocks. (Higher rate -> denser cyclic waits.)
     let mut wedged = 0;
     for seed in 0..4u64 {
-        let mut sys = build_system("none", seed);
-        drive(&mut sys, seed, 3_000, 0.30);
+        let mut sys = build(SchemeKind::None, seed);
+        common::drive(&mut sys, seed, 3_000, 0.30);
         let out = sys.run_until_drained(30_000);
         if matches!(out, RunOutcome::Deadlocked { .. }) {
             wedged += 1;
@@ -130,8 +42,8 @@ fn unprotected_system_deadlocks_under_load() {
 #[test]
 fn upp_recovers_from_the_same_load() {
     for seed in 0..4u64 {
-        let mut sys = build_system("upp", seed);
-        let sent = drive(&mut sys, seed, 3_000, 0.30);
+        let mut sys = build(SchemeKind::Upp(UppConfig::default()), seed);
+        let (sent, _) = common::drive(&mut sys, seed, 3_000, 0.30);
         let out = sys.run_until_drained(200_000);
         assert!(
             matches!(out, RunOutcome::Drained { .. }),
@@ -148,8 +60,8 @@ fn upp_recovers_from_the_same_load() {
 #[test]
 fn composable_routing_avoids_deadlock() {
     for seed in 0..2u64 {
-        let mut sys = build_system("composable", seed);
-        let sent = drive(&mut sys, seed, 3_000, 0.30);
+        let mut sys = build(SchemeKind::Composable, seed);
+        let (sent, _) = common::drive(&mut sys, seed, 3_000, 0.30);
         let out = sys.run_until_drained(200_000);
         assert!(
             matches!(out, RunOutcome::Drained { .. }),
@@ -162,8 +74,8 @@ fn composable_routing_avoids_deadlock() {
 #[test]
 fn remote_control_avoids_deadlock() {
     for seed in 0..2u64 {
-        let mut sys = build_system("remote", seed);
-        let sent = drive(&mut sys, seed, 3_000, 0.30);
+        let mut sys = build(SchemeKind::RemoteControl, seed);
+        let (sent, _) = common::drive(&mut sys, seed, 3_000, 0.30);
         let out = sys.run_until_drained(200_000);
         assert!(
             matches!(out, RunOutcome::Drained { .. }),
@@ -180,8 +92,8 @@ fn stall_report_names_the_wedged_dependency_cycle() {
     // must agree with the network's own occupancy counters.
     let mut examined = 0;
     for seed in 0..4u64 {
-        let mut sys = build_system("none", seed);
-        drive(&mut sys, seed, 3_000, 0.30);
+        let mut sys = build(SchemeKind::None, seed);
+        common::drive(&mut sys, seed, 3_000, 0.30);
         if !matches!(sys.run_until_drained(30_000), RunOutcome::Deadlocked { .. }) {
             continue;
         }
@@ -227,16 +139,13 @@ fn stall_report_names_the_wedged_dependency_cycle() {
 
 #[test]
 fn all_schemes_report_table_i_properties() {
-    let topo = ChipletSystemSpec::baseline().build(0).unwrap();
-    let (composable, _) = Composable::build(&topo).unwrap();
-    let schemes: Vec<Box<dyn Scheme>> = vec![
-        Box::new(NoScheme),
-        Box::new(Upp::new(UppConfig::default())),
-        Box::new(composable),
-        Box::new(RemoteControl::new(RemoteControlConfig::default())),
-    ];
-    for s in &schemes {
-        let p = s.properties();
+    for kind in [
+        SchemeKind::None,
+        SchemeKind::Upp(UppConfig::default()),
+        SchemeKind::Composable,
+        SchemeKind::RemoteControl,
+    ] {
+        let p = build(kind, 0).parts_mut().1.properties();
         // Every modular scheme in Table I keeps the three modularity columns.
         assert!(p.topology_modularity && p.vc_modularity && p.flow_control_modularity);
     }

@@ -3,71 +3,28 @@
 //! bounds where a blocked packet sits, not the cyclic dependencies — and UPP
 //! recovers either way.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use std::sync::Arc;
-use upp_core::{Upp, UppConfig, UppStatsHandle};
-use upp_noc::config::{FlowControl, NocConfig};
-use upp_noc::ids::{NodeId, VnetId};
-use upp_noc::network::Network;
-use upp_noc::ni::ConsumePolicy;
-use upp_noc::routing::ChipletRouting;
-use upp_noc::scheme::{NoScheme, Scheme};
-use upp_noc::sim::{RunOutcome, System};
-use upp_noc::topology::ChipletSystemSpec;
+mod common;
 
-fn build(fc: FlowControl, scheme: Box<dyn Scheme>, seed: u64) -> System {
-    let topo = ChipletSystemSpec::baseline().build(0).unwrap();
+use upp_core::UppConfig;
+use upp_noc::config::{FlowControl, NocConfig};
+use upp_noc::ids::VnetId;
+use upp_noc::sim::RunOutcome;
+use upp_workloads::runner::{BuiltSystem, SchemeKind};
+
+fn build(fc: FlowControl, kind: SchemeKind, seed: u64) -> BuiltSystem {
     let cfg = match fc {
         FlowControl::Wormhole => NocConfig::default(),
         FlowControl::VirtualCutThrough => NocConfig::default().with_virtual_cut_through(),
     };
-    let net = Network::new(
-        cfg,
-        topo,
-        Arc::new(ChipletRouting::xy()),
-        ConsumePolicy::Immediate { latency: 1 },
-        seed,
-    );
-    System::new(net, scheme)
-}
-
-fn drive(sys: &mut System, seed: u64, cycles: u64, rate: f64) -> u64 {
-    let cores: Vec<NodeId> = sys
-        .net()
-        .topo()
-        .chiplets()
-        .iter()
-        .flat_map(|c| c.routers.iter().copied())
-        .collect();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut sent = 0;
-    for _ in 0..cycles {
-        for &src in &cores {
-            if rng.gen::<f64>() >= rate {
-                continue;
-            }
-            let dest = cores[rng.gen_range(0..cores.len())];
-            if dest == src {
-                continue;
-            }
-            let vnet = VnetId(rng.gen_range(0..3u8));
-            let len = if vnet.0 == 2 { 5 } else { 1 };
-            if sys.send(src, dest, vnet, len).is_some() {
-                sent += 1;
-            }
-        }
-        sys.step();
-    }
-    sent
+    common::build(kind, cfg, seed)
 }
 
 #[test]
 fn vct_systems_also_deadlock_without_a_scheme() {
     let mut wedged = 0;
     for seed in 0..4u64 {
-        let mut sys = build(FlowControl::VirtualCutThrough, Box::new(NoScheme), seed);
-        drive(&mut sys, seed, 3_000, 0.30);
+        let mut sys = build(FlowControl::VirtualCutThrough, SchemeKind::None, seed).sys;
+        common::drive(&mut sys, seed, 3_000, 0.30);
         if matches!(sys.run_until_drained(30_000), RunOutcome::Deadlocked { .. }) {
             wedged += 1;
         }
@@ -81,17 +38,16 @@ fn vct_systems_also_deadlock_without_a_scheme() {
 #[test]
 fn upp_recovers_under_virtual_cut_through() {
     for seed in 0..3u64 {
-        let upp = Upp::new(UppConfig::default());
-        let stats: UppStatsHandle = upp.stats_handle();
-        let mut sys = build(FlowControl::VirtualCutThrough, Box::new(upp), seed);
-        let sent = drive(&mut sys, seed, 3_000, 0.30);
-        let out = sys.run_until_drained(300_000);
+        let upp = SchemeKind::Upp(UppConfig::default());
+        let mut built = build(FlowControl::VirtualCutThrough, upp, seed);
+        let (sent, _) = common::drive(&mut built.sys, seed, 3_000, 0.30);
+        let out = built.sys.run_until_drained(300_000);
         assert!(
             matches!(out, RunOutcome::Drained { .. }),
             "VCT seed {seed}: {out:?}"
         );
-        assert_eq!(sys.net().stats().packets_ejected, sent);
-        let s = *stats.lock().unwrap();
+        assert_eq!(built.sys.net().stats().packets_ejected, sent);
+        let s = built.upp_stats().expect("the scheme is UPP");
         assert!(
             s.upward_packets > 0,
             "VCT seed {seed}: recovery must have engaged"
@@ -109,7 +65,7 @@ fn upp_recovers_under_virtual_cut_through() {
 fn vct_zero_load_latency_matches_wormhole() {
     // At zero load the two disciplines behave identically per hop.
     for fc in [FlowControl::Wormhole, FlowControl::VirtualCutThrough] {
-        let mut sys = build(fc, Box::new(NoScheme), 1);
+        let mut sys = build(fc, SchemeKind::None, 1).sys;
         let c = sys.net().topo().chiplets()[0].clone();
         sys.send(c.routers[0], c.routers[15], VnetId(2), 5).unwrap();
         let out = sys.run_until_drained(500);
@@ -121,9 +77,9 @@ fn vct_zero_load_latency_matches_wormhole() {
 
 #[test]
 fn vct_conserves_under_moderate_load() {
-    let upp = Upp::new(UppConfig::default());
-    let mut sys = build(FlowControl::VirtualCutThrough, Box::new(upp), 5);
-    let sent = drive(&mut sys, 5, 2_000, 0.10);
+    let upp = SchemeKind::Upp(UppConfig::default());
+    let mut sys = build(FlowControl::VirtualCutThrough, upp, 5).sys;
+    let (sent, _) = common::drive(&mut sys, 5, 2_000, 0.10);
     let out = sys.run_until_drained(200_000);
     assert!(matches!(out, RunOutcome::Drained { .. }));
     assert_eq!(sys.net().stats().packets_ejected, sent);

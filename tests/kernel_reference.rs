@@ -222,8 +222,8 @@ fn run(recipe: &Recipe, active_scheduler: bool) -> Snapshot {
     };
     let (cols, rows) = recipe.grid;
     let spec = ChipletSystemSpec::grid(cols, rows).expect("the grid fits every id space");
-    let built = build_system(&spec, cfg, &kind, 0, SEED, consume);
-    let mut sys = built.sys;
+    let mut built = build_system(&spec, cfg, &kind, 0, SEED, consume);
+    let sys = &mut built.sys;
     sys.net_mut().set_active_scheduler(active_scheduler);
     let mut traffic = SyntheticTraffic::new(sys.net().topo(), recipe.pattern, recipe.rate, SEED);
     let mut plan = if recipe.faulted {
@@ -258,13 +258,13 @@ fn run(recipe: &Recipe, active_scheduler: bool) -> Snapshot {
         }
     };
     for _ in 0..recipe.traffic_cycles {
-        traffic.tick(&mut sys);
-        cycle(&mut sys);
+        traffic.tick(sys);
+        cycle(sys);
     }
     let outcome = if external {
         let deadline = sys.net().cycle() + 200_000;
         while sys.net().in_flight() > 0 && sys.net().cycle() < deadline {
-            cycle(&mut sys);
+            cycle(sys);
         }
         match sys.net().in_flight() {
             0 => RunOutcome::Drained {
@@ -287,7 +287,8 @@ fn run(recipe: &Recipe, active_scheduler: bool) -> Snapshot {
             "the recipe must drain: {outcome:?}"
         );
     }
-    let upp = built.upp_stats.as_ref().map(UppStats::snapshot);
+    let upp = built.upp_stats();
+    let sys = &built.sys;
     assert!(
         !recipe.must_pop_up || upp.as_ref().is_some_and(|u| u.popups_completed > 0),
         "the recipe must exercise recovery, or the comparison is vacuous: {upp:?}"

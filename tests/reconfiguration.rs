@@ -4,62 +4,33 @@
 //! design-time restriction search; remote control's permission subnetwork is
 //! hard-wired.
 
+mod common;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-use upp_core::{Upp, UppConfig};
+use upp_core::UppConfig;
 use upp_noc::config::NocConfig;
 use upp_noc::ids::{NodeId, Port, VnetId};
-use upp_noc::network::Network;
-use upp_noc::ni::ConsumePolicy;
 use upp_noc::routing::{ChipletRouting, RouteTables};
 use upp_noc::sim::{RunOutcome, System};
-use upp_noc::topology::ChipletSystemSpec;
+use upp_workloads::runner::SchemeKind;
 
-fn drive(sys: &mut System, seed: u64, cycles: u64, rate: f64) -> u64 {
-    let cores: Vec<NodeId> = sys
-        .net()
-        .topo()
-        .chiplets()
-        .iter()
-        .flat_map(|c| c.routers.iter().copied())
-        .collect();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut sent = 0;
-    for _ in 0..cycles {
-        for &src in &cores {
-            if rng.gen::<f64>() >= rate {
-                continue;
-            }
-            let dest = cores[rng.gen_range(0..cores.len())];
-            if dest == src {
-                continue;
-            }
-            let vnet = VnetId(rng.gen_range(0..3u8));
-            let len = if vnet.0 == 2 { 5 } else { 1 };
-            if sys.send(src, dest, vnet, len).is_some() {
-                sent += 1;
-            }
-        }
-        sys.step();
-    }
-    sent
+fn upp_system(seed: u64) -> System {
+    common::build(
+        SchemeKind::Upp(UppConfig::default()),
+        NocConfig::default(),
+        seed,
+    )
+    .sys
 }
 
 #[test]
 fn links_fail_at_runtime_and_traffic_continues() {
-    let topo = ChipletSystemSpec::baseline().build(0).unwrap();
-    let net = Network::new(
-        NocConfig::default(),
-        topo,
-        Arc::new(ChipletRouting::xy()),
-        ConsumePolicy::Immediate { latency: 1 },
-        7,
-    );
-    let mut sys = System::new(net, Box::new(Upp::new(UppConfig::default())));
+    let mut sys = upp_system(7);
 
     // Phase 1: healthy network under real load.
-    let sent1 = drive(&mut sys, 1, 2_000, 0.15);
+    let (sent1, _) = common::drive(&mut sys, 1, 2_000, 0.15);
     assert!(matches!(
         sys.run_until_drained(200_000),
         RunOutcome::Drained { .. }
@@ -114,7 +85,7 @@ fn links_fail_at_runtime_and_traffic_continues() {
 
     // Phase 3: same load on the degraded network; UPP still delivers all.
     let before = sys.net().stats().packets_ejected;
-    let sent2 = drive(&mut sys, 2, 2_000, 0.15);
+    let (sent2, _) = common::drive(&mut sys, 2, 2_000, 0.15);
     let out = sys.run_until_drained(200_000);
     assert!(matches!(out, RunOutcome::Drained { .. }), "{out:?}");
     assert_eq!(sys.net().stats().packets_ejected - before, sent2);
@@ -122,19 +93,11 @@ fn links_fail_at_runtime_and_traffic_continues() {
 
 #[test]
 fn repeated_reconfigurations_accumulate_faults_gracefully() {
-    let topo = ChipletSystemSpec::baseline().build(0).unwrap();
-    let net = Network::new(
-        NocConfig::default(),
-        topo,
-        Arc::new(ChipletRouting::xy()),
-        ConsumePolicy::Immediate { latency: 1 },
-        11,
-    );
-    let mut sys = System::new(net, Box::new(Upp::new(UppConfig::default())));
+    let mut sys = upp_system(11);
     let mut rng = SmallRng::seed_from_u64(77);
     let mut total_sent = 0;
     for round in 0..4u64 {
-        total_sent += drive(&mut sys, round, 800, 0.06);
+        total_sent += common::drive(&mut sys, round, 800, 0.06).0;
         assert!(matches!(
             sys.run_until_drained(100_000),
             RunOutcome::Drained { .. }

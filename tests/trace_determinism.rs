@@ -4,72 +4,22 @@
 //! `Tracer::disabled()` (the default) and one with a recording ring sink,
 //! must produce byte-identical statistics.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use std::sync::Arc;
-use upp_core::{Upp, UppConfig};
+mod common;
+
+use upp_core::UppConfig;
 use upp_noc::config::NocConfig;
-use upp_noc::ids::{NodeId, VnetId};
-use upp_noc::network::Network;
-use upp_noc::ni::ConsumePolicy;
-use upp_noc::routing::ChipletRouting;
-use upp_noc::scheme::NoScheme;
-use upp_noc::sim::System;
 use upp_noc::trace::Tracer;
+use upp_workloads::runner::SchemeKind;
 
-fn build(scheme: &str, seed: u64) -> System {
-    let topo = upp_noc::topology::ChipletSystemSpec::baseline()
-        .build(0)
-        .unwrap();
-    let net = Network::new(
-        NocConfig::default(),
-        topo,
-        Arc::new(ChipletRouting::xy()),
-        ConsumePolicy::Immediate { latency: 1 },
-        seed,
-    );
-    let scheme: Box<dyn upp_noc::scheme::Scheme> = match scheme {
-        "none" => Box::new(NoScheme),
-        "upp" => Box::new(Upp::new(UppConfig::with_threshold(5))),
-        other => panic!("unknown scheme {other}"),
-    };
-    System::new(net, scheme)
-}
-
-/// Identical pseudo-random traffic for both systems.
-fn drive(sys: &mut System, seed: u64, cycles: u64, rate: f64) {
-    let nodes: Vec<NodeId> = sys
-        .net()
-        .topo()
-        .chiplets()
-        .iter()
-        .flat_map(|c| c.routers.iter().copied())
-        .collect();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    for _ in 0..cycles {
-        for &src in &nodes {
-            if rng.gen::<f64>() >= rate {
-                continue;
-            }
-            let dest = nodes[rng.gen_range(0..nodes.len())];
-            if dest == src {
-                continue;
-            }
-            let vnet = VnetId(rng.gen_range(0..3u8));
-            let len = if vnet.0 == 2 { 5 } else { 1 };
-            let _ = sys.send(src, dest, vnet, len);
-        }
-        sys.step();
-    }
-}
-
-fn run_pair(scheme: &str, seed: u64) {
-    let mut plain = build(scheme, seed);
-    let mut traced = build(scheme, seed);
+fn run_pair(kind: SchemeKind, seed: u64) {
+    let scheme = kind.label();
+    let mut plain = common::build(kind.clone(), NocConfig::default(), seed).sys;
+    let mut traced = common::build(kind, NocConfig::default(), seed).sys;
     traced.net_mut().set_tracer(Tracer::ring(1 << 16));
 
-    drive(&mut plain, seed, 2_000, 0.20);
-    drive(&mut traced, seed, 2_000, 0.20);
+    // Identical pseudo-random traffic for both systems.
+    common::drive(&mut plain, seed, 2_000, 0.20);
+    common::drive(&mut traced, seed, 2_000, 0.20);
     let _ = plain.run_until_drained(100_000);
     let _ = traced.run_until_drained(100_000);
 
@@ -91,10 +41,10 @@ fn run_pair(scheme: &str, seed: u64) {
 
 #[test]
 fn disabled_and_recording_tracers_agree_without_scheme() {
-    run_pair("none", 3);
+    run_pair(SchemeKind::None, 3);
 }
 
 #[test]
 fn disabled_and_recording_tracers_agree_under_upp() {
-    run_pair("upp", 3);
+    run_pair(SchemeKind::Upp(UppConfig::with_threshold(5)), 3);
 }

@@ -3,73 +3,32 @@
 //! variant, and extreme thresholds — all against genuinely deadlocking
 //! traffic.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use std::sync::Arc;
-use upp_core::{Upp, UppConfig, UppStats, UppStatsHandle};
+mod common;
+
+use upp_core::{UppConfig, UppStats};
 use upp_noc::config::NocConfig;
-use upp_noc::ids::{NodeId, VnetId};
-use upp_noc::network::Network;
-use upp_noc::ni::ConsumePolicy;
-use upp_noc::routing::ChipletRouting;
-use upp_noc::sim::{RunOutcome, System};
-use upp_noc::topology::ChipletSystemSpec;
+use upp_noc::sim::RunOutcome;
+use upp_workloads::runner::{BuiltSystem, SchemeKind};
 
-fn build(cfg: UppConfig, vcs: usize, seed: u64) -> (System, UppStatsHandle) {
-    let topo = ChipletSystemSpec::baseline().build(0).unwrap();
-    let net = Network::new(
+fn build(cfg: UppConfig, vcs: usize, seed: u64) -> BuiltSystem {
+    common::build(
+        SchemeKind::Upp(cfg),
         NocConfig::default().with_vcs_per_vnet(vcs),
-        topo,
-        Arc::new(ChipletRouting::xy()),
-        ConsumePolicy::Immediate { latency: 1 },
         seed,
-    );
-    let upp = Upp::new(cfg);
-    let h = upp.stats_handle();
-    (System::new(net, Box::new(upp)), h)
-}
-
-fn heavy_drive(sys: &mut System, seed: u64, cycles: u64) -> u64 {
-    let cores: Vec<NodeId> = sys
-        .net()
-        .topo()
-        .chiplets()
-        .iter()
-        .flat_map(|c| c.routers.iter().copied())
-        .collect();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut sent = 0;
-    for _ in 0..cycles {
-        for &src in &cores {
-            if rng.gen::<f64>() >= 0.3 {
-                continue;
-            }
-            let dest = cores[rng.gen_range(0..cores.len())];
-            if dest == src {
-                continue;
-            }
-            let vnet = VnetId(rng.gen_range(0..3u8));
-            let len = if vnet.0 == 2 { 5 } else { 1 };
-            if sys.send(src, dest, vnet, len).is_some() {
-                sent += 1;
-            }
-        }
-        sys.step();
-    }
-    sent
+    )
 }
 
 fn recover_and_stats(cfg: UppConfig, vcs: usize, seed: u64) -> (u64, u64, UppStats, u64) {
-    let (mut sys, h) = build(cfg, vcs, seed);
-    let sent = heavy_drive(&mut sys, seed, 2_500);
-    let out = sys.run_until_drained(400_000);
+    let mut built = build(cfg, vcs, seed);
+    let (sent, _) = common::drive(&mut built.sys, seed, 2_500, 0.3);
+    let out = built.sys.run_until_drained(400_000);
     assert!(
         matches!(out, RunOutcome::Drained { .. }),
         "seed {seed}: {out:?}"
     );
-    let delivered = sys.net().stats().packets_ejected;
-    let bypass = sys.net().stats().bypass_hops;
-    let stats = *h.lock().unwrap();
+    let delivered = built.sys.net().stats().packets_ejected;
+    let bypass = built.sys.net().stats().bypass_hops;
+    let stats = built.upp_stats().expect("the scheme is UPP");
     (sent, delivered, stats, bypass)
 }
 
@@ -156,8 +115,8 @@ fn four_vcs_reduce_detections_for_identical_traffic() {
 fn signal_buffers_stay_tiny() {
     // The paper adds two 32-bit buffers per chiplet router; our dedicated
     // queues must stay near-empty even through heavy recovery activity.
-    let (mut sys, _) = build(UppConfig::default(), 1, 3);
-    heavy_drive(&mut sys, 3, 2_500);
+    let mut sys = build(UppConfig::default(), 1, 3).sys;
+    common::drive(&mut sys, 3, 2_500, 0.3);
     let out = sys.run_until_drained(400_000);
     assert!(matches!(out, RunOutcome::Drained { .. }));
     let stats = sys.net().stats();
