@@ -25,7 +25,7 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use upp_core::{Upp, UppConfig};
+//! use upp_core::{Upp, UppConfig, UppStats};
 //! use upp_noc::config::NocConfig;
 //! use upp_noc::ids::VnetId;
 //! use upp_noc::network::Network;
@@ -50,7 +50,7 @@
 //! sys.send(src, dest, VnetId(0), 5);
 //! sys.run(500);
 //! assert_eq!(sys.net().stats().packets_ejected, 1);
-//! assert_eq!(stats.lock().unwrap().upward_packets, 0); // no deadlock here
+//! assert_eq!(UppStats::snapshot(&stats).upward_packets, 0); // no deadlock here
 //! ```
 
 #![warn(missing_docs)]

@@ -159,6 +159,28 @@ impl Stage {
             Stage::PopChiplet { .. } => PopupStage::PopChiplet,
         }
     }
+
+    /// The packet the stage is bound to (`None` only for `Idle`).
+    fn packet(&self) -> Option<PacketId> {
+        match *self {
+            Stage::Idle => None,
+            Stage::WaitAck { cand, .. }
+            | Stage::PopInterposer { cand, .. }
+            | Stage::LocateHead { cand, .. } => Some(cand.packet),
+            Stage::PopChiplet { packet, .. } => Some(packet),
+        }
+    }
+
+    /// Index of a non-idle stage into [`UppObs`]' per-stage counters.
+    fn obs_index(&self) -> Option<usize> {
+        match self {
+            Stage::Idle => None,
+            Stage::WaitAck { .. } => Some(0),
+            Stage::PopInterposer { .. } => Some(1),
+            Stage::LocateHead { .. } => Some(2),
+            Stage::PopChiplet { .. } => Some(3),
+        }
+    }
 }
 
 /// True when an input VC of `r` is owned by `packet`.
@@ -173,10 +195,11 @@ struct VnetState {
     stage: Stage,
     acks_to_drop: u32,
     /// In a pop stage: every router holding the popup packet carries its
-    /// priority mark. Set by the stage's first whole-worm mark (on entry to
-    /// `PopChiplet`, in the first cycle of `PopInterposer`, whose entry
-    /// marks the head's router only) and then kept: the head is frozen, so
-    /// no router can newly own a VC of the packet until the stage ends.
+    /// priority mark. Cleared by every stage change, set by the stage's
+    /// first whole-worm mark (on entry to `PopChiplet`, in the first cycle
+    /// of `PopInterposer`, whose entry marks the head's router only) and
+    /// then kept: the head is frozen, so no router can newly own a VC of
+    /// the packet until the stage ends.
     marked: bool,
 }
 
@@ -255,17 +278,12 @@ struct UppObs {
     watchdog_expired: CounterId,
     /// Distribution of live watchdog counter values at epoch boundaries.
     watchdog_counter: HistId,
-    /// Stage-transition counts (entries into each non-idle stage).
-    enter_wait_ack: CounterId,
-    enter_pop_interposer: CounterId,
-    enter_locate_head: CounterId,
-    enter_pop_chiplet: CounterId,
+    /// Stage-transition counts (entries into each non-idle stage), indexed
+    /// by [`Stage::obs_index`].
+    enter: [CounterId; 4],
     /// Per-cycle dwell counts (cycles spent in each non-idle stage, summed
-    /// over all `(node, VNet)` state machines).
-    dwell_wait_ack: CounterId,
-    dwell_pop_interposer: CounterId,
-    dwell_locate_head: CounterId,
-    dwell_pop_chiplet: CounterId,
+    /// over all `(node, VNet)` state machines), same index.
+    dwell: [CounterId; 4],
     /// Per-popup latency decomposition (same quantities as [`UppStats`],
     /// but as distributions rather than sums).
     recovery: HistId,
@@ -298,12 +316,12 @@ enum NiMsg {
 /// # Examples
 ///
 /// ```
-/// use upp_core::{Upp, UppConfig};
+/// use upp_core::{Upp, UppConfig, UppStats};
 ///
 /// let upp = Upp::new(UppConfig::default());
 /// let stats = upp.stats_handle();
 /// // ... hand `upp` to a `upp_noc::sim::System`, run, then read `stats`.
-/// assert_eq!(stats.lock().unwrap().upward_packets, 0);
+/// assert_eq!(UppStats::snapshot(&stats).upward_packets, 0);
 /// ```
 pub struct Upp {
     cfg: UppConfig,
@@ -403,14 +421,18 @@ impl Upp {
         self.obs = Some(UppObs {
             watchdog_expired: r.counter("upp.watchdog.expired_cycles"),
             watchdog_counter: r.hist("upp.watchdog.counter"),
-            enter_wait_ack: r.counter("upp.stage.enter.wait_ack"),
-            enter_pop_interposer: r.counter("upp.stage.enter.pop_interposer"),
-            enter_locate_head: r.counter("upp.stage.enter.locate_head"),
-            enter_pop_chiplet: r.counter("upp.stage.enter.pop_chiplet"),
-            dwell_wait_ack: r.counter("upp.stage.dwell.wait_ack"),
-            dwell_pop_interposer: r.counter("upp.stage.dwell.pop_interposer"),
-            dwell_locate_head: r.counter("upp.stage.dwell.locate_head"),
-            dwell_pop_chiplet: r.counter("upp.stage.dwell.pop_chiplet"),
+            enter: [
+                r.counter("upp.stage.enter.wait_ack"),
+                r.counter("upp.stage.enter.pop_interposer"),
+                r.counter("upp.stage.enter.locate_head"),
+                r.counter("upp.stage.enter.pop_chiplet"),
+            ],
+            dwell: [
+                r.counter("upp.stage.dwell.wait_ack"),
+                r.counter("upp.stage.dwell.pop_interposer"),
+                r.counter("upp.stage.dwell.locate_head"),
+                r.counter("upp.stage.dwell.pop_chiplet"),
+            ],
             recovery: r.hist("upp.popup.recovery_cycles"),
             wait_ack: r.hist("upp.popup.wait_ack_cycles"),
             locate: r.hist("upp.popup.locate_cycles"),
@@ -465,50 +487,111 @@ impl Upp {
         }
     }
 
-    /// Records a popup stage transition in the network's tracer, when one
-    /// is attached and enabled. Debug builds assert the transition is legal
-    /// per the shared protocol relation — the same relation the `upp-check`
-    /// model checker explores.
-    fn trace_stage(
-        net: &mut Network,
-        node: NodeId,
-        vnet: VnetId,
-        packet: Option<PacketId>,
-        from: PopupStage,
-        to: PopupStage,
-    ) {
+    /// Moves one popup state machine to `to`: the only place a stage
+    /// changes. Debug builds check the move against the shared protocol
+    /// relation (the one the `upp-check` model checker explores) from the
+    /// stage actually held; the move's counters and its trace event are
+    /// derived from the `(from, to)` pair.
+    fn enter(&mut self, net: &mut Network, slot: usize, vnet: VnetId, to: Stage) {
+        use PopupStage::{Idle, LocateHead, PopChiplet, WaitAck};
+        let st = &mut self.routers[slot];
+        let node = st.node;
+        let vs = &mut st.vnets[vnet.index()];
+        let from = vs.stage;
+        let (from_kind, to_kind) = (from.kind(), to.kind());
         debug_assert!(
-            from.can_transition_to(to),
-            "illegal popup stage transition {from} -> {to}"
+            from_kind.can_transition_to(to_kind),
+            "illegal popup stage transition {from_kind} -> {to_kind}"
         );
+        vs.stage = to;
+        vs.marked = false;
+        if let (Some(o), Some(i)) = (&self.obs, to.obs_index()) {
+            net.obs_mut().inc(o.enter[i]);
+        }
+        match (from_kind, to_kind) {
+            (Idle, WaitAck) => {
+                let mut s = self.stats.lock().unwrap();
+                s.upward_packets += 1;
+                s.reqs_sent += 1;
+            }
+            (WaitAck | LocateHead, Idle) => self.stats.lock().unwrap().stops_sent += 1,
+            (_, PopChiplet) => self.stats.lock().unwrap().partial_popups += 1,
+            _ => {}
+        }
         if net.tracer().enabled() {
             let at = net.cycle();
             net.tracer_mut().record(TraceEvent::PopupStage {
                 at,
                 node,
                 vnet,
-                packet,
-                from: from.name(),
-                to: to.name(),
+                packet: to
+                    .packet()
+                    .or(from.packet())
+                    .expect("a legal transition has a non-idle end"),
+                from: from_kind.name(),
+                to: to_kind.name(),
             });
         }
     }
 
-    /// Final accounting for one completed popup: recovery-latency stats,
-    /// the per-stage latency decomposition, and the tracer's popup span.
-    #[allow(clippy::too_many_arguments)]
-    fn complete_popup(
+    /// Ends a false positive: queues the `UPP_stop` that recycles `dest`'s
+    /// reservation and returns to `Idle`. While the ack is still due the
+    /// router owes one dropped ack.
+    fn stop(&mut self, net: &mut Network, slot: usize, vnet: VnetId, dest: NodeId, ack_due: bool) {
+        let st = &mut self.routers[slot];
+        st.signal_q
+            .push_back(Self::make_stop(net, st.node, dest, vnet));
+        if ack_due {
+            st.vnets[vnet.index()].acks_to_drop += 1;
+        }
+        self.enter(net, slot, vnet, Stage::Idle);
+    }
+
+    /// Starts a full popup of `cand` from this interposer router: freezes
+    /// its VC and marks its priority here (the rest of the worm is marked
+    /// in the stage's first cycle).
+    fn start_pop_interposer(
         &mut self,
         net: &mut Network,
-        node: NodeId,
+        slot: usize,
         vnet: VnetId,
-        packet: PacketId,
+        cand: UpwardCandidate,
         selected_at: Cycle,
         acked_at: Cycle,
-        located_at: Cycle,
-        now: Cycle,
-        from_stage: PopupStage,
     ) {
+        let to = Stage::PopInterposer {
+            cand,
+            selected_at,
+            acked_at,
+        };
+        self.enter(net, slot, vnet, to);
+        let r = net.router_mut(self.routers[slot].node);
+        r.set_vc_frozen(cand.in_port, cand.vc_flat, true);
+        r.add_priority_packet(cand.packet);
+    }
+
+    /// The popup's tail left: back to `Idle`, then the recovery-latency
+    /// stats, the per-stage latency decomposition and the tracer's popup
+    /// span.
+    fn complete_popup(&mut self, net: &mut Network, slot: usize, vnet: VnetId) {
+        let (packet, selected_at, acked_at, located_at) =
+            match self.routers[slot].vnets[vnet.index()].stage {
+                Stage::PopInterposer {
+                    cand,
+                    selected_at,
+                    acked_at,
+                } => (cand.packet, selected_at, acked_at, acked_at),
+                Stage::PopChiplet {
+                    packet,
+                    selected_at,
+                    acked_at,
+                    located_at,
+                    ..
+                } => (packet, selected_at, acked_at, located_at),
+                other => unreachable!("popup completed in stage {}", other.kind()),
+            };
+        self.enter(net, slot, vnet, Stage::Idle);
+        let now = net.cycle();
         let wait_ack = acked_at.saturating_sub(selected_at);
         let locate = located_at.saturating_sub(acked_at);
         let pop = now.saturating_sub(located_at);
@@ -528,16 +611,8 @@ impl Upp {
             s.pop_cycles += pop;
         }
         if net.tracer().enabled() {
-            net.tracer_mut().record(TraceEvent::PopupStage {
-                at: now,
-                node,
-                vnet,
-                packet: Some(packet),
-                from: from_stage.name(),
-                to: PopupStage::Idle.name(),
-            });
             net.tracer_mut().record(TraceEvent::PopupSpan {
-                node,
+                node: self.routers[slot].node,
                 vnet,
                 packet,
                 detected_at: selected_at,
@@ -727,87 +802,32 @@ impl Upp {
         let st = &mut self.routers[slot];
         let node = st.node;
         let vs = &mut st.vnets[vnet.index()];
-        if vs.acks_to_drop > 0 {
-            vs.acks_to_drop -= 1;
-            self.stats.lock().unwrap().acks_dropped += 1;
-            return;
-        }
-        let Stage::WaitAck { cand, selected_at } = vs.stage else {
-            // Stale ack with no drop budget: protocol noise, discard.
+        // An ack owed to an earlier false positive, or a stale one with no
+        // drop budget (protocol noise): discard it.
+        let (Stage::WaitAck { cand, selected_at }, 0) = (vs.stage, vs.acks_to_drop) else {
+            vs.acks_to_drop = vs.acks_to_drop.saturating_sub(1);
             self.stats.lock().unwrap().acks_dropped += 1;
             return;
         };
         // Re-examine the candidate VC at ack time.
-        let vc_state = {
-            let r = net.router(node);
-            let vc = r.input_vc(cand.in_port, cand.vc_flat);
-            (
-                vc.owner,
-                r.vc_partly_transmitted(cand.in_port, cand.vc_flat),
-            )
-        };
+        let r = net.router(node);
+        let owned = r.input_vc(cand.in_port, cand.vc_flat).owner == Some(cand.packet);
+        let partly = r.vc_partly_transmitted(cand.in_port, cand.vc_flat);
         let acked_at = net.cycle();
-        let st = &mut self.routers[slot];
-        let vs = &mut st.vnets[vnet.index()];
-        match vc_state {
-            (Some(owner), partly) if owner == cand.packet => {
-                if partly {
-                    vs.stage = Stage::LocateHead {
-                        cand,
-                        selected_at,
-                        acked_at,
-                    };
-                    if let Some(o) = &self.obs {
-                        net.obs_mut().inc(o.enter_locate_head);
-                    }
-                    Self::trace_stage(
-                        net,
-                        node,
-                        vnet,
-                        Some(cand.packet),
-                        PopupStage::WaitAck,
-                        PopupStage::LocateHead,
-                    );
-                } else {
-                    vs.stage = Stage::PopInterposer {
-                        cand,
-                        selected_at,
-                        acked_at,
-                    };
-                    vs.marked = false;
-                    if let Some(o) = &self.obs {
-                        net.obs_mut().inc(o.enter_pop_interposer);
-                    }
-                    net.router_mut(node)
-                        .set_vc_frozen(cand.in_port, cand.vc_flat, true);
-                    net.router_mut(node).add_priority_packet(cand.packet);
-                    Self::trace_stage(
-                        net,
-                        node,
-                        vnet,
-                        Some(cand.packet),
-                        PopupStage::WaitAck,
-                        PopupStage::PopInterposer,
-                    );
-                }
-            }
-            _ => {
-                // The packet proceeded normally between req and ack: recycle
-                // the reservation. The ack itself was just consumed, so no
-                // drop budget is added.
-                st.signal_q
-                    .push_back(Self::make_stop(net, node, cand.dest, vnet));
-                self.stats.lock().unwrap().stops_sent += 1;
-                vs.stage = Stage::Idle;
-                Self::trace_stage(
-                    net,
-                    node,
-                    vnet,
-                    Some(cand.packet),
-                    PopupStage::WaitAck,
-                    PopupStage::Idle,
-                );
-            }
+        if !owned {
+            // The packet proceeded normally between req and ack: recycle
+            // the reservation. The ack itself was just consumed, so no
+            // drop budget is added.
+            self.stop(net, slot, vnet, cand.dest, false);
+        } else if partly {
+            let to = Stage::LocateHead {
+                cand,
+                selected_at,
+                acked_at,
+            };
+            self.enter(net, slot, vnet, to);
+        } else {
+            self.start_pop_interposer(net, slot, vnet, cand, selected_at, acked_at);
         }
     }
 
@@ -815,17 +835,8 @@ impl Upp {
         let node = self.routers[slot].node;
         let stage = self.routers[slot].vnets[vnet.index()].stage;
         // Dwell accounting: one count per cycle spent in a non-idle stage.
-        if let Some(o) = &self.obs {
-            let id = match stage {
-                Stage::Idle => None,
-                Stage::WaitAck { .. } => Some(o.dwell_wait_ack),
-                Stage::PopInterposer { .. } => Some(o.dwell_pop_interposer),
-                Stage::LocateHead { .. } => Some(o.dwell_locate_head),
-                Stage::PopChiplet { .. } => Some(o.dwell_pop_chiplet),
-            };
-            if let Some(id) = id {
-                net.obs_mut().inc(id);
-            }
+        if let (Some(o), Some(i)) = (&self.obs, stage.obs_index()) {
+            net.obs_mut().inc(o.dwell[i]);
         }
         match stage {
             Stage::Idle => {}
@@ -833,49 +844,16 @@ impl Upp {
                 let owner = net.router(node).input_vc(cand.in_port, cand.vc_flat).owner;
                 if owner != Some(cand.packet) {
                     // Normal progress before the ack: stop + drop the ack.
-                    let stop = Self::make_stop(net, node, cand.dest, vnet);
-                    let st = &mut self.routers[slot];
-                    st.signal_q.push_back(stop);
-                    let vs = &mut st.vnets[vnet.index()];
-                    vs.acks_to_drop += 1;
-                    vs.stage = Stage::Idle;
-                    let mut s = self.stats.lock().unwrap();
-                    s.stops_sent += 1;
-                    drop(s);
-                    Self::trace_stage(
-                        net,
-                        node,
-                        vnet,
-                        Some(cand.packet),
-                        PopupStage::WaitAck,
-                        PopupStage::Idle,
-                    );
+                    self.stop(net, slot, vnet, cand.dest, true);
                 }
             }
-            Stage::PopInterposer {
-                cand,
-                selected_at,
-                acked_at,
-            } => {
+            Stage::PopInterposer { cand, .. } => {
                 self.routers[slot].vnets[vnet.index()].mark_worm(net, cand.packet);
                 // Pops pipeline with bypass forwarding: one flit per cycle.
                 if net.bypass_pending(node) <= 1 {
                     if let Some(flit) = net.pop_upward_flit(node, cand.in_port, cand.vc_flat) {
                         if flit.kind.is_tail() {
-                            let now = net.cycle();
-                            let st = &mut self.routers[slot];
-                            st.vnets[vnet.index()].stage = Stage::Idle;
-                            self.complete_popup(
-                                net,
-                                node,
-                                vnet,
-                                cand.packet,
-                                selected_at,
-                                acked_at,
-                                acked_at,
-                                now,
-                                PopupStage::PopInterposer,
-                            );
+                            self.complete_popup(net, slot, vnet);
                         }
                     }
                 }
@@ -888,34 +866,11 @@ impl Upp {
                 match Self::locate_head(net, cand.packet) {
                     Some((r_star, in_port, vc_flat)) if r_star == node => {
                         // Head still here after all: full popup.
-                        net.router_mut(node).set_vc_frozen(in_port, vc_flat, true);
-                        net.router_mut(node).add_priority_packet(cand.packet);
-                        let vs = &mut self.routers[slot].vnets[vnet.index()];
-                        vs.stage = Stage::PopInterposer {
-                            cand,
-                            selected_at,
-                            acked_at,
-                        };
-                        vs.marked = false;
-                        if let Some(o) = &self.obs {
-                            net.obs_mut().inc(o.enter_pop_interposer);
-                        }
-                        Self::trace_stage(
-                            net,
-                            node,
-                            vnet,
-                            Some(cand.packet),
-                            PopupStage::LocateHead,
-                            PopupStage::PopInterposer,
-                        );
+                        debug_assert_eq!((in_port, vc_flat), (cand.in_port, cand.vc_flat));
+                        self.start_pop_interposer(net, slot, vnet, cand, selected_at, acked_at);
                     }
                     Some((r_star, in_port, vc_flat)) => {
-                        net.router_mut(r_star).set_vc_frozen(in_port, vc_flat, true);
-                        Self::mark_priority_everywhere(net, cand.packet);
-                        let located_at = net.cycle();
-                        let vs = &mut self.routers[slot].vnets[vnet.index()];
-                        vs.marked = true;
-                        vs.stage = Stage::PopChiplet {
+                        let to = Stage::PopChiplet {
                             packet: cand.packet,
                             dest: cand.dest,
                             r_star,
@@ -923,42 +878,19 @@ impl Upp {
                             vc_flat,
                             selected_at,
                             acked_at,
-                            located_at,
+                            located_at: net.cycle(),
                         };
-                        if let Some(o) = &self.obs {
-                            net.obs_mut().inc(o.enter_pop_chiplet);
-                        }
-                        self.stats.lock().unwrap().partial_popups += 1;
-                        Self::trace_stage(
-                            net,
-                            node,
-                            vnet,
-                            Some(cand.packet),
-                            PopupStage::LocateHead,
-                            PopupStage::PopChiplet,
-                        );
+                        self.enter(net, slot, vnet, to);
+                        net.router_mut(r_star).set_vc_frozen(in_port, vc_flat, true);
+                        self.routers[slot].vnets[vnet.index()].mark_worm(net, cand.packet);
                     }
-                    None => {
-                        if Self::packet_gone(net, cand.packet) {
-                            // Fully delivered through the normal path while
-                            // we were looking: recycle the reservation.
-                            let stop = Self::make_stop(net, node, cand.dest, vnet);
-                            let st = &mut self.routers[slot];
-                            st.signal_q.push_back(stop);
-                            st.vnets[vnet.index()].stage = Stage::Idle;
-                            self.stats.lock().unwrap().stops_sent += 1;
-                            Self::trace_stage(
-                                net,
-                                node,
-                                vnet,
-                                Some(cand.packet),
-                                PopupStage::LocateHead,
-                                PopupStage::Idle,
-                            );
-                        }
-                        // Otherwise the head flit is on a link; retry next
-                        // cycle.
+                    // Fully delivered through the normal path while we were
+                    // looking: recycle the reservation.
+                    None if Self::packet_gone(net, cand.packet) => {
+                        self.stop(net, slot, vnet, cand.dest, false);
                     }
+                    // Otherwise the head flit is on a link; retry next cycle.
+                    None => {}
                 }
             }
             Stage::PopChiplet {
@@ -967,9 +899,7 @@ impl Upp {
                 r_star,
                 in_port,
                 vc_flat,
-                selected_at,
-                acked_at,
-                located_at,
+                ..
             } => {
                 self.routers[slot].vnets[vnet.index()].mark_worm(net, packet);
                 if net.bypass_pending(r_star) <= 1 {
@@ -989,20 +919,7 @@ impl Upp {
                     });
                     if let Some(flit) = net.pop_bypass_flit(r_star, in_port, vc_flat, out) {
                         if flit.kind.is_tail() {
-                            let now = net.cycle();
-                            let st = &mut self.routers[slot];
-                            st.vnets[vnet.index()].stage = Stage::Idle;
-                            self.complete_popup(
-                                net,
-                                node,
-                                vnet,
-                                packet,
-                                selected_at,
-                                acked_at,
-                                located_at,
-                                now,
-                                PopupStage::PopChiplet,
-                            );
+                            self.complete_popup(net, slot, vnet);
                         }
                     }
                 }
@@ -1043,27 +960,12 @@ impl Upp {
             return;
         };
         vs.counter.reset();
-        vs.stage = Stage::WaitAck {
+        st.signal_q.push_back(Self::make_req(net, node, &cand));
+        let to = Stage::WaitAck {
             cand,
             selected_at: now,
         };
-        if let Some(o) = &self.obs {
-            net.obs_mut().inc(o.enter_wait_ack);
-        }
-        let req = Self::make_req(net, node, &cand);
-        let st = &mut self.routers[slot];
-        st.signal_q.push_back(req);
-        Self::trace_stage(
-            net,
-            node,
-            vnet,
-            Some(cand.packet),
-            PopupStage::Idle,
-            PopupStage::WaitAck,
-        );
-        let mut s = self.stats.lock().unwrap();
-        s.upward_packets += 1;
-        s.reqs_sent += 1;
+        self.enter(net, slot, vnet, to);
     }
 }
 
@@ -1174,7 +1076,7 @@ mod tests {
             sys.run_until_drained(2_000),
             RunOutcome::Drained { .. }
         ));
-        assert_eq!(stats.lock().unwrap().upward_packets, 0);
+        assert_eq!(UppStats::snapshot(&stats).upward_packets, 0);
     }
 
     #[test]
@@ -1198,15 +1100,17 @@ mod tests {
         let out = sys.run_until_drained(60_000);
         assert!(matches!(out, RunOutcome::Drained { .. }), "got {out:?}");
         assert_eq!(sys.net().stats().packets_ejected, sent);
-        let s = *stats.lock().unwrap();
+        // Let the last acks and stops still on the wire arrive.
+        sys.run(1_000);
+        let s = UppStats::snapshot(&stats);
         assert!(
             s.upward_packets > 0,
             "expected detections under hotspot congestion: {s:?}"
         );
         // Protocol conservation: every req is answered by exactly one ack
-        // (possibly dropped), every stop matches an earlier req.
-        assert!(s.acks_sent <= s.reqs_sent);
-        assert!(s.stops_sent + s.popups_completed <= s.reqs_sent + 1);
+        // (possibly dropped), and ends in exactly one stop or popup.
+        assert_eq!(s.acks_sent, s.reqs_sent, "{s:?}");
+        assert_eq!(s.stops_sent + s.popups_completed, s.reqs_sent, "{s:?}");
     }
 
     #[test]
@@ -1236,7 +1140,7 @@ mod tests {
         let out = sys.run_until_drained(120_000);
         assert!(matches!(out, RunOutcome::Drained { .. }), "got {out:?}");
         assert_eq!(sys.net().stats().packets_ejected, sent);
-        let s = *stats.lock().unwrap();
+        let s = UppStats::snapshot(&stats);
         assert!(
             s.popups_completed + s.stops_sent > 0,
             "popup machinery must have engaged: {s:?}"
@@ -1368,6 +1272,28 @@ mod tests {
         assert_eq!(upp.routers[slot].vnets[0].acks_to_drop, 0);
         assert!(upp.routers[slot].is_quiet());
         assert!(!net.router(ir).has_scheme_input(), "inbox drained");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "illegal popup stage transition")]
+    fn entering_a_stage_checks_the_stage_actually_held() {
+        let (mut sys, _stats) = system(20, ConsumePolicy::Immediate { latency: 1 });
+        let mut upp = Upp::new(UppConfig::default());
+        upp.initialize(sys.net());
+        let node = upp.routers[0].node;
+        let to = Stage::PopChiplet {
+            packet: PacketId(0),
+            dest: node,
+            r_star: node,
+            in_port: Port::West,
+            vc_flat: 0,
+            selected_at: 0,
+            acked_at: 0,
+            located_at: 0,
+        };
+        // Idle -> PopChiplet skips WaitAck and LocateHead.
+        upp.enter(sys.net_mut(), 0, VnetId(0), to);
     }
 
     #[test]

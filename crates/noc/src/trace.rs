@@ -190,8 +190,8 @@ pub enum TraceEvent {
         node: NodeId,
         /// VNet of the popup.
         vnet: VnetId,
-        /// Selected upward packet, when one is bound.
-        packet: Option<PacketId>,
+        /// The popup's upward packet.
+        packet: PacketId,
         /// Stage left.
         from: &'static str,
         /// Stage entered.
@@ -331,10 +331,7 @@ impl TraceEvent {
                 "{{\"at\":{at},\"node\":{},\"vnet\":{},\"packet\":{},\"from\":{},\"to\":{}}}",
                 node.0,
                 vnet.0,
-                match packet {
-                    Some(p) => p.0.to_string(),
-                    None => "null".into(),
-                },
+                packet.0,
                 json_str(from),
                 json_str(to),
             ),
@@ -882,7 +879,7 @@ mod tests {
                 at: 10,
                 node: NodeId(4),
                 vnet: VnetId(2),
-                packet: Some(PacketId(7)),
+                packet: PacketId(7),
                 from: "Idle",
                 to: "WaitAck",
             },
@@ -890,7 +887,7 @@ mod tests {
                 at: 10,
                 node: NodeId(4),
                 vnet: VnetId(2),
-                packet: None,
+                packet: PacketId(7),
                 from: "WaitAck",
                 to: "Idle",
             },
@@ -1090,7 +1087,7 @@ mod tests {
             at: 3,
             node: NodeId(1),
             vnet: VnetId(0),
-            packet: None,
+            packet: PacketId(0),
             from: "quo\"te\\back\nline\ttab",
             to: "}{\"pwn\":1,\"x\":\"",
         };

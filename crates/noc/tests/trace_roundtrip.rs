@@ -135,7 +135,7 @@ fn rebuild(line: &Value) -> TraceEvent {
             at: num(a, "at"),
             node: NodeId(num(a, "node") as u32),
             vnet: VnetId(num(a, "vnet") as u8),
-            packet: a.get("packet").and_then(Value::as_u64).map(PacketId),
+            packet: PacketId(num(a, "packet")),
             // Stage names are &'static str in the event; the tiny leak is
             // confined to this test process.
             from: Box::leak(st(a, "from").to_string().into_boxed_str()),
@@ -234,7 +234,7 @@ fn all_variants() -> Vec<TraceEvent> {
             at: 9,
             node: NodeId(66),
             vnet: VnetId(1),
-            packet: None,
+            packet: PacketId(9),
             from: "idle",
             to: "request",
         },

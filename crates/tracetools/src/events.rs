@@ -201,7 +201,7 @@ mod tests {
             at: 1,
             node: NodeId(0),
             vnet: VnetId(0),
-            packet: None,
+            packet: PacketId(0),
             from: "Idle",
             to: "WaitAck",
         };

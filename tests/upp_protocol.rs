@@ -26,9 +26,19 @@ fn recover_and_stats(cfg: UppConfig, vcs: usize, seed: u64) -> (u64, u64, UppSta
         matches!(out, RunOutcome::Drained { .. }),
         "seed {seed}: {out:?}"
     );
+    // Let the last acks and stops still on the wire arrive.
+    built.sys.run(1_000);
     let delivered = built.sys.net().stats().packets_ejected;
     let bypass = built.sys.net().stats().bypass_hops;
     let stats = built.upp_stats().expect("the scheme is UPP");
+    // Protocol conservation: every req is answered by exactly one ack
+    // (possibly dropped), and ends in exactly one stop or popup.
+    assert_eq!(stats.acks_sent, stats.reqs_sent, "seed {seed}: {stats:?}");
+    assert_eq!(
+        stats.stops_sent + stats.popups_completed,
+        stats.reqs_sent,
+        "seed {seed}: {stats:?}"
+    );
     (sent, delivered, stats, bypass)
 }
 
