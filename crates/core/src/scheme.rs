@@ -548,14 +548,16 @@ impl Upp {
     }
 
     /// Starts a full popup of `cand` from this interposer router: freezes
-    /// its VC and marks its priority here (the rest of the worm is marked
-    /// in the stage's first cycle).
+    /// the input VC `vc` that holds its head and marks its priority
+    /// here (the rest of the worm is marked in the stage's first cycle).
+    #[allow(clippy::too_many_arguments)]
     fn start_pop_interposer(
         &mut self,
         net: &mut Network,
         slot: usize,
         vnet: VnetId,
         cand: UpwardCandidate,
+        vc: (Port, usize),
         selected_at: Cycle,
         acked_at: Cycle,
     ) {
@@ -566,7 +568,7 @@ impl Upp {
         };
         self.enter(net, slot, vnet, to);
         let r = net.router_mut(self.routers[slot].node);
-        r.set_vc_frozen(cand.in_port, cand.vc_flat, true);
+        r.set_vc_frozen(vc.0, vc.1, true);
         r.add_priority_packet(cand.packet);
     }
 
@@ -827,7 +829,8 @@ impl Upp {
             };
             self.enter(net, slot, vnet, to);
         } else {
-            self.start_pop_interposer(net, slot, vnet, cand, selected_at, acked_at);
+            let vc = (cand.in_port, cand.vc_flat);
+            self.start_pop_interposer(net, slot, vnet, cand, vc, selected_at, acked_at);
         }
     }
 
@@ -865,9 +868,10 @@ impl Upp {
             } => {
                 match Self::locate_head(net, cand.packet) {
                     Some((r_star, in_port, vc_flat)) if r_star == node => {
-                        // Head still here after all: full popup.
-                        debug_assert_eq!((in_port, vc_flat), (cand.in_port, cand.vc_flat));
-                        self.start_pop_interposer(net, slot, vnet, cand, selected_at, acked_at);
+                        // Head back in this router after all: full popup,
+                        // freezing the VC the head was found in.
+                        let vc = (in_port, vc_flat);
+                        self.start_pop_interposer(net, slot, vnet, cand, vc, selected_at, acked_at);
                     }
                     Some((r_star, in_port, vc_flat)) => {
                         let to = Stage::PopChiplet {
