@@ -6,10 +6,10 @@ use crate::event::{Event, WakeTarget};
 use crate::ids::{Cycle, NodeId, PacketId, Port, VnetId};
 use crate::ni::{ConsumePolicy, Delivered, Ni, PermitState};
 use crate::obs::ObsRegistry;
-use crate::packet::{Flit, Packet, PacketArena, PacketDesc, RouteInfo};
+use crate::packet::{Flit, PacketArena, PacketDesc, RouteInfo};
 use crate::router::{Router, RouterCtx};
 use crate::routing::{GlobalCdg, GlobalChannel, RouteComputer};
-use crate::stats::{NetStats, PacketRecord, PacketTracker};
+use crate::stats::NetStats;
 use crate::topology::Topology;
 use crate::trace::{StallReport, TraceEvent, Tracer, VcHold, WedgedPacket};
 use crate::wake_set::WakeSet;
@@ -82,18 +82,20 @@ impl EventCalendar {
 }
 
 /// Exact memory footprint of the simulation state, measured by walking the
-/// live structures (no allocator instrumentation). Kernel-invariant by
-/// construction: it covers routers, NIs, the packet-descriptor arena and the
-/// event calendar — state whose layout is byte-identical between the
-/// active-set and always-tick kernels — so the same run reports the same
-/// bytes under both.
+/// live structures (no allocator instrumentation). It covers routers, NIs,
+/// the packet-descriptor arena (the only per-packet table) and the event
+/// calendar. Kernel-invariant by construction: that state's layout is
+/// byte-identical between the active-set and always-tick kernels, so the
+/// same run reports the same bytes under both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct MemReport {
     /// Heap bytes across all routers (VC rings, state arrays, absorber).
     pub routers_bytes: usize,
-    /// Heap bytes across all NIs (injection/delivery rings, assembly).
+    /// Heap bytes across all NIs (injection rings of descriptor handles,
+    /// delivery rings, assembly).
     pub nis_bytes: usize,
-    /// Heap bytes of the packet-descriptor arena slab.
+    /// Heap bytes of the packet-descriptor arena: descriptor slab,
+    /// liveness bits and free list.
     pub arena_bytes: usize,
     /// Heap bytes of the event-calendar ring.
     pub calendar_bytes: usize,
@@ -255,10 +257,15 @@ pub struct Network {
     /// cycle phase; drained into the calendar at the end of each phase.
     emit_scratch: Vec<(Cycle, Event)>,
     stats: NetStats,
-    tracker: PacketTracker,
-    /// Interned per-packet descriptors; wire flits carry only a handle.
-    /// Allocated by injection-side `try_send`, freed when the tail's
-    /// `NiFlitArrive` is delivered.
+    /// The id the next `try_send` hands out (ids are sequential).
+    next_packet_id: u64,
+    /// Cycle of the last flit or control movement (the stall watchdog's
+    /// input).
+    last_progress: Cycle,
+    /// Interned per-packet descriptors, the only per-packet record; wire
+    /// flits and NI queues carry only a handle. Allocated by `try_send`,
+    /// freed when the tail's `NiFlitArrive` is delivered, so its live count
+    /// is the in-flight count.
     arena: PacketArena,
     tracer: Tracer,
     /// Protocol-state telemetry registry (disabled unless
@@ -297,7 +304,7 @@ impl std::fmt::Debug for Network {
         f.debug_struct("Network")
             .field("cycle", &self.cycle)
             .field("nodes", &self.routers.len())
-            .field("in_flight", &self.tracker.in_flight())
+            .field("in_flight", &self.in_flight())
             .finish_non_exhaustive()
     }
 }
@@ -330,15 +337,12 @@ impl Network {
         let stats = NetStats::new(cfg.num_vnets);
         let calendar = EventCalendar::new(&cfg);
         let n = routers.len();
-        // Pre-size the descriptor arena and the packet tracker to a
-        // practical in-flight ceiling (every source can fill its injection
-        // queues) so steady-state interning rarely — and below the ceiling
-        // never — reallocates; both slabs still grow transparently past it.
-        let in_flight_bound = n * cfg.num_vnets * cfg.injection_queue_entries;
+        // Pre-size the descriptor arena to a practical in-flight ceiling
+        // (every source can fill its injection queues) so steady-state
+        // interning rarely — and below the ceiling never — reallocates; the
+        // slab still grows transparently past it.
         let mut arena = PacketArena::new();
-        arena.reserve(in_flight_bound);
-        let mut tracker = PacketTracker::new();
-        tracker.reserve(in_flight_bound);
+        arena.reserve(n * cfg.num_vnets * cfg.injection_queue_entries);
         let consume_timer = VecDeque::with_capacity(n * cfg.num_vnets * cfg.ejection_queue_entries);
         Self {
             cfg,
@@ -350,7 +354,8 @@ impl Network {
             calendar,
             emit_scratch: Vec::new(),
             stats,
-            tracker,
+            next_packet_id: 0,
+            last_progress: 0,
             arena,
             tracer: Tracer::disabled(),
             obs: ObsRegistry::disabled(),
@@ -459,7 +464,7 @@ impl Network {
     }
 
     /// Resets the measurement counters (end of warmup). In-flight packets
-    /// keep their records so their latencies are attributed to the
+    /// keep their descriptors so their latencies are attributed to the
     /// measurement window in which they finish.
     pub fn reset_stats(&mut self) {
         self.stats = NetStats::new(self.cfg.num_vnets);
@@ -467,20 +472,20 @@ impl Network {
 
     /// Packets created but not yet fully ejected.
     pub fn in_flight(&self) -> usize {
-        self.tracker.in_flight()
+        self.arena.live_count()
     }
 
     /// True when in-flight packets exist but nothing has moved for the
     /// watchdog threshold — the network is wedged (only possible without a
     /// deadlock-freedom scheme, or with a broken one).
     pub fn stalled(&self) -> bool {
-        self.tracker
-            .stalled(self.cycle, self.cfg.watchdog_threshold)
+        self.in_flight() > 0
+            && self.cycle.saturating_sub(self.last_progress) >= self.cfg.watchdog_threshold
     }
 
     /// Cycle of the last observed flit movement.
     pub fn last_progress(&self) -> Cycle {
-        self.tracker.last_progress()
+        self.last_progress
     }
 
     /// Read access to one NI.
@@ -505,6 +510,10 @@ impl Network {
 
     /// Creates and enqueues a packet; returns its id, or `None` when the
     /// source injection queue is full.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len_flits` is 0.
     pub fn try_send(
         &mut self,
         src: NodeId,
@@ -512,12 +521,13 @@ impl Network {
         vnet: VnetId,
         len_flits: u16,
     ) -> Option<PacketId> {
+        assert!(len_flits > 0, "a packet has at least one flit");
         if !self.nis[src.index()].can_enqueue(vnet) {
             return None;
         }
         self.schedule.wake_ni(src);
-        let id = self.tracker.alloc_id();
-        let pkt = Packet::new(id, src, dest, vnet, len_flits, self.cycle);
+        let id = PacketId(self.next_packet_id);
+        self.next_packet_id += 1;
         let route = self.routing.plan(&self.topo, src, dest);
         let desc = self.arena.alloc(PacketDesc {
             id,
@@ -526,24 +536,10 @@ impl Network {
             pkt_len: len_flits,
             route,
             created_at: self.cycle,
+            injected_at: PacketDesc::NOT_INJECTED,
         });
-        self.tracker.on_created(
-            desc,
-            id,
-            PacketRecord {
-                src,
-                dest,
-                class: route.class,
-                vnet,
-                len_flits,
-                created_at: self.cycle,
-                injected_at: None,
-                ejected_at: None,
-            },
-        );
-        self.nis[src.index()]
-            .enqueue(pkt, route, desc)
-            .expect("can_enqueue checked");
+        let queued = self.nis[src.index()].enqueue(desc, id, vnet, len_flits);
+        assert!(queued, "can_enqueue checked");
         self.stats.packets_created += 1;
         if self.tracer.enabled() {
             self.tracer.record(TraceEvent::PacketCreated {
@@ -664,7 +660,7 @@ impl Network {
             calendar,
             emit_scratch,
             stats,
-            tracker,
+            last_progress,
             arena,
             tracer,
             obs,
@@ -685,7 +681,7 @@ impl Network {
                 ni: &mut nis[node.index()],
                 emit: &mut emit,
                 stats,
-                tracker,
+                last_progress,
                 arena,
                 tracer,
                 obs,
@@ -764,16 +760,16 @@ impl Network {
     /// trips.
     pub fn stall_report(&self) -> StallReport {
         let mut wedged: Vec<WedgedPacket> = self
-            .tracker
-            .live_packets()
-            .map(|(id, rec)| WedgedPacket {
-                id,
-                src: rec.src,
-                dest: rec.dest,
-                vnet: rec.vnet,
-                len_flits: rec.len_flits,
-                age: self.cycle.saturating_sub(rec.created_at),
-                injected: rec.injected_at.is_some(),
+            .arena
+            .live()
+            .map(|d| WedgedPacket {
+                id: d.id,
+                src: d.src,
+                dest: d.route.dest,
+                vnet: d.vnet,
+                len_flits: d.pkt_len,
+                age: self.cycle.saturating_sub(d.created_at),
+                injected: d.injected().is_some(),
                 holds: Vec::new(),
             })
             .collect();
@@ -921,7 +917,7 @@ impl Network {
             routers,
             nis,
             stats,
-            tracker,
+            last_progress,
             arena,
             tracer,
             obs,
@@ -956,7 +952,7 @@ impl Network {
                         ni: &mut nis[node.index()],
                         emit: &mut emit,
                         stats,
-                        tracker,
+                        last_progress,
                         arena,
                         tracer,
                         obs,
@@ -980,7 +976,7 @@ impl Network {
                 }
                 Event::NiFlitArrive { node, flit } => {
                     stats.flits_ejected += 1;
-                    tracker.touch(*cycle);
+                    *last_progress = *cycle;
                     let ni = &mut nis[node.index()];
                     let done = ni.accept_flit(flit, *cycle, flit.upward, arena);
                     if let Some(d) = done {
@@ -991,18 +987,17 @@ impl Network {
                             );
                             consume_timer.push_back((at, node));
                         }
-                        if let Some(rec) = tracker.on_ejected(flit.desc, *cycle) {
-                            stats.record_ejection(&rec, *cycle);
-                            if tracer.enabled() {
-                                let injected = rec.injected_at.unwrap_or(rec.created_at);
-                                tracer.record(TraceEvent::PacketEjected {
-                                    at: *cycle,
-                                    packet: d.pkt.id,
-                                    node,
-                                    net_latency: cycle.saturating_sub(injected),
-                                    total_latency: cycle.saturating_sub(rec.created_at),
-                                });
-                            }
+                        let desc = arena.get(flit.desc);
+                        stats.record_ejection(desc, *cycle);
+                        if tracer.enabled() {
+                            let injected = desc.injected().unwrap_or(desc.created_at);
+                            tracer.record(TraceEvent::PacketEjected {
+                                at: *cycle,
+                                packet: d.pkt.id,
+                                node,
+                                net_latency: cycle.saturating_sub(injected),
+                                total_latency: cycle.saturating_sub(desc.created_at),
+                            });
                         }
                         // The tail has ejected: the descriptor dies here.
                         arena.free(flit.desc);
@@ -1038,7 +1033,7 @@ impl Network {
             routers,
             nis,
             stats,
-            tracker,
+            last_progress,
             arena,
             tracer,
             obs,
@@ -1094,7 +1089,7 @@ impl Network {
                     ni: &mut nis[i],
                     emit: &mut emit,
                     stats,
-                    tracker,
+                    last_progress,
                     arena,
                     tracer,
                     obs,
@@ -1136,18 +1131,19 @@ impl Network {
                     // The next flit, or the next packet's head, may go next.
                     schedule.ni_due_next.insert(i);
                     if flit.kind.is_head() {
-                        tracker.on_injected(flit.desc, now);
+                        let desc = arena.get_mut(flit.desc);
+                        desc.injected_at = now;
                         stats.packets_injected += 1;
                         if tracer.enabled() {
                             tracer.record(TraceEvent::PacketInjected {
                                 at: now,
-                                packet: arena.get(flit.desc).id,
+                                packet: desc.id,
                                 node: ni.node(),
                             });
                         }
                     }
                     stats.flits_injected += 1;
-                    tracker.touch(now);
+                    *last_progress = now;
                     emit.push((
                         now + cfg.link_latency,
                         Event::FlitArrive {
@@ -1197,7 +1193,7 @@ impl Network {
                     ni: &mut nis[i],
                     emit: &mut emit,
                     stats,
-                    tracker,
+                    last_progress,
                     arena,
                     tracer,
                     obs,
@@ -1391,6 +1387,48 @@ mod tests {
             }
         }
         assert_eq!(accepted, net.cfg().injection_queue_entries as u64);
+    }
+
+    /// The stall report and the watchdog read the descriptor arena: a packet
+    /// still in its injection queue is listed as not injected, the list is
+    /// in id order whatever the slab order, and a drained network has
+    /// nothing live.
+    #[test]
+    fn stall_report_and_watchdog_read_the_descriptor_arena() {
+        let mut net = net();
+        let c = &net.topo().chiplets()[0];
+        let (src, dest) = (c.routers[0], c.routers[1]);
+        let threshold = net.cfg().watchdog_threshold;
+        // Packets 0 and 1 drain in order, leaving handles 0 and 1 on the LIFO
+        // free list, so packets 2 and 3 take them in reverse.
+        for _ in 0..2 {
+            net.try_send(src, dest, VnetId(0), 5).unwrap();
+        }
+        run_until_drained(&mut net, 200);
+        for _ in 0..threshold {
+            net.step();
+        }
+        assert!(!net.stalled(), "an empty network is never stalled");
+        let ids = [0, 1].map(|_| net.try_send(src, dest, VnetId(0), 5).unwrap());
+        let slab: Vec<PacketId> = net.arena.live().map(|d| d.id).collect();
+        assert_eq!(slab, [ids[1], ids[0]], "recycled handles reverse the slab");
+        // Packet 2's head leaves the NI; packet 3 waits behind it.
+        net.step();
+        let report = net.stall_report();
+        let listed: Vec<(PacketId, bool)> =
+            report.wedged.iter().map(|w| (w.id, w.injected)).collect();
+        assert_eq!(listed, [(ids[0], true), (ids[1], false)]);
+        assert_eq!(report.in_flight, 2);
+        // Nothing moves while the source is paused mid-worm.
+        net.set_injection_paused(src, true);
+        for _ in 0..threshold + 10 {
+            net.step();
+        }
+        assert!(net.stalled());
+        net.set_injection_paused(src, false);
+        run_until_drained(&mut net, 200);
+        assert!(!net.stalled());
+        assert_eq!(net.mem_report().arena_live, 0);
     }
 
     // ------------------------------------------------ progress-driven wakes

@@ -5,7 +5,7 @@
 use crate::config::NocConfig;
 use crate::control::DeliveredControl;
 use crate::ids::{Cycle, NodeId, PacketId, VnetId};
-use crate::packet::{Flit, Packet, PacketArena, PacketRef, RouteInfo};
+use crate::packet::{Flit, Packet, PacketArena, PacketRef};
 use crate::ring::RingBank;
 use serde::Serialize;
 
@@ -21,17 +21,19 @@ pub enum PermitState {
     Granted,
 }
 
-/// A packet waiting in an NI injection queue.
+/// A packet waiting in an NI injection queue: the handle of its arena
+/// descriptor plus the two fields injection reads (the id, for permits, and
+/// the length).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct PendingPacket {
-    /// The packet.
-    pub pkt: Packet,
-    /// Its planned route.
-    pub route: RouteInfo,
-    /// Injection-control state.
-    pub permit: PermitState,
     /// Arena handle of the packet's interned descriptor.
     pub desc: PacketRef,
+    /// The packet's id.
+    pub id: PacketId,
+    /// Length in flits.
+    pub len_flits: u16,
+    /// Injection-control state.
+    pub permit: PermitState,
 }
 
 /// A packet currently being streamed into the router, one flit per cycle.
@@ -148,30 +150,19 @@ impl std::fmt::Debug for Ni {
     }
 }
 
-/// Never-read ring fill for queues of packet-shaped entries.
-fn fill_packet() -> Packet {
-    Packet {
-        id: PacketId(u64::MAX),
-        src: NodeId(0),
-        dest: NodeId(0),
-        vnet: VnetId(0),
-        len_flits: 1,
-        created_at: 0,
-    }
-}
-
 impl Ni {
     /// Builds the NI for `node`.
     pub fn new(node: NodeId, cfg: &NocConfig, consume: ConsumePolicy) -> Self {
         let vcs = cfg.vcs_per_port();
+        // Never-read ring fills.
         let pending_fill = PendingPacket {
-            pkt: fill_packet(),
-            route: RouteInfo::intra(NodeId(0)),
-            permit: PermitState::NotNeeded,
             desc: PacketRef(u32::MAX),
+            id: PacketId(u64::MAX),
+            len_flits: 1,
+            permit: PermitState::NotNeeded,
         };
         let delivered_fill = Delivered {
-            pkt: fill_packet(),
+            pkt: Packet::new(PacketId(u64::MAX), node, node, VnetId(0), 1, 0),
             completed_at: 0,
             via_popup: false,
         };
@@ -229,41 +220,20 @@ impl Ni {
         self.inj_queues.len(vnet.index()) < self.inj_capacity
     }
 
-    /// Occupancy of one injection queue.
-    pub fn injection_backlog(&self, vnet: VnetId) -> usize {
-        self.inj_queues.len(vnet.index()) + usize::from(self.active[vnet.index()].is_some())
-    }
-
-    /// Enqueues a packet for injection. `desc` is the packet's interned
-    /// descriptor handle (the caller allocates it in the arena first).
-    ///
-    /// # Errors
-    ///
-    /// Returns the packet back if the queue is full.
-    pub fn enqueue(
-        &mut self,
-        pkt: Packet,
-        route: RouteInfo,
-        desc: PacketRef,
-    ) -> Result<(), Packet> {
+    /// Enqueues packet `id` of `len_flits` flits on VNet `vnet` for
+    /// injection. `desc` is its interned descriptor handle (the caller
+    /// allocates it in the arena first). Returns false, queueing nothing,
+    /// when the queue is full.
+    pub fn enqueue(&mut self, desc: PacketRef, id: PacketId, vnet: VnetId, len_flits: u16) -> bool {
         let pending = PendingPacket {
-            pkt,
-            route,
-            permit: PermitState::NotNeeded,
             desc,
+            id,
+            len_flits,
+            permit: PermitState::NotNeeded,
         };
-        match self.inj_queues.push_back(pkt.vnet.index(), pending) {
-            Ok(()) => {
-                self.backlog += 1;
-                Ok(())
-            }
-            Err(p) => Err(p.pkt),
-        }
-    }
-
-    /// Immutable view of the pending packets of one VNet (head first).
-    pub fn pending(&self, vnet: VnetId) -> impl Iterator<Item = &PendingPacket> {
-        self.inj_queues.iter(vnet.index())
+        let queued = self.inj_queues.push_back(vnet.index(), pending).is_ok();
+        self.backlog += usize::from(queued);
+        queued
     }
 
     /// Sets the permit state of a specific pending packet.
@@ -271,7 +241,7 @@ impl Ni {
         for q in 0..self.num_vnets {
             for i in 0..self.inj_queues.len(q) {
                 let p = self.inj_queues.get_mut(q, i).expect("index in range");
-                if p.pkt.id == id {
+                if p.id == id {
                     p.permit = state;
                     return true;
                 }
@@ -284,8 +254,8 @@ impl Ni {
     ///
     /// At most one flit per cycle leaves the NI. Returns the flit and the
     /// flat Local-input VC it travels on. The caller (the network) turns it
-    /// into a staged link event, reports head-flit injections to the packet
-    /// tracker, and stamps the injection cycle into the arena descriptor.
+    /// into a staged link event and, for a head flit, stamps the injection
+    /// cycle into the packet's arena descriptor.
     pub fn inject_step(
         &mut self,
         _now: Cycle,
@@ -318,11 +288,11 @@ impl Ni {
             }
             let pending = self.inj_queues.pop_front(v).expect("checked non-empty");
             self.out_vcs[vcf].busy = true;
-            let flit = Flit::new(pending.desc, 0, pending.pkt.len_flits);
-            if pending.pkt.len_flits > 1 {
+            let flit = Flit::new(pending.desc, 0, pending.len_flits);
+            if pending.len_flits > 1 {
                 self.active[v] = Some(ActiveInjection {
                     desc: pending.desc,
-                    len_flits: pending.pkt.len_flits,
+                    len_flits: pending.len_flits,
                     vc_flat: vcf,
                     next_seq: 1,
                 });
@@ -346,7 +316,7 @@ impl Ni {
         if head.permit == PermitState::Waiting {
             return None;
         }
-        let need = if vct { head.pkt.len_flits as usize } else { 1 };
+        let need = if vct { head.len_flits as usize } else { 1 };
         let base = v * vcs_per_vnet;
         (base..base + vcs_per_vnet)
             .find(|&f| !self.out_vcs[f].busy && self.out_vcs[f].credits >= need)
@@ -612,26 +582,22 @@ mod tests {
         Ni::new(NodeId(0), &cfg(), ConsumePolicy::External)
     }
 
-    fn pkt(id: u64, vnet: u8, len: u16) -> (Packet, RouteInfo) {
-        let p = Packet::new(PacketId(id), NodeId(0), NodeId(1), VnetId(vnet), len, 0);
-        (p, RouteInfo::intra(NodeId(1)))
-    }
-
-    fn intern(arena: &mut PacketArena, p: &Packet, r: RouteInfo) -> PacketRef {
+    /// Interns packet `id` from node 2 to node 0.
+    fn intern(arena: &mut PacketArena, id: u64, vnet: u8, len: u16) -> PacketRef {
         arena.alloc(PacketDesc {
-            id: p.id,
-            src: p.src,
-            vnet: p.vnet,
-            pkt_len: p.len_flits,
-            route: r,
-            created_at: p.created_at,
+            id: PacketId(id),
+            src: NodeId(2),
+            vnet: VnetId(vnet),
+            pkt_len: len,
+            route: RouteInfo::intra(NodeId(0)),
+            created_at: 0,
+            injected_at: PacketDesc::NOT_INJECTED,
         })
     }
 
     fn enqueue(n: &mut Ni, arena: &mut PacketArena, id: u64, vnet: u8, len: u16) {
-        let (p, r) = pkt(id, vnet, len);
-        let d = intern(arena, &p, r);
-        n.enqueue(p, r, d).unwrap();
+        let d = intern(arena, id, vnet, len);
+        assert!(n.enqueue(d, PacketId(id), VnetId(vnet), len));
     }
 
     fn deliver(
@@ -642,8 +608,7 @@ mod tests {
         len: u16,
         popup: bool,
     ) -> Option<Delivered> {
-        let p = Packet::new(PacketId(id), NodeId(2), NodeId(0), VnetId(vnet), len, 0);
-        let d = intern(arena, &p, RouteInfo::intra(NodeId(0)));
+        let d = intern(arena, id, vnet, len);
         let mut out = None;
         for seq in 0..len {
             let f = Flit::new(d, seq, len);
@@ -788,16 +753,15 @@ mod tests {
     }
 
     #[test]
-    fn enqueue_full_returns_packet() {
+    fn enqueue_into_a_full_queue_is_refused() {
         let mut n = ni();
         let mut arena = PacketArena::new();
         for i in 0..16 {
             enqueue(&mut n, &mut arena, i, 0, 1);
         }
-        let (p, r) = pkt(99, 0, 1);
-        let d = intern(&mut arena, &p, r);
-        assert!(n.enqueue(p, r, d).is_err());
-        assert_eq!(n.injection_backlog(VnetId(0)), 16);
+        assert!(!n.can_enqueue(VnetId(0)));
+        let d = intern(&mut arena, 99, 0, 1);
+        assert!(!n.enqueue(d, PacketId(99), VnetId(0), 1));
         assert!(n.mem_bytes() > 0);
     }
 

@@ -136,7 +136,8 @@ impl fmt::Display for PacketRef {
 /// The per-packet metadata interned once per in-flight packet: identity, the
 /// route header of the head flit, and injection bookkeeping. Hardware keeps
 /// this on the head flit only; the simulator keeps it in the arena so wire
-/// flits stay a compact POD.
+/// flits stay a compact POD. It is the only per-packet record: NI queues,
+/// router VCs and the latency statistics all read it through its handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketDesc {
     /// Globally-unique packet id (what every serialized surface reports).
@@ -153,6 +154,21 @@ pub struct PacketDesc {
     /// Cycle the packet was created (enqueued at the source NI); the
     /// destination NI reconstructs the delivered [`Packet`] from this.
     pub created_at: Cycle,
+    /// Cycle the head flit left the source NI, or
+    /// [`PacketDesc::NOT_INJECTED`] while the packet is still queued there.
+    pub injected_at: Cycle,
+}
+
+impl PacketDesc {
+    /// [`PacketDesc::injected_at`] of a packet whose head has not left the
+    /// source NI yet.
+    pub const NOT_INJECTED: Cycle = Cycle::MAX;
+
+    /// The cycle the head flit left the source NI, if it has.
+    #[inline]
+    pub fn injected(&self) -> Option<Cycle> {
+        (self.injected_at != Self::NOT_INJECTED).then_some(self.injected_at)
+    }
 }
 
 /// Slab of in-flight [`PacketDesc`]s with free-list recycling.
@@ -223,6 +239,23 @@ impl PacketArena {
     pub fn get(&self, h: PacketRef) -> &PacketDesc {
         debug_assert!(self.live[h.index()], "read of freed descriptor {h}");
         &self.slots[h.index()]
+    }
+
+    /// Mutable access to the descriptor behind `h` (the network stamps the
+    /// injection cycle through this).
+    #[inline]
+    pub fn get_mut(&mut self, h: PacketRef) -> &mut PacketDesc {
+        debug_assert!(self.live[h.index()], "write to freed descriptor {h}");
+        &mut self.slots[h.index()]
+    }
+
+    /// The live descriptors, in slab order (callers needing a stable order
+    /// sort by id).
+    pub fn live(&self) -> impl Iterator<Item = &PacketDesc> {
+        self.slots
+            .iter()
+            .zip(&self.live)
+            .filter_map(|(d, &live)| live.then_some(d))
     }
 
     /// The descriptor of a flit's packet (protocol-state reads that are
@@ -373,6 +406,7 @@ mod tests {
             pkt_len: len,
             route: RouteInfo::intra(NodeId(5)),
             created_at: 0,
+            injected_at: PacketDesc::NOT_INJECTED,
         })
     }
 
@@ -405,6 +439,22 @@ mod tests {
     }
 
     #[test]
+    fn per_packet_state_is_one_descriptor_and_a_handle() {
+        // The arena's descriptor is the only per-packet record; an NI's
+        // injection queue holds its handle plus what injection reads.
+        assert!(
+            std::mem::size_of::<PacketDesc>() <= 56,
+            "PacketDesc grew to {} bytes",
+            std::mem::size_of::<PacketDesc>()
+        );
+        assert!(
+            std::mem::size_of::<crate::ni::PendingPacket>() <= 16,
+            "PendingPacket grew to {} bytes",
+            std::mem::size_of::<crate::ni::PendingPacket>()
+        );
+    }
+
+    #[test]
     fn arena_recycles_handles_lifo() {
         let mut arena = PacketArena::new();
         let a = desc(&mut arena, 1, 1);
@@ -420,6 +470,8 @@ mod tests {
         assert_eq!(arena.high_water(), 2, "recycling does not raise the peak");
         assert_eq!(arena.total_allocs(), 3);
         assert_eq!(arena.slots_len(), 2);
+        let ids: Vec<_> = arena.live().map(|d| d.id).collect();
+        assert_eq!(ids, [PacketId(3), PacketId(2)], "live walks slab order");
         assert!(arena.mem_bytes() > 0);
     }
 

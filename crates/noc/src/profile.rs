@@ -126,7 +126,7 @@ struct LiveSpan {
 
 /// Live spans indexed densely by packet id.
 ///
-/// [`crate::stats::PacketTracker`] hands out packet ids sequentially, so
+/// [`crate::network::Network::try_send`] hands out packet ids sequentially, so
 /// the live set at any instant occupies a narrow sliding id window: a ring
 /// of `Option<LiveSpan>` slots addressed by `id - base` replaces the former
 /// per-event `HashMap` hashing with one bounds check and an index. Ids

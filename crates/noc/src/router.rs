@@ -28,7 +28,7 @@ use crate::obs::ObsRegistry;
 use crate::packet::{Flit, PacketArena, PacketRef};
 use crate::ring::RingBank;
 use crate::routing::RouteComputer;
-use crate::stats::{NetStats, PacketTracker};
+use crate::stats::NetStats;
 use crate::topology::Topology;
 use crate::trace::{BlockReason, TraceEvent, Tracer};
 use crate::wake_set::SetBits;
@@ -183,7 +183,9 @@ pub(crate) struct RouterCtx<'a> {
     pub ni: &'a mut Ni,
     pub emit: &'a mut Vec<(Cycle, Event)>,
     pub stats: &'a mut NetStats,
-    pub tracker: &'a mut PacketTracker,
+    /// The network's last-progress cycle (the stall watchdog's input):
+    /// every flit or control movement sets it to `now`.
+    pub last_progress: &'a mut Cycle,
     pub tracer: &'a mut Tracer,
     pub obs: &'a mut ObsRegistry,
     /// Shared packet-descriptor arena (read-only during router stepping;
@@ -758,7 +760,7 @@ impl Router {
             claimed_in[b.in_port.index()] = true;
             ctx.stats.bypass_hops += 1;
             ctx.stats.bump_link(self.node, b.out_port);
-            ctx.tracker.touch(ctx.now);
+            *ctx.last_progress = ctx.now;
             if ctx.tracer.enabled() {
                 ctx.tracer.record(TraceEvent::BypassHop {
                     at: ctx.now,
@@ -888,7 +890,7 @@ impl Router {
             buf.pop_front();
             claimed_out[out_port.index()] = true;
             ctx.stats.control_hops += 1;
-            ctx.tracker.touch(ctx.now);
+            *ctx.last_progress = ctx.now;
             if ctx.tracer.enabled() {
                 ctx.tracer.record(TraceEvent::ControlHop {
                     at: ctx.now,
@@ -1445,7 +1447,7 @@ impl Router {
     ) {
         ctx.stats.flit_hops += 1;
         ctx.stats.bump_link(self.node, out);
-        ctx.tracker.touch(ctx.now);
+        *ctx.last_progress = ctx.now;
         if out == Port::Up {
             self.up_last_sent[ctx.arena.desc(&flit).vnet.index()] = ctx.now;
         }
@@ -1635,7 +1637,7 @@ mod tests {
         ni: Ni,
         emit: Vec<(Cycle, Event)>,
         stats: NetStats,
-        tracker: PacketTracker,
+        last_progress: Cycle,
         tracer: Tracer,
         obs: ObsRegistry,
         arena: PacketArena,
@@ -1652,7 +1654,7 @@ mod tests {
                 ni,
                 emit: Vec::new(),
                 stats: NetStats::new(3),
-                tracker: PacketTracker::new(),
+                last_progress: 0,
                 tracer: Tracer::disabled(),
                 obs: ObsRegistry::disabled(),
                 arena: PacketArena::new(),
@@ -1668,7 +1670,7 @@ mod tests {
                 ni: &mut self.ni,
                 emit: &mut self.emit,
                 stats: &mut self.stats,
-                tracker: &mut self.tracker,
+                last_progress: &mut self.last_progress,
                 tracer: &mut self.tracer,
                 obs: &mut self.obs,
                 arena: &self.arena,
@@ -1693,6 +1695,7 @@ mod tests {
                 pkt_len: len,
                 route: RouteInfo::intra(dest),
                 created_at: 0,
+                injected_at: PacketDesc::NOT_INJECTED,
             })
         }
     }
@@ -2049,6 +2052,7 @@ mod tests {
                                 pkt_len: WORM_FLITS,
                                 route: RouteInfo::intra(dest),
                                 created_at: 0,
+                                injected_at: PacketDesc::NOT_INJECTED,
                             });
                             Worm { desc, delivered: 0 }
                         });

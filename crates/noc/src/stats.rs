@@ -1,29 +1,8 @@
 //! Measurement: latency, throughput and event counters.
 
-use crate::ids::{Cycle, NodeId, PacketId, VnetId};
-use crate::packet::{PacketClass, PacketRef};
+use crate::ids::{Cycle, NodeId};
+use crate::packet::{PacketClass, PacketDesc};
 use serde::Serialize;
-
-/// Lifetime record of one packet, kept while it is in flight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct PacketRecord {
-    /// Source node.
-    pub src: NodeId,
-    /// Destination node.
-    pub dest: NodeId,
-    /// Class relative to the vertical boundary.
-    pub class: PacketClass,
-    /// VNet.
-    pub vnet: VnetId,
-    /// Length in flits.
-    pub len_flits: u16,
-    /// Cycle the packet was enqueued at the source NI.
-    pub created_at: Cycle,
-    /// Cycle the head flit entered the network (left the NI), if it has.
-    pub injected_at: Option<Cycle>,
-    /// Cycle the tail flit was assembled at the destination NI, if it has.
-    pub ejected_at: Option<Cycle>,
-}
 
 /// Aggregate statistics for one measurement window.
 #[derive(Debug, Clone, Default, Serialize)]
@@ -90,18 +69,19 @@ impl NetStats {
         }
     }
 
-    /// Records a finished packet.
-    pub fn record_ejection(&mut self, rec: &PacketRecord, now: Cycle) {
-        let injected = rec.injected_at.unwrap_or(rec.created_at);
+    /// Records a packet whose tail was assembled at its destination NI in
+    /// cycle `now`.
+    pub fn record_ejection(&mut self, desc: &PacketDesc, now: Cycle) {
+        let injected = desc.injected().unwrap_or(desc.created_at);
         let net = now.saturating_sub(injected);
-        let queue = injected.saturating_sub(rec.created_at);
+        let queue = injected.saturating_sub(desc.created_at);
         self.packets_ejected += 1;
         self.net_latency_sum += net;
         self.queue_latency_sum += queue;
-        if let Some(slot) = self.ejected_per_vnet.get_mut(rec.vnet.index()) {
+        if let Some(slot) = self.ejected_per_vnet.get_mut(desc.vnet.index()) {
             *slot += 1;
         }
-        let slot = &mut self.per_class[class_index(rec.class)];
+        let slot = &mut self.per_class[class_index(desc.route.class)];
         slot.0 += 1;
         slot.1 += net;
         let total = net + queue;
@@ -188,125 +168,25 @@ impl NetStats {
     }
 }
 
-/// Tracks in-flight packets and the global-progress watchdog.
-///
-/// Records live in a slab indexed by the packet's [`PacketRef`] arena
-/// handle, so the hot per-flit-event lookups are direct indexing rather
-/// than hashing. Handles are recycled by the arena only after ejection
-/// removes the record here, so a slot is never overwritten while live.
-#[derive(Debug, Clone, Default)]
-pub struct PacketTracker {
-    live: Vec<Option<(PacketId, PacketRecord)>>,
-    live_count: usize,
-    next_id: u64,
-    last_progress: Cycle,
-}
-
-impl PacketTracker {
-    /// Creates an empty tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Pre-reserves slab capacity for `n` concurrently-live packets.
-    pub fn reserve(&mut self, n: usize) {
-        if self.live.capacity() < n {
-            self.live.reserve(n - self.live.len());
-        }
-    }
-
-    /// Allocates a fresh packet id.
-    pub fn alloc_id(&mut self) -> PacketId {
-        let id = PacketId(self.next_id);
-        self.next_id += 1;
-        id
-    }
-
-    #[inline]
-    fn slot(&mut self, h: PacketRef) -> &mut Option<(PacketId, PacketRecord)> {
-        if self.live.len() <= h.index() {
-            self.live.resize(h.index() + 1, None);
-        }
-        &mut self.live[h.index()]
-    }
-
-    /// Registers a newly-created packet under its arena handle.
-    pub fn on_created(&mut self, h: PacketRef, id: PacketId, rec: PacketRecord) {
-        let slot = self.slot(h);
-        debug_assert!(slot.is_none(), "tracker slot {h} reused while live");
-        *slot = Some((id, rec));
-        self.live_count += 1;
-    }
-
-    /// Marks the head flit's network entry.
-    pub fn on_injected(&mut self, h: PacketRef, now: Cycle) {
-        if let Some(Some((_, r))) = self.live.get_mut(h.index()) {
-            r.injected_at.get_or_insert(now);
-        }
-    }
-
-    /// Marks complete ejection; removes and returns the record.
-    pub fn on_ejected(&mut self, h: PacketRef, now: Cycle) -> Option<PacketRecord> {
-        let (_, mut rec) = self.live.get_mut(h.index())?.take()?;
-        self.live_count -= 1;
-        rec.ejected_at = Some(now);
-        Some(rec)
-    }
-
-    /// Looks up an in-flight packet by its arena handle.
-    pub fn get(&self, h: PacketRef) -> Option<&PacketRecord> {
-        self.live.get(h.index())?.as_ref().map(|(_, r)| r)
-    }
-
-    /// Iterates all in-flight packets (unordered; callers needing a stable
-    /// order sort by id). Powers the deadlock forensics of
-    /// [`crate::trace::StallReport`].
-    pub fn live_packets(&self) -> impl Iterator<Item = (PacketId, &PacketRecord)> {
-        self.live.iter().flatten().map(|(id, rec)| (*id, rec))
-    }
-
-    /// Number of packets created but not yet fully ejected.
-    pub fn in_flight(&self) -> usize {
-        self.live_count
-    }
-
-    /// Exact heap bytes of the live-packet slab at its current length.
-    pub fn mem_bytes(&self) -> usize {
-        self.live.len() * std::mem::size_of::<Option<(PacketId, PacketRecord)>>()
-    }
-
-    /// Notes forward progress at `now` (any flit movement).
-    pub fn touch(&mut self, now: Cycle) {
-        self.last_progress = self.last_progress.max(now);
-    }
-
-    /// Cycle of the last observed movement.
-    pub fn last_progress(&self) -> Cycle {
-        self.last_progress
-    }
-
-    /// True when packets are in flight but nothing has moved for
-    /// `threshold` cycles — the network is globally stalled (deadlocked or
-    /// starved beyond plausibility).
-    pub fn stalled(&self, now: Cycle, threshold: u64) -> bool {
-        self.live_count > 0 && now.saturating_sub(self.last_progress) >= threshold
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn rec(created: Cycle) -> PacketRecord {
-        PacketRecord {
+    use crate::ids::{PacketId, VnetId};
+    use crate::packet::RouteInfo;
+
+    fn rec(created: Cycle) -> PacketDesc {
+        PacketDesc {
+            id: PacketId(0),
             src: NodeId(0),
-            dest: NodeId(1),
-            class: PacketClass::InterChiplet,
             vnet: VnetId(0),
-            len_flits: 5,
+            pkt_len: 5,
+            route: RouteInfo {
+                class: PacketClass::InterChiplet,
+                ..RouteInfo::intra(NodeId(1))
+            },
             created_at: created,
-            injected_at: Some(created + 3),
-            ejected_at: None,
+            injected_at: created + 3,
         }
     }
 
@@ -328,7 +208,7 @@ mod tests {
     fn histogram_buckets_by_power_of_two() {
         let mut s = NetStats::new(1);
         let mut r = rec(0);
-        r.injected_at = Some(0);
+        r.injected_at = 0;
         s.record_ejection(&r, 1); // latency 1 -> bucket 0
         s.record_ejection(&r, 5); // latency 5 -> bucket 2
         assert_eq!(s.latency_histogram[0], 1);
@@ -340,7 +220,7 @@ mod tests {
         let mut s = NetStats::new(1);
         assert_eq!(s.latency_percentile(0.5), 0.0, "empty stats report 0");
         let mut r = rec(0);
-        r.injected_at = Some(0);
+        r.injected_at = 0;
         // 8 packets at latency 1 (bucket 0), 2 at latency 100 (bucket 6).
         for _ in 0..8 {
             s.record_ejection(&r, 1);
@@ -356,39 +236,6 @@ mod tests {
             s.latency_percentile(1.0) <= s.max_latency as f64,
             "never exceeds the observed max"
         );
-    }
-
-    #[test]
-    fn tracker_lifecycle() {
-        let mut t = PacketTracker::new();
-        let id = t.alloc_id();
-        let h = PacketRef(0);
-        t.on_created(h, id, rec(0));
-        assert_eq!(t.in_flight(), 1);
-        assert_eq!(t.get(h), Some(&rec(0)));
-        t.on_injected(h, 4);
-        let r = t.on_ejected(h, 9).unwrap();
-        assert_eq!(r.ejected_at, Some(9));
-        assert_eq!(t.in_flight(), 0);
-        assert!(t.on_ejected(h, 10).is_none());
-        // A recycled handle starts a fresh record.
-        let id2 = t.alloc_id();
-        t.on_created(h, id2, rec(5));
-        assert_eq!(t.live_packets().next().unwrap().0, id2);
-        assert!(t.mem_bytes() > 0);
-    }
-
-    #[test]
-    fn watchdog_requires_in_flight_packets() {
-        let mut t = PacketTracker::new();
-        t.touch(0);
-        assert!(!t.stalled(5_000, 1_000), "empty network is never stalled");
-        let id = t.alloc_id();
-        t.on_created(PacketRef(0), id, rec(0));
-        assert!(t.stalled(1_000, 1_000));
-        t.touch(900);
-        assert!(!t.stalled(1_000, 1_000));
-        assert!(t.stalled(1_900, 1_000));
     }
 
     #[test]

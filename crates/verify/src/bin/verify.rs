@@ -291,6 +291,10 @@ fn replay(path: &str) -> ExitCode {
         sc.faults.len()
     );
     check_config(&sc.system, sc.vcs_per_vnet, &[&sc.scheme]);
+    if let Err(e) = sc.check_traffic() {
+        eprintln!("cannot parse {path}: {e}");
+        return ExitCode::FAILURE;
+    }
     let report = run_scenario(&sc, oracle_for(&sc));
     let parts: Vec<String> = PhaseTotals::LABELS
         .iter()

@@ -7,6 +7,7 @@
 //! `verify replay` consumes.
 
 use upp_core::UppConfig;
+use upp_noc::config::NocConfig;
 use upp_noc::fault::{FaultAction, FaultEvent, FaultPlan};
 use upp_noc::ids::{Cycle, NodeId, Port, VnetId};
 use upp_noc::topology::{ChipletPlacement, ChipletSystemSpec, SystemKind};
@@ -188,6 +189,12 @@ fn fault_json(ev: &FaultEvent) -> String {
     }
 }
 
+/// Narrows traffic-row field `what` to its type, refusing a value that
+/// does not fit instead of truncating it.
+fn narrow<T: TryFrom<u64>>(v: u64, what: &str) -> Result<T, String> {
+    T::try_from(v).map_err(|_| format!("traffic row {what} {v} is out of range"))
+}
+
 fn parse_fault(v: &Value) -> Result<FaultEvent, String> {
     let at = v
         .get("at")
@@ -299,12 +306,16 @@ impl Scenario {
                         .and_then(Value::as_u64)
                         .ok_or_else(|| "traffic row field is not a number".to_string())
                 };
+                let len_flits = narrow(n(4)?, "len_flits")?;
+                if len_flits == 0 {
+                    return Err("traffic row len_flits 0: a packet has at least one flit".into());
+                }
                 Ok(TrafficEntry {
                     at: n(0)?,
-                    src: NodeId(n(1)? as u32),
-                    dest: NodeId(n(2)? as u32),
-                    vnet: VnetId(n(3)? as u8),
-                    len_flits: n(4)? as u16,
+                    src: NodeId(narrow(n(1)?, "src")?),
+                    dest: NodeId(narrow(n(2)?, "dest")?),
+                    vnet: VnetId(narrow(n(3)?, "vnet")?),
+                    len_flits,
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
@@ -326,6 +337,36 @@ impl Scenario {
             faults,
             failure: v.get("failure").and_then(Value::as_str).map(str::to_string),
         })
+    }
+
+    /// Checks every traffic row against the named system: its endpoints
+    /// are nodes of the system and its VNet is one the harness's network
+    /// has.
+    ///
+    /// # Errors
+    ///
+    /// Returns `Err` naming the first row the system cannot carry, or an
+    /// unknown system name.
+    pub fn check_traffic(&self) -> Result<(), String> {
+        let nodes = system_spec(&self.system)?.num_routers();
+        let vnets = NocConfig::default().num_vnets;
+        for (i, e) in self.traffic.iter().enumerate() {
+            for (what, node) in [("src", e.src), ("dest", e.dest)] {
+                if node.index() >= nodes {
+                    return Err(format!(
+                        "traffic row {i}: {what} {} is not a node of {} ({nodes} nodes)",
+                        node.0, self.system
+                    ));
+                }
+            }
+            if e.vnet.index() >= vnets {
+                return Err(format!(
+                    "traffic row {i}: vnet {} is not one of the {vnets} VNets",
+                    e.vnet.0
+                ));
+            }
+        }
+        Ok(())
     }
 }
 

@@ -109,3 +109,43 @@ fn a_json_nesting_bomb_is_a_parse_error() {
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("nesting deeper than 128"), "{stderr}");
 }
+
+/// Replays a `mini` UPP scenario whose one traffic row is `row` and asserts
+/// the row is refused like a missing field: exit 1, `cannot parse` and
+/// `needle` on stderr, and no run (nothing on stdout).
+fn assert_replay_row_rejected(row: &str, needle: &str) {
+    let path =
+        PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("verify-cli-row-{row}.json"));
+    let scenario = format!(
+        "{{\"version\":1,\"system\":\"mini\",\"scheme\":\"UPP\",\"seed\":1,\
+         \"vcs_per_vnet\":2,\"horizon\":10,\"max_cycles\":2000,\
+         \"traffic\":[[{row}]],\"faults\":[]}}"
+    );
+    std::fs::write(&path, scenario).expect("write the scenario");
+    let out = Command::new(env!("CARGO_BIN_EXE_verify"))
+        .arg("replay")
+        .arg(&path)
+        .output()
+        .expect("verify binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "row [{row}]:\n{stderr}");
+    assert!(
+        stderr.contains("cannot parse") && stderr.contains(needle),
+        "row [{row}] stderr should name {needle:?}:\n{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "row [{row}] was run");
+}
+
+/// A replayed traffic row (`[at, src, dest, vnet, len_flits]`) the system
+/// cannot carry is a parse error, checked against the named system.
+#[test]
+fn replayed_traffic_rows_the_system_cannot_carry_are_parse_errors() {
+    // Used to replay as a fabricated deadlock and exit 0.
+    assert_replay_row_rejected("0,0,5,0,0", "len_flits 0");
+    // Used to be truncated to 4464 flits.
+    assert_replay_row_rejected("0,0,5,0,70000", "len_flits 70000 is out of range");
+    // These two used to panic (exit 101) in the NI's ring bank and the
+    // topology.
+    assert_replay_row_rejected("0,0,5,7,1", "vnet 7 is not one of the 3 VNets");
+    assert_replay_row_rejected("0,0,999,0,1", "dest 999 is not a node of mini (40 nodes)");
+}
