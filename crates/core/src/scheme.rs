@@ -939,9 +939,17 @@ impl Upp {
             vs.counter.reset();
             return;
         }
-        self.cand_scratch.clear();
-        net.upward_candidates_into(node, vnet, &mut self.cand_scratch);
-        let stalled = !self.cand_scratch.is_empty();
+        let stalled = net.has_upward_candidate(node, vnet);
+        net.count_work(|w| w.upward_tests += 1);
+        if cfg!(debug_assertions) {
+            self.cand_scratch.clear();
+            net.upward_candidates_into(node, vnet, &mut self.cand_scratch);
+            assert_eq!(
+                stalled,
+                !self.cand_scratch.is_empty(),
+                "the upward-candidate test of {node} VNet {vnet} disagrees with the list at cycle {now}"
+            );
+        }
         let recent = up_sent_recently(net.up_last_sent(node, vnet), now);
         vs.counter.tick(stalled, recent);
         // Without a candidate nothing below may run, whatever the threshold
@@ -958,6 +966,11 @@ impl Upp {
         if self.cfg.serialize_per_chiplet && self.sibling_popup_active(slot, vnet) {
             return;
         }
+        // The expiry is the list's only reader: it is built here, once per
+        // expired watchdog, not in every cycle the counter runs.
+        self.cand_scratch.clear();
+        net.upward_candidates_into(node, vnet, &mut self.cand_scratch);
+        net.count_work(|w| w.candidate_lists += 1);
         let st = &mut self.routers[slot];
         let vs = &mut st.vnets[vnet.index()];
         let Some(cand) = vs.arbiter.pick(&self.cand_scratch) else {
@@ -1276,6 +1289,79 @@ mod tests {
         assert_eq!(upp.routers[slot].vnets[0].acks_to_drop, 0);
         assert!(upp.routers[slot].is_quiet());
         assert!(!net.router(ir).has_scheme_input(), "inbox drained");
+    }
+
+    #[test]
+    fn a_head_found_back_in_the_popping_router_is_popped_from_where_it_was_found() {
+        // Driven by hand: a packet waits at its entry interposer router
+        // behind a failed `Up` link (fail-stop keeps its head at the front
+        // of its VC), and its popup is in `LocateHead` with a candidate that
+        // names another input VC.
+        let topo = ChipletSystemSpec::baseline().build(0).unwrap();
+        let mut net = upp_noc::network::Network::new(
+            NocConfig::default(),
+            topo,
+            StdArc::new(ChipletRouting::xy()),
+            ConsumePolicy::Immediate { latency: 1 },
+            11,
+        );
+        let src = net.topo().chiplets()[0].routers[0];
+        let dest = net.topo().chiplets()[1].routers[10];
+        let ir = net.topo().entry_interposer_for(dest).unwrap();
+        net.inject_link_fault(ir, Port::Up);
+        let packet = net.try_send(src, dest, VnetId(0), 1).unwrap();
+        let (in_port, vc_flat) = (0..200)
+            .find_map(|_| {
+                net.step();
+                let r = net.router(ir);
+                r.input_vcs().find(|&(p, f)| {
+                    r.input_vc(p, f).owner == Some(packet)
+                        && r.vc_front(p, f).is_some_and(|b| b.flit.kind.is_head())
+                })
+            })
+            .expect("the packet reaches its entry interposer router");
+        let other = if in_port == Port::West {
+            Port::East
+        } else {
+            Port::West
+        };
+
+        let mut upp = Upp::new(UppConfig::default());
+        upp.initialize(&net);
+        let slot = upp.routers.iter().position(|st| st.node == ir).unwrap();
+        let cand = UpwardCandidate {
+            in_port: other,
+            vc_flat,
+            packet,
+            vnet: VnetId(0),
+            dest,
+            partly_transmitted: true,
+        };
+        let at = net.cycle();
+        let wait = Stage::WaitAck {
+            cand,
+            selected_at: at,
+        };
+        upp.enter(&mut net, slot, VnetId(0), wait);
+        let locate = Stage::LocateHead {
+            cand,
+            selected_at: at,
+            acked_at: at,
+        };
+        upp.enter(&mut net, slot, VnetId(0), locate);
+        upp.advance_stage(&mut net, slot, VnetId(0));
+
+        assert_eq!(
+            upp.routers[slot].vnets[0].stage.kind(),
+            PopupStage::PopInterposer
+        );
+        let r = net.router(ir);
+        assert!(
+            r.input_vc(in_port, vc_flat).frozen,
+            "the VC the head was found in is frozen"
+        );
+        assert!(!r.input_vc(other, vc_flat).frozen, "the candidate's is not");
+        assert!(r.is_priority_packet(packet));
     }
 
     #[cfg(debug_assertions)]

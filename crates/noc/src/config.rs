@@ -230,6 +230,21 @@ mod tests {
             err.contains("66 VCs per port") && err.contains("64"),
             "{err}"
         );
+        // Exactly one whole word, in one VNet or two, is carried; one VC
+        // past it is an error.
+        for (vnets, vcs) in [(1, 64), (2, 32)] {
+            let cfg = NocConfig {
+                num_vnets: vnets,
+                ..NocConfig::default().with_vcs_per_vnet(vcs)
+            };
+            assert!(cfg.validate().is_ok(), "{vnets} x {vcs}");
+        }
+        let cfg = NocConfig {
+            num_vnets: 1,
+            ..NocConfig::default().with_vcs_per_vnet(65)
+        };
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("65 VCs per port"), "{err}");
     }
 
     #[test]

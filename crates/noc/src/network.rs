@@ -220,6 +220,40 @@ impl Schedule {
     }
 }
 
+/// Exact counts of the work in the two loops a stalled network spends its
+/// time in: switch allocation's request predicate and UPP's interposer
+/// watchdog. Counted only in debug builds (release builds read zeros), so
+/// they cost a release run nothing; [`Network::work_counts`] sums them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+pub struct WorkCounts {
+    /// `Router::vc_request` evaluations by switch allocation.
+    pub vc_requests: u64,
+    /// Those of them that did not bid.
+    pub vc_requests_failed: u64,
+    /// Parked input VCs re-armed by a credit, a new front flit or a freeze
+    /// toggle.
+    pub vcs_rearmed: u64,
+    /// Watchdog ticks' [`Network::has_upward_candidate`] tests.
+    pub upward_tests: u64,
+    /// Upward-candidate lists a watchdog built
+    /// ([`Network::upward_candidates_into`]).
+    pub candidate_lists: u64,
+}
+
+impl std::ops::Add for WorkCounts {
+    type Output = Self;
+
+    fn add(self, o: Self) -> Self {
+        Self {
+            vc_requests: self.vc_requests + o.vc_requests,
+            vc_requests_failed: self.vc_requests_failed + o.vc_requests_failed,
+            vcs_rearmed: self.vcs_rearmed + o.vcs_rearmed,
+            upward_tests: self.upward_tests + o.upward_tests,
+            candidate_lists: self.candidate_lists + o.candidate_lists,
+        }
+    }
+}
+
 /// A candidate *upward packet*: an input VC of an interposer router holding a
 /// packet stalled while attempting to move up the vertical link (Sec. V-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -286,6 +320,9 @@ pub struct Network {
     router_ticks: u64,
     /// NI looks actually executed (one per NI per cycle it is visited in).
     ni_ticks: u64,
+    /// The schemes' share of [`Network::work_counts`]; the routers keep
+    /// theirs.
+    work: WorkCounts,
     /// When each packet delivered under `ConsumePolicy::Immediate` becomes
     /// consumable, and at which NI: pushed where `begin_cycle` completes a
     /// tail, popped into `ni_due` where `finish_cycle` reaches that cycle.
@@ -363,6 +400,7 @@ impl Network {
             scheduler_enabled: true,
             router_ticks: 0,
             ni_ticks: 0,
+            work: WorkCounts::default(),
             consume_timer,
             ni_control_pending: 0,
         }
@@ -398,6 +436,22 @@ impl Network {
             1.0
         } else {
             self.router_ticks as f64 / total
+        }
+    }
+
+    /// The work counted so far in debug builds, routers' and schemes'
+    /// together (all zero in a release build).
+    pub fn work_counts(&self) -> WorkCounts {
+        self.routers
+            .iter()
+            .fold(self.work, |sum, r| sum + r.work_counts())
+    }
+
+    /// Lets a scheme count its own loops into [`Network::work_counts`];
+    /// `count` runs in debug builds only.
+    pub fn count_work(&mut self, count: impl FnOnce(&mut WorkCounts)) {
+        if cfg!(debug_assertions) {
+            count(&mut self.work);
         }
     }
 
@@ -591,6 +645,14 @@ impl Network {
     /// skip its inbox scan.
     pub fn ni_control_pending(&self) -> usize {
         self.ni_control_pending
+    }
+
+    /// True when an interposer router holds an upward-stalled packet of
+    /// `vnet`: exactly when [`Network::upward_candidates_into`] would push
+    /// one, but from occupancy words and routes alone, with no descriptor
+    /// load and no list.
+    pub fn has_upward_candidate(&self, node: NodeId, vnet: VnetId) -> bool {
+        self.routers[node.index()].has_upward_candidate(vnet)
     }
 
     /// Scans an interposer router for upward-stalled packets of `vnet`,

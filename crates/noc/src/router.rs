@@ -23,6 +23,7 @@ use crate::config::NocConfig;
 use crate::control::{CircuitEntry, ControlClass, ControlMsg, ControlRoute, DeliveredControl};
 use crate::event::Event;
 use crate::ids::{Cycle, NodeId, PacketId, Port, VnetId};
+use crate::network::WorkCounts;
 use crate::ni::{Ni, OutVcState};
 use crate::obs::ObsRegistry;
 use crate::packet::{Flit, PacketArena, PacketRef};
@@ -62,6 +63,23 @@ pub struct InputVc {
     /// Frozen VCs are skipped by switch allocation (set while UPP pops the
     /// VC's packet up through the bypass path).
     pub frozen: bool,
+}
+
+/// What switch allocation learns from one occupied input VC
+/// ([`Router::vc_request`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Request {
+    /// The VC bids this cycle.
+    Bid,
+    /// It cannot bid now and is asked again in the next step: its flit is
+    /// in its buffer-write cycle, it is frozen, its link is dead, or it
+    /// waits on an ejection entry of the NI (`Local`), which frees without
+    /// a credit.
+    Wait,
+    /// It waits on a downstream VC or a credit of a non-`Local` output.
+    /// Only a credit on that output, a new front flit or a freeze toggle
+    /// can change that, so it is parked until one of them re-arms it.
+    Park,
 }
 
 /// An upward flit waiting in the bypass latch.
@@ -216,6 +234,17 @@ pub struct Router {
     /// [`NocConfig::validate`] bounds a port at 64 VCs so one word always
     /// suffices.
     occ: [u64; Port::COUNT],
+    /// One parked word per input port, a subset of `occ`: bit `f` is set
+    /// while input VC `f` waits on something only a credit, a new front
+    /// flit or a freeze toggle changes ([`Request::Park`]). Switch
+    /// allocation walks `occ & !parked` (all of `occ` while a tracer is
+    /// armed); [`Router::deliver_credit`], [`Router::pop_flit`] and
+    /// [`Router::set_vc_frozen`] re-arm.
+    parked: [u64; Port::COUNT],
+    /// This router's share of the network's [`WorkCounts`]; a debug-build
+    /// field only, so a release router is no larger for it.
+    #[cfg(debug_assertions)]
+    work: WorkCounts,
     /// The cycle of the latest input-VC buffer write: a flit attends
     /// allocation from the cycle after it, so a step in that cycle asks to
     /// be repeated in the next (see [`Router::step`]).
@@ -297,6 +326,9 @@ impl Router {
             in_vcs,
             bufs,
             occ: [0; Port::COUNT],
+            parked: [0; Port::COUNT],
+            #[cfg(debug_assertions)]
+            work: WorkCounts::default(),
             last_flit_write: 0,
             out_vcs,
             vcs_per_port: vcs,
@@ -335,6 +367,9 @@ impl Router {
         let base = p.index() * self.vcs_per_port;
         for s in &mut self.out_vcs[base..base + self.vcs_per_port] {
             *s = OutVcState::new(usize::MAX / 2);
+        }
+        for q in 0..Port::COUNT {
+            self.rearm(q, u64::MAX); // the sink's credits changed
         }
     }
 
@@ -437,6 +472,45 @@ impl Router {
     /// UPP freezes the VC it pops flits from).
     pub fn set_vc_frozen(&mut self, p: Port, vc_flat: usize, frozen: bool) {
         self.in_vcs[p.index() * self.vcs_per_port + vc_flat].frozen = frozen;
+        self.rearm(p.index(), 1 << vc_flat);
+    }
+
+    /// The bits of `vnet`'s VCs in a port word. A shift of `u64::MAX`, so
+    /// that one VNet of 64 VCs still fits (`(1 << 64) - 1` overflows).
+    fn vnet_mask(&self, vnet: usize) -> u64 {
+        u64::MAX >> (64 - self.vcs_per_vnet) << (vnet * self.vcs_per_vnet)
+    }
+
+    /// Clears `mask`'s bits of input port `p`'s parked word, so switch
+    /// allocation evaluates those VCs again.
+    fn rearm(&mut self, p: usize, mask: u64) {
+        #[cfg(debug_assertions)]
+        {
+            self.work.vcs_rearmed += u64::from((self.parked[p] & mask).count_ones());
+        }
+        self.parked[p] &= !mask;
+    }
+
+    /// This router's debug-build work counts.
+    pub(crate) fn work_counts(&self) -> WorkCounts {
+        #[cfg(debug_assertions)]
+        return self.work;
+        #[cfg(not(debug_assertions))]
+        WorkCounts::default()
+    }
+
+    /// True when an input VC of `vnet` holds a flit routed `Up`: UPP's
+    /// watchdog test, read off the occupancy words and `route_out` with no
+    /// descriptor load. Equal to a non-empty
+    /// [`Network::upward_candidates_into`](crate::network::Network::upward_candidates_into)
+    /// list (debug-asserted by its caller).
+    pub(crate) fn has_upward_candidate(&self, vnet: VnetId) -> bool {
+        let mask = self.vnet_mask(vnet.index());
+        Port::ALL.into_iter().any(|p| {
+            let base = p.index() * self.vcs_per_port;
+            SetBits(self.occ[p.index()] & mask)
+                .any(|f| self.in_vcs[base + f].route_out == Some(Port::Up))
+        })
     }
 
     /// Upward flits currently waiting in the bypass latch.
@@ -515,7 +589,9 @@ impl Router {
             || Port::ALL
                 .into_iter()
                 .filter(|&p| !(p == Port::Down && self.absorber.is_some()))
-                .any(|p| SetBits(self.occ[p.index()]).any(|f| self.vc_request(p, f, ctx).is_some()))
+                .any(|p| {
+                    SetBits(self.occ[p.index()]).any(|f| self.vc_request(p, f, ctx) == Request::Bid)
+                })
     }
 
     /// Enqueues a locally-originated control message (it attends switch
@@ -594,13 +670,15 @@ impl Router {
     }
 
     /// Removes the oldest flit of input VC `(p, f)`, dropping the VC's
-    /// occupancy bit when that empties it.
+    /// occupancy bit when that empties it. A new front flit (or none) is
+    /// asked afresh, so the VC is re-armed.
     fn pop_flit(&mut self, p: Port, f: usize) -> Option<BufferedFlit> {
         let iv = p.index() * self.vcs_per_port + f;
         let b = self.bufs.pop_front(iv)?;
         if self.bufs.is_empty(iv) {
             self.occ[p.index()] &= !(1 << f);
         }
+        self.rearm(p.index(), 1 << f);
         Some(b)
     }
 
@@ -615,6 +693,29 @@ impl Router {
                     !self.bufs.is_empty(p.index() * self.vcs_per_port + f),
                     "occupancy word of {} {p} disagrees with VC {f}'s buffer",
                     self.node
+                );
+            }
+        }
+    }
+
+    /// Debug cross-check of the parked words, the reference for the parked
+    /// skip: a parked VC holds a flit and cannot bid.
+    fn assert_parked_cannot_bid(&self, ctx: &RouterCtx<'_>) {
+        for p in Port::ALL {
+            let parked = self.parked[p.index()];
+            assert_eq!(
+                parked & !self.occ[p.index()],
+                0,
+                "{} {p} has a parked VC that holds nothing",
+                self.node
+            );
+            for f in SetBits(parked) {
+                assert_ne!(
+                    self.vc_request(p, f, ctx),
+                    Request::Bid,
+                    "parked VC {f} of {} {p} can bid at cycle {}",
+                    self.node,
+                    ctx.now
                 );
             }
         }
@@ -671,12 +772,19 @@ impl Router {
         });
     }
 
-    /// Handles a returning credit.
+    /// Handles a returning credit, re-arming the parked VCs of the
+    /// credited VNet: one that is parked on this output waits on one of its
+    /// VCs. The VNet's VCs parked on other outputs re-arm too, at the cost
+    /// of one evaluation each.
     pub(crate) fn deliver_credit(&mut self, out_port: Port, vc_flat: usize, is_free: bool) {
         let vc = &mut self.out_vcs[out_port.index() * self.vcs_per_port + vc_flat];
         vc.credits += 1;
         if is_free {
             vc.busy = false;
+        }
+        let mask = self.vnet_mask(vc_flat / self.vcs_per_vnet);
+        for p in 0..Port::COUNT {
+            self.rearm(p, mask);
         }
     }
 
@@ -708,6 +816,7 @@ impl Router {
     pub(crate) fn step(&mut self, ctx: &mut RouterCtx<'_>) -> Cycle {
         if cfg!(debug_assertions) {
             self.assert_occupancy_matches_buffers();
+            self.assert_parked_cannot_bid(ctx);
         }
         let emitted = ctx.emit.len();
         let queued = self.req_buf.len() + self.ack_buf.len();
@@ -985,11 +1094,18 @@ impl Router {
         let mut bids: [Option<Bid>; Port::COUNT] = [None; Port::COUNT];
         let mut bidders = [0u8; Port::COUNT];
         let mut priority_inputs = 0u8;
+        let traced = ctx.tracer.enabled();
         for p in Port::ALL {
             // Only occupied VCs can request: an empty one has no head flit
-            // to bid with and nothing to report as blocked.
+            // to bid with and nothing to report as blocked. A parked one
+            // cannot bid either, and is evaluated only to record why.
             let occupied = self.occ[p.index()];
-            if occupied == 0 || claimed_in[p.index()] {
+            let armed = if traced {
+                occupied
+            } else {
+                occupied & !self.parked[p.index()]
+            };
+            if armed == 0 || claimed_in[p.index()] {
                 continue;
             }
             if p == Port::Down && self.absorber.is_some() {
@@ -999,9 +1115,18 @@ impl Router {
             // Round-robin order: VCs `rr_in..` first, then the wrap-around.
             let below_start = (1u64 << self.rr_in[p.index()]) - 1;
             let mut chosen: Option<(usize, bool)> = None;
-            for f in SetBits(occupied & !below_start).chain(SetBits(occupied & below_start)) {
-                if self.vc_request(p, f, ctx).is_none() {
-                    if ctx.tracer.enabled() {
+            for f in SetBits(armed & !below_start).chain(SetBits(armed & below_start)) {
+                let request = self.vc_request(p, f, ctx);
+                #[cfg(debug_assertions)]
+                {
+                    self.work.vc_requests += 1;
+                    self.work.vc_requests_failed += u64::from(request != Request::Bid);
+                }
+                if request != Request::Bid {
+                    if request == Request::Park {
+                        self.parked[p.index()] |= 1 << f;
+                    }
+                    if traced {
                         if let Some((packet, out, reason)) = self.classify_block(p, f, ctx) {
                             ctx.tracer.record(TraceEvent::Blocked {
                                 at: ctx.now,
@@ -1182,32 +1307,33 @@ impl Router {
         }
     }
 
-    /// Whether input VC `(p, f)` can bid this cycle; `Some(())` when it can.
-    fn vc_request(&self, p: Port, f: usize, ctx: &RouterCtx<'_>) -> Option<()> {
+    /// Whether occupied input VC `(p, f)` can bid this cycle, and if not,
+    /// whether it parks (see [`Request`]).
+    fn vc_request(&self, p: Port, f: usize, ctx: &RouterCtx<'_>) -> Request {
         let iv = p.index() * self.vcs_per_port + f;
         let vc = &self.in_vcs[iv];
         if vc.frozen {
-            return None;
+            return Request::Wait;
         }
-        let head = self.bufs.front(iv)?;
+        let Some(head) = self.bufs.front(iv) else {
+            return Request::Wait;
+        };
         if head.arrived >= ctx.now {
-            return None;
+            return Request::Wait;
         }
-        let out = vc.route_out?;
+        let Some(out) = vc.route_out else {
+            return Request::Wait;
+        };
         if !self.has_link[out.index()] {
-            return None;
+            return Request::Wait;
         }
         if out != Port::Local && ctx.topo.neighbor(self.node, out).is_none() {
             // Fail-stop: never bid over a dynamically-failed link. The VC
             // (and its worm) waits in place until the link heals.
-            return None;
+            return Request::Wait;
         }
-        match vc.out_vc {
-            Some(ovc) => {
-                if self.out_vcs[out.index() * self.vcs_per_port + ovc].credits == 0 {
-                    return None;
-                }
-            }
+        let ready = match vc.out_vc {
+            Some(ovc) => self.out_vcs[out.index() * self.vcs_per_port + ovc].credits > 0,
             None => {
                 debug_assert!(
                     head.flit.kind.is_head(),
@@ -1215,12 +1341,16 @@ impl Router {
                 );
                 let vnet = ctx.arena.head_desc(&head.flit).vnet;
                 let need = Self::alloc_credits_needed(ctx, &head.flit);
-                if !self.free_out_vc_exists(out, vnet, need, ctx) {
-                    return None;
-                }
+                self.free_out_vc_exists(out, vnet, need, ctx)
             }
+        };
+        if ready {
+            Request::Bid
+        } else if out == Port::Local {
+            Request::Wait
+        } else {
+            Request::Park
         }
-        Some(())
     }
 
     /// Credits a head flit needs to win VC allocation: one under wormhole,
@@ -1688,12 +1818,22 @@ mod tests {
         }
 
         fn intern_as(&mut self, id: PacketId, len: u16, dest: NodeId) -> PacketRef {
+            self.intern_routed(id, VnetId(0), len, RouteInfo::intra(dest))
+        }
+
+        fn intern_routed(
+            &mut self,
+            id: PacketId,
+            vnet: VnetId,
+            len: u16,
+            route: RouteInfo,
+        ) -> PacketRef {
             self.arena.alloc(PacketDesc {
                 id,
                 src: NodeId(0),
-                vnet: VnetId(0),
+                vnet,
                 pkt_len: len,
-                route: RouteInfo::intra(dest),
+                route,
                 created_at: 0,
                 injected_at: PacketDesc::NOT_INJECTED,
             })
@@ -1930,6 +2070,73 @@ mod tests {
     }
 
     #[test]
+    fn vc_63_parks_re_arms_and_routes_up_at_64_vcs_per_port() {
+        // Two VNets of 32 VCs fill every port word. VC 63 is VNet 1's last,
+        // where a VNet mask built from its end, `(1 << 64) - 1`, overflows.
+        let cfg = NocConfig {
+            num_vnets: 2,
+            ..NocConfig::default().with_vcs_per_vnet(32)
+        };
+        let mut h = Harness::new(cfg);
+        let mut r = h.router();
+        let dest = h.topo.chiplets()[0].routers[6];
+        let d = h.intern_routed(PacketId(1), VnetId(1), 1, RouteInfo::intra(dest));
+        r.deliver_flit(&mut h.ctx(0), Port::West, 63, Flit::new(d, 0, 1));
+        // Every East VC of VNet 1 is held: nothing to allocate.
+        for f in r.vnet_range(VnetId(1)) {
+            r.out_vcs[Port::East.index() * 64 + f].busy = true;
+        }
+        let west = Port::West.index();
+        r.step(&mut h.ctx(1));
+        assert!(h.emit.is_empty());
+        assert_eq!(r.parked[west], 1 << 63);
+        let asked = r.work_counts().vc_requests;
+        r.step(&mut h.ctx(2));
+        assert_eq!(
+            r.work_counts().vc_requests,
+            asked,
+            "a parked VC is not asked"
+        );
+        r.deliver_credit(Port::East, 31, true);
+        assert_eq!(r.parked[west], 1 << 63, "VNet 0's credit");
+        r.set_vc_frozen(Port::West, 63, false);
+        assert_eq!(r.parked[west], 0, "a freeze toggle re-arms");
+        r.step(&mut h.ctx(3));
+        assert_eq!(r.parked[west], 1 << 63, "and it parks again");
+        r.deliver_credit(Port::East, 40, true);
+        assert_eq!(r.parked[west], 0, "VNet 1's credit");
+        r.step(&mut h.ctx(4));
+        assert_eq!(departed_vc(&h), 63);
+        // The next packet parks behind the VC that one took, and a pop
+        // through the bypass latch re-arms it.
+        let d = h.intern_routed(PacketId(2), VnetId(1), 1, RouteInfo::intra(dest));
+        r.deliver_flit(&mut h.ctx(4), Port::West, 63, Flit::new(d, 0, 1));
+        r.step(&mut h.ctx(5));
+        assert_eq!(r.parked[west], 1 << 63);
+        assert!(r
+            .pop_bypass_flit(&mut h.ctx(6), Port::West, 63, Port::East)
+            .is_some());
+        assert_eq!(r.parked[west], 0, "a new front (here: none) re-arms");
+
+        // The watchdog's test finds an `Up`-routed flit in bit 63 of an
+        // interposer router, and only in its own VNet.
+        let (ir, above) = h
+            .topo
+            .interposer_routers()
+            .iter()
+            .find_map(|&ir| Some((ir, h.topo.above(ir)?)))
+            .expect("a boundary interposer router");
+        let src = h.topo.chiplets()[3].routers[0];
+        let route = h.routing.plan(&h.topo, src, above);
+        let d = h.intern_routed(PacketId(3), VnetId(1), 1, route);
+        let mut r = Router::new(ir, &h.cfg, &h.topo, 1);
+        r.deliver_flit(&mut h.ctx(7), Port::Local, 63, Flit::new(d, 0, 1));
+        assert_eq!(r.input_vc(Port::Local, 63).route_out, Some(Port::Up));
+        assert!(r.has_upward_candidate(VnetId(1)));
+        assert!(!r.has_upward_candidate(VnetId(0)));
+    }
+
+    #[test]
     fn control_messages_win_allocation_over_normal_flits() {
         let mut h = Harness::new(NocConfig::default());
         let mut r = h.router();
@@ -2019,8 +2226,9 @@ mod tests {
     proptest::proptest! {
         /// Whatever mix of buffer writes, switch-allocation commits, popup
         /// rejoins and bypass pops a router sees, every occupancy bit equals
-        /// "this VC's ring is non-empty" — after every single operation, and
-        /// in release builds too (where `step` checks nothing itself).
+        /// "this VC's ring is non-empty", and no parked VC could bid in the
+        /// next cycle — after every single operation, and in release builds
+        /// too (where `step` checks nothing itself).
         #[test]
         fn occupancy_words_track_buffer_emptiness(
             ops in proptest::collection::vec((0u8..4, 0usize..5, 0usize..12), 1..300),
@@ -2104,6 +2312,7 @@ mod tests {
                     }
                 }
                 r.assert_occupancy_matches_buffers();
+                r.assert_parked_cannot_bid(&h.ctx(now + 1));
             }
         }
     }

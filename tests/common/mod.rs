@@ -60,3 +60,23 @@ pub fn drive(sys: &mut System, seed: u64, cycles: u64, rate: f64) -> (u64, u64) 
     }
     (packets, flits)
 }
+
+/// Compares `actual` against the committed golden `tests/goldens/<name>`,
+/// or rewrites it when `UPP_UPDATE_GOLDENS=1`.
+pub fn check_golden(name: &str, actual: &str) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/goldens")
+        .join(name);
+    if std::env::var("UPP_UPDATE_GOLDENS").is_ok_and(|v| v == "1") {
+        std::fs::write(&path, actual).expect("write golden");
+        return;
+    }
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing committed golden {}: {e}", path.display()));
+    assert!(
+        expected == actual,
+        "{name}: the output differs from the committed golden.\n\
+         If the change is intentional, refresh with UPP_UPDATE_GOLDENS=1.\n\
+         --- golden ---\n{expected}\n--- actual ---\n{actual}"
+    );
+}

@@ -39,12 +39,16 @@
 //! nodes — where UPP pops packets up to destinations above node 255, which
 //! Fig. 4's 8-bit destination field cannot name.
 //!
-//! These are debug builds, so every skip is cross-checked on the way.
+//! These are debug builds, so every skip is cross-checked on the way, and
+//! the work the Fig. 3 recipe costs is counted and pinned per flit-hop.
+
+mod common;
 
 use upp_core::{UppConfig, UppStats};
 use upp_noc::config::NocConfig;
 use upp_noc::fault::{FaultAction, FaultEvent, FaultPlan};
 use upp_noc::ids::{Port, VnetId};
+use upp_noc::network::WorkCounts;
 use upp_noc::ni::ConsumePolicy;
 use upp_noc::sim::RunOutcome;
 use upp_noc::topology::ChipletSystemSpec;
@@ -207,6 +211,13 @@ struct Snapshot {
 }
 
 fn run(recipe: &Recipe, active_scheduler: bool) -> Snapshot {
+    run_counted(recipe, active_scheduler).0
+}
+
+/// [`run`], with the work it counted and its flit-hops. The counts are not
+/// part of the snapshot: the reference kernel steps routers the scheduler
+/// lets sleep, so it evaluates more requests for the same outcome.
+fn run_counted(recipe: &Recipe, active_scheduler: bool) -> (Snapshot, WorkCounts, u64) {
     let cfg = NocConfig {
         vcs_per_vnet: recipe.vcs_per_vnet,
         ..NocConfig::default()
@@ -306,12 +317,17 @@ fn run(recipe: &Recipe, active_scheduler: bool) -> Snapshot {
         },
         "the reference kernel steps every router in every cycle, the scheduler does not: {stepped}"
     );
-    Snapshot {
+    let snapshot = Snapshot {
         outcome,
         end_cycle: sys.net().cycle(),
         net: format!("{:?}", sys.net().stats()),
         upp,
-    }
+    };
+    (
+        snapshot,
+        sys.net().work_counts(),
+        sys.net().stats().flit_hops,
+    )
 }
 
 /// Skipping idle and blocked routers and NIs must be unobservable: the
@@ -341,4 +357,33 @@ fn active_set_kernel_matches_the_always_tick_reference() {
 #[test]
 fn same_seed_reruns_identically() {
     assert_eq!(run(&FIG3, true), run(&FIG3, true));
+}
+
+/// What the Fig. 3 recipe costs the two loops a stalled network spends its
+/// time in — switch allocation's request predicate and UPP's watchdog — as
+/// exact counts per flit-hop. A change to that work shows here as a diff
+/// to explain (refresh with `UPP_UPDATE_GOLDENS=1`); a change that claims
+/// less work states the old and new figures. Counted in debug builds only.
+#[cfg(debug_assertions)]
+#[test]
+fn fig3_work_per_flit_hop_is_pinned() {
+    let (_, work, hops) = run_counted(&FIG3, true);
+    let per_hop = |n: u64| format!("{:.4}", n as f64 / hops as f64);
+    let rows = [
+        ("vc_requests", work.vc_requests),
+        ("vc_requests_failed", work.vc_requests_failed),
+        ("vcs_rearmed", work.vcs_rearmed),
+        ("upward_tests", work.upward_tests),
+        ("candidate_lists", work.candidate_lists),
+    ];
+    let mut golden = format!("{{\n  \"flit_hops\": {hops},\n");
+    for (i, (name, n)) in rows.iter().enumerate() {
+        let sep = if i + 1 == rows.len() { "" } else { "," };
+        golden += &format!(
+            "  \"{name}\": {{\"count\": {n}, \"per_flit_hop\": {}}}{sep}\n",
+            per_hop(*n)
+        );
+    }
+    golden += "}\n";
+    common::check_golden("work_counts_fig3.json", &golden);
 }
