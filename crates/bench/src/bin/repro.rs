@@ -78,12 +78,13 @@ fn main() {
         eprintln!("--resume needs --journal FILE");
         std::process::exit(2);
     }
-    let mut engine = SweepEngine::new(jobs.unwrap_or_else(default_jobs));
+    let jobs = jobs.map_or_else(default_jobs, Ok).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
+    let mut engine = SweepEngine::new(jobs);
     if let Some(path) = &journal {
-        // No fingerprint: a repro journal is shared across experiments,
-        // whose full config (windows, rates, scheme) is already baked into
-        // the point keys — stale reuse is impossible there.
-        engine = engine.open_journal(path, resume, None).unwrap_or_else(|e| {
+        engine = engine.open_journal(path, resume).unwrap_or_else(|e| {
             eprintln!("cannot open journal: {e}");
             std::process::exit(2);
         });

@@ -28,7 +28,7 @@ use upp_noc::Network;
 use upp_tracetools::render::analyze_text;
 use upp_tracetools::ProfileSummary;
 use upp_workloads::run::{check_rate, run, RunConfig, RunEvent};
-use upp_workloads::runner::{SchemeKind, SweepWindows};
+use upp_workloads::runner::{PointSpec, SchemeKind, SweepWindows};
 use upp_workloads::synthetic::Pattern;
 
 /// The run the flags describe, plus where its artifacts go.
@@ -113,10 +113,11 @@ fn usage() -> ! {
                                              for every N)\n\
          --journal FILE                      stream finished sweep points to a\n\
                                              JSONL journal (sweep mode only)\n\
-         --resume                            reopen the journal and skip points\n\
-                                             it already records; errors out if\n\
-                                             the journal was recorded under a\n\
-                                             different sweep config"
+         --resume                            reopen the journal and serve every\n\
+                                             point it records (a point is all of\n\
+                                             its config, so changed flags run\n\
+                                             afresh); errors out on a journal in\n\
+                                             the old keyed format"
     );
     exit(2);
 }
@@ -282,36 +283,27 @@ fn write_artifact(path: &str, bytes: &[u8], detail: &str) -> bool {
 /// row per point. Stats come out bit-identical for any `--jobs` value.
 fn run_sweep(args: &Args, rates: &[f64]) {
     let run = &args.run;
-    let spec = run.spec().expect("main built this configuration");
-    let cfg = run.noc_config();
-    let windows = SweepWindows {
-        warmup: (run.cycles / 10).max(1),
-        measure: run.cycles,
+    let point = PointSpec {
+        system: run.spec().expect("main built this configuration"),
+        noc: run.noc_config(),
+        scheme: run.scheme.clone(),
+        faults: run.faults,
+        pattern: run.pattern,
+        windows: SweepWindows {
+            warmup: (run.cycles / 10).max(1),
+            measure: run.cycles,
+        },
+        seed: run.seed,
+        rate: run.rate,
     };
-    // Everything that determines a point's value goes into the journal's
-    // config fingerprint (the rate list deliberately does not: extending a
-    // sweep with more rates under --resume is the intended use). Notably the
-    // system is *not* part of the per-point keys, so without this check a
-    // resumed journal from a different --system would silently serve stale
-    // points.
-    // The trailing "|alerts1" is the point-schema version: sweep rows grew
-    // the per-detector alert counts, so journals recorded before that are
-    // rejected up front instead of silently mixing row shapes.
-    let fingerprint = upp_bench::sweep::config_fingerprint(&format!(
-        "simulate|{:?}|{:?}|{}|vcs{}|f{}|w{}+{}|s{}|alerts1",
-        run.system,
-        run.scheme,
-        run.pattern.label(),
-        run.vcs,
-        run.faults,
-        windows.warmup,
-        windows.measure,
-        run.seed
-    ));
-    let mut engine = SweepEngine::new(args.jobs.unwrap_or_else(default_jobs));
+    let jobs = args.jobs.map_or_else(default_jobs, Ok).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        exit(2);
+    });
+    let mut engine = SweepEngine::new(jobs);
     if let Some(path) = &args.journal {
         engine = engine
-            .open_journal(Path::new(path), args.resume, Some(&fingerprint))
+            .open_journal(Path::new(path), args.resume)
             .unwrap_or_else(|e| {
                 eprintln!("cannot open journal: {e}");
                 exit(2);
@@ -325,17 +317,7 @@ fn run_sweep(args: &Args, rates: &[f64]) {
         rates.len(),
         engine.jobs()
     );
-    let points = engine.sweep_rates(
-        "cli",
-        &spec,
-        &cfg,
-        &run.scheme,
-        run.faults,
-        run.pattern,
-        rates,
-        windows,
-        run.seed,
-    );
+    let points = engine.sweep_rates(&point, rates);
     println!(
         "{:>8} {:>10} {:>10} {:>9} {:>9} {:>12} {:>10} {:>9}",
         "rate", "latency", "queueing", "p95", "p99", "throughput", "ejected", "deadlock"

@@ -9,14 +9,13 @@
 //! 3. **Flow control** — UPP under wormhole vs virtual cut-through
 //!    (Table I's flow-control modularity column).
 
-use super::{cfg, rates_1vc, windows, Context, SEED};
+use super::{cfg, point, rates_1vc, Context};
 use crate::report::{f1, f3, ExperimentResult, MarkdownTable};
 use serde::Serialize;
 use upp_core::UppConfig;
 use upp_noc::config::NocConfig;
 use upp_noc::topology::ChipletSystemSpec;
 use upp_workloads::runner::{presaturation_latency, saturation_throughput, SchemeKind};
-use upp_workloads::synthetic::Pattern;
 
 /// One ablation row.
 #[derive(Debug, Clone, Serialize)]
@@ -34,80 +33,62 @@ pub struct Row {
 /// Collects all three ablation studies.
 pub fn collect(ctx: &Context) -> Vec<Row> {
     let spec = ChipletSystemSpec::baseline();
-    let w = windows(ctx.quick);
     let rates = rates_1vc(ctx.quick);
     let upp = SchemeKind::Upp(UppConfig::default());
     let serialized = SchemeKind::Upp(UppConfig {
         serialize_per_chiplet: true,
         ..UppConfig::default()
     });
-    // The journal key carries only the VC count of a `NocConfig`, so the
-    // flow-control variants go into the tag.
     let studies = [
         (
             "composable-structure",
             "funneled (published)",
-            "ablations",
             cfg(1),
             SchemeKind::Composable,
         ),
         (
             "composable-structure",
             "balanced (minimal search)",
-            "ablations",
             cfg(1),
             SchemeKind::ComposableBalanced,
         ),
         (
             "composable-structure",
             "UPP (reference)",
-            "ablations",
             cfg(1),
             upp.clone(),
         ),
         (
             "popup-concurrency",
             "destination-keyed circuits (default)",
-            "ablations",
             cfg(1),
             upp.clone(),
         ),
         (
             "popup-concurrency",
             "serialized per chiplet (Sec. V-B5 alternative)",
-            "ablations",
             cfg(1),
             serialized,
         ),
         (
             "flow-control",
             "wormhole (depth 5)",
-            "ablations/wormhole5",
             NocConfig::default().with_vc_buffer_depth(5),
             upp.clone(),
         ),
         (
             "flow-control",
             "virtual cut-through (depth 5)",
-            "ablations/vct5",
             NocConfig::default().with_virtual_cut_through(),
             upp,
         ),
     ];
     studies
         .into_iter()
-        .map(|(study, variant, tag, noc, kind)| {
-            let pts = ctx.engine.sweep_rates(
-                tag,
-                &spec,
-                &noc,
-                &kind,
-                0,
-                Pattern::UniformRandom,
-                &rates,
-                w,
-                SEED,
-            );
+        .map(|(study, variant, noc, kind)| {
+            let pts = ctx
+                .engine
+                .sweep_rates(&point(ctx, &spec, noc, kind), &rates);
             Row {
                 study: study.into(),
                 variant: variant.into(),

@@ -1,12 +1,11 @@
 //! Fig. 10: sensitivity to the number of boundary routers per chiplet
 //! (2, 4, 8), normalized latency and saturation throughput.
 
-use super::{cfg, rates_1vc, rates_4vc, windows, Context, SEED};
+use super::{cfg, point, rates_1vc, rates_4vc, Context};
 use crate::report::{f3, ExperimentResult, MarkdownTable};
 use serde::Serialize;
 use upp_noc::topology::{ChipletSystemSpec, SystemKind};
 use upp_workloads::runner::{presaturation_latency, saturation_throughput, SchemeKind};
-use upp_workloads::synthetic::Pattern;
 
 /// One measured configuration.
 #[derive(Debug, Clone, Serialize)]
@@ -29,7 +28,6 @@ pub struct Point {
 
 /// Collects the sensitivity grid.
 pub fn collect(ctx: &Context) -> Vec<Point> {
-    let w = windows(ctx.quick);
     let counts: &[u16] = if ctx.quick { &[2, 4] } else { &[2, 4, 8] };
     let mut raw = Vec::new();
     for &n in counts {
@@ -41,17 +39,9 @@ pub fn collect(ctx: &Context) -> Vec<Point> {
                 rates_4vc(ctx.quick)
             };
             for kind in SchemeKind::evaluated() {
-                let pts = ctx.engine.sweep_rates(
-                    &format!("fig10/b{n}"),
-                    &spec,
-                    &cfg(vcs),
-                    &kind,
-                    0,
-                    Pattern::UniformRandom,
-                    &rates,
-                    w,
-                    SEED,
-                );
+                let pts = ctx
+                    .engine
+                    .sweep_rates(&point(ctx, &spec, cfg(vcs), kind.clone()), &rates);
                 raw.push((
                     n,
                     kind.label().to_string(),

@@ -5,13 +5,12 @@
 //! restriction search is impractical online and the permission subnetwork is
 //! hard-wired.
 
-use super::{cfg, rates_1vc, rates_4vc, windows, Context, SEED};
+use super::{cfg, point, rates_1vc, rates_4vc, Context, SEED};
 use crate::report::{f1, f3, ExperimentResult, MarkdownTable};
 use serde::Serialize;
 use upp_core::UppConfig;
 use upp_noc::topology::ChipletSystemSpec;
-use upp_workloads::runner::{presaturation_latency, saturation_throughput, SchemeKind};
-use upp_workloads::synthetic::Pattern;
+use upp_workloads::runner::{presaturation_latency, saturation_throughput, PointSpec, SchemeKind};
 
 /// One (fault count, VC count) series, averaged over fault seeds.
 #[derive(Debug, Clone, Serialize)]
@@ -36,7 +35,6 @@ pub struct Series {
 /// Collects the faulty-system series.
 pub fn collect(ctx: &Context) -> Vec<Series> {
     let spec = ChipletSystemSpec::baseline();
-    let w = windows(ctx.quick);
     let fault_counts: &[usize] = if ctx.quick {
         &[0, 5, 15]
     } else {
@@ -62,15 +60,12 @@ pub fn collect(ctx: &Context) -> Vec<Series> {
             let mut any_deadlock = false;
             for &seed in seeds {
                 let pts = ctx.engine.sweep_rates(
-                    "fig11",
-                    &spec,
-                    &cfg(vcs),
-                    &kind,
-                    faults,
-                    Pattern::UniformRandom,
+                    &PointSpec {
+                        faults,
+                        seed,
+                        ..point(ctx, &spec, cfg(vcs), kind.clone())
+                    },
                     &rates,
-                    w,
-                    seed,
                 );
                 for (i, p) in pts.iter().enumerate() {
                     latency[i] += p.total_latency.min(999.0);

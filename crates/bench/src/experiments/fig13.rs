@@ -2,13 +2,12 @@
 //! (20 / 100 / 1000 cycles): impact on saturation throughput and the share
 //! of packets selected as upward packets.
 
-use super::{cfg, rates_1vc, rates_4vc, windows, Context, SEED};
+use super::{cfg, point, rates_1vc, rates_4vc, Context};
 use crate::report::{f3, ExperimentResult, MarkdownTable};
 use serde::Serialize;
 use upp_core::UppConfig;
 use upp_noc::topology::ChipletSystemSpec;
 use upp_workloads::runner::{saturation_throughput, SchemeKind, SweepPoint};
-use upp_workloads::synthetic::Pattern;
 
 /// One threshold/VC series.
 #[derive(Debug, Clone, Serialize)]
@@ -29,7 +28,6 @@ pub struct Series {
 /// Collects the threshold sensitivity grid.
 pub fn collect(ctx: &Context) -> Vec<Series> {
     let spec = ChipletSystemSpec::baseline();
-    let w = windows(ctx.quick);
     let thresholds: &[u64] = if ctx.quick {
         &[20, 1000]
     } else {
@@ -44,17 +42,9 @@ pub fn collect(ctx: &Context) -> Vec<Series> {
         };
         for &th in thresholds {
             let kind = SchemeKind::Upp(UppConfig::with_threshold(th));
-            let pts = ctx.engine.sweep_rates(
-                "fig13",
-                &spec,
-                &cfg(vcs),
-                &kind,
-                0,
-                Pattern::UniformRandom,
-                &rates,
-                w,
-                SEED,
-            );
+            let pts = ctx
+                .engine
+                .sweep_rates(&point(ctx, &spec, cfg(vcs), kind), &rates);
             let upward_share = pts
                 .iter()
                 .map(|p| {
@@ -147,7 +137,7 @@ mod tests {
     /// every run while the full statistical version stays nightly-only.
     #[test]
     fn threshold_smoke_saturation_within_loose_band() {
-        use upp_workloads::runner::SweepWindows;
+        use upp_workloads::runner::{PointSpec, SweepWindows};
         let spec = ChipletSystemSpec::baseline();
         let w = SweepWindows {
             warmup: 500,
@@ -159,15 +149,11 @@ mod tests {
         for th in [20u64, 1000] {
             let kind = SchemeKind::Upp(UppConfig::with_threshold(th));
             let pts = ctx.engine.sweep_rates(
-                "fig13-smoke",
-                &spec,
-                &cfg(1),
-                &kind,
-                0,
-                Pattern::UniformRandom,
+                &PointSpec {
+                    windows: w,
+                    ..point(&ctx, &spec, cfg(1), kind)
+                },
                 &rates,
-                w,
-                SEED,
             );
             let sat = saturation_throughput(&pts);
             assert!(sat > 0.0, "threshold {th} produced no throughput");

@@ -1,11 +1,13 @@
 //! Fig. 7: latency vs injection rate under four synthetic traffic patterns,
 //! baseline system, {composable, remote control, UPP} x {1, 4} VCs per VNet.
 
-use super::{cfg, rates_1vc, rates_4vc, windows, Context, SEED};
+use super::{cfg, point, rates_1vc, rates_4vc, Context};
 use crate::report::{f1, f3, spct, ExperimentResult, MarkdownTable};
 use serde::Serialize;
 use upp_noc::topology::ChipletSystemSpec;
-use upp_workloads::runner::{presaturation_latency, saturation_throughput, SchemeKind, SweepPoint};
+use upp_workloads::runner::{
+    presaturation_latency, saturation_throughput, PointSpec, SchemeKind, SweepPoint,
+};
 use upp_workloads::synthetic::Pattern;
 
 /// One latency curve.
@@ -54,7 +56,6 @@ pub struct Fig7 {
 /// Collects all Fig. 7 curves.
 pub fn collect(ctx: &Context) -> Fig7 {
     let spec = ChipletSystemSpec::baseline();
-    let w = windows(ctx.quick);
     let patterns: &[Pattern] = if ctx.quick {
         &[Pattern::UniformRandom, Pattern::Transpose]
     } else {
@@ -70,15 +71,11 @@ pub fn collect(ctx: &Context) -> Fig7 {
             };
             for kind in SchemeKind::evaluated() {
                 let pts = ctx.engine.sweep_rates(
-                    "fig7",
-                    &spec,
-                    &cfg(vcs),
-                    &kind,
-                    0,
-                    pattern,
+                    &PointSpec {
+                        pattern,
+                        ..point(ctx, &spec, cfg(vcs), kind.clone())
+                    },
                     &rates,
-                    w,
-                    SEED,
                 );
                 curves.push(Curve {
                     scheme: kind.label().to_string(),

@@ -79,31 +79,30 @@ fn collect(ctx: &Context) -> Fig8Data {
     } else {
         benchmarks
     };
-    // Every (vcs, scheme, benchmark) run is an independent simulation; fan
-    // them out on the sweep engine (results stay deterministic per run and
-    // journal/resume under keys scoped by the full parameter tuple).
+    // Every (vcs, scheme, profile, seed) run is an independent simulation;
+    // fan them out on the sweep engine (results stay deterministic per run,
+    // and each journals under its tuple, the scaled profile included).
     let mut jobs = Vec::new();
     for vcs in [1usize, 4] {
         for kind in SchemeKind::evaluated() {
             for bench in &benchmarks {
-                jobs.push((vcs, kind.clone(), *bench));
+                let mut profile = *bench;
+                profile.transactions = ((profile.transactions as f64 * scale) as u64).max(10);
+                jobs.push((vcs, kind.clone(), profile, SEED));
             }
         }
     }
-    let runs: Vec<Fig8Run> = ctx.engine.run_keyed(
-        &jobs,
-        |(vcs, kind, bench)| format!("fig8|vcs{vcs}|{kind:?}|{}|x{scale}", bench.name),
-        |(vcs, kind, bench)| {
-            let mut profile = *bench;
-            profile.transactions = ((profile.transactions as f64 * scale) as u64).max(10);
-            let mut built = build_system(&spec, cfg(*vcs), kind, 0, SEED, ConsumePolicy::External);
-            let r = run_benchmark(&mut built.sys, profile, SEED, 20_000_000);
+    let runs: Vec<Fig8Run> = ctx
+        .engine
+        .run_keyed(&jobs, |&(vcs, ref kind, profile, seed)| {
+            let mut built = build_system(&spec, cfg(vcs), kind, 0, seed, ConsumePolicy::External);
+            let r = run_benchmark(&mut built.sys, profile, seed, 20_000_000);
             let stats = built.sys.net().stats();
             let upward = built.upp_stats().map_or(0, |s| s.upward_packets);
             Fig8Run {
-                benchmark: bench.name.to_string(),
+                benchmark: profile.name.to_string(),
                 scheme: kind.label().to_string(),
-                vcs: *vcs,
+                vcs,
                 cycles: r.cycles,
                 packets: r.packets,
                 flits: r.flits,
@@ -114,8 +113,7 @@ fn collect(ctx: &Context) -> Fig8Data {
                 upward_packets: upward,
                 incomplete: r.incomplete,
             }
-        },
-    );
+        });
     let topo = spec.build(SEED).expect("baseline builds");
     let routers = topo.num_nodes();
     let links = topo

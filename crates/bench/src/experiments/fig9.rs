@@ -1,12 +1,11 @@
 //! Fig. 9: latency comparison in the 128-node system (4x8 interposer, 8
 //! chiplets) under uniform random traffic.
 
-use super::{cfg, rates_1vc, rates_4vc, windows, Context, SEED};
+use super::{cfg, point, rates_1vc, rates_4vc, Context};
 use crate::report::{f1, f3, spct, ExperimentResult, MarkdownTable};
 use serde::Serialize;
 use upp_noc::topology::ChipletSystemSpec;
 use upp_workloads::runner::{presaturation_latency, saturation_throughput, SchemeKind, SweepPoint};
-use upp_workloads::synthetic::Pattern;
 
 /// One Fig. 9 curve.
 #[derive(Debug, Clone, Serialize)]
@@ -26,7 +25,6 @@ pub struct Curve {
 /// Collects Fig. 9 curves.
 pub fn collect(ctx: &Context) -> Vec<Curve> {
     let spec = ChipletSystemSpec::large();
-    let w = windows(ctx.quick);
     let mut curves = Vec::new();
     for vcs in [1usize, 4] {
         let rates = if vcs == 1 {
@@ -35,17 +33,9 @@ pub fn collect(ctx: &Context) -> Vec<Curve> {
             rates_4vc(ctx.quick)
         };
         for kind in SchemeKind::evaluated() {
-            let pts = ctx.engine.sweep_rates(
-                "fig9",
-                &spec,
-                &cfg(vcs),
-                &kind,
-                0,
-                Pattern::UniformRandom,
-                &rates,
-                w,
-                SEED,
-            );
+            let pts = ctx
+                .engine
+                .sweep_rates(&point(ctx, &spec, cfg(vcs), kind.clone()), &rates);
             curves.push(Curve {
                 scheme: kind.label().to_string(),
                 vcs,

@@ -96,16 +96,36 @@ fn rate_for(routers: usize) -> f64 {
     (7.8 / routers as f64).min(0.06)
 }
 
-fn run_point(cols: u16, rows: u16, kind: &SchemeKind, quick: bool) -> ScalePoint {
+/// One `(grid, scheme)` run with every input it reads, so its JSON is its
+/// journal key.
+#[derive(Serialize)]
+struct ScaleRun {
+    cols: u16,
+    rows: u16,
+    scheme: SchemeKind,
+    traffic_cycles: u64,
+    consume_latency: u64,
+    seed: u64,
+}
+
+fn run_point(run: &ScaleRun) -> ScalePoint {
+    let &ScaleRun {
+        cols,
+        rows,
+        ref scheme,
+        traffic_cycles,
+        consume_latency,
+        seed,
+    } = run;
     let spec = ChipletSystemSpec::grid(cols, rows).expect("sizes() grids are valid");
     let built = build_system(
         &spec,
         super::cfg(1),
-        kind,
+        scheme,
         0,
-        SEED,
+        seed,
         ConsumePolicy::Immediate {
-            latency: CONSUME_LATENCY,
+            latency: consume_latency,
         },
     );
     let mut sys = built.sys;
@@ -120,8 +140,8 @@ fn run_point(cols: u16, rows: u16, kind: &SchemeKind, quick: bool) -> ScalePoint
     );
     let routers = sys.net().topo().num_nodes();
     let mut traffic =
-        SyntheticTraffic::new(sys.net().topo(), Pattern::Hotspot, rate_for(routers), SEED);
-    for _ in 0..traffic_cycles(quick) {
+        SyntheticTraffic::new(sys.net().topo(), Pattern::Hotspot, rate_for(routers), seed);
+    for _ in 0..traffic_cycles {
         traffic.tick(&mut sys);
         sys.step();
         riders.after_step(&mut sys, &mut |_| {});
@@ -132,7 +152,7 @@ fn run_point(cols: u16, rows: u16, kind: &SchemeKind, quick: bool) -> ScalePoint
     sys.drain(200_000, |sys| riders.after_step(sys, &mut |_| {}));
     sys.observe();
     let obs = sys.net().obs();
-    let (boundary_pressure, protocol_events) = match kind {
+    let (boundary_pressure, protocol_events) = match scheme {
         SchemeKind::Upp(_) => (
             obs.gauge_value("circuit.entries").1,
             obs.counter_value("upp.watchdog.expired_cycles"),
@@ -154,7 +174,7 @@ fn run_point(cols: u16, rows: u16, kind: &SchemeKind, quick: bool) -> ScalePoint
         cols,
         rows,
         routers,
-        scheme: kind.label().to_string(),
+        scheme: scheme.label().to_string(),
         drained: sys.net().in_flight() == 0,
         cycles: sys.net().cycle(),
         packets: sys.net().stats().packets_ejected,
@@ -170,23 +190,20 @@ fn run_point(cols: u16, rows: u16, kind: &SchemeKind, quick: bool) -> ScalePoint
 
 /// Collects every `(grid, scheme)` point on the sweep engine.
 pub fn collect(ctx: &Context) -> Vec<ScalePoint> {
-    let quick = ctx.quick;
     let mut jobs = Vec::new();
-    for &(cols, rows) in &sizes(quick) {
-        for kind in SchemeKind::evaluated() {
-            jobs.push((cols, rows, kind));
+    for &(cols, rows) in &sizes(ctx.quick) {
+        for scheme in SchemeKind::evaluated() {
+            jobs.push(ScaleRun {
+                cols,
+                rows,
+                scheme,
+                traffic_cycles: traffic_cycles(ctx.quick),
+                consume_latency: CONSUME_LATENCY,
+                seed: SEED,
+            });
         }
     }
-    ctx.engine.run_keyed(
-        &jobs,
-        |(c, r, kind)| {
-            format!(
-                "fig_scaling|{c}x{r}|{kind:?}|t{}|l{CONSUME_LATENCY}|s{SEED}",
-                traffic_cycles(quick)
-            )
-        },
-        |(c, r, kind)| run_point(*c, *r, kind, quick),
-    )
+    ctx.engine.run_keyed(&jobs, run_point)
 }
 
 /// Renders the points as CSV (one row per `(grid, scheme)` point).

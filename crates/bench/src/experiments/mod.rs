@@ -17,7 +17,9 @@ use crate::report::ExperimentResult;
 use crate::sweep::SweepEngine;
 use std::sync::OnceLock;
 use upp_noc::config::NocConfig;
-use upp_workloads::runner::SweepWindows;
+use upp_noc::topology::ChipletSystemSpec;
+use upp_workloads::runner::{PointSpec, SchemeKind, SweepWindows};
+use upp_workloads::synthetic::Pattern;
 
 /// All experiment ids, in paper order.
 pub const ALL_IDS: [&str; 13] = [
@@ -119,8 +121,31 @@ pub fn rates_4vc(quick: bool) -> Vec<f64> {
 /// The deterministic seed used for every experiment.
 pub const SEED: u64 = 2022;
 
+/// The point a figure's sweeps start from: `scheme` on `system` under
+/// `noc`, fault-free, uniform random traffic, the mode's windows and
+/// [`SEED`]. Each figure changes what it varies; the rate is set per point
+/// by [`SweepEngine::sweep_rates`].
+pub(crate) fn point(
+    ctx: &Context,
+    system: &ChipletSystemSpec,
+    noc: NocConfig,
+    scheme: SchemeKind,
+) -> PointSpec {
+    PointSpec {
+        system: system.clone(),
+        noc,
+        scheme,
+        faults: 0,
+        pattern: Pattern::UniformRandom,
+        windows: windows(ctx.quick),
+        seed: SEED,
+        rate: 0.0,
+    }
+}
+
 /// A quick-mode context for the experiment unit tests.
 #[cfg(test)]
 pub(crate) fn quick_ctx() -> Context {
-    Context::new(true, SweepEngine::new(crate::sweep::default_jobs()))
+    let jobs = crate::sweep::default_jobs().expect("UPP_JOBS is a positive integer");
+    Context::new(true, SweepEngine::new(jobs))
 }

@@ -2,11 +2,11 @@
 //! self-scheduling worker threads, streams finished points to a JSONL journal,
 //! and resumes interrupted sweeps by skipping already-recorded points.
 //!
-//! Every point carries a stable string key derived from its full parameter
-//! tuple (scheme, system, pattern, faults, seed, windows, rate). Seeds are
-//! per-point and independent of worker scheduling, so results are
-//! bit-identical regardless of the jobs count — the determinism tests in
-//! `tests/determinism.rs` enforce this against committed goldens.
+//! Every point is a value that describes everything its result depends on
+//! (a [`PointSpec`] for a latency sweep), and its canonical JSON is its
+//! journal key. Seeds are per-point and independent of worker scheduling, so
+//! results are bit-identical regardless of the jobs count — the determinism
+//! tests in `tests/determinism.rs` enforce this against committed goldens.
 //!
 //! The engine is plain `std::thread`; no external dependencies. It is a
 //! value: the worker count and the optional journal are fields of the
@@ -21,41 +21,35 @@ use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use upp_noc::config::NocConfig;
-use upp_noc::topology::ChipletSystemSpec;
-use upp_workloads::runner::{run_point, SchemeKind, SweepPoint, SweepWindows};
-use upp_workloads::synthetic::Pattern;
+use upp_workloads::runner::{PointSpec, SweepPoint};
 
 // ------------------------------------------------------------ jobs control
 
 /// The worker count to use when no `--jobs` flag was given: the `UPP_JOBS`
 /// environment variable, else the machine's available parallelism.
-pub fn default_jobs() -> usize {
-    if let Ok(v) = std::env::var("UPP_JOBS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+///
+/// # Errors
+///
+/// Returns the message to print when `UPP_JOBS` is set but is not a
+/// positive integer.
+pub fn default_jobs() -> Result<usize, String> {
+    let Some(v) = std::env::var_os("UPP_JOBS") else {
+        return Ok(std::thread::available_parallelism().map_or(1, |n| n.get()));
+    };
+    v.to_str()
+        .and_then(|s| s.trim().parse::<usize>().ok())
+        .filter(|&n| n > 0)
+        .ok_or_else(|| format!("UPP_JOBS must be a positive integer, got {v:?}"))
 }
 
 // ---------------------------------------------------------------- journal
 
-/// Short stable fingerprint of a sweep configuration (FNV-1a 64), hashed
-/// into the journal header so `--resume` can detect that the CLI args no
-/// longer match the journal's recorded points.
-pub fn config_fingerprint(desc: &str) -> String {
-    format!("{:016x}", upp_noc::fnv1a64(desc.as_bytes()))
-}
-
-/// A JSONL journal of completed sweep points: one `{"key":…,"data":…}`
-/// object per line, appended (and flushed) as each point finishes. The
-/// first line may be a `{"config":…}` header naming the sweep-config
-/// fingerprint the points were recorded under.
+/// A JSONL journal of completed sweep points: one `{"point":…,"data":…}`
+/// object per line, appended (and flushed) as each point finishes. `point`
+/// is the point's own description and `data` its result; a point's key is
+/// its compact JSON, which the vendored serializer renders identically
+/// after a parse, so a resumed journal is indexed by re-rendering each
+/// line's `point`.
 pub struct Journal {
     seen: Mutex<HashMap<String, Value>>,
     writer: Mutex<BufWriter<std::fs::File>>,
@@ -64,70 +58,37 @@ pub struct Journal {
 impl Journal {
     /// Opens (or creates) a journal at `path`, creating its parent
     /// directory when missing. With `resume`, existing lines are indexed so
-    /// matching points can be skipped; without it the file is truncated.
-    ///
-    /// When `fingerprint` is given, it is written as a `{"config":…}`
-    /// header on fresh journals and checked against the recorded header on
-    /// resume: a journal recorded under a different sweep config would
-    /// silently serve stale points, so the mismatch is a hard error.
+    /// equal points are served instead of run; without it the file is
+    /// truncated.
     ///
     /// # Errors
     ///
     /// Returns `Err` when the file cannot be opened or read, or when
-    /// resuming a journal whose recorded config fingerprint does not match
-    /// `fingerprint` (kind [`std::io::ErrorKind::InvalidData`]).
-    pub fn open(path: &Path, resume: bool, fingerprint: Option<&str>) -> std::io::Result<Journal> {
+    /// resuming a journal in the retired format whose lines carry a `key`
+    /// string or a `{"config":…}` header instead of the point itself (kind
+    /// [`std::io::ErrorKind::InvalidData`]).
+    pub fn open(path: &Path, resume: bool) -> std::io::Result<Journal> {
         let mut seen = HashMap::new();
-        let mut recorded_cfg: Option<String> = None;
         if resume && path.exists() {
             let reader = BufReader::new(std::fs::File::open(path)?);
             for line in reader.lines() {
-                let line = line?;
-                if line.trim().is_empty() {
-                    continue;
-                }
-                // Tolerate truncated trailing lines from a killed run.
-                let Ok(v) = serde_json::from_str(&line) else {
+                // Tolerate blank and truncated trailing lines from a killed run.
+                let Ok(v) = serde_json::from_str(&line?) else {
                     continue;
                 };
-                if let Some(cfg) = v.get("config").and_then(|c| c.as_str()) {
-                    recorded_cfg = Some(cfg.to_string());
-                    continue;
+                if v.get("key").is_some() || v.get("config").is_some() {
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        format!(
+                            "journal {} is in the old format (`key` lines or a `config` \
+                             header), which does not record what each point measured — \
+                             delete the journal or rerun without --resume",
+                            path.display()
+                        ),
+                    ));
                 }
-                if let (Some(key), Some(data)) =
-                    (v.get("key").and_then(|k| k.as_str()), v.get("data"))
-                {
-                    seen.insert(key.to_string(), data.clone());
-                }
-            }
-        }
-        if resume {
-            if let Some(fp) = fingerprint {
-                match &recorded_cfg {
-                    Some(rec) if rec == fp => {}
-                    Some(rec) => {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            format!(
-                                "journal {} was recorded under a different sweep config \
-                                 (recorded {rec}, current {fp}); resuming would reuse stale \
-                                 points — delete the journal or rerun without --resume",
-                                path.display()
-                            ),
-                        ));
-                    }
-                    None if seen.is_empty() => {}
-                    None => {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            format!(
-                                "journal {} has recorded points but no config header, so its \
-                                 sweep config cannot be checked against the current one — \
-                                 delete the journal or rerun without --resume",
-                                path.display()
-                            ),
-                        ));
-                    }
+                if let (Some(point), Some(data)) = (v.get("point"), v.get("data")) {
+                    seen.insert(to_json(point), data.clone());
                 }
             }
         }
@@ -140,22 +101,10 @@ impl Journal {
             .truncate(!resume)
             .write(true)
             .open(path)?;
-        let journal = Journal {
+        Ok(Journal {
             seen: Mutex::new(seen),
             writer: Mutex::new(BufWriter::new(file)),
-        };
-        // Stamp fresh journals (and resumed-but-empty legacy ones) with the
-        // config header so the next resume can be checked.
-        if let Some(fp) = fingerprint {
-            if recorded_cfg.is_none() {
-                let fp_json =
-                    serde_json::to_string(&fp.to_string()).expect("stub serializer is infallible");
-                let mut w = journal.writer.lock().unwrap();
-                let _ = writeln!(w, "{{\"config\":{fp_json}}}");
-                let _ = w.flush();
-            }
-        }
-        Ok(journal)
+        })
     }
 
     /// Number of points indexed from previous runs.
@@ -168,14 +117,21 @@ impl Journal {
         seen.get(key).and_then(R::de_value)
     }
 
-    fn record<R: Serialize>(&self, key: &str, result: &R) {
-        let data = serde_json::to_string(result).expect("stub serializer is infallible");
-        let key_json =
-            serde_json::to_string(&key.to_string()).expect("stub serializer is infallible");
-        let mut w = self.writer.lock().unwrap();
-        let _ = writeln!(w, "{{\"key\":{key_json},\"data\":{data}}}");
-        let _ = w.flush();
+    /// Appends the row and indexes it, so a later equal point in this
+    /// process is served from the journal too.
+    fn record<R: Serialize>(&self, key: String, result: &R) {
+        let data = result.ser_value();
+        {
+            let mut w = self.writer.lock().unwrap();
+            let _ = writeln!(w, "{{\"point\":{key},\"data\":{}}}", to_json(&data));
+            let _ = w.flush();
+        }
+        self.seen.lock().unwrap().insert(key, data);
     }
+}
+
+fn to_json<T: Serialize>(value: &T) -> String {
+    serde_json::to_string(value).expect("stub serializer is infallible")
 }
 
 // ----------------------------------------------------------------- engine
@@ -208,13 +164,8 @@ impl SweepEngine {
     /// # Errors
     ///
     /// Whatever [`Journal::open`] returns.
-    pub fn open_journal(
-        self,
-        path: &Path,
-        resume: bool,
-        fingerprint: Option<&str>,
-    ) -> std::io::Result<SweepEngine> {
-        let journal = Journal::open(path, resume, fingerprint)?;
+    pub fn open_journal(self, path: &Path, resume: bool) -> std::io::Result<SweepEngine> {
+        let journal = Journal::open(path, resume)?;
         if resume {
             eprintln!(
                 "[journal] resuming from {} ({} points recorded)",
@@ -277,88 +228,42 @@ impl SweepEngine {
             .collect()
     }
 
-    /// Keyed fan-out with journal streaming and resume: points whose key is
-    /// already recorded are restored from the journal instead of re-run;
-    /// fresh results are appended to the journal as they complete. A
-    /// recorded row is read back by `R`'s `Deserialize`, which ignores
-    /// unknown keys; a row missing a field or holding an ill-typed one (a
-    /// journal from before that field existed) is re-run.
-    pub fn run_keyed<P, R, K, F>(&self, points: &[P], key: K, f: F) -> Vec<R>
+    /// Journaled fan-out: each point whose JSON is already recorded is
+    /// restored from the journal instead of run, and each fresh result is
+    /// appended to the journal as it completes. A recorded row is read back
+    /// by `R`'s `Deserialize`, which ignores unknown keys; a row missing a
+    /// field or holding an ill-typed one (a journal from before that field
+    /// existed) is re-run.
+    pub fn run_keyed<P, R, F>(&self, points: &[P], f: F) -> Vec<R>
     where
-        P: Sync,
+        P: Serialize + Sync,
         R: Serialize + Deserialize + Send,
-        K: Fn(&P) -> String,
         F: Fn(&P) -> R + Sync,
     {
-        let keys: Vec<String> = points.iter().map(&key).collect();
-        let mut out: Vec<Option<R>> = keys
-            .iter()
-            .map(|k| self.journal.as_ref().and_then(|j| j.lookup(k)))
-            .collect();
-        let missing: Vec<usize> = (0..points.len()).filter(|&i| out[i].is_none()).collect();
-        let fresh = self.map(&missing, |_, &i| {
-            let r = f(&points[i]);
-            if let Some(j) = &self.journal {
-                j.record(&keys[i], &r);
-            }
-            r
-        });
-        for (&i, r) in missing.iter().zip(fresh) {
-            out[i] = Some(r);
-        }
-        out.into_iter()
-            .map(|r| r.expect("every point computed or restored"))
-            .collect()
+        let Some(journal) = &self.journal else {
+            return self.map(points, |_, p| f(p));
+        };
+        self.map(points, |_, p| {
+            let key = to_json(p);
+            journal.lookup(&key).unwrap_or_else(|| {
+                let r = f(p);
+                journal.record(key, &r);
+                r
+            })
+        })
     }
-}
 
-// ------------------------------------------------ experiment-facing sweeps
-
-/// Stable journal key for one `(tag, cfg, kind, faults, pattern, windows,
-/// seed, rate)` point.
-#[allow(clippy::too_many_arguments)]
-pub fn point_key(
-    tag: &str,
-    cfg: &NocConfig,
-    kind: &SchemeKind,
-    faults: usize,
-    pattern: Pattern,
-    windows: SweepWindows,
-    seed: u64,
-    rate: f64,
-) -> String {
-    format!(
-        "{tag}|vcs{}|{:?}|f{faults}|{}|w{}+{}|s{seed}|r{rate}",
-        cfg.vcs_per_vnet,
-        kind,
-        pattern.label(),
-        windows.warmup,
-        windows.measure
-    )
-}
-
-impl SweepEngine {
-    /// Runs a full latency-vs-injection sweep: one journaled [`run_point`]
-    /// per rate. `tag` scopes the journal keys (experiment id plus any
-    /// parameters not captured by the other arguments, e.g. `"fig10/b2"`).
-    #[allow(clippy::too_many_arguments)]
-    pub fn sweep_rates(
-        &self,
-        tag: &str,
-        spec: &ChipletSystemSpec,
-        cfg: &NocConfig,
-        kind: &SchemeKind,
-        faults: usize,
-        pattern: Pattern,
-        rates: &[f64],
-        windows: SweepWindows,
-        seed: u64,
-    ) -> Vec<SweepPoint> {
-        self.run_keyed(
-            rates,
-            |&rate| point_key(tag, cfg, kind, faults, pattern, windows, seed, rate),
-            |&rate| run_point(spec, cfg, kind, faults, pattern, rate, windows, seed),
-        )
+    /// Runs a latency-vs-injection sweep: `point` at each of `rates` (its
+    /// own `rate` is replaced), one journaled [`PointSpec::run`] each.
+    pub fn sweep_rates(&self, point: &PointSpec, rates: &[f64]) -> Vec<SweepPoint> {
+        let points: Vec<PointSpec> = rates
+            .iter()
+            .map(|&rate| PointSpec {
+                rate,
+                ..point.clone()
+            })
+            .collect();
+        self.run_keyed(&points, PointSpec::run)
     }
 }
 
@@ -411,36 +316,44 @@ mod tests {
         assert_eq!(out, (1..=9).collect::<Vec<_>>());
     }
 
-    #[test]
-    fn journal_resume_skips_recorded_points() {
-        #[derive(Serialize, Deserialize, PartialEq, Debug)]
-        struct R {
-            v: u64,
-        }
-        let dir = std::env::temp_dir().join(format!("upp-sweep-test-{}", std::process::id()));
+    fn journal_path(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("upp-sweep-{name}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("journal.jsonl");
         let _ = std::fs::remove_file(&path);
+        path
+    }
 
+    #[derive(Serialize, Deserialize, PartialEq, Debug)]
+    struct R {
+        v: u64,
+    }
+
+    #[test]
+    fn journal_resume_skips_recorded_points() {
+        let path = journal_path("resume");
         let runs = AtomicUsize::new(0);
         let compute = |p: &u64| {
             runs.fetch_add(1, Ordering::SeqCst);
             R { v: p * 10 }
         };
-        let keyf = |p: &u64| format!("k{p}");
 
-        // First run: 3 points, all computed.
-        let j = Journal::open(&path, true, None).unwrap();
+        // First run: 3 points, all computed; a repeated point within the
+        // same journal is served from it.
+        let j = Journal::open(&path, true).unwrap();
         let eng = SweepEngine::new(2).with_journal(j);
-        let out = eng.run_keyed(&[1u64, 2, 3], keyf, compute);
+        let out = eng.run_keyed(&[1u64, 2, 3], compute);
         assert_eq!(out, vec![R { v: 10 }, R { v: 20 }, R { v: 30 }]);
+        assert_eq!(eng.run_keyed(&[2u64], compute), vec![R { v: 20 }]);
         assert_eq!(runs.load(Ordering::SeqCst), 3);
+        drop(eng);
+        assert_eq!(std::fs::read_to_string(&path).unwrap().lines().count(), 3);
 
         // Second run: 5 points, only the 2 new ones computed, order kept.
-        let j = Journal::open(&path, true, None).unwrap();
+        let j = Journal::open(&path, true).unwrap();
         assert_eq!(j.resumed_points(), 3);
         let eng = SweepEngine::new(2).with_journal(j);
-        let out = eng.run_keyed(&[1u64, 4, 2, 5, 3], keyf, compute);
+        let out = eng.run_keyed(&[1u64, 4, 2, 5, 3], compute);
         assert_eq!(
             out,
             vec![
@@ -454,61 +367,98 @@ mod tests {
         assert_eq!(runs.load(Ordering::SeqCst), 5, "1/2/3 restored, 4/5 run");
 
         // Opening without resume truncates.
-        let j = Journal::open(&path, false, None).unwrap();
+        let j = Journal::open(&path, false).unwrap();
         assert_eq!(j.resumed_points(), 0);
         let _ = std::fs::remove_file(&path);
     }
 
+    /// Journals whose rows were keyed by a hand-made string, with or without
+    /// a `{"config":…}` header, cannot say what their points measured, so a
+    /// resume refuses them instead of guessing.
     #[test]
-    fn journal_resume_rejects_config_mismatch() {
-        #[derive(Serialize, Deserialize, PartialEq, Debug)]
-        struct R {
-            v: u64,
+    fn old_format_journals_are_refused() {
+        let path = journal_path("old");
+        for old in [
+            "{\"key\":\"k7\",\"data\":{\"v\":7}}\n",
+            "{\"config\":\"0123456789abcdef\"}\n",
+        ] {
+            std::fs::write(&path, old).unwrap();
+            let err = match Journal::open(&path, true) {
+                Err(e) => e,
+                Ok(_) => panic!("an old journal must be refused: {old}"),
+            };
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("old format"), "{err}");
+            assert!(err.to_string().contains("without --resume"), "{err}");
         }
-        let dir = std::env::temp_dir().join(format!("upp-sweep-cfg-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("journal.jsonl");
+        // Without --resume the old file is simply overwritten.
+        assert_eq!(Journal::open(&path, false).unwrap().resumed_points(), 0);
         let _ = std::fs::remove_file(&path);
+    }
 
-        let fp_a = config_fingerprint("scheme=upp seed=1");
-        let fp_b = config_fingerprint("scheme=none seed=1");
-        assert_ne!(fp_a, fp_b);
-        // Record one point under config A.
-        {
-            let j = Journal::open(&path, false, Some(&fp_a)).unwrap();
-            let eng = SweepEngine::new(1).with_journal(j);
-            let out = eng.run_keyed(&[7u64], |p| format!("k{p}"), |&p| R { v: p });
-            assert_eq!(out, vec![R { v: 7 }]);
+    /// A point's key is all of it: resuming a journaled point with only
+    /// the buffer depth, the flow control, the system or the seed changed
+    /// runs it again instead of serving the recorded row.
+    #[test]
+    fn a_point_differing_in_any_field_is_recomputed() {
+        use upp_noc::config::{FlowControl, NocConfig};
+        use upp_noc::topology::ChipletSystemSpec;
+        use upp_workloads::runner::{SchemeKind, SweepWindows};
+        use upp_workloads::synthetic::Pattern;
+
+        let path = journal_path("spec");
+        let base = PointSpec {
+            system: ChipletSystemSpec::baseline(),
+            noc: NocConfig::default(),
+            scheme: SchemeKind::Upp(upp_core::UppConfig::default()),
+            faults: 0,
+            pattern: Pattern::UniformRandom,
+            windows: SweepWindows::quick(),
+            seed: 1,
+            rate: 0.06,
+        };
+        let variants = [
+            PointSpec {
+                noc: NocConfig::default().with_vc_buffer_depth(5),
+                ..base.clone()
+            },
+            PointSpec {
+                noc: NocConfig {
+                    flow_control: FlowControl::VirtualCutThrough,
+                    ..NocConfig::default()
+                },
+                ..base.clone()
+            },
+            PointSpec {
+                system: ChipletSystemSpec::large(),
+                ..base.clone()
+            },
+            PointSpec {
+                seed: 2,
+                ..base.clone()
+            },
+        ];
+        let runs = AtomicUsize::new(0);
+        let compute = |_: &PointSpec| R {
+            v: runs.fetch_add(1, Ordering::SeqCst) as u64,
+        };
+        let eng = SweepEngine::new(1).with_journal(Journal::open(&path, false).unwrap());
+        eng.run_keyed(std::slice::from_ref(&base), compute);
+        drop(eng);
+
+        let eng = SweepEngine::new(1).with_journal(Journal::open(&path, true).unwrap());
+        assert_eq!(
+            eng.run_keyed(std::slice::from_ref(&base), compute),
+            vec![R { v: 0 }],
+            "the recorded point itself is served"
+        );
+        for (i, variant) in variants.iter().enumerate() {
+            assert_eq!(
+                eng.run_keyed(std::slice::from_ref(variant), compute),
+                vec![R { v: i as u64 + 1 }],
+                "variant {i} must be recomputed, not served the recorded row"
+            );
         }
-
-        // Resuming under the same config restores the point.
-        let j = Journal::open(&path, true, Some(&fp_a)).unwrap();
-        assert_eq!(j.resumed_points(), 1);
-        drop(j);
-
-        // Resuming under config B must hard-error, not reuse stale points.
-        let err = match Journal::open(&path, true, Some(&fp_b)) {
-            Err(e) => e,
-            Ok(_) => panic!("config mismatch must be rejected"),
-        };
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("different sweep config"), "{err}");
-
-        // A legacy journal with points but no header is also rejected when
-        // a fingerprint is demanded.
-        std::fs::write(&path, "{\"key\":\"k7\",\"data\":{\"v\":7}}\n").unwrap();
-        let err = match Journal::open(&path, true, Some(&fp_a)) {
-            Err(e) => e,
-            Ok(_) => panic!("headerless journal with points must be rejected"),
-        };
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("no config header"), "{err}");
-
-        // ... but stays resumable with no fingerprint (repro's shared
-        // multi-experiment journal).
-        let j = Journal::open(&path, true, None).unwrap();
-        assert_eq!(j.resumed_points(), 1);
-        drop(j);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -406,8 +406,8 @@ fn trace_profile_and_stall_flags_write_what_they_promise() {
 }
 
 /// `--journal` streams sweep points to a file and `--resume` serves them
-/// back, so the resumed sweep prints the same rows; a journal recorded
-/// under another configuration is refused rather than reused.
+/// back, so the resumed sweep prints the same rows; resuming under another
+/// configuration serves none of them, so its rows equal a journal-less run.
 #[test]
 fn a_resumed_sweep_journal_serves_its_points() {
     let journal = tmp_path("sweep_journal.jsonl");
@@ -427,7 +427,57 @@ fn a_resumed_sweep_journal_serves_its_points() {
     assert_eq!(first, again);
     assert!(stderr.contains("(2 points recorded)"), "{stderr}");
     resumed.extend_from_slice(&["--seed", "2"]);
-    assert_rejected(&resumed, &["different sweep config"]);
+    let (reseeded, _) = simulate_ok(&resumed);
+    let (fresh, _) = simulate_ok(&["--sweep", "0.02,0.04", "--cycles", "500", "--seed", "2"]);
+    assert_eq!(
+        reseeded, fresh,
+        "no point recorded under --seed 1 is served"
+    );
+    assert_ne!(reseeded, first);
+}
+
+/// A journal written before points recorded themselves (`key` lines under
+/// a `config` header) is refused on resume, naming the way out.
+#[test]
+fn an_old_format_journal_is_refused() {
+    let journal = tmp_path("old_journal.jsonl");
+    std::fs::write(
+        &journal,
+        "{\"config\":\"0123456789abcdef\"}\n{\"key\":\"cli|r0.02\",\"data\":{}}\n",
+    )
+    .expect("journal written");
+    let journal = journal.to_str().expect("utf-8");
+    let args = ["--sweep", "0.02", "--journal", journal, "--resume"];
+    assert_rejected(&args, &["old format", "delete the journal"]);
+    assert_bin_rejected(
+        REPRO,
+        &["--quick", "--journal", journal, "--resume", "fig13"],
+        &["old format", "delete the journal"],
+    );
+}
+
+/// `UPP_JOBS` stands in for a missing `--jobs`, so junk there is an error
+/// naming the variable, not a silent fall-back to every hardware thread.
+#[test]
+fn a_bad_upp_jobs_is_an_error_naming_it() {
+    for (bin, args) in [
+        (SIMULATE, &["--sweep", "0.02", "--cycles", "100"][..]),
+        (REPRO, &["--quick", "table1"][..]),
+    ] {
+        for junk in ["0", "abc"] {
+            let out = Command::new(bin)
+                .args(args)
+                .env("UPP_JOBS", junk)
+                .output()
+                .expect("binary runs");
+            assert_eq!(out.status.code(), Some(2), "{bin} UPP_JOBS={junk}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains("UPP_JOBS"),
+                "{bin} UPP_JOBS={junk}: {stderr}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! cheapest sweep-backed quick experiment (`fig_scaling`, nine keyed points)
 //! runs through two contexts on two threads at once — one worker with a
 //! journal, three workers without — and must come out equal, with the
-//! journal holding exactly the first context's nine keys, once each.
+//! journal holding exactly the first context's nine points, once each.
 //!
 //! With the worker count and the journal held in process-wide statics (as
 //! they were before PR 13) this cannot be expressed: both runs would see
@@ -16,7 +16,7 @@ use upp_bench::Context;
 fn concurrent_contexts_do_not_share_jobs_or_journal() {
     let dir = std::env::temp_dir().join(format!("upp-context-isolation-{}", std::process::id()));
     let path = dir.join("journal.jsonl");
-    let journal = Journal::open(&path, false, None).expect("journal opens (and creates its dir)");
+    let journal = Journal::open(&path, false).expect("journal opens (and creates its dir)");
     let journaled = Context::new(true, SweepEngine::new(1).with_journal(journal));
     let plain = Context::new(true, SweepEngine::new(3));
     assert_eq!((journaled.engine.jobs(), plain.engine.jobs()), (1, 3));
@@ -36,23 +36,18 @@ fn concurrent_contexts_do_not_share_jobs_or_journal() {
     );
 
     let recorded = std::fs::read_to_string(&path).expect("journal written");
-    let mut keys: Vec<String> = recorded
+    let mut points: Vec<String> = recorded
         .lines()
         .map(|l| {
             let v = serde_json::from_str(l).expect("journal line is JSON");
-            v.get("key")
-                .and_then(|k| k.as_str())
-                .expect("every line is a keyed point")
-                .to_string()
+            let point = v.get("point").expect("every line records its point");
+            assert!(point.get("cols").is_some(), "a fig_scaling point: {l}");
+            serde_json::to_string(point).expect("serializes")
         })
         .collect();
-    assert_eq!(keys.len(), a.len(), "one line per point of one run");
-    assert!(
-        keys.iter().all(|k| k.starts_with("fig_scaling|")),
-        "{keys:?}"
-    );
-    keys.sort();
-    keys.dedup();
-    assert_eq!(keys.len(), a.len(), "no key recorded twice");
+    assert_eq!(points.len(), a.len(), "one line per point of one run");
+    points.sort();
+    points.dedup();
+    assert_eq!(points.len(), a.len(), "no point recorded twice");
     let _ = std::fs::remove_dir_all(&dir);
 }

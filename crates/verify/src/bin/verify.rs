@@ -149,9 +149,12 @@ fn point_scenario(o: &CampaignOpts, seed: u64) -> Scenario {
 }
 
 fn campaign(o: CampaignOpts) -> ExitCode {
-    let engine = match o.jobs {
-        Some(j) => SweepEngine::new(j),
-        None => SweepEngine::new(upp_bench::sweep::default_jobs()),
+    let engine = match o.jobs.map_or_else(upp_bench::sweep::default_jobs, Ok) {
+        Ok(j) => SweepEngine::new(j),
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::from(2);
+        }
     };
     let seeds: Vec<u64> = (0..o.points as u64).map(|i| o.seed_base + i).collect();
     let schemes: Vec<&str> = o.schemes.iter().map(String::as_str).collect();

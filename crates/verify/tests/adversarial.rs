@@ -16,7 +16,8 @@ const SCHEMES: [&str; 3] = ["UPP", "remote-control", "composable"];
 fn hundred_point_differential_campaign_is_clean() {
     let params = CampaignParams::default();
     let seeds: Vec<u64> = (0..100).collect();
-    let engine = SweepEngine::new(upp_bench::sweep::default_jobs());
+    let engine =
+        SweepEngine::new(upp_bench::sweep::default_jobs().expect("UPP_JOBS is a positive integer"));
     let failures: Vec<String> = engine
         .map(&seeds, |_, &seed| {
             let base = random_scenario(&params, seed).expect("valid params");

@@ -6,7 +6,7 @@
 //!   engine and the 18 PARSEC/SPLASH-2 benchmark profiles substituting for
 //!   gem5 full-system runs (Figs. 8/12/15);
 //! * [`runner`] — system construction for every scheme, the one-point
-//!   measurement ([`runner::run_point`]; `upp_bench::sweep` fans it out)
+//!   measurement ([`runner::PointSpec::run`]; `upp_bench::sweep` fans it out)
 //!   and saturation extraction;
 //! * [`run`] — one whole run as a library call ([`run::RunConfig`] ->
 //!   [`run::run`] -> [`run::RunReport`]; `simulate` is its argv shell) and
@@ -18,22 +18,23 @@
 //! # Example: one sweep point
 //!
 //! ```
-//! use upp_workloads::runner::{run_point, SchemeKind, SweepWindows};
+//! use upp_workloads::runner::{PointSpec, SchemeKind, SweepWindows};
 //! use upp_workloads::synthetic::Pattern;
 //! use upp_core::UppConfig;
 //! use upp_noc::config::NocConfig;
 //! use upp_noc::topology::ChipletSystemSpec;
 //!
-//! let p = run_point(
-//!     &ChipletSystemSpec::baseline(),
-//!     &NocConfig::default(),
-//!     &SchemeKind::Upp(UppConfig::default()),
-//!     0,
-//!     Pattern::UniformRandom,
-//!     0.02,
-//!     SweepWindows::quick(),
-//!     1,
-//! );
+//! let p = PointSpec {
+//!     system: ChipletSystemSpec::baseline(),
+//!     noc: NocConfig::default(),
+//!     scheme: SchemeKind::Upp(UppConfig::default()),
+//!     faults: 0,
+//!     pattern: Pattern::UniformRandom,
+//!     windows: SweepWindows::quick(),
+//!     seed: 1,
+//!     rate: 0.02,
+//! }
+//! .run();
 //! assert!(p.packets_ejected > 0 && !p.deadlocked);
 //! ```
 
@@ -52,5 +53,5 @@ pub use area::{AreaModel, AreaOverhead};
 pub use coherence::{run_benchmark, CoherenceEngine, RuntimeResult};
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use profiles::{all_benchmarks, benchmark, BenchmarkProfile};
-pub use runner::{run_point, saturation_throughput, SchemeKind, SweepPoint, SweepWindows};
+pub use runner::{saturation_throughput, PointSpec, SchemeKind, SweepPoint, SweepWindows};
 pub use synthetic::{Pattern, SyntheticTraffic};

@@ -1,6 +1,6 @@
 //! Experiment infrastructure: system construction for every scheme —
 //! [`try_build_system`] is the one place a request is validated and built —
-//! the one-point measurement sweeps are made of ([`run_point`], or
+//! the one-point measurement sweeps are made of ([`PointSpec::run`], or
 //! [`measure_point`] on a system the caller built), and saturation-point
 //! extraction.
 
@@ -22,7 +22,7 @@ use upp_noc::watch::WatchConfig;
 use upp_noc::Network;
 
 /// Which deadlock-freedom scheme to instantiate.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum SchemeKind {
     /// Unprotected reference (deadlocks under load).
     None,
@@ -283,11 +283,54 @@ pub struct SweepPoint {
     pub alerts: AlertCounts,
 }
 
-/// Runs one `(pattern, rate)` point: a pure function of its arguments
-/// ([`build_system`], then [`measure_point`]). The row's [`AlertCounts`]
-/// say whether the health monitor fired; to see the alert stream or capture
-/// forensics for a point that did, re-run it under
-/// `simulate --watch-out --watch-capture-dir` with the row's parameters.
+/// One sweep point, described completely: the system, the network, the
+/// scheme, the traffic and the windows it is measured under. Its
+/// serialized form is also its identity: the sweep journal keys each row by
+/// it, so two points share a row only if nothing that reaches the
+/// measurement differs.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct PointSpec {
+    /// The chiplet system.
+    pub system: ChipletSystemSpec,
+    /// The network configuration.
+    pub noc: NocConfig,
+    /// The deadlock-freedom scheme.
+    pub scheme: SchemeKind,
+    /// Random faulty mesh links.
+    pub faults: usize,
+    /// Synthetic traffic pattern.
+    pub pattern: Pattern,
+    /// Warmup and measurement windows.
+    pub windows: SweepWindows,
+    /// Seed of the topology binding, the fault set and the traffic.
+    pub seed: u64,
+    /// Offered load, flits/cycle/node.
+    pub rate: f64,
+}
+
+impl PointSpec {
+    /// Runs the point: a pure function of the spec ([`build_system`] with
+    /// 1-cycle consumption, then [`measure_point`]). The row's
+    /// [`AlertCounts`] say whether the health monitor fired; to see the
+    /// alert stream or capture forensics for a point that did, re-run it
+    /// under `simulate --watch-out --watch-capture-dir` with the row's
+    /// parameters.
+    pub fn run(&self) -> SweepPoint {
+        let built = build_system(
+            &self.system,
+            self.noc.clone(),
+            &self.scheme,
+            self.faults,
+            self.seed,
+            ConsumePolicy::Immediate { latency: 1 },
+        );
+        measure_point(built, self.pattern, self.rate, self.windows, self.seed)
+    }
+}
+
+/// [`PointSpec::run`] with the spec's fields as positional arguments. It
+/// remains only for the frozen `benchmark/` package, whose sources cannot
+/// change; everything else builds a [`PointSpec`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_point(
     spec: &ChipletSystemSpec,
@@ -299,15 +342,17 @@ pub fn run_point(
     windows: SweepWindows,
     seed: u64,
 ) -> SweepPoint {
-    let built = build_system(
-        spec,
-        cfg.clone(),
-        kind,
+    PointSpec {
+        system: spec.clone(),
+        noc: cfg.clone(),
+        scheme: kind.clone(),
         faults,
+        pattern,
+        windows,
         seed,
-        ConsumePolicy::Immediate { latency: 1 },
-    );
-    measure_point(built, pattern, rate, windows, seed)
+        rate,
+    }
+    .run()
 }
 
 /// Measures one `(pattern, rate)` point on a system the caller built (and
@@ -418,19 +463,24 @@ mod tests {
         ChipletSystemSpec::baseline()
     }
 
+    /// `scheme` on the baseline at `rate`, uniform random, quick windows.
+    fn point(scheme: SchemeKind, faults: usize, rate: f64, seed: u64) -> PointSpec {
+        PointSpec {
+            system: spec(),
+            noc: NocConfig::default(),
+            scheme,
+            faults,
+            pattern: Pattern::UniformRandom,
+            windows: SweepWindows::quick(),
+            seed,
+            rate,
+        }
+    }
+
     #[test]
     fn low_load_point_is_unsaturated_for_all_schemes() {
         for kind in SchemeKind::evaluated() {
-            let p = run_point(
-                &spec(),
-                &NocConfig::default(),
-                &kind,
-                0,
-                Pattern::UniformRandom,
-                0.02,
-                SweepWindows::quick(),
-                1,
-            );
+            let p = point(kind.clone(), 0, 0.02, 1).run();
             assert!(!p.deadlocked, "{}", kind.label());
             assert!(
                 p.packets_ejected > 100,
@@ -449,16 +499,7 @@ mod tests {
 
     #[test]
     fn throughput_tracks_offered_load_below_saturation() {
-        let p = run_point(
-            &spec(),
-            &NocConfig::default(),
-            &SchemeKind::Upp(UppConfig::default()),
-            0,
-            Pattern::UniformRandom,
-            0.04,
-            SweepWindows::quick(),
-            2,
-        );
+        let p = point(SchemeKind::Upp(UppConfig::default()), 0, 0.04, 2).run();
         assert!(
             (p.throughput - 0.04).abs() < 0.012,
             "delivered {} vs offered 0.04",
@@ -534,16 +575,7 @@ mod tests {
 
     #[test]
     fn faulty_builds_use_table_routing_and_run() {
-        let p = run_point(
-            &spec(),
-            &NocConfig::default(),
-            &SchemeKind::Upp(UppConfig::default()),
-            5,
-            Pattern::UniformRandom,
-            0.02,
-            SweepWindows::quick(),
-            3,
-        );
+        let p = point(SchemeKind::Upp(UppConfig::default()), 5, 0.02, 3).run();
         assert!(!p.deadlocked);
         assert!(p.packets_ejected > 50);
     }

@@ -10,12 +10,10 @@
 
 use upp::noc::config::NocConfig;
 use upp::noc::topology::ChipletSystemSpec;
-use upp::workloads::runner::{run_point, SchemeKind, SweepWindows};
+use upp::workloads::runner::{PointSpec, SchemeKind, SweepWindows};
 use upp::workloads::synthetic::Pattern;
 
 fn main() {
-    let spec = ChipletSystemSpec::baseline();
-    let cfg = NocConfig::default();
     // Short-ish windows so the example finishes in seconds; the full
     // reproduction (`repro fig7`) uses the paper's 10K/100K windows.
     let windows = SweepWindows {
@@ -29,16 +27,17 @@ fn main() {
     for kind in SchemeKind::evaluated() {
         let mut row = Vec::new();
         for &rate in &rates {
-            let p = run_point(
-                &spec,
-                &cfg,
-                &kind,
-                0,
-                Pattern::UniformRandom,
-                rate,
+            let p = PointSpec {
+                system: ChipletSystemSpec::baseline(),
+                noc: NocConfig::default(),
+                scheme: kind.clone(),
+                faults: 0,
+                pattern: Pattern::UniformRandom,
                 windows,
-                7,
-            );
+                seed: 7,
+                rate,
+            }
+            .run();
             println!(
                 "{},{:.3},{:.2},{:.2},{:.2},{:.4},{}",
                 kind.label(),
