@@ -200,6 +200,7 @@ impl Scheme for RemoteControl {
             let Some(req) = q.front().copied() else {
                 continue;
             };
+            net.count_work(|w| w.scheme_visits += 1);
             if now < req.requested_at + self.cfg.permission_rtt {
                 continue;
             }

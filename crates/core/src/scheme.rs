@@ -194,10 +194,10 @@ struct VnetState {
     arbiter: UpwardArbiter,
     stage: Stage,
     acks_to_drop: u32,
-    /// In a pop stage: every router holding the popup packet carries its
+    /// In a pop stage: every input VC the popup packet owns carries its
     /// priority mark. Cleared by every stage change, set by the stage's
     /// first whole-worm mark (on entry to `PopChiplet`, in the first cycle
-    /// of `PopInterposer`, whose entry marks the head's router only) and
+    /// of `PopInterposer`, whose entry marks the head's VC only) and
     /// then kept: the head is frozen, so no router can newly own a VC of
     /// the packet until the stage ends.
     marked: bool,
@@ -214,22 +214,25 @@ impl VnetState {
         }
     }
 
-    /// Marks the popup packet at every router holding it, once per pop
-    /// stage; debug builds check on every later call that the marks still
-    /// cover the worm.
-    fn mark_worm(&mut self, net: &mut Network, packet: PacketId) {
+    /// Marks the popup packet's worm, which `from` pops, once per pop
+    /// stage; debug builds check on every call, the first included, that
+    /// the marks cover every VC the packet owns in the network.
+    fn mark_worm(&mut self, net: &mut Network, packet: PacketId, vnet: VnetId, from: NodeId) {
         if !self.marked {
-            Upp::mark_priority_everywhere(net, packet);
+            Upp::mark_priority_everywhere(net, packet, vnet, from);
             self.marked = true;
-        } else if cfg!(debug_assertions) {
+        }
+        if cfg!(debug_assertions) {
             for node in net.topo().nodes() {
                 let r = net.router(node.id);
-                assert!(
-                    !holds(r, packet) || r.is_priority_packet(packet),
-                    "{} holds popup packet {packet} without its mark at cycle {}",
-                    node.id,
-                    net.cycle()
-                );
+                for (p, f) in r.input_vcs() {
+                    assert!(
+                        r.input_vc(p, f).owner != Some(packet) || r.is_priority_vc(p, f),
+                        "{} {p} VC {f} holds popup packet {packet} without its mark at cycle {}",
+                        node.id,
+                        net.cycle()
+                    );
+                }
             }
         }
     }
@@ -247,7 +250,8 @@ impl RouterState {
     /// True when the scheme side owes this router nothing: every popup
     /// stage `Idle` and no signal queued. Both only change while the router
     /// is being visited, so a quiet router stays quiet until the network
-    /// shows it something (see [`Router::has_scheme_input`]).
+    /// shows it something: an `Up`-routed flit or an ack (see
+    /// [`Router::has_scheme_input`]).
     ///
     /// [`Router::has_scheme_input`]: upp_noc::router::Router::has_scheme_input
     fn is_quiet(&self) -> bool {
@@ -569,7 +573,7 @@ impl Upp {
         self.enter(net, slot, vnet, to);
         let r = net.router_mut(self.routers[slot].node);
         r.set_vc_frozen(vc.0, vc.1, true);
-        r.add_priority_packet(cand.packet);
+        r.mark_priority(vc.0, vc.1);
     }
 
     /// The popup's tail left: back to `Idle`, then the recovery-latency
@@ -626,15 +630,29 @@ impl Upp {
         }
     }
 
-    /// Marks popup priority for `packet` at every router currently holding
-    /// its flits, so the worm drains ahead of ordinary traffic.
-    fn mark_priority_everywhere(net: &mut Network, packet: PacketId) {
-        for i in 0..net.topo().nodes().len() {
-            let n = net.topo().nodes()[i].id;
-            if holds(net.router(n), packet) {
-                net.router_mut(n).add_priority_packet(packet);
+    /// Marks popup priority on every input VC `packet` owns, so the worm
+    /// drains ahead of ordinary traffic. The walk starts at `from`, the
+    /// popping router, which holds the worm's front; the VC a packet owns
+    /// came in through a port whose raw neighbour holds the next VC back.
+    /// It ends at the worm's source (`Local`) or at a router the tail has
+    /// already left, which owns nothing: a worm has no gaps.
+    fn mark_priority_everywhere(net: &mut Network, packet: PacketId, vnet: VnetId, from: NodeId) {
+        let mut node = from;
+        let mut scanned = 0;
+        loop {
+            let (owned, n) = net.router(node).owned_vc(packet, vnet);
+            scanned += n;
+            let Some((in_port, f)) = owned else { break };
+            net.router_mut(node).mark_priority(in_port, f);
+            if in_port == Port::Local {
+                break;
             }
+            node = net
+                .topo()
+                .raw_neighbor(node, in_port)
+                .expect("a VC's flits arrive over a link");
         }
+        net.count_work(|w| w.mark_vcs_scanned += scanned);
     }
 
     /// Finds the router whose input VC currently holds `packet`'s head flit.
@@ -851,7 +869,7 @@ impl Upp {
                 }
             }
             Stage::PopInterposer { cand, .. } => {
-                self.routers[slot].vnets[vnet.index()].mark_worm(net, cand.packet);
+                self.routers[slot].vnets[vnet.index()].mark_worm(net, cand.packet, vnet, node);
                 // Pops pipeline with bypass forwarding: one flit per cycle.
                 if net.bypass_pending(node) <= 1 {
                     if let Some(flit) = net.pop_upward_flit(node, cand.in_port, cand.vc_flat) {
@@ -886,7 +904,12 @@ impl Upp {
                         };
                         self.enter(net, slot, vnet, to);
                         net.router_mut(r_star).set_vc_frozen(in_port, vc_flat, true);
-                        self.routers[slot].vnets[vnet.index()].mark_worm(net, cand.packet);
+                        self.routers[slot].vnets[vnet.index()].mark_worm(
+                            net,
+                            cand.packet,
+                            vnet,
+                            r_star,
+                        );
                     }
                     // Fully delivered through the normal path while we were
                     // looking: recycle the reservation.
@@ -905,7 +928,7 @@ impl Upp {
                 vc_flat,
                 ..
             } => {
-                self.routers[slot].vnets[vnet.index()].mark_worm(net, packet);
+                self.routers[slot].vnets[vnet.index()].mark_worm(net, packet, vnet, r_star);
                 if net.bypass_pending(r_star) <= 1 {
                     let hit = net.router(r_star).circuit(vnet, dest).map(|e| e.out_port);
                     if let Some(o) = &self.obs {
@@ -1013,11 +1036,12 @@ impl Scheme for Upp {
         // scheme owes it something or the network can show it something.
         // Visiting a router that is quiet on both sides would drain an
         // empty inbox, find every stage `Idle`, find no upward candidate
-        // (one needs a buffered flit) and so zero its counters; only that
-        // last effect is applied here.
+        // (one needs a buffered flit routed `Up`) and so zero its
+        // counters; only that last effect is applied here.
         for slot in 0..self.routers.len() {
             let st = &mut self.routers[slot];
             if !st.is_quiet() || net.router(st.node).has_scheme_input() {
+                net.count_work(|w| w.scheme_visits += 1);
                 self.process_router(net, slot);
                 continue;
             }
@@ -1190,13 +1214,12 @@ mod tests {
         assert!(matches!(out, RunOutcome::Drained { .. }), "got {out:?}");
         let s = UppStats::snapshot(&stats);
         assert!(s.popups_completed > 0, "{s:?}");
-        let created = sys.net().stats().packets_created;
         for node in sys.net().topo().nodes() {
             let r = sys.net().router(node.id);
-            let marked: Vec<u64> = (0..created)
-                .filter(|&id| r.is_priority_packet(PacketId(id)))
-                .collect();
-            assert!(marked.is_empty(), "{} still marks {marked:?}", node.id);
+            for p in Port::ALL {
+                let prio = r.vc_words(p).prio;
+                assert_eq!(prio, 0, "{} {p} still marks VCs {prio:#b}", node.id);
+            }
         }
     }
 
@@ -1361,7 +1384,7 @@ mod tests {
             "the VC the head was found in is frozen"
         );
         assert!(!r.input_vc(other, vc_flat).frozen, "the candidate's is not");
-        assert!(r.is_priority_packet(packet));
+        assert!(r.is_priority_vc(in_port, vc_flat));
     }
 
     #[cfg(debug_assertions)]

@@ -220,9 +220,9 @@ impl Schedule {
     }
 }
 
-/// Exact counts of the work in the two loops a stalled network spends its
+/// Exact counts of the work in the loops a stalled network spends its
 /// time in: switch allocation's request predicate and UPP's interposer
-/// watchdog. Counted only in debug builds (release builds read zeros), so
+/// tick. Counted only in debug builds (release builds read zeros), so
 /// they cost a release run nothing; [`Network::work_counts`] sums them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct WorkCounts {
@@ -238,6 +238,10 @@ pub struct WorkCounts {
     /// Upward-candidate lists a watchdog built
     /// ([`Network::upward_candidates_into`]).
     pub candidate_lists: u64,
+    /// Boundary routers a scheme's per-cycle tick processed.
+    pub scheme_visits: u64,
+    /// Input VCs examined while marking a popup's worm.
+    pub mark_vcs_scanned: u64,
 }
 
 impl std::ops::Add for WorkCounts {
@@ -250,6 +254,8 @@ impl std::ops::Add for WorkCounts {
             vcs_rearmed: self.vcs_rearmed + o.vcs_rearmed,
             upward_tests: self.upward_tests + o.upward_tests,
             candidate_lists: self.candidate_lists + o.candidate_lists,
+            scheme_visits: self.scheme_visits + o.scheme_visits,
+            mark_vcs_scanned: self.mark_vcs_scanned + o.mark_vcs_scanned,
         }
     }
 }
@@ -907,6 +913,15 @@ impl Network {
     /// Panics if no physical link exists there.
     pub fn inject_link_fault(&mut self, node: NodeId, port: Port) {
         self.topo.set_link_faulty(node, port);
+        self.sync_link_ends(node, port);
+    }
+
+    /// Re-reads the link state of both routers a link joins.
+    fn sync_link_ends(&mut self, node: NodeId, port: Port) {
+        let peer = self.topo.raw_neighbor(node, port);
+        for n in std::iter::once(node).chain(peer) {
+            self.routers[n.index()].sync_links(&self.topo);
+        }
     }
 
     /// Heals a link previously failed with [`Network::inject_link_fault`]
@@ -914,6 +929,7 @@ impl Network {
     /// cycle; credit state survived the outage, so no flit is lost.
     pub fn heal_link_fault(&mut self, node: NodeId, port: Port) {
         self.topo.clear_link_fault(node, port);
+        self.sync_link_ends(node, port);
         self.schedule.wake_all_routers();
     }
 
@@ -960,6 +976,9 @@ impl Network {
             ));
         }
         mutate(&mut self.topo);
+        for r in &mut self.routers {
+            r.sync_links(&self.topo);
+        }
         self.schedule.wake_all_routers();
         self.topo.validate()?;
         self.routing = routing;

@@ -329,10 +329,6 @@ pub struct Flit {
     /// VC buffers and crosses routers in a single switch-traversal stage
     /// (Sec. V-C).
     pub upward: bool,
-    /// Set on flits of a packet currently being recovered: they receive top
-    /// switch-allocation priority so the worm drains (wormhole support,
-    /// Sec. V-B3).
-    pub popup_priority: bool,
 }
 
 impl Flit {
@@ -350,7 +346,6 @@ impl Flit {
             seq,
             kind,
             upward: false,
-            popup_priority: false,
         }
     }
 }
@@ -432,9 +427,15 @@ mod tests {
         // The data-oriented layout exists to keep wire flits tiny; pin the
         // budget so a metadata field cannot silently creep back in.
         assert!(
-            std::mem::size_of::<Flit>() <= 16,
+            std::mem::size_of::<Flit>() <= 8,
             "Flit grew to {} bytes",
             std::mem::size_of::<Flit>()
+        );
+        // Every input-VC ring slot holds one flit and its arrival cycle.
+        assert!(
+            std::mem::size_of::<crate::router::BufferedFlit>() <= 16,
+            "BufferedFlit grew to {} bytes",
+            std::mem::size_of::<crate::router::BufferedFlit>()
         );
     }
 

@@ -14,7 +14,7 @@
 //! * a circuit table `(VNet, popup destination) -> (in, out)` recorded by
 //!   circuit-recording control messages and used by upward flits to bypass
 //!   buffers entirely (one ST stage per hop, Sec. V-C);
-//! * per-packet popup priority for draining partly-transmitted worms
+//! * per-VC popup priority for draining partly-transmitted worms
 //!   (Sec. V-B3);
 //! * an optional packet-sized side-buffer *absorber* on boundary routers
 //!   (remote control's isolation buffers).
@@ -35,7 +35,7 @@ use crate::trace::{BlockReason, TraceEvent, Tracer};
 use crate::wake_set::SetBits;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// A buffered flit with its arrival cycle (flits attend switch allocation
 /// from the cycle after arrival).
@@ -63,6 +63,23 @@ pub struct InputVc {
     /// Frozen VCs are skipped by switch allocation (set while UPP pops the
     /// VC's packet up through the bypass path).
     pub frozen: bool,
+}
+
+/// One input port's per-VC words ([`Router::vc_words`]): bit `f` of each
+/// describes input VC `f`. All four are zero on a port none of whose VCs
+/// a packet holds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct VcWords {
+    /// The VC holds a flit.
+    pub occ: u64,
+    /// Occupied, and waiting on a credit or a downstream VC: switch
+    /// allocation skips it until a re-arm.
+    pub parked: u64,
+    /// Owned by a packet routed `Up`.
+    pub up: u64,
+    /// Owned by a packet being popped up, whose flits win switch
+    /// allocation.
+    pub prio: u64,
 }
 
 /// What switch allocation learns from one occupied input VC
@@ -241,6 +258,18 @@ pub struct Router {
     /// armed); [`Router::deliver_credit`], [`Router::pop_flit`] and
     /// [`Router::set_vc_frozen`] re-arm.
     parked: [u64; Port::COUNT],
+    /// One `Up`-route word per input port: bit `f` is set while input VC
+    /// `f` is owned by a packet whose route computation chose `Up`
+    /// (written with `route_out` by [`Router::deliver_flit`], cleared with
+    /// it where the tail leaves). `occ & up` are the VCs UPP's watchdog
+    /// looks for.
+    up: [u64; Port::COUNT],
+    /// One popup-priority word per input port: bit `f` is set while input
+    /// VC `f`'s packet is being popped up and its flits win switch
+    /// allocation outright (Sec. V-B3). A mark goes with the VC: it is
+    /// cleared where the packet's tail leaves, through switch allocation
+    /// or through [`Router::pop_bypass_flit`].
+    prio: [u64; Port::COUNT],
     /// This router's share of the network's [`WorkCounts`]; a debug-build
     /// field only, so a release router is no larger for it.
     #[cfg(debug_assertions)]
@@ -253,6 +282,11 @@ pub struct Router {
     out_vcs: Vec<OutVcState>,
     vcs_per_port: usize,
     has_link: [bool; Port::COUNT],
+    /// Output ports a flit may cross now, one bit per `Port::index`: the
+    /// link exists and is not failed. `Local` is always live. Kept equal
+    /// to the topology by [`Router::sync_links`], which the network calls
+    /// wherever a fault is set or cleared.
+    live: u8,
     /// True when this router's `Local`-like sinks (Local out, or Up out when
     /// the neighbour absorbs) never exert VC backpressure.
     infinite_sink: [bool; Port::COUNT],
@@ -263,11 +297,6 @@ pub struct Router {
     /// linear scan beats hashing.
     circuits: Vec<((VnetId, NodeId), CircuitEntry)>,
     bypass: VecDeque<BypassFlit>,
-    /// Packets whose buffered flits bid with popup priority: one entry per
-    /// popup whose worm holds an input VC here. A mark goes with the VC —
-    /// it is cleared where the packet's tail leaves, through switch
-    /// allocation or through [`Router::pop_bypass_flit`].
-    priority_packets: HashSet<PacketId>,
     absorber: Option<Absorber>,
     control_inbox: Vec<DeliveredControl>,
     /// Per input port: the VC switch allocation looks at first, advanced by
@@ -295,13 +324,6 @@ impl Router {
     /// Builds the router for `node`.
     pub fn new(node: NodeId, cfg: &NocConfig, topo: &Topology, seed: u64) -> Self {
         let vcs = cfg.vcs_per_port();
-        let mut has_link = [false; Port::COUNT];
-        has_link[Port::Local.index()] = true;
-        for p in Port::ALL {
-            if p != Port::Local && topo.raw_neighbor(node, p).is_some() {
-                has_link[p.index()] = true;
-            }
-        }
         let in_vcs = vec![InputVc::default(); Port::COUNT * vcs];
         let ring_cap = cfg.vc_buffer_depth.max(cfg.max_packet_flits());
         let bufs = RingBank::new(
@@ -319,7 +341,7 @@ impl Router {
         }
         let mut infinite_sink = [false; Port::COUNT];
         infinite_sink[Port::Local.index()] = true;
-        Self {
+        let mut r = Self {
             node,
             vcs_per_vnet: cfg.vcs_per_vnet,
             num_vnets: cfg.num_vnets,
@@ -327,25 +349,50 @@ impl Router {
             bufs,
             occ: [0; Port::COUNT],
             parked: [0; Port::COUNT],
+            up: [0; Port::COUNT],
+            prio: [0; Port::COUNT],
             #[cfg(debug_assertions)]
             work: WorkCounts::default(),
             last_flit_write: 0,
             out_vcs,
             vcs_per_port: vcs,
-            has_link,
+            has_link: [false; Port::COUNT],
+            live: 0,
             infinite_sink,
             req_buf: VecDeque::new(),
             ack_buf: VecDeque::new(),
             circuits: Vec::new(),
             bypass: VecDeque::new(),
-            priority_packets: HashSet::new(),
             absorber: None,
             control_inbox: Vec::new(),
             rr_in: [0; Port::COUNT],
             rr_out: [0; Port::COUNT],
             up_last_sent: vec![0; cfg.num_vnets],
             rng: SmallRng::seed_from_u64(seed ^ node.0 as u64),
+        };
+        r.sync_links(topo);
+        r
+    }
+
+    /// Reads this router's links off `topo`: which ports have one at all,
+    /// and which of those are live (not failed). Called at build time and
+    /// wherever the network sets or clears a fault on one of them.
+    pub(crate) fn sync_links(&mut self, topo: &Topology) {
+        self.live = 0;
+        for p in Port::ALL {
+            let local = p == Port::Local;
+            self.has_link[p.index()] = local || topo.raw_neighbor(self.node, p).is_some();
+            if local || topo.neighbor(self.node, p).is_some() {
+                self.live |= 1 << p.index();
+            }
         }
+    }
+
+    /// True when a flit may leave through `out` now: the link exists and
+    /// has not failed (fail-stop: a flit bound over a failed link waits in
+    /// place until the heal).
+    fn is_live(&self, out: Port) -> bool {
+        self.live >> out.index() & 1 == 1
     }
 
     /// The router's node id.
@@ -453,19 +500,43 @@ impl Router {
         }
     }
 
-    /// Marks a packet's buffered flits as popup-priority.
-    pub fn add_priority_packet(&mut self, p: PacketId) {
-        self.priority_packets.insert(p);
+    /// Gives input VC `(p, vc_flat)` popup priority until its packet's
+    /// tail leaves it.
+    pub fn mark_priority(&mut self, p: Port, vc_flat: usize) {
+        self.prio[p.index()] |= 1 << vc_flat;
     }
 
-    /// Clears a popup-priority mark.
-    pub fn remove_priority_packet(&mut self, p: PacketId) {
-        self.priority_packets.remove(&p);
+    /// True while input VC `(p, vc_flat)` holds popup priority.
+    pub fn is_priority_vc(&self, p: Port, vc_flat: usize) -> bool {
+        self.prio[p.index()] >> vc_flat & 1 == 1
     }
 
-    /// True while `p` holds popup priority here.
-    pub fn is_priority_packet(&self, p: PacketId) -> bool {
-        self.priority_packets.contains(&p)
+    /// The input VC of `vnet` that `packet` owns here, if any, and how
+    /// many VCs were compared to find it: every VC of `vnet` on every port
+    /// with a link, in [`Router::input_vcs`] order. A packet owns at most
+    /// one VC per router, since no route visits a router twice.
+    pub fn owned_vc(&self, packet: PacketId, vnet: VnetId) -> (Option<(Port, usize)>, u64) {
+        let mut scanned = 0;
+        for p in Port::ALL.into_iter().filter(|p| self.has_link[p.index()]) {
+            for f in self.vnet_range(vnet) {
+                scanned += 1;
+                if self.in_vcs[p.index() * self.vcs_per_port + f].owner == Some(packet) {
+                    return (Some((p, f)), scanned);
+                }
+            }
+        }
+        (None, scanned)
+    }
+
+    /// Port `p`'s per-VC words, one bit per VC each.
+    pub fn vc_words(&self, p: Port) -> VcWords {
+        let i = p.index();
+        VcWords {
+            occ: self.occ[i],
+            parked: self.parked[i],
+            up: self.up[i],
+            prio: self.prio[i],
+        }
     }
 
     /// Freezes or unfreezes an input VC (frozen VCs skip switch allocation;
@@ -499,18 +570,18 @@ impl Router {
         WorkCounts::default()
     }
 
+    /// The input VCs, over all ports, that hold a flit routed `Up`.
+    fn upward_vcs(&self) -> u64 {
+        (0..Port::COUNT).fold(0, |any, p| any | self.occ[p] & self.up[p])
+    }
+
     /// True when an input VC of `vnet` holds a flit routed `Up`: UPP's
-    /// watchdog test, read off the occupancy words and `route_out` with no
-    /// descriptor load. Equal to a non-empty
+    /// watchdog test, read off the occupancy and `Up`-route words. Equal to
+    /// a non-empty
     /// [`Network::upward_candidates_into`](crate::network::Network::upward_candidates_into)
     /// list (debug-asserted by its caller).
     pub(crate) fn has_upward_candidate(&self, vnet: VnetId) -> bool {
-        let mask = self.vnet_mask(vnet.index());
-        Port::ALL.into_iter().any(|p| {
-            let base = p.index() * self.vcs_per_port;
-            SetBits(self.occ[p.index()] & mask)
-                .any(|f| self.in_vcs[base + f].route_out == Some(Port::Up))
-        })
+        self.upward_vcs() & self.vnet_mask(vnet.index()) != 0
     }
 
     /// Upward flits currently waiting in the bypass latch.
@@ -524,9 +595,11 @@ impl Router {
         out.append(&mut self.control_inbox);
     }
 
-    /// True when this router can show a scheme's `pre_cycle` something: a
-    /// buffered input-VC flit (an upward candidate is one) or an unread
-    /// control-inbox entry (a terminated ack). Both are O(1).
+    /// True when this router can show UPP's `pre_cycle` something: a
+    /// buffered flit routed `Up` (an upward candidate) or an unread
+    /// control-inbox entry (a terminated ack). A flit on any other route
+    /// cannot start a watchdog, so a router holding only those shows
+    /// nothing. Both reads are O(1).
     ///
     /// This is the wake predicate of a level-triggered scheme tick, and it
     /// is exact at `pre_cycle` time because of *when* the two states
@@ -535,7 +608,7 @@ impl Router {
     /// `step_control` in the **previous** cycle's `finish_cycle` — not by
     /// event delivery — so it is already visible when the scheme runs.
     pub fn has_scheme_input(&self) -> bool {
-        self.bufs.any_nonempty() || !self.control_inbox.is_empty()
+        self.upward_vcs() != 0 || !self.control_inbox.is_empty()
     }
 
     /// True while this router holds anything: a buffered input-VC flit, a
@@ -642,9 +715,11 @@ impl Router {
                 self.node
             );
             let desc = ctx.arena.head_desc(&flit);
+            let out = ctx.routing.route(ctx.topo, self.node, in_port, &desc.route);
             vc.owner = Some(desc.id);
-            vc.route_out = Some(ctx.routing.route(ctx.topo, self.node, in_port, &desc.route));
+            vc.route_out = Some(out);
             vc.out_vc = None;
+            self.up[in_port.index()] |= u64::from(out == Port::Up) << vc_flat;
         }
         if !self.push_flit(in_port, vc_flat, flit, ctx.now) {
             panic!(
@@ -682,19 +757,39 @@ impl Router {
         Some(b)
     }
 
-    /// Debug cross-check of the occupancy words against the buffers they
-    /// summarise (the reference for every occupancy-driven skip, like the
-    /// scheduler's cross-check in `Network::finish_cycle`).
-    fn assert_occupancy_matches_buffers(&self) {
+    /// Debug cross-check of the per-port words against the state they
+    /// summarise (the reference for every skip they drive, like the
+    /// scheduler's cross-check in `Network::finish_cycle`): occupancy
+    /// against the buffers, `up` against `route_out`, `prio` only on owned
+    /// VCs, and `live` against the topology.
+    fn assert_words_match_state(&self, topo: &Topology) {
         for p in Port::ALL {
             for f in 0..self.vcs_per_port {
+                let vc = &self.in_vcs[p.index() * self.vcs_per_port + f];
                 assert_eq!(
                     self.occ[p.index()] >> f & 1 == 1,
                     !self.bufs.is_empty(p.index() * self.vcs_per_port + f),
                     "occupancy word of {} {p} disagrees with VC {f}'s buffer",
                     self.node
                 );
+                assert_eq!(
+                    self.up[p.index()] >> f & 1 == 1,
+                    vc.route_out == Some(Port::Up),
+                    "Up-route word of {} {p} disagrees with VC {f}'s route",
+                    self.node
+                );
+                assert!(
+                    !self.is_priority_vc(p, f) || vc.owner.is_some(),
+                    "{} {p} VC {f} holds a priority mark and no packet",
+                    self.node
+                );
             }
+            assert_eq!(
+                self.is_live(p),
+                p == Port::Local || topo.neighbor(self.node, p).is_some(),
+                "live word of {} disagrees with the topology on {p}",
+                self.node
+            );
         }
     }
 
@@ -738,11 +833,10 @@ impl Router {
                 }
                 let mut rejoined = flit;
                 rejoined.upward = false;
-                rejoined.popup_priority = true;
                 if !self.push_flit(p, f, rejoined, ctx.now) {
                     panic!("rejoin overflow at {} for {id}", self.node);
                 }
-                self.add_priority_packet(id);
+                self.mark_priority(p, f);
                 return;
             }
         }
@@ -815,7 +909,7 @@ impl Router {
     /// nothing either until one of those inputs does.
     pub(crate) fn step(&mut self, ctx: &mut RouterCtx<'_>) -> Cycle {
         if cfg!(debug_assertions) {
-            self.assert_occupancy_matches_buffers();
+            self.assert_words_match_state(ctx.topo);
             self.assert_parked_cannot_bid(ctx);
         }
         let emitted = ctx.emit.len();
@@ -860,8 +954,7 @@ impl Router {
                 && !claimed_in[b.in_port.index()]
                 // A dynamically-failed link retains the flit in the latch
                 // until the heal (fail-stop; nothing in flight is dropped).
-                && (b.out_port == Port::Local
-                    || ctx.topo.neighbor(self.node, b.out_port).is_some());
+                && self.live >> b.out_port.index() & 1 == 1;
             if !eligible {
                 return true;
             }
@@ -989,7 +1082,7 @@ impl Router {
             if claimed_out[out_port.index()] {
                 continue; // delayed one cycle (upward flits win, Sec. V-C1)
             }
-            if out_port != Port::Local && ctx.topo.neighbor(self.node, out_port).is_none() {
+            if !self.is_live(out_port) {
                 continue; // dead link: the message stays queued until heal
             }
             let buf = match class {
@@ -1111,7 +1204,6 @@ impl Router {
             if p == Port::Down && self.absorber.is_some() {
                 continue; // Down arrivals are absorbed, not crossbar inputs.
             }
-            let base = p.index() * self.vcs_per_port;
             // Round-robin order: VCs `rr_in..` first, then the wrap-around.
             let below_start = (1u64 << self.rr_in[p.index()]) - 1;
             let mut chosen: Option<(usize, bool)> = None;
@@ -1141,18 +1233,7 @@ impl Router {
                     }
                     continue;
                 }
-                let prio = !self.priority_packets.is_empty()
-                    && self.priority_packets.contains(
-                        &ctx.arena
-                            .desc(
-                                &self
-                                    .bufs
-                                    .front(base + f)
-                                    .expect("request implies head flit")
-                                    .flit,
-                            )
-                            .id,
-                    );
+                let prio = self.is_priority_vc(p, f);
                 match chosen {
                     None => chosen = Some((f, prio)),
                     Some((_, false)) if prio => chosen = Some((f, prio)),
@@ -1280,11 +1361,8 @@ impl Router {
             return None;
         }
         let out = vc.route_out?;
-        if !self.has_link[out.index()] {
-            return None;
-        }
-        if out != Port::Local && ctx.topo.neighbor(self.node, out).is_none() {
-            return None; // dynamically-failed link: the packet waits for heal
+        if !self.is_live(out) {
+            return None; // no link, or a failed one: the packet waits for heal
         }
         match vc.out_vc {
             Some(ovc) if self.out_vcs[out.index() * self.vcs_per_port + ovc].credits == 0 => {
@@ -1324,11 +1402,8 @@ impl Router {
         let Some(out) = vc.route_out else {
             return Request::Wait;
         };
-        if !self.has_link[out.index()] {
-            return Request::Wait;
-        }
-        if out != Port::Local && ctx.topo.neighbor(self.node, out).is_none() {
-            // Fail-stop: never bid over a dynamically-failed link. The VC
+        if !self.is_live(out) {
+            // Fail-stop: never bid over a missing or failed link. The VC
             // (and its worm) waits in place until the link heals.
             return Request::Wait;
         }
@@ -1339,7 +1414,10 @@ impl Router {
                     head.flit.kind.is_head(),
                     "body flit without allocated out VC"
                 );
-                let vnet = ctx.arena.head_desc(&head.flit).vnet;
+                // A packet keeps its VNet, and an input VC carries only its
+                // own VNet's packets, so the VC index names the VNet.
+                let vnet = VnetId((f / self.vcs_per_vnet) as u8);
+                debug_assert_eq!(vnet, ctx.arena.head_desc(&head.flit).vnet);
                 let need = Self::alloc_credits_needed(ctx, &head.flit);
                 self.free_out_vc_exists(out, vnet, need, ctx)
             }
@@ -1478,16 +1556,17 @@ impl Router {
         }
 
         if is_tail {
-            let vc = &mut self.in_vcs[in_port.index() * self.vcs_per_port + f];
-            vc.owner = None;
-            vc.route_out = None;
-            vc.out_vc = None;
-            vc.frozen = false;
-            if !self.priority_packets.is_empty() {
-                self.remove_priority_packet(ctx.arena.desc(&flit).id);
-            }
+            self.free_vc(in_port, f);
         }
         self.forward_flit(ctx, flit, out, ovc, is_tail);
+    }
+
+    /// Deallocates input VC `(p, f)` as its packet's tail leaves: no
+    /// owner, route, out VC, freeze, `Up`-route bit or priority mark.
+    fn free_vc(&mut self, p: Port, f: usize) {
+        self.in_vcs[p.index() * self.vcs_per_port + f] = InputVc::default();
+        self.up[p.index()] &= !(1 << f);
+        self.prio[p.index()] &= !(1 << f);
     }
 
     fn absorber_request(&self, ctx: &RouterCtx<'_>) -> Option<(usize, Port)> {
@@ -1508,11 +1587,8 @@ impl Router {
                 continue;
             }
             let out = slot.route_out.expect("absorbed head computed a route");
-            if !self.has_link[out.index()] {
-                continue;
-            }
-            if out != Port::Local && ctx.topo.neighbor(self.node, out).is_none() {
-                continue; // dynamically-failed link: re-inject after heal
+            if !self.is_live(out) {
+                continue; // no link, or a failed one: re-inject after heal
             }
             let ok = match slot.out_vc {
                 Some(ovc) => self.out_vcs[out.index() * self.vcs_per_port + ovc].credits > 0,
@@ -1630,11 +1706,8 @@ impl Router {
         vc_flat: usize,
         out_port: Port,
     ) -> Option<Flit> {
-        if !self.has_link[out_port.index()] {
-            return None;
-        }
-        if out_port != Port::Local && ctx.topo.neighbor(self.node, out_port).is_none() {
-            return None; // dynamically-failed link: popup resumes after heal
+        if !self.is_live(out_port) {
+            return None; // no link, or a failed one: popup resumes after heal
         }
         let iv = in_port.index() * self.vcs_per_port + vc_flat;
         let head = self.bufs.front(iv)?;
@@ -1658,12 +1731,7 @@ impl Router {
         }
         let is_tail = flit.kind.is_tail();
         if is_tail {
-            let vc = &mut self.in_vcs[iv];
-            vc.owner = None;
-            vc.route_out = None;
-            vc.out_vc = None;
-            vc.frozen = false;
-            self.remove_priority_packet(ctx.arena.desc(&flit).id);
+            self.free_vc(in_port, vc_flat);
         }
         // Credit upstream for the freed slot.
         let credit_at = ctx.now + ctx.cfg.credit_latency;
@@ -1724,8 +1792,8 @@ impl Router {
 
     /// Exact heap bytes of this router's steady-state storage: the input-VC
     /// ring bank, VC control state, credit mirrors, control buffers and the
-    /// absorber's slots. Transient structures (bypass latch, circuit table,
-    /// priority set) are counted at their current footprint.
+    /// absorber's slots. Transient structures (bypass latch, circuit table)
+    /// are counted at their current footprint.
     pub fn mem_bytes(&self) -> usize {
         use std::mem::size_of;
         self.bufs.mem_bytes()
@@ -1735,7 +1803,6 @@ impl Router {
             + self.ack_buf.capacity() * size_of::<(ControlMsg, Port, Cycle)>()
             + self.bypass.capacity() * size_of::<BypassFlit>()
             + self.circuits.len() * size_of::<((VnetId, NodeId), CircuitEntry)>()
-            + self.priority_packets.len() * size_of::<PacketId>()
             + self.up_last_sent.len() * size_of::<Cycle>()
             + self.absorber.as_ref().map_or(0, |a| {
                 a.slots.len() * size_of::<AbsorbSlot>()
@@ -1983,7 +2050,7 @@ mod tests {
             assert_eq!(r.occ[Port::West.index()], 0b1010);
             r.rr_in[Port::West.index()] = 2;
             if priority_on_vc1 {
-                r.add_priority_packet(PacketId(1));
+                r.mark_priority(Port::West, 1);
             }
             let mut ctx = h.ctx(1);
             r.step(&mut ctx);
@@ -2203,14 +2270,93 @@ mod tests {
     }
 
     #[test]
-    fn priority_packets_round_trip() {
-        let h = Harness::new(NocConfig::default());
+    fn a_head_behind_a_failed_link_waits_unparked_and_bids_after_the_heal() {
+        let mut h = Harness::new(NocConfig::default());
         let mut r = h.router();
-        assert!(!r.is_priority_packet(PacketId(3)));
-        r.add_priority_packet(PacketId(3));
-        assert!(r.is_priority_packet(PacketId(3)));
-        r.remove_priority_packet(PacketId(3));
-        assert!(!r.is_priority_packet(PacketId(3)));
+        let node = r.node();
+        let dest = h.topo.chiplets()[0].routers[6];
+        let d = h.intern(1, dest);
+        r.deliver_flit(&mut h.ctx(0), Port::West, 0, Flit::new(d, 0, 1));
+        h.topo.set_link_faulty(node, Port::East);
+        r.sync_links(&h.topo);
+        for now in 1..=3 {
+            r.step(&mut h.ctx(now));
+            assert!(h.emit.is_empty(), "nothing crosses a failed link");
+            assert_eq!(
+                r.vc_words(Port::West).parked,
+                0,
+                "no credit announces a heal, so a VC behind a failed link waits"
+            );
+        }
+        h.topo.clear_link_fault(node, Port::East);
+        r.sync_links(&h.topo);
+        r.step(&mut h.ctx(4));
+        assert_eq!(
+            departed_vc(&h),
+            0,
+            "it bids in the first step after the heal"
+        );
+    }
+
+    #[test]
+    fn a_build_time_fault_leaves_both_ends_dead() {
+        let mut h = Harness::new(NocConfig::default());
+        let node = h.topo.chiplets()[0].routers[5];
+        let east = h.topo.neighbor(node, Port::East).unwrap();
+        h.topo.set_link_faulty(node, Port::East);
+        let (r, peer) = (
+            Router::new(node, &h.cfg, &h.topo, 1),
+            Router::new(east, &h.cfg, &h.topo, 1),
+        );
+        assert!(r.has_link(Port::East) && peer.has_link(Port::West));
+        assert!(!r.is_live(Port::East) && !peer.is_live(Port::West));
+        assert!(r.is_live(Port::West) && r.is_live(Port::Local));
+        r.assert_words_match_state(&h.topo);
+        peer.assert_words_match_state(&h.topo);
+    }
+
+    #[test]
+    fn up_route_and_priority_bits_leave_with_the_tail_on_both_paths() {
+        // VC 63 of 2 x 32, where a word's last bit is.
+        let cfg = NocConfig {
+            num_vnets: 2,
+            ..NocConfig::default().with_vcs_per_vnet(32)
+        };
+        let mut h = Harness::new(cfg);
+        let (ir, above) = h
+            .topo
+            .interposer_routers()
+            .iter()
+            .find_map(|&ir| Some((ir, h.topo.above(ir)?)))
+            .expect("a boundary interposer router");
+        let src = h.topo.chiplets()[3].routers[0];
+        let route = h.routing.plan(&h.topo, src, above);
+        let mut r = Router::new(ir, &h.cfg, &h.topo, 1);
+        let bit = 1 << 63;
+        for (id, now) in [(1, 0), (2, 10)] {
+            let d = h.intern_routed(PacketId(id), VnetId(1), 2, route);
+            r.deliver_flit(&mut h.ctx(now), Port::Local, 63, Flit::new(d, 0, 2));
+            r.deliver_flit(&mut h.ctx(now), Port::Local, 63, Flit::new(d, 1, 2));
+            r.mark_priority(Port::Local, 63);
+            let words = r.vc_words(Port::Local);
+            assert_eq!((words.up, words.prio), (bit, bit));
+            if id == 1 {
+                // Switch allocation: head, then tail.
+                for at in now + 1..now + 3 {
+                    r.step(&mut h.ctx(at));
+                }
+            } else {
+                // The bypass latch, as a popup takes it.
+                for at in now + 1..now + 3 {
+                    assert!(r
+                        .pop_bypass_flit(&mut h.ctx(at), Port::Local, 63, Port::Up)
+                        .is_some());
+                }
+            }
+            assert!(r.input_vc(Port::Local, 63).owner.is_none(), "the tail left");
+            assert_eq!(r.vc_words(Port::Local), VcWords::default());
+            r.assert_words_match_state(&h.topo);
+        }
     }
 
     /// One input VC's worm in the occupancy property test: the packet and
@@ -2311,7 +2457,7 @@ mod tests {
                         }
                     }
                 }
-                r.assert_occupancy_matches_buffers();
+                r.assert_words_match_state(&h.topo);
                 r.assert_parked_cannot_bid(&h.ctx(now + 1));
             }
         }

@@ -48,8 +48,9 @@ use upp_core::{UppConfig, UppStats};
 use upp_noc::config::NocConfig;
 use upp_noc::fault::{FaultAction, FaultEvent, FaultPlan};
 use upp_noc::ids::{Port, VnetId};
-use upp_noc::network::WorkCounts;
+use upp_noc::network::{Network, WorkCounts};
 use upp_noc::ni::ConsumePolicy;
+use upp_noc::router::VcWords;
 use upp_noc::sim::RunOutcome;
 use upp_noc::topology::ChipletSystemSpec;
 use upp_workloads::runner::{build_system, SchemeKind};
@@ -323,11 +324,53 @@ fn run_counted(recipe: &Recipe, active_scheduler: bool) -> (Snapshot, WorkCounts
         net: format!("{:?}", sys.net().stats()),
         upp,
     };
-    (
+    let counted = (
         snapshot,
         sys.net().work_counts(),
         sys.net().stats().flit_hops,
-    )
+    );
+    if !recipe.must_wedge {
+        assert_drained_clean(&mut built.sys, active_scheduler);
+    }
+    counted
+}
+
+/// What a drained network still holds. On every router no per-VC word is
+/// set: nothing parked, routed `Up` or marked with popup priority outlives
+/// its packet. And under the scheduler (the reference kernel keeps every
+/// router on its schedule) the endpoints' last consumptions and the
+/// protocol's last signals end within a consumption latency and a few
+/// hops, after which no router and no NI is scheduled.
+fn assert_drained_clean(sys: &mut upp_noc::sim::System, active_scheduler: bool) {
+    assert_no_vc_words(sys.net());
+    if !active_scheduler {
+        return;
+    }
+    let deadline = sys.net().cycle() + 1_000;
+    while !sys.net().is_quiescent() && sys.net().cycle() < deadline {
+        sys.step();
+    }
+    assert!(
+        sys.net().is_quiescent(),
+        "a drained network is quiescent by cycle {}",
+        sys.net().cycle()
+    );
+    assert_no_vc_words(sys.net());
+}
+
+fn assert_no_vc_words(net: &Network) {
+    for node in net.topo().nodes() {
+        for p in Port::ALL {
+            let words = net.router(node.id).vc_words(p);
+            assert_eq!(
+                words,
+                VcWords::default(),
+                "{} {p} after the drain at cycle {}",
+                node.id,
+                net.cycle()
+            );
+        }
+    }
 }
 
 /// Skipping idle and blocked routers and NIs must be unobservable: the
@@ -359,30 +402,47 @@ fn same_seed_reruns_identically() {
     assert_eq!(run(&FIG3, true), run(&FIG3, true));
 }
 
-/// What the Fig. 3 recipe costs the two loops a stalled network spends its
-/// time in — switch allocation's request predicate and UPP's watchdog — as
-/// exact counts per flit-hop. A change to that work shows here as a diff
-/// to explain (refresh with `UPP_UPDATE_GOLDENS=1`); a change that claims
-/// less work states the old and new figures. Counted in debug builds only.
+/// What the Fig. 3 recipe costs the loops a stalled network spends its
+/// time in — switch allocation's request predicate and UPP's tick — as
+/// exact counts per flit-hop, under UPP, remote control and no scheme at
+/// all (the last on the wedge recipe: the same traffic drains under
+/// neither). A change to that work shows here as a diff to explain
+/// (refresh with `UPP_UPDATE_GOLDENS=1`); a change that claims less work
+/// states the old and new figures. Counted in debug builds only.
 #[cfg(debug_assertions)]
 #[test]
 fn fig3_work_per_flit_hop_is_pinned() {
-    let (_, work, hops) = run_counted(&FIG3, true);
-    let per_hop = |n: u64| format!("{:.4}", n as f64 / hops as f64);
-    let rows = [
-        ("vc_requests", work.vc_requests),
-        ("vc_requests_failed", work.vc_requests_failed),
-        ("vcs_rearmed", work.vcs_rearmed),
-        ("upward_tests", work.upward_tests),
-        ("candidate_lists", work.candidate_lists),
+    let legs = [
+        ("upp", FIG3),
+        ("remote_control", FIG3_REMOTE_CONTROL),
+        ("none", WEDGE),
     ];
-    let mut golden = format!("{{\n  \"flit_hops\": {hops},\n");
-    for (i, (name, n)) in rows.iter().enumerate() {
-        let sep = if i + 1 == rows.len() { "" } else { "," };
-        golden += &format!(
-            "  \"{name}\": {{\"count\": {n}, \"per_flit_hop\": {}}}{sep}\n",
-            per_hop(*n)
-        );
+    let mut golden = String::from("{\n");
+    for (l, (leg, recipe)) in legs.iter().enumerate() {
+        let (_, work, hops) = run_counted(recipe, true);
+        let per_hop = |n: u64| format!("{:.4}", n as f64 / hops as f64);
+        let rows = [
+            ("vc_requests", work.vc_requests),
+            ("vc_requests_failed", work.vc_requests_failed),
+            ("vcs_rearmed", work.vcs_rearmed),
+            ("upward_tests", work.upward_tests),
+            ("candidate_lists", work.candidate_lists),
+            ("scheme_visits", work.scheme_visits),
+            ("mark_vcs_scanned", work.mark_vcs_scanned),
+        ];
+        golden += &format!("  \"{leg}\": {{\n    \"flit_hops\": {hops},\n");
+        for (i, (name, n)) in rows.iter().enumerate() {
+            let sep = if i + 1 == rows.len() { "" } else { "," };
+            golden += &format!(
+                "    \"{name}\": {{\"count\": {n}, \"per_flit_hop\": {}}}{sep}\n",
+                per_hop(*n)
+            );
+        }
+        golden += if l + 1 == legs.len() {
+            "  }\n"
+        } else {
+            "  },\n"
+        };
     }
     golden += "}\n";
     common::check_golden("work_counts_fig3.json", &golden);
