@@ -123,14 +123,7 @@ pub fn encode(state: &State) -> Vec<u8> {
     for r in &state.routers {
         b.push(r.queue.len() as u8);
         b.extend_from_slice(&r.queue);
-        b.push(match r.stage {
-            s if s.is_idle() => 0,
-            upp_core::protocol::PopupStage::WaitAck => 1,
-            upp_core::protocol::PopupStage::PopInterposer => 2,
-            upp_core::protocol::PopupStage::LocateHead => 3,
-            upp_core::protocol::PopupStage::PopChiplet => 4,
-            _ => unreachable!(),
-        });
+        b.push(r.stage.index() as u8);
         b.push(r.popup_dest.map_or(0xff, |d| d));
         b.push(r.counter);
         b.push(r.budget);

@@ -100,7 +100,6 @@ mod tests {
             packet: PacketId(p),
             vnet: VnetId(0),
             dest: NodeId(1),
-            partly_transmitted: false,
         }
     }
 

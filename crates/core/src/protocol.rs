@@ -90,6 +90,11 @@ impl PopupStage {
         }
     }
 
+    /// The stage's position in [`PopupStage::ALL`] (`Idle` is 0).
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// Parses a canonical label back into a stage.
     pub fn from_name(name: &str) -> Option<PopupStage> {
         Self::ALL.into_iter().find(|s| s.name() == name)
@@ -152,9 +157,10 @@ mod tests {
 
     #[test]
     fn stage_names_round_trip() {
-        for s in PopupStage::ALL {
+        for (i, s) in PopupStage::ALL.into_iter().enumerate() {
             assert_eq!(PopupStage::from_name(s.name()), Some(s));
             assert_eq!(format!("{s}"), s.name());
+            assert_eq!(s.index(), i);
         }
         assert_eq!(PopupStage::from_name("Bogus"), None);
     }

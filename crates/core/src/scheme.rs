@@ -21,7 +21,6 @@ use upp_noc::ids::{ChipletId, Cycle, NodeId, PacketId, Port, VnetId};
 use upp_noc::network::{Network, UpwardCandidate};
 use upp_noc::obs::{CounterId, GaugeId, HistId};
 use upp_noc::packet::RouteInfo;
-use upp_noc::router::Router;
 use upp_noc::scheme::{Scheme, SchemeProperties};
 use upp_noc::trace::TraceEvent;
 
@@ -81,8 +80,10 @@ pub struct UppStats {
     /// Cycles spent between selection and the `UPP_ack` arriving, summed
     /// over completed popups (the `WaitAck` stage of the recovery span).
     pub wait_ack_cycles: u64,
-    /// Cycles spent searching for a partly-transmitted worm's head flit,
-    /// summed over completed popups (zero for full popups).
+    /// Cycles from the ack to the cycle the popping VC was found, summed
+    /// over completed popups: zero when the head was at the boundary
+    /// router at ack time, else the `LocateHead` search, also when it finds
+    /// the head back in the boundary router.
     pub locate_cycles: u64,
     /// Cycles spent actually popping flits through the bypass path, summed
     /// over completed popups.
@@ -120,13 +121,6 @@ enum Stage {
         cand: UpwardCandidate,
         selected_at: Cycle,
     },
-    /// Ack received, head still at the interposer: popping flits up the
-    /// bypass path.
-    PopInterposer {
-        cand: UpwardCandidate,
-        selected_at: Cycle,
-        acked_at: Cycle,
-    },
     /// Ack received for a partly-transmitted worm: searching for the router
     /// currently holding the head flit.
     LocateHead {
@@ -134,59 +128,61 @@ enum Stage {
         selected_at: Cycle,
         acked_at: Cycle,
     },
-    /// Popping from the chiplet router that holds the head flit.
-    PopChiplet {
-        packet: PacketId,
-        dest: NodeId,
-        r_star: NodeId,
-        in_port: Port,
-        vc_flat: usize,
-        selected_at: Cycle,
-        acked_at: Cycle,
-        located_at: Cycle,
-    },
+    /// Popping flits, one per cycle, from the frozen VC that holds the head.
+    Pop(Pop),
+}
+
+/// A popup in its pop stage.
+#[derive(Debug, Clone, Copy)]
+struct Pop {
+    packet: PacketId,
+    dest: NodeId,
+    /// The input VC popped, `(router, port, flat VC)`: frozen from the
+    /// stage's entry until its tail leaves.
+    vc: (NodeId, Port, usize),
+    selected_at: Cycle,
+    acked_at: Cycle,
+    /// When the head was found: `acked_at` for a full popup.
+    located_at: Cycle,
 }
 
 impl Stage {
     /// The shared-protocol stage this concrete (payload-carrying) stage
-    /// corresponds to.
-    fn kind(&self) -> PopupStage {
+    /// corresponds to, for the state machine of boundary router `home`: a
+    /// pop from `home` itself is `PopInterposer`, one from any other
+    /// router `PopChiplet`.
+    fn kind(&self, home: NodeId) -> PopupStage {
         match self {
             Stage::Idle => PopupStage::Idle,
             Stage::WaitAck { .. } => PopupStage::WaitAck,
-            Stage::PopInterposer { .. } => PopupStage::PopInterposer,
             Stage::LocateHead { .. } => PopupStage::LocateHead,
-            Stage::PopChiplet { .. } => PopupStage::PopChiplet,
+            Stage::Pop(pop) if pop.vc.0 == home => PopupStage::PopInterposer,
+            Stage::Pop(_) => PopupStage::PopChiplet,
         }
+    }
+
+    fn is_idle(&self) -> bool {
+        matches!(self, Stage::Idle)
     }
 
     /// The packet the stage is bound to (`None` only for `Idle`).
     fn packet(&self) -> Option<PacketId> {
         match *self {
             Stage::Idle => None,
-            Stage::WaitAck { cand, .. }
-            | Stage::PopInterposer { cand, .. }
-            | Stage::LocateHead { cand, .. } => Some(cand.packet),
-            Stage::PopChiplet { packet, .. } => Some(packet),
-        }
-    }
-
-    /// Index of a non-idle stage into [`UppObs`]' per-stage counters.
-    fn obs_index(&self) -> Option<usize> {
-        match self {
-            Stage::Idle => None,
-            Stage::WaitAck { .. } => Some(0),
-            Stage::PopInterposer { .. } => Some(1),
-            Stage::LocateHead { .. } => Some(2),
-            Stage::PopChiplet { .. } => Some(3),
+            Stage::WaitAck { cand, .. } | Stage::LocateHead { cand, .. } => Some(cand.packet),
+            Stage::Pop(pop) => Some(pop.packet),
         }
     }
 }
 
-/// True when an input VC of `r` is owned by `packet`.
-fn holds(r: &Router, packet: PacketId) -> bool {
-    r.input_vcs()
-        .any(|(p, f)| r.input_vc(p, f).owner == Some(packet))
+/// Where a partly-transmitted worm's head flit is.
+enum Head {
+    /// At the front of this input VC, `(router, port, flat VC)`.
+    At((NodeId, Port, usize)),
+    /// On a link: some router still holds a flit of the packet.
+    InFlight,
+    /// Nowhere: the packet left the network.
+    Gone,
 }
 
 struct VnetState {
@@ -194,13 +190,6 @@ struct VnetState {
     arbiter: UpwardArbiter,
     stage: Stage,
     acks_to_drop: u32,
-    /// In a pop stage: every input VC the popup packet owns carries its
-    /// priority mark. Cleared by every stage change, set by the stage's
-    /// first whole-worm mark (on entry to `PopChiplet`, in the first cycle
-    /// of `PopInterposer`, whose entry marks the head's VC only) and
-    /// then kept: the head is frozen, so no router can newly own a VC of
-    /// the packet until the stage ends.
-    marked: bool,
 }
 
 impl VnetState {
@@ -210,30 +199,6 @@ impl VnetState {
             arbiter: UpwardArbiter::new(),
             stage: Stage::Idle,
             acks_to_drop: 0,
-            marked: false,
-        }
-    }
-
-    /// Marks the popup packet's worm, which `from` pops, once per pop
-    /// stage; debug builds check on every call, the first included, that
-    /// the marks cover every VC the packet owns in the network.
-    fn mark_worm(&mut self, net: &mut Network, packet: PacketId, vnet: VnetId, from: NodeId) {
-        if !self.marked {
-            Upp::mark_priority_everywhere(net, packet, vnet, from);
-            self.marked = true;
-        }
-        if cfg!(debug_assertions) {
-            for node in net.topo().nodes() {
-                let r = net.router(node.id);
-                for (p, f) in r.input_vcs() {
-                    assert!(
-                        r.input_vc(p, f).owner != Some(packet) || r.is_priority_vc(p, f),
-                        "{} {p} VC {f} holds popup packet {packet} without its mark at cycle {}",
-                        node.id,
-                        net.cycle()
-                    );
-                }
-            }
         }
     }
 }
@@ -255,7 +220,7 @@ impl RouterState {
     ///
     /// [`Router::has_scheme_input`]: upp_noc::router::Router::has_scheme_input
     fn is_quiet(&self) -> bool {
-        self.signal_q.is_empty() && self.vnets.iter().all(|vs| vs.stage.kind().is_idle())
+        self.signal_q.is_empty() && self.vnets.iter().all(|vs| vs.stage.is_idle())
     }
 
     /// What a cycle without upward candidates does to every watchdog
@@ -283,7 +248,7 @@ struct UppObs {
     /// Distribution of live watchdog counter values at epoch boundaries.
     watchdog_counter: HistId,
     /// Stage-transition counts (entries into each non-idle stage), indexed
-    /// by [`Stage::obs_index`].
+    /// by [`PopupStage::index`] less one (`Idle` has none).
     enter: [CounterId; 4],
     /// Per-cycle dwell counts (cycles spent in each non-idle stage, summed
     /// over all `(node, VNet)` state machines), same index.
@@ -502,14 +467,13 @@ impl Upp {
         let node = st.node;
         let vs = &mut st.vnets[vnet.index()];
         let from = vs.stage;
-        let (from_kind, to_kind) = (from.kind(), to.kind());
+        let (from_kind, to_kind) = (from.kind(node), to.kind(node));
         debug_assert!(
             from_kind.can_transition_to(to_kind),
             "illegal popup stage transition {from_kind} -> {to_kind}"
         );
         vs.stage = to;
-        vs.marked = false;
-        if let (Some(o), Some(i)) = (&self.obs, to.obs_index()) {
+        if let (Some(o), Some(i)) = (&self.obs, to_kind.index().checked_sub(1)) {
             net.obs_mut().inc(o.enter[i]);
         }
         match (from_kind, to_kind) {
@@ -551,51 +515,29 @@ impl Upp {
         self.enter(net, slot, vnet, Stage::Idle);
     }
 
-    /// Starts a full popup of `cand` from this interposer router: freezes
-    /// the input VC `vc` that holds its head and marks its priority
-    /// here (the rest of the worm is marked in the stage's first cycle).
-    #[allow(clippy::too_many_arguments)]
-    fn start_pop_interposer(
-        &mut self,
-        net: &mut Network,
-        slot: usize,
-        vnet: VnetId,
-        cand: UpwardCandidate,
-        vc: (Port, usize),
-        selected_at: Cycle,
-        acked_at: Cycle,
-    ) {
-        let to = Stage::PopInterposer {
-            cand,
-            selected_at,
-            acked_at,
-        };
-        self.enter(net, slot, vnet, to);
-        let r = net.router_mut(self.routers[slot].node);
-        r.set_vc_frozen(vc.0, vc.1, true);
-        r.mark_priority(vc.0, vc.1);
+    /// Starts popping `pop.packet` from the VC that holds its head, for a
+    /// full popup (the ack found the head here) and a partial one (the
+    /// head was found at `r*`) alike: freezes the VC, enters the pop stage
+    /// and marks the whole worm. The marks then hold until the tail leaves:
+    /// with its head frozen, the worm owns no new VC.
+    fn start_pop(&mut self, net: &mut Network, slot: usize, vnet: VnetId, pop: Pop) {
+        let (node, in_port, vc_flat) = pop.vc;
+        net.router_mut(node).set_vc_frozen(in_port, vc_flat, true);
+        self.enter(net, slot, vnet, Stage::Pop(pop));
+        Self::mark_priority_everywhere(net, pop.packet, vnet, node);
     }
 
     /// The popup's tail left: back to `Idle`, then the recovery-latency
     /// stats, the per-stage latency decomposition and the tracer's popup
     /// span.
-    fn complete_popup(&mut self, net: &mut Network, slot: usize, vnet: VnetId) {
-        let (packet, selected_at, acked_at, located_at) =
-            match self.routers[slot].vnets[vnet.index()].stage {
-                Stage::PopInterposer {
-                    cand,
-                    selected_at,
-                    acked_at,
-                } => (cand.packet, selected_at, acked_at, acked_at),
-                Stage::PopChiplet {
-                    packet,
-                    selected_at,
-                    acked_at,
-                    located_at,
-                    ..
-                } => (packet, selected_at, acked_at, located_at),
-                other => unreachable!("popup completed in stage {}", other.kind()),
-            };
+    fn complete_popup(&mut self, net: &mut Network, slot: usize, vnet: VnetId, pop: Pop) {
+        let Pop {
+            packet,
+            selected_at,
+            acked_at,
+            located_at,
+            ..
+        } = pop;
         self.enter(net, slot, vnet, Stage::Idle);
         let now = net.cycle();
         let wait_ack = acked_at.saturating_sub(selected_at);
@@ -655,30 +597,45 @@ impl Upp {
         net.count_work(|w| w.mark_vcs_scanned += scanned);
     }
 
-    /// Finds the router whose input VC currently holds `packet`'s head flit.
-    fn locate_head(net: &Network, packet: PacketId) -> Option<(NodeId, Port, usize)> {
+    /// Debug builds: every input VC in the network that `packet`, the
+    /// popup packet, owns carries its priority mark.
+    fn assert_worm_marked(net: &Network, packet: PacketId) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
         for node in net.topo().nodes() {
             let r = net.router(node.id);
             for (p, f) in r.input_vcs() {
-                let vc = r.input_vc(p, f);
-                if vc.owner == Some(packet) {
-                    if let Some(front) = r.vc_front(p, f) {
-                        if front.flit.kind.is_head() {
-                            return Some((node.id, p, f));
-                        }
-                    }
-                }
+                assert!(
+                    r.input_vc(p, f).owner != Some(packet) || r.is_priority_vc(p, f),
+                    "{} {p} VC {f} holds popup packet {packet} without its mark at cycle {}",
+                    node.id,
+                    net.cycle()
+                );
             }
         }
-        None
     }
 
-    /// True when no router holds any flit of `packet`.
-    fn packet_gone(net: &Network, packet: PacketId) -> bool {
-        net.topo()
-            .nodes()
-            .iter()
-            .all(|n| !holds(net.router(n.id), packet))
+    /// One pass over the routers for `packet`'s head flit: the first VC, in
+    /// node order, that `packet` owns with the head at its front, else
+    /// whether any router still holds a flit of it.
+    fn find_head(net: &Network, packet: PacketId, vnet: VnetId) -> Head {
+        let mut held = false;
+        for node in net.topo().nodes() {
+            let r = net.router(node.id);
+            let (Some((p, f)), _) = r.owned_vc(packet, vnet) else {
+                continue;
+            };
+            if r.vc_front(p, f).is_some_and(|b| b.flit.kind.is_head()) {
+                return Head::At((node.id, p, f));
+            }
+            held = true;
+        }
+        if held {
+            Head::InFlight
+        } else {
+            Head::Gone
+        }
     }
 
     /// Cross-check for a router `pre_cycle` is skipping, independent of the
@@ -706,7 +663,7 @@ impl Upp {
     fn sibling_popup_active(&self, slot: usize, vnet: VnetId) -> bool {
         let chiplet = self.routers[slot].chiplet;
         self.routers.iter().enumerate().any(|(other, r)| {
-            other != slot && r.chiplet == chiplet && !r.vnets[vnet.index()].stage.kind().is_idle()
+            other != slot && r.chiplet == chiplet && !r.vnets[vnet.index()].stage.is_idle()
         })
     }
 
@@ -847,8 +804,15 @@ impl Upp {
             };
             self.enter(net, slot, vnet, to);
         } else {
-            let vc = (cand.in_port, cand.vc_flat);
-            self.start_pop_interposer(net, slot, vnet, cand, vc, selected_at, acked_at);
+            let pop = Pop {
+                packet: cand.packet,
+                dest: cand.dest,
+                vc: (node, cand.in_port, cand.vc_flat),
+                selected_at,
+                acked_at,
+                located_at: acked_at,
+            };
+            self.start_pop(net, slot, vnet, pop);
         }
     }
 
@@ -856,7 +820,7 @@ impl Upp {
         let node = self.routers[slot].node;
         let stage = self.routers[slot].vnets[vnet.index()].stage;
         // Dwell accounting: one count per cycle spent in a non-idle stage.
-        if let (Some(o), Some(i)) = (&self.obs, stage.obs_index()) {
+        if let (Some(o), Some(i)) = (&self.obs, stage.kind(node).index().checked_sub(1)) {
             net.obs_mut().inc(o.dwell[i]);
         }
         match stage {
@@ -868,69 +832,44 @@ impl Upp {
                     self.stop(net, slot, vnet, cand.dest, true);
                 }
             }
-            Stage::PopInterposer { cand, .. } => {
-                self.routers[slot].vnets[vnet.index()].mark_worm(net, cand.packet, vnet, node);
-                // Pops pipeline with bypass forwarding: one flit per cycle.
-                if net.bypass_pending(node) <= 1 {
-                    if let Some(flit) = net.pop_upward_flit(node, cand.in_port, cand.vc_flat) {
-                        if flit.kind.is_tail() {
-                            self.complete_popup(net, slot, vnet);
-                        }
-                    }
-                }
-            }
             Stage::LocateHead {
                 cand,
                 selected_at,
                 acked_at,
-            } => {
-                match Self::locate_head(net, cand.packet) {
-                    Some((r_star, in_port, vc_flat)) if r_star == node => {
-                        // Head back in this router after all: full popup,
-                        // freezing the VC the head was found in.
-                        let vc = (in_port, vc_flat);
-                        self.start_pop_interposer(net, slot, vnet, cand, vc, selected_at, acked_at);
-                    }
-                    Some((r_star, in_port, vc_flat)) => {
-                        let to = Stage::PopChiplet {
-                            packet: cand.packet,
-                            dest: cand.dest,
-                            r_star,
-                            in_port,
-                            vc_flat,
-                            selected_at,
-                            acked_at,
-                            located_at: net.cycle(),
-                        };
-                        self.enter(net, slot, vnet, to);
-                        net.router_mut(r_star).set_vc_frozen(in_port, vc_flat, true);
-                        self.routers[slot].vnets[vnet.index()].mark_worm(
-                            net,
-                            cand.packet,
-                            vnet,
-                            r_star,
-                        );
-                    }
-                    // Fully delivered through the normal path while we were
-                    // looking: recycle the reservation.
-                    None if Self::packet_gone(net, cand.packet) => {
-                        self.stop(net, slot, vnet, cand.dest, false);
-                    }
-                    // Otherwise the head flit is on a link; retry next cycle.
-                    None => {}
+            } => match Self::find_head(net, cand.packet, vnet) {
+                Head::At(vc) => {
+                    let pop = Pop {
+                        packet: cand.packet,
+                        dest: cand.dest,
+                        vc,
+                        selected_at,
+                        acked_at,
+                        located_at: net.cycle(),
+                    };
+                    self.start_pop(net, slot, vnet, pop);
                 }
-            }
-            Stage::PopChiplet {
-                packet,
-                dest,
-                r_star,
-                in_port,
-                vc_flat,
-                ..
-            } => {
-                self.routers[slot].vnets[vnet.index()].mark_worm(net, packet, vnet, r_star);
-                if net.bypass_pending(r_star) <= 1 {
-                    let hit = net.router(r_star).circuit(vnet, dest).map(|e| e.out_port);
+                // The head flit is on a link: look again next cycle.
+                Head::InFlight => {}
+                // Fully delivered through the normal path while we were
+                // looking: recycle the reservation.
+                Head::Gone => self.stop(net, slot, vnet, cand.dest, false),
+            },
+            Stage::Pop(pop) => {
+                Self::assert_worm_marked(net, pop.packet);
+                let (at, in_port, vc_flat) = pop.vc;
+                debug_assert_eq!(
+                    net.router(at).input_vc(in_port, vc_flat).owner,
+                    Some(pop.packet),
+                    "{at} {in_port} VC {vc_flat} would pop a flit that is not the popup's"
+                );
+                // Pops pipeline with bypass forwarding: one flit per cycle.
+                if net.bypass_pending(at) > 1 {
+                    return;
+                }
+                let out = if at == node {
+                    Port::Up
+                } else {
+                    let hit = net.router(at).circuit(vnet, pop.dest).map(|e| e.out_port);
                     if let Some(o) = &self.obs {
                         let r = net.obs_mut();
                         r.inc(o.circuit_lookups);
@@ -938,16 +877,16 @@ impl Upp {
                             r.inc(o.circuit_fallbacks);
                         }
                     }
-                    let out = hit.unwrap_or_else(|| {
-                        // The req recorded circuits along this exact path;
-                        // fall back to route computation defensively.
-                        let route = net.plan_route(r_star, dest);
-                        net.routing().route(net.topo(), r_star, in_port, &route)
-                    });
-                    if let Some(flit) = net.pop_bypass_flit(r_star, in_port, vc_flat, out) {
-                        if flit.kind.is_tail() {
-                            self.complete_popup(net, slot, vnet);
-                        }
+                    // The req recorded circuits along this exact path;
+                    // fall back to route computation defensively.
+                    hit.unwrap_or_else(|| {
+                        let route = net.plan_route(at, pop.dest);
+                        net.routing().route(net.topo(), at, in_port, &route)
+                    })
+                };
+                if let Some(flit) = net.pop_bypass_flit(at, in_port, vc_flat, out) {
+                    if flit.kind.is_tail() {
+                        self.complete_popup(net, slot, vnet, pop);
                     }
                 }
             }
@@ -958,7 +897,7 @@ impl Upp {
         let st = &mut self.routers[slot];
         let node = st.node;
         let vs = &mut st.vnets[vnet.index()];
-        if !vs.stage.kind().is_idle() {
+        if !vs.stage.is_idle() {
             vs.counter.reset();
             return;
         }
@@ -1066,7 +1005,7 @@ impl Scheme for Upp {
         for st in &self.routers {
             signals += st.signal_q.len() as u64;
             for vs in &st.vnets {
-                if !vs.stage.kind().is_idle() {
+                if !vs.stage.is_idle() {
                     active += 1;
                 }
                 // Distribution of live watchdog values: how close the
@@ -1297,7 +1236,6 @@ mod tests {
             packet: PacketId(0),
             vnet: VnetId(0),
             dest,
-            partly_transmitted: false,
         };
         let req = Upp::make_req(&net, ir, &cand);
         net.send_control(ir, req);
@@ -1319,7 +1257,8 @@ mod tests {
         // Driven by hand: a packet waits at its entry interposer router
         // behind a failed `Up` link (fail-stop keeps its head at the front
         // of its VC), and its popup is in `LocateHead` with a candidate that
-        // names another input VC.
+        // names another input VC. Its req went ahead before the link
+        // failed and recorded the circuit the popped flit follows.
         let topo = ChipletSystemSpec::baseline().build(0).unwrap();
         let mut net = upp_noc::network::Network::new(
             NocConfig::default(),
@@ -1331,6 +1270,17 @@ mod tests {
         let src = net.topo().chiplets()[0].routers[0];
         let dest = net.topo().chiplets()[1].routers[10];
         let ir = net.topo().entry_interposer_for(dest).unwrap();
+        let mut cand = UpwardCandidate {
+            in_port: Port::West,
+            vc_flat: 0,
+            packet: PacketId(0),
+            vnet: VnetId(0),
+            dest,
+        };
+        net.send_control(ir, Upp::make_req(&net, ir, &cand));
+        for _ in 0..50 {
+            net.step();
+        }
         net.inject_link_fault(ir, Port::Up);
         let packet = net.try_send(src, dest, VnetId(0), 1).unwrap();
         let (in_port, vc_flat) = (0..200)
@@ -1352,13 +1302,11 @@ mod tests {
         let mut upp = Upp::new(UppConfig::default());
         upp.initialize(&net);
         let slot = upp.routers.iter().position(|st| st.node == ir).unwrap();
-        let cand = UpwardCandidate {
+        cand = UpwardCandidate {
             in_port: other,
             vc_flat,
             packet,
-            vnet: VnetId(0),
-            dest,
-            partly_transmitted: true,
+            ..cand
         };
         let at = net.cycle();
         let wait = Stage::WaitAck {
@@ -1375,7 +1323,7 @@ mod tests {
         upp.advance_stage(&mut net, slot, VnetId(0));
 
         assert_eq!(
-            upp.routers[slot].vnets[0].stage.kind(),
+            upp.routers[slot].vnets[0].stage.kind(ir),
             PopupStage::PopInterposer
         );
         let r = net.router(ir);
@@ -1385,6 +1333,25 @@ mod tests {
         );
         assert!(!r.input_vc(other, vc_flat).frozen, "the candidate's is not");
         assert!(r.is_priority_vc(in_port, vc_flat));
+
+        // Once the link heals, the popup pops the found VC and ends.
+        net.heal_link_fault(ir, Port::Up);
+        for _ in 0..300 {
+            net.begin_cycle();
+            upp.pre_cycle(&mut net);
+            net.finish_cycle();
+        }
+        let stage = upp.routers[slot].vnets[0].stage.kind(ir);
+        assert_eq!(stage, PopupStage::Idle, "stuck in {stage}");
+        assert_eq!(UppStats::snapshot(&upp.stats).popups_completed, 1);
+        assert_eq!(net.stats().packets_ejected, 1, "the popped packet arrived");
+        assert!(!net.router(ir).input_vc(in_port, vc_flat).frozen);
+        for node in net.topo().nodes() {
+            for p in Port::ALL {
+                let prio = net.router(node.id).vc_words(p).prio;
+                assert_eq!(prio, 0, "{} {p} still marks VCs {prio:#b}", node.id);
+            }
+        }
     }
 
     #[cfg(debug_assertions)]
@@ -1395,16 +1362,14 @@ mod tests {
         let mut upp = Upp::new(UppConfig::default());
         upp.initialize(sys.net());
         let node = upp.routers[0].node;
-        let to = Stage::PopChiplet {
+        let to = Stage::Pop(Pop {
             packet: PacketId(0),
             dest: node,
-            r_star: node,
-            in_port: Port::West,
-            vc_flat: 0,
+            vc: (upp.routers[1].node, Port::West, 0),
             selected_at: 0,
             acked_at: 0,
             located_at: 0,
-        };
+        });
         // Idle -> PopChiplet skips WaitAck and LocateHead.
         upp.enter(sys.net_mut(), 0, VnetId(0), to);
     }

@@ -274,9 +274,6 @@ pub struct UpwardCandidate {
     pub vnet: VnetId,
     /// Destination router of the packet.
     pub dest: NodeId,
-    /// True when the packet's head flit has already departed into the
-    /// chiplet (wormhole partial transmission, Sec. V-B3).
-    pub partly_transmitted: bool,
 }
 
 /// The simulated network.
@@ -692,7 +689,6 @@ impl Network {
                 packet: owner,
                 vnet,
                 dest,
-                partly_transmitted: r.vc_partly_transmitted(p, f),
             });
         }
     }
@@ -702,16 +698,10 @@ impl Network {
         self.routers[node.index()].up_last_sent(vnet)
     }
 
-    /// Pops one flit of an input VC up into the bypass path (popup
-    /// transmission at the interposer router). Returns the flit if one was
-    /// eligible.
-    pub fn pop_upward_flit(&mut self, node: NodeId, in_port: Port, vc_flat: usize) -> Option<Flit> {
-        self.pop_bypass_flit(node, in_port, vc_flat, Port::Up)
-    }
-
-    /// Pops one flit of an input VC into the bypass latch toward an explicit
-    /// output port (chiplet-side popup start for partly-transmitted worms,
-    /// Sec. V-B3). Returns the flit if one was eligible.
+    /// Pops one flit of an input VC into the bypass latch toward `out_port`:
+    /// `Port::Up` for a popup at the interposer router, the circuit's
+    /// output for one that starts inside the chiplet (Sec. V-B3). Returns
+    /// the flit if one was eligible.
     pub fn pop_bypass_flit(
         &mut self,
         node: NodeId,

@@ -217,9 +217,9 @@ fn manual_popup_delivers_through_bypass_into_reserved_entry() {
     let mut popped = 0;
     for _ in 0..200 {
         if s.net().bypass_pending(origin) <= 1 {
-            if let Some(f) = s
-                .net_mut()
-                .pop_upward_flit(origin, cand.in_port, cand.vc_flat)
+            if let Some(f) =
+                s.net_mut()
+                    .pop_bypass_flit(origin, cand.in_port, cand.vc_flat, Port::Up)
             {
                 popped += 1;
                 if f.kind.is_tail() {
