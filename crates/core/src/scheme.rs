@@ -496,8 +496,8 @@ impl Upp {
                     .packet()
                     .or(from.packet())
                     .expect("a legal transition has a non-idle end"),
-                from: from_kind.name(),
-                to: to_kind.name(),
+                from: from_kind.name().into(),
+                to: to_kind.name().into(),
             });
         }
     }

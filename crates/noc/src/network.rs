@@ -205,9 +205,7 @@ impl Schedule {
     }
 
     /// [`Schedule::wake_router`] for every router: a healed link or a new
-    /// routing function may release any blocked flit. (A link that *fails*
-    /// releases none, and an armed tracer steps sleeping routers without
-    /// being told to, so neither wakes anyone.)
+    /// routing function may release any blocked flit.
     fn wake_all_routers(&mut self) {
         self.due.fill();
     }
@@ -431,8 +429,7 @@ impl Network {
     /// slots in which a router held something that could move — or had to
     /// look once to find that it could not (a fresh arrival, a credit that
     /// did not help). A router full of blocked flits contributes nothing
-    /// while it sleeps. With a tracer armed every occupied router is
-    /// stepped, since a blocked step then records why.
+    /// while it sleeps, traced or not.
     pub fn active_router_fraction(&self) -> f64 {
         let total = self.cycle as f64 * self.routers.len() as f64;
         if total == 0.0 {
@@ -469,10 +466,12 @@ impl Network {
         &mut self.tracer
     }
 
-    /// Installs a tracer, returning the previous one (with whatever it
-    /// recorded so far).
+    /// Installs a tracer, returning the previous one with whatever it
+    /// recorded so far, its open spans of blocked VCs closed at this cycle.
     pub fn set_tracer(&mut self, tracer: Tracer) -> Tracer {
-        std::mem::replace(&mut self.tracer, tracer)
+        let mut old = std::mem::replace(&mut self.tracer, tracer);
+        old.end_spans();
+        old
     }
 
     /// The telemetry registry (disabled unless [`Network::enable_obs`]
@@ -709,48 +708,40 @@ impl Network {
         vc_flat: usize,
         out_port: Port,
     ) -> Option<Flit> {
-        let Network {
-            cfg,
-            topo,
-            routing,
-            routers,
-            nis,
-            calendar,
-            emit_scratch,
-            stats,
-            last_progress,
-            arena,
-            tracer,
-            obs,
-            cycle,
-            schedule,
-            ..
-        } = self;
         // The popped flit lands in the bypass latch; the router must be
         // stepped to forward it.
-        schedule.schedule_router(node, 0);
-        let mut emit = std::mem::take(emit_scratch);
-        let flit = {
-            let mut ctx = RouterCtx {
-                cfg,
-                topo,
-                routing: routing.as_ref(),
-                now: *cycle,
-                ni: &mut nis[node.index()],
-                emit: &mut emit,
-                stats,
-                last_progress,
-                arena,
-                tracer,
-                obs,
-            };
-            routers[node.index()].pop_bypass_flit(&mut ctx, in_port, vc_flat, out_port)
-        };
+        self.schedule.schedule_router(node, 0);
+        let mut emit = std::mem::take(&mut self.emit_scratch);
+        let (router, mut ctx) = self.router_ctx(node.index(), &mut emit);
+        let flit = router.pop_bypass_flit(&mut ctx, in_port, vc_flat, out_port);
         for (at, ev) in emit.drain(..) {
-            calendar.push(*cycle, at, ev);
+            self.calendar.push(self.cycle, at, ev);
         }
-        *emit_scratch = emit;
+        self.emit_scratch = emit;
         flit
+    }
+
+    /// Router `i` and the context it runs in this cycle, emitting into
+    /// `emit`.
+    fn router_ctx<'a>(
+        &'a mut self,
+        i: usize,
+        emit: &'a mut Vec<(Cycle, Event)>,
+    ) -> (&'a mut Router, RouterCtx<'a>) {
+        let ctx = RouterCtx {
+            cfg: &self.cfg,
+            topo: &self.topo,
+            routing: self.routing.as_ref(),
+            now: self.cycle,
+            ni: &mut self.nis[i],
+            emit,
+            stats: &mut self.stats,
+            last_progress: &mut self.last_progress,
+            tracer: &mut self.tracer,
+            obs: &mut self.obs,
+            arena: &self.arena,
+        };
+        (&mut self.routers[i], ctx)
     }
 
     /// Number of flits waiting in a router's bypass latch.
@@ -906,11 +897,13 @@ impl Network {
         self.sync_link_ends(node, port);
     }
 
-    /// Re-reads the link state of both routers a link joins.
+    /// Re-reads the link state of both routers a link joins. That re-arms
+    /// their parked VCs, which each router looks at again in this cycle.
     fn sync_link_ends(&mut self, node: NodeId, port: Port) {
         let peer = self.topo.raw_neighbor(node, port);
         for n in std::iter::once(node).chain(peer) {
             self.routers[n.index()].sync_links(&self.topo);
+            self.schedule.wake_router(n);
         }
     }
 
@@ -980,33 +973,15 @@ impl Network {
     /// Phase 1 of a cycle: delivers everything scheduled to arrive now.
     /// Schemes observe post-arrival state in their `pre_cycle` hook.
     pub fn begin_cycle(&mut self) {
-        let mut events = self.calendar.take(self.cycle);
-        let Network {
-            cfg,
-            topo,
-            routing,
-            routers,
-            nis,
-            stats,
-            last_progress,
-            arena,
-            tracer,
-            obs,
-            cycle,
-            calendar,
-            emit_scratch,
-            schedule,
-            consume_timer,
-            ni_control_pending,
-            ..
-        } = self;
-        let mut emit = std::mem::take(emit_scratch);
+        let now = self.cycle;
+        let mut events = self.calendar.take(now);
+        let mut emit = std::mem::take(&mut self.emit_scratch);
         for ev in events.drain(..) {
             // Every delivery schedules its target component, from the cycle
             // a step can use it (see `Event::wake_target`).
             match ev.wake_target() {
-                WakeTarget::Router { node, delay } => schedule.schedule_router(node, delay),
-                WakeTarget::Ni(node) => schedule.wake_ni(node),
+                WakeTarget::Router { node, delay } => self.schedule.schedule_router(node, delay),
+                WakeTarget::Ni(node) => self.schedule.wake_ni(node),
             }
             match ev {
                 Event::FlitArrive {
@@ -1015,20 +990,8 @@ impl Network {
                     vc_flat,
                     flit,
                 } => {
-                    let mut ctx = RouterCtx {
-                        cfg,
-                        topo,
-                        routing: routing.as_ref(),
-                        now: *cycle,
-                        ni: &mut nis[node.index()],
-                        emit: &mut emit,
-                        stats,
-                        last_progress,
-                        arena,
-                        tracer,
-                        obs,
-                    };
-                    routers[node.index()].deliver_flit(&mut ctx, in_port, vc_flat, flit);
+                    let (router, mut ctx) = self.router_ctx(node.index(), &mut emit);
+                    router.deliver_flit(&mut ctx, in_port, vc_flat, flit);
                 }
                 Event::CreditArrive {
                     node,
@@ -1036,142 +999,115 @@ impl Network {
                     vc_flat,
                     is_free,
                 } => {
-                    routers[node.index()].deliver_credit(out_port, vc_flat, is_free);
+                    self.routers[node.index()].deliver_credit(out_port, vc_flat, is_free);
                 }
                 Event::NiCreditArrive {
                     node,
                     vc_flat,
                     is_free,
                 } => {
-                    nis[node.index()].on_credit(vc_flat, is_free);
+                    self.nis[node.index()].on_credit(vc_flat, is_free);
                 }
                 Event::NiFlitArrive { node, flit } => {
-                    stats.flits_ejected += 1;
-                    *last_progress = *cycle;
-                    let ni = &mut nis[node.index()];
-                    let done = ni.accept_flit(flit, *cycle, flit.upward, arena);
+                    self.stats.flits_ejected += 1;
+                    self.last_progress = now;
+                    let ni = &mut self.nis[node.index()];
+                    let done = ni.accept_flit(flit, now, flit.upward, &self.arena);
                     if let Some(d) = done {
                         if let Some(at) = ni.consumed_from(d.completed_at) {
                             debug_assert!(
-                                consume_timer.back().is_none_or(|&(last, _)| last <= at),
+                                self.consume_timer
+                                    .back()
+                                    .is_none_or(|&(last, _)| last <= at),
                                 "consumption timer out of order"
                             );
-                            consume_timer.push_back((at, node));
+                            self.consume_timer.push_back((at, node));
                         }
-                        let desc = arena.get(flit.desc);
-                        stats.record_ejection(desc, *cycle);
-                        if tracer.enabled() {
+                        let desc = self.arena.get(flit.desc);
+                        self.stats.record_ejection(desc, now);
+                        if self.tracer.enabled() {
                             let injected = desc.injected().unwrap_or(desc.created_at);
-                            tracer.record(TraceEvent::PacketEjected {
-                                at: *cycle,
+                            self.tracer.record(TraceEvent::PacketEjected {
+                                at: now,
                                 packet: d.pkt.id,
                                 node,
-                                net_latency: cycle.saturating_sub(injected),
-                                total_latency: cycle.saturating_sub(desc.created_at),
+                                net_latency: now.saturating_sub(injected),
+                                total_latency: now.saturating_sub(desc.created_at),
                             });
                         }
                         // The tail has ejected: the descriptor dies here.
-                        arena.free(flit.desc);
+                        self.arena.free(flit.desc);
                     }
                 }
                 Event::ControlArrive { node, in_port, msg } => {
-                    routers[node.index()].deliver_control(in_port, msg, *cycle);
+                    self.routers[node.index()].deliver_control(in_port, msg, now);
                 }
                 Event::NiControlArrive { node, in_port, msg } => {
-                    *ni_control_pending += 1;
-                    nis[node.index()].deliver_control(DeliveredControl {
+                    self.ni_control_pending += 1;
+                    self.nis[node.index()].deliver_control(DeliveredControl {
                         msg,
                         in_port,
-                        at: *cycle,
+                        at: now,
                     });
                 }
             }
         }
         for (at, ev) in emit.drain(..) {
-            calendar.push(*cycle, at, ev);
+            self.calendar.push(now, at, ev);
         }
-        *emit_scratch = emit;
-        calendar.recycle(*cycle, events);
+        self.emit_scratch = emit;
+        self.calendar.recycle(now, events);
     }
 
     /// Phase 2 of a cycle: NI injection, router allocation/commit, PE
     /// consumption; then the clock advances.
     pub fn finish_cycle(&mut self) {
-        let Network {
-            cfg,
-            topo,
-            routing,
-            routers,
-            nis,
-            stats,
-            last_progress,
-            arena,
-            tracer,
-            obs,
-            cycle,
-            calendar,
-            emit_scratch,
-            schedule,
-            scheduler_enabled,
-            router_ticks,
-            ni_ticks,
-            consume_timer,
-            ..
-        } = self;
-        let sched = *scheduler_enabled;
-        let mut emit = std::mem::take(emit_scratch);
-        let now = *cycle;
-        let vct = cfg.flow_control == crate::config::FlowControl::VirtualCutThrough;
+        let sched = self.scheduler_enabled;
+        let mut emit = std::mem::take(&mut self.emit_scratch);
+        let now = self.cycle;
+        let vct = self.cfg.flow_control == crate::config::FlowControl::VirtualCutThrough;
         // Delivered packets that become consumable now wake their NIs.
-        while let Some(&(at, node)) = consume_timer.front() {
+        while let Some(&(at, node)) = self.consume_timer.front() {
             if at > now {
                 break;
             }
-            consume_timer.pop_front();
-            schedule.ni_due.insert(node.index());
+            self.consume_timer.pop_front();
+            self.schedule.ni_due.insert(node.index());
         }
-        // A blocked step is a no-op only while nothing records it: with a
-        // tracer armed it reports why each flit is blocked, so every
-        // scheduled router is stepped. Read every cycle — a profiler can be
-        // armed mid-run — while the due sets are kept up either way, so the
-        // skip resumes where tracing stops.
-        let skip_parked = !tracer.enabled();
+        // A tracer armed since the last cycle starts charging what is
+        // blocked already: the routers record it as they skip it from here.
+        if self.tracer.enabled() && self.tracer.sync(now) {
+            for i in 0..self.routers.len() {
+                let (router, mut ctx) = self.router_ctx(i, &mut emit);
+                router.open_spans(&mut ctx, true, now);
+            }
+        }
 
         // Cross-check: every component the scheduler is about to skip must
         // truly have nothing to do — nothing held if it is off the
-        // schedule, nothing that can move if it is not due. On in every
-        // debug build (what `cargo test` runs), traced or not; compiled out
-        // of release builds.
-        if sched && cfg!(debug_assertions) {
-            for (i, r) in routers.iter().enumerate() {
+        // schedule, nothing that can move if it is not due — and every
+        // parked VC still parks, on the reason its open span records under
+        // a tracer. On in every debug build (what `cargo test` runs),
+        // traced or not; compiled out of release builds.
+        if cfg!(debug_assertions) {
+            for i in 0..self.routers.len() {
+                let scheduled = !sched || self.schedule.routers.contains(i);
+                let due = !sched || self.schedule.due.contains(i);
+                let (r, ctx) = self.router_ctx(i, &mut emit);
+                r.assert_parked_vcs(&ctx, due);
                 assert!(
-                    schedule.routers.contains(i) || !r.has_pending_work(),
+                    scheduled || !r.has_pending_work(),
                     "active-set scheduler would skip router {} with pending work at cycle {now}",
                     r.node()
                 );
-                if schedule.due.contains(i) {
-                    continue;
-                }
-                let ctx = RouterCtx {
-                    cfg,
-                    topo,
-                    routing: routing.as_ref(),
-                    now,
-                    ni: &mut nis[i],
-                    emit: &mut emit,
-                    stats,
-                    last_progress,
-                    arena,
-                    tracer,
-                    obs,
-                };
                 assert!(
-                    !r.can_progress(&ctx),
+                    due || !r.can_progress(&ctx),
                     "scheduler would leave router {} asleep but it can move a flit at cycle {now}",
                     r.node()
                 );
             }
-            for (i, ni) in nis.iter().enumerate() {
+            for (i, ni) in self.nis.iter().enumerate().filter(|_| sched) {
+                let schedule = &self.schedule;
                 assert!(
                     schedule.nis.contains(i) || !ni.has_pending_work(),
                     "active-set scheduler would skip NI {} with pending work at cycle {now}",
@@ -1179,7 +1115,7 @@ impl Network {
                 );
                 assert!(
                     (schedule.nis.contains(i) && schedule.ni_due.contains(i))
-                        || !ni.can_progress(now, cfg.vcs_per_vnet, vct),
+                        || !ni.can_progress(now, self.cfg.vcs_per_vnet, vct),
                     "scheduler would leave NI {} asleep but it can inject or consume at cycle {now}",
                     ni.node()
                 );
@@ -1189,34 +1125,34 @@ impl Network {
         // NI injection: one flit per NI per cycle onto the Local input port,
         // from the scheduled NIs that are due (the consumption loop below
         // spends the due bits).
-        for w in 0..schedule.nis.word_count() {
+        for w in 0..self.schedule.nis.word_count() {
             let visit = if sched {
-                schedule.nis.word(w) & schedule.ni_due.word(w)
+                self.schedule.nis.word(w) & self.schedule.ni_due.word(w)
             } else {
-                schedule.nis.full_word(w)
+                self.schedule.nis.full_word(w)
             };
             for i in WakeSet::members(w, visit) {
-                *ni_ticks += 1;
-                let ni = &mut nis[i];
-                if let Some((flit, vc_flat)) = ni.inject_step(now, cfg.vcs_per_vnet, vct) {
+                self.ni_ticks += 1;
+                let ni = &mut self.nis[i];
+                if let Some((flit, vc_flat)) = ni.inject_step(now, self.cfg.vcs_per_vnet, vct) {
                     // The next flit, or the next packet's head, may go next.
-                    schedule.ni_due_next.insert(i);
+                    self.schedule.ni_due_next.insert(i);
                     if flit.kind.is_head() {
-                        let desc = arena.get_mut(flit.desc);
+                        let desc = self.arena.get_mut(flit.desc);
                         desc.injected_at = now;
-                        stats.packets_injected += 1;
-                        if tracer.enabled() {
-                            tracer.record(TraceEvent::PacketInjected {
+                        self.stats.packets_injected += 1;
+                        if self.tracer.enabled() {
+                            self.tracer.record(TraceEvent::PacketInjected {
                                 at: now,
                                 packet: desc.id,
                                 node: ni.node(),
                             });
                         }
                     }
-                    stats.flits_injected += 1;
-                    *last_progress = now;
+                    self.stats.flits_injected += 1;
+                    self.last_progress = now;
                     emit.push((
-                        now + cfg.link_latency,
+                        now + self.cfg.link_latency,
                         Event::FlitArrive {
                             node: ni.node(),
                             in_port: Port::Local,
@@ -1229,51 +1165,33 @@ impl Network {
         }
 
         // Routers: bypass, control, switch allocation, for the scheduled
-        // routers that are due (all scheduled ones under a tracer). The
-        // step of any other is provably a no-op — no RNG draw, no arbiter
-        // update, no trace event. A due router that holds nothing — woken
-        // by a credit, which only enables flits it does not have — is idle
-        // in the same sense: it is descheduled here instead of being
-        // stepped.
-        for w in 0..schedule.routers.word_count() {
+        // routers that are due, traced or not. The step of any other is
+        // provably a no-op — no RNG draw, no arbiter update, and nothing to
+        // record that the tracer's open spans do not charge. A due router
+        // that holds nothing — woken by a credit, which only enables flits
+        // it does not have — is idle in the same sense: it is descheduled
+        // here instead of being stepped.
+        for w in 0..self.schedule.routers.word_count() {
             let visit = if sched {
                 // This look spends every due bit of the word: a step
                 // decides again, and the bit of a router off the schedule
                 // is stale.
-                let due = schedule.due.take_word(w);
-                let scheduled = schedule.routers.word(w);
-                if skip_parked {
-                    scheduled & due
-                } else {
-                    scheduled
-                }
+                self.schedule.routers.word(w) & self.schedule.due.take_word(w)
             } else {
-                schedule.routers.full_word(w)
+                self.schedule.routers.full_word(w)
             };
             for i in WakeSet::members(w, visit) {
-                if sched && !routers[i].has_pending_work() {
-                    schedule.routers.remove(i);
+                if sched && !self.routers[i].has_pending_work() {
+                    self.schedule.routers.remove(i);
                     continue;
                 }
-                *router_ticks += 1;
-                let mut ctx = RouterCtx {
-                    cfg,
-                    topo,
-                    routing: routing.as_ref(),
-                    now,
-                    ni: &mut nis[i],
-                    emit: &mut emit,
-                    stats,
-                    last_progress,
-                    arena,
-                    tracer,
-                    obs,
-                };
-                if routers[i].step(&mut ctx) != Cycle::MAX {
-                    schedule.due_next.insert(i);
+                self.router_ticks += 1;
+                let (router, mut ctx) = self.router_ctx(i, &mut emit);
+                if router.step(&mut ctx) != Cycle::MAX {
+                    self.schedule.due_next.insert(i);
                 }
-                if sched && !routers[i].has_pending_work() {
-                    schedule.routers.remove(i);
+                if sched && !self.routers[i].has_pending_work() {
+                    self.schedule.routers.remove(i);
                 }
             }
         }
@@ -1282,30 +1200,31 @@ impl Network {
         // only here so injection-side work observed above is not forgotten.
         // The same NIs as the injection loop, and this look spends their due
         // bits: an NI that injected is due next cycle, any other parks.
-        for w in 0..schedule.nis.word_count() {
+        for w in 0..self.schedule.nis.word_count() {
             let visit = if sched {
-                schedule.nis.word(w) & schedule.ni_due.take_word(w)
+                self.schedule.nis.word(w) & self.schedule.ni_due.take_word(w)
             } else {
-                schedule.nis.full_word(w)
+                self.schedule.nis.full_word(w)
             };
             for i in WakeSet::members(w, visit) {
-                let ni = &mut nis[i];
+                let ni = &mut self.nis[i];
                 if ni.consume_step(now) {
                     // The entry this freed is visible to the router's next step.
-                    schedule.due_next.insert(i);
+                    self.schedule.due_next.insert(i);
                 }
                 if sched && !ni.has_pending_work() {
-                    schedule.nis.remove(i);
+                    self.schedule.nis.remove(i);
                 }
             }
         }
 
         for (at, ev) in emit.drain(..) {
-            calendar.push(now, at, ev);
+            self.calendar.push(now, at, ev);
         }
-        *emit_scratch = emit;
-        *cycle += 1;
+        self.emit_scratch = emit;
+        self.cycle += 1;
         if sched {
+            let schedule = &mut self.schedule;
             debug_assert!(
                 schedule.due.is_empty() && schedule.ni_due.is_empty(),
                 "the router and consumption loops spend every due bit"
@@ -1620,31 +1539,44 @@ mod tests {
     }
 
     #[test]
-    fn arming_a_profiler_steps_parked_routers_and_disarming_parks_them_again() {
+    fn a_profiler_armed_mid_run_charges_a_sleeping_router_without_waking_it() {
         use crate::profile::SpanRecorder;
         on_both_kernels(ConsumePolicy::External, |net| {
             let dest = fill_ejection_queue(net);
             sleep_through(net, 10);
-            // A blocked step is not a no-op once something records it.
+            // The head waits on an ejection entry from before the profiler
+            // was armed: it is charged from the first cycle armed to the
+            // last, while its router sleeps on.
             let recorder = Box::new(SpanRecorder::new());
             net.tracer_mut().set_profiler(Some(recorder));
-            let before = net.router_ticks;
-            for _ in 0..7 {
-                net.step();
-            }
+            sleep_through(net, 7);
             let recorder = net.tracer_mut().set_profiler(None).unwrap();
             assert_eq!(
                 recorder.router_blocked()[dest.index()],
                 7,
-                "one `Blocked` event per cycle from the first one armed"
+                "one blocked VC-cycle per cycle from the first one armed"
             );
-            if net.active_scheduler() {
-                assert_eq!(net.router_ticks - before, 7, "only that router woke");
-            }
             sleep_through(net, 10);
             net.pop_delivered(dest, VnetId(0)).unwrap();
             ejected_at(net, 5)
         });
+    }
+
+    #[test]
+    fn a_profiler_charges_a_sleeping_router_what_the_reference_records() {
+        use crate::profile::SpanRecorder;
+        let blocked = on_both_kernels(ConsumePolicy::External, |net| {
+            let recorder = Box::new(SpanRecorder::new());
+            net.tracer_mut().set_profiler(Some(recorder));
+            // The fifth head waits on an ejection entry, in a router that
+            // sleeps under the scheduler and is stepped every cycle by the
+            // reference, which records each of them.
+            let dest = fill_ejection_queue(net);
+            sleep_through(net, 10);
+            let recorder = net.tracer_mut().set_profiler(None).unwrap();
+            recorder.router_blocked()[dest.index()]
+        });
+        assert!(blocked > 10, "{blocked} blocked cycles");
     }
 
     // ------------------------------------------------------ NI wake sources

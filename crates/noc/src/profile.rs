@@ -23,12 +23,15 @@
 //! Blocked phases count *blocked VC-cycles*: a multi-flit worm stalled in
 //! several routers at once accrues one count per stalled head-of-line VC
 //! per cycle, so the blocked phases of one packet can legitimately exceed
-//! its network latency. The residual is clamped at zero in that case.
+//! its network latency. The residual is clamped at zero in that case. A
+//! `blocked` event is one VC-cycle; a `blocked_span` is `to - from` of
+//! them — the cycles a parked VC, or one waiting in a sleeping router,
+//! stayed blocked while the kernel did not look at it.
 //!
-//! The recorder is as opt-in as the tracer itself: when no profiler is
-//! installed every instrumentation site still reduces to the tracer's
-//! single `enabled()` branch, so profiling-off runs are cycle-for-cycle
-//! and instruction-for-instruction identical to untraced ones.
+//! The recorder is as opt-in as the tracer itself, and neither changes
+//! what the kernel runs: every instrumentation site only records, so a
+//! profiled run takes the same path through switch allocation and the
+//! router schedule as an unprofiled one and pays only for the recording.
 //!
 //! Finished spans are buffered until [`SpanRecorder::drain_finished`] is
 //! called; long-running drivers drain periodically and fold the spans
@@ -257,27 +260,16 @@ impl SpanRecorder {
                 out_port,
                 reason,
                 ..
-            } => {
-                bump(&mut self.router_blocked, node.index(), 1);
-                if let Some(out) = out_port {
-                    bump(
-                        &mut self.link_blocked,
-                        node.index() * Port::COUNT + out.index(),
-                        1,
-                    );
-                }
-                if let Some(s) = self.live.get_mut(packet) {
-                    match reason {
-                        BlockReason::Credit => s.credit += 1,
-                        BlockReason::VcAlloc => s.vc_alloc += 1,
-                        BlockReason::SwitchAlloc => s.sa_wait += 1,
-                    }
-                    match s.waits.iter_mut().find(|(n, _)| *n == node) {
-                        Some((_, c)) => *c += 1,
-                        None => s.waits.push((node, 1)),
-                    }
-                }
-            }
+            } => self.charge_blocked(packet, node, out_port, reason, 1),
+            TraceEvent::BlockedSpan {
+                from,
+                to,
+                packet,
+                node,
+                out_port,
+                reason,
+                ..
+            } => self.charge_blocked(packet, node, Some(out_port), reason, to - from),
             TraceEvent::VcAllocated { packet, .. } => {
                 if let Some(s) = self.live.get_mut(packet) {
                     s.hops += 1;
@@ -345,6 +337,36 @@ impl SpanRecorder {
             TraceEvent::BypassPop { .. }
             | TraceEvent::ControlHop { .. }
             | TraceEvent::PopupStage { .. } => {}
+        }
+    }
+
+    /// Charges `cycles` blocked VC-cycles at `node` to `packet`.
+    fn charge_blocked(
+        &mut self,
+        packet: PacketId,
+        node: NodeId,
+        out_port: Option<Port>,
+        reason: BlockReason,
+        cycles: u64,
+    ) {
+        bump(&mut self.router_blocked, node.index(), cycles);
+        if let Some(out) = out_port {
+            bump(
+                &mut self.link_blocked,
+                node.index() * Port::COUNT + out.index(),
+                cycles,
+            );
+        }
+        if let Some(s) = self.live.get_mut(packet) {
+            match reason {
+                BlockReason::Credit => s.credit += cycles,
+                BlockReason::VcAlloc => s.vc_alloc += cycles,
+                BlockReason::SwitchAlloc => s.sa_wait += cycles,
+            }
+            match s.waits.iter_mut().find(|(n, _)| *n == node) {
+                Some((_, c)) => *c += cycles,
+                None => s.waits.push((node, cycles)),
+            }
         }
     }
 
@@ -465,6 +487,46 @@ mod tests {
         assert_eq!(r.router_blocked()[4], 4);
         assert_eq!(r.link_blocked()[4 * Port::COUNT + Port::East.index()], 4);
         assert!(r.drain_finished().is_empty(), "drain consumes");
+    }
+
+    #[test]
+    fn a_blocked_span_charges_what_a_blocked_event_per_cycle_would() {
+        let blocked = |at| TraceEvent::Blocked {
+            at,
+            packet: PacketId(1),
+            node: NodeId(4),
+            in_port: Port::West,
+            vc_flat: 0,
+            out_port: Some(Port::East),
+            reason: BlockReason::Credit,
+        };
+        let span = TraceEvent::BlockedSpan {
+            from: 6,
+            to: 9,
+            packet: PacketId(1),
+            node: NodeId(4),
+            in_port: Port::West,
+            vc_flat: 0,
+            out_port: Port::East,
+            reason: BlockReason::Credit,
+        };
+        let profile = |events: &[TraceEvent]| {
+            let mut r = SpanRecorder::new();
+            r.observe(&created(1, 0));
+            events.iter().for_each(|e| r.observe(e));
+            r.observe(&TraceEvent::PacketEjected {
+                at: 20,
+                packet: PacketId(1),
+                node: NodeId(9),
+                net_latency: 20,
+                total_latency: 20,
+            });
+            let blocked = (r.router_blocked().to_vec(), r.link_blocked().to_vec());
+            (r.drain_finished(), blocked)
+        };
+        let per_cycle = profile(&[5, 6, 7, 8].map(blocked));
+        assert_eq!(per_cycle.0[0].waits, vec![(NodeId(4), 4)]);
+        assert_eq!(profile(&[blocked(5), span]), per_cycle);
     }
 
     #[test]

@@ -31,7 +31,7 @@ use crate::ring::RingBank;
 use crate::routing::RouteComputer;
 use crate::stats::NetStats;
 use crate::topology::Topology;
-use crate::trace::{BlockReason, TraceEvent, Tracer};
+use crate::trace::{BlockReason, OpenSpan, TraceEvent, Tracer};
 use crate::wake_set::SetBits;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -82,21 +82,32 @@ pub struct VcWords {
     pub prio: u64,
 }
 
+/// What an occupied input VC that cannot bid waits on: the packet at its
+/// front, the output it wants and why it cannot have it (what a
+/// `Blocked` trace event reports).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Block {
+    packet: PacketRef,
+    out: Port,
+    reason: BlockReason,
+}
+
 /// What switch allocation learns from one occupied input VC
 /// ([`Router::vc_request`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Request {
-    /// The VC bids this cycle.
-    Bid,
+    /// The VC bids this cycle for this output.
+    Bid(Port),
     /// It cannot bid now and is asked again in the next step: its flit is
-    /// in its buffer-write cycle, it is frozen, its link is dead, or it
-    /// waits on an ejection entry of the NI (`Local`), which frees without
-    /// a credit.
-    Wait,
+    /// in its buffer-write cycle, it is frozen or its link is dead
+    /// (`None`), or it waits on an ejection entry of the NI (`Local`),
+    /// which frees without a credit.
+    Wait(Option<Block>),
     /// It waits on a downstream VC or a credit of a non-`Local` output.
-    /// Only a credit on that output, a new front flit or a freeze toggle
-    /// can change that, so it is parked until one of them re-arms it.
-    Park,
+    /// Only a credit on that output, a new front flit, a freeze toggle or
+    /// a link fault or heal can change that, so it is parked until one of
+    /// them re-arms it.
+    Park(Block),
 }
 
 /// An upward flit waiting in the bypass latch.
@@ -252,11 +263,10 @@ pub struct Router {
     /// suffices.
     occ: [u64; Port::COUNT],
     /// One parked word per input port, a subset of `occ`: bit `f` is set
-    /// while input VC `f` waits on something only a credit, a new front
-    /// flit or a freeze toggle changes ([`Request::Park`]). Switch
-    /// allocation walks `occ & !parked` (all of `occ` while a tracer is
-    /// armed); [`Router::deliver_credit`], [`Router::pop_flit`] and
-    /// [`Router::set_vc_frozen`] re-arm.
+    /// while input VC `f` waits on what only a re-arm changes
+    /// ([`Request::Park`], [`Router::rearm`]). Switch allocation walks
+    /// `occ & !parked`, traced or not: a tracer charges a parked VC's
+    /// cycles as one span, which the step after its re-arm closes.
     parked: [u64; Port::COUNT],
     /// One `Up`-route word per input port: bit `f` is set while input VC
     /// `f` is owned by a packet whose route computation chose `Up`
@@ -376,7 +386,8 @@ impl Router {
 
     /// Reads this router's links off `topo`: which ports have one at all,
     /// and which of those are live (not failed). Called at build time and
-    /// wherever the network sets or clears a fault on one of them.
+    /// wherever the network sets or clears a fault on one of them, so it
+    /// re-arms every parked VC: one may wait on the link that changed.
     pub(crate) fn sync_links(&mut self, topo: &Topology) {
         self.live = 0;
         for p in Port::ALL {
@@ -385,6 +396,9 @@ impl Router {
             if local || topo.neighbor(self.node, p).is_some() {
                 self.live |= 1 << p.index();
             }
+        }
+        for q in 0..Port::COUNT {
+            self.rearm(q, u64::MAX);
         }
     }
 
@@ -553,13 +567,59 @@ impl Router {
     }
 
     /// Clears `mask`'s bits of input port `p`'s parked word, so switch
-    /// allocation evaluates those VCs again.
+    /// allocation evaluates those VCs again. Its callers — a credit, a new
+    /// front flit, a freeze toggle, a new sink, a link fault or heal — each
+    /// wake the router for the cycle they re-arm in.
     fn rearm(&mut self, p: usize, mask: u64) {
         #[cfg(debug_assertions)]
         {
             self.work.vcs_rearmed += u64::from((self.parked[p] & mask).count_ones());
         }
         self.parked[p] &= !mask;
+    }
+
+    /// Opens a span from `from` for every occupied VC that cannot bid
+    /// (only the unparked ones unless `parked_too`): in the first cycle a
+    /// tracer is armed, and, for the VCs waiting on an ejection entry, when
+    /// a step leaves the router asleep. The router's next look closes the
+    /// unparked ones' spans.
+    pub(crate) fn open_spans(&self, ctx: &mut RouterCtx<'_>, parked_too: bool, from: Cycle) {
+        for p in self.crossbar_inputs() {
+            let skip = if parked_too {
+                0
+            } else {
+                self.parked[p.index()]
+            };
+            for f in SetBits(self.occ[p.index()] & !skip) {
+                if let Some(span) = Self::span(ctx, p, f, self.vc_request(p, f, ctx)) {
+                    ctx.tracer.open_span(self.node, OpenSpan { from, ..span });
+                }
+            }
+        }
+    }
+
+    /// The span a tracer charges VC `(p, f)` from this cycle, when
+    /// `request` found it blocked.
+    fn span(ctx: &RouterCtx<'_>, p: Port, f: usize, request: Request) -> Option<OpenSpan> {
+        let (Request::Wait(Some(b)) | Request::Park(b)) = request else {
+            return None;
+        };
+        Some(OpenSpan {
+            in_port: p,
+            vc_flat: f,
+            packet: ctx.arena.get(b.packet).id,
+            out_port: b.out,
+            reason: b.reason,
+            from: ctx.now,
+        })
+    }
+
+    /// The input ports switch allocation takes bids from: all but `Down`
+    /// where an absorber takes its arrivals.
+    fn crossbar_inputs(&self) -> impl Iterator<Item = Port> + '_ {
+        Port::ALL
+            .into_iter()
+            .filter(|&p| !(p == Port::Down && self.absorber.is_some()))
     }
 
     /// This router's debug-build work counts.
@@ -659,20 +719,23 @@ impl Router {
             || queued(&self.req_buf)
             || queued(&self.ack_buf)
             || self.absorber_request(ctx).is_some()
-            || Port::ALL
-                .into_iter()
-                .filter(|&p| !(p == Port::Down && self.absorber.is_some()))
-                .any(|p| {
-                    SetBits(self.occ[p.index()]).any(|f| self.vc_request(p, f, ctx) == Request::Bid)
-                })
+            || self.crossbar_inputs().any(|p| {
+                SetBits(self.occ[p.index()])
+                    .any(|f| matches!(self.vc_request(p, f, ctx), Request::Bid(_)))
+            })
     }
 
     /// Enqueues a locally-originated control message (it attends switch
     /// allocation from the next cycle, like an arriving head flit).
     pub fn send_control(&mut self, msg: ControlMsg, now: Cycle) {
-        match msg.class {
-            ControlClass::ReqLike => self.req_buf.push_back((msg, Port::Local, now)),
-            ControlClass::AckLike => self.ack_buf.push_back((msg, Port::Local, now)),
+        self.deliver_control(Port::Local, msg, now);
+    }
+
+    /// The dedicated buffer of a control class.
+    fn control_buf(&mut self, class: ControlClass) -> &mut VecDeque<(ControlMsg, Port, Cycle)> {
+        match class {
+            ControlClass::ReqLike => &mut self.req_buf,
+            ControlClass::AckLike => &mut self.ack_buf,
         }
     }
 
@@ -793,26 +856,51 @@ impl Router {
         }
     }
 
-    /// Debug cross-check of the parked words, the reference for the parked
-    /// skip: a parked VC holds a flit and cannot bid.
-    fn assert_parked_cannot_bid(&self, ctx: &RouterCtx<'_>) {
+    /// Debug cross-check of the parked words and, under a tracer, of the
+    /// open spans — the reference for the parked skip and for what the
+    /// tracer charges while nobody looks. A parked VC holds a flit and
+    /// still parks, on the block its open span records. A router that is
+    /// not `due` this cycle sleeps, so every span it has open must still
+    /// record what its VC waits on (a due one's step re-records them).
+    pub(crate) fn assert_parked_vcs(&self, ctx: &RouterCtx<'_>, due: bool) {
+        let spans = ctx.tracer.spans(self.node);
+        let records = |s: &OpenSpan| {
+            let request = self.vc_request(s.in_port, s.vc_flat, ctx);
+            Self::span(ctx, s.in_port, s.vc_flat, request).is_some_and(|now| {
+                OpenSpan {
+                    from: s.from,
+                    ..now
+                } == *s
+            })
+        };
         for p in Port::ALL {
             let parked = self.parked[p.index()];
+            let holds = self.occ[p.index()];
             assert_eq!(
-                parked & !self.occ[p.index()],
+                parked & !holds,
                 0,
-                "{} {p} has a parked VC that holds nothing",
+                "{} {p} parks a VC that holds nothing",
                 self.node
             );
             for f in SetBits(parked) {
-                assert_ne!(
-                    self.vc_request(p, f, ctx),
-                    Request::Bid,
-                    "parked VC {f} of {} {p} can bid at cycle {}",
+                let request = self.vc_request(p, f, ctx);
+                let span = spans.iter().find(|s| (s.in_port, s.vc_flat) == (p, f));
+                assert!(
+                    matches!(request, Request::Park(_))
+                        && (!ctx.tracer.enabled() || span.is_some_and(records)),
+                    "parked VC {f} of {} {p} at cycle {}: {request:?}, open span {span:?}",
                     self.node,
                     ctx.now
                 );
             }
+        }
+        for s in spans.iter().filter(|_| !due) {
+            assert!(
+                records(s),
+                "{} sleeps at cycle {} with {s:?} stale",
+                self.node,
+                ctx.now
+            );
         }
     }
 
@@ -885,10 +973,7 @@ impl Router {
     /// Handles an arriving control message (buffer write into the dedicated
     /// 32-bit buffer of its class).
     pub(crate) fn deliver_control(&mut self, in_port: Port, msg: ControlMsg, now: Cycle) {
-        match msg.class {
-            ControlClass::ReqLike => self.req_buf.push_back((msg, in_port, now)),
-            ControlClass::AckLike => self.ack_buf.push_back((msg, in_port, now)),
-        }
+        self.control_buf(msg.class).push_back((msg, in_port, now));
     }
 
     // ------------------------------------------------------------------ step
@@ -910,7 +995,11 @@ impl Router {
     pub(crate) fn step(&mut self, ctx: &mut RouterCtx<'_>) -> Cycle {
         if cfg!(debug_assertions) {
             self.assert_words_match_state(ctx.topo);
-            self.assert_parked_cannot_bid(ctx);
+        }
+        if ctx.tracer.enabled() {
+            // This step looks at every VC that is not parked: the spans of
+            // re-armed ones, and of ones that waited while it slept, end.
+            ctx.tracer.close_spans(self.node, &self.parked, ctx.now);
         }
         let emitted = ctx.emit.len();
         let queued = self.req_buf.len() + self.ack_buf.len();
@@ -928,10 +1017,14 @@ impl Router {
 
         let moved = ctx.emit.len() != emitted || self.req_buf.len() + self.ack_buf.len() != queued;
         if moved || self.holds_polled_state() || self.last_flit_write >= ctx.now {
-            ctx.now + 1
-        } else {
-            Cycle::MAX
+            return ctx.now + 1;
         }
+        if ctx.tracer.enabled() {
+            // Asleep from the next cycle: what its waiting VCs wait on is
+            // charged until the router looks again.
+            self.open_spans(ctx, false, ctx.now + 1);
+        }
+        Cycle::MAX
     }
 
     /// Upward flits: absolute priority, single ST stage.
@@ -960,6 +1053,12 @@ impl Router {
             }
             claimed_out[b.out_port.index()] = true;
             claimed_in[b.in_port.index()] = true;
+            if ctx.tracer.enabled() && self.parked[b.in_port.index()] != 0 {
+                // Switch allocation skips the claimed port: nothing on it
+                // is blocked this cycle, parked or not.
+                ctx.tracer
+                    .skip_cycle(self.node, b.in_port, u64::MAX, ctx.now);
+            }
             ctx.stats.bypass_hops += 1;
             ctx.stats.bump_link(self.node, b.out_port);
             *ctx.last_progress = ctx.now;
@@ -1020,11 +1119,7 @@ impl Router {
             [ControlClass::ReqLike, ControlClass::AckLike]
         };
         for class in order {
-            let buf = match class {
-                ControlClass::ReqLike => &mut self.req_buf,
-                ControlClass::AckLike => &mut self.ack_buf,
-            };
-            let Some(&(msg, in_port, arrived)) = buf.front() else {
+            let Some(&(msg, in_port, arrived)) = self.control_buf(class).front() else {
                 continue;
             };
             if arrived >= ctx.now {
@@ -1045,11 +1140,7 @@ impl Router {
                 ControlRoute::Reverse => {
                     if self.node == msg.route.dest {
                         // Terminates at this router (interposer side).
-                        let buf = match class {
-                            ControlClass::ReqLike => &mut self.req_buf,
-                            ControlClass::AckLike => &mut self.ack_buf,
-                        };
-                        buf.pop_front();
+                        self.control_buf(class).pop_front();
                         self.control_inbox.push(DeliveredControl {
                             msg,
                             in_port,
@@ -1069,11 +1160,7 @@ impl Router {
                             if ctx.obs.is_enabled() {
                                 ctx.obs.inc(ctx.obs.mech.circuit_lookup_misses);
                             }
-                            let buf = match class {
-                                ControlClass::ReqLike => &mut self.req_buf,
-                                ControlClass::AckLike => &mut self.ack_buf,
-                            };
-                            buf.pop_front();
+                            self.control_buf(class).pop_front();
                             continue;
                         }
                     }
@@ -1085,11 +1172,7 @@ impl Router {
             if !self.is_live(out_port) {
                 continue; // dead link: the message stays queued until heal
             }
-            let buf = match class {
-                ControlClass::ReqLike => &mut self.req_buf,
-                ControlClass::AckLike => &mut self.ack_buf,
-            };
-            buf.pop_front();
+            self.control_buf(class).pop_front();
             claimed_out[out_port.index()] = true;
             ctx.stats.control_hops += 1;
             *ctx.last_progress = ctx.now;
@@ -1187,17 +1270,11 @@ impl Router {
         let mut bids: [Option<Bid>; Port::COUNT] = [None; Port::COUNT];
         let mut bidders = [0u8; Port::COUNT];
         let mut priority_inputs = 0u8;
-        let traced = ctx.tracer.enabled();
         for p in Port::ALL {
             // Only occupied VCs can request: an empty one has no head flit
             // to bid with and nothing to report as blocked. A parked one
-            // cannot bid either, and is evaluated only to record why.
-            let occupied = self.occ[p.index()];
-            let armed = if traced {
-                occupied
-            } else {
-                occupied & !self.parked[p.index()]
-            };
+            // cannot bid either, and its span charges why it is blocked.
+            let armed = self.occ[p.index()] & !self.parked[p.index()];
             if armed == 0 || claimed_in[p.index()] {
                 continue;
             }
@@ -1206,45 +1283,49 @@ impl Router {
             }
             // Round-robin order: VCs `rr_in..` first, then the wrap-around.
             let below_start = (1u64 << self.rr_in[p.index()]) - 1;
-            let mut chosen: Option<(usize, bool)> = None;
+            let mut chosen: Option<(usize, Port, bool)> = None;
             for f in SetBits(armed & !below_start).chain(SetBits(armed & below_start)) {
                 let request = self.vc_request(p, f, ctx);
                 #[cfg(debug_assertions)]
                 {
                     self.work.vc_requests += 1;
-                    self.work.vc_requests_failed += u64::from(request != Request::Bid);
+                    self.work.vc_requests_failed += u64::from(!matches!(request, Request::Bid(_)));
                 }
-                if request != Request::Bid {
-                    if request == Request::Park {
+                let Request::Bid(out) = request else {
+                    if let Request::Park(_) = request {
                         self.parked[p.index()] |= 1 << f;
                     }
-                    if traced {
-                        if let Some((packet, out, reason)) = self.classify_block(p, f, ctx) {
-                            ctx.tracer.record(TraceEvent::Blocked {
-                                at: ctx.now,
-                                packet,
-                                node: self.node,
-                                in_port: p,
-                                vc_flat: f,
-                                out_port: out,
-                                reason,
-                            });
+                    if ctx.tracer.enabled() {
+                        if let Some(span) = Self::span(ctx, p, f, request) {
+                            let parked = matches!(request, Request::Park(_));
+                            ctx.tracer.blocked(self.node, span, parked);
                         }
                     }
                     continue;
-                }
+                };
                 let prio = self.is_priority_vc(p, f);
                 match chosen {
-                    None => chosen = Some((f, prio)),
-                    Some((_, false)) if prio => chosen = Some((f, prio)),
+                    None => chosen = Some((f, out, prio)),
+                    Some((_, _, false)) if prio => chosen = Some((f, out, prio)),
                     _ => {}
                 }
                 if prio {
+                    if ctx.tracer.enabled() {
+                        // The VCs after `f` in round-robin order are not
+                        // asked this cycle, so nothing on them is blocked.
+                        let above = u64::MAX.checked_shl(f as u32 + 1).unwrap_or(0);
+                        let later = if f >= self.rr_in[p.index()] {
+                            above | below_start
+                        } else {
+                            above & below_start
+                        };
+                        let skipped = self.parked[p.index()] & later;
+                        ctx.tracer.skip_cycle(self.node, p, skipped, ctx.now);
+                    }
                     break;
                 }
             }
-            if let Some((f, prio)) = chosen {
-                let out = self.request_out_port(p, f);
+            if let Some((f, out, prio)) = chosen {
                 bids[p.index()] = Some(Bid {
                     in_port: p,
                     vc_flat: f,
@@ -1270,7 +1351,6 @@ impl Router {
         // of `bidders[out]` are the contenders in ascending input-port
         // order: the first priority bid wins outright, otherwise the
         // `rr_out`-th contender does.
-        let mut winners: [Option<usize>; Port::COUNT] = [None; Port::COUNT];
         for out in Port::ALL {
             let contenders = bidders[out.index()];
             if contenders == 0 || claimed_out[out.index()] {
@@ -1298,9 +1378,6 @@ impl Router {
             if self.rr_in[winner_in] == self.vcs_per_port {
                 self.rr_in[winner_in] = 0;
             }
-            if ctx.tracer.enabled() {
-                winners[winner_in] = Some(winner.vc_flat);
-            }
             if winner.vc_flat > usize::MAX / 2 {
                 let slot = usize::MAX - winner.vc_flat;
                 self.commit_absorber(ctx, slot, winner.out_port);
@@ -1308,26 +1385,17 @@ impl Router {
                 self.commit_normal(ctx, winner.in_port, winner.vc_flat, winner.out_port);
             }
         }
-        // Bids that did not win this cycle stalled on switch allocation.
+        // Input-VC bids that did not win this cycle (their input is not
+        // claimed) stalled on switch allocation.
         if ctx.tracer.enabled() {
-            for b in bids
-                .iter()
-                .flatten()
-                .filter(|b| b.vc_flat <= usize::MAX / 2)
-            {
-                if winners[b.in_port.index()] == Some(b.vc_flat) {
-                    continue;
-                }
-                let packet = ctx
-                    .arena
-                    .desc(
-                        &self
-                            .bufs
-                            .front(b.in_port.index() * self.vcs_per_port + b.vc_flat)
-                            .expect("losing bid still holds its flit")
-                            .flit,
-                    )
-                    .id;
+            let lost = |b: &&Bid| b.vc_flat <= usize::MAX / 2 && !claimed_in[b.in_port.index()];
+            for b in bids.iter().flatten().filter(lost) {
+                let iv = b.in_port.index() * self.vcs_per_port + b.vc_flat;
+                let front = self
+                    .bufs
+                    .front(iv)
+                    .expect("losing bid still holds its flit");
+                let packet = ctx.arena.desc(&front.flit).id;
                 ctx.tracer.record(TraceEvent::Blocked {
                     at: ctx.now,
                     packet,
@@ -1341,74 +1409,25 @@ impl Router {
         }
     }
 
-    /// Diagnoses why a buffered head-of-line flit cannot bid this cycle
-    /// (tracing only; mirrors [`Router::vc_request`] without touching any
-    /// state). `None` when the VC is simply inactive (empty, frozen, flit
-    /// still in its buffer-write cycle, or no link on its route).
-    fn classify_block(
-        &self,
-        p: Port,
-        f: usize,
-        ctx: &RouterCtx<'_>,
-    ) -> Option<(PacketId, Option<Port>, BlockReason)> {
-        let iv = p.index() * self.vcs_per_port + f;
-        let vc = &self.in_vcs[iv];
-        if vc.frozen {
-            return None;
-        }
-        let head = self.bufs.front(iv)?;
-        if head.arrived >= ctx.now {
-            return None;
-        }
-        let out = vc.route_out?;
-        if !self.is_live(out) {
-            return None; // no link, or a failed one: the packet waits for heal
-        }
-        match vc.out_vc {
-            Some(ovc) if self.out_vcs[out.index() * self.vcs_per_port + ovc].credits == 0 => {
-                Some((
-                    ctx.arena.desc(&head.flit).id,
-                    Some(out),
-                    BlockReason::Credit,
-                ))
-            }
-            None => {
-                let desc = ctx.arena.head_desc(&head.flit);
-                let need = Self::alloc_credits_needed(ctx, &head.flit);
-                if !self.free_out_vc_exists(out, desc.vnet, need, ctx) {
-                    Some((desc.id, Some(out), BlockReason::VcAlloc))
-                } else {
-                    None
-                }
-            }
-            _ => None,
-        }
-    }
-
     /// Whether occupied input VC `(p, f)` can bid this cycle, and if not,
-    /// whether it parks (see [`Request`]).
+    /// what it waits on and whether it parks (see [`Request`]).
     fn vc_request(&self, p: Port, f: usize, ctx: &RouterCtx<'_>) -> Request {
         let iv = p.index() * self.vcs_per_port + f;
         let vc = &self.in_vcs[iv];
-        if vc.frozen {
-            return Request::Wait;
-        }
-        let Some(head) = self.bufs.front(iv) else {
-            return Request::Wait;
+        let (Some(head), Some(out)) = (self.bufs.front(iv), vc.route_out) else {
+            return Request::Wait(None);
         };
-        if head.arrived >= ctx.now {
-            return Request::Wait;
+        // A frozen VC and a flit in its buffer-write cycle do not bid, and
+        // fail-stop never bids over a missing or failed link: the VC (and
+        // its worm) waits in place until the link heals.
+        if vc.frozen || head.arrived >= ctx.now || !self.is_live(out) {
+            return Request::Wait(None);
         }
-        let Some(out) = vc.route_out else {
-            return Request::Wait;
-        };
-        if !self.is_live(out) {
-            // Fail-stop: never bid over a missing or failed link. The VC
-            // (and its worm) waits in place until the link heals.
-            return Request::Wait;
-        }
-        let ready = match vc.out_vc {
-            Some(ovc) => self.out_vcs[out.index() * self.vcs_per_port + ovc].credits > 0,
+        let reason = match vc.out_vc {
+            Some(ovc) if self.out_vcs[out.index() * self.vcs_per_port + ovc].credits > 0 => {
+                return Request::Bid(out);
+            }
+            Some(_) => BlockReason::Credit,
             None => {
                 debug_assert!(
                     head.flit.kind.is_head(),
@@ -1419,15 +1438,21 @@ impl Router {
                 let vnet = VnetId((f / self.vcs_per_vnet) as u8);
                 debug_assert_eq!(vnet, ctx.arena.head_desc(&head.flit).vnet);
                 let need = Self::alloc_credits_needed(ctx, &head.flit);
-                self.free_out_vc_exists(out, vnet, need, ctx)
+                if self.free_out_vc_exists(out, vnet, need, ctx) {
+                    return Request::Bid(out);
+                }
+                BlockReason::VcAlloc
             }
         };
-        if ready {
-            Request::Bid
-        } else if out == Port::Local {
-            Request::Wait
+        let block = Block {
+            packet: head.flit.desc,
+            out,
+            reason,
+        };
+        if out == Port::Local {
+            Request::Wait(Some(block))
         } else {
-            Request::Park
+            Request::Park(block)
         }
     }
 
@@ -1444,10 +1469,20 @@ impl Router {
         }
     }
 
-    fn request_out_port(&self, p: Port, f: usize) -> Port {
-        self.in_vcs[p.index() * self.vcs_per_port + f]
-            .route_out
-            .expect("bidding VC has a route")
+    /// The VCs of `vnet` on output `out` that can take a packet needing
+    /// `need` credits: not held by another packet (on a sink that exerts
+    /// no VC backpressure, none is) and holding the credits.
+    fn free_out_vcs(
+        &self,
+        out: Port,
+        vnet: VnetId,
+        need: usize,
+    ) -> impl Iterator<Item = usize> + '_ {
+        let base = vnet.index() * self.vcs_per_vnet;
+        (base..base + self.vcs_per_vnet).filter(move |&ovc| {
+            let s = &self.out_vcs[out.index() * self.vcs_per_port + ovc];
+            (!s.busy || self.infinite_sink[out.index()]) && s.credits >= need
+        })
     }
 
     fn free_out_vc_exists(
@@ -1460,30 +1495,18 @@ impl Router {
         if out == Port::Local && ctx.ni.free_entries(vnet) == 0 {
             return false;
         }
-        let base = vnet.index() * self.vcs_per_vnet;
-        (base..base + self.vcs_per_vnet).any(|ovc| {
-            let s = &self.out_vcs[out.index() * self.vcs_per_port + ovc];
-            (!s.busy || self.infinite_sink[out.index()]) && s.credits >= need
-        })
+        self.free_out_vcs(out, vnet, need).next().is_some()
     }
 
     fn pick_out_vc(&mut self, out: Port, vnet: VnetId, need: usize) -> usize {
-        let base = vnet.index() * self.vcs_per_vnet;
-        let free = |ovc: usize| {
-            let s = &self.out_vcs[out.index() * self.vcs_per_port + ovc];
-            (!s.busy || self.infinite_sink[out.index()]) && s.credits >= need
-        };
-        let n = (base..base + self.vcs_per_vnet)
-            .filter(|&ovc| free(ovc))
-            .count();
+        let n = self.free_out_vcs(out, vnet, need).count();
         debug_assert!(n > 0);
         // VC selection picks randomly among free VCs (Sec. V-B2 / Fig. 5).
         // Counting then re-scanning for the k-th candidate draws exactly the
         // same single `gen_range(0..n)` the collected-`Vec` version did, so
         // RNG streams (and therefore simulations) stay bit-identical.
         let k = self.rng.gen_range(0..n);
-        (base..base + self.vcs_per_vnet)
-            .filter(|&ovc| free(ovc))
+        self.free_out_vcs(out, vnet, need)
             .nth(k)
             .expect("k < candidate count")
     }
@@ -1523,42 +1546,42 @@ impl Router {
         };
         self.out_vcs[out.index() * self.vcs_per_port + ovc].credits -= 1;
 
-        // Credit back upstream.
-        let credit_at = ctx.now + ctx.cfg.credit_latency;
         let is_tail = flit.kind.is_tail();
-        match in_port {
-            Port::Local => ctx.emit.push((
-                credit_at,
-                Event::NiCreditArrive {
-                    node: self.node,
-                    vc_flat: f,
-                    is_free: is_tail,
-                },
-            )),
-            _ => {
-                // Credits travel the physical link even while it is marked
-                // faulty (dedicated reverse wires): upstream counters stay
-                // consistent across a dynamic fail/heal pair.
-                let peer = ctx
-                    .topo
-                    .raw_neighbor(self.node, in_port)
-                    .expect("input arrivals come over existing links");
-                ctx.emit.push((
-                    credit_at,
-                    Event::CreditArrive {
-                        node: peer,
-                        out_port: in_port.opposite(),
-                        vc_flat: f,
-                        is_free: is_tail,
-                    },
-                ));
-            }
-        }
+        self.credit_upstream(ctx, in_port, f, is_tail);
 
         if is_tail {
             self.free_vc(in_port, f);
         }
         self.forward_flit(ctx, flit, out, ovc, is_tail);
+    }
+
+    /// Returns the credit of input VC `(in_port, vc_flat)`'s freed slot
+    /// upstream (to the NI for `Local`), freeing the VC there with the tail.
+    /// Credits travel the physical link even while it is marked faulty
+    /// (dedicated reverse wires), so upstream counters stay consistent
+    /// across a dynamic fail/heal pair.
+    fn credit_upstream(
+        &self,
+        ctx: &mut RouterCtx<'_>,
+        in_port: Port,
+        vc_flat: usize,
+        is_free: bool,
+    ) {
+        let event = match in_port {
+            Port::Local => Event::NiCreditArrive {
+                node: self.node,
+                vc_flat,
+                is_free,
+            },
+            _ => Event::CreditArrive {
+                node: (ctx.topo.raw_neighbor(self.node, in_port))
+                    .expect("input arrivals come over existing links"),
+                out_port: in_port.opposite(),
+                vc_flat,
+                is_free,
+            },
+        };
+        ctx.emit.push((ctx.now + ctx.cfg.credit_latency, event));
     }
 
     /// Deallocates input VC `(p, f)` as its packet's tail leaves: no
@@ -1733,35 +1756,7 @@ impl Router {
         if is_tail {
             self.free_vc(in_port, vc_flat);
         }
-        // Credit upstream for the freed slot.
-        let credit_at = ctx.now + ctx.cfg.credit_latency;
-        match in_port {
-            Port::Local => ctx.emit.push((
-                credit_at,
-                Event::NiCreditArrive {
-                    node: self.node,
-                    vc_flat,
-                    is_free: is_tail,
-                },
-            )),
-            _ => {
-                // Physical link: credits survive a dynamic fault (see
-                // `commit_normal`).
-                let peer = ctx
-                    .topo
-                    .raw_neighbor(self.node, in_port)
-                    .expect("popup pops from a real input port");
-                ctx.emit.push((
-                    credit_at,
-                    Event::CreditArrive {
-                        node: peer,
-                        out_port: in_port.opposite(),
-                        vc_flat,
-                        is_free: is_tail,
-                    },
-                ));
-            }
-        }
+        self.credit_upstream(ctx, in_port, vc_flat, is_tail);
         self.bypass.push_back(BypassFlit {
             flit,
             in_port,
@@ -2019,6 +2014,21 @@ mod tests {
         assert_eq!(h.emit.len(), 2);
     }
 
+    /// Sends five flits of a six-flit worm of VNet `vc` (one VC per VNet)
+    /// East through West VC `vc`, stepping cycles 0 to 6: four spend the
+    /// out VC's credits, and the fifth parks in cycle 5.
+    fn park_on_credits(h: &mut Harness, r: &mut Router, vc: usize) {
+        let east = h.topo.chiplets()[0].routers[6];
+        let d = h.intern_routed(PacketId(2), VnetId(vc as u8), 6, RouteInfo::intra(east));
+        for now in 0..=6u16 {
+            if now < 5 {
+                r.deliver_flit(&mut h.ctx(now.into()), Port::West, vc, Flit::new(d, now, 6));
+            }
+            r.step(&mut h.ctx(now.into()));
+        }
+        assert_eq!(r.vc_words(Port::West).parked, 1 << vc);
+    }
+
     /// The input VC whose flit left in the last step (its upstream credit
     /// names it).
     fn departed_vc(h: &Harness) -> usize {
@@ -2082,58 +2092,22 @@ mod tests {
     fn out_of_credit_vc_cannot_win_allocation() {
         let mut h = Harness::new(NocConfig::default());
         let mut r = h.router();
-        let dest = h.topo.chiplets()[0].routers[6];
-        // Drain all 4 credits of the East out VC.
-        for _ in 0..4 {
-            let ctx = h.ctx(0);
-            let _ = ctx;
-        }
-        // Simulate: 4 previous flits consumed the credits.
-        let d = h.intern(6, dest);
-        for seq in 0..4u16 {
-            let mut ctx = h.ctx(seq as u64);
-            r.deliver_flit(&mut ctx, Port::West, 0, Flit::new(d, seq, 6));
-        }
-        for now in 1..=4 {
-            let mut ctx = h.ctx(now);
-            r.step(&mut ctx);
-        }
-        let sent_before = h
-            .emit
-            .iter()
-            .filter(|(_, e)| matches!(e, Event::FlitArrive { .. }))
-            .count();
+        let sent = |h: &Harness| {
+            let hops = h.emit.iter();
+            hops.filter(|(_, e)| matches!(e, Event::FlitArrive { .. }))
+                .count()
+        };
+        // The fifth flit has no credit left: no switch traversal.
+        park_on_credits(&mut h, &mut r, 0);
         assert_eq!(
-            sent_before, 4,
+            sent(&h),
+            4,
             "exactly the downstream buffer depth may be in flight"
         );
-        // Fifth flit arrives but no credits remain: it must stall.
-        {
-            let mut ctx = h.ctx(5);
-            r.deliver_flit(&mut ctx, Port::West, 0, Flit::new(d, 4, 6));
-        }
-        {
-            let mut ctx = h.ctx(6);
-            r.step(&mut ctx);
-        }
-        let sent_after = h
-            .emit
-            .iter()
-            .filter(|(_, e)| matches!(e, Event::FlitArrive { .. }))
-            .count();
-        assert_eq!(sent_after, 4, "no credit, no switch traversal");
         // A credit return unblocks it.
         r.deliver_credit(Port::East, 0, false);
-        {
-            let mut ctx = h.ctx(7);
-            r.step(&mut ctx);
-        }
-        let sent_final = h
-            .emit
-            .iter()
-            .filter(|(_, e)| matches!(e, Event::FlitArrive { .. }))
-            .count();
-        assert_eq!(sent_final, 5);
+        r.step(&mut h.ctx(7));
+        assert_eq!(sent(&h), 5);
     }
 
     #[test]
@@ -2299,6 +2273,54 @@ mod tests {
     }
 
     #[test]
+    fn a_link_fault_re_arms_a_vc_parked_on_credits_and_charges_nothing_while_down() {
+        let mut h = Harness::new(NocConfig::default());
+        h.tracer
+            .set_profiler(Some(Box::new(crate::profile::SpanRecorder::new())));
+        let mut r = h.router();
+        let node = r.node();
+        park_on_credits(&mut h, &mut r, 0);
+        h.topo.set_link_faulty(node, Port::East);
+        r.sync_links(&h.topo);
+        assert_eq!(r.vc_words(Port::West).parked, 0, "the fault re-arms it");
+        for now in 7..=20 {
+            r.step(&mut h.ctx(now));
+            assert_eq!(r.vc_words(Port::West).parked, 0, "it waits on the link");
+        }
+        let profile = h.tracer.set_profiler(None).expect("armed");
+        assert_eq!(
+            profile.router_blocked()[node.index()],
+            2,
+            "cycles 5 and 6 are blocked on credits, the dead link's none"
+        );
+    }
+
+    #[test]
+    fn a_priority_bid_that_ends_the_scan_leaves_a_later_parked_vc_uncharged() {
+        let mut h = Harness::new(NocConfig::default());
+        h.tracer = Tracer::ring(64);
+        let mut r = h.router();
+        // West VC 2 parks (its four wins turn the round robin to VC 1).
+        park_on_credits(&mut h, &mut r, 2);
+        // A popup's packet on West VC 1 bids with priority in cycle 7, and
+        // the scan of the port ends there, before VC 2.
+        let north = h.topo.chiplets()[0].routers[9];
+        let popped = h.intern_routed(PacketId(1), VnetId(1), 1, RouteInfo::intra(north));
+        r.deliver_flit(&mut h.ctx(6), Port::West, 1, Flit::new(popped, 0, 1));
+        r.mark_priority(Port::West, 1);
+        r.step(&mut h.ctx(7));
+        r.deliver_credit(Port::East, 2, false);
+        r.step(&mut h.ctx(8));
+        let spans: Vec<_> = (h.tracer.events())
+            .filter_map(|e| match *e {
+                TraceEvent::BlockedSpan { from, to, .. } => Some((from, to)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(spans, [(6, 7)], "cycle 7 is not charged");
+    }
+
+    #[test]
     fn a_build_time_fault_leaves_both_ends_dead() {
         let mut h = Harness::new(NocConfig::default());
         let node = h.topo.chiplets()[0].routers[5];
@@ -2458,7 +2480,7 @@ mod tests {
                     }
                 }
                 r.assert_words_match_state(&h.topo);
-                r.assert_parked_cannot_bid(&h.ctx(now + 1));
+                r.assert_parked_vcs(&h.ctx(now + 1), true);
             }
         }
     }

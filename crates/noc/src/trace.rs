@@ -9,10 +9,14 @@
 //!   fields, and UPP popup spans from detection to completion. Sinks:
 //!   nothing ([`Tracer::disabled`], the default), an in-memory ring buffer
 //!   (bounded, or unbounded for a Chrome trace-event export loadable in
-//!   `chrome://tracing` / Perfetto), or a JSONL stream. With the sink
-//!   disabled every hook is a single branch on [`Tracer::enabled`] — the
-//!   simulation stays cycle-for-cycle identical (see the
-//!   `trace_determinism` integration test).
+//!   `chrome://tracing` / Perfetto), or a JSONL stream
+//!   ([`TraceEvent::jsonl`] writes a line, [`TraceEvent::from_jsonl`]
+//!   reads it back). Every hook is a recording site: the kernel runs the
+//!   same path whether or not a tracer is armed (see the
+//!   `trace_determinism` integration test). A blocked VC the kernel does
+//!   not look at — parked until a re-arm, or waiting in a router that
+//!   sleeps — is charged by the tracer instead, as one
+//!   [`TraceEvent::BlockedSpan`] when the kernel looks again.
 //! * **Deadlock forensics** — [`StallReport`]
 //!   (built by [`crate::network::Network::stall_report`]) names every wedged
 //!   packet, its per-VC "holds X, waits on Y" chain, and the circular wait
@@ -25,6 +29,7 @@ use crate::ids::{Cycle, NodeId, PacketId, Port, VnetId};
 use crate::profile::SpanRecorder;
 use crate::routing::GlobalChannel;
 use serde::Serialize;
+use serde_json::Value;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::io::Write;
@@ -49,22 +54,166 @@ pub enum BlockReason {
     SwitchAlloc,
 }
 
-impl BlockReason {
-    fn label(self) -> &'static str {
-        match self {
-            BlockReason::Credit => "credit",
-            BlockReason::VcAlloc => "vc",
-            BlockReason::SwitchAlloc => "sa",
+/// A field of a trace event as its JSONL line writes it and reads it back.
+trait Arg: Sized {
+    /// Appends the field's JSON value to `out`.
+    fn write(&self, out: &mut String);
+    /// Reads a value back; `None` when it is missing or not one.
+    fn read(v: Option<&Value>) -> Option<Self>;
+}
+
+/// Numbers, and the id types that wrap one, are written bare.
+macro_rules! number_arg {
+    ($($t:ty),*) => {$(
+        impl Arg for $t {
+            fn write(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+            fn read(v: Option<&Value>) -> Option<Self> {
+                v?.as_u64().map(|n| n as $t)
+            }
         }
+    )*};
+}
+number_arg!(u64, u32, u16, u8, usize);
+
+macro_rules! id_arg {
+    ($($id:ident),*) => {$(
+        impl Arg for $id {
+            fn write(&self, out: &mut String) {
+                Arg::write(&self.0, out)
+            }
+            fn read(v: Option<&Value>) -> Option<Self> {
+                Arg::read(v).map($id)
+            }
+        }
+    )*};
+}
+id_arg!(NodeId, PacketId, VnetId);
+
+/// Enums are written as one string label per value.
+macro_rules! label_arg {
+    ($($t:ty { $($v:path => $label:literal),* })*) => {$(
+        impl Arg for $t {
+            fn write(&self, out: &mut String) {
+                out.push_str(&json_str(match self { $($v => $label),* }));
+            }
+            fn read(v: Option<&Value>) -> Option<Self> {
+                match v?.as_str()? {
+                    $($label => Some($v),)*
+                    _ => None,
+                }
+            }
+        }
+    )*};
+}
+label_arg! {
+    BlockReason {
+        BlockReason::Credit => "credit",
+        BlockReason::VcAlloc => "vc",
+        BlockReason::SwitchAlloc => "sa"
+    }
+    ControlClass { ControlClass::ReqLike => "req", ControlClass::AckLike => "ack" }
+    ControlRoute { ControlRoute::Forward => "forward", ControlRoute::Reverse => "reverse" }
+}
+
+impl Arg for Port {
+    fn write(&self, out: &mut String) {
+        out.push_str(&json_str(&self.to_string()));
+    }
+    fn read(v: Option<&Value>) -> Option<Self> {
+        v?.as_str()?.parse().ok()
     }
 }
 
-/// One recorded observation. Every variant carries the cycle it happened at
-/// and enough identity to reconstruct a packet's path after the fact.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub enum TraceEvent {
+/// `null` when absent; a missing or unreadable port reads as absent.
+impl Arg for Option<Port> {
+    fn write(&self, out: &mut String) {
+        match self {
+            Some(p) => p.write(out),
+            None => out.push_str("null"),
+        }
+    }
+    fn read(v: Option<&Value>) -> Option<Self> {
+        Some(Port::read(v))
+    }
+}
+
+impl Arg for String {
+    fn write(&self, out: &mut String) {
+        out.push_str(&json_str(self));
+    }
+    fn read(v: Option<&Value>) -> Option<Self> {
+        v?.as_str().map(str::to_string)
+    }
+}
+
+/// Declares [`TraceEvent`] and its JSONL codec from one list: each variant
+/// with its event name and its fields, in the order a line writes them.
+macro_rules! trace_events {
+    ($(
+        $(#[$doc:meta])*
+        $variant:ident = $name:literal {
+            $($(#[$field_doc:meta])* $field:ident: $ty:ty,)*
+        }
+    )*) => {
+        /// One recorded observation. Every variant carries the cycle it
+        /// happened at and enough identity to reconstruct a packet's path
+        /// after the fact.
+        #[derive(Debug, Clone, PartialEq, Serialize)]
+        pub enum TraceEvent {
+            $($(#[$doc])* $variant { $($(#[$field_doc])* $field: $ty,)* },)*
+        }
+
+        impl TraceEvent {
+            /// Short event name (the JSONL `event` and the Chrome trace
+            /// `name` field).
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $(TraceEvent::$variant { .. } => $name,)*
+                }
+            }
+
+            /// Renders the event's payload as a JSON object (the Chrome
+            /// trace `args` field and the JSONL line body), one key per
+            /// field. Numbers are written by hand, so the tracer needs no
+            /// serializer in its hot path, but every string goes through
+            /// the serde_json writer's escaping ([`json_str`]) — stage
+            /// labels and port names can never corrupt the output.
+            pub fn args_json(&self) -> String {
+                let mut out = String::new();
+                match self {
+                    $(TraceEvent::$variant { $($field,)* } => {
+                        $(
+                            out.push(if out.is_empty() { '{' } else { ',' });
+                            out.push_str(concat!("\"", stringify!($field), "\":"));
+                            Arg::write($field, &mut out);
+                        )*
+                    })*
+                }
+                out.push('}');
+                out
+            }
+
+            /// Parses one line [`TraceEvent::jsonl`] rendered back into the
+            /// event; `None` when the line is not one.
+            pub fn from_jsonl(line: &str) -> Option<TraceEvent> {
+                let v = serde_json::from_str(line.trim()).ok()?;
+                let args = v.get("args")?;
+                Some(match v.get("event")?.as_str()? {
+                    $($name => TraceEvent::$variant {
+                        $($field: Arg::read(args.get(stringify!($field)))?,)*
+                    },)*
+                    _ => return None,
+                })
+            }
+        }
+    };
+}
+
+trace_events! {
     /// A packet was enqueued at its source NI.
-    PacketCreated {
+    PacketCreated = "packet_created" {
         /// Cycle of the observation.
         at: Cycle,
         /// The packet.
@@ -77,18 +226,18 @@ pub enum TraceEvent {
         vnet: VnetId,
         /// Length in flits.
         len_flits: u16,
-    },
+    }
     /// A packet's head flit left its source NI into the network.
-    PacketInjected {
+    PacketInjected = "packet_injected" {
         /// Cycle of the observation.
         at: Cycle,
         /// The packet.
         packet: PacketId,
         /// Injecting node.
         node: NodeId,
-    },
+    }
     /// A packet was fully assembled at its destination NI.
-    PacketEjected {
+    PacketEjected = "packet_ejected" {
         /// Cycle of the observation.
         at: Cycle,
         /// The packet.
@@ -99,9 +248,9 @@ pub enum TraceEvent {
         net_latency: u64,
         /// Create-to-eject latency in cycles.
         total_latency: u64,
-    },
+    }
     /// A head flit won switch allocation and was assigned a downstream VC.
-    VcAllocated {
+    VcAllocated = "vc_allocated" {
         /// Cycle of the observation.
         at: Cycle,
         /// The packet.
@@ -116,9 +265,11 @@ pub enum TraceEvent {
         out_port: Port,
         /// Flat downstream VC index granted.
         out_vc: usize,
-    },
-    /// A buffered head-of-line flit could not advance this cycle.
-    Blocked {
+    }
+    /// A buffered head-of-line flit could not advance this cycle. A VC
+    /// that stays blocked without being looked at again is charged by the
+    /// [`TraceEvent::BlockedSpan`] that follows.
+    Blocked = "blocked" {
         /// Cycle of the observation.
         at: Cycle,
         /// The stalled packet.
@@ -133,10 +284,32 @@ pub enum TraceEvent {
         out_port: Option<Port>,
         /// Why it could not advance.
         reason: BlockReason,
-    },
+    }
+    /// A run of cycles `from..to` in which an input VC stayed blocked, as a
+    /// [`TraceEvent::Blocked`] in each of them would have reported it: the
+    /// VC was parked, or waited in a router that slept, after the
+    /// `Blocked` event of the evaluation that found it blocked.
+    BlockedSpan = "blocked_span" {
+        /// First blocked cycle.
+        from: Cycle,
+        /// First cycle past the span.
+        to: Cycle,
+        /// The stalled packet.
+        packet: PacketId,
+        /// Router it is stalled at.
+        node: NodeId,
+        /// Input port of the stalled VC.
+        in_port: Port,
+        /// Flat input VC index.
+        vc_flat: usize,
+        /// Output port the flit wants.
+        out_port: Port,
+        /// Why it could not advance.
+        reason: BlockReason,
+    }
     /// A flit was popped out of an input VC into the bypass latch (the
     /// popup transmission of Sec. V-C).
-    BypassPop {
+    BypassPop = "bypass_pop" {
         /// Cycle of the observation.
         at: Cycle,
         /// The popped packet.
@@ -149,9 +322,9 @@ pub enum TraceEvent {
         vc_flat: usize,
         /// Output port of the bypass circuit.
         out_port: Port,
-    },
+    }
     /// An upward flit crossed a router through the single-ST bypass path.
-    BypassHop {
+    BypassHop = "bypass_hop" {
         /// Cycle of the observation.
         at: Cycle,
         /// The upward packet.
@@ -160,10 +333,10 @@ pub enum TraceEvent {
         node: NodeId,
         /// Port the flit left through.
         out_port: Port,
-    },
+    }
     /// A control signal won switch allocation and traversed a link
     /// (Fig. 4 fields: class, raw 32-bit encoding, VNet, origin).
-    ControlHop {
+    ControlHop = "control_hop" {
         /// Cycle of the observation.
         at: Cycle,
         /// Router the signal left.
@@ -181,9 +354,9 @@ pub enum TraceEvent {
         origin: NodeId,
         /// Forward (routed) or reverse (circuit-following) traversal.
         routing: ControlRoute,
-    },
+    }
     /// A UPP popup state machine changed stage at an interposer router.
-    PopupStage {
+    PopupStage = "popup_stage" {
         /// Cycle of the observation.
         at: Cycle,
         /// Interposer router owning the state machine.
@@ -193,12 +366,12 @@ pub enum TraceEvent {
         /// The popup's upward packet.
         packet: PacketId,
         /// Stage left.
-        from: &'static str,
+        from: String,
         /// Stage entered.
-        to: &'static str,
-    },
+        to: String,
+    }
     /// A completed popup, with its per-stage latency decomposition.
-    PopupSpan {
+    PopupSpan = "popup_span" {
         /// Interposer router that ran the popup.
         node: NodeId,
         /// VNet of the popup.
@@ -216,7 +389,7 @@ pub enum TraceEvent {
         locate: u64,
         /// Cycles spent popping flits through the bypass path.
         pop: u64,
-    },
+    }
 }
 
 impl TraceEvent {
@@ -232,23 +405,8 @@ impl TraceEvent {
             | TraceEvent::BypassHop { at, .. }
             | TraceEvent::ControlHop { at, .. }
             | TraceEvent::PopupStage { at, .. } => at,
+            TraceEvent::BlockedSpan { from, .. } => from,
             TraceEvent::PopupSpan { detected_at, .. } => detected_at,
-        }
-    }
-
-    /// Short event name (the Chrome trace `name` field).
-    pub fn name(&self) -> &'static str {
-        match self {
-            TraceEvent::PacketCreated { .. } => "packet_created",
-            TraceEvent::PacketInjected { .. } => "packet_injected",
-            TraceEvent::PacketEjected { .. } => "packet_ejected",
-            TraceEvent::VcAllocated { .. } => "vc_allocated",
-            TraceEvent::Blocked { .. } => "blocked",
-            TraceEvent::BypassPop { .. } => "bypass_pop",
-            TraceEvent::BypassHop { .. } => "bypass_hop",
-            TraceEvent::ControlHop { .. } => "control_hop",
-            TraceEvent::PopupStage { .. } => "popup_stage",
-            TraceEvent::PopupSpan { .. } => "popup_span",
         }
     }
 
@@ -260,85 +418,12 @@ impl TraceEvent {
             | TraceEvent::PacketEjected { node, .. }
             | TraceEvent::VcAllocated { node, .. }
             | TraceEvent::Blocked { node, .. }
+            | TraceEvent::BlockedSpan { node, .. }
             | TraceEvent::BypassPop { node, .. }
             | TraceEvent::BypassHop { node, .. }
             | TraceEvent::ControlHop { node, .. }
             | TraceEvent::PopupStage { node, .. }
             | TraceEvent::PopupSpan { node, .. } => Some(node),
-        }
-    }
-
-    /// Renders the event's payload as a JSON object (the Chrome trace
-    /// `args` field and the JSONL line body). Numbers are hand-rendered so
-    /// the tracer needs no serializer in its hot path, but every string
-    /// field goes through the serde_json writer's escaping
-    /// ([`json_str`]) — stage labels and port names can never corrupt the
-    /// output, however hostile their contents.
-    pub fn args_json(&self) -> String {
-        fn opt_port(p: Option<Port>) -> String {
-            match p {
-                Some(p) => json_str(&p.to_string()),
-                None => "null".into(),
-            }
-        }
-        fn port(p: Port) -> String {
-            json_str(&p.to_string())
-        }
-        match *self {
-            TraceEvent::PacketCreated { at, packet, src, dest, vnet, len_flits } => format!(
-                "{{\"at\":{at},\"packet\":{},\"src\":{},\"dest\":{},\"vnet\":{},\"len_flits\":{len_flits}}}",
-                packet.0, src.0, dest.0, vnet.0
-            ),
-            TraceEvent::PacketInjected { at, packet, node } => {
-                format!("{{\"at\":{at},\"packet\":{},\"node\":{}}}", packet.0, node.0)
-            }
-            TraceEvent::PacketEjected { at, packet, node, net_latency, total_latency } => format!(
-                "{{\"at\":{at},\"packet\":{},\"node\":{},\"net_latency\":{net_latency},\"total_latency\":{total_latency}}}",
-                packet.0, node.0
-            ),
-            TraceEvent::VcAllocated { at, packet, node, in_port, vc_flat, out_port, out_vc } => format!(
-                "{{\"at\":{at},\"packet\":{},\"node\":{},\"in_port\":{},\"vc_flat\":{vc_flat},\"out_port\":{},\"out_vc\":{out_vc}}}",
-                packet.0, node.0, port(in_port), port(out_port)
-            ),
-            TraceEvent::Blocked { at, packet, node, in_port, vc_flat, out_port, reason } => format!(
-                "{{\"at\":{at},\"packet\":{},\"node\":{},\"in_port\":{},\"vc_flat\":{vc_flat},\"out_port\":{},\"reason\":{}}}",
-                packet.0, node.0, port(in_port), opt_port(out_port), json_str(reason.label())
-            ),
-            TraceEvent::BypassPop { at, packet, node, in_port, vc_flat, out_port } => format!(
-                "{{\"at\":{at},\"packet\":{},\"node\":{},\"in_port\":{},\"vc_flat\":{vc_flat},\"out_port\":{}}}",
-                packet.0, node.0, port(in_port), port(out_port)
-            ),
-            TraceEvent::BypassHop { at, packet, node, out_port } => format!(
-                "{{\"at\":{at},\"packet\":{},\"node\":{},\"out_port\":{}}}",
-                packet.0, node.0, port(out_port)
-            ),
-            TraceEvent::ControlHop { at, node, out_port, class, bits, vnet, origin, routing } => format!(
-                "{{\"at\":{at},\"node\":{},\"out_port\":{},\"class\":{},\"bits\":{bits},\"vnet\":{},\"origin\":{},\"routing\":{}}}",
-                node.0,
-                port(out_port),
-                json_str(match class {
-                    ControlClass::ReqLike => "req",
-                    ControlClass::AckLike => "ack",
-                }),
-                vnet.0,
-                origin.0,
-                json_str(match routing {
-                    ControlRoute::Forward => "forward",
-                    ControlRoute::Reverse => "reverse",
-                }),
-            ),
-            TraceEvent::PopupStage { at, node, vnet, packet, from, to } => format!(
-                "{{\"at\":{at},\"node\":{},\"vnet\":{},\"packet\":{},\"from\":{},\"to\":{}}}",
-                node.0,
-                vnet.0,
-                packet.0,
-                json_str(from),
-                json_str(to),
-            ),
-            TraceEvent::PopupSpan { node, vnet, packet, detected_at, completed_at, wait_ack, locate, pop } => format!(
-                "{{\"node\":{},\"vnet\":{},\"packet\":{},\"detected_at\":{detected_at},\"completed_at\":{completed_at},\"wait_ack\":{wait_ack},\"locate\":{locate},\"pop\":{pop}}}",
-                node.0, vnet.0, packet.0
-            ),
         }
     }
 
@@ -353,20 +438,28 @@ impl TraceEvent {
     }
 
     /// Renders the event as one Chrome trace-event object. Instant events
-    /// use phase `"i"`; [`TraceEvent::PopupSpan`] becomes a complete
-    /// (`"X"`) event with its duration. One simulated cycle maps to one
-    /// microsecond of trace time.
+    /// use phase `"i"`; the two span events ([`TraceEvent::BlockedSpan`],
+    /// [`TraceEvent::PopupSpan`]) become complete (`"X"`) events with their
+    /// duration. One simulated cycle maps to one microsecond of trace time.
     pub fn chrome_json(&self) -> String {
         let tid = self.node().map(|n| n.0).unwrap_or(0);
-        match *self {
-            TraceEvent::PopupSpan { detected_at, completed_at, .. } => format!(
-                "{{\"name\":{},\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":0,\"tid\":{tid},\"args\":{}}}",
-                json_str(self.name()),
+        let span = match *self {
+            TraceEvent::BlockedSpan { from, to, .. } => Some((from, to)),
+            TraceEvent::PopupSpan {
                 detected_at,
-                completed_at.saturating_sub(detected_at).max(1),
+                completed_at,
+                ..
+            } => Some((detected_at, completed_at)),
+            _ => None,
+        };
+        match span {
+            Some((from, to)) => format!(
+                "{{\"name\":{},\"ph\":\"X\",\"ts\":{from},\"dur\":{},\"pid\":0,\"tid\":{tid},\"args\":{}}}",
+                json_str(self.name()),
+                to.saturating_sub(from).max(1),
                 self.args_json()
             ),
-            _ => format!(
+            None => format!(
                 "{{\"name\":{},\"ph\":\"i\",\"ts\":{},\"pid\":0,\"tid\":{tid},\"s\":\"t\",\"args\":{}}}",
                 json_str(self.name()),
                 self.at(),
@@ -395,6 +488,20 @@ enum SinkState {
     },
 }
 
+/// A blocked input VC the kernel is not looking at, and the cycles it has
+/// been blocked since the tracer last charged it
+/// ([`TraceEvent::BlockedSpan`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct OpenSpan {
+    pub in_port: Port,
+    pub vc_flat: usize,
+    pub packet: PacketId,
+    pub out_port: Port,
+    pub reason: BlockReason,
+    /// First cycle not charged yet.
+    pub from: Cycle,
+}
+
 /// The flight recorder. Owned by [`crate::network::Network`]; disabled by
 /// default.
 ///
@@ -403,9 +510,21 @@ enum SinkState {
 /// the stream into per-packet latency spans. A profiler alone (sink
 /// disabled) turns [`Tracer::enabled`] on, so the instrumentation sites
 /// feed it without any extra branches.
+///
+/// The tracer also keeps the open spans of blocked VCs the kernel skips
+/// (see [`TraceEvent::BlockedSpan`]), per router. The kernel opens one
+/// where a VC parks and where a router goes to sleep with VCs waiting on
+/// an ejection entry, and closes it at the step that looks at the VC
+/// again; what is still open when tracing stops or changes hands closes at
+/// that cycle.
 pub struct Tracer {
     state: SinkState,
     profiler: Option<Box<SpanRecorder>>,
+    /// Open spans by node index.
+    open: Vec<Vec<OpenSpan>>,
+    /// The cycle the network last stepped with this tracer armed; `None`
+    /// until it first does.
+    clock: Option<Cycle>,
 }
 
 impl Default for Tracer {
@@ -425,6 +544,7 @@ impl std::fmt::Debug for Tracer {
             .field("sink", &kind)
             .field("events", &len)
             .field("profiling", &self.profiler.is_some())
+            .field("open_spans", &self.open.iter().map(Vec::len).sum::<usize>())
             .finish()
     }
 }
@@ -434,6 +554,8 @@ impl Tracer {
         Self {
             state,
             profiler: None,
+            open: Vec::new(),
+            clock: None,
         }
     }
 
@@ -472,12 +594,141 @@ impl Tracer {
     }
 
     /// Installs (or removes) the per-packet span recorder, returning the
-    /// previous one with whatever it has accumulated.
+    /// previous one with whatever it has accumulated: open spans are
+    /// charged up to the current cycle first, so each recorder sees exactly
+    /// the cycles it was installed for.
     pub fn set_profiler(
         &mut self,
         profiler: Option<Box<SpanRecorder>>,
     ) -> Option<Box<SpanRecorder>> {
-        std::mem::replace(&mut self.profiler, profiler)
+        self.split_spans();
+        let old = std::mem::replace(&mut self.profiler, profiler);
+        if !self.enabled() {
+            self.open.clear();
+            self.clock = None;
+        }
+        old
+    }
+
+    /// Tells the tracer the cycle the network is about to step. True on the
+    /// first call after arming: the caller then opens a span for every VC
+    /// that is blocked already ([`Tracer::open_span`]).
+    pub(crate) fn sync(&mut self, now: Cycle) -> bool {
+        self.clock.replace(now).is_none()
+    }
+
+    /// Records that an evaluation in cycle `span.from` found one of
+    /// `node`'s input VCs blocked. A `parked` one's span opens from the next
+    /// cycle: the kernel does not look at the VC again until a re-arm.
+    pub(crate) fn blocked(&mut self, node: NodeId, span: OpenSpan, parked: bool) {
+        self.record(TraceEvent::Blocked {
+            at: span.from,
+            packet: span.packet,
+            node,
+            in_port: span.in_port,
+            vc_flat: span.vc_flat,
+            out_port: Some(span.out_port),
+            reason: span.reason,
+        });
+        if parked {
+            let from = span.from + 1;
+            self.open_span(node, OpenSpan { from, ..span });
+        }
+    }
+
+    /// Opens a span on one of `node`'s input VCs, which has none open.
+    pub(crate) fn open_span(&mut self, node: NodeId, span: OpenSpan) {
+        let i = node.index();
+        if self.open.len() <= i {
+            self.open.resize_with(i + 1, Vec::new);
+        }
+        debug_assert!(
+            !self.open[i]
+                .iter()
+                .any(|s| (s.in_port, s.vc_flat) == (span.in_port, span.vc_flat)),
+            "a second open span on {node} {} VC {}",
+            span.in_port,
+            span.vc_flat
+        );
+        self.open[i].push(span);
+    }
+
+    /// The open spans on `node`'s input VCs.
+    pub(crate) fn spans(&self, node: NodeId) -> &[OpenSpan] {
+        self.open.get(node.index()).map_or(&[], Vec::as_slice)
+    }
+
+    /// Closes at `to` the open spans on `node`'s input VCs that are not
+    /// `parked` (one word per input port).
+    pub(crate) fn close_spans(&mut self, node: NodeId, parked: &[u64; Port::COUNT], to: Cycle) {
+        let unparked = |s: &OpenSpan| parked[s.in_port.index()] >> s.vc_flat & 1 == 0;
+        self.charge_spans(node.index(), to, None, unparked);
+    }
+
+    /// Leaves cycle `at` out of the open spans on the VCs `vcs` (a bit per
+    /// VC) of `node`'s input port `in_port`: switch allocation did not
+    /// evaluate them in that cycle (a bypass flit claimed the port, or a
+    /// priority bid ended the port's scan before them).
+    pub(crate) fn skip_cycle(&mut self, node: NodeId, in_port: Port, vcs: u64, at: Cycle) {
+        let skipped = |s: &OpenSpan| s.in_port == in_port && vcs >> s.vc_flat & 1 == 1;
+        self.charge_spans(node.index(), at, Some(at + 1), skipped);
+    }
+
+    /// Closes every open span at the end of the cycle last stepped: the
+    /// tracer is leaving the network.
+    pub(crate) fn end_spans(&mut self) {
+        self.split_spans();
+        self.open.clear();
+        self.clock = None;
+    }
+
+    /// Charges every open span up to the end of the cycle last stepped and
+    /// restarts it there.
+    fn split_spans(&mut self) {
+        if let Some(clock) = self.clock {
+            for i in 0..self.open.len() {
+                self.charge_spans(i, clock + 1, Some(clock + 1), |_| true);
+            }
+        }
+    }
+
+    /// Charges the open spans of node `i` that `pick` selects up to `to`,
+    /// then restarts them at `restart`, or closes them.
+    fn charge_spans(
+        &mut self,
+        i: usize,
+        to: Cycle,
+        restart: Option<Cycle>,
+        pick: impl Fn(&OpenSpan) -> bool,
+    ) {
+        let Some(spans) = self.open.get_mut(i).filter(|s| !s.is_empty()) else {
+            return;
+        };
+        let mut spans = std::mem::take(spans);
+        spans.retain_mut(|s| {
+            if !pick(s) {
+                return true;
+            }
+            self.charge(NodeId(i as u32), s, to);
+            restart.map(|from| s.from = from).is_some()
+        });
+        self.open[i] = spans;
+    }
+
+    /// Records span `s`'s cycles before `to`, if it has any.
+    fn charge(&mut self, node: NodeId, s: &OpenSpan, to: Cycle) {
+        if to > s.from {
+            self.record(TraceEvent::BlockedSpan {
+                from: s.from,
+                to,
+                packet: s.packet,
+                node,
+                in_port: s.in_port,
+                vc_flat: s.vc_flat,
+                out_port: s.out_port,
+                reason: s.reason,
+            });
+        }
     }
 
     /// The installed span recorder, when any.
@@ -732,88 +983,18 @@ impl StallReport {
 mod tests {
     use super::*;
 
-    /// Minimal JSON well-formedness checker for exporter tests: validates
-    /// bracket/brace balance, string escapes and bare-token shape without
-    /// building a tree.
     fn json_is_wellformed(s: &str) -> bool {
-        let b = s.as_bytes();
-        let mut i = 0usize;
-        let mut stack: Vec<u8> = Vec::new();
-        let mut saw_value = false;
-        while i < b.len() {
-            match b[i] {
-                b'{' | b'[' => {
-                    stack.push(b[i]);
-                    i += 1;
-                }
-                b'}' => {
-                    if stack.pop() != Some(b'{') {
-                        return false;
-                    }
-                    saw_value = true;
-                    i += 1;
-                }
-                b']' => {
-                    if stack.pop() != Some(b'[') {
-                        return false;
-                    }
-                    saw_value = true;
-                    i += 1;
-                }
-                b'"' => {
-                    i += 1;
-                    loop {
-                        if i >= b.len() {
-                            return false;
-                        }
-                        match b[i] {
-                            b'\\' => {
-                                if i + 1 >= b.len() {
-                                    return false;
-                                }
-                                i += 2;
-                            }
-                            b'"' => {
-                                i += 1;
-                                break;
-                            }
-                            c if c < 0x20 => return false,
-                            _ => i += 1,
-                        }
-                    }
-                    saw_value = true;
-                }
-                b',' | b':' | b' ' | b'\n' | b'\t' | b'\r' => i += 1,
-                c if c == b'-' || c.is_ascii_digit() => {
-                    while i < b.len()
-                        && (b[i].is_ascii_digit()
-                            || matches!(b[i], b'-' | b'+' | b'.' | b'e' | b'E'))
-                    {
-                        i += 1;
-                    }
-                    saw_value = true;
-                }
-                b't' | b'f' | b'n' => {
-                    let ok = s[i..].starts_with("true")
-                        || s[i..].starts_with("false")
-                        || s[i..].starts_with("null");
-                    if !ok {
-                        return false;
-                    }
-                    i += if s[i..].starts_with("false") { 5 } else { 4 };
-                    saw_value = true;
-                }
-                _ => return false,
-            }
-        }
-        stack.is_empty() && saw_value
+        serde_json::from_str(s).is_ok()
     }
 
+    /// One packet's life: created, injected, blocked (one cycle, then a
+    /// span of two), popped up and ejected.
     fn sample_events() -> Vec<TraceEvent> {
+        let (packet, node) = (PacketId(7), NodeId(4));
         vec![
             TraceEvent::PacketCreated {
                 at: 1,
-                packet: PacketId(7),
+                packet,
                 src: NodeId(0),
                 dest: NodeId(9),
                 vnet: VnetId(2),
@@ -821,80 +1002,32 @@ mod tests {
             },
             TraceEvent::PacketInjected {
                 at: 3,
-                packet: PacketId(7),
+                packet,
                 node: NodeId(0),
-            },
-            TraceEvent::VcAllocated {
-                at: 5,
-                packet: PacketId(7),
-                node: NodeId(4),
-                in_port: Port::West,
-                vc_flat: 2,
-                out_port: Port::Up,
-                out_vc: 2,
             },
             TraceEvent::Blocked {
                 at: 6,
-                packet: PacketId(7),
-                node: NodeId(4),
+                packet,
+                node,
                 in_port: Port::West,
                 vc_flat: 2,
                 out_port: Some(Port::Up),
                 reason: BlockReason::Credit,
             },
-            TraceEvent::Blocked {
-                at: 6,
-                packet: PacketId(8),
-                node: NodeId(5),
-                in_port: Port::Local,
-                vc_flat: 0,
-                out_port: None,
-                reason: BlockReason::SwitchAlloc,
-            },
-            TraceEvent::BypassPop {
-                at: 7,
-                packet: PacketId(7),
-                node: NodeId(4),
+            TraceEvent::BlockedSpan {
+                from: 7,
+                to: 9,
+                packet,
+                node,
                 in_port: Port::West,
                 vc_flat: 2,
                 out_port: Port::Up,
-            },
-            TraceEvent::BypassHop {
-                at: 8,
-                packet: PacketId(7),
-                node: NodeId(9),
-                out_port: Port::North,
-            },
-            TraceEvent::ControlHop {
-                at: 9,
-                node: NodeId(4),
-                out_port: Port::Up,
-                class: ControlClass::ReqLike,
-                bits: 0xdead,
-                vnet: VnetId(2),
-                origin: NodeId(4),
-                routing: ControlRoute::Forward,
-            },
-            TraceEvent::PopupStage {
-                at: 10,
-                node: NodeId(4),
-                vnet: VnetId(2),
-                packet: PacketId(7),
-                from: "Idle",
-                to: "WaitAck",
-            },
-            TraceEvent::PopupStage {
-                at: 10,
-                node: NodeId(4),
-                vnet: VnetId(2),
-                packet: PacketId(7),
-                from: "WaitAck",
-                to: "Idle",
+                reason: BlockReason::Credit,
             },
             TraceEvent::PopupSpan {
-                node: NodeId(4),
+                node,
                 vnet: VnetId(2),
-                packet: PacketId(7),
+                packet,
                 detected_at: 10,
                 completed_at: 31,
                 wait_ack: 12,
@@ -903,7 +1036,7 @@ mod tests {
             },
             TraceEvent::PacketEjected {
                 at: 31,
-                packet: PacketId(7),
+                packet,
                 node: NodeId(9),
                 net_latency: 28,
                 total_latency: 30,
@@ -912,21 +1045,11 @@ mod tests {
     }
 
     #[test]
-    fn validator_rejects_malformed_json() {
-        assert!(json_is_wellformed(r#"{"a":[1,2,{"b":"c\"d"}],"e":null}"#));
-        assert!(!json_is_wellformed(r#"{"a":1"#));
-        assert!(!json_is_wellformed(r#"{"a":}"#) || json_is_wellformed("{}"));
-        assert!(!json_is_wellformed(r#"{"a":1]"#));
-        assert!(!json_is_wellformed(r#"{"a":"unterminated}"#));
-        assert!(!json_is_wellformed("garbage"));
-    }
-
-    #[test]
     fn every_event_renders_wellformed_jsonl() {
         for ev in sample_events() {
             let line = ev.jsonl();
             assert!(json_is_wellformed(&line), "malformed JSONL: {line}");
-            assert!(line.contains(ev.name()), "name missing in {line}");
+            assert_eq!(TraceEvent::from_jsonl(&line), Some(ev), "{line}");
         }
     }
 
@@ -943,12 +1066,13 @@ mod tests {
         for ev in &events {
             assert!(doc.contains(ev.name()));
         }
-        // The popup span is the one complete ("X") event and carries a
-        // positive duration.
-        assert_eq!(doc.matches("\"ph\":\"X\"").count(), 1);
+        // The blocked and popup spans are the complete ("X") events and
+        // carry their durations.
+        assert_eq!(doc.matches("\"ph\":\"X\"").count(), 2);
+        assert!(doc.contains("\"dur\":2,"));
         assert!(doc.contains("\"dur\":21"));
         // Instant events mark thread scope.
-        assert_eq!(doc.matches("\"ph\":\"i\"").count(), events.len() - 1);
+        assert_eq!(doc.matches("\"ph\":\"i\"").count(), events.len() - 2);
     }
 
     #[test]
@@ -1080,16 +1204,16 @@ mod tests {
 
     #[test]
     fn hostile_strings_round_trip_through_serde_json_escaping() {
-        // &'static str fields can legally contain quotes, backslashes and
-        // control characters; the renderers must escape them, not trust
-        // them.
+        // String fields can legally contain quotes, backslashes and control
+        // characters; the renderers must escape them, not trust them, and
+        // the parser must read them back.
         let hostile = TraceEvent::PopupStage {
             at: 3,
             node: NodeId(1),
             vnet: VnetId(0),
             packet: PacketId(0),
-            from: "quo\"te\\back\nline\ttab",
-            to: "}{\"pwn\":1,\"x\":\"",
+            from: "quo\"te\\back\nline\ttab".into(),
+            to: "}{\"pwn\":1,\"x\":\"".into(),
         };
         for rendered in [hostile.jsonl(), hostile.chrome_json(), hostile.args_json()] {
             assert!(json_is_wellformed(&rendered), "malformed: {rendered}");
@@ -1108,6 +1232,7 @@ mod tests {
                 Some("}{\"pwn\":1,\"x\":\"")
             );
         }
+        assert_eq!(TraceEvent::from_jsonl(&hostile.jsonl()), Some(hostile));
     }
 
     #[test]

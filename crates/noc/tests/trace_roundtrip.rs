@@ -4,7 +4,8 @@
 //! tooling (jq pipelines, Perfetto), so their output must stay genuinely
 //! parseable JSON with stable field names — not merely "looks like JSON".
 //! These tests re-parse every emitted line with the workspace JSON parser
-//! and reconstruct the original events field-for-field.
+//! and reconstruct the original events field-for-field through
+//! [`TraceEvent::from_jsonl`], the one reader of the format.
 
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -31,132 +32,14 @@ impl Write for SharedWriter {
     }
 }
 
-fn num(v: &Value, k: &str) -> u64 {
-    v.get(k)
-        .and_then(Value::as_u64)
-        .unwrap_or_else(|| panic!("missing numeric field {k:?} in {v:?}"))
-}
-
 fn st<'a>(v: &'a Value, k: &str) -> &'a str {
     v.get(k)
         .and_then(Value::as_str)
         .unwrap_or_else(|| panic!("missing string field {k:?} in {v:?}"))
 }
 
-fn port(v: &Value, k: &str) -> Port {
-    st(v, k).parse().unwrap()
-}
-
-/// Rebuilds a [`TraceEvent`] from its parsed JSONL form. Every field the
-/// renderer writes must be recoverable, or the sink format has drifted.
-fn rebuild(line: &Value) -> TraceEvent {
-    let name = st(line, "event");
-    let a = line.get("args").expect("args object");
-    match name {
-        "packet_created" => TraceEvent::PacketCreated {
-            at: num(a, "at"),
-            packet: PacketId(num(a, "packet")),
-            src: NodeId(num(a, "src") as u32),
-            dest: NodeId(num(a, "dest") as u32),
-            vnet: VnetId(num(a, "vnet") as u8),
-            len_flits: num(a, "len_flits") as u16,
-        },
-        "packet_injected" => TraceEvent::PacketInjected {
-            at: num(a, "at"),
-            packet: PacketId(num(a, "packet")),
-            node: NodeId(num(a, "node") as u32),
-        },
-        "packet_ejected" => TraceEvent::PacketEjected {
-            at: num(a, "at"),
-            packet: PacketId(num(a, "packet")),
-            node: NodeId(num(a, "node") as u32),
-            net_latency: num(a, "net_latency"),
-            total_latency: num(a, "total_latency"),
-        },
-        "vc_allocated" => TraceEvent::VcAllocated {
-            at: num(a, "at"),
-            packet: PacketId(num(a, "packet")),
-            node: NodeId(num(a, "node") as u32),
-            in_port: port(a, "in_port"),
-            vc_flat: num(a, "vc_flat") as usize,
-            out_port: port(a, "out_port"),
-            out_vc: num(a, "out_vc") as usize,
-        },
-        "blocked" => TraceEvent::Blocked {
-            at: num(a, "at"),
-            packet: PacketId(num(a, "packet")),
-            node: NodeId(num(a, "node") as u32),
-            in_port: port(a, "in_port"),
-            vc_flat: num(a, "vc_flat") as usize,
-            out_port: a
-                .get("out_port")
-                .and_then(Value::as_str)
-                .map(|p| p.parse().unwrap()),
-            reason: match st(a, "reason") {
-                "credit" => BlockReason::Credit,
-                "vc" => BlockReason::VcAlloc,
-                "sa" => BlockReason::SwitchAlloc,
-                other => panic!("unknown block reason {other:?}"),
-            },
-        },
-        "bypass_pop" => TraceEvent::BypassPop {
-            at: num(a, "at"),
-            packet: PacketId(num(a, "packet")),
-            node: NodeId(num(a, "node") as u32),
-            in_port: port(a, "in_port"),
-            vc_flat: num(a, "vc_flat") as usize,
-            out_port: port(a, "out_port"),
-        },
-        "bypass_hop" => TraceEvent::BypassHop {
-            at: num(a, "at"),
-            packet: PacketId(num(a, "packet")),
-            node: NodeId(num(a, "node") as u32),
-            out_port: port(a, "out_port"),
-        },
-        "control_hop" => TraceEvent::ControlHop {
-            at: num(a, "at"),
-            node: NodeId(num(a, "node") as u32),
-            out_port: port(a, "out_port"),
-            class: match st(a, "class") {
-                "req" => ControlClass::ReqLike,
-                "ack" => ControlClass::AckLike,
-                other => panic!("unknown control class {other:?}"),
-            },
-            bits: num(a, "bits") as u32,
-            vnet: VnetId(num(a, "vnet") as u8),
-            origin: NodeId(num(a, "origin") as u32),
-            routing: match st(a, "routing") {
-                "forward" => ControlRoute::Forward,
-                "reverse" => ControlRoute::Reverse,
-                other => panic!("unknown control routing {other:?}"),
-            },
-        },
-        "popup_stage" => TraceEvent::PopupStage {
-            at: num(a, "at"),
-            node: NodeId(num(a, "node") as u32),
-            vnet: VnetId(num(a, "vnet") as u8),
-            packet: PacketId(num(a, "packet")),
-            // Stage names are &'static str in the event; the tiny leak is
-            // confined to this test process.
-            from: Box::leak(st(a, "from").to_string().into_boxed_str()),
-            to: Box::leak(st(a, "to").to_string().into_boxed_str()),
-        },
-        "popup_span" => TraceEvent::PopupSpan {
-            node: NodeId(num(a, "node") as u32),
-            vnet: VnetId(num(a, "vnet") as u8),
-            packet: PacketId(num(a, "packet")),
-            detected_at: num(a, "detected_at"),
-            completed_at: num(a, "completed_at"),
-            wait_ack: num(a, "wait_ack"),
-            locate: num(a, "locate"),
-            pop: num(a, "pop"),
-        },
-        other => panic!("unknown event name {other:?}"),
-    }
-}
-
 /// One instance of every event variant, with the awkward corners populated
-/// (absent optional port, absent optional packet).
+/// (absent optional port, hostile stage labels).
 fn all_variants() -> Vec<TraceEvent> {
     vec![
         TraceEvent::PacketCreated {
@@ -206,6 +89,16 @@ fn all_variants() -> Vec<TraceEvent> {
             out_port: Some(Port::Up),
             reason: BlockReason::Credit,
         },
+        TraceEvent::BlockedSpan {
+            from: 5,
+            to: 41,
+            packet: PacketId(8),
+            node: NodeId(6),
+            in_port: Port::Local,
+            vc_flat: 1,
+            out_port: Port::Up,
+            reason: BlockReason::Credit,
+        },
         TraceEvent::BypassPop {
             at: 6,
             packet: PacketId(9),
@@ -235,8 +128,8 @@ fn all_variants() -> Vec<TraceEvent> {
             node: NodeId(66),
             vnet: VnetId(1),
             packet: PacketId(9),
-            from: "idle",
-            to: "request",
+            from: "idle \"quoted\"".into(),
+            to: "req\\uest\n".into(),
         },
         TraceEvent::PopupSpan {
             node: NodeId(66),
@@ -254,9 +147,8 @@ fn all_variants() -> Vec<TraceEvent> {
 #[test]
 fn jsonl_codec_round_trips_every_variant() {
     for ev in all_variants() {
-        let line: Value = serde_json::from_str(&ev.jsonl())
-            .unwrap_or_else(|e| panic!("bad JSONL for {}: {e}", ev.name()));
-        assert_eq!(rebuild(&line), ev, "event drifted through the JSONL codec");
+        let line = ev.jsonl();
+        assert_eq!(TraceEvent::from_jsonl(&line), Some(ev), "drifted: {line}");
     }
 }
 
@@ -307,8 +199,11 @@ fn jsonl_sink_stream_matches_ring_capture() {
     let lines: Vec<&str> = text.lines().collect();
     assert_eq!(lines.len(), ring.len(), "one JSONL line per recorded event");
     for (line, expected) in lines.iter().zip(&ring) {
-        let v: Value = serde_json::from_str(line).expect("line parses as JSON");
-        assert_eq!(&rebuild(&v), expected, "line drifted: {line}");
+        assert_eq!(
+            TraceEvent::from_jsonl(line).as_ref(),
+            Some(expected),
+            "line drifted: {line}"
+        );
     }
 }
 

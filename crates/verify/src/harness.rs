@@ -17,6 +17,7 @@ use std::collections::{BTreeMap, VecDeque};
 use upp_noc::config::NocConfig;
 use upp_noc::fault::FaultPlan;
 use upp_noc::ids::{Cycle, NodeId, VnetId};
+use upp_noc::network::WorkCounts;
 use upp_noc::ni::ConsumePolicy;
 use upp_tracetools::ProfileSummary;
 use upp_workloads::run::{RiderConfig, Riders};
@@ -182,22 +183,36 @@ pub fn run_scenario_watched(
     scheduler: bool,
     watch_cfg: upp_noc::watch::WatchConfig,
 ) -> RunReport {
+    run_ridden(sc, oracle_cfg, scheduler, riders_of(sc, watch_cfg)).0
+}
+
+/// The profiler and the health monitor ride every run (obs is
+/// registry-only, the watcher reads cumulative values and the tracer only
+/// records, so none perturbs the protocols, the delivered multisets or the
+/// kernel's work).
+fn riders_of(sc: &Scenario, watch_cfg: upp_noc::watch::WatchConfig) -> RiderConfig {
+    RiderConfig {
+        profile: Some(ProfileSummary::new(sc.system.clone(), sc.scheme.clone())),
+        watch: Some((watch_cfg, None)),
+        ..RiderConfig::default()
+    }
+}
+
+/// [`run_scenario_watched`] with the riders `riders` asks for (the report's
+/// profile and alerts stay empty without them), and the work the kernel
+/// counted (in debug builds).
+fn run_ridden(
+    sc: &Scenario,
+    oracle_cfg: OracleConfig,
+    scheduler: bool,
+    riders: RiderConfig,
+) -> (RunReport, WorkCounts) {
     let spec = system_spec(&sc.system).expect("known system");
     let kind = scheme_kind(&sc.scheme).expect("known scheme");
     let cfg = NocConfig::default().with_vcs_per_vnet(sc.vcs_per_vnet);
     let mut built = build_system(&spec, cfg, &kind, 0, sc.seed, ConsumePolicy::External);
     built.sys.net_mut().set_active_scheduler(scheduler);
-    // The profiler and the health monitor ride every run (obs is
-    // registry-only and the watcher reads cumulative values, so neither
-    // perturbs the protocols or the delivered multisets).
-    let mut riders = Riders::arm(
-        &mut built.sys,
-        RiderConfig {
-            profile: Some(ProfileSummary::new(sc.system.clone(), sc.scheme.clone())),
-            watch: Some((watch_cfg, None)),
-            ..RiderConfig::default()
-        },
-    );
+    let mut riders = Riders::arm(&mut built.sys, riders);
     let endpoints: Vec<NodeId> = {
         let topo = built.sys.net().topo();
         topo.chiplets()
@@ -271,17 +286,20 @@ pub fn run_scenario_watched(
     };
 
     let riders = riders.finish(&mut built.sys);
-    let watcher = riders.watcher.expect("armed above");
-    RunReport {
+    let report = RunReport {
         scheme: sc.scheme.clone(),
         created,
         sent,
         delivered,
         verdict,
         end_cycle: built.sys.net().cycle(),
-        profile: riders.profile.expect("armed above"),
-        alerts: watcher.alerts().iter().map(|a| a.jsonl()).collect(),
-    }
+        profile: (riders.profile)
+            .unwrap_or_else(|| ProfileSummary::new(sc.system.clone(), sc.scheme.clone())),
+        alerts: (riders.watcher.iter())
+            .flat_map(|w| w.alerts().iter().map(|a| a.jsonl()))
+            .collect(),
+    };
+    (report, built.sys.net().work_counts())
 }
 
 /// Differential comparison of several schemes over identical traffic and
@@ -328,4 +346,34 @@ pub fn run_differential(base: &Scenario, schemes: &[&str], oracle_cfg: OracleCon
         }
     }
     DiffReport { reports, failures }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenario::{random_scenario, CampaignParams};
+
+    /// The riders every scenario carries — a profiler fed by the tracer,
+    /// and the watcher — change neither what a run computes nor what the
+    /// kernel does for it: the same verdict, the same deliveries and, in
+    /// debug builds, the same work counts, through link faults and pauses.
+    #[test]
+    fn riders_change_neither_the_outcome_nor_the_kernel_work() {
+        let mut sc = random_scenario(&CampaignParams::default(), 11).expect("valid params");
+        sc.scheme = "UPP".into();
+        assert!(!sc.faults.is_empty(), "the scenario fails and heals links");
+        let oracle = oracle_for(&sc);
+        let (plain, plain_work) = run_ridden(&sc, oracle, true, RiderConfig::default());
+        let riders = riders_of(&sc, upp_noc::watch::WatchConfig::default());
+        let (ridden, ridden_work) = run_ridden(&sc, oracle, true, riders);
+        assert!(matches!(plain.verdict, Verdict::Drained { .. }));
+        assert_eq!(
+            format!("{:?}", plain.verdict),
+            format!("{:?}", ridden.verdict)
+        );
+        assert_eq!(
+            (plain.delivered, plain_work),
+            (ridden.delivered, ridden_work)
+        );
+    }
 }

@@ -22,9 +22,8 @@
 //! ends up parked and the watchdog has to report the same last movement.
 //! And a fault plan — two links failed and healed, one endpoint's injection
 //! and another's consumption paused and resumed — runs over workload-driven
-//! consumption with no tracer armed (the differential campaign always arms
-//! one, which keeps every occupied router stepping), so heals, resumes and
-//! `pop_delivered` are what has to wake the parked. The same plan runs again
+//! consumption, so heals, resumes and `pop_delivered` are what has to wake
+//! the parked. The same plan runs again
 //! under the Fig. 3 recipe with endpoints that consume 40 cycles after a
 //! packet completes: an NI sleeps until its consumption timer fires, and
 //! pausing and resuming injection and consumption is what has to wake it.
@@ -40,7 +39,8 @@
 //! Fig. 4's 8-bit destination field cannot name.
 //!
 //! These are debug builds, so every skip is cross-checked on the way, and
-//! the work the Fig. 3 recipe costs is counted and pinned per flit-hop.
+//! the work the Fig. 3 recipe costs is counted and pinned per flit-hop —
+//! the same with a tracer and a profiler armed as without.
 
 mod common;
 
@@ -50,9 +50,11 @@ use upp_noc::fault::{FaultAction, FaultEvent, FaultPlan};
 use upp_noc::ids::{Port, VnetId};
 use upp_noc::network::{Network, WorkCounts};
 use upp_noc::ni::ConsumePolicy;
+use upp_noc::profile::SpanRecorder;
 use upp_noc::router::VcWords;
 use upp_noc::sim::RunOutcome;
 use upp_noc::topology::ChipletSystemSpec;
+use upp_noc::trace::Tracer;
 use upp_workloads::runner::{build_system, SchemeKind};
 use upp_workloads::synthetic::{Pattern, SyntheticTraffic};
 
@@ -82,6 +84,8 @@ struct Recipe {
     faulted: bool,
     /// The run must end in the watchdog, not drained.
     must_wedge: bool,
+    /// Arm a ring tracer and a profiler for the whole run.
+    traced: bool,
 }
 
 const FIG3: Recipe = Recipe {
@@ -95,6 +99,7 @@ const FIG3: Recipe = Recipe {
     must_pop_up: true,
     faulted: false,
     must_wedge: false,
+    traced: false,
 };
 
 const fn idle(vcs_per_vnet: usize) -> Recipe {
@@ -237,6 +242,11 @@ fn run_counted(recipe: &Recipe, active_scheduler: bool) -> (Snapshot, WorkCounts
     let mut built = build_system(&spec, cfg, &kind, 0, SEED, consume);
     let sys = &mut built.sys;
     sys.net_mut().set_active_scheduler(active_scheduler);
+    if recipe.traced {
+        sys.net_mut().set_tracer(Tracer::ring(1 << 12));
+        let profiler = Box::new(SpanRecorder::new());
+        sys.net_mut().tracer_mut().set_profiler(Some(profiler));
+    }
     let mut traffic = SyntheticTraffic::new(sys.net().topo(), recipe.pattern, recipe.rate, SEED);
     let mut plan = if recipe.faulted {
         fault_plan(sys.net().topo())
@@ -400,6 +410,19 @@ fn active_set_kernel_matches_the_always_tick_reference() {
 #[test]
 fn same_seed_reruns_identically() {
     assert_eq!(run(&FIG3, true), run(&FIG3, true));
+}
+
+/// Looking changes nothing: the Fig. 3 recipe with a tracer and a
+/// profiler armed computes what the plain run computes, and costs the
+/// kernel the same work, down to the last `vc_request` (debug builds count
+/// them) — a parked VC stays parked, and its span is the tracer's to keep.
+#[test]
+fn a_traced_fig3_run_does_the_work_of_the_plain_one() {
+    let traced = Recipe {
+        traced: true,
+        ..FIG3
+    };
+    assert_eq!(run_counted(&traced, true), run_counted(&FIG3, true));
 }
 
 /// What the Fig. 3 recipe costs the loops a stalled network spends its
