@@ -1199,7 +1199,7 @@ mod tests {
         assert!(obs.gauge_value("circuit.entries").1 > 0, "high-water mark");
         let wd = obs.histogram("upp.watchdog.counter").expect("registered");
         assert!(wd.count() > 0, "watchdog distribution sampled");
-        let summary = obs.summary_json(sys.net().cycle());
+        let summary = obs.summary(sys.net().cycle()).summary_json();
         assert!(summary.contains("\"upp.popup.recovery_cycles\""));
         assert!(summary.contains("\"circuit.lookup_hits\""));
     }

@@ -824,52 +824,56 @@ impl Network {
             .collect();
         wedged.sort_by_key(|w| w.id);
 
-        let mut edges: Vec<(GlobalChannel, GlobalChannel)> = Vec::new();
-        for w in &mut wedged {
-            for r in &self.routers {
-                let node = r.node();
-                for (p, f) in r.input_vcs() {
-                    let vc = r.input_vc(p, f);
-                    if vc.owner != Some(w.id) {
-                        continue;
-                    }
-                    let waits_out = vc.route_out;
-                    let waits_node = waits_out
-                        .filter(|&out| out != Port::Local)
-                        .and_then(|out| self.topo.neighbor(node, out));
-                    w.holds.push(VcHold {
-                        node,
-                        in_port: p,
-                        vc_flat: f,
-                        buffered: r.vc_buf_len(p, f),
-                        head_of_line: r.vc_front(p, f).is_some_and(|b| b.flit.kind.is_head()),
-                        waits_out,
-                        waits_node,
-                    });
-                    // Wait-for edge: the channel whose downstream buffer the
-                    // flits occupy depends on the channel the packet needs
-                    // next. Locally-injected flits hold no inter-router
-                    // channel; ejecting packets wait on none.
-                    if r.vc_buf_is_empty(p, f) || p == Port::Local {
-                        continue;
-                    }
-                    let (Some(out), Some(upstream)) = (waits_out, self.topo.neighbor(node, p))
-                    else {
-                        continue;
-                    };
-                    if out == Port::Local {
-                        continue;
-                    }
-                    edges.push((
-                        GlobalChannel {
-                            from: upstream,
-                            out: p.opposite(),
-                        },
-                        GlobalChannel { from: node, out },
-                    ));
+        // One walk over every input VC, bucketing each held one by its
+        // owner. Holds land in router then VC order per packet; the
+        // wait-for edges are tagged with their packet and stably sorted
+        // into packet order, which `find_cycle` depends on.
+        let mut edges: Vec<(usize, (GlobalChannel, GlobalChannel))> = Vec::new();
+        for r in &self.routers {
+            let node = r.node();
+            for (p, f) in r.input_vcs() {
+                let vc = r.input_vc(p, f);
+                let Some(i) = vc
+                    .owner
+                    .and_then(|id| wedged.binary_search_by_key(&id, |w| w.id).ok())
+                else {
+                    continue;
+                };
+                let waits_out = vc.route_out;
+                let waits_node = waits_out
+                    .filter(|&out| out != Port::Local)
+                    .and_then(|out| self.topo.neighbor(node, out));
+                wedged[i].holds.push(VcHold {
+                    node,
+                    in_port: p,
+                    vc_flat: f,
+                    buffered: r.vc_buf_len(p, f),
+                    head_of_line: r.vc_front(p, f).is_some_and(|b| b.flit.kind.is_head()),
+                    waits_out,
+                    waits_node,
+                });
+                // Wait-for edge: the channel whose downstream buffer the
+                // flits occupy depends on the channel the packet needs
+                // next. Locally-injected flits hold no inter-router
+                // channel; ejecting packets wait on none.
+                if r.vc_buf_is_empty(p, f) || p == Port::Local {
+                    continue;
                 }
+                let (Some(out), Some(upstream)) = (waits_out, self.topo.neighbor(node, p)) else {
+                    continue;
+                };
+                if out == Port::Local {
+                    continue;
+                }
+                let from = GlobalChannel {
+                    from: upstream,
+                    out: p.opposite(),
+                };
+                edges.push((i, (from, GlobalChannel { from: node, out })));
             }
         }
+        edges.sort_by_key(|&(i, _)| i);
+        let edges: Vec<_> = edges.into_iter().map(|(_, e)| e).collect();
         let wait_cycle = GlobalCdg::from_edges(&edges)
             .find_cycle()
             .unwrap_or_default();

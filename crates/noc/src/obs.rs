@@ -23,11 +23,14 @@
 //! * **Exact under the scheduler.** Counters and event-maintained gauges
 //!   piggyback on work the kernel actually executes, so the active-set
 //!   scheduler cannot change a single recorded value.
-//! * **Mergeable epochs.** [`ObsSnapshot::merge`] is associative and
-//!   commutative (counters and histogram buckets form commutative monoids
-//!   under addition; gauges join in the lattice of
-//!   `(cycle, value)`-lexicographic maxima), so epoch snapshots can be
-//!   folded in any order.
+//! * **Mergeable epochs.** [`ObsSnapshot::merge`] joins metrics by name and
+//!   is associative and commutative (counters and histogram buckets form
+//!   commutative monoids under addition; gauges join in the lattice of
+//!   `(cycle, value)`-lexicographic maxima), so snapshots can be folded in
+//!   any order, whatever metrics each holds. `upp-trace obs` rebuilds a
+//!   run summary from an epoch stream with it.
+//! * **One codec per document.** [`ObsSnapshot`] writes the epoch stream
+//!   and the summary and reads both back; nothing else spells them.
 //!
 //! [`ObsHistogram`] is the workspace's one histogram type:
 //! `upp_tracetools::Histogram` re-exports it, so obs exports and latency
@@ -36,7 +39,7 @@
 use crate::ids::Cycle;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 
 /// Schema tag stamped into every obs export so stale files from older
@@ -298,57 +301,217 @@ enum Kind {
 
 // -------------------------------------------------------------- snapshot
 
-/// One epoch's worth of metric state, cut by [`ObsRegistry::take_epoch`]:
-/// counter and histogram *deltas* over the epoch, gauges as the
-/// instantaneous value at the epoch boundary plus the within-epoch
-/// high-water mark.
+/// Marker key of the summary document ([`ObsSnapshot::summary_json`]).
+const SUMMARY_MARKER: &str = "upp_obs";
+
+/// Marker key of the epoch-stream header ([`ObsSnapshot::epochs_header`]).
+const EPOCHS_MARKER: &str = "upp_obs_epochs";
+
+/// Checks a `{marker: 1, "schema": S}` document header: `Ok(false)` when
+/// `v` does not carry `marker` (it is some other document), `Ok(true)` when
+/// it does and its schema is `schema`, and an error naming the schema it
+/// carries otherwise. Every telemetry reader checks its header here.
+pub(crate) fn check_header(v: &Value, marker: &str, schema: &str) -> Result<bool, String> {
+    if v.get(marker).and_then(Value::as_u64) != Some(1) {
+        return Ok(false);
+    }
+    match v.get("schema").and_then(Value::as_str) {
+        Some(s) if s == schema => Ok(true),
+        Some(s) => Err(format!(
+            "stale or foreign file (schema mismatch): schema {s:?}, this tool reads {schema:?}"
+        )),
+        None => Err(format!("\"{marker}\" file has no schema tag")),
+    }
+}
+
+/// One gauge in a snapshot: the value read at cycle `at` and the high-water
+/// mark over the snapshot's span.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GaugeReading {
+    /// Instantaneous value at `at`.
+    pub value: u64,
+    /// High-water mark over the span the snapshot covers.
+    pub high: u64,
+    /// Cycle `value` was read at: the cycle of the snapshot it came from.
+    /// The exports do not write it; a snapshot read back has its own cycle
+    /// here.
+    pub at: Cycle,
+}
+
+/// A metric set keyed by name, sorted the way every export is: one epoch
+/// cut by [`ObsRegistry::take_epoch`] (counter and histogram *deltas* over
+/// the epoch, gauges at the epoch boundary with the within-epoch
+/// high-water mark), or the cumulative run summary of
+/// [`ObsRegistry::summary`].
 ///
-/// Snapshots over the same registry layout form a commutative monoid under
-/// [`ObsSnapshot::merge`], so epoch-level aggregation can fold them in
-/// any order (property-tested in `tests/obs_props.rs`).
-#[derive(Debug, Clone, PartialEq)]
+/// The snapshot is the one codec of both obs documents: it writes an epoch
+/// line ([`ObsSnapshot::jsonl`], after [`ObsSnapshot::epochs_header`]) and
+/// the marked summary ([`ObsSnapshot::summary_json`]), and reads both back
+/// ([`ObsSnapshot::from_json`], [`ObsSnapshot::read_epochs`],
+/// [`ObsSnapshot::read_summary`]).
+///
+/// Snapshots form a commutative monoid under the by-name
+/// [`ObsSnapshot::merge`], with the empty snapshot as identity, whatever
+/// metrics each one holds (property-tested in `tests/obs_props.rs`).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ObsSnapshot {
-    /// Cycle the epoch ended at.
-    pub end_cycle: Cycle,
-    /// Per-counter increments during the epoch (registry order).
-    pub counters: Vec<u64>,
-    /// Per-gauge value at `end_cycle` (registry order).
-    pub gauge_value: Vec<u64>,
-    /// Per-gauge high-water mark within the epoch (registry order).
-    pub gauge_high: Vec<u64>,
-    /// Per-histogram sample deltas during the epoch (registry order).
-    pub hists: Vec<ObsHistogram>,
+    /// Cycle the snapshot was cut at.
+    pub cycle: Cycle,
+    /// Counter increments over the epoch, or run totals.
+    pub counters: BTreeMap<String, u64>,
+    /// Gauge readings.
+    pub gauges: BTreeMap<String, GaugeReading>,
+    /// Histogram samples over the epoch, or over the run.
+    pub histograms: BTreeMap<String, ObsHistogram>,
 }
 
 impl ObsSnapshot {
-    /// Folds `other` into `self`: counters and histogram buckets add;
-    /// high-water marks take the maximum; instantaneous gauge values join
-    /// lexicographically on `(end_cycle, value)` so the later snapshot's
-    /// reading wins and equal-cycle merges resolve deterministically.
-    /// Associative and commutative.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the snapshots were cut from different registry layouts.
+    /// Folds `other` into `self`, joining metrics by name: counters and
+    /// histogram buckets add; high-water marks take the maximum; a gauge's
+    /// value joins lexicographically on `(at, value)`, so the later reading
+    /// wins and equal-cycle merges resolve deterministically. A metric only
+    /// one side holds is taken as it is. Associative and commutative.
     pub fn merge(&mut self, other: &ObsSnapshot) {
-        assert_eq!(self.counters.len(), other.counters.len(), "layout mismatch");
-        assert_eq!(self.hists.len(), other.hists.len(), "layout mismatch");
-        for (s, &o) in self.counters.iter_mut().zip(other.counters.iter()) {
-            *s += o;
+        for (name, &n) in &other.counters {
+            *self.counters.entry(name.clone()).or_default() += n;
         }
-        for (s, o) in self.hists.iter_mut().zip(other.hists.iter()) {
-            s.merge(o);
-        }
-        for (s, &o) in self.gauge_high.iter_mut().zip(other.gauge_high.iter()) {
-            *s = (*s).max(o);
-        }
-        for (s, &o) in self.gauge_value.iter_mut().zip(other.gauge_value.iter()) {
-            // Lexicographic max of (end_cycle, value) per gauge.
-            if (other.end_cycle, o) > (self.end_cycle, *s) {
-                *s = o;
+        for (name, &g) in &other.gauges {
+            let mine = self.gauges.entry(name.clone()).or_insert(g);
+            let high = mine.high.max(g.high);
+            if (g.at, g.value) > (mine.at, mine.value) {
+                *mine = g;
             }
+            mine.high = high;
         }
-        self.end_cycle = self.end_cycle.max(other.end_cycle);
+        for (name, h) in &other.histograms {
+            self.histograms.entry(name.clone()).or_default().merge(h);
+        }
+        self.cycle = self.cycle.max(other.cycle);
+    }
+
+    /// The header line of an epoch stream (no trailing newline).
+    pub fn epochs_header() -> String {
+        format!("{{\"{EPOCHS_MARKER}\":1,\"schema\":\"{OBS_SCHEMA}\"}}")
+    }
+
+    /// The snapshot as one deterministic epoch line (no trailing newline).
+    pub fn jsonl(&self) -> String {
+        let mut out = format!("{{\"cycle\":{}", self.cycle);
+        self.write_sets(&mut out, false);
+        out + "}"
+    }
+
+    /// The snapshot as the marked summary document: every counter, every
+    /// gauge as `[value, high_water]`, every histogram in the shared
+    /// sparse-bucket shape, one metric per line.
+    pub fn summary_json(&self) -> String {
+        let mut out = format!(
+            "{{\n  \"{SUMMARY_MARKER}\": 1,\n  \"schema\": \"{OBS_SCHEMA}\",\n  \"cycle\": {}",
+            self.cycle
+        );
+        self.write_sets(&mut out, true);
+        out + "\n}\n"
+    }
+
+    /// Appends the three metric sets, compact (an epoch line) or one metric
+    /// per line (the summary).
+    fn write_sets(&self, out: &mut String, pretty: bool) {
+        let [set_indent, item_indent, space] = match pretty {
+            true => ["\n  ", "\n    ", " "],
+            false => ["", "", ""],
+        };
+        let mut set = |key: &str, items: Vec<(&String, String)>| {
+            let _ = write!(out, ",{set_indent}\"{key}\":{space}{{");
+            for (i, (name, value)) in items.iter().enumerate() {
+                let comma = if i > 0 { "," } else { "" };
+                let _ = write!(out, "{comma}{item_indent}\"{name}\":{space}{value}");
+            }
+            let _ = write!(out, "{set_indent}}}");
+        };
+        let gauge = |g: &GaugeReading| format!("[{},{space}{}]", g.value, g.high);
+        let counters = self.counters.iter().map(|(n, c)| (n, c.to_string()));
+        let gauges = self.gauges.iter().map(|(n, g)| (n, gauge(g)));
+        let histograms = self.histograms.iter().map(|(n, h)| (n, h.to_json()));
+        set("counters", counters.collect());
+        set("gauges", gauges.collect());
+        set("histograms", histograms.collect());
+    }
+
+    /// Reads either shape back: an epoch line ([`ObsSnapshot::jsonl`]) or
+    /// a summary ([`ObsSnapshot::summary_json`]), whose schema must be
+    /// [`OBS_SCHEMA`]. Each gauge reading is dated at the snapshot's cycle.
+    ///
+    /// # Errors
+    ///
+    /// Returns a reason when the text is not JSON, a summary carries a
+    /// foreign schema, or a field is missing or ill-typed.
+    pub fn from_json(text: &str) -> Result<Self, String> {
+        let v = serde_json::from_str(text).map_err(|e| format!("not JSON: {e:?}"))?;
+        Self::from_value(&v)
+    }
+
+    fn from_value(v: &Value) -> Result<Self, String> {
+        // A summary must carry this schema; an epoch line has no marker.
+        check_header(v, SUMMARY_MARKER, OBS_SCHEMA)?;
+        // Metric names are keys, so each set is an object.
+        fn named<T: Deserialize>(v: &Value, key: &str) -> Option<BTreeMap<String, T>> {
+            let pairs = v.get(key)?.as_object()?.iter();
+            pairs
+                .map(|(name, val)| Some((name.clone(), T::de_value(val)?)))
+                .collect()
+        }
+        let read = || {
+            let at = v.get("cycle")?.as_u64()?;
+            let reading = |(value, high)| GaugeReading { value, high, at };
+            let gauges = named::<(u64, u64)>(v, "gauges")?;
+            Some(Self {
+                cycle: at,
+                counters: named(v, "counters")?,
+                gauges: gauges.into_iter().map(|(n, g)| (n, reading(g))).collect(),
+                histograms: named(v, "histograms")?,
+            })
+        };
+        read().ok_or_else(|| "malformed telemetry snapshot".into())
+    }
+
+    /// Reads a summary document back: `text` itself, or the summary a
+    /// `--json` run payload embeds as its `"obs"` field.
+    ///
+    /// # Errors
+    ///
+    /// As [`ObsSnapshot::from_json`], and when neither carries the summary
+    /// marker.
+    pub fn read_summary(text: &str) -> Result<Self, String> {
+        let v: Value = serde_json::from_str(text).map_err(|e| format!("not JSON: {e:?}"))?;
+        let doc = v.get("obs").unwrap_or(&v);
+        if !check_header(doc, SUMMARY_MARKER, OBS_SCHEMA)? {
+            return Err(format!(
+                "no \"{SUMMARY_MARKER}\" marker (not a telemetry summary)"
+            ));
+        }
+        Self::from_value(doc)
+    }
+
+    /// Reads an epoch stream back: `None` when the first line is not an
+    /// epoch-stream header, else one snapshot per later line.
+    ///
+    /// # Errors
+    ///
+    /// Returns a reason on a foreign header or a malformed line, naming it.
+    pub fn read_epochs(text: &str) -> Result<Option<Vec<Self>>, String> {
+        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
+        let Some(Ok(header)) = lines.next().map(serde_json::from_str) else {
+            return Ok(None);
+        };
+        if !check_header(&header, EPOCHS_MARKER, OBS_SCHEMA)? {
+            return Ok(None);
+        }
+        let epoch = |(i, line)| Self::from_json(line).map_err(|e| format!("line {}: {e}", i + 2));
+        lines
+            .enumerate()
+            .map(epoch)
+            .collect::<Result<_, _>>()
+            .map(Some)
     }
 }
 
@@ -595,30 +758,23 @@ impl ObsRegistry {
         self.len() == 0
     }
 
-    // ------------------------------ epochs ------------------------------
+    // ---------------------------- snapshots ----------------------------
 
     /// Cuts an epoch at `cycle`: returns the deltas since the previous cut
     /// and rolls the epoch baseline forward (within-epoch gauge high-water
     /// marks restart from the current values).
     pub fn take_epoch(&mut self, cycle: Cycle) -> ObsSnapshot {
-        let counters: Vec<u64> = self
-            .counters
-            .iter()
-            .zip(self.epoch_counters.iter())
-            .map(|(&c, &p)| c - p)
-            .collect();
-        let hists: Vec<ObsHistogram> = self
-            .hists
-            .iter()
-            .zip(self.epoch_hists.iter())
-            .map(|(h, p)| h.delta_since(p))
-            .collect();
         let snap = ObsSnapshot {
-            end_cycle: cycle,
-            counters,
-            gauge_value: self.gauge_value.clone(),
-            gauge_high: self.gauge_epoch_high.clone(),
-            hists,
+            cycle,
+            counters: (self.counter_names.iter().cloned())
+                .zip(self.counters.iter().zip(&self.epoch_counters))
+                .map(|(name, (&c, &p))| (name, c - p))
+                .collect(),
+            gauges: self.gauges(cycle, &self.gauge_epoch_high),
+            histograms: (self.hist_names.iter().cloned())
+                .zip(self.hists.iter().zip(&self.epoch_hists))
+                .map(|(name, (h, p))| (name, h.delta_since(p)))
+                .collect(),
         };
         self.epoch_counters.copy_from_slice(&self.counters);
         self.epoch_hists.clone_from(&self.hists);
@@ -626,81 +782,37 @@ impl ObsRegistry {
         snap
     }
 
-    // ------------------------------ export ------------------------------
-
-    /// Sorted `(name, index)` views used by every export, so output bytes
-    /// are independent of registration order.
-    fn sorted(names: &[String]) -> Vec<(&str, usize)> {
-        let mut v: Vec<(&str, usize)> = names.iter().map(String::as_str).zip(0..).collect();
-        v.sort_unstable_by_key(|&(n, _)| n);
-        v
+    /// The cumulative run summary at `cycle`: every counter total, every
+    /// gauge with its run high-water mark, every histogram.
+    pub fn summary(&self, cycle: Cycle) -> ObsSnapshot {
+        ObsSnapshot {
+            cycle,
+            counters: (self.counter_names.iter().cloned())
+                .zip(self.counters.iter().copied())
+                .collect(),
+            gauges: self.gauges(cycle, &self.gauge_high),
+            histograms: (self.hist_names.iter().cloned())
+                .zip(self.hists.iter().cloned())
+                .collect(),
+        }
     }
 
-    /// Header line for an epoch JSONL stream (schema marker; readers reject
-    /// files whose schema does not match [`OBS_SCHEMA`]).
-    pub fn epochs_header_json(&self) -> String {
-        format!("{{\"upp_obs_epochs\":1,\"schema\":\"{OBS_SCHEMA}\"}}")
-    }
-
-    /// One epoch snapshot as a deterministic single-line JSON object.
-    pub fn epoch_json(&self, snap: &ObsSnapshot) -> String {
-        let mut out = format!("{{\"cycle\":{},\"counters\":{{", snap.end_cycle);
-        for (i, (name, ix)) in Self::sorted(&self.counter_names).into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{name}\":{}", snap.counters[ix]);
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (name, ix)) in Self::sorted(&self.gauge_names).into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\"{name}\":[{},{}]",
-                snap.gauge_value[ix], snap.gauge_high[ix]
-            );
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (name, ix)) in Self::sorted(&self.hist_names).into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{name}\":{}", snap.hists[ix].to_json());
-        }
-        out.push_str("}}");
-        out
-    }
-
-    /// The cumulative end-of-run summary as deterministic JSON: every
-    /// counter total, every gauge as `[value, high_water]`, every
-    /// histogram in the shared sparse-bucket shape. Carries the
-    /// `"upp_obs": 1` marker and [`OBS_SCHEMA`] for detection.
-    pub fn summary_json(&self, cycle: Cycle) -> String {
-        let mut out = format!(
-            "{{\n  \"upp_obs\": 1,\n  \"schema\": \"{OBS_SCHEMA}\",\n  \"cycle\": {cycle},\n  \"counters\": {{"
-        );
-        for (i, (name, ix)) in Self::sorted(&self.counter_names).into_iter().enumerate() {
-            out.push_str(if i > 0 { ",\n    " } else { "\n    " });
-            let _ = write!(out, "\"{name}\": {}", self.counters[ix]);
-        }
-        out.push_str("\n  },\n  \"gauges\": {");
-        for (i, (name, ix)) in Self::sorted(&self.gauge_names).into_iter().enumerate() {
-            out.push_str(if i > 0 { ",\n    " } else { "\n    " });
-            let _ = write!(
-                out,
-                "\"{name}\": [{}, {}]",
-                self.gauge_value[ix], self.gauge_high[ix]
-            );
-        }
-        out.push_str("\n  },\n  \"histograms\": {");
-        for (i, (name, ix)) in Self::sorted(&self.hist_names).into_iter().enumerate() {
-            out.push_str(if i > 0 { ",\n    " } else { "\n    " });
-            let _ = write!(out, "\"{name}\": {}", self.hists[ix].to_json());
-        }
-        out.push_str("\n  }\n}\n");
-        out
+    /// Every gauge's current value, read at `cycle`, with `high` as its
+    /// high-water mark.
+    fn gauges(&self, cycle: Cycle, high: &[u64]) -> BTreeMap<String, GaugeReading> {
+        (self.gauge_names.iter().cloned())
+            .zip(self.gauge_value.iter().zip(high))
+            .map(|(name, (&value, &high))| {
+                (
+                    name,
+                    GaugeReading {
+                        value,
+                        high,
+                        at: cycle,
+                    },
+                )
+            })
+            .collect()
     }
 }
 
@@ -757,26 +869,23 @@ mod tests {
         r.add(c, 3);
         r.gauge_set(g, 4);
         r.record(h, 10);
-        // Mechanism metrics are pre-registered by `enable`, so user metric
-        // ids do not start at 0 — index through the returned handles.
-        let (ci, gi, hi) = (c.0 as usize, g.0 as usize, h.0 as usize);
         let e1 = r.take_epoch(100);
-        assert_eq!(e1.counters[ci], 3);
-        assert_eq!(e1.gauge_high[gi], 4);
-        assert_eq!(e1.hists[hi].count(), 1);
+        assert_eq!(e1.counters["n"], 3);
+        assert_eq!(e1.gauges["g"].high, 4);
+        assert_eq!(e1.histograms["h"].count(), 1);
         r.add(c, 2);
         r.gauge_set(g, 1);
         r.record(h, 10);
         r.record(h, 50_000);
         let e2 = r.take_epoch(200);
-        assert_eq!(e2.counters[ci], 2, "second epoch sees only the delta");
-        assert_eq!(e2.gauge_value[gi], 1);
+        assert_eq!(e2.counters["n"], 2, "second epoch sees only the delta");
+        assert_eq!(e2.gauges["g"].value, 1);
         assert_eq!(
-            e2.gauge_high[gi], 4,
+            e2.gauges["g"].high, 4,
             "epoch high-water restarts from the boundary value"
         );
-        assert_eq!(e2.hists[hi].count(), 2);
-        assert_eq!(e2.hists[hi].sum(), 50_010);
+        assert_eq!(e2.histograms["h"].count(), 2);
+        assert_eq!(e2.histograms["h"].sum(), 50_010);
     }
 
     #[test]
@@ -792,10 +901,10 @@ mod tests {
         r.record(h, 9);
         let e2 = r.take_epoch(20);
         e1.merge(&e2);
-        assert_eq!(e1.counters[c.0 as usize], 7);
-        assert_eq!(e1.end_cycle, 20);
-        assert_eq!(e1.hists[h.0 as usize].count(), 2);
-        assert_eq!(e1.hists[h.0 as usize].sum(), 16);
+        assert_eq!(e1.counters["n"], 7);
+        assert_eq!(e1.cycle, 20);
+        assert_eq!(e1.histograms["h"].count(), 2);
+        assert_eq!(e1.histograms["h"].sum(), 16);
     }
 
     #[test]
@@ -806,16 +915,31 @@ mod tests {
         let a = r.counter("a.first");
         r.inc(a);
         r.add(b, 2);
-        let summary = r.summary_json(42);
+        let summary = r.summary(42).summary_json();
         let ia = summary.find("a.first").unwrap();
         let ib = summary.find("z.second").unwrap();
         assert!(ia < ib, "names sorted regardless of registration order");
         assert!(summary.contains("\"upp_obs\": 1"));
         assert!(summary.contains(OBS_SCHEMA));
-        let snap = r.take_epoch(42);
-        let line = r.epoch_json(&snap);
+        let line = r.take_epoch(42).jsonl();
         assert!(!line.contains('\n'), "epoch lines are single-line JSONL");
         assert!(line.starts_with("{\"cycle\":42,"));
+        assert_eq!(
+            ObsSnapshot::epochs_header(),
+            "{\"upp_obs_epochs\":1,\"schema\":\"upp-obs/v1\"}"
+        );
+    }
+
+    #[test]
+    fn headers_are_checked_in_one_place() {
+        let v = |text: &str| serde_json::from_str(text).unwrap();
+        let check = |text: &str| check_header(&v(text), "m", "s/v1");
+        assert_eq!(check(r#"{"m":1,"schema":"s/v1"}"#), Ok(true));
+        assert_eq!(check(r#"{"other":1}"#), Ok(false));
+        assert_eq!(check(r#"{"m":2,"schema":"s/v1"}"#), Ok(false));
+        let foreign = check(r#"{"m":1,"schema":"s/v0"}"#).unwrap_err();
+        assert!(foreign.contains("schema \"s/v0\""), "{foreign}");
+        assert!(check(r#"{"m":1}"#).unwrap_err().contains("no schema"));
     }
 
     #[test]

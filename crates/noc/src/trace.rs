@@ -533,6 +533,16 @@ impl Default for Tracer {
     }
 }
 
+/// A tracer dropped while armed (say, with the network that owns it) closes
+/// its open spans first, as [`crate::network::Network::set_tracer`] does,
+/// so its sink and profiler see the blocked cycles up to the last one
+/// stepped.
+impl Drop for Tracer {
+    fn drop(&mut self) {
+        self.end_spans();
+    }
+}
+
 impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let (kind, len) = match &self.state {

@@ -28,7 +28,7 @@
 //! when absent: it is driver-owned state, not network state, and feeds
 //! happen only at epoch boundaries.
 
-use serde::{Deserialize, Serialize};
+use serde_json::Value;
 use std::collections::VecDeque;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -119,6 +119,9 @@ pub enum Severity {
 }
 
 impl Severity {
+    /// All severities, least severe first.
+    pub const ALL: [Severity; 3] = [Severity::Info, Severity::Warning, Severity::Critical];
+
     /// Stable identifier used in the JSONL stream.
     pub fn name(self) -> &'static str {
         match self {
@@ -141,6 +144,9 @@ pub enum AlertKind {
 }
 
 impl AlertKind {
+    /// All transitions.
+    pub const ALL: [AlertKind; 3] = [AlertKind::Raise, AlertKind::Escalate, AlertKind::Clear];
+
     /// Stable identifier used in the JSONL stream.
     pub fn name(self) -> &'static str {
         match self {
@@ -175,45 +181,81 @@ impl Alert {
     /// (no trailing newline). All fields are integers or fixed strings, so
     /// the bytes are identical across platforms, kernels and schedulers.
     pub fn jsonl(&self) -> String {
-        let line = AlertRecord {
-            detector: self.detector.name().into(),
-            event: self.kind.name().into(),
-            severity: self.severity.name().into(),
-            metric: self.detector.metric().into(),
-            value: self.value,
-            threshold: self.threshold,
-            from_cycle: self.from_cycle,
-            at_cycle: self.at_cycle,
-        };
-        serde_json::to_string(&line).expect("infallible")
+        format!(
+            "{{\"detector\":\"{}\",\"event\":\"{}\",\"severity\":\"{}\",\"metric\":\"{}\",\
+             \"value\":{},\"threshold\":{},\"from_cycle\":{},\"at_cycle\":{}}}",
+            self.detector.name(),
+            self.kind.name(),
+            self.severity.name(),
+            self.detector.metric(),
+            self.value,
+            self.threshold,
+            self.from_cycle,
+            self.at_cycle
+        )
+    }
+
+    /// Reads one [`Alert::jsonl`] line back, fields by key. `None` when the
+    /// line is not JSON, a field is missing or ill-typed, a name is not one
+    /// the watcher writes, or the `metric` is not its detector's.
+    pub fn from_jsonl(line: &str) -> Option<Alert> {
+        let v = serde_json::from_str(line).ok()?;
+        let name = |key: &str| v.get(key).and_then(Value::as_str);
+        let number = |key: &str| v.get(key).and_then(Value::as_u64);
+        let detector = by_name(&Detector::ALL, Detector::name, name("detector"))?;
+        if name("metric") != Some(detector.metric()) {
+            return None;
+        }
+        Some(Alert {
+            detector,
+            kind: by_name(&AlertKind::ALL, AlertKind::name, name("event"))?,
+            severity: by_name(&Severity::ALL, Severity::name, name("severity"))?,
+            from_cycle: number("from_cycle")?,
+            at_cycle: number("at_cycle")?,
+            value: number("value")?,
+            threshold: number("threshold")?,
+        })
     }
 }
 
-/// One `upp-alerts/v1` alert line, as [`Alert::jsonl`] writes it (in this
-/// key order) and `upp-trace alerts` reads it back.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AlertRecord {
-    /// Detector identifier (`throughput_collapse`, ...).
-    pub detector: String,
-    /// Transition: `raise`, `escalate` or `clear`.
-    pub event: String,
-    /// Severity after the transition: `info`, `warning` or `critical`.
-    pub severity: String,
-    /// The metric the detector triggers on.
-    pub metric: String,
-    /// Metric value at the emitting epoch.
-    pub value: u64,
-    /// Threshold the value was compared against.
-    pub threshold: u64,
-    /// First epoch cycle of the triggering span.
-    pub from_cycle: u64,
-    /// Cycle of the epoch that emitted the alert.
-    pub at_cycle: u64,
+/// The one of `all` whose `name` is `s`.
+fn by_name<T: Copy>(all: &[T], name: fn(T) -> &'static str, s: Option<&str>) -> Option<T> {
+    all.iter().copied().find(|&t| Some(name(t)) == s)
 }
+
+/// Marker key of the alert-stream header.
+const ALERTS_MARKER: &str = "upp_alerts";
 
 /// Header line for an `upp-alerts/v1` JSONL stream.
 pub fn alerts_header_json(every: u64) -> String {
-    format!("{{\"upp_alerts\":1,\"schema\":\"{ALERTS_SCHEMA}\",\"every\":{every}}}")
+    format!("{{\"{ALERTS_MARKER}\":1,\"schema\":\"{ALERTS_SCHEMA}\",\"every\":{every}}}")
+}
+
+/// Reads an `upp-alerts/v1` stream back ([`alerts_header_json`], then one
+/// [`Alert::jsonl`] line per alert): the header's epoch length and the
+/// alerts in stream order.
+///
+/// # Errors
+///
+/// Rejects a missing or foreign header and malformed alert lines, naming
+/// the offending line.
+pub fn read_alerts(text: &str) -> Result<(u64, Vec<Alert>), String> {
+    let mut lines = text.lines().filter(|l| !l.trim().is_empty());
+    let header_line = lines.next().ok_or("empty input")?;
+    let header =
+        serde_json::from_str(header_line).map_err(|e| format!("header line is not JSON: {e}"))?;
+    if !crate::obs::check_header(&header, ALERTS_MARKER, ALERTS_SCHEMA)? {
+        return Err(format!(
+            "not an upp-alerts stream (no \"{ALERTS_MARKER}\" header)"
+        ));
+    }
+    let every = (header.get("every"))
+        .and_then(Value::as_u64)
+        .ok_or("header lacks \"every\"")?;
+    let alerts = lines.enumerate().map(|(i, line)| {
+        Alert::from_jsonl(line).ok_or_else(|| format!("alert line {}: malformed", i + 2))
+    });
+    Ok((every, alerts.collect::<Result<_, _>>()?))
 }
 
 /// Detector thresholds and hysteresis tuning. Everything is in cycles,
@@ -574,7 +616,7 @@ pub fn capture_forensics(
     write("trace_tail.jsonl", tail)?;
     if sys.net().obs().is_enabled() {
         let cycle = sys.net().cycle();
-        let summary = sys.net().obs().summary_json(cycle);
+        let summary = sys.net().obs().summary(cycle).summary_json();
         write("obs_summary.json", summary + "\n")?;
     }
     Ok(ForensicsBundle { files })
@@ -626,5 +668,12 @@ mod tests {
              \"from_cycle\":400,\"at_cycle\":600}"
         );
         assert!(alerts_header_json(cfg().every).contains(ALERTS_SCHEMA));
+        assert_eq!(Alert::from_jsonl(&a.jsonl()), Some(a.clone()));
+        let wrong_metric = a.jsonl().replace("popups_per_epoch", "in_flight");
+        assert_eq!(
+            Alert::from_jsonl(&wrong_metric),
+            None,
+            "metric is the detector's"
+        );
     }
 }

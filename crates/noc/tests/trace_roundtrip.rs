@@ -244,3 +244,56 @@ fn chrome_trace_export_is_valid_json() {
         assert!(e.get("args").is_some());
     }
 }
+
+/// A `Network` dropped with its tracer still in it closes the spans of the
+/// VCs parked at that moment, exactly as taking the tracer out with
+/// `set_tracer` does: both JSONL streams hold the same blocked cells, byte
+/// for byte, ending in the closing `blocked_span`s.
+#[test]
+fn a_dropped_tracer_closes_its_spans() {
+    fn hotspot_jsonl(take_out: bool) -> String {
+        let buf = Arc::new(Mutex::new(Vec::new()));
+        let topo = ChipletSystemSpec::baseline().build(3).unwrap();
+        let nodes = topo.num_nodes() as u32;
+        let net = Network::new(
+            NocConfig::default(),
+            topo,
+            std::sync::Arc::new(ChipletRouting::xy()),
+            ConsumePolicy::Immediate { latency: 40 },
+            3,
+        );
+        let mut sys = System::new(net, Box::new(NoScheme));
+        sys.net_mut()
+            .set_tracer(Tracer::jsonl(Box::new(SharedWriter(Arc::clone(&buf)))));
+        // Every node sends to one slow sink, so the network backs up and
+        // VCs park behind it.
+        for c in 0..300u32 {
+            let src = NodeId(c % nodes);
+            if src != NodeId(15) {
+                sys.send(src, NodeId(15), VnetId((c % 3) as u8), 4);
+            }
+            sys.step();
+        }
+        if take_out {
+            drop(sys.net_mut().set_tracer(Tracer::disabled()));
+        }
+        drop(sys);
+        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+        text
+    }
+
+    let taken_out = hotspot_jsonl(true);
+    let last = taken_out
+        .lines()
+        .last()
+        .expect("a traced run writes events");
+    assert!(
+        last.contains("\"blocked_span\""),
+        "VCs are still parked when the run stops: {last}"
+    );
+    assert_eq!(
+        hotspot_jsonl(false),
+        taken_out,
+        "dropping the network loses the open spans"
+    );
+}

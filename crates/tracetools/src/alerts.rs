@@ -1,8 +1,10 @@
 //! Analysis over health-monitor alert streams (`upp_noc::watch`).
 //!
 //! Input is the `upp-alerts/v1` JSONL shape written by
-//! `simulate --watch-out`: a header line marked `"upp_alerts": 1` followed
-//! by one alert object per line. Files carrying a different schema tag are rejected up front.
+//! `simulate --watch-out`: a marked header line followed by one alert
+//! object per line, read back into typed [`Alert`]s by
+//! [`upp_noc::watch::read_alerts`]. Files carrying a different schema tag
+//! are rejected up front.
 //!
 //! The renderers mirror the `obs` module: a human table
 //! ([`report_text`]), a flat CSV timeline ([`timeline_csv`]) and an SVG
@@ -12,16 +14,20 @@
 
 use std::fmt::Write as _;
 
-use serde::Deserialize;
-use serde_json::Value;
-pub use upp_noc::watch::AlertRecord;
-use upp_noc::watch::ALERTS_SCHEMA;
+use upp_noc::watch::{read_alerts, Alert, AlertKind, Detector, Severity};
 
 /// One fixed-width human line of the [`report_text`] table.
-fn render_line(a: &AlertRecord) -> String {
+fn render_line(a: &Alert) -> String {
     format!(
         "{:>10}  {:<8} {:<9} {:<21} {}={} (threshold {}, since cycle {})",
-        a.at_cycle, a.event, a.severity, a.detector, a.metric, a.value, a.threshold, a.from_cycle
+        a.at_cycle,
+        a.kind.name(),
+        a.severity.name(),
+        a.detector.name(),
+        a.detector.metric(),
+        a.value,
+        a.threshold,
+        a.from_cycle
     )
 }
 
@@ -30,50 +36,20 @@ fn render_line(a: &AlertRecord) -> String {
 pub struct AlertsReport {
     /// Watch epoch length recorded in the header.
     pub every: u64,
-    /// Alert records, in stream (emission) order.
-    pub alerts: Vec<AlertRecord>,
-}
-
-/// True when `v` is an `upp-alerts/v1` stream header.
-fn is_alerts_header(v: &Value) -> bool {
-    matches!(v.get("upp_alerts").and_then(Value::as_u64), Some(1))
+    /// Alerts, in stream (emission) order.
+    pub alerts: Vec<Alert>,
 }
 
 impl AlertsReport {
-    /// Parses a full alert JSONL document (header line plus alert lines).
+    /// Parses a full alert JSONL document (header line plus alert lines)
+    /// through [`read_alerts`], the reader beside the writer.
     ///
     /// # Errors
     ///
     /// Rejects missing/foreign headers, schema-tag mismatches and
     /// malformed alert lines, naming the offending line.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let header_line = lines.next().ok_or("empty input")?;
-        let header: Value = serde_json::from_str(header_line)
-            .map_err(|e| format!("header line is not JSON: {e}"))?;
-        if !is_alerts_header(&header) {
-            return Err("not an upp-alerts stream (no \"upp_alerts\" header)".into());
-        }
-        match header.get("schema").and_then(Value::as_str) {
-            Some(s) if s == ALERTS_SCHEMA => {}
-            other => {
-                return Err(format!(
-                    "alert schema mismatch: file has {other:?}, reader expects {ALERTS_SCHEMA:?}"
-                ))
-            }
-        }
-        let every = header
-            .get("every")
-            .and_then(Value::as_u64)
-            .ok_or("header lacks \"every\"")?;
-        let mut alerts = Vec::new();
-        for (i, line) in lines.enumerate() {
-            let v: Value = serde_json::from_str(line)
-                .map_err(|e| format!("alert line {}: not JSON: {e}", i + 2))?;
-            let rec = AlertRecord::de_value(&v)
-                .ok_or_else(|| format!("alert line {}: missing fields", i + 2))?;
-            alerts.push(rec);
-        }
+        let (every, alerts) = read_alerts(text)?;
         Ok(Self { every, alerts })
     }
 }
@@ -90,17 +66,10 @@ pub fn report_text(r: &AlertsReport) -> String {
     );
     // Per-detector totals in the watch module's stable reporting order,
     // skipping detectors that never fired.
-    for d in upp_noc::watch::Detector::ALL {
-        let raised = r
-            .alerts
-            .iter()
-            .filter(|a| a.detector == d.name() && a.event != "clear")
-            .count();
-        let cleared = r
-            .alerts
-            .iter()
-            .filter(|a| a.detector == d.name() && a.event == "clear")
-            .count();
+    for d in Detector::ALL {
+        let of_d = || r.alerts.iter().filter(move |a| a.detector == d);
+        let cleared = of_d().filter(|a| a.kind == AlertKind::Clear).count();
+        let raised = of_d().count() - cleared;
         if raised + cleared > 0 {
             let _ = writeln!(out, "  {:<21} {raised} raised, {cleared} cleared", d.name());
         }
@@ -130,10 +99,10 @@ pub fn timeline_csv(r: &AlertsReport) -> String {
             "{},{},{},{},{},{},{},{}",
             a.at_cycle,
             a.from_cycle,
-            a.detector,
-            a.event,
-            a.severity,
-            a.metric,
+            a.detector.name(),
+            a.kind.name(),
+            a.severity.name(),
+            a.detector.metric(),
             a.value,
             a.threshold
         );
@@ -141,11 +110,11 @@ pub fn timeline_csv(r: &AlertsReport) -> String {
     out
 }
 
-fn severity_color(severity: &str) -> &'static str {
+fn severity_color(severity: Severity) -> &'static str {
     match severity {
-        "critical" => "#c0392b",
-        "warning" => "#e67e22",
-        _ => "#27ae60",
+        Severity::Critical => "#c0392b",
+        Severity::Warning => "#e67e22",
+        Severity::Info => "#27ae60",
     }
 }
 
@@ -153,10 +122,8 @@ fn severity_color(severity: &str) -> &'static str {
 /// only detectors that fired), a span bar from `from_cycle` to `at_cycle`
 /// per transition and a severity-colored marker at the transition cycle.
 pub fn lanes_svg(r: &AlertsReport) -> String {
-    let lanes: Vec<&'static str> = upp_noc::watch::Detector::ALL
-        .iter()
-        .map(|d| d.name())
-        .filter(|n| r.alerts.iter().any(|a| &a.detector == n))
+    let lanes: Vec<Detector> = (Detector::ALL.into_iter())
+        .filter(|&d| r.alerts.iter().any(|a| a.detector == d))
         .collect();
     let max_cycle = r
         .alerts
@@ -175,8 +142,8 @@ pub fn lanes_svg(r: &AlertsReport) -> String {
          <text x=\"8\" y=\"16\">upp-alerts timeline (0..{max_cycle} cycles, epoch {})</text>\n",
         r.every
     );
-    for (i, name) in lanes.iter().enumerate() {
-        let y = 40.0 + i as f64 * lane_h;
+    for (i, &d) in lanes.iter().enumerate() {
+        let (name, y) = (d.name(), 40.0 + i as f64 * lane_h);
         let _ = writeln!(
             s,
             "<text x=\"8\" y=\"{:.1}\">{name}</text>\n\
@@ -187,17 +154,22 @@ pub fn lanes_svg(r: &AlertsReport) -> String {
             left + plot_w,
             y + lane_h * 0.5
         );
-        for a in r.alerts.iter().filter(|a| a.detector == *name) {
+        for a in r.alerts.iter().filter(|a| a.detector == d) {
             let (x0, x1) = (x(a.from_cycle), x(a.at_cycle));
             let yc = y + lane_h * 0.5;
-            let color = severity_color(&a.severity);
+            let color = severity_color(a.severity);
             let _ = writeln!(
                 s,
                 "<line x1=\"{x0:.1}\" y1=\"{yc:.1}\" x2=\"{x1:.1}\" y2=\"{yc:.1}\" \
                  stroke=\"{color}\" stroke-width=\"4\" stroke-opacity=\"0.45\"/>\n\
                  <circle cx=\"{x1:.1}\" cy=\"{yc:.1}\" r=\"4\" fill=\"{color}\">\
                  <title>{} {} at {} ({}={} threshold {})</title></circle>",
-                a.detector, a.event, a.at_cycle, a.metric, a.value, a.threshold
+                name,
+                a.kind.name(),
+                a.at_cycle,
+                a.detector.metric(),
+                a.value,
+                a.threshold
             );
         }
     }
@@ -234,7 +206,7 @@ mod tests {
         let r = AlertsReport::parse(&sample()).unwrap();
         assert_eq!(r.every, 100);
         assert_eq!(r.alerts.len(), 2);
-        assert_eq!(r.alerts[1].event, "escalate");
+        assert_eq!(r.alerts[1].kind, AlertKind::Escalate);
         let text = report_text(&r);
         assert!(text.contains("2 transitions"), "{text}");
         assert!(text.contains("throughput_collapse"), "{text}");

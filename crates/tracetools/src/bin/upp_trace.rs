@@ -194,17 +194,28 @@ fn main() -> ExitCode {
                 }
             };
             print!("{}", upp_tracetools::obs::report_text(&report));
+            // A summary has no time series: the table prints, and each
+            // series file asked for is refused (exit 1, like an unwritable
+            // path).
+            let mut refused = false;
+            let mut needs_epochs = |flag: &str| {
+                eprintln!("error: {flag} needs epoch input (simulate --obs-every)");
+                refused = true;
+            };
             if let Some(p) = csv_out {
                 match upp_tracetools::obs::timeseries_csv(&report) {
                     Some(csv) => write_or_die(p, &csv),
-                    None => eprintln!("error: --csv-out needs epoch input (simulate --obs-every)"),
+                    None => needs_epochs("--csv-out"),
                 }
             }
             if let Some(p) = svg_out {
                 match upp_tracetools::obs::timeseries_svg(&report, &metrics) {
                     Some(svg) => write_or_die(p, &svg),
-                    None => eprintln!("error: --svg-out needs epoch input (simulate --obs-every)"),
+                    None => needs_epochs("--svg-out"),
                 }
+            }
+            if refused {
+                return ExitCode::FAILURE;
             }
         }
         "alerts" => {

@@ -3,182 +3,56 @@
 //! Two input shapes, auto-detected by their markers:
 //!
 //! * a **summary** JSON document from `simulate --obs` (or the `"obs"`
-//!   field of a `--json` payload), marked `"upp_obs": 1` — final counter
-//!   totals, gauge value/high-water pairs, and full histograms;
-//! * an **epoch** JSONL stream from `simulate --obs-every N --obs-out F`,
-//!   whose header line is marked `"upp_obs_epochs": 1` — one snapshot of
-//!   per-epoch deltas per line.
+//!   field of a `--json` payload) — final counter totals, gauge
+//!   value/high-water pairs, and full histograms;
+//! * an **epoch** JSONL stream from `simulate --obs-every N --obs-out F`:
+//!   a header line, then one snapshot of per-epoch deltas per line.
 //!
-//! Both carry the schema tag [`upp_noc::obs::OBS_SCHEMA`]; files written by
-//! a different schema version are rejected up front rather than misread.
+//! Both are read by [`ObsSnapshot`], the type that writes them, and carry
+//! the schema tag [`upp_noc::obs::OBS_SCHEMA`]; files written by a
+//! different schema version are rejected up front rather than misread.
 //! Histograms use the exact [`crate::Histogram`] JSON shape, so quantiles
 //! here are computed over the original buckets, never re-approximated.
 
 use std::fmt::Write as _;
 
-use serde::Deserialize;
-use serde_json::Value;
-use upp_noc::obs::OBS_SCHEMA;
-
-use crate::Histogram;
-
-/// One metric set: counter totals, gauge `(value, high)` pairs and
-/// histograms, as parsed from either input shape. For epoch input the
-/// counters are per-epoch deltas; for summary input they are run totals.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ObsSnapshot {
-    /// Cycle the snapshot was cut at.
-    pub cycle: u64,
-    /// `(name, total)` pairs, in file order (sorted by name at the source).
-    pub counters: Vec<(String, u64)>,
-    /// `(name, (value, high-water))` pairs.
-    pub gauges: Vec<(String, (u64, u64))>,
-    /// `(name, histogram)` pairs.
-    pub histograms: Vec<(String, Histogram)>,
-}
-
-impl ObsSnapshot {
-    fn from_value(v: &Value) -> Option<Self> {
-        // Metric names are keys, so each set is an object read in file order.
-        fn named<T: Deserialize>(v: &Value, key: &str) -> Option<Vec<(String, T)>> {
-            let pairs = v.get(key)?.as_object()?.iter();
-            pairs
-                .map(|(name, val)| Some((name.clone(), T::de_value(val)?)))
-                .collect()
-        }
-        Some(Self {
-            cycle: v.get("cycle")?.as_u64()?,
-            counters: named(v, "counters")?,
-            gauges: named(v, "gauges")?,
-            histograms: named(v, "histograms")?,
-        })
-    }
-}
+use upp_noc::obs::ObsSnapshot;
 
 /// A parsed telemetry document: the final summary, plus the epoch time
 /// series when the input was an epoch stream.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ObsReport {
-    /// Run totals (summed across epochs for JSONL input).
+    /// Run totals (merged across epochs for JSONL input).
     pub summary: ObsSnapshot,
     /// Per-epoch snapshots, oldest first; empty for summary input.
     pub epochs: Vec<ObsSnapshot>,
 }
 
-/// True when `v` is a telemetry summary document.
-pub fn is_obs_summary(v: &Value) -> bool {
-    v.get("upp_obs").and_then(Value::as_u64) == Some(1)
-}
-
-/// True when `line` is a telemetry epoch-stream header.
-fn is_obs_epochs_header(v: &Value) -> bool {
-    v.get("upp_obs_epochs").and_then(Value::as_u64) == Some(1)
-}
-
-fn check_schema(v: &Value) -> Result<(), String> {
-    match v.get("schema").and_then(Value::as_str) {
-        Some(s) if s == OBS_SCHEMA => Ok(()),
-        Some(s) => Err(format!(
-            "stale or foreign telemetry file: schema {s:?}, this tool reads {OBS_SCHEMA:?}"
-        )),
-        None => Err("telemetry file has no schema tag".into()),
-    }
-}
-
 impl ObsReport {
-    /// Parses a summary document (`simulate --obs`), or the `"obs"` field
-    /// of a full `--json` payload.
+    /// Auto-detects the input shape and parses it. An epoch stream's run
+    /// summary is the by-name [`ObsSnapshot::merge`] of its epochs:
+    /// counter deltas add, histograms merge exactly, gauges keep the last
+    /// sampled value and join their high-waters.
     ///
     /// # Errors
     ///
-    /// Returns a reason when the text is not valid JSON, carries no
-    /// telemetry marker, or was written by a different schema version.
-    pub fn from_summary_json(text: &str) -> Result<Self, String> {
-        let v = serde_json::from_str(text).map_err(|e| format!("not JSON: {e:?}"))?;
-        let v = if is_obs_summary(&v) {
-            v
-        } else if let Some(inner) = v.get("obs").filter(|o| is_obs_summary(o)) {
-            inner.clone()
-        } else {
-            return Err("no \"upp_obs\" marker (not a telemetry summary)".into());
-        };
-        check_schema(&v)?;
-        let summary = ObsSnapshot::from_value(&v).ok_or("malformed telemetry summary")?;
-        Ok(Self {
-            summary,
-            epochs: Vec::new(),
-        })
-    }
-
-    /// Parses an epoch JSONL stream (`simulate --obs-every`): a marked
-    /// header line, then one snapshot per line. The run summary is rebuilt
-    /// by summing counter deltas, merging histograms exactly, and joining
-    /// gauge high-waters.
-    ///
-    /// # Errors
-    ///
-    /// Returns a reason on a missing/foreign header or a malformed line.
-    pub fn from_epochs_jsonl(text: &str) -> Result<Self, String> {
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let header = lines.next().ok_or("empty telemetry file")?;
-        let hv = serde_json::from_str(header).map_err(|e| format!("bad header: {e:?}"))?;
-        if !is_obs_epochs_header(&hv) {
-            return Err("no \"upp_obs_epochs\" header (not an epoch stream)".into());
-        }
-        check_schema(&hv)?;
-        let mut epochs = Vec::new();
-        for (i, line) in lines.enumerate() {
-            let v = serde_json::from_str(line).map_err(|e| format!("line {}: {e:?}", i + 2))?;
-            epochs.push(
-                ObsSnapshot::from_value(&v)
-                    .ok_or_else(|| format!("line {}: malformed epoch", i + 2))?,
-            );
-        }
-        let mut summary = ObsSnapshot::default();
-        for e in &epochs {
-            summary.cycle = summary.cycle.max(e.cycle);
-            merge_counts(&mut summary.counters, &e.counters);
-            for (name, (value, high)) in &e.gauges {
-                match summary.gauges.iter_mut().find(|(n, _)| n == name) {
-                    // Later epochs win the instantaneous value; highs join.
-                    Some((_, g)) => *g = (*value, g.1.max(*high)),
-                    None => summary.gauges.push((name.clone(), (*value, *high))),
-                }
-            }
-            for (name, h) in &e.histograms {
-                match summary.histograms.iter_mut().find(|(n, _)| n == name) {
-                    Some((_, acc)) => acc.merge(h),
-                    None => summary.histograms.push((name.clone(), h.clone())),
-                }
-            }
-        }
-        Ok(Self { summary, epochs })
-    }
-
-    /// Auto-detects the input shape and parses it.
-    ///
-    /// # Errors
-    ///
-    /// Returns the summary-parse reason when the text is neither shape.
+    /// Returns a reason when the text is neither shape, was written by a
+    /// different schema version, or has a malformed line.
     pub fn parse(text: &str) -> Result<Self, String> {
         let head = text.trim_start();
-        if head.starts_with('{') {
-            if let Ok(v) = serde_json::from_str(head.lines().next().unwrap_or("")) {
-                if is_obs_epochs_header(&v) {
-                    return Self::from_epochs_jsonl(head);
-                }
-            }
-        }
-        Self::from_summary_json(head)
-    }
-}
-
-fn merge_counts(acc: &mut Vec<(String, u64)>, add: &[(String, u64)]) {
-    for (name, n) in add {
-        match acc.iter_mut().find(|(a, _)| a == name) {
-            Some((_, total)) => *total += n,
-            None => acc.push((name.clone(), *n)),
-        }
+        Ok(match ObsSnapshot::read_epochs(head)? {
+            Some(epochs) => Self {
+                summary: epochs.iter().fold(ObsSnapshot::default(), |mut acc, e| {
+                    acc.merge(e);
+                    acc
+                }),
+                epochs,
+            },
+            None => Self {
+                summary: ObsSnapshot::read_summary(head)?,
+                epochs: Vec::new(),
+            },
+        })
     }
 }
 
@@ -192,21 +66,21 @@ pub fn report_text(r: &ObsReport) -> String {
     }
     if !s.counters.is_empty() {
         out.push_str("\ncounters (run totals):\n");
-        let w = s.counters.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
+        let w = s.counters.keys().map(String::len).max().unwrap_or(0);
         for (name, total) in &s.counters {
             let _ = writeln!(out, "  {name:<w$}  {total}");
         }
     }
     if !s.gauges.is_empty() {
         out.push_str("\ngauges (last sample / high-water):\n");
-        let w = s.gauges.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
-        for (name, (value, high)) in &s.gauges {
-            let _ = writeln!(out, "  {name:<w$}  {value} / {high}");
+        let w = s.gauges.keys().map(String::len).max().unwrap_or(0);
+        for (name, g) in &s.gauges {
+            let _ = writeln!(out, "  {name:<w$}  {} / {}", g.value, g.high);
         }
     }
     if !s.histograms.is_empty() {
         out.push_str("\nhistograms:\n");
-        let w = s.histograms.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
+        let w = s.histograms.keys().map(String::len).max().unwrap_or(0);
         for (name, h) in &s.histograms {
             let _ = writeln!(
                 out,
@@ -229,25 +103,25 @@ pub fn report_text(r: &ObsReport) -> String {
 pub fn timeseries_csv(r: &ObsReport) -> Option<String> {
     let first = r.epochs.first()?;
     let mut out = String::from("cycle");
-    for (name, _) in &first.counters {
+    for name in first.counters.keys() {
         let _ = write!(out, ",{name}");
     }
-    for (name, _) in &first.gauges {
+    for name in first.gauges.keys() {
         let _ = write!(out, ",{name},{name}.high");
     }
-    for (name, _) in &first.histograms {
+    for name in first.histograms.keys() {
         let _ = write!(out, ",{name}.count,{name}.mean");
     }
     out.push('\n');
     for e in &r.epochs {
         let _ = write!(out, "{}", e.cycle);
-        for (_, total) in &e.counters {
+        for total in e.counters.values() {
             let _ = write!(out, ",{total}");
         }
-        for (_, (value, high)) in &e.gauges {
-            let _ = write!(out, ",{value},{high}");
+        for g in e.gauges.values() {
+            let _ = write!(out, ",{},{}", g.value, g.high);
         }
-        for (_, h) in &e.histograms {
+        for h in e.histograms.values() {
             let _ = write!(out, ",{},{:.3}", h.count(), h.mean());
         }
         out.push('\n');
@@ -261,12 +135,10 @@ pub fn series_names(r: &ObsReport) -> Vec<String> {
     let Some(first) = r.epochs.first() else {
         return Vec::new();
     };
-    first
-        .counters
-        .iter()
-        .map(|(n, _)| n.clone())
-        .chain(first.gauges.iter().map(|(n, _)| n.clone()))
-        .chain(first.histograms.iter().map(|(n, _)| n.clone()))
+    (first.counters.keys())
+        .chain(first.gauges.keys())
+        .chain(first.histograms.keys())
+        .cloned()
         .collect()
 }
 
@@ -274,16 +146,10 @@ fn series_values(r: &ObsReport, name: &str) -> Vec<(u64, f64)> {
     r.epochs
         .iter()
         .filter_map(|e| {
-            if let Some((_, v)) = e.counters.iter().find(|(n, _)| n == name) {
-                return Some((e.cycle, *v as f64));
-            }
-            if let Some((_, (_, high))) = e.gauges.iter().find(|(n, _)| n == name) {
-                return Some((e.cycle, *high as f64));
-            }
-            e.histograms
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, h)| (e.cycle, h.count() as f64))
+            let v = (e.counters.get(name).copied())
+                .or_else(|| e.gauges.get(name).map(|g| g.high))
+                .or_else(|| e.histograms.get(name).map(|h| h.count()))?;
+            Some((e.cycle, v as f64))
         })
         .collect()
 }
@@ -387,10 +253,11 @@ mod tests {
         assert_eq!(r.epochs.len(), 2);
         let s = &r.summary;
         assert_eq!(s.cycle, 200);
-        assert_eq!(s.counters, vec![("a.x".into(), 10), ("b.y".into(), 1)]);
+        let counters: Vec<(&str, u64)> = s.counters.iter().map(|(n, &v)| (n.as_str(), v)).collect();
+        assert_eq!(counters, [("a.x", 10), ("b.y", 1)]);
         // Last sampled value, joined high-water.
-        assert_eq!(s.gauges, vec![("g.d".into(), (1, 5))]);
-        let (_, h) = &s.histograms[0];
+        assert_eq!((s.gauges["g.d"].value, s.gauges["g.d"].high), (1, 5));
+        let h = &s.histograms["h.l"];
         assert_eq!(h.count(), 3);
         assert_eq!(h.sum(), 18);
         assert_eq!(h.max(), 8);

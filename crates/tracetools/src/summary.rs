@@ -19,6 +19,12 @@ use crate::Histogram;
 /// How many slowest packets a summary retains for critical-path analysis.
 pub const SLOWEST_KEPT: usize = 16;
 
+/// Finished spans a [`SpanRecorder`] buffers before they are folded into a
+/// summary, so a long run or a huge trace never holds more than a window
+/// of spans in memory (the JSONL replay here and the in-process profiler
+/// of `upp_workloads::run` both drain at this size).
+pub const SPAN_WINDOW: usize = 4096;
+
 /// Cycle totals per latency phase, summed over packets.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PhaseTotals {
@@ -219,8 +225,7 @@ impl ProfileSummary {
             match parse_line(&line?) {
                 Parsed::Event(ev) => {
                     rec.observe(&ev);
-                    // Keep memory bounded on huge traces.
-                    if rec.finished().len() >= 4096 {
+                    if rec.finished().len() >= SPAN_WINDOW {
                         for s in rec.drain_finished() {
                             summary.absorb_span(&s);
                         }

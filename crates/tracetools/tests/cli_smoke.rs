@@ -307,7 +307,8 @@ fn obs_names_a_foreign_schema_and_asks_for_epochs_for_csv() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("schema \"upp-obs/v0\""), "{stderr}");
 
-    // A summary has no epochs: the table prints, the CSV is refused.
+    // A summary has no epochs: the table prints, the CSV is refused and
+    // the exit code says so.
     let current = tmp_path("summary_obs.json");
     std::fs::write(&current, summary("upp-obs/v1")).expect("write summary");
     let csv = tmp_path("summary_obs.csv");
@@ -316,6 +317,7 @@ fn obs_names_a_foreign_schema_and_asks_for_epochs_for_csv() {
         csv.to_str().expect("utf-8"),
     );
     let out = run(&["obs", current, "--csv-out", csv_arg]);
+    assert_eq!(out.status.code(), Some(1), "a refused CSV is a failed run");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         stdout.starts_with("== telemetry report @ cycle 42 =="),

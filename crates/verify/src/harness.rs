@@ -19,6 +19,7 @@ use upp_noc::fault::FaultPlan;
 use upp_noc::ids::{Cycle, NodeId, VnetId};
 use upp_noc::network::WorkCounts;
 use upp_noc::ni::ConsumePolicy;
+use upp_noc::watch::Alert;
 use upp_tracetools::ProfileSummary;
 use upp_workloads::run::{RiderConfig, Riders};
 use upp_workloads::runner::build_system;
@@ -67,13 +68,13 @@ pub struct RunReport {
     /// contention counters) — lets campaign reports explain *where* each
     /// scheme's cycles went, not just whether it drained.
     pub profile: ProfileSummary,
-    /// Health-monitor alert stream of the run: one `upp-alerts/v1` JSONL
-    /// line per hysteresis transition, in emission order. Every scenario
+    /// Health-monitor alert stream of the run: one alert per hysteresis
+    /// transition, in emission order. Every scenario
     /// run arms the watcher, so harness assertions can demand clean runs
     /// stay alert-free and wedged runs fire the deadlock-adjacent
     /// detectors. Byte-equality across kernels/schedulers is enforced by
     /// the equivalence suites.
-    pub alerts: Vec<String>,
+    pub alerts: Vec<Alert>,
 }
 
 impl RunReport {
@@ -295,9 +296,9 @@ fn run_ridden(
         end_cycle: built.sys.net().cycle(),
         profile: (riders.profile)
             .unwrap_or_else(|| ProfileSummary::new(sc.system.clone(), sc.scheme.clone())),
-        alerts: (riders.watcher.iter())
-            .flat_map(|w| w.alerts().iter().map(|a| a.jsonl()))
-            .collect(),
+        alerts: riders
+            .watcher
+            .map_or_else(Vec::new, |w| w.alerts().to_vec()),
     };
     (report, built.sys.net().work_counts())
 }

@@ -156,8 +156,7 @@ proptest! {
             let cut = |sys: &mut upp_noc::sim::System| {
                 sys.observe();
                 let c = sys.net().cycle();
-                let snap = sys.net_mut().obs_mut().take_epoch(c);
-                sys.net().obs().epoch_json(&snap)
+                sys.net_mut().obs_mut().take_epoch(c).jsonl()
             };
             for c in 0..600u64 {
                 traffic.tick(&mut sys);
@@ -175,7 +174,7 @@ proptest! {
                 }
             }
             sys.observe();
-            (sys.net().obs().summary_json(sys.net().cycle()), epochs)
+            (sys.net().obs().summary(sys.net().cycle()).summary_json(), epochs)
         };
         let on = run(true);
         let off = run(false);
@@ -269,7 +268,7 @@ proptest! {
             (
                 serde_json::to_string(sys.net().stats()).expect("serializable"),
                 delivered_json,
-                sys.net().obs().summary_json(sys.net().cycle()),
+                sys.net().obs().summary(sys.net().cycle()).summary_json(),
                 profile,
                 serde_json::to_string(&mem).expect("serializable"),
             )

@@ -7,19 +7,13 @@
 
 use std::collections::BTreeSet;
 
-use upp_noc::watch::WatchConfig;
+use upp_noc::watch::{AlertKind, Detector, Severity, WatchConfig};
 use upp_verify::scenario::{random_scenario, CampaignParams, Scenario};
 use upp_verify::{oracle_for, run_scenario, run_scenario_watched, RunReport, Verdict};
 
-/// Detector names mentioned anywhere in a report's alert stream.
-fn fired(r: &RunReport) -> BTreeSet<String> {
-    r.alerts
-        .iter()
-        .filter_map(|line| {
-            let rest = line.strip_prefix("{\"detector\":\"")?;
-            Some(rest[..rest.find('"')?].to_string())
-        })
-        .collect()
+/// Names of the detectors in a report's alert stream.
+fn fired(r: &RunReport) -> BTreeSet<&'static str> {
+    r.alerts.iter().map(|a| a.detector.name()).collect()
 }
 
 /// Deterministically finds a mini-system scenario that wedges without a
@@ -82,8 +76,9 @@ fn unrecovered_deadlock_fires_the_deadlock_detectors() {
         report
             .alerts
             .iter()
-            .any(|l| l.contains("\"detector\":\"injection_starvation\"")
-                && l.contains("\"event\":\"escalate\",\"severity\":\"critical\"")),
+            .any(|a| a.detector == Detector::InjectionStarvation
+                && a.kind == AlertKind::Escalate
+                && a.severity == Severity::Critical),
         "starvation should escalate to critical:\n{:?}",
         report.alerts
     );

@@ -24,16 +24,14 @@ use upp_core::{UppConfig, UppStats};
 use upp_noc::config::NocConfig;
 use upp_noc::network::MemReport;
 use upp_noc::ni::ConsumePolicy;
+use upp_noc::obs::ObsSnapshot;
 use upp_noc::profile::SpanRecorder;
 use upp_noc::sim::{RunOutcome, System};
 use upp_noc::topology::{ChipletSystemSpec, SystemKind};
 use upp_noc::trace::Tracer;
 use upp_noc::watch::{capture_forensics, Alert, Detector, WatchConfig, Watcher, NUM_DETECTORS};
+use upp_tracetools::summary::SPAN_WINDOW;
 use upp_tracetools::ProfileSummary;
-
-/// Finished spans a profiled run buffers before folding them into the
-/// summary, so long runs never hold more than a window of spans in memory.
-const SPAN_WINDOW: usize = 4096;
 
 /// What rides along with a run. The default is nothing.
 #[derive(Debug, Clone, Default)]
@@ -201,7 +199,7 @@ impl Riders {
         let c = sys.net().cycle();
         if cut {
             let snap = sys.net_mut().obs_mut().take_epoch(c);
-            self.obs_epochs.push(sys.net().obs().epoch_json(&snap));
+            self.obs_epochs.push(snap.jsonl());
         }
         if !feed {
             return;
@@ -246,7 +244,7 @@ impl Riders {
         // event sites).
         let obs_summary = self.cfg.obs.then(|| {
             sys.observe();
-            sys.net().obs().summary_json(sys.net().cycle())
+            sys.net().obs().summary(sys.net().cycle()).summary_json()
         });
         let mut tracer = sys.net_mut().set_tracer(Tracer::disabled());
         let mut profile = self.cfg.profile;
@@ -499,7 +497,7 @@ impl RunReport {
     /// The telemetry epochs as JSONL: the schema header line, then one line
     /// per epoch.
     pub fn obs_epochs_jsonl(&self) -> String {
-        let mut out = self.sys.net().obs().epochs_header_json();
+        let mut out = ObsSnapshot::epochs_header();
         out.push('\n');
         for line in &self.riders.obs_epochs {
             out.push_str(line);
