@@ -23,6 +23,7 @@ use upp_noc::obs::{CounterId, GaugeId, HistId};
 use upp_noc::packet::RouteInfo;
 use upp_noc::scheme::{Scheme, SchemeProperties};
 use upp_noc::trace::TraceEvent;
+use upp_noc::wake_set::WakeSet;
 
 /// UPP tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -216,7 +217,8 @@ impl RouterState {
     /// stage `Idle` and no signal queued. Both only change while the router
     /// is being visited, so a quiet router stays quiet until the network
     /// shows it something: an `Up`-routed flit or an ack (see
-    /// [`Router::has_scheme_input`]).
+    /// [`Router::has_scheme_input`]). `Upp::busy` holds the slots for which
+    /// this is false.
     ///
     /// [`Router::has_scheme_input`]: upp_noc::router::Router::has_scheme_input
     fn is_quiet(&self) -> bool {
@@ -299,6 +301,15 @@ pub struct Upp {
     /// One entry per interposer router with an `Up` port, in scan order;
     /// the functions below name a router by its slot in here.
     routers: Vec<RouterState>,
+    /// The slot of each node's router, by node index (`None` off the
+    /// boundary).
+    slot_of: Vec<Option<u32>>,
+    /// The slots that are not [`RouterState::is_quiet`], updated after
+    /// every visit (the only time a slot's quietness changes).
+    busy: WakeSet,
+    /// Scratch for one tick: the slots of the routers in
+    /// [`Network::scheme_input`], emptied by the walk that reads it.
+    woken: WakeSet,
     /// All chiplet routers (NI inbox scan list).
     chiplet_nodes: Vec<NodeId>,
     /// One FIFO per `(NI, VNet)`, at `node.index() * num_vnets + vnet`.
@@ -336,6 +347,9 @@ impl Upp {
             gap: 0,
             num_vnets: 0,
             routers: Vec::new(),
+            slot_of: Vec::new(),
+            busy: WakeSet::new(0),
+            woken: WakeSet::new(0),
             chiplet_nodes: Vec::new(),
             ni_queues: Vec::new(),
             ni_busy: Vec::new(),
@@ -356,10 +370,12 @@ impl Upp {
     fn initialize(&mut self, net: &Network) {
         self.gap = protocol::default_signal_gap(net.cfg().data_packet_flits);
         self.num_vnets = net.cfg().num_vnets;
+        self.slot_of = vec![None; net.topo().nodes().len()];
         for &ir in net.topo().interposer_routers() {
             let Some(above) = net.topo().above(ir) else {
                 continue;
             };
+            self.slot_of[ir.index()] = Some(self.routers.len() as u32);
             let chiplet = net
                 .topo()
                 .chiplet_of(above)
@@ -372,6 +388,8 @@ impl Upp {
                 chiplet,
             });
         }
+        self.busy = WakeSet::new(self.routers.len());
+        self.woken = WakeSet::new(self.routers.len());
         for c in net.topo().chiplets() {
             self.chiplet_nodes.extend(c.routers.iter().copied());
         }
@@ -658,6 +676,25 @@ impl Upp {
             self.inbox_scratch.is_empty(),
             "UPP tick would skip {node} with an unread ack at cycle {at}"
         );
+    }
+
+    /// Debug builds: a slot `pre_cycle`'s walk did not meet owes nothing,
+    /// has nothing to show and keeps its watchdogs at zero, as the visit
+    /// it was spared would have left them.
+    fn assert_unwalked_slot(&mut self, net: &mut Network, slot: usize) {
+        let st = &self.routers[slot];
+        let at = net.cycle();
+        assert!(
+            st.is_quiet(),
+            "UPP tick would skip busy {} at cycle {at}",
+            st.node
+        );
+        assert!(
+            st.vnets.iter().all(|vs| vs.counter.value() == 0),
+            "UPP tick would skip {} with a running watchdog at cycle {at}",
+            st.node
+        );
+        self.assert_nothing_to_see(net, slot);
     }
 
     fn sibling_popup_active(&self, slot: usize, vnet: VnetId) -> bool {
@@ -972,21 +1009,51 @@ impl Scheme for Upp {
         self.collect_ni_messages(net);
         self.process_ni_queues(net);
         // Level-triggered: a boundary router is visited only while the
-        // scheme owes it something or the network can show it something.
-        // Visiting a router that is quiet on both sides would drain an
-        // empty inbox, find every stage `Idle`, find no upward candidate
-        // (one needs a buffered flit routed `Up`) and so zero its
-        // counters; only that last effect is applied here.
-        for slot in 0..self.routers.len() {
-            let st = &mut self.routers[slot];
-            if !st.is_quiet() || net.router(st.node).has_scheme_input() {
-                net.count_work(|w| w.scheme_visits += 1);
-                self.process_router(net, slot);
-                continue;
+        // scheme owes it something (`busy`) or the network can show it
+        // something (its `scheme_input` bit). Visiting a router that is
+        // quiet on both sides would drain an empty inbox, find every stage
+        // `Idle`, find no upward candidate (one needs a buffered flit
+        // routed `Up`) and so zero its counters; only that last effect is
+        // applied here, to the walked slots. A slot the walk does not meet
+        // has its counters at zero already: a non-zero watchdog ticked on
+        // an `Up`-routed flit, which kept the router's bit until a walk
+        // found it gone and zeroed them.
+        for w in 0..net.scheme_input().word_count() {
+            let word = net.scheme_input().word(w);
+            for i in WakeSet::members(w, word) {
+                match self.slot_of[i] {
+                    Some(slot) => {
+                        self.woken.insert(slot as usize);
+                    }
+                    // Off the boundary: nothing for UPP to walk.
+                    None => net.clear_scheme_input(NodeId(i as u32)),
+                }
             }
-            st.reset_counters();
+        }
+        // Ascending slot order, as the scan this walk replaced.
+        for w in 0..self.busy.word_count() {
+            let walk = self.woken.take_word(w) | self.busy.word(w);
+            for slot in WakeSet::members(w, walk) {
+                net.count_work(|c| c.scheme_slots_examined += 1);
+                let st = &mut self.routers[slot];
+                let node = st.node;
+                if !st.is_quiet() || net.router(node).has_scheme_input() {
+                    net.count_work(|c| c.scheme_visits += 1);
+                    self.process_router(net, slot);
+                    if self.routers[slot].is_quiet() {
+                        self.busy.remove(slot);
+                    } else {
+                        self.busy.insert(slot);
+                    }
+                    continue;
+                }
+                st.reset_counters();
+                net.clear_scheme_input(node);
+            }
             if cfg!(debug_assertions) {
-                self.assert_nothing_to_see(net, slot);
+                for slot in WakeSet::members(w, !walk & self.busy.full_word(w)) {
+                    self.assert_unwalked_slot(net, slot);
+                }
             }
         }
     }
@@ -1057,6 +1124,33 @@ mod tests {
             RunOutcome::Drained { .. }
         ));
         assert_eq!(UppStats::snapshot(&stats).upward_packets, 0);
+    }
+
+    /// UPP's tick walks only the boundary routers that may need it: 1,000
+    /// cycles on an empty baseline network examine no slot (the scan the
+    /// walk replaced read all 16 in every cycle), and once a packet has
+    /// crossed the interposer and drained, the walk has dropped every bit
+    /// the crossing set and examines nothing again. Counted in debug
+    /// builds only.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn an_empty_network_examines_no_slot() {
+        let (mut sys, _) = system(20, ConsumePolicy::Immediate { latency: 1 });
+        sys.run(1_000);
+        let w = sys.net().work_counts();
+        assert_eq!((w.scheme_slots_examined, w.scheme_visits), (0, 0));
+
+        let src = sys.net().topo().chiplets()[0].routers[0];
+        let dest = sys.net().topo().chiplets()[1].routers[9];
+        sys.send(src, dest, VnetId(0), 5).unwrap();
+        // `run_until_drained` would call the idle first phase a stall.
+        sys.run(200);
+        assert_eq!(sys.net().in_flight(), 0);
+        let examined = sys.net().work_counts().scheme_slots_examined;
+        assert!(examined > 0, "the crossing is walked");
+        assert!(sys.net().scheme_input().is_empty());
+        sys.run(1_000);
+        assert_eq!(sys.net().work_counts().scheme_slots_examined, examined);
     }
 
     #[test]

@@ -238,6 +238,9 @@ pub struct WorkCounts {
     pub candidate_lists: u64,
     /// Boundary routers a scheme's per-cycle tick processed.
     pub scheme_visits: u64,
+    /// Boundary routers whose visit predicate UPP's per-cycle tick read
+    /// (those it walked, processed or not).
+    pub scheme_slots_examined: u64,
     /// Input VCs examined while marking a popup's worm.
     pub mark_vcs_scanned: u64,
 }
@@ -253,6 +256,7 @@ impl std::ops::Add for WorkCounts {
             upward_tests: self.upward_tests + o.upward_tests,
             candidate_lists: self.candidate_lists + o.candidate_lists,
             scheme_visits: self.scheme_visits + o.scheme_visits,
+            scheme_slots_examined: self.scheme_slots_examined + o.scheme_slots_examined,
             mark_vcs_scanned: self.mark_vcs_scanned + o.mark_vcs_scanned,
         }
     }
@@ -335,6 +339,12 @@ pub struct Network {
     /// Control messages sitting unread in NI inboxes: bumped where
     /// `begin_cycle` delivers one, dropped by [`Network::drain_ni_inbox`].
     ni_control_pending: usize,
+    /// Routers that may hold scheme input (see [`Network::scheme_input`]).
+    scheme_input: WakeSet,
+    /// NIs that may hold delivered packets under `ConsumePolicy::External`:
+    /// inserted where `begin_cycle` completes a tail there, dropped by
+    /// [`Network::pop_all_delivered`] once the NI holds none.
+    delivered: WakeSet,
 }
 
 impl std::fmt::Debug for Network {
@@ -404,6 +414,8 @@ impl Network {
             work: WorkCounts::default(),
             consume_timer,
             ni_control_pending: 0,
+            scheme_input: WakeSet::new(n),
+            delivered: WakeSet::new(n),
         }
     }
 
@@ -649,6 +661,29 @@ impl Network {
         self.ni_control_pending
     }
 
+    /// The routers, by node index, that may hold scheme input
+    /// ([`Router::has_scheme_input`]): every router for which it is true
+    /// is a member. A router joins where its predicate may turn true —
+    /// the first flit of an `Up`-routed VC, a terminated ack — and leaves
+    /// only through [`Network::clear_scheme_input`], so a member may hold
+    /// nothing any more. A scheme's tick walks this set instead of every
+    /// boundary router and tests the predicate of each member it meets.
+    /// [`Network::reconfigure`] re-routes nothing: it runs on a drained
+    /// network, where no VC holds a head to route `Up`.
+    pub fn scheme_input(&self) -> &WakeSet {
+        &self.scheme_input
+    }
+
+    /// Drops `node` from [`Network::scheme_input`]: for the scheme's walk,
+    /// which has just found its predicate false.
+    pub fn clear_scheme_input(&mut self, node: NodeId) {
+        debug_assert!(
+            !self.routers[node.index()].has_scheme_input(),
+            "{node} leaves the scheme-input set holding scheme input"
+        );
+        self.scheme_input.remove(node.index());
+    }
+
     /// True when an interposer router holds an upward-stalled packet of
     /// `vnet`: exactly when [`Network::upward_candidates_into`] would push
     /// one, but from occupancy words and routes alone, with no descriptor
@@ -740,6 +775,7 @@ impl Network {
             tracer: &mut self.tracer,
             obs: &mut self.obs,
             arena: &self.arena,
+            scheme_input: &mut self.scheme_input,
         };
         (&mut self.routers[i], ctx)
     }
@@ -1026,6 +1062,8 @@ impl Network {
                                 "consumption timer out of order"
                             );
                             self.consume_timer.push_back((at, node));
+                        } else {
+                            self.delivered.insert(node.index());
                         }
                         let desc = self.arena.get(flit.desc);
                         self.stats.record_ejection(desc, now);
@@ -1102,6 +1140,11 @@ impl Network {
                 assert!(
                     scheduled || !r.has_pending_work(),
                     "active-set scheduler would skip router {} with pending work at cycle {now}",
+                    r.node()
+                );
+                assert!(
+                    ctx.scheme_input.contains(i) || !r.has_scheme_input(),
+                    "router {} holds scheme input outside the scheme-input set at cycle {now}",
                     r.node()
                 );
                 assert!(
@@ -1255,6 +1298,31 @@ impl Network {
         let delivered = self.nis[node.index()].pop_delivered(vnet)?;
         self.schedule.wake_router(node); // a head flit may be waiting for the entry
         Some(delivered)
+    }
+
+    /// Pops every packet delivered under `ConsumePolicy::External` at every
+    /// NI whose consumption is not paused, handing each to `take`: NI by
+    /// NI in node order, VNet by VNet, oldest first. It visits only the
+    /// NIs that completed a packet since they were last found empty, not
+    /// every endpoint; a paused NI keeps its packets and stays on the
+    /// list.
+    pub fn pop_all_delivered(&mut self, mut take: impl FnMut(Delivered)) {
+        for w in 0..self.delivered.word_count() {
+            for i in WakeSet::members(w, self.delivered.word(w)) {
+                let ni = &mut self.nis[i];
+                if ni.consumption_paused() {
+                    continue;
+                }
+                for v in 0..self.cfg.num_vnets {
+                    while let Some(d) = ni.pop_delivered(VnetId(v as u8)) {
+                        // A head flit may be waiting for the entry.
+                        self.schedule.wake_router(ni.node());
+                        take(d);
+                    }
+                }
+                self.delivered.remove(i);
+            }
+        }
     }
 }
 

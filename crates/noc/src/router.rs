@@ -32,7 +32,7 @@ use crate::routing::RouteComputer;
 use crate::stats::NetStats;
 use crate::topology::Topology;
 use crate::trace::{BlockReason, OpenSpan, TraceEvent, Tracer};
-use crate::wake_set::SetBits;
+use crate::wake_set::{SetBits, WakeSet};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -237,6 +237,11 @@ pub(crate) struct RouterCtx<'a> {
     /// Shared packet-descriptor arena (read-only during router stepping;
     /// descriptors are interned by `try_send` and freed at ejection).
     pub arena: &'a PacketArena,
+    /// The network's routers that may hold scheme input: a router inserts
+    /// itself where [`Router::has_scheme_input`] may turn true (an
+    /// `Up`-routed VC gains its first flit, an ack terminates here). Only
+    /// the scheme's walk clears a bit.
+    pub scheme_input: &'a mut WakeSet,
 }
 
 /// One router.
@@ -661,12 +666,15 @@ impl Router {
     /// cannot start a watchdog, so a router holding only those shows
     /// nothing. Both reads are O(1).
     ///
-    /// This is the wake predicate of a level-triggered scheme tick, and it
-    /// is exact at `pre_cycle` time because of *when* the two states
-    /// change: flits are written by `deliver_flit` in this cycle's
-    /// `begin_cycle`, and a terminated ack is pushed into the inbox by
-    /// `step_control` in the **previous** cycle's `finish_cycle` — not by
-    /// event delivery — so it is already visible when the scheme runs.
+    /// The scheme reads it only for the routers in
+    /// [`Network::scheme_input`](crate::network::Network::scheme_input),
+    /// a set a router joins where this may turn true — the first flit of
+    /// an `Up`-routed VC (`push_flit`, in this cycle's `begin_cycle`) and
+    /// a terminated ack (`step_control`, in the **previous** cycle's
+    /// `finish_cycle`) — and leaves only where the scheme's walk finds it
+    /// false. So a member may be stale (its flit left, its ack was read),
+    /// and the predicate is exact only where the walk evaluates it, at
+    /// `pre_cycle` time; a router for which it is true is always a member.
     pub fn has_scheme_input(&self) -> bool {
         self.upward_vcs() != 0 || !self.control_inbox.is_empty()
     }
@@ -784,7 +792,7 @@ impl Router {
             vc.out_vc = None;
             self.up[in_port.index()] |= u64::from(out == Port::Up) << vc_flat;
         }
-        if !self.push_flit(in_port, vc_flat, flit, ctx.now) {
+        if !self.push_flit(ctx, in_port, vc_flat, flit) {
             panic!(
                 "input VC overflow at {} {in_port} vc {vc_flat} (credit protocol violation)",
                 self.node
@@ -794,9 +802,14 @@ impl Router {
 
     /// Appends a flit to input VC `(p, f)` and raises its occupancy bit;
     /// false when the ring is full. With [`Router::pop_flit`], the only
-    /// writer of `bufs`.
-    fn push_flit(&mut self, p: Port, f: usize, flit: Flit, arrived: Cycle) -> bool {
+    /// writer of `bufs`. The first flit of an `Up`-routed VC is an upward
+    /// candidate, so it puts the router in the scheme-input set.
+    fn push_flit(&mut self, ctx: &mut RouterCtx<'_>, p: Port, f: usize, flit: Flit) -> bool {
         debug_assert!(f < self.vcs_per_port, "VC {f} is past the port's last VC");
+        let arrived = ctx.now;
+        if !self.occ[p.index()] & self.up[p.index()] & (1 << f) != 0 {
+            ctx.scheme_input.insert(self.node.index());
+        }
         self.occ[p.index()] |= 1 << f;
         self.last_flit_write = arrived;
         self.bufs
@@ -921,7 +934,7 @@ impl Router {
                 }
                 let mut rejoined = flit;
                 rejoined.upward = false;
-                if !self.push_flit(p, f, rejoined, ctx.now) {
+                if !self.push_flit(ctx, p, f, rejoined) {
                     panic!("rejoin overflow at {} for {id}", self.node);
                 }
                 self.mark_priority(p, f);
@@ -1146,6 +1159,7 @@ impl Router {
                             in_port,
                             at: ctx.now,
                         });
+                        ctx.scheme_input.insert(self.node.index());
                         continue;
                     }
                     match self.circuit(msg.vnet, msg.circuit_key) {
@@ -1227,6 +1241,7 @@ impl Router {
                         in_port,
                         at: ctx.now,
                     });
+                    ctx.scheme_input.insert(self.node.index());
                 }
             } else {
                 let peer = ctx
@@ -1833,12 +1848,14 @@ mod tests {
         tracer: Tracer,
         obs: ObsRegistry,
         arena: PacketArena,
+        scheme_input: WakeSet,
     }
 
     impl Harness {
         fn new(cfg: NocConfig) -> Self {
             let topo = ChipletSystemSpec::baseline().build(0).unwrap();
             let ni = Ni::new(NodeId(0), &cfg, ConsumePolicy::Immediate { latency: 1 });
+            let nodes = topo.nodes().len();
             Self {
                 cfg,
                 topo,
@@ -1850,6 +1867,7 @@ mod tests {
                 tracer: Tracer::disabled(),
                 obs: ObsRegistry::disabled(),
                 arena: PacketArena::new(),
+                scheme_input: WakeSet::new(nodes),
             }
         }
 
@@ -1866,6 +1884,7 @@ mod tests {
                 tracer: &mut self.tracer,
                 obs: &mut self.obs,
                 arena: &self.arena,
+                scheme_input: &mut self.scheme_input,
             }
         }
 

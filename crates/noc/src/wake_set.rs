@@ -1,6 +1,9 @@
 //! Sets of small indices packed 64 to a `u64` word, and the one bit-walk
 //! every such word in the kernel is read with: a router's per-port VC
-//! occupancy words and the scheduler's wake sets over node indices.
+//! occupancy words, the scheduler's wake sets over node indices, and the
+//! sets a scheme's per-cycle tick walks instead of scanning every router
+//! (the network's routers that may hold scheme input, and the slots UPP
+//! owes work to).
 
 /// Bits per word.
 const WORD: usize = u64::BITS as usize;
@@ -40,14 +43,14 @@ impl Iterator for SetBits {
 /// walk when it falls in a later word and in the next one when it falls in
 /// the word being walked; no caller depends on either.
 #[derive(Debug, Clone)]
-pub(crate) struct WakeSet {
+pub struct WakeSet {
     words: Vec<u64>,
     len: usize,
 }
 
 impl WakeSet {
     /// The empty set over `0..len`.
-    pub(crate) fn new(len: usize) -> Self {
+    pub fn new(len: usize) -> Self {
         Self {
             words: vec![0; len.div_ceil(WORD)],
             len,
@@ -56,7 +59,7 @@ impl WakeSet {
 
     /// Adds `i`; true when it was not a member.
     #[inline]
-    pub(crate) fn insert(&mut self, i: usize) -> bool {
+    pub fn insert(&mut self, i: usize) -> bool {
         debug_assert!(i < self.len, "index {i} outside 0..{}", self.len);
         let (word, bit) = (&mut self.words[i / WORD], 1 << (i % WORD));
         let added = *word & bit == 0;
@@ -66,24 +69,24 @@ impl WakeSet {
 
     /// Drops `i` (a no-op when it is not a member).
     #[inline]
-    pub(crate) fn remove(&mut self, i: usize) {
+    pub fn remove(&mut self, i: usize) {
         self.words[i / WORD] &= !(1 << (i % WORD));
     }
 
     /// Whether `i` is a member.
     #[inline]
-    pub(crate) fn contains(&self, i: usize) -> bool {
+    pub fn contains(&self, i: usize) -> bool {
         self.words[i / WORD] >> (i % WORD) & 1 == 1
     }
 
     /// Whether the set has no member.
     #[inline]
-    pub(crate) fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
     }
 
     /// Makes every index of `0..len` a member.
-    pub(crate) fn fill(&mut self) {
+    pub fn fill(&mut self) {
         for w in 0..self.words.len() {
             self.words[w] = self.full_word(w);
         }
@@ -91,19 +94,19 @@ impl WakeSet {
 
     /// Number of words a walk covers.
     #[inline]
-    pub(crate) fn word_count(&self) -> usize {
+    pub fn word_count(&self) -> usize {
         self.words.len()
     }
 
     /// Word `w` as it is now.
     #[inline]
-    pub(crate) fn word(&self, w: usize) -> u64 {
+    pub fn word(&self, w: usize) -> u64 {
         self.words[w]
     }
 
     /// Word `w` as it is now, leaving it empty.
     #[inline]
-    pub(crate) fn take_word(&mut self, w: usize) -> u64 {
+    pub fn take_word(&mut self, w: usize) -> u64 {
         std::mem::take(&mut self.words[w])
     }
 
@@ -112,14 +115,14 @@ impl WakeSet {
     /// it was not sized for, so [`WakeSet::is_empty`] cannot be fooled by
     /// what a [`WakeSet::fill`] left in the tail.
     #[inline]
-    pub(crate) fn full_word(&self, w: usize) -> u64 {
+    pub fn full_word(&self, w: usize) -> u64 {
         let in_word = (self.len - w * WORD).min(WORD);
         u64::MAX >> (WORD - in_word)
     }
 
     /// The indices that `word`, read as word `w` of a set, holds, ascending.
     #[inline]
-    pub(crate) fn members(w: usize, word: u64) -> impl Iterator<Item = usize> {
+    pub fn members(w: usize, word: u64) -> impl Iterator<Item = usize> {
         SetBits(word).map(move |b| w * WORD + b)
     }
 }

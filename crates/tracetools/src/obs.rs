@@ -96,33 +96,51 @@ pub fn report_text(r: &ObsReport) -> String {
     out
 }
 
+/// The metrics of an epoch stream: the run summary merges every epoch by
+/// name, so its names are the union of theirs, a metric that first shows
+/// in a later epoch included. `None` for summary-only input.
+fn epoch_metrics(r: &ObsReport) -> Option<&ObsSnapshot> {
+    (!r.epochs.is_empty()).then_some(&r.summary)
+}
+
 /// Renders the epoch time series as CSV: one row per epoch, one column per
 /// counter (per-epoch delta), per gauge (`<name>` sampled value and
 /// `<name>.high` epoch high-water), and per histogram (`<name>.count` and
-/// `<name>.mean`). Returns `None` for summary-only input.
+/// `<name>.mean`), over every metric any epoch holds. A row has a cell for
+/// every column, empty where its epoch lacks the metric. Returns `None`
+/// for summary-only input.
 pub fn timeseries_csv(r: &ObsReport) -> Option<String> {
-    let first = r.epochs.first()?;
+    let all = epoch_metrics(r)?;
     let mut out = String::from("cycle");
-    for name in first.counters.keys() {
+    for name in all.counters.keys() {
         let _ = write!(out, ",{name}");
     }
-    for name in first.gauges.keys() {
+    for name in all.gauges.keys() {
         let _ = write!(out, ",{name},{name}.high");
     }
-    for name in first.histograms.keys() {
+    for name in all.histograms.keys() {
         let _ = write!(out, ",{name}.count,{name}.mean");
     }
     out.push('\n');
     for e in &r.epochs {
         let _ = write!(out, "{}", e.cycle);
-        for total in e.counters.values() {
-            let _ = write!(out, ",{total}");
+        for name in all.counters.keys() {
+            match e.counters.get(name) {
+                Some(total) => _ = write!(out, ",{total}"),
+                None => out.push(','),
+            }
         }
-        for g in e.gauges.values() {
-            let _ = write!(out, ",{},{}", g.value, g.high);
+        for name in all.gauges.keys() {
+            match e.gauges.get(name) {
+                Some(g) => _ = write!(out, ",{},{}", g.value, g.high),
+                None => out.push_str(",,"),
+            }
         }
-        for h in e.histograms.values() {
-            let _ = write!(out, ",{},{:.3}", h.count(), h.mean());
+        for name in all.histograms.keys() {
+            match e.histograms.get(name) {
+                Some(h) => _ = write!(out, ",{},{:.3}", h.count(), h.mean()),
+                None => out.push_str(",,"),
+            }
         }
         out.push('\n');
     }
@@ -130,14 +148,14 @@ pub fn timeseries_csv(r: &ObsReport) -> Option<String> {
 }
 
 /// All series names plottable by [`timeseries_svg`]: counters, gauge
-/// high-waters, and histogram counts.
+/// high-waters, and histogram counts, over every metric any epoch holds.
 pub fn series_names(r: &ObsReport) -> Vec<String> {
-    let Some(first) = r.epochs.first() else {
+    let Some(all) = epoch_metrics(r) else {
         return Vec::new();
     };
-    (first.counters.keys())
-        .chain(first.gauges.keys())
-        .chain(first.histograms.keys())
+    (all.counters.keys())
+        .chain(all.gauges.keys())
+        .chain(all.histograms.keys())
         .cloned()
         .collect()
 }
@@ -286,6 +304,25 @@ mod tests {
         assert!(ObsReport::parse(stale_epochs)
             .unwrap_err()
             .contains("stale or foreign"));
+    }
+
+    #[test]
+    fn a_metric_first_seen_in_a_later_epoch_gets_its_columns() {
+        let mut s = String::from("{\"upp_obs_epochs\":1,\"schema\":\"upp-obs/v1\"}\n");
+        s.push_str("{\"cycle\":100,\"counters\":{\"a\":3},\"gauges\":{},\"histograms\":{}}\n");
+        s.push_str(
+            "{\"cycle\":200,\"counters\":{\"a\":4,\"b\":2},\
+             \"gauges\":{\"g\":[1,3]},\"histograms\":{}}\n",
+        );
+        let r = ObsReport::parse(&s).unwrap();
+        let csv = timeseries_csv(&r).unwrap();
+        assert_eq!(csv, "cycle,a,b,g,g.high\n100,3,,,\n200,4,2,1,3\n");
+        for line in csv.lines() {
+            assert_eq!(line.split(',').count(), 5, "{line}");
+        }
+        assert_eq!(series_names(&r), ["a", "b", "g"]);
+        let svg = timeseries_svg(&r, &["b".to_string()]).unwrap();
+        assert!(svg.contains(">b</text>"), "{svg}");
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use upp_noc::config::NocConfig;
 use upp_noc::fault::FaultPlan;
-use upp_noc::ids::{Cycle, NodeId, VnetId};
+use upp_noc::ids::Cycle;
 use upp_noc::network::WorkCounts;
 use upp_noc::ni::ConsumePolicy;
 use upp_noc::watch::Alert;
@@ -214,14 +214,6 @@ fn run_ridden(
     let mut built = build_system(&spec, cfg, &kind, 0, sc.seed, ConsumePolicy::External);
     built.sys.net_mut().set_active_scheduler(scheduler);
     let mut riders = Riders::arm(&mut built.sys, riders);
-    let endpoints: Vec<NodeId> = {
-        let topo = built.sys.net().topo();
-        topo.chiplets()
-            .iter()
-            .flat_map(|c| c.routers.iter().copied())
-            .collect()
-    };
-    let num_vnets = built.sys.net().router(endpoints[0]).num_vnets();
 
     let mut plan = FaultPlan::new(sc.faults.clone());
     let mut oracle = DeadlockOracle::new(oracle_cfg);
@@ -253,18 +245,13 @@ fn run_ridden(
             }
         }
         built.sys.step();
-        for &node in &endpoints {
-            if built.sys.net().ni(node).consumption_paused() {
-                continue;
-            }
-            for v in 0..num_vnets {
-                while let Some(d) = built.sys.net_mut().pop_delivered(node, VnetId(v as u8)) {
-                    *delivered
-                        .entry((d.pkt.src.0, d.pkt.dest.0, d.pkt.vnet.0, d.pkt.len_flits))
-                        .or_default() += 1;
-                }
-            }
-        }
+        // `delivered` is a count, so the order the NIs hand packets over
+        // in cannot show.
+        built.sys.net_mut().pop_all_delivered(|d| {
+            *delivered
+                .entry((d.pkt.src.0, d.pkt.dest.0, d.pkt.vnet.0, d.pkt.len_flits))
+                .or_default() += 1;
+        });
         riders.after_step(&mut built.sys, &mut |_| {});
         oracle.observe(built.sys.net());
         if let Some(v) = oracle.violation() {
