@@ -451,6 +451,7 @@ fn fig3_work_per_flit_hop_is_pinned() {
             ("upward_tests", work.upward_tests),
             ("candidate_lists", work.candidate_lists),
             ("scheme_visits", work.scheme_visits),
+            ("scheme_slots_examined", work.scheme_slots_examined),
             ("mark_vcs_scanned", work.mark_vcs_scanned),
         ];
         golden += &format!("  \"{leg}\": {{\n    \"flit_hops\": {hops},\n");
