@@ -1030,7 +1030,8 @@ impl Scheme for Upp {
                 }
             }
         }
-        // Ascending slot order, as the scan this walk replaced.
+        // Ascending slot order: a visit reads its siblings' stages and
+        // records trace events, so the order is simulated state.
         for w in 0..self.busy.word_count() {
             let walk = self.woken.take_word(w) | self.busy.word(w);
             for slot in WakeSet::members(w, walk) {

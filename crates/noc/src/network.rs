@@ -1575,6 +1575,32 @@ mod tests {
         });
     }
 
+    /// `pop_all_delivered` hands over what the External NIs hold, passes a
+    /// paused NI over without forgetting it, and frees the entries a
+    /// waiting head needs, as `pop_delivered` does.
+    #[test]
+    fn pop_all_delivered_passes_a_paused_ni_over_and_frees_its_entries() {
+        on_both_kernels(ConsumePolicy::External, |net| {
+            let dest = fill_ejection_queue(net);
+            let mut got = 0;
+            net.set_consumption_paused(dest, true);
+            net.pop_all_delivered(|_| got += 1);
+            assert_eq!(got, 0, "a paused NI keeps its packets");
+            net.set_consumption_paused(dest, false);
+            net.pop_all_delivered(|d| {
+                assert_eq!(d.pkt.dest, dest);
+                got += 1;
+            });
+            assert_eq!(got, 4);
+            let ejected = ejected_at(net, 5);
+            net.pop_all_delivered(|_| got += 1);
+            assert_eq!(got, 5, "the head that waited for an entry");
+            net.pop_all_delivered(|_| got += 1);
+            assert_eq!(got, 5);
+            ejected
+        });
+    }
+
     #[test]
     fn worm_at_a_failed_link_moves_after_the_heal() {
         on_both_kernels(ConsumePolicy::Immediate { latency: 1 }, |net| {
