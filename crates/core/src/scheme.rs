@@ -305,7 +305,10 @@ pub struct Upp {
     /// boundary).
     slot_of: Vec<Option<u32>>,
     /// The slots that are not [`RouterState::is_quiet`], updated after
-    /// every visit (the only time a slot's quietness changes).
+    /// every visit (the only time a slot's quietness changes). Kept here
+    /// so what the scheme owes a router rests on its own state, not on a
+    /// bit of [`Network::scheme_input`], whose contract covers only what
+    /// the network shows.
     busy: WakeSet,
     /// Scratch for one tick: the slots of the routers in
     /// [`Network::scheme_input`], emptied by the walk that reads it.
