@@ -628,7 +628,7 @@ impl Upp {
             let r = net.router(node.id);
             for (p, f) in r.input_vcs() {
                 assert!(
-                    r.input_vc(p, f).owner != Some(packet) || r.is_priority_vc(p, f),
+                    r.input_vc(p, f).owner() != Some(packet) || r.is_priority_vc(p, f),
                     "{} {p} VC {f} holds popup packet {packet} without its mark at cycle {}",
                     node.id,
                     net.cycle()
@@ -647,7 +647,7 @@ impl Upp {
             let (Some((p, f)), _) = r.owned_vc(packet, vnet) else {
                 continue;
             };
-            if r.vc_front(p, f).is_some_and(|b| b.flit.kind.is_head()) {
+            if r.vc_front(p, f).is_some_and(|b| b.kind.is_head()) {
                 return Head::At((node.id, p, f));
             }
             held = true;
@@ -828,7 +828,7 @@ impl Upp {
         };
         // Re-examine the candidate VC at ack time.
         let r = net.router(node);
-        let owned = r.input_vc(cand.in_port, cand.vc_flat).owner == Some(cand.packet);
+        let owned = r.input_vc(cand.in_port, cand.vc_flat).owner() == Some(cand.packet);
         let partly = r.vc_partly_transmitted(cand.in_port, cand.vc_flat);
         let acked_at = net.cycle();
         if !owned {
@@ -866,7 +866,10 @@ impl Upp {
         match stage {
             Stage::Idle => {}
             Stage::WaitAck { cand, .. } => {
-                let owner = net.router(node).input_vc(cand.in_port, cand.vc_flat).owner;
+                let owner = net
+                    .router(node)
+                    .input_vc(cand.in_port, cand.vc_flat)
+                    .owner();
                 if owner != Some(cand.packet) {
                     // Normal progress before the ack: stop + drop the ack.
                     self.stop(net, slot, vnet, cand.dest, true);
@@ -898,7 +901,7 @@ impl Upp {
                 Self::assert_worm_marked(net, pop.packet);
                 let (at, in_port, vc_flat) = pop.vc;
                 debug_assert_eq!(
-                    net.router(at).input_vc(in_port, vc_flat).owner,
+                    net.router(at).input_vc(in_port, vc_flat).owner(),
                     Some(pop.packet),
                     "{at} {in_port} VC {vc_flat} would pop a flit that is not the popup's"
                 );
@@ -1147,7 +1150,6 @@ mod tests {
         let src = sys.net().topo().chiplets()[0].routers[0];
         let dest = sys.net().topo().chiplets()[1].routers[9];
         sys.send(src, dest, VnetId(0), 5).unwrap();
-        // `run_until_drained` would call the idle first phase a stall.
         sys.run(200);
         assert_eq!(sys.net().in_flight(), 0);
         let examined = sys.net().work_counts().scheme_slots_examined;
@@ -1386,8 +1388,8 @@ mod tests {
                 net.step();
                 let r = net.router(ir);
                 r.input_vcs().find(|&(p, f)| {
-                    r.input_vc(p, f).owner == Some(packet)
-                        && r.vc_front(p, f).is_some_and(|b| b.flit.kind.is_head())
+                    r.input_vc(p, f).owner() == Some(packet)
+                        && r.vc_front(p, f).is_some_and(|b| b.kind.is_head())
                 })
             })
             .expect("the packet reaches its entry interposer router");
@@ -1426,10 +1428,13 @@ mod tests {
         );
         let r = net.router(ir);
         assert!(
-            r.input_vc(in_port, vc_flat).frozen,
+            r.input_vc(in_port, vc_flat).frozen(),
             "the VC the head was found in is frozen"
         );
-        assert!(!r.input_vc(other, vc_flat).frozen, "the candidate's is not");
+        assert!(
+            !r.input_vc(other, vc_flat).frozen(),
+            "the candidate's is not"
+        );
         assert!(r.is_priority_vc(in_port, vc_flat));
 
         // Once the link heals, the popup pops the found VC and ends.
@@ -1443,7 +1448,7 @@ mod tests {
         assert_eq!(stage, PopupStage::Idle, "stuck in {stage}");
         assert_eq!(UppStats::snapshot(&upp.stats).popups_completed, 1);
         assert_eq!(net.stats().packets_ejected, 1, "the popped packet arrived");
-        assert!(!net.router(ir).input_vc(in_port, vc_flat).frozen);
+        assert!(!net.router(ir).input_vc(in_port, vc_flat).frozen());
         for node in net.topo().nodes() {
             for p in Port::ALL {
                 let prio = net.router(node.id).vc_words(p).prio;

@@ -17,6 +17,11 @@ pub enum FlowControl {
 /// tracks which input VCs of a port hold flits in one 64-bit word.
 pub const MAX_VCS_PER_PORT: usize = 64;
 
+/// Most entries a VC buffer, a packet or a per-VNet NI queue may hold: the
+/// rings that buffer them keep `u16` cursors, and credits and entry counts
+/// are `u16` too.
+pub const MAX_QUEUE_DEPTH: usize = crate::ring::RingBank::<()>::MAX_CAPACITY;
+
 /// Static configuration of the simulated network.
 ///
 /// The defaults reproduce Table II of the paper: 3 VNets with 1 VC each,
@@ -105,8 +110,9 @@ impl NocConfig {
     /// # Errors
     ///
     /// Returns `Err` when any dimension is zero, when a port would carry more
-    /// than [`MAX_VCS_PER_PORT`] VCs, or when buffers cannot hold a single
-    /// flit.
+    /// than [`MAX_VCS_PER_PORT`] VCs, when a buffer depth, packet size or
+    /// NI queue exceeds [`MAX_QUEUE_DEPTH`], or when buffers cannot hold a
+    /// single flit.
     pub fn validate(&self) -> Result<(), String> {
         if self.num_vnets == 0 {
             return Err("num_vnets must be at least 1".into());
@@ -139,6 +145,18 @@ impl NocConfig {
         }
         if self.ejection_queue_entries == 0 || self.injection_queue_entries == 0 {
             return Err("NI queues must hold at least 1 packet".into());
+        }
+        let depths = [
+            ("vc_buffer_depth", self.vc_buffer_depth),
+            ("data_packet_flits", self.data_packet_flits),
+            ("control_packet_flits", self.control_packet_flits),
+            ("ejection_queue_entries", self.ejection_queue_entries),
+            ("injection_queue_entries", self.injection_queue_entries),
+        ];
+        if let Some((name, n)) = depths.into_iter().find(|&(_, n)| n > MAX_QUEUE_DEPTH) {
+            return Err(format!(
+                "{name} of {n} exceeds the limit of {MAX_QUEUE_DEPTH}"
+            ));
         }
         if self.flow_control == FlowControl::VirtualCutThrough
             && self.vc_buffer_depth < self.max_packet_flits()
@@ -245,6 +263,43 @@ mod tests {
         };
         let err = cfg.validate().unwrap_err();
         assert!(err.contains("65 VCs per port"), "{err}");
+    }
+
+    /// Every narrowed width has its bound: the largest value validates and
+    /// one past it is an error naming the field, never a silent wrap.
+    #[test]
+    fn every_narrowed_width_is_bounded_at_its_maximum() {
+        type Set = fn(&mut NocConfig, usize);
+        let fields: [(&str, Set); 5] = [
+            ("vc_buffer_depth", |c, n| c.vc_buffer_depth = n),
+            ("data_packet_flits", |c, n| c.data_packet_flits = n),
+            ("control_packet_flits", |c, n| c.control_packet_flits = n),
+            ("ejection_queue_entries", |c, n| {
+                c.ejection_queue_entries = n
+            }),
+            ("injection_queue_entries", |c, n| {
+                c.injection_queue_entries = n
+            }),
+        ];
+        assert_eq!(MAX_QUEUE_DEPTH, 65_535);
+        for (name, set) in fields {
+            let mut cfg = NocConfig::default();
+            set(&mut cfg, MAX_QUEUE_DEPTH);
+            assert!(cfg.validate().is_ok(), "{name} at the limit");
+            set(&mut cfg, MAX_QUEUE_DEPTH + 1);
+            let err = cfg.validate().unwrap_err();
+            assert_eq!(err, format!("{name} of 65536 exceeds the limit of 65535"));
+        }
+        // VNets: eight fit the one-hot signal encoding (and a byte), nine
+        // do not.
+        let vnets = |n| NocConfig {
+            num_vnets: n,
+            ..NocConfig::default()
+        };
+        assert!(vnets(8).validate().is_ok());
+        assert!(vnets(9).validate().is_err());
+        // VCs per port at and past the limit: see
+        // `validation_rejects_degenerate_configs`.
     }
 
     #[test]

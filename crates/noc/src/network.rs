@@ -2,7 +2,7 @@
 
 use crate::config::NocConfig;
 use crate::control::{ControlMsg, DeliveredControl};
-use crate::event::{Event, WakeTarget};
+use crate::event::{ControlSlab, Event, WakeTarget};
 use crate::ids::{Cycle, NodeId, PacketId, Port, VnetId};
 use crate::ni::{ConsumePolicy, Delivered, Ni, PermitState};
 use crate::obs::ObsRegistry;
@@ -87,17 +87,23 @@ impl EventCalendar {
 /// calendar. Kernel-invariant by construction: that state's layout is
 /// byte-identical between the active-set and always-tick kernels, so the
 /// same run reports the same bytes under both.
+///
+/// A router or an NI counts its inline bytes (`size_of::<Router>()`,
+/// `size_of::<Ni>()`) beside its heap, so moving state between the two
+/// reads as no saving.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct MemReport {
-    /// Heap bytes across all routers (VC rings, state arrays, absorber).
+    /// Bytes across all routers, inline and heap (VC rings, state arrays,
+    /// absorber).
     pub routers_bytes: usize,
-    /// Heap bytes across all NIs (injection rings of descriptor handles,
-    /// delivery rings, assembly).
+    /// Bytes across all NIs, inline and heap (injection rings of
+    /// descriptor handles, delivery rings, assembly).
     pub nis_bytes: usize,
     /// Heap bytes of the packet-descriptor arena: descriptor slab,
     /// liveness bits and free list.
     pub arena_bytes: usize,
-    /// Heap bytes of the event-calendar ring.
+    /// Heap bytes of the event-calendar ring and of the slab of control
+    /// messages its events refer to.
     pub calendar_bytes: usize,
     /// Sum of the component fields.
     pub total_bytes: usize,
@@ -295,11 +301,13 @@ pub struct Network {
     /// Reusable staging buffer for `(arrival, event)` pairs emitted during a
     /// cycle phase; drained into the calendar at the end of each phase.
     emit_scratch: Vec<(Cycle, Event)>,
+    /// The control messages the calendar's events refer to.
+    controls: ControlSlab,
     stats: NetStats,
     /// The id the next `try_send` hands out (ids are sequential).
     next_packet_id: u64,
-    /// Cycle of the last flit or control movement (the stall watchdog's
-    /// input).
+    /// Cycle of the last flit or control movement, or of a send into an
+    /// empty network (the stall watchdog's input).
     last_progress: Cycle,
     /// Interned per-packet descriptors, the only per-packet record; wire
     /// flits and NI queues carry only a handle. Allocated by `try_send`,
@@ -401,6 +409,7 @@ impl Network {
             cycle: 0,
             calendar,
             emit_scratch: Vec::new(),
+            controls: ControlSlab::default(),
             stats,
             next_packet_id: 0,
             last_progress: 0,
@@ -551,7 +560,8 @@ impl Network {
             && self.cycle.saturating_sub(self.last_progress) >= self.cfg.watchdog_threshold
     }
 
-    /// Cycle of the last observed flit movement.
+    /// Cycle of the last observed flit or control movement, or of the
+    /// latest send into an empty network.
     pub fn last_progress(&self) -> Cycle {
         self.last_progress
     }
@@ -594,6 +604,11 @@ impl Network {
             return None;
         }
         self.schedule.wake_ni(src);
+        if self.in_flight() == 0 {
+            // The watchdog measures how long packets in flight have not
+            // moved; an idle stretch before this send is not such a time.
+            self.last_progress = self.cycle;
+        }
         let id = PacketId(self.next_packet_id);
         self.next_packet_id += 1;
         let route = self.routing.plan(&self.topo, src, dest);
@@ -707,16 +722,16 @@ impl Network {
         let ports = Port::ALL.into_iter().filter(|&p| r.has_link(p));
         for (p, f) in ports.flat_map(|p| r.vnet_range(vnet).map(move |f| (p, f))) {
             let vc = r.input_vc(p, f);
-            if vc.route_out != Some(Port::Up) {
+            if vc.route_out() != Some(Port::Up) {
                 continue;
             }
-            let Some(owner) = vc.owner else { continue };
+            let Some(owner) = vc.owner() else { continue };
             let Some(front) = r.vc_front(p, f) else {
                 continue;
             };
             // Circuit keys are protocol state, legitimately read off any
             // flit of the worm (the head may already have departed).
-            let dest = self.arena.desc(&front.flit).route.dest;
+            let dest = self.arena.desc(front).route.dest;
             out.push(UpwardCandidate {
                 in_port: p,
                 vc_flat: f,
@@ -776,6 +791,7 @@ impl Network {
             obs: &mut self.obs,
             arena: &self.arena,
             scheme_input: &mut self.scheme_input,
+            controls: &mut self.controls,
         };
         (&mut self.routers[i], ctx)
     }
@@ -816,14 +832,19 @@ impl Network {
             .collect()
     }
 
-    /// Measures the exact heap footprint of the simulation state by walking
+    /// Measures the exact footprint of the simulation state by walking
     /// routers, NIs, the descriptor arena and the event calendar (see
     /// [`MemReport`]).
     pub fn mem_report(&self) -> MemReport {
-        let routers_bytes: usize = self.routers.iter().map(|r| r.mem_bytes()).sum();
-        let nis_bytes: usize = self.nis.iter().map(|ni| ni.mem_bytes()).sum();
+        use std::mem::size_of;
+        let routers_bytes: usize = (self.routers.iter())
+            .map(|r| size_of::<Router>() + r.mem_bytes())
+            .sum();
+        let nis_bytes: usize = (self.nis.iter())
+            .map(|ni| size_of::<Ni>() + ni.mem_bytes())
+            .sum();
         let arena_bytes = self.arena.mem_bytes();
-        let calendar_bytes = self.calendar.mem_bytes();
+        let calendar_bytes = self.calendar.mem_bytes() + self.controls.mem_bytes();
         MemReport {
             routers_bytes,
             nis_bytes,
@@ -870,12 +891,12 @@ impl Network {
             for (p, f) in r.input_vcs() {
                 let vc = r.input_vc(p, f);
                 let Some(i) = vc
-                    .owner
+                    .owner()
                     .and_then(|id| wedged.binary_search_by_key(&id, |w| w.id).ok())
                 else {
                     continue;
                 };
-                let waits_out = vc.route_out;
+                let waits_out = vc.route_out();
                 let waits_node = waits_out
                     .filter(|&out| out != Port::Local)
                     .and_then(|out| self.topo.neighbor(node, out));
@@ -884,7 +905,7 @@ impl Network {
                     in_port: p,
                     vc_flat: f,
                     buffered: r.vc_buf_len(p, f),
-                    head_of_line: r.vc_front(p, f).is_some_and(|b| b.flit.kind.is_head()),
+                    head_of_line: r.vc_front(p, f).is_some_and(|b| b.kind.is_head()),
                     waits_out,
                     waits_node,
                 });
@@ -1031,7 +1052,7 @@ impl Network {
                     flit,
                 } => {
                     let (router, mut ctx) = self.router_ctx(node.index(), &mut emit);
-                    router.deliver_flit(&mut ctx, in_port, vc_flat, flit);
+                    router.deliver_flit(&mut ctx, in_port, usize::from(vc_flat), flit);
                 }
                 Event::CreditArrive {
                     node,
@@ -1039,14 +1060,18 @@ impl Network {
                     vc_flat,
                     is_free,
                 } => {
-                    self.routers[node.index()].deliver_credit(out_port, vc_flat, is_free);
+                    self.routers[node.index()].deliver_credit(
+                        out_port,
+                        usize::from(vc_flat),
+                        is_free,
+                    );
                 }
                 Event::NiCreditArrive {
                     node,
                     vc_flat,
                     is_free,
                 } => {
-                    self.nis[node.index()].on_credit(vc_flat, is_free);
+                    self.nis[node.index()].on_credit(usize::from(vc_flat), is_free);
                 }
                 Event::NiFlitArrive { node, flit } => {
                     self.stats.flits_ejected += 1;
@@ -1082,12 +1107,13 @@ impl Network {
                     }
                 }
                 Event::ControlArrive { node, in_port, msg } => {
+                    let msg = self.controls.take(msg);
                     self.routers[node.index()].deliver_control(in_port, msg, now);
                 }
                 Event::NiControlArrive { node, in_port, msg } => {
                     self.ni_control_pending += 1;
                     self.nis[node.index()].deliver_control(DeliveredControl {
-                        msg,
+                        msg: self.controls.take(msg),
                         in_port,
                         at: now,
                     });
@@ -1203,7 +1229,7 @@ impl Network {
                         Event::FlitArrive {
                             node: ni.node(),
                             in_port: Port::Local,
-                            vc_flat,
+                            vc_flat: vc_flat as u8, // below MAX_VCS_PER_PORT
                             flit,
                         },
                     ));

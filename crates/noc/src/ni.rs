@@ -41,17 +41,20 @@ pub struct PendingPacket {
 struct ActiveInjection {
     desc: PacketRef,
     len_flits: u16,
-    vc_flat: usize,
+    vc_flat: u8,
     next_seq: u16,
 }
 
 /// Per-output-VC state mirrored at the sender (credits + ownership), used by
 /// both NIs (toward the router's Local input VCs) and routers (toward
-/// downstream input VCs).
+/// downstream input VCs). Four bytes: a VC buffer is at most
+/// [`RingBank::MAX_CAPACITY`] flits deep (`NocConfig::validate`). A router
+/// counts no credits toward a sink that exerts no VC backpressure (its
+/// `Local` port, an `Up` port toward an absorber).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct OutVcState {
     /// Free buffer slots at the downstream VC.
-    pub credits: usize,
+    pub credits: u16,
     /// True while a packet owns the downstream VC (head sent, tail not yet
     /// drained downstream).
     pub busy: bool,
@@ -59,9 +62,13 @@ pub struct OutVcState {
 
 impl OutVcState {
     /// Fresh state with `depth` credits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `depth` is past [`RingBank::MAX_CAPACITY`].
     pub fn new(depth: usize) -> Self {
         Self {
-            credits: depth,
+            credits: u16::try_from(depth).expect("NocConfig::validate bounds VC buffer depths"),
             busy: false,
         }
     }
@@ -111,24 +118,28 @@ struct Assembly {
 /// pops a packet up) and released when the PE consumes the packet.
 pub struct Ni {
     node: NodeId,
-    num_vnets: usize,
-    eq_capacity: usize,
-    inj_capacity: usize,
+    num_vnets: u8,
+    /// Ejection and injection queue entries per VNet (both bounded by
+    /// [`RingBank::MAX_CAPACITY`]).
+    eq_capacity: u16,
+    inj_capacity: u16,
     inj_queues: RingBank<PendingPacket>,
-    active: Vec<Option<ActiveInjection>>,
+    active: Box<[Option<ActiveInjection>]>,
     /// Queued packets plus in-flight injections across all VNets; lets
     /// `inject_step` skip the VNet scan entirely on idle NIs.
     backlog: usize,
     /// Credits/ownership toward the router's Local input VCs, flat-indexed.
-    out_vcs: Vec<OutVcState>,
-    rr_vnet: usize,
+    out_vcs: Box<[OutVcState]>,
+    rr_vnet: u8,
     /// Bounded reassembly table (each entry holds a claimed ejection entry,
     /// so occupancy never exceeds `num_vnets * eq_capacity`); linear scans
     /// over a handful of entries beat hashing here.
     assembly: Vec<Assembly>,
     delivered: RingBank<Delivered>,
-    in_use: Vec<usize>,
-    upp_reserved: Vec<usize>,
+    /// Per VNet: ejection entries claimed, and reserved by UPP (each at
+    /// most `eq_capacity`).
+    in_use: Box<[u16]>,
+    upp_reserved: Box<[u16]>,
     consume: ConsumePolicy,
     control_inbox: Vec<DeliveredControl>,
     /// Dynamic-fault throttle: while set, `inject_step` emits nothing
@@ -166,20 +177,21 @@ impl Ni {
             completed_at: 0,
             via_popup: false,
         };
+        let narrow = |n: usize| u16::try_from(n).expect("NocConfig::validate bounds queue entries");
         Self {
             node,
-            num_vnets: cfg.num_vnets,
-            eq_capacity: cfg.ejection_queue_entries,
-            inj_capacity: cfg.injection_queue_entries,
+            num_vnets: u8::try_from(cfg.num_vnets).expect("NocConfig::validate bounds VNets"),
+            eq_capacity: narrow(cfg.ejection_queue_entries),
+            inj_capacity: narrow(cfg.injection_queue_entries),
             inj_queues: RingBank::new(cfg.num_vnets, cfg.injection_queue_entries, pending_fill),
-            active: vec![None; cfg.num_vnets],
+            active: vec![None; cfg.num_vnets].into_boxed_slice(),
             backlog: 0,
-            out_vcs: vec![OutVcState::new(cfg.vc_buffer_depth); vcs],
+            out_vcs: vec![OutVcState::new(cfg.vc_buffer_depth); vcs].into_boxed_slice(),
             rr_vnet: 0,
             assembly: Vec::with_capacity(cfg.num_vnets * cfg.ejection_queue_entries),
             delivered: RingBank::new(cfg.num_vnets, cfg.ejection_queue_entries, delivered_fill),
-            in_use: vec![0; cfg.num_vnets],
-            upp_reserved: vec![0; cfg.num_vnets],
+            in_use: vec![0; cfg.num_vnets].into_boxed_slice(),
+            upp_reserved: vec![0; cfg.num_vnets].into_boxed_slice(),
             consume,
             control_inbox: Vec::new(),
             injection_paused: false,
@@ -217,7 +229,7 @@ impl Ni {
 
     /// True if the per-VNet injection queue can take another packet.
     pub fn can_enqueue(&self, vnet: VnetId) -> bool {
-        self.inj_queues.len(vnet.index()) < self.inj_capacity
+        self.inj_queues.len(vnet.index()) < usize::from(self.inj_capacity)
     }
 
     /// Enqueues packet `id` of `len_flits` flits on VNet `vnet` for
@@ -238,7 +250,7 @@ impl Ni {
 
     /// Sets the permit state of a specific pending packet.
     pub fn set_permit(&mut self, id: PacketId, state: PermitState) -> bool {
-        for q in 0..self.num_vnets {
+        for q in 0..usize::from(self.num_vnets) {
             for i in 0..self.inj_queues.len(q) {
                 let p = self.inj_queues.get_mut(q, i).expect("index in range");
                 if p.id == id {
@@ -268,14 +280,15 @@ impl Ni {
         // Round-robin across VNets: continue an active injection or start a
         // new one. `rr_vnet` stays below `num_vnets`, so the walk wraps with
         // a compare instead of a division per VNet per cycle.
-        let mut next = self.rr_vnet;
-        for _ in 0..self.num_vnets {
+        let vnets = usize::from(self.num_vnets);
+        let mut next = usize::from(self.rr_vnet);
+        for _ in 0..vnets {
             let v = next;
-            next = if v + 1 == self.num_vnets { 0 } else { v + 1 };
+            next = if v + 1 == vnets { 0 } else { v + 1 };
             let Some(vcf) = self.sendable_vc(v, vcs_per_vnet, vct) else {
                 continue;
             };
-            self.rr_vnet = next;
+            self.rr_vnet = next as u8;
             self.out_vcs[vcf].credits -= 1;
             if let Some(act) = &mut self.active[v] {
                 let flit = Flit::new(act.desc, act.next_seq, act.len_flits);
@@ -293,7 +306,7 @@ impl Ni {
                 self.active[v] = Some(ActiveInjection {
                     desc: pending.desc,
                     len_flits: pending.len_flits,
-                    vc_flat: vcf,
+                    vc_flat: vcf as u8,
                     next_seq: 1,
                 });
             } else {
@@ -310,7 +323,8 @@ impl Ni {
     /// needs room for the whole packet) unless that packet awaits a permit.
     fn sendable_vc(&self, v: usize, vcs_per_vnet: usize, vct: bool) -> Option<usize> {
         if let Some(act) = &self.active[v] {
-            return (self.out_vcs[act.vc_flat].credits > 0).then_some(act.vc_flat);
+            let vcf = usize::from(act.vc_flat);
+            return (self.out_vcs[vcf].credits > 0).then_some(vcf);
         }
         let head = self.inj_queues.front(v)?;
         if head.permit == PermitState::Waiting {
@@ -319,7 +333,7 @@ impl Ni {
         let need = if vct { head.len_flits as usize } else { 1 };
         let base = v * vcs_per_vnet;
         (base..base + vcs_per_vnet)
-            .find(|&f| !self.out_vcs[f].busy && self.out_vcs[f].credits >= need)
+            .find(|&f| !self.out_vcs[f].busy && usize::from(self.out_vcs[f].credits) >= need)
     }
 
     /// Credit return from the router's Local input VC.
@@ -334,8 +348,8 @@ impl Ni {
 
     /// Free (unclaimed, unreserved) ejection entries of a VNet.
     pub fn free_entries(&self, vnet: VnetId) -> usize {
-        self.eq_capacity
-            .saturating_sub(self.in_use[vnet.index()] + self.upp_reserved[vnet.index()])
+        let taken = self.in_use[vnet.index()] + self.upp_reserved[vnet.index()];
+        usize::from(self.eq_capacity.saturating_sub(taken))
     }
 
     /// Claims an ejection entry for a packet about to stream in through the
@@ -380,7 +394,7 @@ impl Ni {
 
     /// Outstanding UPP reservations for a VNet.
     pub fn reservations(&self, vnet: VnetId) -> usize {
-        self.upp_reserved[vnet.index()]
+        usize::from(self.upp_reserved[vnet.index()])
     }
 
     /// Accepts a flit delivered through the router's Local output port.
@@ -499,7 +513,7 @@ impl Ni {
             return false;
         }
         let mut consumed = false;
-        for v in 0..self.num_vnets {
+        for v in 0..usize::from(self.num_vnets) {
             while self.front_due(v, now) {
                 self.delivered.pop_front(v);
                 self.in_use[v] -= 1;
@@ -549,9 +563,10 @@ impl Ni {
     pub(crate) fn can_progress(&self, now: Cycle, vcs_per_vnet: usize, vct: bool) -> bool {
         let injects = self.backlog > 0
             && !self.injection_paused
-            && (0..self.num_vnets).any(|v| self.sendable_vc(v, vcs_per_vnet, vct).is_some());
-        let consumes =
-            !self.consumption_paused && (0..self.num_vnets).any(|v| self.front_due(v, now));
+            && (0..usize::from(self.num_vnets))
+                .any(|v| self.sendable_vc(v, vcs_per_vnet, vct).is_some());
+        let consumes = !self.consumption_paused
+            && (0..usize::from(self.num_vnets)).any(|v| self.front_due(v, now));
         injects || consumes
     }
 
@@ -564,7 +579,7 @@ impl Ni {
             + self.out_vcs.len() * std::mem::size_of::<OutVcState>()
             + self.active.len() * std::mem::size_of::<Option<ActiveInjection>>()
             + self.assembly.capacity() * std::mem::size_of::<Assembly>()
-            + (self.in_use.len() + self.upp_reserved.len()) * std::mem::size_of::<usize>()
+            + (self.in_use.len() + self.upp_reserved.len()) * std::mem::size_of::<u16>()
     }
 }
 

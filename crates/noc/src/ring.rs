@@ -5,37 +5,48 @@
 //! Capacity is fixed at construction (sized from `NocConfig` buffer depths),
 //! so steady-state enqueue/dequeue never touches the allocator — overflow is
 //! a protocol violation and surfaces as a hard error at the call site.
+//! A queue's cursors are two `u16`s side by side, so a bank holds at most
+//! [`RingBank::MAX_CAPACITY`] entries per queue (`NocConfig::validate`
+//! bounds every depth that sizes one).
 
 /// A bank of `queues` fixed-capacity FIFO rings backed by one contiguous
 /// slot array.
 #[derive(Debug, Clone)]
 pub struct RingBank<T: Copy> {
     slots: Box<[T]>,
-    head: Box<[u32]>,
-    len: Box<[u32]>,
-    cap: u32,
+    cursors: Box<[Cursor]>,
+    cap: u16,
     occupied: usize,
 }
 
+/// One queue's cursors: the slot of its front and its length.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cursor {
+    head: u16,
+    len: u16,
+}
+
 impl<T: Copy> RingBank<T> {
+    /// Most entries one queue can hold (its length is a `u16`).
+    pub const MAX_CAPACITY: usize = u16::MAX as usize;
+
     /// A bank of `queues` rings, each holding up to `cap` entries, with
     /// slots initialized to `fill` (never read before being overwritten by
     /// a push).
     ///
     /// # Panics
-    /// If `cap` is zero — `NocConfig::validate` rejects zero-depth buffers
-    /// before any ring is built, so this indicates a config that bypassed
-    /// validation.
+    /// If `cap` is zero or above [`RingBank::MAX_CAPACITY`] —
+    /// `NocConfig::validate` rejects such depths before any ring is built,
+    /// so this indicates a config that bypassed validation.
     pub fn new(queues: usize, cap: usize, fill: T) -> Self {
         assert!(
             cap > 0,
             "ring capacity must be positive (zero-depth VC buffers are rejected by NocConfig::validate)"
         );
-        let cap = u32::try_from(cap).expect("ring capacity exceeds u32");
+        let cap = u16::try_from(cap).expect("ring capacity exceeds RingBank::MAX_CAPACITY");
         Self {
             slots: vec![fill; queues * cap as usize].into_boxed_slice(),
-            head: vec![0; queues].into_boxed_slice(),
-            len: vec![0; queues].into_boxed_slice(),
+            cursors: vec![Cursor::default(); queues].into_boxed_slice(),
             cap,
             occupied: 0,
         }
@@ -44,7 +55,7 @@ impl<T: Copy> RingBank<T> {
     /// Number of queues in the bank.
     #[inline]
     pub fn queues(&self) -> usize {
-        self.head.len()
+        self.cursors.len()
     }
 
     /// Per-queue capacity.
@@ -57,31 +68,31 @@ impl<T: Copy> RingBank<T> {
     /// one compare-and-subtract replaces the division a `%` by the run-time
     /// capacity would cost on every flit.
     #[inline]
-    fn wrap(&self, head: u32, i: u32) -> u32 {
+    fn wrap(&self, head: u16, i: u16) -> u16 {
         debug_assert!(head < self.cap && i <= self.cap);
-        let off = head + i;
-        if off >= self.cap {
-            off - self.cap
-        } else {
-            off
-        }
+        // In u32: `head + i` reaches `2 * cap - 1`, past `u16::MAX` for a
+        // capacity above half of it.
+        let off = u32::from(head) + u32::from(i);
+        let cap = u32::from(self.cap);
+        (if off >= cap { off - cap } else { off }) as u16
     }
 
     #[inline]
-    fn slot(&self, q: usize, i: u32) -> usize {
-        debug_assert!(i < self.len[q]);
-        q * self.cap as usize + self.wrap(self.head[q], i) as usize
+    fn slot(&self, q: usize, i: u16) -> usize {
+        debug_assert!(i < self.cursors[q].len);
+        q * self.cap as usize + self.wrap(self.cursors[q].head, i) as usize
     }
 
     /// Appends `v` to queue `q`; returns `Err(v)` if the queue is full.
     #[inline]
     pub fn push_back(&mut self, q: usize, v: T) -> Result<(), T> {
-        if self.len[q] == self.cap {
+        let c = self.cursors[q];
+        if c.len == self.cap {
             return Err(v);
         }
-        let off = self.wrap(self.head[q], self.len[q]);
+        let off = self.wrap(c.head, c.len);
         self.slots[q * self.cap as usize + off as usize] = v;
-        self.len[q] += 1;
+        self.cursors[q].len += 1;
         self.occupied += 1;
         Ok(())
     }
@@ -89,12 +100,15 @@ impl<T: Copy> RingBank<T> {
     /// Removes and returns the front of queue `q`.
     #[inline]
     pub fn pop_front(&mut self, q: usize) -> Option<T> {
-        if self.len[q] == 0 {
+        let c = self.cursors[q];
+        if c.len == 0 {
             return None;
         }
-        let v = self.slots[q * self.cap as usize + self.head[q] as usize];
-        self.head[q] = self.wrap(self.head[q], 1);
-        self.len[q] -= 1;
+        let v = self.slots[q * self.cap as usize + c.head as usize];
+        self.cursors[q] = Cursor {
+            head: self.wrap(c.head, 1),
+            len: c.len - 1,
+        };
         self.occupied -= 1;
         Some(v)
     }
@@ -102,49 +116,50 @@ impl<T: Copy> RingBank<T> {
     /// The front of queue `q`, if any.
     #[inline]
     pub fn front(&self, q: usize) -> Option<&T> {
-        if self.len[q] == 0 {
+        let c = self.cursors[q];
+        if c.len == 0 {
             None
         } else {
-            Some(&self.slots[q * self.cap as usize + self.head[q] as usize])
+            Some(&self.slots[q * self.cap as usize + c.head as usize])
         }
     }
 
     /// The `i`-th entry (front is 0) of queue `q`.
     #[inline]
     pub fn get(&self, q: usize, i: usize) -> Option<&T> {
-        if i >= self.len[q] as usize {
+        if i >= self.len(q) {
             None
         } else {
-            Some(&self.slots[self.slot(q, i as u32)])
+            Some(&self.slots[self.slot(q, i as u16)])
         }
     }
 
     /// Mutable access to the `i`-th entry of queue `q`.
     #[inline]
     pub fn get_mut(&mut self, q: usize, i: usize) -> Option<&mut T> {
-        if i >= self.len[q] as usize {
+        if i >= self.len(q) {
             None
         } else {
-            let s = self.slot(q, i as u32);
+            let s = self.slot(q, i as u16);
             Some(&mut self.slots[s])
         }
     }
 
     /// Iterates queue `q` front-to-back.
     pub fn iter(&self, q: usize) -> impl Iterator<Item = &T> + '_ {
-        (0..self.len[q] as usize).map(move |i| &self.slots[self.slot(q, i as u32)])
+        (0..self.len(q)).map(move |i| &self.slots[self.slot(q, i as u16)])
     }
 
     /// Occupancy of queue `q`.
     #[inline]
     pub fn len(&self, q: usize) -> usize {
-        self.len[q] as usize
+        self.cursors[q].len as usize
     }
 
     /// True if queue `q` is empty.
     #[inline]
     pub fn is_empty(&self, q: usize) -> bool {
-        self.len[q] == 0
+        self.cursors[q].len == 0
     }
 
     /// True if any queue in the bank holds an entry.
@@ -162,8 +177,7 @@ impl<T: Copy> RingBank<T> {
     /// Exact heap bytes of the bank's backing storage.
     pub fn mem_bytes(&self) -> usize {
         self.slots.len() * std::mem::size_of::<T>()
-            + self.head.len() * std::mem::size_of::<u32>()
-            + self.len.len() * std::mem::size_of::<u32>()
+            + self.cursors.len() * std::mem::size_of::<Cursor>()
     }
 }
 
@@ -261,6 +275,35 @@ mod tests {
     #[test]
     fn mem_bytes_counts_backing_storage() {
         let b = RingBank::new(2, 4, 0u64);
-        assert_eq!(b.mem_bytes(), 2 * 4 * 8 + 2 * 4 + 2 * 4);
+        assert_eq!(b.mem_bytes(), 2 * 4 * 8 + 2 * (2 + 2));
+    }
+
+    #[test]
+    fn a_ring_at_the_capacity_limit_fills_wraps_and_empties() {
+        let cap = RingBank::<u8>::MAX_CAPACITY;
+        let mut b = RingBank::new(1, cap, 0u32);
+        for v in 0..cap as u32 {
+            b.push_back(0, v).unwrap();
+        }
+        assert_eq!(b.len(0), cap);
+        assert_eq!(b.push_back(0, 0), Err(0), "full at the limit");
+        // Wrap the head past the end: `head + len` peaks at `2 * cap - 1`.
+        for v in 0..3 {
+            assert_eq!(b.pop_front(0), Some(v));
+            b.push_back(0, cap as u32 + v).unwrap();
+        }
+        assert_eq!(b.get(0, cap - 1), Some(&(cap as u32 + 2)));
+        for v in 3..cap as u32 + 3 {
+            assert_eq!(b.pop_front(0), Some(v));
+        }
+        assert!(b.is_empty(0));
+        assert_eq!(b.pop_front(0), None, "empty again");
+        assert!(!b.any_nonempty());
+    }
+
+    #[test]
+    #[should_panic(expected = "ring capacity exceeds RingBank::MAX_CAPACITY")]
+    fn a_capacity_past_the_limit_is_rejected() {
+        let _ = RingBank::new(1, RingBank::<u8>::MAX_CAPACITY + 1, 0u8);
     }
 }

@@ -21,7 +21,7 @@
 
 use crate::config::NocConfig;
 use crate::control::{CircuitEntry, ControlClass, ControlMsg, ControlRoute, DeliveredControl};
-use crate::event::Event;
+use crate::event::{ControlSlab, Event};
 use crate::ids::{Cycle, NodeId, PacketId, Port, VnetId};
 use crate::network::WorkCounts;
 use crate::ni::{Ni, OutVcState};
@@ -37,32 +37,91 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 
-/// A buffered flit with its arrival cycle (flits attend switch allocation
-/// from the cycle after arrival).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BufferedFlit {
-    /// The flit.
-    pub flit: Flit,
-    /// Cycle it was written into the buffer.
-    pub arrived: Cycle,
+/// Control state of one input virtual channel, packed into 16 bytes: each
+/// `Option` is a sentinel value of a narrow field, and the frozen flag is a
+/// bit of the route byte. The buffered flits themselves live in the
+/// router's contiguous [`RingBank`] (struct-of-arrays layout), accessed
+/// through [`Router::vc_front`]/[`Router::vc_buf_len`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InputVc {
+    /// Id of the packet owning this VC (set by its head flit's buffer
+    /// write, cleared when its tail departs), `u64::MAX` when none.
+    owner: u64,
+    /// The route computed for the owning packet as a `Port::index` in the
+    /// low bits ([`InputVc::NO_ROUTE`] when none), plus [`InputVc::FROZEN`].
+    route: u8,
+    /// Downstream VC allocated on the route (flat index, below
+    /// [`MAX_VCS_PER_PORT`](crate::config::MAX_VCS_PER_PORT)) once the
+    /// head flit won switch allocation, `u8::MAX` when none.
+    out_vc: u8,
+    /// How many of the VC's buffered flits were written in the router's
+    /// `last_flit_write` cycle; meaningful only while the VC's bit in the
+    /// port's `fresh` word is set (see [`Router::front_is_new`]).
+    fresh: u8,
 }
 
-/// Control state of one input virtual channel. The buffered flits themselves
-/// live in the router's contiguous [`RingBank`] (struct-of-arrays layout),
-/// accessed through [`Router::vc_front`]/[`Router::vc_buf_len`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct InputVc {
-    /// Packet currently owning this VC (set by its head flit's buffer write,
-    /// cleared when its tail departs).
-    pub owner: Option<PacketId>,
+impl Default for InputVc {
+    fn default() -> Self {
+        Self {
+            owner: u64::MAX,
+            route: Self::NO_ROUTE,
+            out_vc: u8::MAX,
+            fresh: 0,
+        }
+    }
+}
+
+impl InputVc {
+    /// The route bits when no route is computed (no port has index 7).
+    const NO_ROUTE: u8 = 0b111;
+    /// The route byte's frozen bit.
+    const FROZEN: u8 = 1 << 3;
+
+    /// Packet currently owning this VC.
+    pub fn owner(&self) -> Option<PacketId> {
+        (self.owner != u64::MAX).then_some(PacketId(self.owner))
+    }
+
     /// Route-computation result for the owning packet.
-    pub route_out: Option<Port>,
-    /// Downstream VC allocated on `route_out` (flat index), once the head
-    /// flit won switch allocation.
-    pub out_vc: Option<usize>,
+    pub fn route_out(&self) -> Option<Port> {
+        let i = self.route & Self::NO_ROUTE;
+        (i != Self::NO_ROUTE).then(|| Port::from_index(usize::from(i)))
+    }
+
+    /// Downstream VC allocated on [`InputVc::route_out`] (flat index), once
+    /// the head flit won switch allocation.
+    pub fn out_vc(&self) -> Option<usize> {
+        (self.out_vc != u8::MAX).then_some(usize::from(self.out_vc))
+    }
+
     /// Frozen VCs are skipped by switch allocation (set while UPP pops the
     /// VC's packet up through the bypass path).
-    pub frozen: bool,
+    pub fn frozen(&self) -> bool {
+        self.route & Self::FROZEN != 0
+    }
+
+    /// A head flit's buffer write: `owner` holds the VC, routed `out`, with
+    /// no downstream VC yet. The frozen bit stays.
+    fn claim(&mut self, owner: PacketId, out: Port) {
+        debug_assert!(
+            owner.0 != u64::MAX,
+            "packet id {owner} is the no-owner sentinel"
+        );
+        self.owner = owner.0;
+        self.route = self.route & Self::FROZEN | out.index() as u8;
+        self.out_vc = u8::MAX;
+        debug_assert_eq!((self.owner(), self.route_out()), (Some(owner), Some(out)));
+    }
+
+    fn set_out_vc(&mut self, ovc: usize) {
+        self.out_vc = u8::try_from(ovc).expect("a flat VC index fits a byte");
+        debug_assert_eq!(self.out_vc(), Some(ovc));
+    }
+
+    fn set_frozen(&mut self, frozen: bool) {
+        self.route = self.route & !Self::FROZEN | if frozen { Self::FROZEN } else { 0 };
+        debug_assert_eq!(self.frozen(), frozen);
+    }
 }
 
 /// One input port's per-VC words ([`Router::vc_words`]): bit `f` of each
@@ -126,12 +185,12 @@ pub struct AbsorbSlot {
     pub packet: Option<PacketId>,
     /// Reservation made by the permission subnetwork before injection.
     pub reserved_for: Option<PacketId>,
-    /// Buffered flits.
-    pub buf: VecDeque<BufferedFlit>,
+    /// Buffered flits, each with the cycle it was written.
+    pub buf: VecDeque<(Flit, Cycle)>,
     /// Route computed from the head flit for re-injection into the chiplet.
     pub route_out: Option<Port>,
-    /// Allocated downstream VC for re-injection.
-    pub out_vc: Option<usize>,
+    /// Allocated downstream VC for re-injection (flat index).
+    pub out_vc: Option<u8>,
 }
 
 /// Remote control's boundary-router side buffer: absorbs every packet
@@ -208,14 +267,14 @@ impl Absorber {
             slot.packet = Some(id);
             slot.route_out = Some(route_out);
             slot.out_vc = None;
-            slot.buf.push_back(BufferedFlit { flit, arrived: now });
+            slot.buf.push_back((flit, now));
         } else {
             let slot = self
                 .slots
                 .iter_mut()
                 .find(|s| s.packet == Some(id))
                 .unwrap_or_else(|| panic!("absorber body flit without slot for {id}"));
-            slot.buf.push_back(BufferedFlit { flit, arrived: now });
+            slot.buf.push_back((flit, now));
         }
     }
 }
@@ -242,23 +301,37 @@ pub(crate) struct RouterCtx<'a> {
     /// `Up`-routed VC gains its first flit, an ack terminates here). Only
     /// the scheme's walk clears a bit.
     pub scheme_input: &'a mut WakeSet,
+    /// Where emitted control messages wait for their `ControlArrive` /
+    /// `NiControlArrive` delivery.
+    pub controls: &'a mut ControlSlab,
 }
 
 /// One router.
 pub struct Router {
     node: NodeId,
-    vcs_per_vnet: usize,
-    num_vnets: usize,
+    /// VCs per VNet, VNets, and their product, VCs per port (at most
+    /// [`MAX_VCS_PER_PORT`](crate::config::MAX_VCS_PER_PORT), so each fits
+    /// a byte; read through the methods of the same names).
+    vcs_per_vnet: u8,
+    num_vnets: u8,
+    vcs_per_port: u8,
     /// Flat `port x vc` input VCs, indexed `p.index() * vcs_per_port + vc`.
     /// Absent ports keep (never-touched) default slots: nothing is ever
     /// delivered to them, so their occupancy word stays zero and switch
     /// allocation never looks at them.
-    in_vcs: Vec<InputVc>,
+    in_vcs: Box<[InputVc]>,
     /// The buffered flits of every input VC, packed into one fixed-capacity
     /// ring bank (same flat indexing as `in_vcs`). Capacity covers the
     /// larger of the credit depth and one whole packet: a popup rejoin can
-    /// legally re-buffer a worm past its credit-limited depth.
-    bufs: RingBank<BufferedFlit>,
+    /// legally re-buffer a worm past its credit-limited depth. A slot is
+    /// the bare 8-byte flit: when it was written is kept only for the
+    /// flits of the latest write cycle (`fresh`).
+    bufs: RingBank<Flit>,
+    /// Debug builds only: the cycle each buffered flit was written, a ring
+    /// bank shadowing `bufs` slot for slot, which [`Router::front_is_new`]
+    /// is asserted against.
+    #[cfg(debug_assertions)]
+    written_at: RingBank<Cycle>,
     /// One occupancy word per input port: bit `f` is set exactly while input
     /// VC `f` of that port holds a flit (maintained by [`Router::push_flit`]
     /// and [`Router::pop_flit`], the only writers of `bufs`). Switch
@@ -285,6 +358,13 @@ pub struct Router {
     /// cleared where the packet's tail leaves, through switch allocation
     /// or through [`Router::pop_bypass_flit`].
     prio: [u64; Port::COUNT],
+    /// One new-flit word per input port: bit `f` is set while input VC
+    /// `f` has received a flit in cycle `last_flit_write` (its count of
+    /// such flits still buffered is the VC's `fresh` byte). Cleared as a
+    /// whole by the first write of a later cycle, so a flit's arrival
+    /// cycle needs no field of its own: a front flit was written in the
+    /// current cycle only if [`Router::front_is_new`] says so.
+    fresh: [u64; Port::COUNT],
     /// This router's share of the network's [`WorkCounts`]; a debug-build
     /// field only, so a release router is no larger for it.
     #[cfg(debug_assertions)]
@@ -294,17 +374,19 @@ pub struct Router {
     /// be repeated in the next (see [`Router::step`]).
     last_flit_write: Cycle,
     /// Flat `port x vc` downstream credit/ownership mirrors (same indexing).
-    out_vcs: Vec<OutVcState>,
-    vcs_per_port: usize,
-    has_link: [bool; Port::COUNT],
+    out_vcs: Box<[OutVcState]>,
+    /// Ports with a link (failed or not), one bit per `Port::index`;
+    /// `Local` always has one.
+    links: u8,
     /// Output ports a flit may cross now, one bit per `Port::index`: the
     /// link exists and is not failed. `Local` is always live. Kept equal
     /// to the topology by [`Router::sync_links`], which the network calls
     /// wherever a fault is set or cleared.
     live: u8,
-    /// True when this router's `Local`-like sinks (Local out, or Up out when
-    /// the neighbour absorbs) never exert VC backpressure.
-    infinite_sink: [bool; Port::COUNT],
+    /// Output ports, one bit per `Port::index`, whose sinks never exert VC
+    /// backpressure: `Local`, and `Up` where the neighbour absorbs. Their
+    /// output VCs count no credits (see [`OutVcState`]).
+    sinks: u8,
     req_buf: VecDeque<(ControlMsg, Port, Cycle)>,
     ack_buf: VecDeque<(ControlMsg, Port, Cycle)>,
     /// The circuit table, keyed by `(VNet, popup destination)`. It holds one
@@ -316,11 +398,12 @@ pub struct Router {
     control_inbox: Vec<DeliveredControl>,
     /// Per input port: the VC switch allocation looks at first, advanced by
     /// one on every win and kept reduced into `0..vcs_per_port`.
-    rr_in: [usize; Port::COUNT],
-    /// Per output port: wins so far; taken modulo the number of contenders
-    /// (which varies step to step) to pick among them.
-    rr_out: [usize; Port::COUNT],
-    up_last_sent: Vec<Cycle>,
+    rr_in: [u8; Port::COUNT],
+    /// Per output port: wins so far, reduced modulo [`Router::RR_OUT_PERIOD`];
+    /// taken modulo the number of contenders (which varies step to step)
+    /// to pick among them.
+    rr_out: [u16; Port::COUNT],
+    up_last_sent: Box<[Cycle]>,
     rng: SmallRng,
 }
 
@@ -336,44 +419,45 @@ impl std::fmt::Debug for Router {
 }
 
 impl Router {
+    /// The period `rr_out` is kept reduced to: 420 is the least common
+    /// multiple of every contender count (1 to `Port::COUNT`), so the
+    /// reduced counter picks the same contender as the unreduced one.
+    const RR_OUT_PERIOD: u16 = 420;
+
     /// Builds the router for `node`.
     pub fn new(node: NodeId, cfg: &NocConfig, topo: &Topology, seed: u64) -> Self {
         let vcs = cfg.vcs_per_port();
-        let in_vcs = vec![InputVc::default(); Port::COUNT * vcs];
+        let narrow = |n: usize| u8::try_from(n).expect("NocConfig::validate bounds VC counts");
+        let in_vcs = vec![InputVc::default(); Port::COUNT * vcs].into_boxed_slice();
         let ring_cap = cfg.vc_buffer_depth.max(cfg.max_packet_flits());
         let bufs = RingBank::new(
             Port::COUNT * vcs,
             ring_cap,
-            BufferedFlit {
-                flit: Flit::new(PacketRef(u32::MAX), 0, 1),
-                arrived: 0,
-            },
+            Flit::new(PacketRef(u32::MAX), 0, 1),
         );
-        let mut out_vcs = vec![OutVcState::new(cfg.vc_buffer_depth); Port::COUNT * vcs];
-        for f in 0..vcs {
-            // Local ejection never exerts VC backpressure.
-            out_vcs[Port::Local.index() * vcs + f] = OutVcState::new(usize::MAX / 2);
-        }
-        let mut infinite_sink = [false; Port::COUNT];
-        infinite_sink[Port::Local.index()] = true;
+        let out_vcs = vec![OutVcState::new(cfg.vc_buffer_depth); Port::COUNT * vcs];
         let mut r = Self {
             node,
-            vcs_per_vnet: cfg.vcs_per_vnet,
-            num_vnets: cfg.num_vnets,
+            vcs_per_vnet: narrow(cfg.vcs_per_vnet),
+            num_vnets: narrow(cfg.num_vnets),
+            vcs_per_port: narrow(vcs),
             in_vcs,
             bufs,
+            #[cfg(debug_assertions)]
+            written_at: RingBank::new(Port::COUNT * vcs, ring_cap, 0),
             occ: [0; Port::COUNT],
             parked: [0; Port::COUNT],
             up: [0; Port::COUNT],
             prio: [0; Port::COUNT],
+            fresh: [0; Port::COUNT],
             #[cfg(debug_assertions)]
             work: WorkCounts::default(),
             last_flit_write: 0,
-            out_vcs,
-            vcs_per_port: vcs,
-            has_link: [false; Port::COUNT],
+            out_vcs: out_vcs.into_boxed_slice(),
+            links: 0,
             live: 0,
-            infinite_sink,
+            // Local ejection never exerts VC backpressure.
+            sinks: 1 << Port::Local.index(),
             req_buf: VecDeque::new(),
             ack_buf: VecDeque::new(),
             circuits: Vec::new(),
@@ -382,7 +466,7 @@ impl Router {
             control_inbox: Vec::new(),
             rr_in: [0; Port::COUNT],
             rr_out: [0; Port::COUNT],
-            up_last_sent: vec![0; cfg.num_vnets],
+            up_last_sent: vec![0; cfg.num_vnets].into_boxed_slice(),
             rng: SmallRng::seed_from_u64(seed ^ node.0 as u64),
         };
         r.sync_links(topo);
@@ -394,10 +478,13 @@ impl Router {
     /// wherever the network sets or clears a fault on one of them, so it
     /// re-arms every parked VC: one may wait on the link that changed.
     pub(crate) fn sync_links(&mut self, topo: &Topology) {
+        self.links = 0;
         self.live = 0;
         for p in Port::ALL {
             let local = p == Port::Local;
-            self.has_link[p.index()] = local || topo.raw_neighbor(self.node, p).is_some();
+            if local || topo.raw_neighbor(self.node, p).is_some() {
+                self.links |= 1 << p.index();
+            }
             if local || topo.neighbor(self.node, p).is_some() {
                 self.live |= 1 << p.index();
             }
@@ -414,9 +501,24 @@ impl Router {
         self.live >> out.index() & 1 == 1
     }
 
+    /// True when `out`'s sink never exerts VC backpressure.
+    fn is_sink(&self, out: Port) -> bool {
+        self.sinks >> out.index() & 1 == 1
+    }
+
     /// The router's node id.
     pub fn node(&self) -> NodeId {
         self.node
+    }
+
+    /// VCs per input port (all VNets).
+    fn vcs_per_port(&self) -> usize {
+        usize::from(self.vcs_per_port)
+    }
+
+    /// VCs per VNet.
+    fn vcs_per_vnet(&self) -> usize {
+        usize::from(self.vcs_per_vnet)
     }
 
     /// Installs a remote-control absorber with `slots` packet slots.
@@ -429,10 +531,10 @@ impl Router {
     /// without VC backpressure). Used on interposer routers whose `Up`
     /// neighbour runs an absorber.
     pub fn set_infinite_sink(&mut self, p: Port) {
-        self.infinite_sink[p.index()] = true;
-        let base = p.index() * self.vcs_per_port;
-        for s in &mut self.out_vcs[base..base + self.vcs_per_port] {
-            *s = OutVcState::new(usize::MAX / 2);
+        self.sinks |= 1 << p.index();
+        let vcs = self.vcs_per_port();
+        for s in &mut self.out_vcs[p.index() * vcs..(p.index() + 1) * vcs] {
+            s.busy = false;
         }
         for q in 0..Port::COUNT {
             self.rearm(q, u64::MAX); // the sink's credits changed
@@ -455,42 +557,45 @@ impl Router {
     ///
     /// Panics if the port has no link.
     pub fn input_vc(&self, p: Port, vc_flat: usize) -> &InputVc {
-        &self.in_vcs[p.index() * self.vcs_per_port + vc_flat]
+        &self.in_vcs[p.index() * self.vcs_per_port() + vc_flat]
     }
 
     /// Buffered-flit occupancy of an input VC.
     pub fn vc_buf_len(&self, p: Port, vc_flat: usize) -> usize {
-        self.bufs.len(p.index() * self.vcs_per_port + vc_flat)
+        self.bufs.len(p.index() * self.vcs_per_port() + vc_flat)
     }
 
     /// True when an input VC holds no buffered flits.
     pub fn vc_buf_is_empty(&self, p: Port, vc_flat: usize) -> bool {
-        self.bufs.is_empty(p.index() * self.vcs_per_port + vc_flat)
+        self.bufs
+            .is_empty(p.index() * self.vcs_per_port() + vc_flat)
     }
 
     /// Oldest buffered flit of an input VC, if any.
-    pub fn vc_front(&self, p: Port, vc_flat: usize) -> Option<&BufferedFlit> {
-        self.bufs.front(p.index() * self.vcs_per_port + vc_flat)
+    pub fn vc_front(&self, p: Port, vc_flat: usize) -> Option<&Flit> {
+        self.bufs.front(p.index() * self.vcs_per_port() + vc_flat)
     }
 
     /// True if the packet owning VC `(p, vc_flat)` has sent its head flit
     /// downstream but not yet its tail (the worm is partly transmitted).
     pub fn vc_partly_transmitted(&self, p: Port, vc_flat: usize) -> bool {
-        let iv = p.index() * self.vcs_per_port + vc_flat;
+        let iv = p.index() * self.vcs_per_port() + vc_flat;
         let vc = &self.in_vcs[iv];
-        vc.owner.is_some()
-            && vc.out_vc.is_some()
-            && self.bufs.front(iv).is_none_or(|b| !b.flit.kind.is_head())
+        vc.owner().is_some()
+            && vc.out_vc().is_some()
+            && self.bufs.front(iv).is_none_or(|b| !b.kind.is_head())
     }
 
-    /// Downstream credit mirror for an output VC.
+    /// Downstream credit mirror for an output VC. A sink's output VCs
+    /// (`Local`, and `Up` toward an absorber) count no credits: theirs stay
+    /// at the buffer depth.
     pub fn output_vc(&self, p: Port, vc_flat: usize) -> &OutVcState {
-        &self.out_vcs[p.index() * self.vcs_per_port + vc_flat]
+        &self.out_vcs[p.index() * self.vcs_per_port() + vc_flat]
     }
 
     /// True when the router has a link on `p`.
     pub fn has_link(&self, p: Port) -> bool {
-        self.has_link[p.index()]
+        self.links >> p.index() & 1 == 1
     }
 
     /// Last cycle any flit departed through the `Up` port for `vnet`.
@@ -536,10 +641,10 @@ impl Router {
     /// one VC per router, since no route visits a router twice.
     pub fn owned_vc(&self, packet: PacketId, vnet: VnetId) -> (Option<(Port, usize)>, u64) {
         let mut scanned = 0;
-        for p in Port::ALL.into_iter().filter(|p| self.has_link[p.index()]) {
+        for p in Port::ALL.into_iter().filter(|&p| self.has_link(p)) {
             for f in self.vnet_range(vnet) {
                 scanned += 1;
-                if self.in_vcs[p.index() * self.vcs_per_port + f].owner == Some(packet) {
+                if self.in_vcs[p.index() * self.vcs_per_port() + f].owner() == Some(packet) {
                     return (Some((p, f)), scanned);
                 }
             }
@@ -561,14 +666,14 @@ impl Router {
     /// Freezes or unfreezes an input VC (frozen VCs skip switch allocation;
     /// UPP freezes the VC it pops flits from).
     pub fn set_vc_frozen(&mut self, p: Port, vc_flat: usize, frozen: bool) {
-        self.in_vcs[p.index() * self.vcs_per_port + vc_flat].frozen = frozen;
+        self.in_vcs[p.index() * self.vcs_per_port() + vc_flat].set_frozen(frozen);
         self.rearm(p.index(), 1 << vc_flat);
     }
 
     /// The bits of `vnet`'s VCs in a port word. A shift of `u64::MAX`, so
     /// that one VNet of 64 VCs still fits (`(1 << 64) - 1` overflows).
     fn vnet_mask(&self, vnet: usize) -> u64 {
-        u64::MAX >> (64 - self.vcs_per_vnet) << (vnet * self.vcs_per_vnet)
+        u64::MAX >> (64 - self.vcs_per_vnet()) << (vnet * self.vcs_per_vnet())
     }
 
     /// Clears `mask`'s bits of input port `p`'s parked word, so switch
@@ -777,19 +882,17 @@ impl Router {
                 return;
             }
         }
-        let iv = in_port.index() * self.vcs_per_port + vc_flat;
+        let iv = in_port.index() * self.vcs_per_port() + vc_flat;
         if flit.kind.is_head() {
             let vc = &mut self.in_vcs[iv];
             debug_assert!(
-                vc.owner.is_none(),
+                vc.owner().is_none(),
                 "VC collision at {} {in_port}",
                 self.node
             );
             let desc = ctx.arena.head_desc(&flit);
             let out = ctx.routing.route(ctx.topo, self.node, in_port, &desc.route);
-            vc.owner = Some(desc.id);
-            vc.route_out = Some(out);
-            vc.out_vc = None;
+            vc.claim(desc.id, out);
             self.up[in_port.index()] |= u64::from(out == Port::Up) << vc_flat;
         }
         if !self.push_flit(ctx, in_port, vc_flat, flit) {
@@ -803,34 +906,81 @@ impl Router {
     /// Appends a flit to input VC `(p, f)` and raises its occupancy bit;
     /// false when the ring is full. With [`Router::pop_flit`], the only
     /// writer of `bufs`. The first flit of an `Up`-routed VC is an upward
-    /// candidate, so it puts the router in the scheme-input set.
+    /// candidate, so it puts the router in the scheme-input set. The flit
+    /// counts as written this cycle in the port's `fresh` word and the
+    /// VC's `fresh` byte; the first write of a cycle clears every port's
+    /// word, so the bits of an earlier cycle never carry over.
     fn push_flit(&mut self, ctx: &mut RouterCtx<'_>, p: Port, f: usize, flit: Flit) -> bool {
-        debug_assert!(f < self.vcs_per_port, "VC {f} is past the port's last VC");
-        let arrived = ctx.now;
+        debug_assert!(f < self.vcs_per_port(), "VC {f} is past the port's last VC");
+        let iv = p.index() * self.vcs_per_port() + f;
         if !self.occ[p.index()] & self.up[p.index()] & (1 << f) != 0 {
             ctx.scheme_input.insert(self.node.index());
         }
+        if self.bufs.push_back(iv, flit).is_err() {
+            return false;
+        }
+        #[cfg(debug_assertions)]
+        self.written_at
+            .push_back(iv, ctx.now)
+            .expect("the shadow has the capacity of the ring it mirrors");
         self.occ[p.index()] |= 1 << f;
-        self.last_flit_write = arrived;
-        self.bufs
-            .push_back(
-                p.index() * self.vcs_per_port + f,
-                BufferedFlit { flit, arrived },
-            )
-            .is_ok()
+        if self.last_flit_write != ctx.now {
+            self.fresh = [0; Port::COUNT];
+            self.last_flit_write = ctx.now;
+        }
+        let vc = &mut self.in_vcs[iv];
+        if self.fresh[p.index()] >> f & 1 == 0 {
+            self.fresh[p.index()] |= 1 << f;
+            vc.fresh = 0;
+        }
+        vc.fresh += 1;
+        true
     }
 
     /// Removes the oldest flit of input VC `(p, f)`, dropping the VC's
     /// occupancy bit when that empties it. A new front flit (or none) is
     /// asked afresh, so the VC is re-armed.
-    fn pop_flit(&mut self, p: Port, f: usize) -> Option<BufferedFlit> {
-        let iv = p.index() * self.vcs_per_port + f;
-        let b = self.bufs.pop_front(iv)?;
+    fn pop_flit(&mut self, p: Port, f: usize) -> Option<Flit> {
+        let iv = p.index() * self.vcs_per_port() + f;
+        let len = self.bufs.len(iv);
+        let flit = self.bufs.pop_front(iv)?;
+        #[cfg(debug_assertions)]
+        self.written_at.pop_front(iv);
+        let vc = &mut self.in_vcs[iv];
+        if self.fresh[p.index()] >> f & 1 == 1 && len <= usize::from(vc.fresh) {
+            vc.fresh -= 1; // the flit left was written in `last_flit_write`
+        }
         if self.bufs.is_empty(iv) {
             self.occ[p.index()] &= !(1 << f);
         }
         self.rearm(p.index(), 1 << f);
-        Some(b)
+        Some(flit)
+    }
+
+    /// True when the front flit of occupied input VC `(p, f)` was written in
+    /// cycle `now`: it attends switch allocation from the next cycle. The
+    /// flits written in cycle `last_flit_write` are the last `fresh` of
+    /// the VC's buffer, so the front is one of them exactly when the
+    /// buffer holds no more. Debug builds assert it against the shadow
+    /// cycle of the front slot.
+    fn front_is_new(&self, p: Port, f: usize, now: Cycle) -> bool {
+        let iv = p.index() * self.vcs_per_port() + f;
+        debug_assert!(
+            !self.bufs.is_empty(iv),
+            "VC {f} of {} {p} holds no flit",
+            self.node
+        );
+        let new = self.last_flit_write == now
+            && self.fresh[p.index()] >> f & 1 == 1
+            && self.bufs.len(iv) <= usize::from(self.in_vcs[iv].fresh);
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            new,
+            self.written_at.front(iv).is_some_and(|&at| at >= now),
+            "new-front word of {} {p} disagrees with VC {f}'s shadow at cycle {now}",
+            self.node
+        );
+        new
     }
 
     /// Debug cross-check of the per-port words against the state they
@@ -840,22 +990,22 @@ impl Router {
     /// VCs, and `live` against the topology.
     fn assert_words_match_state(&self, topo: &Topology) {
         for p in Port::ALL {
-            for f in 0..self.vcs_per_port {
-                let vc = &self.in_vcs[p.index() * self.vcs_per_port + f];
+            for f in 0..self.vcs_per_port() {
+                let vc = &self.in_vcs[p.index() * self.vcs_per_port() + f];
                 assert_eq!(
                     self.occ[p.index()] >> f & 1 == 1,
-                    !self.bufs.is_empty(p.index() * self.vcs_per_port + f),
+                    !self.bufs.is_empty(p.index() * self.vcs_per_port() + f),
                     "occupancy word of {} {p} disagrees with VC {f}'s buffer",
                     self.node
                 );
                 assert_eq!(
                     self.up[p.index()] >> f & 1 == 1,
-                    vc.route_out == Some(Port::Up),
+                    vc.route_out() == Some(Port::Up),
                     "Up-route word of {} {p} disagrees with VC {f}'s route",
                     self.node
                 );
                 assert!(
-                    !self.is_priority_vc(p, f) || vc.owner.is_some(),
+                    !self.is_priority_vc(p, f) || vc.owner().is_some(),
                     "{} {p} VC {f} holds a priority mark and no packet",
                     self.node
                 );
@@ -929,7 +1079,7 @@ impl Router {
         // buffered flits, append behind them so flits cannot overtake.
         for p in Port::ALL {
             for f in SetBits(self.occ[p.index()]) {
-                if self.in_vcs[p.index() * self.vcs_per_port + f].owner != Some(id) {
+                if self.in_vcs[p.index() * self.vcs_per_port() + f].owner() != Some(id) {
                     continue;
                 }
                 let mut rejoined = flit;
@@ -972,12 +1122,15 @@ impl Router {
     /// VCs. The VNet's VCs parked on other outputs re-arm too, at the cost
     /// of one evaluation each.
     pub(crate) fn deliver_credit(&mut self, out_port: Port, vc_flat: usize, is_free: bool) {
-        let vc = &mut self.out_vcs[out_port.index() * self.vcs_per_port + vc_flat];
-        vc.credits += 1;
+        let sink = self.is_sink(out_port);
+        let vc = &mut self.out_vcs[out_port.index() * self.vcs_per_port() + vc_flat];
+        if !sink {
+            vc.credits += 1;
+        }
         if is_free {
             vc.busy = false;
         }
-        let mask = self.vnet_mask(vc_flat / self.vcs_per_vnet);
+        let mask = self.vnet_mask(vc_flat / self.vcs_per_vnet());
         for p in 0..Port::COUNT {
             self.rearm(p, mask);
         }
@@ -1230,7 +1383,7 @@ impl Router {
                         Event::NiControlArrive {
                             node: self.node,
                             in_port,
-                            msg,
+                            msg: ctx.controls.put(msg),
                         },
                     ));
                 } else {
@@ -1253,7 +1406,7 @@ impl Router {
                     Event::ControlArrive {
                         node: peer,
                         in_port: out_port.opposite(),
-                        msg,
+                        msg: ctx.controls.put(msg),
                     },
                 ));
             }
@@ -1329,7 +1482,7 @@ impl Router {
                         // The VCs after `f` in round-robin order are not
                         // asked this cycle, so nothing on them is blocked.
                         let above = u64::MAX.checked_shl(f as u32 + 1).unwrap_or(0);
-                        let later = if f >= self.rr_in[p.index()] {
+                        let later = if f >= usize::from(self.rr_in[p.index()]) {
                             above | below_start
                         } else {
                             above & below_start
@@ -1379,7 +1532,7 @@ impl Router {
                 let start = if n_cont == 1 {
                     0
                 } else {
-                    self.rr_out[out.index()] % n_cont
+                    usize::from(self.rr_out[out.index()]) % n_cont
                 };
                 SetBits(u64::from(contenders))
                     .nth(start)
@@ -1388,7 +1541,7 @@ impl Router {
             let winner = bids[winner_in].expect("a bidder bit marks a recorded bid");
             claimed_out[out.index()] = true;
             claimed_in[winner_in] = true;
-            self.rr_out[out.index()] = self.rr_out[out.index()].wrapping_add(1);
+            self.rr_out[out.index()] = (self.rr_out[out.index()] + 1) % Self::RR_OUT_PERIOD;
             self.rr_in[winner_in] += 1;
             if self.rr_in[winner_in] == self.vcs_per_port {
                 self.rr_in[winner_in] = 0;
@@ -1405,12 +1558,12 @@ impl Router {
         if ctx.tracer.enabled() {
             let lost = |b: &&Bid| b.vc_flat <= usize::MAX / 2 && !claimed_in[b.in_port.index()];
             for b in bids.iter().flatten().filter(lost) {
-                let iv = b.in_port.index() * self.vcs_per_port + b.vc_flat;
+                let iv = b.in_port.index() * self.vcs_per_port() + b.vc_flat;
                 let front = self
                     .bufs
                     .front(iv)
                     .expect("losing bid still holds its flit");
-                let packet = ctx.arena.desc(&front.flit).id;
+                let packet = ctx.arena.desc(front).id;
                 ctx.tracer.record(TraceEvent::Blocked {
                     at: ctx.now,
                     packet,
@@ -1427,32 +1580,27 @@ impl Router {
     /// Whether occupied input VC `(p, f)` can bid this cycle, and if not,
     /// what it waits on and whether it parks (see [`Request`]).
     fn vc_request(&self, p: Port, f: usize, ctx: &RouterCtx<'_>) -> Request {
-        let iv = p.index() * self.vcs_per_port + f;
+        let iv = p.index() * self.vcs_per_port() + f;
         let vc = &self.in_vcs[iv];
-        let (Some(head), Some(out)) = (self.bufs.front(iv), vc.route_out) else {
+        let (Some(head), Some(out)) = (self.bufs.front(iv), vc.route_out()) else {
             return Request::Wait(None);
         };
         // A frozen VC and a flit in its buffer-write cycle do not bid, and
         // fail-stop never bids over a missing or failed link: the VC (and
         // its worm) waits in place until the link heals.
-        if vc.frozen || head.arrived >= ctx.now || !self.is_live(out) {
+        if vc.frozen() || self.front_is_new(p, f, ctx.now) || !self.is_live(out) {
             return Request::Wait(None);
         }
-        let reason = match vc.out_vc {
-            Some(ovc) if self.out_vcs[out.index() * self.vcs_per_port + ovc].credits > 0 => {
-                return Request::Bid(out);
-            }
+        let reason = match vc.out_vc() {
+            Some(ovc) if self.has_credit(out, ovc) => return Request::Bid(out),
             Some(_) => BlockReason::Credit,
             None => {
-                debug_assert!(
-                    head.flit.kind.is_head(),
-                    "body flit without allocated out VC"
-                );
+                debug_assert!(head.kind.is_head(), "body flit without allocated out VC");
                 // A packet keeps its VNet, and an input VC carries only its
                 // own VNet's packets, so the VC index names the VNet.
-                let vnet = VnetId((f / self.vcs_per_vnet) as u8);
-                debug_assert_eq!(vnet, ctx.arena.head_desc(&head.flit).vnet);
-                let need = Self::alloc_credits_needed(ctx, &head.flit);
+                let vnet = VnetId((f / self.vcs_per_vnet()) as u8);
+                debug_assert_eq!(vnet, ctx.arena.head_desc(head).vnet);
+                let need = Self::alloc_credits_needed(ctx, head);
                 if self.free_out_vc_exists(out, vnet, need, ctx) {
                     return Request::Bid(out);
                 }
@@ -1460,7 +1608,7 @@ impl Router {
             }
         };
         let block = Block {
-            packet: head.flit.desc,
+            packet: head.desc,
             out,
             reason,
         };
@@ -1484,19 +1632,35 @@ impl Router {
         }
     }
 
+    /// True when output VC `ovc` of `out` can take one more flit: a sink
+    /// always can, any other VC while it holds a credit.
+    fn has_credit(&self, out: Port, ovc: usize) -> bool {
+        self.is_sink(out) || self.out_vcs[out.index() * self.vcs_per_port() + ovc].credits > 0
+    }
+
+    /// Takes a credit of output VC `ovc` of `out` for a departing flit (a
+    /// sink counts none).
+    fn take_credit(&mut self, out: Port, ovc: usize) {
+        if !self.is_sink(out) {
+            self.out_vcs[out.index() * self.vcs_per_port() + ovc].credits -= 1;
+        }
+    }
+
     /// The VCs of `vnet` on output `out` that can take a packet needing
-    /// `need` credits: not held by another packet (on a sink that exerts
-    /// no VC backpressure, none is) and holding the credits.
+    /// `need` credits: on a sink that exerts no VC backpressure, all of
+    /// them; elsewhere those not held by another packet and holding the
+    /// credits.
     fn free_out_vcs(
         &self,
         out: Port,
         vnet: VnetId,
         need: usize,
     ) -> impl Iterator<Item = usize> + '_ {
-        let base = vnet.index() * self.vcs_per_vnet;
-        (base..base + self.vcs_per_vnet).filter(move |&ovc| {
-            let s = &self.out_vcs[out.index() * self.vcs_per_port + ovc];
-            (!s.busy || self.infinite_sink[out.index()]) && s.credits >= need
+        let base = vnet.index() * self.vcs_per_vnet();
+        let sink = self.is_sink(out);
+        (base..base + self.vcs_per_vnet()).filter(move |&ovc| {
+            let s = &self.out_vcs[out.index() * self.vcs_per_port() + ovc];
+            sink || !s.busy && usize::from(s.credits) >= need
         })
     }
 
@@ -1527,21 +1691,19 @@ impl Router {
     }
 
     fn commit_normal(&mut self, ctx: &mut RouterCtx<'_>, in_port: Port, f: usize, out: Port) {
-        let (flit, needs_alloc) = {
-            let b = self.pop_flit(in_port, f).expect("winner has a head flit");
-            let iv = in_port.index() * self.vcs_per_port + f;
-            (b.flit, self.in_vcs[iv].out_vc.is_none())
-        };
+        let flit = self.pop_flit(in_port, f).expect("winner has a head flit");
+        let iv = in_port.index() * self.vcs_per_port() + f;
+        let needs_alloc = self.in_vcs[iv].out_vc().is_none();
         let ovc = if needs_alloc {
             let desc = ctx.arena.head_desc(&flit);
             let (id, vnet) = (desc.id, desc.vnet);
             let need = Self::alloc_credits_needed(ctx, &flit);
             let ovc = self.pick_out_vc(out, vnet, need);
-            self.out_vcs[out.index() * self.vcs_per_port + ovc].busy = true;
+            self.out_vcs[out.index() * self.vcs_per_port() + ovc].busy = true;
             if out == Port::Local {
                 ctx.ni.claim_entry(vnet);
             }
-            self.in_vcs[in_port.index() * self.vcs_per_port + f].out_vc = Some(ovc);
+            self.in_vcs[iv].set_out_vc(ovc);
             if ctx.tracer.enabled() {
                 ctx.tracer.record(TraceEvent::VcAllocated {
                     at: ctx.now,
@@ -1555,11 +1717,9 @@ impl Router {
             }
             ovc
         } else {
-            self.in_vcs[in_port.index() * self.vcs_per_port + f]
-                .out_vc
-                .expect("allocated")
+            self.in_vcs[iv].out_vc().expect("allocated")
         };
-        self.out_vcs[out.index() * self.vcs_per_port + ovc].credits -= 1;
+        self.take_credit(out, ovc);
 
         let is_tail = flit.kind.is_tail();
         self.credit_upstream(ctx, in_port, f, is_tail);
@@ -1582,6 +1742,7 @@ impl Router {
         vc_flat: usize,
         is_free: bool,
     ) {
+        let vc_flat = vc_flat as u8; // below MAX_VCS_PER_PORT
         let event = match in_port {
             Port::Local => Event::NiCreditArrive {
                 node: self.node,
@@ -1602,7 +1763,7 @@ impl Router {
     /// Deallocates input VC `(p, f)` as its packet's tail leaves: no
     /// owner, route, out VC, freeze, `Up`-route bit or priority mark.
     fn free_vc(&mut self, p: Port, f: usize) {
-        self.in_vcs[p.index() * self.vcs_per_port + f] = InputVc::default();
+        self.in_vcs[p.index() * self.vcs_per_port() + f] = InputVc::default();
         self.up[p.index()] &= !(1 << f);
         self.prio[p.index()] &= !(1 << f);
     }
@@ -1616,12 +1777,12 @@ impl Router {
             if slot.packet.is_none() {
                 continue;
             }
-            let Some(head) = slot.buf.front() else {
+            let Some(&(head, arrived)) = slot.buf.front() else {
                 continue;
             };
             // Extra +1 cycle models remote control's serialized VA/SA stages
             // at boundary crossings (Sec. III-B).
-            if head.arrived + 1 >= ctx.now {
+            if arrived + 1 >= ctx.now {
                 continue;
             }
             let out = slot.route_out.expect("absorbed head computed a route");
@@ -1629,13 +1790,13 @@ impl Router {
                 continue; // no link, or a failed one: re-inject after heal
             }
             let ok = match slot.out_vc {
-                Some(ovc) => self.out_vcs[out.index() * self.vcs_per_port + ovc].credits > 0,
+                Some(ovc) => self.has_credit(out, usize::from(ovc)),
                 None => {
-                    head.flit.kind.is_head()
+                    head.kind.is_head()
                         && self.free_out_vc_exists(
                             out,
-                            ctx.arena.head_desc(&head.flit).vnet,
-                            Self::alloc_credits_needed(ctx, &head.flit),
+                            ctx.arena.head_desc(&head).vnet,
+                            Self::alloc_credits_needed(ctx, &head),
                             ctx,
                         )
                 }
@@ -1652,25 +1813,25 @@ impl Router {
             let abs = self.absorber.as_mut().expect("absorber committed");
             abs.rr = (slot + 1) % abs.slots.len();
             let s = &mut abs.slots[slot];
-            let b = s.buf.pop_front().expect("winner has a flit");
-            (b.flit, s.out_vc.is_none())
+            let (flit, _) = s.buf.pop_front().expect("winner has a flit");
+            (flit, s.out_vc.is_none())
         };
         let ovc = if needs_alloc {
             let vnet = ctx.arena.head_desc(&flit).vnet;
             let need = Self::alloc_credits_needed(ctx, &flit);
             let ovc = self.pick_out_vc(out, vnet, need);
-            self.out_vcs[out.index() * self.vcs_per_port + ovc].busy = true;
+            self.out_vcs[out.index() * self.vcs_per_port() + ovc].busy = true;
             if out == Port::Local {
                 ctx.ni.claim_entry(vnet);
             }
-            self.absorber.as_mut().expect("absorber").slots[slot].out_vc = Some(ovc);
+            let narrow = u8::try_from(ovc).expect("a flat VC index fits a byte");
+            self.absorber.as_mut().expect("absorber").slots[slot].out_vc = Some(narrow);
             ovc
         } else {
-            self.absorber.as_ref().expect("absorber").slots[slot]
-                .out_vc
-                .expect("allocated")
+            let ovc = self.absorber.as_ref().expect("absorber").slots[slot].out_vc;
+            usize::from(ovc.expect("allocated"))
         };
-        self.out_vcs[out.index() * self.vcs_per_port + ovc].credits -= 1;
+        self.take_credit(out, ovc);
         let is_tail = flit.kind.is_tail();
         if is_tail {
             let s = &mut self.absorber.as_mut().expect("absorber").slots[slot];
@@ -1695,12 +1856,10 @@ impl Router {
         if out == Port::Up {
             self.up_last_sent[ctx.arena.desc(&flit).vnet.index()] = ctx.now;
         }
-        if out == Port::Local && is_tail {
-            // The NI entry holds the packet; free the ejection VC now.
-            self.out_vcs[out.index() * self.vcs_per_port + ovc].busy = false;
-        }
-        if self.infinite_sink[out.index()] && out != Port::Local && is_tail {
-            self.out_vcs[out.index() * self.vcs_per_port + ovc].busy = false;
+        if self.is_sink(out) && is_tail {
+            // The NI entry or the absorber slot holds the packet; free the
+            // VC now.
+            self.out_vcs[out.index() * self.vcs_per_port() + ovc].busy = false;
         }
         let arrival = ctx.now + 1 + ctx.cfg.link_latency;
         if out == Port::Local {
@@ -1721,7 +1880,7 @@ impl Router {
                 Event::FlitArrive {
                     node: peer,
                     in_port: out.opposite(),
-                    vc_flat: ovc,
+                    vc_flat: ovc as u8, // below MAX_VCS_PER_PORT
                     flit,
                 },
             ));
@@ -1747,15 +1906,11 @@ impl Router {
         if !self.is_live(out_port) {
             return None; // no link, or a failed one: popup resumes after heal
         }
-        let iv = in_port.index() * self.vcs_per_port + vc_flat;
-        let head = self.bufs.front(iv)?;
-        if head.arrived >= ctx.now {
+        let iv = in_port.index() * self.vcs_per_port() + vc_flat;
+        if self.bufs.is_empty(iv) || self.front_is_new(in_port, vc_flat, ctx.now) {
             return None;
         }
-        let mut flit = self
-            .pop_flit(in_port, vc_flat)
-            .expect("checked non-empty")
-            .flit;
+        let mut flit = self.pop_flit(in_port, vc_flat).expect("checked non-empty");
         flit.upward = true;
         if ctx.tracer.enabled() {
             ctx.tracer.record(TraceEvent::BypassPop {
@@ -1785,19 +1940,19 @@ impl Router {
     pub fn input_vcs(&self) -> impl Iterator<Item = (Port, usize)> + '_ {
         Port::ALL
             .into_iter()
-            .filter(move |p| self.has_link[p.index()])
-            .flat_map(move |p| (0..self.vcs_per_port).map(move |f| (p, f)))
+            .filter(move |&p| self.has_link(p))
+            .flat_map(move |p| (0..self.vcs_per_port()).map(move |f| (p, f)))
     }
 
     /// Flat VC range of one VNet.
     pub fn vnet_range(&self, vnet: VnetId) -> std::ops::Range<usize> {
-        let base = vnet.index() * self.vcs_per_vnet;
-        base..base + self.vcs_per_vnet
+        let base = vnet.index() * self.vcs_per_vnet();
+        base..base + self.vcs_per_vnet()
     }
 
     /// Number of VNets configured.
     pub fn num_vnets(&self) -> usize {
-        self.num_vnets
+        usize::from(self.num_vnets)
     }
 
     /// Exact heap bytes of this router's steady-state storage: the input-VC
@@ -1818,7 +1973,7 @@ impl Router {
                 a.slots.len() * size_of::<AbsorbSlot>()
                     + a.slots
                         .iter()
-                        .map(|s| s.buf.capacity() * size_of::<BufferedFlit>())
+                        .map(|s| s.buf.capacity() * size_of::<(Flit, Cycle)>())
                         .sum::<usize>()
             })
     }
@@ -1849,6 +2004,7 @@ mod tests {
         obs: ObsRegistry,
         arena: PacketArena,
         scheme_input: WakeSet,
+        controls: ControlSlab,
     }
 
     impl Harness {
@@ -1868,6 +2024,7 @@ mod tests {
                 obs: ObsRegistry::disabled(),
                 arena: PacketArena::new(),
                 scheme_input: WakeSet::new(nodes),
+                controls: ControlSlab::default(),
             }
         }
 
@@ -1885,6 +2042,7 @@ mod tests {
                 obs: &mut self.obs,
                 arena: &self.arena,
                 scheme_input: &mut self.scheme_input,
+                controls: &mut self.controls,
             }
         }
 
@@ -1921,6 +2079,26 @@ mod tests {
         }
     }
 
+    /// The per-VC and per-event records keep their sizes: a record that
+    /// regrows fails here, not in a memory report nobody reads.
+    #[test]
+    fn per_vc_and_per_event_records_fit_their_budgets() {
+        use std::mem::size_of;
+        let budgets = [
+            ("Event", size_of::<Event>(), 16),
+            ("(Cycle, Event)", size_of::<(Cycle, Event)>(), 24),
+            ("input-VC ring slot", size_of::<Flit>(), 8),
+            ("InputVc", size_of::<InputVc>(), 16),
+            ("OutVcState", size_of::<OutVcState>(), 4),
+        ];
+        for (record, bytes, budget) in budgets {
+            assert!(
+                bytes <= budget,
+                "{record} grew to {bytes} bytes (budget {budget})"
+            );
+        }
+    }
+
     #[test]
     fn head_flit_buffer_write_computes_route() {
         let mut h = Harness::new(NocConfig::default());
@@ -1930,8 +2108,8 @@ mod tests {
         let mut ctx = h.ctx(0);
         r.deliver_flit(&mut ctx, Port::West, 0, Flit::new(d, 0, 2));
         let vc = r.input_vc(Port::West, 0);
-        assert_eq!(vc.owner, Some(PacketId(1)));
-        assert_eq!(vc.route_out, Some(Port::East));
+        assert_eq!(vc.owner(), Some(PacketId(1)));
+        assert_eq!(vc.route_out(), Some(Port::East));
         assert!(!r.vc_partly_transmitted(Port::West, 0));
         assert_eq!(r.vc_buf_len(Port::West, 0), 1);
     }
@@ -2006,7 +2184,7 @@ mod tests {
         }
         assert!(saw_flit && saw_credit);
         // Tail departure cleared the VC.
-        assert!(r.input_vc(Port::West, 0).owner.is_none());
+        assert!(r.input_vc(Port::West, 0).owner().is_none());
     }
 
     #[test]
@@ -2055,7 +2233,7 @@ mod tests {
             .emit
             .iter()
             .filter_map(|(_, e)| match e {
-                Event::CreditArrive { vc_flat, .. } => Some(*vc_flat),
+                Event::CreditArrive { vc_flat, .. } => Some(usize::from(*vc_flat)),
                 _ => None,
             })
             .collect();
@@ -2191,7 +2369,7 @@ mod tests {
         let d = h.intern_routed(PacketId(3), VnetId(1), 1, route);
         let mut r = Router::new(ir, &h.cfg, &h.topo, 1);
         r.deliver_flit(&mut h.ctx(7), Port::Local, 63, Flit::new(d, 0, 1));
-        assert_eq!(r.input_vc(Port::Local, 63).route_out, Some(Port::Up));
+        assert_eq!(r.input_vc(Port::Local, 63).route_out(), Some(Port::Up));
         assert!(r.has_upward_candidate(VnetId(1)));
         assert!(!r.has_upward_candidate(VnetId(0)));
     }
@@ -2394,7 +2572,10 @@ mod tests {
                         .is_some());
                 }
             }
-            assert!(r.input_vc(Port::Local, 63).owner.is_none(), "the tail left");
+            assert!(
+                r.input_vc(Port::Local, 63).owner().is_none(),
+                "the tail left"
+            );
             assert_eq!(r.vc_words(Port::Local), VcWords::default());
             r.assert_words_match_state(&h.topo);
         }
@@ -2430,7 +2611,7 @@ mod tests {
             let mut next_id = 0u64;
             for (now, (kind, pi, f)) in (1u64..).zip(ops) {
                 let p = ports[pi];
-                if r.input_vc(p, f).owner.is_none() {
+                if r.input_vc(p, f).owner().is_none() {
                     worms.remove(&(p, f));
                 }
                 let room = r.vc_buf_len(p, f) < r.bufs.capacity();
@@ -2464,7 +2645,7 @@ mod tests {
                         for (_, e) in &h.emit {
                             if let Event::FlitArrive { vc_flat, flit, .. } = e {
                                 if !flit.upward {
-                                    r.deliver_credit(Port::East, *vc_flat, flit.kind.is_tail());
+                                    r.deliver_credit(Port::East, usize::from(*vc_flat), flit.kind.is_tail());
                                 }
                             }
                         }
@@ -2485,7 +2666,7 @@ mod tests {
                     // head-of-buffer flit leaves through the bypass latch
                     // (a no-op on an empty VC).
                     _ => {
-                        let out_vc = r.input_vc(p, f).out_vc;
+                        let out_vc = r.input_vc(p, f).out_vc();
                         if !r.vc_buf_is_empty(p, f) {
                             r.set_vc_frozen(p, f, true);
                         }

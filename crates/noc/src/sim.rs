@@ -208,6 +208,25 @@ mod tests {
         }
     }
 
+    /// The watchdog times packets in flight, not the network: a send after
+    /// an idle stretch as long as its threshold drains instead of reading
+    /// as a deadlock before its first cycle.
+    #[test]
+    fn a_send_after_a_long_idle_stretch_drains() {
+        let mut s = sys();
+        let threshold = s.net().cfg().watchdog_threshold;
+        assert_eq!(threshold, 1_000);
+        s.run(threshold);
+        let src = s.net().topo().chiplets()[0].routers[0];
+        let dest = s.net().topo().chiplets()[1].routers[9];
+        s.send(src, dest, VnetId(0), 5).unwrap();
+        assert!(!s.net().stalled());
+        match s.run_until_drained(2_000) {
+            RunOutcome::Drained { at } => assert!(at > threshold),
+            other => panic!("expected drain, got {other:?}"),
+        }
+    }
+
     #[test]
     fn run_advances_clock() {
         let mut s = sys();

@@ -87,7 +87,7 @@ proptest! {
                     prop_assert!(!out_vc.busy, "VC still owned at {n} {p}/{f}");
                     if p != Port::Local {
                         prop_assert_eq!(
-                            out_vc.credits, depth,
+                            usize::from(out_vc.credits), depth,
                             "credit leak at {} {}/{}: {} of {}",
                             n, p, f, out_vc.credits, depth
                         );

@@ -181,11 +181,11 @@ pub fn wait_for_edges(net: &Network) -> Vec<WaitEdge> {
         let node = r.node();
         for (p, f) in r.input_vcs() {
             let vc = r.input_vc(p, f);
-            let Some(owner) = vc.owner else { continue };
+            let Some(owner) = vc.owner() else { continue };
             if r.vc_buf_is_empty(p, f) || p == Port::Local {
                 continue;
             }
-            let Some(out) = vc.route_out else { continue };
+            let Some(out) = vc.route_out() else { continue };
             if out == Port::Local {
                 continue;
             }

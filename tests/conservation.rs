@@ -48,7 +48,10 @@ fn check_conservation(kind: SchemeKind, vcs: usize, seed: u64, rate: f64) {
         for (p, f) in r.input_vcs() {
             let vc = r.input_vc(p, f);
             assert!(r.vc_buf_is_empty(p, f), "{label}: flit left in {n} {p}/{f}");
-            assert!(vc.owner.is_none(), "{label}: VC still owned at {n} {p}/{f}");
+            assert!(
+                vc.owner().is_none(),
+                "{label}: VC still owned at {n} {p}/{f}"
+            );
         }
     }
     if let Some(s) = built.upp_stats() {
