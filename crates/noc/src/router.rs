@@ -54,7 +54,7 @@ pub struct InputVc {
     /// [`MAX_VCS_PER_PORT`](crate::config::MAX_VCS_PER_PORT)) once the
     /// head flit won switch allocation, `u8::MAX` when none.
     out_vc: u8,
-    /// How many of the VC's buffered flits were written in the router's
+    /// How many flits were written into the VC in the router's
     /// `last_flit_write` cycle; meaningful only while the VC's bit in the
     /// port's `fresh` word is set (see [`Router::front_is_new`]).
     fresh: u8,
@@ -360,7 +360,7 @@ pub struct Router {
     prio: [u64; Port::COUNT],
     /// One new-flit word per input port: bit `f` is set while input VC
     /// `f` has received a flit in cycle `last_flit_write` (its count of
-    /// such flits still buffered is the VC's `fresh` byte). Cleared as a
+    /// such flits is the VC's `fresh` byte). Cleared as a
     /// whole by the first write of a later cycle, so a flit's arrival
     /// cycle needs no field of its own: a front flit was written in the
     /// current cycle only if [`Router::front_is_new`] says so.
@@ -942,14 +942,9 @@ impl Router {
     /// asked afresh, so the VC is re-armed.
     fn pop_flit(&mut self, p: Port, f: usize) -> Option<Flit> {
         let iv = p.index() * self.vcs_per_port() + f;
-        let len = self.bufs.len(iv);
         let flit = self.bufs.pop_front(iv)?;
         #[cfg(debug_assertions)]
         self.written_at.pop_front(iv);
-        let vc = &mut self.in_vcs[iv];
-        if self.fresh[p.index()] >> f & 1 == 1 && len <= usize::from(vc.fresh) {
-            vc.fresh -= 1; // the flit left was written in `last_flit_write`
-        }
         if self.bufs.is_empty(iv) {
             self.occ[p.index()] &= !(1 << f);
         }
@@ -961,8 +956,11 @@ impl Router {
     /// cycle `now`: it attends switch allocation from the next cycle. The
     /// flits written in cycle `last_flit_write` are the last `fresh` of
     /// the VC's buffer, so the front is one of them exactly when the
-    /// buffer holds no more. Debug builds assert it against the shadow
-    /// cycle of the front slot.
+    /// buffer holds no more. The count needs no decrement where a flit
+    /// leaves: [`Router::pop_flit`] runs only on a front this says is not
+    /// new, so none of the counted flits leaves before `now` has passed
+    /// `last_flit_write`, after which the count is not read. Debug builds
+    /// assert the answer against the shadow cycle of the front slot.
     fn front_is_new(&self, p: Port, f: usize, now: Cycle) -> bool {
         let iv = p.index() * self.vcs_per_port() + f;
         debug_assert!(
@@ -2114,29 +2112,34 @@ mod tests {
         assert_eq!(r.vc_buf_len(Port::West, 0), 1);
     }
 
+    /// A flit attends switch allocation from the cycle after its buffer
+    /// write, also when more than one flit enters its VC in that cycle (the
+    /// front is new while the buffer holds only flits of the write cycle).
     #[test]
     fn flit_is_not_eligible_in_its_arrival_cycle() {
-        let mut h = Harness::new(NocConfig::default());
-        let mut r = h.router();
-        let dest = h.topo.chiplets()[0].routers[6];
-        let d = h.intern(1, dest);
-        {
-            let mut ctx = h.ctx(5);
-            r.deliver_flit(&mut ctx, Port::West, 0, Flit::new(d, 0, 1));
+        for len in [1, 2] {
+            let mut h = Harness::new(NocConfig::default());
+            let mut r = h.router();
+            let dest = h.topo.chiplets()[0].routers[6];
+            let d = h.intern(len, dest);
+            for seq in 0..len {
+                let mut ctx = h.ctx(5);
+                r.deliver_flit(&mut ctx, Port::West, 0, Flit::new(d, seq, len));
+            }
+            {
+                let mut ctx = h.ctx(5);
+                r.step(&mut ctx); // same cycle: BW only
+            }
+            assert!(
+                h.emit.is_empty(),
+                "no flit may move in its buffer-write cycle ({len} written)"
+            );
+            {
+                let mut ctx = h.ctx(6);
+                r.step(&mut ctx); // SA one cycle later
+            }
+            assert_eq!(h.emit.len(), 2, "flit transfer + upstream credit");
         }
-        {
-            let mut ctx = h.ctx(5);
-            r.step(&mut ctx); // same cycle: BW only
-        }
-        assert!(
-            h.emit.is_empty(),
-            "no flit may move in its buffer-write cycle"
-        );
-        {
-            let mut ctx = h.ctx(6);
-            r.step(&mut ctx); // SA one cycle later
-        }
-        assert_eq!(h.emit.len(), 2, "flit transfer + upstream credit");
     }
 
     #[test]
