@@ -234,6 +234,10 @@ pub struct WorkCounts {
     pub vc_requests: u64,
     /// Those of them that did not bid.
     pub vc_requests_failed: u64,
+    /// Input ports whose VCs switch allocation's first phase asked.
+    pub sa_inputs_examined: u64,
+    /// Output ports switch allocation's second phase arbitrated.
+    pub sa_outputs_examined: u64,
     /// Parked input VCs re-armed by a credit, a new front flit or a freeze
     /// toggle.
     pub vcs_rearmed: u64,
@@ -258,6 +262,8 @@ impl std::ops::Add for WorkCounts {
         Self {
             vc_requests: self.vc_requests + o.vc_requests,
             vc_requests_failed: self.vc_requests_failed + o.vc_requests_failed,
+            sa_inputs_examined: self.sa_inputs_examined + o.sa_inputs_examined,
+            sa_outputs_examined: self.sa_outputs_examined + o.sa_outputs_examined,
             vcs_rearmed: self.vcs_rearmed + o.vcs_rearmed,
             upward_tests: self.upward_tests + o.upward_tests,
             candidate_lists: self.candidate_lists + o.candidate_lists,
