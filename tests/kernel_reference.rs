@@ -447,6 +447,8 @@ fn fig3_work_per_flit_hop_is_pinned() {
         let rows = [
             ("vc_requests", work.vc_requests),
             ("vc_requests_failed", work.vc_requests_failed),
+            ("sa_inputs_examined", work.sa_inputs_examined),
+            ("sa_outputs_examined", work.sa_outputs_examined),
             ("vcs_rearmed", work.vcs_rearmed),
             ("upward_tests", work.upward_tests),
             ("candidate_lists", work.candidate_lists),
